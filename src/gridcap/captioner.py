@@ -160,28 +160,6 @@ def frozen(params: dict[str, Tensor]) -> dict[str, Tensor]:
     return {k: v.detach() for k, v in params.items()}
 
 
-def _heads_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
-                     mask: np.ndarray | None = None,
-                     mem_k: Tensor | None = None,
-                     mem_v: Tensor | None = None) -> Tensor:
-    """Per-head attention with optional shared memory rows on keys/values."""
-    hd = q.shape[1] // num_heads
-    heads = []
-    for h in range(num_heads):
-        lo, hi = h * hd, (h + 1) * hd
-        kh = nm.col_slice(k, lo, hi)
-        vh = nm.col_slice(v, lo, hi)
-        mh = mask
-        if mem_k is not None:
-            kh = nm.concat([kh, mem_k], axis=0)
-            vh = nm.concat([vh, mem_v], axis=0)
-            if mask is not None:
-                pad = np.zeros((mask.shape[0], mem_k.shape[0]), dtype=bool)
-                mh = np.concatenate([mask, pad], axis=1)
-        heads.append(nm.scaled_dot_attention(nm.col_slice(q, lo, hi), kh, vh, mh))
-    return heads[0] if num_heads == 1 else nm.concat(heads, axis=1)
-
-
 def _ffn(x: Tensor, params: dict[str, Tensor], pre: str) -> Tensor:
     h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
     h = nm.linear(nm.relu(nm.linear(h, params[f"{pre}.w1"], params[f"{pre}.b1"])),
@@ -204,7 +182,7 @@ def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor]) -> T
     for i in range(cfg.num_enc_layers):
         pre = f"enc{i}.attn"
         h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
-        attended = _heads_attention(
+        attended = nm.multi_head_attention(
             nm.matmul(h, params[f"{pre}.wq"]),
             nm.matmul(h, params[f"{pre}.wk"]),
             nm.matmul(h, params[f"{pre}.wv"]),
@@ -245,7 +223,7 @@ def decode_hidden(tokens, enc_out: Tensor, cfg: CaptionerConfig,
     for i in range(cfg.num_dec_layers):
         pre = f"dec{i}.self"
         h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
-        attended = _heads_attention(
+        attended = nm.multi_head_attention(
             nm.matmul(h, params[f"{pre}.wq"]),
             nm.matmul(h, params[f"{pre}.wk"]),
             nm.matmul(h, params[f"{pre}.wv"]),
@@ -254,7 +232,7 @@ def decode_hidden(tokens, enc_out: Tensor, cfg: CaptionerConfig,
 
         pre = f"dec{i}.cross"
         h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
-        attended = _heads_attention(
+        attended = nm.multi_head_attention(
             nm.matmul(h, params[f"{pre}.wq"]),
             nm.matmul(enc_out, params[f"{pre}.wk"]),
             nm.matmul(enc_out, params[f"{pre}.wv"]),

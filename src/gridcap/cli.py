@@ -21,7 +21,8 @@ from .captioner import CaptionerConfig, Vocabulary
 from .data import (DatasetConfig, apply_heldout, build_vocabulary,
                    default_synonyms, gen_dataset, read_jsonl, write_jsonl)
 from .metrics import IdfTable
-from .numerics import load_checkpoint, save_checkpoint, checkpoint_hash
+from .numerics import (NumericsError, checkpoint_hash, load_checkpoint,
+                       save_checkpoint)
 from .selector import SelectorConfig, load_synonyms, save_synonyms
 from .training import (EVAL_MODES, RunReport, TrainConfig, TrainingDiverged,
                        decode_eval, decode_split, finetune_scst_dgbs,
@@ -118,7 +119,10 @@ class Experiment:
         path = self.path(name)
         if not os.path.exists(path):
             raise ConfigError(f"{path} missing; run the earlier stage first")
-        return load_checkpoint(path)
+        try:
+            return load_checkpoint(path)
+        except (ValueError, KeyError, TypeError, NumericsError) as exc:
+            raise ConfigError(f"corrupt checkpoint {path}: {exc!r}") from exc
 
     def splits(self, scenes, synonyms):
         return apply_heldout(scenes, self.data_cfg, synonyms)

@@ -3,14 +3,13 @@
 Plain beam search plus a grid variant that frames decoding in a
 (constraint coverage x time) matrix: cell (c, t) holds a beam of partial
 sequences with t+1 generated tokens containing exactly c distinct
-constraint words. A cell is fed both by free continuations of the previous
-column and by forced constraint insertions from the row below, and every
-new hypothesis is routed to the row matching its actual coverage, however
-the word arrived. Row n therefore holds exactly the sequences that satisfy
-all n constraints.
+constraint words. Every parent is expanded over the full vocabulary, so
+constraint words arrive as ordinary continuations, and each new hypothesis
+is routed to the row matching its actual coverage. Row n therefore holds
+exactly the sequences that satisfy all n constraints.
 
-Forced tokens keep their model log-probability instead of being scored as
-free insertions, which is what makes the sequence score differentiable:
+Every token, constraint word or not, is scored with the model's own
+log-probability, which is what makes the sequence score differentiable:
 ``sequence_logprob`` recomputes the whole sum under the trainable model so
 reward gradients flow through constrained decodes too.
 """
@@ -41,7 +40,6 @@ class Hypothesis:
     logprob: float
     met: frozenset[int] = frozenset()
     finished: bool = False
-    forced: tuple[int, ...] = ()  # positions filled by constraint insertion
 
     def sort_key(self):
         return (-self.logprob, self.tokens)
@@ -96,28 +94,6 @@ def feasible_coverage(t: int, n: int, T: int) -> range:
     lo = max(0, n + t - T)
     hi = min(t, n)
     return range(lo, hi + 1)
-
-
-def add_constr(h: Hypothesis, constraints: ConstraintSet, step_logprobs) -> list[Hypothesis]:
-    """One forced continuation per still-unmet constraint word.
-
-    The appended token is scored with the model's own log-probability for
-    it, never substituted by zero.
-    """
-    if h.finished:
-        raise SearchError("cannot extend a finished hypothesis")
-    out = []
-    for cid in constraints.ids:
-        if cid in h.met:
-            continue
-        out.append(Hypothesis(
-            tokens=h.tokens + (cid,),
-            logprob=h.logprob + float(step_logprobs[cid]),
-            met=h.met | {cid},
-            finished=False,
-            forced=h.forced + (len(h.tokens),),
-        ))
-    return out
 
 
 @dataclass
@@ -189,11 +165,7 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
                     logprob=parent.logprob + float(lp[tok]),
                     met=met,
                     finished=(tok == eos),
-                    forced=parent.forced,
                 ))
-            if len(parent.met) < n:
-                for h in add_constr(parent, constraints, lp):
-                    offer(h)
 
         for c in window:
             kept = _prune(new_cells[c], k)
@@ -240,20 +212,16 @@ def beam_search(model, k: int, T: int, length_norm: str = "none") -> Hypothesis:
                            length_norm=length_norm).best
 
 
-def sequence_logprob(tokens, forced_positions, model) -> Tensor:
+def sequence_logprob(tokens, model) -> Tensor:
     """Differentiable sum of per-token log-probs for a completed decode.
 
-    Free and forced positions are scored identically under the trainable
-    model (a forced token's probability is the model's own), so the scalar
-    matches the search-time hypothesis score and its gradient reaches every
-    parameter.
+    Constraint words and free words are scored alike under the trainable
+    model, so the scalar matches the search-time hypothesis score and its
+    gradient reaches every parameter.
     """
     tokens = tuple(int(x) for x in tokens)
     if not tokens:
         raise ValueError("cannot score an empty sequence")
-    for pos in forced_positions:
-        if not 0 <= pos < len(tokens):
-            raise ValueError(f"forced position {pos} outside sequence")
     lsm = model.all_step_logprobs((model.bos_id,) + tokens)
     rows = np.arange(len(tokens))
     picked = nm.take(lsm, rows, np.asarray(tokens, dtype=np.intp))

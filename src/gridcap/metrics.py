@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .selector import surface_forms
 
@@ -19,7 +19,6 @@ class EvalRecord:
     scene_id: str
     generated: list[str]
     references: list[list[str]]
-    detected_classes: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.references:

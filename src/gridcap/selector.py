@@ -2,8 +2,8 @@
 
 Scores each detected region for "must this object be mentioned in the
 caption", using only geometry and detector confidence, never the class
-identity itself. Class ids drive one thing only: the partition used by the
-inner-attention operator, which lets regions of the same class exchange
+identity itself. Class ids drive one thing only: the block mask used by
+the inner-attention operator, which lets regions of the same class exchange
 information before the fully connected self-attention pass.
 """
 
@@ -73,53 +73,27 @@ def extract_features(d: Detection, width: float, height: float) -> np.ndarray:
     return np.array([x_c / width, y_c / height, nw, nh, nw * nh, d.score])
 
 
-def _split_heads_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
-                           mask: np.ndarray | None = None) -> Tensor:
-    """Concatenated per-head scaled dot attention, no output projection."""
-    dim = q.shape[1]
-    hd = dim // num_heads
-    heads = []
-    for h in range(num_heads):
-        lo, hi = h * hd, (h + 1) * hd
-        heads.append(nm.scaled_dot_attention(
-            nm.col_slice(q, lo, hi), nm.col_slice(k, lo, hi),
-            nm.col_slice(v, lo, hi), mask))
-    return heads[0] if num_heads == 1 else nm.concat(heads, axis=1)
-
-
-def class_partition(classes) -> list[np.ndarray]:
-    """Index groups by class id, ordered by first appearance."""
-    order: dict[int, list[int]] = {}
-    for i, c in enumerate(classes):
-        order.setdefault(int(c), []).append(i)
-    return [np.array(idx, dtype=np.intp) for idx in order.values()]
-
-
 def inner_attention(x: Tensor, classes, wq: Tensor, wk: Tensor, wv: Tensor,
                     num_heads: int = 1) -> Tensor:
     """Attention restricted to regions of one class.
 
-    Each class group is gathered out, attended over in isolation, and
-    scattered back to its original rows, so the computation for one class
-    never reads another class's values. Output order matches input order.
+    One attention pass under the mask ``class_i != class_j``: blocked
+    weights underflow to exactly 0, so a row never reads another class's
+    values, and a region always sees itself, so no row is fully masked.
+    Output order matches input order.
     """
-    n = x.shape[0]
-    if n == 0:
+    if x.shape[0] == 0:  # softmax over an empty key axis raises
         return Tensor(np.zeros((0, x.shape[1])))
-    out = None
-    for idx in class_partition(classes):
-        rc = nm.gather_rows(x, idx)
-        attended = _split_heads_attention(
-            nm.matmul(rc, wq), nm.matmul(rc, wk), nm.matmul(rc, wv), num_heads)
-        placed = nm.scatter_rows(attended, idx, n)
-        out = placed if out is None else nm.add(out, placed)
-    return out
+    classes = np.asarray(classes)
+    return nm.multi_head_attention(
+        nm.matmul(x, wq), nm.matmul(x, wk), nm.matmul(x, wv), num_heads,
+        mask=classes[:, None] != classes[None, :])
 
 
 def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
                    num_heads: int = 1) -> Tensor:
     """Full attention over all regions, no class restriction."""
-    return _split_heads_attention(
+    return nm.multi_head_attention(
         nm.matmul(x, wq), nm.matmul(x, wk), nm.matmul(x, wv), num_heads)
 
 

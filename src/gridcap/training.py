@@ -5,7 +5,8 @@ Three phases, strictly ordered and parameter-isolated: selector training
 (teacher-forced cross-entropy on the filtered split), and reward
 fine-tuning (self-critical policy gradient where each beam candidate from
 the constrained search is scored by the consensus metric against the
-mean-of-beam baseline, with gradients flowing through forced tokens).
+mean-of-beam baseline, with gradients flowing through every token of the
+candidate, constraint words included).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class TrainConfig:
     beam_size: int = 5
     scst_baseline: str = "mean_beam"  # or "greedy"
     length_norm: str = "none"
-    constraint_source: str = "detected_in_refs"
     seed: int = 0
 
     def __post_init__(self):
@@ -131,7 +131,7 @@ def selection_f1(selected, target_words) -> float:
 
 def _selection_val_f1(scenes, cfg, params, synonyms) -> float:
     scores_f1 = []
-    froz = {k: v.detach() for k, v in params.items()}
+    froz = frozen(params)
     for scene in scenes:
         feats, classes, dets, targets = scene_selector_inputs(scene, cfg, synonyms)
         scores = selector_forward(feats, classes, cfg, froz)
@@ -290,8 +290,9 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
     Every finished beam candidate is rewarded, advantages are centered on
     the beam mean (or on the best candidate's reward under the greedy
     baseline variant), and the policy term is the differentiable sequence
-    log-probability, so forced constraint tokens receive gradient too.
-    Scenes with an empty constraint set fall back to unconstrained search.
+    log-probability, so constraint words receive gradient like any other
+    token. Scenes with an empty constraint set fall back to unconstrained
+    search.
 
     A scene whose search finishes fewer than two candidates has nothing to
     compare and is skipped. Each epoch record counts ``scored_scenes`` and
@@ -344,7 +345,7 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
                 for h, a in zip(cands, adv):
                     if a == 0.0:
                         continue
-                    term = nm.mul(sequence_logprob(h.tokens, h.forced, live),
+                    term = nm.mul(sequence_logprob(h.tokens, live),
                                   -float(a) / len(cands))
                     loss = term if loss is None else nm.add(loss, term)
                 _check_finite(loss.item(), "policy loss")
@@ -424,7 +425,7 @@ def decode_split(scenes: list[SceneRecord], mode: str, cfg: CaptionerConfig,
                  trace: bool = False) -> list[DecodeOutput]:
     vocab = cfg.vocab
     froz = frozen(cap_params)
-    sel_froz = {k: v.detach() for k, v in sel_params.items()} if sel_params else None
+    sel_froz = frozen(sel_params) if sel_params else None
     outputs = []
     for scene in scenes:
         words = constraints_for_mode(scene, mode, vocab, synonyms,
@@ -458,8 +459,7 @@ def decode_eval(splits: HeldoutSplits, mode: str, data_cfg: DatasetConfig,
     outputs = decode_split(splits.test, mode, cfg, cap_params, train_cfg,
                            synonyms, sel_cfg, sel_params, trace=trace)
     records = [EvalRecord(scene_id=s.scene_id, generated=o.caption,
-                          references=s.references,
-                          detected_classes=[d.class_word for d in s.detections])
+                          references=s.references)
                for s, o in zip(splits.test, outputs)]
     report = eval_report(records, list(data_cfg.held_out), synonyms)
     n_constrained = sum(1 for o in outputs if o.constraints)

@@ -2,12 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gridcap.captioner import Vocabulary, encode, frozen, init_captioner_params
 from gridcap.captioner import CaptionerConfig, SceneStepModel
-from gridcap.decoder import (ConstraintSet, Hypothesis,
-                             InfeasibleConstraintsError, SearchError,
-                             add_constr, beam_search, feasible_coverage,
+from gridcap.decoder import (ConstraintSet, InfeasibleConstraintsError,
+                             beam_search, feasible_coverage,
                              grid_beam_search, run_grid_search,
                              sequence_logprob)
 
@@ -53,6 +54,17 @@ def exhaustive_best(lm: TableLM, T: int, constraint_ids=()):
             if best is None or key < best[0]:
                 best = (key, seq, lp)
     return best[1], best[2]
+
+
+@st.composite
+def lm_with_constraints(draw):
+    """A random TableLM, its budget T, and 1-2 distinct non-eos constraint ids."""
+    V = draw(st.integers(3, 5))
+    T = draw(st.integers(2, 5))
+    ids = draw(st.lists(st.integers(1, V - 1), min_size=1,
+                        max_size=min(2, T - 1), unique=True))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return TableLM.random(np.random.default_rng(seed), V, T), T, tuple(ids)
 
 
 class TestFeasibleCoverage:
@@ -126,15 +138,17 @@ class TestGridBeamSearch:
         b = grid_beam_search(lm, ConstraintSet.empty(), k=3, T=4)
         assert a == b
 
-    def test_saturation_matches_constrained_exhaustive(self):
-        rng = np.random.default_rng(34)
-        lm = TableLM.random(rng, 5, 5)
-        cs = ConstraintSet(words=("w3",), ids=(3,))
-        hyp = grid_beam_search(lm, cs, k=5 ** 5, T=5)
-        tokens, lp = exhaustive_best(lm, 5, constraint_ids=(3,))
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(lm_with_constraints())
+    @example((TableLM.random(np.random.default_rng(34), 5, 5), 5, (3,)))
+    def test_saturation_matches_constrained_exhaustive(self, case):
+        lm, T, ids = case
+        cs = ConstraintSet(words=tuple(f"w{i}" for i in ids), ids=ids)
+        hyp = grid_beam_search(lm, cs, k=lm.vocab_size ** T, T=T)
+        tokens, lp = exhaustive_best(lm, T, constraint_ids=ids)
         assert hyp.tokens == tokens
         assert hyp.logprob == pytest.approx(lp, abs=1e-9)
-        assert 3 in hyp.tokens
+        assert set(ids) <= set(hyp.tokens)
 
     def test_constraint_always_satisfied(self):
         rng = np.random.default_rng(35)
@@ -193,42 +207,6 @@ class TestGridBeamSearch:
         assert 2 in hyp.tokens
 
 
-class TestAddConstr:
-    def test_already_met_words_are_skipped(self):
-        lp = np.log(np.full(5, 0.2))
-        cs = ConstraintSet(words=("zebra", "bus"), ids=(3, 4))
-        h = Hypothesis(tokens=(1, 3), logprob=-1.0, met=frozenset({3}))
-        out = add_constr(h, cs, lp)
-        assert len(out) == 1
-        assert out[0].tokens == (1, 3, 4)
-        assert out[0].met == frozenset({3, 4})
-
-    def test_forced_token_keeps_model_logprob(self):
-        lp = np.log(np.array([0.1, 0.2, 0.3, 0.4]))
-        cs = ConstraintSet(words=("w3",), ids=(3,))
-        h = Hypothesis(tokens=(1,), logprob=-0.5)
-        out = add_constr(h, cs, lp)
-        assert out[0].logprob == pytest.approx(-0.5 + np.log(0.4), abs=1e-12)
-        assert out[0].forced == (1,)
-
-    def test_count_equals_unmet(self):
-        rng = np.random.default_rng(39)
-        lp = np.log(rng.dirichlet(np.ones(8)))
-        ids = (2, 3, 5, 7)
-        cs = ConstraintSet(words=tuple(f"w{i}" for i in ids), ids=ids)
-        for _ in range(50):
-            met = frozenset(rng.choice(ids, size=rng.integers(0, 5),
-                                       replace=False).tolist())
-            h = Hypothesis(tokens=(1,), logprob=0.0, met=met)
-            assert len(add_constr(h, cs, lp)) == len(ids) - len(met)
-
-    def test_finished_hypothesis_rejected(self):
-        cs = ConstraintSet(words=("w1",), ids=(1,))
-        h = Hypothesis(tokens=(0,), logprob=0.0, finished=True)
-        with pytest.raises(SearchError):
-            add_constr(h, cs, np.zeros(4))
-
-
 class TestConstraintSet:
     def test_duplicates_collapse(self):
         v = Vocabulary(["dog", "cat"])
@@ -271,7 +249,7 @@ class TestSequenceLogprob:
         tokens = v.encode(["red", "dog"]) + [v.eos_id]
         manual = sum(float(sm.step((v.bos_id,) + tuple(tokens[:i]))[tokens[i]])
                      for i in range(len(tokens)))
-        got = sequence_logprob(tokens, (), sm).item()
+        got = sequence_logprob(tokens, sm).item()
         assert got == pytest.approx(manual, abs=1e-9)
 
     def test_matches_search_hypothesis_score(self, model):
@@ -282,7 +260,7 @@ class TestSequenceLogprob:
         cs = ConstraintSet.from_words(["dog"], cfg.vocab)
         hyp = grid_beam_search(sm, cs, k=3, T=cfg.max_len - 1)
         assert hyp.finished
-        recomputed = sequence_logprob(hyp.tokens, hyp.forced, sm).item()
+        recomputed = sequence_logprob(hyp.tokens, sm).item()
         assert recomputed == pytest.approx(hyp.logprob, abs=1e-9)
 
     def test_gradient_matches_finite_differences(self, model):
@@ -295,13 +273,6 @@ class TestSequenceLogprob:
         def loss():
             enc = encode(regions, cfg, params)
             sm = SceneStepModel(enc, cfg, params)
-            return sequence_logprob(tokens, (1,), sm)
+            return sequence_logprob(tokens, sm)
 
         check_grads(loss, subset, 1e-4)
-
-    def test_bad_forced_position_rejected(self, model):
-        cfg, params, regions = model
-        froz = frozen(params)
-        sm = SceneStepModel(encode(regions, cfg, froz), cfg, froz)
-        with pytest.raises(ValueError):
-            sequence_logprob((5, 6), (7,), sm)

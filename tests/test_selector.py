@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcap import numerics as nm
 from gridcap.numerics import Tensor
@@ -68,8 +70,33 @@ class TestInnerAttention:
         x = Tensor(rng.normal(size=(4, 8)))
         wq, wk, wv = (proj(rng, 8) for _ in range(3))
         out = inner_attention(x, [3, 7, 3, 3], wq, wk, wv, num_heads=2)
-        expected = x.data[1:2] @ wv.data  # softmax over a singleton is 1
+        expected = (x.data @ wv.data)[1:2]  # its only unmasked weight is 1
         np.testing.assert_array_equal(out.data[1:2], expected)
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(classes=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+           num_heads=st.sampled_from([1, 2, 4]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_class_reference(self, classes, num_heads, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(len(classes), 8))
+        wq, wk, wv = (proj(rng, 8) for _ in range(3))
+        out = inner_attention(Tensor(x), classes, wq, wk, wv,
+                              num_heads=num_heads).data
+        # plain numpy: each class attended over in isolation
+        cls = np.asarray(classes)
+        hd = 8 // num_heads
+        expected = np.empty_like(x)
+        for c in set(classes):
+            rows = cls == c
+            q, k, v = (x[rows] @ w.data for w in (wq, wk, wv))
+            for h in range(num_heads):
+                cols = slice(h * hd, (h + 1) * hd)
+                s = q[:, cols] @ k[:, cols].T / math.sqrt(hd)
+                e = np.exp(s - s.max(axis=1, keepdims=True))
+                expected[rows, cols] = (
+                    e / e.sum(axis=1, keepdims=True)) @ v[:, cols]
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     def test_class_isolation_is_bitwise(self):
         rng = np.random.default_rng(12)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -220,19 +221,20 @@ class TestDecodeEval:
             for w in out.constraints:
                 assert w in out.caption
 
-    def test_phase_isolation(self, tiny_world):
+    def test_phase_isolation(self, tiny_world, pretrained):
         # fine-tuning must never touch selector parameters
-        _, _, synonyms, splits, vocab = tiny_world
-        sel_cfg = SelectorConfig()
-        tcfg = TrainConfig(selector_epochs=1, xent_epochs=1, rl_epochs=1,
-                           warmup=50, seed=11)
-        sel_params, _ = train_selector(splits, synonyms, sel_cfg, tcfg)
+        _, _, synonyms, splits, _ = tiny_world
+        cfg, pre = pretrained
+        tcfg = TrainConfig(selector_epochs=1, rl_epochs=1, warmup=50, seed=11)
+        sel_params, _ = train_selector(splits, synonyms, SelectorConfig(), tcfg)
         sel_before = checkpoint_hash(sel_params)
-        cfg = tiny_cap_cfg(vocab)
         sub = tr.HeldoutSplits(captioner_train=splits.captioner_train[:4],
                                selector_train=[], val=splits.val[:2], test=[])
-        cap_params, _ = pretrain_captioner(sub, cfg, tcfg)
-        finetune_scst_dgbs(sub, cfg, cap_params, tcfg, synonyms)
+        params = fresh_copy(pre)
+        cap_before = checkpoint_hash(params)
+        params, epochs = finetune_scst_dgbs(sub, cfg, params, tcfg, synonyms)
+        assert epochs[0]["scored_scenes"] >= 1
+        assert checkpoint_hash(params) != cap_before
         assert checkpoint_hash(sel_params) == sel_before
 
 
@@ -303,6 +305,17 @@ class TestCli:
         config = tmp_path / "c.json"
         config.write_text(json.dumps({**TINY_CONFIG, "out_dir": str(tmp_path / "x")}))
         assert cli.main(["train-selector", "--config", str(config)]) == 1
+
+    def test_truncated_checkpoint_is_exit_1(self, run_dir, tmp_path):
+        base, config = run_dir
+        out = tmp_path / "run"
+        shutil.copytree(base / "run", out)
+        (out / "captioner_rl.ckpt").unlink()
+        ckpt = out / "captioner.ckpt"
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[: len(blob) // 2])
+        assert cli.main(["eval", "--config", config, "--mode", "none",
+                         "--out", str(out)]) == 1
 
     def test_divergence_maps_to_exit_2(self, run_dir, monkeypatch):
         _, config = run_dir
