@@ -14,7 +14,7 @@ from .selector import (Detection, SelectorConfig, build_ground_truth,
                        extract_features, select_constraints, selector_forward,
                        weighted_bce)
 from .captioner import (CaptionerConfig, SceneStepModel, Vocabulary,
-                        decode_logits, encode, step_distribution, xent_loss)
+                        decode_logits, encode, xent_loss)
 from .decoder import (ConstraintSet, Hypothesis, beam_search,
                       feasible_coverage, grid_beam_search, run_grid_search,
                       sequence_logprob)

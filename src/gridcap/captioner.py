@@ -7,13 +7,18 @@ cross-attention on the encoder output. Word embeddings sit in a smaller
 space than the model width, with learned up/down projections on either side
 of the decoder stack, and output logits tie to the transpose of the
 embedding matrix.
+
+One decoder-layer body serves two callers. Teacher forcing runs it over a
+whole sequence, for training and sequence scoring. ``SceneStepModel.step``
+runs it over the last token of many prefixes at once, for search. It takes
+earlier positions' self-attention keys and values from a cache, and the
+encoder's cross-attention keys and values are computed once per scene.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -207,42 +212,62 @@ def _validate_tokens(tokens, cfg: CaptionerConfig) -> np.ndarray:
     return ids
 
 
-def decode_hidden(tokens, enc_out: Tensor, cfg: CaptionerConfig,
-                  params: dict[str, Tensor]) -> Tensor:
-    """Down-projected decoder states (len(tokens), embed_dim), pre-tying."""
-    ids = _validate_tokens(tokens, cfg)
-    n = len(ids)
+def _embed(ids, pe: np.ndarray, params: dict[str, Tensor]) -> Tensor:
+    """Up-projected embeddings of ``ids`` plus their position rows ``pe``."""
     x = nm.gather_rows(params["embed.E"], ids)
     x = nm.linear(x, params["embed.up_w"], params["embed.up_b"])
-    x = nm.add(x, Tensor(positional_encoding(n, cfg.d_model)))
+    return nm.add(x, Tensor(pe))
 
-    causal = np.triu(np.ones((n, n), dtype=bool), k=1)
-    pad_keys = (ids == cfg.vocab.pad_id)[None, :] & ~np.eye(n, dtype=bool)
-    self_mask = causal | pad_keys
 
+def _decoder_stack(x: Tensor, self_mask: np.ndarray, self_kv, cross_kv,
+                   cfg: CaptionerConfig, params: dict[str, Tensor]) -> Tensor:
+    """The decoder layers over the rows of ``x``, then the down projection.
+
+    ``self_kv(i, k, v)`` turns layer i's key and value rows of ``x`` into the
+    keys and values those rows attend to, with ``self_mask`` marking blocked
+    (row, key) pairs; ``cross_kv(i)`` gives layer i's encoder keys and values.
+    """
     for i in range(cfg.num_dec_layers):
         pre = f"dec{i}.self"
         h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
-        attended = nm.multi_head_attention(
-            nm.matmul(h, params[f"{pre}.wq"]),
-            nm.matmul(h, params[f"{pre}.wk"]),
-            nm.matmul(h, params[f"{pre}.wv"]),
-            cfg.num_heads, mask=self_mask)
+        q = nm.matmul(h, params[f"{pre}.wq"])
+        k, v = self_kv(i, nm.matmul(h, params[f"{pre}.wk"]),
+                       nm.matmul(h, params[f"{pre}.wv"]))
+        attended = nm.multi_head_attention(q, k, v, cfg.num_heads, mask=self_mask)
         x = nm.add(x, nm.matmul(attended, params[f"{pre}.wo"]))
 
         pre = f"dec{i}.cross"
         h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
-        attended = nm.multi_head_attention(
-            nm.matmul(h, params[f"{pre}.wq"]),
-            nm.matmul(enc_out, params[f"{pre}.wk"]),
-            nm.matmul(enc_out, params[f"{pre}.wv"]),
-            cfg.num_heads)
+        q = nm.matmul(h, params[f"{pre}.wq"])
+        k, v = cross_kv(i)
+        attended = nm.multi_head_attention(q, k, v, cfg.num_heads)
         x = nm.add(x, nm.matmul(attended, params[f"{pre}.wo"]))
 
         x = _ffn(x, params, f"dec{i}.ffn")
 
     x = nm.layer_norm(x, params["dec.final.ln_gain"], params["dec.final.ln_bias"])
     return nm.linear(x, params["embed.down_w"], params["embed.down_b"])
+
+
+def _cross_kv(enc_out: Tensor, params: dict[str, Tensor], i: int):
+    return (nm.matmul(enc_out, params[f"dec{i}.cross.wk"]),
+            nm.matmul(enc_out, params[f"dec{i}.cross.wv"]))
+
+
+def decode_hidden(tokens, enc_out: Tensor, cfg: CaptionerConfig,
+                  params: dict[str, Tensor]) -> Tensor:
+    """Down-projected decoder states (len(tokens), embed_dim), pre-tying.
+
+    Teacher forcing: every position attends to itself and the non-PAD
+    positions before it, and keys and values come from all rows.
+    """
+    ids = _validate_tokens(tokens, cfg)
+    n = len(ids)
+    x = _embed(ids, positional_encoding(n, cfg.d_model), params)
+    causal = np.triu(np.ones((n, n), dtype=bool), k=1)
+    pad_keys = (ids == cfg.vocab.pad_id)[None, :] & ~np.eye(n, dtype=bool)
+    return _decoder_stack(x, causal | pad_keys, lambda i, k, v: (k, v),
+                          lambda i: _cross_kv(enc_out, params, i), cfg, params)
 
 
 def decode_logits(tokens, enc_out: Tensor, cfg: CaptionerConfig,
@@ -272,29 +297,30 @@ class BudgetExhausted(Exception):
     """The prefix already fills the decoding budget."""
 
 
-def step_distribution(prefix, enc_out: Tensor, cfg: CaptionerConfig,
-                      params: dict[str, Tensor]) -> np.ndarray:
-    """Log-probabilities over the vocabulary for the next token.
-
-    Returns a plain array (searches never need the tape; use
-    sequence-level recomputation for gradients).
-    """
-    ids = np.asarray(prefix, dtype=np.intp)
-    if len(ids) >= cfg.max_len:
-        raise BudgetExhausted(f"prefix length {len(ids)} is at budget {cfg.max_len}")
-    logits = decode_logits(ids, enc_out, cfg, params)
-    row = logits.data[-1]
-    shifted = row - row.max()
-    return shifted - math.log(np.exp(shifted).sum())
-
-
 @dataclass(repr=False)
 class SceneStepModel:
-    """Bundles the decoder step with the ids a search needs."""
+    """The decoder step of one scene, batched over prefixes, with the ids a
+    search needs.
+
+    ``step(prefixes)`` scores every prefix in one decoder pass over their
+    last tokens only. Earlier positions contribute self-attention keys and
+    values cached from the previous call: each prefix attends to the stacked
+    keys of all prefixes under the block mask ``segment[key] != prefix``. The
+    encoder output's cross-attention keys and values are computed once, on
+    the first call.
+
+    Cache scope: only the prefixes of the latest call keep their keys and
+    values, so memory stays at one grid column. A prefix whose parent is not
+    cached has its missing ancestors stepped first, so any call order gives
+    the same rows. The cache assumes fixed weights: an instance serves one
+    search, and a search after a parameter update needs a new instance.
+    """
 
     enc_out: Tensor
     cfg: CaptionerConfig
     params: dict[str, Tensor]
+    _cross: list | None = field(default=None, init=False)
+    _kv: dict = field(default_factory=dict, init=False)
 
     @property
     def bos_id(self) -> int:
@@ -308,8 +334,65 @@ class SceneStepModel:
     def vocab_size(self) -> int:
         return len(self.cfg.vocab)
 
-    def step(self, prefix) -> np.ndarray:
-        return step_distribution(prefix, self.enc_out, self.cfg, self.params)
+    def step(self, prefixes) -> np.ndarray:
+        """Next-token log-probs (len(prefixes), |V|) of BOS-led prefixes.
+
+        Returns a plain array (searches never need the tape; use
+        sequence-level recomputation for gradients).
+        """
+        checked = []
+        for p in prefixes:
+            if len(p) >= self.cfg.max_len:
+                raise BudgetExhausted(
+                    f"prefix length {len(p)} is at budget {self.cfg.max_len}")
+            checked.append(tuple(_validate_tokens(p, self.cfg).tolist()))
+        if self._cross is None:
+            self._cross = [_cross_kv(self.enc_out, self.params, i)
+                           for i in range(self.cfg.num_dec_layers)]
+        logprobs, self._kv = self._extend(checked, self._kv)
+        return logprobs
+
+    def _extend(self, prefixes: list[tuple], cache: dict):
+        """Log-prob rows of ``prefixes`` and the per-layer keys and values of
+        all their positions, given those of their parents in ``cache``."""
+        missing = sorted({p[:-1] for p in prefixes
+                          if len(p) > 1 and p[:-1] not in cache})
+        if missing:
+            cache = {**cache, **self._extend(missing, cache)[1]}
+        cfg, params = self.cfg, self.params
+        past = [cache[p[:-1]] if len(p) > 1 else None for p in prefixes]
+        # keys: each prefix's cached rows, then its new row, prefix by prefix;
+        # a row sees its own block minus PAD keys other than itself, as the
+        # last position does under teacher forcing
+        sizes = np.array([len(p) for p in prefixes])
+        ends = np.cumsum(sizes)
+        segment = np.repeat(np.arange(len(prefixes)), sizes)
+        keys = np.arange(ends[-1])
+        pad_keys = np.concatenate(prefixes) == cfg.vocab.pad_id
+        mask = ((segment[None, :] != np.arange(len(prefixes))[:, None])
+                | (pad_keys[None, :] & (keys[None, :] != ends[:, None] - 1)))
+        layers = []
+
+        def self_kv(i, k, v):
+            kv = []
+            for j, new in enumerate((k.data, v.data)):
+                parts = []
+                for b, rows in enumerate(past):
+                    if rows is not None:
+                        parts.append(rows[i][j])
+                    parts.append(new[b:b + 1])
+                kv.append(np.concatenate(parts))
+            layers.append(kv)
+            return Tensor(kv[0]), Tensor(kv[1])
+
+        x = _embed([p[-1] for p in prefixes],
+                   positional_encoding(cfg.max_len, cfg.d_model)[sizes - 1], params)
+        h = _decoder_stack(x, mask, self_kv, self._cross.__getitem__, cfg, params)
+        logits = nm.matmul(h, nm.transpose(params["embed.E"]))
+        logprobs = nm.log_softmax(logits, axis=-1).data
+        entries = {p: [(k[e - n:e], v[e - n:e]) for k, v in layers]
+                   for p, n, e in zip(prefixes, sizes, ends)}
+        return logprobs, entries
 
     def all_step_logprobs(self, full_ids) -> Tensor:
         """Teacher-forced per-position log-prob rows, on the tape when the

@@ -15,8 +15,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from .captioner import CaptionerConfig, Vocabulary
 from .data import (DatasetConfig, apply_heldout, build_vocabulary,
                    default_synonyms, gen_dataset, read_jsonl, write_jsonl)
@@ -302,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("GRIDCAP_LOGLEVEL", "WARNING"))
-    np.seterr(all="ignore")
     try:
         args = build_parser().parse_args(argv)
         exp = Experiment(args.config, args.seed, args.out)

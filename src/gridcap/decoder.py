@@ -3,10 +3,17 @@
 Plain beam search plus a grid variant that frames decoding in a
 (constraint coverage x time) matrix: cell (c, t) holds a beam of partial
 sequences with t+1 generated tokens containing exactly c distinct
-constraint words. Every parent is expanded over the full vocabulary, so
-constraint words arrive as ordinary continuations, and each new hypothesis
-is routed to the row matching its actual coverage. Row n therefore holds
-exactly the sequences that satisfy all n constraints.
+constraint words. Constraint words arrive as ordinary continuations, and
+each new hypothesis is routed to the row matching its actual coverage. Row
+n therefore holds exactly the sequences that satisfy all n constraints.
+
+Each grid column costs one batched model call that scores every live
+parent. A parent then offers only the continuations that can survive
+pruning: its k best free tokens (those other than its unmet constraint
+words) and each unmet constraint word. Every free continuation of a parent
+lands in the parent's own coverage row, so any free token beyond its k best
+ranks below k hypotheses of that row and would be pruned anyway; the
+result equals a full-vocabulary expansion.
 
 Every token, constraint word or not, is scored with the model's own
 log-probability, which is what makes the sequence score differentiable:
@@ -101,11 +108,31 @@ class GridResult:
     best: Hypothesis
     finished: list[Hypothesis]  # all finished full-coverage hypotheses, ranked
     trace: list[dict] = field(default_factory=list)
+    step_calls: int = 0  # batched model calls, one per column with a live parent
+    offered: int = 0  # continuations built by expansion
+    kept: int = 0  # hypotheses that survived pruning, summed over cells
 
 
 def _prune(cands: dict[tuple, Hypothesis], k: int) -> list[Hypothesis]:
     ranked = sorted(cands.values(), key=Hypothesis.sort_key)
     return ranked[:k]
+
+
+def _expand(parent: Hypothesis, lp: np.ndarray, constraint_ids: tuple[int, ...],
+            k: int, eos: int) -> list[Hypothesis]:
+    """The continuations of ``parent`` that can survive pruning: its k best
+    free tokens by (-logprob, token), then each unmet constraint id."""
+    scores = parent.logprob + lp
+    unmet = [c for c in constraint_ids if c not in parent.met]
+    free = np.ones(len(scores), dtype=bool)
+    free[unmet] = False
+    free_ids = np.flatnonzero(free)
+    best = free_ids[np.lexsort((free_ids, -scores[free_ids]))[:k]]
+    out = [Hypothesis(parent.tokens + (tok,), float(scores[tok]), parent.met,
+                      tok == eos) for tok in best.tolist()]
+    out += [Hypothesis(parent.tokens + (tok,), float(scores[tok]),
+                       parent.met | {tok}, tok == eos) for tok in unmet]
+    return out
 
 
 def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
@@ -114,10 +141,12 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
     """Fill the coverage-by-time grid and return the best full-coverage decode.
 
     ``model`` provides ``bos_id``, ``eos_id``, ``vocab_size`` and
-    ``step(prefix_ids) -> log-prob array``. Ties break on token ids so the
-    search is deterministic for identical inputs. Beams prune on the raw
-    log-prob sum; ``length_norm="per_token"`` switches only the final
-    ranking of finished hypotheses to a mean per token.
+    ``step(prefixes) -> (len(prefixes), vocab_size) log-prob array`` for
+    BOS-led prefixes; it is called once per grid column with every live
+    parent. Ties break on token ids so the search is deterministic for
+    identical inputs. Beams prune on the raw log-prob sum;
+    ``length_norm="per_token"`` switches only the final ranking of finished
+    hypotheses to a mean per token.
     """
     if length_norm not in ("none", "per_token"):
         raise ValueError(f"unknown length_norm {length_norm!r}")
@@ -126,7 +155,6 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
         raise ValueError("beam size and budget must be positive")
     if n >= T:
         raise InfeasibleConstraintsError(f"{n} constraints cannot fit a budget of {T}")
-    constraint_ids = set(constraints.ids)
     eos = model.eos_id
     root = Hypothesis(tokens=(), logprob=0.0)
 
@@ -134,44 +162,33 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
     cells: list[list[list[Hypothesis]]] = [[[] for _ in range(T)] for _ in range(n + 1)]
     finished_full: list[Hypothesis] = []
     trace_rows: list[dict] = []
+    step_calls = offered = kept_total = 0
 
     for t in range(T):
         window = feasible_coverage(t + 1, n, T)
         new_cells: dict[int, dict[tuple, Hypothesis]] = {c: {} for c in window}
 
-        def offer(h: Hypothesis):
-            c = len(h.met)
-            bucket = new_cells.get(c)
-            if bucket is not None and h.tokens not in bucket:
-                bucket[h.tokens] = h
-
-        parents: list[Hypothesis] = []
         if t == 0:
             parents = [root]
         else:
-            for c in feasible_coverage(t, n, T):
-                parents.extend(cells[c][t - 1])
-
-        for parent in parents:
-            if parent.finished:
-                continue
-            lp = model.step((model.bos_id,) + parent.tokens)
-            for tok in range(model.vocab_size):
-                met = parent.met
-                if tok in constraint_ids and tok not in met:
-                    met = met | {tok}
-                offer(Hypothesis(
-                    tokens=parent.tokens + (tok,),
-                    logprob=parent.logprob + float(lp[tok]),
-                    met=met,
-                    finished=(tok == eos),
-                ))
+            parents = [h for c in feasible_coverage(t, n, T)
+                       for h in cells[c][t - 1] if not h.finished]
+        if parents:
+            rows = model.step([(model.bos_id,) + p.tokens for p in parents])
+            step_calls += 1
+            for parent, lp in zip(parents, rows):
+                for h in _expand(parent, lp, constraints.ids, k, eos):
+                    offered += 1
+                    bucket = new_cells.get(len(h.met))
+                    if bucket is not None and h.tokens not in bucket:
+                        bucket[h.tokens] = h
 
         for c in window:
             kept = _prune(new_cells[c], k)
             for h in kept:
                 assert len(h.tokens) == t + 1 and len(h.met) == c
             cells[c][t] = kept
+            kept_total += len(kept)
             if c == n:
                 finished_full.extend(h for h in kept if h.finished)
             if trace:
@@ -185,10 +202,11 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
                     } for h in kept],
                 })
 
+    counts = {"trace": trace_rows, "step_calls": step_calls,
+              "offered": offered, "kept": kept_total}
     finished_full.sort(key=lambda h: h.normalized_key(length_norm))
     if finished_full:
-        return GridResult(best=finished_full[0], finished=finished_full,
-                          trace=trace_rows)
+        return GridResult(best=finished_full[0], finished=finished_full, **counts)
 
     # no finished full-coverage decode: fall back to the most complete
     # unfinished one, flagged by finished=False
@@ -196,7 +214,7 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
         open_hyps = [h for h in cells[n][t] if not h.finished]
         if open_hyps:
             best = min(open_hyps, key=lambda h: h.normalized_key(length_norm))
-            return GridResult(best=best, finished=[], trace=trace_rows)
+            return GridResult(best=best, finished=[], **counts)
     raise SearchError("no hypothesis ever reached full constraint coverage")
 
 

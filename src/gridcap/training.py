@@ -416,6 +416,9 @@ class DecodeOutput:
     finished: bool
     satisfied: bool
     trace: list[dict] = field(default_factory=list)
+    step_calls: int = 0
+    offered: int = 0
+    kept: int = 0
 
 
 def decode_split(scenes: list[SceneRecord], mode: str, cfg: CaptionerConfig,
@@ -439,7 +442,8 @@ def decode_split(scenes: list[SceneRecord], mode: str, cfg: CaptionerConfig,
             scene_id=scene.scene_id, mode=mode, constraints=words,
             caption=caption, logprob=result.best.logprob,
             finished=result.best.finished, satisfied=satisfied,
-            trace=result.trace))
+            trace=result.trace, step_calls=result.step_calls,
+            offered=result.offered, kept=result.kept))
     return outputs
 
 
@@ -452,7 +456,8 @@ def decode_eval(splits: HeldoutSplits, mode: str, data_cfg: DatasetConfig,
     """Decode the test split under one constraint mode and score it.
 
     Returns (report dict, decode outputs). The report mirrors the metric
-    module's in/out-domain layout and adds constraint bookkeeping.
+    module's in/out-domain layout and adds constraint bookkeeping and a
+    ``decoder`` entry summing the searches' work counters.
     """
     if mode not in EVAL_MODES:
         raise ValueError(f"unknown decode mode {mode!r}")
@@ -471,4 +476,10 @@ def decode_eval(splits: HeldoutSplits, mode: str, data_cfg: DatasetConfig,
         / n_constrained if n_constrained else 1.0)
     report["mean_constraints"] = (
         float(np.mean([len(o.constraints) for o in outputs])) if outputs else 0.0)
+    report["decoder"] = {
+        "step_calls": sum(o.step_calls for o in outputs),
+        "offered": sum(o.offered for o in outputs),
+        "kept": sum(o.kept for o in outputs),
+        "unfinished_fallbacks": sum(1 for o in outputs if not o.finished),
+    }
     return report, outputs

@@ -8,8 +8,7 @@ from gridcap.numerics import Tensor
 from gridcap.captioner import (BudgetExhausted, CaptionerConfig,
                                SceneStepModel, Vocabulary, decode_hidden,
                                decode_logits, encode, frozen,
-                               init_captioner_params, step_distribution,
-                               xent_loss)
+                               init_captioner_params, xent_loss)
 
 from test_numerics import check_grads
 
@@ -228,45 +227,87 @@ class TestXentLoss:
         assert losses[-1] < losses[0] * 0.5
 
 
+def step_model(cfg, params, regions):
+    froz = frozen(params)
+    return SceneStepModel(encode(regions, cfg, froz), cfg, froz)
+
+
+def last_row_logprobs(tokens, model):
+    row = decode_logits(tokens, model.enc_out, model.cfg, model.params).data[-1]
+    expected = row - row.max()
+    return expected - math.log(np.exp(expected).sum())
+
+
 class TestStepDistribution:
     def test_normalized(self, setup):
-        cfg, params, regions = setup
-        enc = encode(regions, cfg, frozen(params))
-        lp = step_distribution([cfg.vocab.bos_id, 5], enc, cfg, frozen(params))
-        assert np.exp(lp).sum() == pytest.approx(1.0, abs=1e-12)
+        model = step_model(*setup)
+        lp = model.step([[model.bos_id, 5]])
+        assert np.exp(lp[0]).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_final_logits_row(self, setup):
-        cfg, params, regions = setup
-        enc = encode(regions, cfg, frozen(params))
-        toks = [cfg.vocab.bos_id, 5, 6]
-        lp = step_distribution(toks, enc, cfg, frozen(params))
-        row = decode_logits(toks, enc, cfg, frozen(params)).data[-1]
-        expected = row - row.max()
-        expected -= math.log(np.exp(expected).sum())
-        np.testing.assert_allclose(lp, expected, atol=1e-12)
+        model = step_model(*setup)
+        toks = [model.bos_id, 5, 6]
+        lp = model.step([toks])
+        np.testing.assert_allclose(lp[0], last_row_logprobs(toks, model),
+                                   atol=1e-12)
 
     def test_deterministic(self, setup):
-        cfg, params, regions = setup
-        enc = encode(regions, cfg, frozen(params))
-        a = step_distribution([cfg.vocab.bos_id], enc, cfg, frozen(params))
-        b = step_distribution([cfg.vocab.bos_id], enc, cfg, frozen(params))
+        a = step_model(*setup).step([[setup[0].vocab.bos_id]])
+        b = step_model(*setup).step([[setup[0].vocab.bos_id]])
         assert (a == b).all()
 
     def test_budget_error(self, setup):
-        cfg, params, regions = setup
-        enc = encode(regions, cfg, frozen(params))
-        prefix = [cfg.vocab.bos_id] + [5] * (cfg.max_len - 1)
+        model = step_model(*setup)
+        prefix = [model.bos_id] + [5] * (model.cfg.max_len - 1)
         with pytest.raises(BudgetExhausted):
-            step_distribution(prefix, enc, cfg, frozen(params))
+            model.step([prefix])
 
     def test_scene_step_model_wiring(self, setup):
-        cfg, params, regions = setup
-        enc = encode(regions, cfg, frozen(params))
-        model = SceneStepModel(enc, cfg, frozen(params))
+        cfg = setup[0]
+        model = step_model(*setup)
         assert model.bos_id == cfg.vocab.bos_id
         assert model.vocab_size == len(cfg.vocab)
-        lp = model.step((model.bos_id,))
-        assert lp.shape == (len(cfg.vocab),)
+        lp = model.step([(model.bos_id,), (model.bos_id, 5)])
+        assert lp.shape == (2, len(cfg.vocab))
+
+
+class TestCachedStep:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_batches_match_full_recompute(self, seed):
+        # mixed-length prefixes (PAD and EOS included) in shuffled order:
+        # some parents are cached by the previous call, some are not
+        cfg = tiny_cfg(num_dec_layers=2)
+        rng = np.random.default_rng(seed)
+        model = step_model(cfg, init_captioner_params(cfg, rng),
+                           rng.normal(size=(4, 3)))
+        pool = [(model.bos_id,)]
+        for _ in range(12):
+            size = int(rng.integers(1, 7))
+            batch = []
+            for _ in range(size):
+                base = pool[int(rng.integers(len(pool)))]
+                if rng.random() < 0.3:
+                    base = base[:int(rng.integers(1, len(base) + 1))]
+                length = len(base) + int(rng.integers(0, 3))
+                tail = rng.integers(0, len(cfg.vocab), size=length - len(base))
+                prefix = (base + tuple(tail.tolist()))[:cfg.max_len - 1]
+                batch.append(prefix)
+            lp = model.step(batch)
+            assert lp.shape == (len(batch), len(cfg.vocab))
+            for prefix, row in zip(batch, lp):
+                np.testing.assert_allclose(
+                    row, last_row_logprobs(prefix, model), rtol=0, atol=1e-12)
+            pool = [p + (int(rng.integers(len(cfg.vocab))),) for p in batch
+                    if len(p) < cfg.max_len - 1] or pool
+
+    def test_keeps_only_the_latest_call(self, setup):
+        model = step_model(*setup)
+        bos = model.bos_id
+        model.step([(bos,)])
+        model.step([(bos, 5), (bos, 6)])
+        assert set(model._kv) == {(bos, 5), (bos, 6)}
+        model.step([(bos, 5, 7, 8)])  # steps the uncached (bos, 5, 7) first
+        assert set(model._kv) == {(bos, 5, 7, 8)}
 
 
 class TestCheckpointIntegration:

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from gridcap.captioner import Vocabulary, encode, frozen, init_captioner_params
 from gridcap.captioner import CaptionerConfig, SceneStepModel
-from gridcap.decoder import (ConstraintSet, InfeasibleConstraintsError,
-                             beam_search, feasible_coverage,
-                             grid_beam_search, run_grid_search,
-                             sequence_logprob)
+from gridcap.decoder import (ConstraintSet, Hypothesis,
+                             InfeasibleConstraintsError, beam_search,
+                             feasible_coverage, grid_beam_search,
+                             run_grid_search, sequence_logprob)
 
 from test_numerics import check_grads
 from gridcap import numerics as nm
@@ -35,8 +35,8 @@ class TableLM:
         probs = rng.dirichlet(np.ones(vocab_size))
         return cls(np.log(np.tile(probs, (length, 1))))
 
-    def step(self, prefix) -> np.ndarray:
-        return self.table[len(prefix) - 1]
+    def step(self, prefixes) -> np.ndarray:
+        return self.table[[len(p) - 1 for p in prefixes]]
 
 
 def exhaustive_best(lm: TableLM, T: int, constraint_ids=()):
@@ -54,6 +54,76 @@ def exhaustive_best(lm: TableLM, T: int, constraint_ids=()):
             if best is None or key < best[0]:
                 best = (key, seq, lp)
     return best[1], best[2]
+
+
+def full_vocab_grid_search(lm, constraint_ids, k: int, T: int,
+                           length_norm: str = "none"):
+    """Reference grid search: one model call per parent, every parent
+    expanded over the whole vocabulary. Returns (best, finished, trace)."""
+    n = len(constraint_ids)
+    cells = [[[] for _ in range(T)] for _ in range(n + 1)]
+    finished, trace = [], []
+    for t in range(T):
+        window = feasible_coverage(t + 1, n, T)
+        new_cells = {c: {} for c in window}
+        parents = ([Hypothesis((), 0.0)] if t == 0 else
+                   [h for c in feasible_coverage(t, n, T) for h in cells[c][t - 1]])
+        for parent in parents:
+            if parent.finished:
+                continue
+            lp = lm.step([(lm.bos_id,) + parent.tokens])[0]
+            for tok in range(lm.vocab_size):
+                met = parent.met
+                if tok in constraint_ids and tok not in met:
+                    met = met | {tok}
+                h = Hypothesis(parent.tokens + (tok,),
+                               parent.logprob + float(lp[tok]), met,
+                               tok == lm.eos_id)
+                bucket = new_cells.get(len(met))
+                if bucket is not None and h.tokens not in bucket:
+                    bucket[h.tokens] = h
+        for c in window:
+            kept = sorted(new_cells[c].values(), key=Hypothesis.sort_key)[:k]
+            cells[c][t] = kept
+            if c == n:
+                finished.extend(h for h in kept if h.finished)
+            trace.append({"t": t, "c": c, "hyps": [
+                {"tokens": list(h.tokens), "logprob": h.logprob,
+                 "finished": h.finished} for h in kept]})
+    finished.sort(key=lambda h: h.normalized_key(length_norm))
+    if finished:
+        return finished[0], finished, trace
+    for t in range(T - 1, -1, -1):
+        open_hyps = [h for h in cells[n][t] if not h.finished]
+        if open_hyps:
+            return (min(open_hyps, key=lambda h: h.normalized_key(length_norm)),
+                    [], trace)
+    return None, [], trace
+
+
+class CountingLM(TableLM):
+    """A TableLM that records the batch size of every step call."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.batches = []
+
+    def step(self, prefixes):
+        self.batches.append(len(prefixes))
+        return super().step(prefixes)
+
+
+@st.composite
+def search_case(draw):
+    """A random TableLM, budget T, beam k in 1..V+2 and 0-2 constraint ids."""
+    V = draw(st.integers(2, 6))
+    T = draw(st.integers(1, 5))
+    ids = draw(st.lists(st.integers(1, V - 1), max_size=min(2, T - 1),
+                        unique=True))
+    k = draw(st.integers(1, V + 2))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    norm = draw(st.sampled_from(["none", "per_token"]))
+    return TableLM.random(np.random.default_rng(seed), V, T), T, tuple(ids), k, norm
 
 
 @st.composite
@@ -191,6 +261,40 @@ class TestGridBeamSearch:
             for a, b in zip(scores, scores[1:]):
                 assert b >= a - 1e-12
 
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(search_case())
+    def test_matches_full_vocabulary_expansion(self, case):
+        lm, T, ids, k, norm = case
+        cs = ConstraintSet(words=tuple(f"w{i}" for i in ids), ids=ids)
+        best, finished, trace = full_vocab_grid_search(lm, ids, k, T, norm)
+        result = run_grid_search(lm, cs, k=k, T=T, trace=True, length_norm=norm)
+        assert result.best == best
+        assert result.finished == finished
+        assert result.trace == trace
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(search_case())
+    def test_counters_and_expansion_bound(self, case):
+        # one step call per column with a live parent, scoring all of them,
+        # and each live parent offers at most k + (n - c) continuations
+        lm, T, ids, k, _ = case
+        lm = CountingLM(lm.table)
+        n = len(ids)
+        cs = ConstraintSet(words=tuple(f"w{i}" for i in ids), ids=ids)
+        result = run_grid_search(lm, cs, k=k, T=T, trace=True)
+        live = {t: [] for t in range(T)}  # coverage of each live parent
+        live[0].append(0)  # the root
+        for row in result.trace:
+            if row["t"] + 1 < T:
+                live[row["t"] + 1] += [row["c"] for h in row["hyps"]
+                                       if not h["finished"]]
+        assert lm.batches == [len(cs) for cs in live.values() if cs]
+        assert result.step_calls == len(lm.batches)
+        assert result.offered <= sum(k + n - c for cs in live.values() for c in cs)
+        assert result.offered == sum(min(k, lm.vocab_size - (n - c)) + n - c
+                                     for cs in live.values() for c in cs)
+        assert result.kept == sum(len(row["hyps"]) for row in result.trace)
+
     def test_determinism(self):
         rng = np.random.default_rng(38)
         lm = TableLM.random(rng, 5, 5)
@@ -247,7 +351,7 @@ class TestSequenceLogprob:
         sm = SceneStepModel(enc, cfg, froz)
         v = cfg.vocab
         tokens = v.encode(["red", "dog"]) + [v.eos_id]
-        manual = sum(float(sm.step((v.bos_id,) + tuple(tokens[:i]))[tokens[i]])
+        manual = sum(float(sm.step([(v.bos_id,) + tuple(tokens[:i])])[0, tokens[i]])
                      for i in range(len(tokens)))
         got = sequence_logprob(tokens, sm).item()
         assert got == pytest.approx(manual, abs=1e-9)

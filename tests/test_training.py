@@ -220,6 +220,14 @@ class TestDecodeEval:
         for out in outputs:
             for w in out.constraints:
                 assert w in out.caption
+        counts = report["decoder"]
+        assert counts == {
+            "step_calls": sum(o.step_calls for o in outputs),
+            "offered": sum(o.offered for o in outputs),
+            "kept": sum(o.kept for o in outputs),
+            "unfinished_fallbacks": sum(1 for o in outputs if not o.finished)}
+        assert 0 < counts["kept"] <= counts["offered"]
+        assert len(outputs) <= counts["step_calls"] <= len(outputs) * (cfg.max_len - 1)
 
     def test_phase_isolation(self, tiny_world, pretrained):
         # fine-tuning must never touch selector parameters
@@ -252,22 +260,27 @@ TINY_CONFIG = {
 
 
 class TestCli:
+    STAGES = (["gen-data"], ["train-selector"], ["train-captioner"],
+              ["finetune"], ["decode", "--mode", "oracle", "--trace-grid"],
+              ["eval", "--mode", "selector"])
+
     @pytest.fixture(scope="class")
     def run_dir(self, tmp_path_factory):
+        """The six pipeline stages on TINY_CONFIG, with their exit codes.
+
+        Numeric overflow, invalid values and division by zero raise here,
+        so a stage that produces one fails instead of warning."""
         base = tmp_path_factory.mktemp("cli")
         config = base / "config.json"
         config.write_text(json.dumps({**TINY_CONFIG, "out_dir": str(base / "run")}))
-        return base, str(config)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            codes = [cli.main(stage[:1] + ["--config", str(config)] + stage[1:])
+                     for stage in self.STAGES]
+        return base, str(config), codes
 
     def test_full_pipeline_exit_codes(self, run_dir):
-        base, config = run_dir
-        assert cli.main(["gen-data", "--config", config]) == 0
-        assert cli.main(["train-selector", "--config", config]) == 0
-        assert cli.main(["train-captioner", "--config", config]) == 0
-        assert cli.main(["finetune", "--config", config]) == 0
-        assert cli.main(["decode", "--config", config, "--mode", "oracle",
-                         "--trace-grid"]) == 0
-        assert cli.main(["eval", "--config", config, "--mode", "selector"]) == 0
+        base, _, codes = run_dir
+        assert codes == [0] * len(self.STAGES)
         run = base / "run"
         for name in ("scenes.jsonl", "vocab.json", "synonyms.json",
                      "selector.ckpt", "captioner.ckpt", "captioner_rl.ckpt",
@@ -276,14 +289,16 @@ class TestCli:
             assert (run / name).exists(), name
 
     def test_eval_report_contents(self, run_dir):
-        base, _ = run_dir
+        base, _, _ = run_dir
         report = json.loads((base / "run" / "eval_selector.json").read_text())
         assert report["mode"] == "selector"
         assert 0.0 <= report["constraint_satisfaction"] <= 1.0
         assert "checkpoint_hashes" in report
+        assert set(report["decoder"]) == {"step_calls", "offered", "kept",
+                                          "unfinished_fallbacks"}
 
     def test_trace_lines_are_grid_cells(self, run_dir):
-        base, _ = run_dir
+        base, _, _ = run_dir
         lines = (base / "run" / "grid_trace_oracle.jsonl").read_text().splitlines()
         assert lines
         row = json.loads(lines[0])
@@ -293,7 +308,7 @@ class TestCli:
         assert cli.main(["gen-data", "--config", "/nonexistent.json"]) == 1
 
     def test_unknown_mode_is_exit_1(self, run_dir):
-        _, config = run_dir
+        _, config, _ = run_dir
         assert cli.main(["eval", "--config", config, "--mode", "best"]) == 1
 
     def test_unknown_config_key_is_exit_1(self, tmp_path):
@@ -307,7 +322,7 @@ class TestCli:
         assert cli.main(["train-selector", "--config", str(config)]) == 1
 
     def test_truncated_checkpoint_is_exit_1(self, run_dir, tmp_path):
-        base, config = run_dir
+        base, config, _ = run_dir
         out = tmp_path / "run"
         shutil.copytree(base / "run", out)
         (out / "captioner_rl.ckpt").unlink()
@@ -318,14 +333,14 @@ class TestCli:
                          "--out", str(out)]) == 1
 
     def test_divergence_maps_to_exit_2(self, run_dir, monkeypatch):
-        _, config = run_dir
+        _, config, _ = run_dir
         def boom(*a, **kw):
             raise tr.TrainingDiverged("nan loss")
         monkeypatch.setattr(cli, "train_selector", boom)
         assert cli.main(["train-selector", "--config", config]) == 2
 
     def test_seed_override_changes_data(self, run_dir, tmp_path):
-        _, config = run_dir
+        _, config, _ = run_dir
         out1 = tmp_path / "s5"
         out2 = tmp_path / "s6"
         assert cli.main(["gen-data", "--config", config, "--seed", "5",
