@@ -15,9 +15,8 @@ from .selector import (Detection, SelectorConfig, build_ground_truth,
                        weighted_bce)
 from .captioner import (CaptionerConfig, SceneStepModel, Vocabulary,
                         decode_logits, encode, xent_loss)
-from .decoder import (ConstraintSet, Hypothesis, beam_search,
-                      feasible_coverage, grid_beam_search, run_grid_search,
-                      sequence_logprob)
+from .decoder import (ConstraintSet, Hypothesis, feasible_coverage,
+                      run_grid_search, sequence_logprob)
 from .metrics import EvalRecord, IdfTable, bleu4, cider_d, eval_report, f1_class
 from .data import (DatasetConfig, SceneRecord, apply_heldout,
                    build_vocabulary, default_synonyms, gen_dataset,

@@ -15,13 +15,16 @@ import logging
 import os
 import sys
 
-from .captioner import CaptionerConfig, Vocabulary
+import numpy as np
+
+from .captioner import CaptionerConfig, Vocabulary, init_captioner_params
 from .data import (DatasetConfig, apply_heldout, build_vocabulary,
                    default_synonyms, gen_dataset, read_jsonl, write_jsonl)
 from .metrics import IdfTable
 from .numerics import (NumericsError, checkpoint_hash, load_checkpoint,
                        save_checkpoint)
-from .selector import SelectorConfig, load_synonyms, save_synonyms
+from .selector import (SelectorConfig, init_selector_params, load_synonyms,
+                       save_synonyms)
 from .training import (EVAL_MODES, RunReport, TrainConfig, TrainingDiverged,
                        decode_eval, decode_split, finetune_scst_dgbs,
                        pretrain_captioner, train_selector)
@@ -113,14 +116,25 @@ class Experiment:
             raise ConfigError(f"{path} missing; run gen-data first")
         return load_synonyms(path)
 
-    def load_ckpt(self, name: str):
+    def load_ckpt(self, name: str, init, cfg):
+        """Load a checkpoint whose parameter names and shapes match those
+        ``init(cfg, rng)`` gives under the current config."""
         path = self.path(name)
         if not os.path.exists(path):
             raise ConfigError(f"{path} missing; run the earlier stage first")
         try:
-            return load_checkpoint(path)
+            params = load_checkpoint(path)
         except (ValueError, KeyError, TypeError, NumericsError) as exc:
             raise ConfigError(f"corrupt checkpoint {path}: {exc!r}") from exc
+        want = {k: v.shape for k, v in init(cfg, np.random.default_rng(0)).items()}
+        got = {k: v.shape for k, v in params.items()}
+        bad = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+        if bad:
+            raise ConfigError(
+                f"checkpoint {path} does not fit the config: {len(bad)} parameters "
+                f"differ, e.g. {bad[0]} is {got.get(bad[0])}, config wants "
+                f"{want.get(bad[0])}")
+        return params
 
     def splits(self, scenes, synonyms):
         return apply_heldout(scenes, self.data_cfg, synonyms)
@@ -190,7 +204,7 @@ def cmd_finetune(exp: Experiment, args) -> int:
     vocab = exp.load_vocab()
     splits = exp.splits(scenes, synonyms)
     cfg = exp.cap_cfg(vocab)
-    params = exp.load_ckpt("captioner.ckpt")
+    params = exp.load_ckpt("captioner.ckpt", init_captioner_params, cfg)
     params, epochs = finetune_scst_dgbs(splits, cfg, params, exp.train_cfg,
                                         synonyms)
     ckpt_hash = save_checkpoint(exp.path("captioner_rl.ckpt"), params)
@@ -209,20 +223,19 @@ def _eval_inputs(exp: Experiment, mode: str):
     vocab = exp.load_vocab()
     splits = exp.splits(scenes, synonyms)
     cfg = exp.cap_cfg(vocab)
-    ckpt = ("captioner_rl.ckpt"
-            if os.path.exists(exp.path("captioner_rl.ckpt")) else "captioner.ckpt")
-    cap_params = exp.load_ckpt(ckpt)
-    sel_params = None
-    if mode == "selector":
-        sel_params = exp.load_ckpt("selector.ckpt")
-    return splits, synonyms, cfg, cap_params, sel_params
+    cap_file = ("captioner_rl.ckpt"
+                if os.path.exists(exp.path("captioner_rl.ckpt")) else "captioner.ckpt")
+    cap_params = exp.load_ckpt(cap_file, init_captioner_params, cfg)
+    sel_params = (exp.load_ckpt("selector.ckpt", init_selector_params, exp.sel_cfg)
+                  if mode == "selector" else None)
+    return splits, synonyms, cfg, cap_file, cap_params, sel_params
 
 
 def cmd_decode(exp: Experiment, args) -> int:
     mode = args.mode
     if mode not in EVAL_MODES:
         raise ConfigError(f"unknown mode {mode!r}; choose from {EVAL_MODES}")
-    splits, synonyms, cfg, cap_params, sel_params = _eval_inputs(exp, mode)
+    splits, synonyms, cfg, _, cap_params, sel_params = _eval_inputs(exp, mode)
     outputs = decode_split(splits.test, mode, cfg, cap_params, exp.train_cfg,
                            synonyms, exp.sel_cfg, sel_params,
                            trace=args.trace_grid)
@@ -251,17 +264,16 @@ def cmd_eval(exp: Experiment, args) -> int:
     mode = args.mode
     if mode not in EVAL_MODES:
         raise ConfigError(f"unknown mode {mode!r}; choose from {EVAL_MODES}")
-    splits, synonyms, cfg, cap_params, sel_params = _eval_inputs(exp, mode)
+    splits, synonyms, cfg, cap_file, cap_params, sel_params = _eval_inputs(exp, mode)
     report, _ = decode_eval(splits, mode, exp.data_cfg, cfg, cap_params,
                             exp.train_cfg, synonyms, exp.sel_cfg, sel_params)
     report["config"] = exp.config_echo()
-    report["checkpoint_hashes"] = {
-        name: checkpoint_hash(exp.load_ckpt(path))
-        for name, path in (("captioner", "captioner.ckpt"),
-                           ("captioner_rl", "captioner_rl.ckpt"),
-                           ("selector", "selector.ckpt"))
-        if os.path.exists(exp.path(path))
-    }
+    # the checkpoints this eval decoded with, hashed as loaded
+    report["checkpoints"] = {
+        "captioner": {"file": cap_file, "hash": checkpoint_hash(cap_params)}}
+    if sel_params is not None:
+        report["checkpoints"]["selector"] = {
+            "file": "selector.ckpt", "hash": checkpoint_hash(sel_params)}
     exp.write_report(f"eval_{mode}.json", report)
     out = report["out_domain"]
     print(f"mode {mode}: out-domain F1 {out['f1_average']:.3f} "

@@ -1,11 +1,12 @@
 """Lexically constrained decoding.
 
-Plain beam search plus a grid variant that frames decoding in a
-(constraint coverage x time) matrix: cell (c, t) holds a beam of partial
-sequences with t+1 generated tokens containing exactly c distinct
-constraint words. Constraint words arrive as ordinary continuations, and
-each new hypothesis is routed to the row matching its actual coverage. Row
-n therefore holds exactly the sequences that satisfy all n constraints.
+Grid beam search frames decoding in a (constraint coverage x time)
+matrix; with no constraints it is plain beam search. Cell (c, t) holds a
+beam of partial sequences with t+1 generated tokens containing exactly c
+distinct constraint words. Constraint words arrive as ordinary
+continuations, and each new hypothesis is routed to the row matching its
+actual coverage. Row n therefore holds exactly the sequences that satisfy
+all n constraints.
 
 Each grid column costs one batched model call that scores every live
 parent. A parent then offers only the continuations that can survive
@@ -31,6 +32,9 @@ from . import numerics as nm
 from .numerics import Tensor
 
 
+MAX_CONSTRAINTS = 5  # words a decode may be constrained to
+
+
 class SearchError(Exception):
     """The search produced no usable hypothesis."""
 
@@ -50,11 +54,6 @@ class Hypothesis:
 
     def sort_key(self):
         return (-self.logprob, self.tokens)
-
-    def normalized_key(self, length_norm: str):
-        if length_norm == "per_token":
-            return (-self.logprob / max(1, len(self.tokens)), self.tokens)
-        return self.sort_key()
 
 
 @dataclass(frozen=True)
@@ -78,10 +77,10 @@ class ConstraintSet:
         return cls((), ())
 
     @classmethod
-    def from_words(cls, words, vocab, max_constraints: int = 5) -> "ConstraintSet":
+    def from_words(cls, words, vocab) -> "ConstraintSet":
         words = tuple(dict.fromkeys(words))
-        if len(words) > max_constraints:
-            raise ValueError(f"{len(words)} constraints exceed cap {max_constraints}")
+        if len(words) > MAX_CONSTRAINTS:
+            raise ValueError(f"{len(words)} constraints exceed cap {MAX_CONSTRAINTS}")
         reserved = {vocab.pad_id, vocab.bos_id, vocab.eos_id, vocab.unk_id}
         ids = []
         for w in words:
@@ -136,20 +135,16 @@ def _expand(parent: Hypothesis, lp: np.ndarray, constraint_ids: tuple[int, ...],
 
 
 def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
-                    trace: bool = False, token_names=None,
-                    length_norm: str = "none") -> GridResult:
+                    trace: bool = False, token_names=None) -> GridResult:
     """Fill the coverage-by-time grid and return the best full-coverage decode.
 
     ``model`` provides ``bos_id``, ``eos_id``, ``vocab_size`` and
     ``step(prefixes) -> (len(prefixes), vocab_size) log-prob array`` for
     BOS-led prefixes; it is called once per grid column with every live
     parent. Ties break on token ids so the search is deterministic for
-    identical inputs. Beams prune on the raw log-prob sum;
-    ``length_norm="per_token"`` switches only the final ranking of finished
-    hypotheses to a mean per token.
+    identical inputs. Beams prune and finished hypotheses rank on the raw
+    log-prob sum.
     """
-    if length_norm not in ("none", "per_token"):
-        raise ValueError(f"unknown length_norm {length_norm!r}")
     n = len(constraints)
     if k < 1 or T < 1:
         raise ValueError("beam size and budget must be positive")
@@ -204,7 +199,7 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
 
     counts = {"trace": trace_rows, "step_calls": step_calls,
               "offered": offered, "kept": kept_total}
-    finished_full.sort(key=lambda h: h.normalized_key(length_norm))
+    finished_full.sort(key=Hypothesis.sort_key)
     if finished_full:
         return GridResult(best=finished_full[0], finished=finished_full, **counts)
 
@@ -213,21 +208,9 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
     for t in range(T - 1, -1, -1):
         open_hyps = [h for h in cells[n][t] if not h.finished]
         if open_hyps:
-            best = min(open_hyps, key=lambda h: h.normalized_key(length_norm))
+            best = min(open_hyps, key=Hypothesis.sort_key)
             return GridResult(best=best, finished=[], **counts)
     raise SearchError("no hypothesis ever reached full constraint coverage")
-
-
-def grid_beam_search(model, constraints: ConstraintSet, k: int, T: int,
-                     length_norm: str = "none") -> Hypothesis:
-    """Best finished hypothesis containing every constraint word."""
-    return run_grid_search(model, constraints, k, T, length_norm=length_norm).best
-
-
-def beam_search(model, k: int, T: int, length_norm: str = "none") -> Hypothesis:
-    """Length-bounded beam search; the unconstrained case of the grid."""
-    return run_grid_search(model, ConstraintSet.empty(), k, T,
-                           length_norm=length_norm).best
 
 
 def sequence_logprob(tokens, model) -> Tensor:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
+from .decoder import MAX_CONSTRAINTS
 from .numerics import Tensor
 
 log = logging.getLogger(__name__)
@@ -41,7 +42,6 @@ class SelectorConfig:
     lambda1: float = 0.8
     threshold: float = 0.5
     max_proposals: int = 10
-    max_constraints: int = 5
     exclude_classes: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -226,7 +226,7 @@ def select_constraints(scores, detections: list[Detection],
         if y >= cfg.threshold and y > best.get(word, -1.0):
             best[word] = float(y)
     ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [word for word, _ in ranked[: cfg.max_constraints]]
+    return [word for word, _ in ranked[:MAX_CONSTRAINTS]]
 
 
 def load_synonyms(path) -> dict[str, list[str]]:

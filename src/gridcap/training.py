@@ -7,6 +7,9 @@ fine-tuning (self-critical policy gradient where each beam candidate from
 the constrained search is scored by the consensus metric against the
 mean-of-beam baseline, with gradients flowing through every token of the
 candidate, constraint words included).
+
+Every decode, whether a fine-tuning beam, a validation pass or an
+evaluation, is one ``run_grid_search`` call made by ``_decode_for_scene``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from . import numerics as nm
 from .captioner import (CaptionerConfig, SceneStepModel, encode, frozen,
                         init_captioner_params, xent_loss)
 from .data import DatasetConfig, HeldoutSplits, SceneRecord
-from .decoder import ConstraintSet, run_grid_search, sequence_logprob
+from .decoder import (MAX_CONSTRAINTS, ConstraintSet, run_grid_search,
+                      sequence_logprob)
 from .metrics import EvalRecord, IdfTable, cider_d, eval_report
 from .numerics import AdamState, NoamSchedule, Tensor, adam_step, noam_lr, zero_grads
 from .selector import (SelectorConfig, build_ground_truth, extract_features,
@@ -46,8 +50,6 @@ class TrainConfig:
     xent_epochs: int = 18
     rl_epochs: int = 3
     beam_size: int = 5
-    scst_baseline: str = "mean_beam"  # or "greedy"
-    length_norm: str = "none"
     seed: int = 0
 
     def __post_init__(self):
@@ -57,17 +59,14 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.rl_lr <= 0:
             raise ValueError("rl_lr must be positive")
-        if self.scst_baseline not in ("mean_beam", "greedy"):
-            raise ValueError(f"unknown scst_baseline {self.scst_baseline!r}")
 
 
 @dataclass
 class RunReport:
-    """Append-only log of a run: config echo, phase curves, final metrics."""
+    """Append-only log of a run: config echo, phase curves, checkpoint hashes."""
 
     config: dict
     phases: list[dict] = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
     checkpoint_hashes: dict = field(default_factory=dict)
 
     def add_phase(self, name: str, epochs: list[dict]) -> None:
@@ -233,8 +232,7 @@ def pretrain_captioner(splits: HeldoutSplits, cfg: CaptionerConfig,
 # ---------------------------------------------------------------------------
 
 
-def build_training_constraints(scene: SceneRecord, synonyms, vocab,
-                               cap: int = 5) -> list[str]:
+def build_training_constraints(scene: SceneRecord, synonyms, vocab) -> list[str]:
     """Detected classes that the references actually mention.
 
     Ordered by best detection confidence (word order breaks ties), capped.
@@ -248,7 +246,7 @@ def build_training_constraints(scene: SceneRecord, synonyms, vocab,
         if surface_forms(w, synonyms) & ref_tokens and d.score > best.get(w, -1.0):
             best[w] = d.score
     ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [w for w, _ in ranked[:cap] if w in vocab.token_to_id]
+    return [w for w, _ in ranked[:MAX_CONSTRAINTS] if w in vocab.token_to_id]
 
 
 def _strip_eos(tokens, vocab) -> list[int]:
@@ -258,27 +256,12 @@ def _strip_eos(tokens, vocab) -> list[int]:
     return ids
 
 
-def _decode_for_scene(scene, words, vocab, cfg, froz_params, k, length_norm,
-                      trace=False):
+def _decode_for_scene(scene, words, vocab, cfg, froz_params, k, trace=False):
     enc = encode(np.array(scene.region_visual), cfg, froz_params)
     model = SceneStepModel(enc, cfg, froz_params)
     constraints = ConstraintSet.from_words(words, vocab)
     return run_grid_search(model, constraints, k=k, T=cfg.max_len - 1,
-                           trace=trace, token_names=vocab.decode,
-                           length_norm=length_norm)
-
-
-def _mean_val_cider(scenes, vocab, cfg, params, train_cfg, synonyms,
-                    idf: IdfTable) -> float:
-    froz = frozen(params)
-    vals = []
-    for scene in scenes:
-        words = build_training_constraints(scene, synonyms, vocab)
-        res = _decode_for_scene(scene, words, vocab, cfg, froz,
-                                train_cfg.beam_size, train_cfg.length_norm)
-        caption = vocab.decode(_strip_eos(res.best.tokens, vocab))
-        vals.append(cider_d(caption, scene.references, idf))
-    return float(np.mean(vals)) if vals else 0.0
+                           trace=trace, token_names=vocab.decode)
 
 
 def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
@@ -288,11 +271,11 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
     """Self-critical fine-tuning; the beam comes from constrained search.
 
     Every finished beam candidate is rewarded, advantages are centered on
-    the beam mean (or on the best candidate's reward under the greedy
-    baseline variant), and the policy term is the differentiable sequence
+    the beam mean, and the policy term is the differentiable sequence
     log-probability, so constraint words receive gradient like any other
     token. Scenes with an empty constraint set fall back to unconstrained
-    search.
+    search. After each epoch the validation split is decoded in oracle mode
+    and scored by CIDEr-D; the best-scoring epoch's parameters are returned.
 
     A scene whose search finishes fewer than two candidates has nothing to
     compare and is skipped. Each epoch record counts ``scored_scenes`` and
@@ -320,8 +303,7 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
                 words = build_training_constraints(scene, synonyms, vocab)
                 froz = frozen(params)
                 result = _decode_for_scene(scene, words, vocab, cfg, froz,
-                                           train_cfg.beam_size,
-                                           train_cfg.length_norm)
+                                           train_cfg.beam_size)
                 cands = result.finished[: train_cfg.beam_size]
                 if len(cands) < 2:
                     skipped += 1
@@ -330,12 +312,9 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
                     cider_d(vocab.decode(_strip_eos(h.tokens, vocab)),
                             scene.references, reward_idf)
                     for h in cands])
-                reward_sum += rewards.mean()
+                baseline = rewards.mean()
+                reward_sum += baseline
                 reward_n += 1
-                if train_cfg.scst_baseline == "greedy":
-                    baseline = rewards[0]  # the search's own best candidate
-                else:
-                    baseline = rewards.mean()
                 adv = rewards - baseline
                 if not adv.any():
                     continue
@@ -353,8 +332,9 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
                 touched = True
             if touched:
                 adam_step(params, state, train_cfg.rl_lr)
-        val_cider = _mean_val_cider(splits.val, vocab, cfg, params, train_cfg,
-                                    synonyms, reward_idf)
+        val = decode_split(splits.val, "oracle", cfg, params, train_cfg, synonyms)
+        val_cider = float(np.mean([cider_d(o.caption, s.references, reward_idf)
+                                   for s, o in zip(splits.val, val)])) if val else 0.0
         if val_cider > best_val:
             best_val = val_cider
             best_snapshot = {k: v.data.copy() for k, v in params.items()}
@@ -382,8 +362,7 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
 
 def constraints_for_mode(scene: SceneRecord, mode: str, vocab, synonyms,
                          sel_cfg: SelectorConfig | None = None,
-                         sel_params: dict | None = None,
-                         max_constraints: int = 5) -> list[str]:
+                         sel_params: dict | None = None) -> list[str]:
     if mode == "none":
         return []
     if mode in ("top1", "top2", "top3"):
@@ -395,8 +374,7 @@ def constraints_for_mode(scene: SceneRecord, mode: str, vocab, synonyms,
                 words.append(d.class_word)
         return words
     if mode == "oracle":
-        return build_training_constraints(scene, synonyms, vocab,
-                                          cap=max_constraints)
+        return build_training_constraints(scene, synonyms, vocab)
     if mode == "selector":
         if sel_cfg is None or sel_params is None:
             raise ValueError("selector mode needs a trained selector")
@@ -434,8 +412,7 @@ def decode_split(scenes: list[SceneRecord], mode: str, cfg: CaptionerConfig,
         words = constraints_for_mode(scene, mode, vocab, synonyms,
                                      sel_cfg, sel_froz)
         result = _decode_for_scene(scene, words, vocab, cfg, froz,
-                                   train_cfg.beam_size, train_cfg.length_norm,
-                                   trace=trace)
+                                   train_cfg.beam_size, trace=trace)
         caption = vocab.decode(_strip_eos(result.best.tokens, vocab))
         satisfied = all(w in caption for w in words)
         outputs.append(DecodeOutput(

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from gridcap.captioner import Vocabulary, encode, frozen, init_captioner_params
 from gridcap.captioner import CaptionerConfig, SceneStepModel
-from gridcap.decoder import (ConstraintSet, Hypothesis,
-                             InfeasibleConstraintsError, beam_search,
-                             feasible_coverage, grid_beam_search,
+from gridcap.decoder import (MAX_CONSTRAINTS, ConstraintSet, Hypothesis,
+                             InfeasibleConstraintsError, feasible_coverage,
                              run_grid_search, sequence_logprob)
 
 from test_numerics import check_grads
@@ -56,8 +55,7 @@ def exhaustive_best(lm: TableLM, T: int, constraint_ids=()):
     return best[1], best[2]
 
 
-def full_vocab_grid_search(lm, constraint_ids, k: int, T: int,
-                           length_norm: str = "none"):
+def full_vocab_grid_search(lm, constraint_ids, k: int, T: int):
     """Reference grid search: one model call per parent, every parent
     expanded over the whole vocabulary. Returns (best, finished, trace)."""
     n = len(constraint_ids)
@@ -90,14 +88,13 @@ def full_vocab_grid_search(lm, constraint_ids, k: int, T: int,
             trace.append({"t": t, "c": c, "hyps": [
                 {"tokens": list(h.tokens), "logprob": h.logprob,
                  "finished": h.finished} for h in kept]})
-    finished.sort(key=lambda h: h.normalized_key(length_norm))
+    finished.sort(key=Hypothesis.sort_key)
     if finished:
         return finished[0], finished, trace
     for t in range(T - 1, -1, -1):
         open_hyps = [h for h in cells[n][t] if not h.finished]
         if open_hyps:
-            return (min(open_hyps, key=lambda h: h.normalized_key(length_norm)),
-                    [], trace)
+            return min(open_hyps, key=Hypothesis.sort_key), [], trace
     return None, [], trace
 
 
@@ -122,8 +119,7 @@ def search_case(draw):
                         unique=True))
     k = draw(st.integers(1, V + 2))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    norm = draw(st.sampled_from(["none", "per_token"]))
-    return TableLM.random(np.random.default_rng(seed), V, T), T, tuple(ids), k, norm
+    return TableLM.random(np.random.default_rng(seed), V, T), T, tuple(ids), k
 
 
 @st.composite
@@ -160,7 +156,7 @@ class TestBeamSearch:
         table[0, 2] = big
         table[1, 1] = big
         table[2, 0] = big
-        hyp = beam_search(TableLM(table), k=2, T=3)
+        hyp = run_grid_search(TableLM(table), ConstraintSet.empty(), k=2, T=3).best
         assert hyp.tokens == (2, 1, 0)
         assert hyp.finished
 
@@ -170,7 +166,7 @@ class TestBeamSearch:
             V = int(rng.integers(2, 6))
             T = int(rng.integers(1, 6))
             lm = TableLM.constant(rng, V, T)
-            hyp = beam_search(lm, k=V, T=T)
+            hyp = run_grid_search(lm, ConstraintSet.empty(), k=V, T=T).best
             tokens, lp = exhaustive_best(lm, T)
             assert hyp.tokens == tokens
             assert hyp.logprob == pytest.approx(lp, abs=1e-9)
@@ -181,7 +177,7 @@ class TestBeamSearch:
             V = int(rng.integers(3, 6))
             T = int(rng.integers(2, 5))
             lm = TableLM.random(rng, V, T)
-            hyp = beam_search(lm, k=V ** T, T=T)
+            hyp = run_grid_search(lm, ConstraintSet.empty(), k=V ** T, T=T).best
             tokens, lp = exhaustive_best(lm, T)
             assert hyp.tokens == tokens
             assert hyp.logprob == pytest.approx(lp, abs=1e-9)
@@ -195,26 +191,19 @@ class TestBeamSearch:
     def test_no_finish_returns_flagged_unfinished(self):
         # eos is so unlikely it never survives a k=1 beam
         table = np.log(np.array([[1e-12, 0.5, 0.5]] * 3))
-        hyp = beam_search(TableLM(table), k=1, T=3)
+        hyp = run_grid_search(TableLM(table), ConstraintSet.empty(), k=1, T=3).best
         assert not hyp.finished
         assert len(hyp.tokens) == 3
 
 
 class TestGridBeamSearch:
-    def test_zero_constraints_bit_identical_to_beam_search(self):
-        rng = np.random.default_rng(33)
-        lm = TableLM.random(rng, 5, 4)
-        a = beam_search(lm, k=3, T=4)
-        b = grid_beam_search(lm, ConstraintSet.empty(), k=3, T=4)
-        assert a == b
-
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(lm_with_constraints())
     @example((TableLM.random(np.random.default_rng(34), 5, 5), 5, (3,)))
     def test_saturation_matches_constrained_exhaustive(self, case):
         lm, T, ids = case
         cs = ConstraintSet(words=tuple(f"w{i}" for i in ids), ids=ids)
-        hyp = grid_beam_search(lm, cs, k=lm.vocab_size ** T, T=T)
+        hyp = run_grid_search(lm, cs, k=lm.vocab_size ** T, T=T).best
         tokens, lp = exhaustive_best(lm, T, constraint_ids=ids)
         assert hyp.tokens == tokens
         assert hyp.logprob == pytest.approx(lp, abs=1e-9)
@@ -229,7 +218,7 @@ class TestGridBeamSearch:
             ids = tuple(rng.choice(range(1, V), size=n, replace=False).tolist())
             lm = TableLM.random(rng, V, T)
             cs = ConstraintSet(words=tuple(f"w{i}" for i in ids), ids=ids)
-            hyp = grid_beam_search(lm, cs, k=4, T=T)
+            hyp = run_grid_search(lm, cs, k=4, T=T).best
             for cid in ids:
                 assert cid in hyp.tokens
             assert hyp.met == frozenset(ids)
@@ -247,7 +236,7 @@ class TestGridBeamSearch:
         lm = TableLM(np.log(np.full((3, 4), 0.25)))
         cs = ConstraintSet(words=("w1", "w2", "w3"), ids=(1, 2, 3))
         with pytest.raises(InfeasibleConstraintsError):
-            grid_beam_search(lm, cs, k=2, T=3)
+            run_grid_search(lm, cs, k=2, T=3)
 
     def test_wider_beam_never_scores_worse(self):
         rng = np.random.default_rng(37)
@@ -257,17 +246,17 @@ class TestGridBeamSearch:
             cs = ConstraintSet(words=("w1",), ids=(1,))
             scores = []
             for k in (1, 2, 3, 5, 10, 40, V ** T):
-                scores.append(grid_beam_search(lm, cs, k=k, T=T).logprob)
+                scores.append(run_grid_search(lm, cs, k=k, T=T).best.logprob)
             for a, b in zip(scores, scores[1:]):
                 assert b >= a - 1e-12
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(search_case())
     def test_matches_full_vocabulary_expansion(self, case):
-        lm, T, ids, k, norm = case
+        lm, T, ids, k = case
         cs = ConstraintSet(words=tuple(f"w{i}" for i in ids), ids=ids)
-        best, finished, trace = full_vocab_grid_search(lm, ids, k, T, norm)
-        result = run_grid_search(lm, cs, k=k, T=T, trace=True, length_norm=norm)
+        best, finished, trace = full_vocab_grid_search(lm, ids, k, T)
+        result = run_grid_search(lm, cs, k=k, T=T, trace=True)
         assert result.best == best
         assert result.finished == finished
         assert result.trace == trace
@@ -277,7 +266,7 @@ class TestGridBeamSearch:
     def test_counters_and_expansion_bound(self, case):
         # one step call per column with a live parent, scoring all of them,
         # and each live parent offers at most k + (n - c) continuations
-        lm, T, ids, k, _ = case
+        lm, T, ids, k = case
         lm = CountingLM(lm.table)
         n = len(ids)
         cs = ConstraintSet(words=tuple(f"w{i}" for i in ids), ids=ids)
@@ -299,14 +288,14 @@ class TestGridBeamSearch:
         rng = np.random.default_rng(38)
         lm = TableLM.random(rng, 5, 5)
         cs = ConstraintSet(words=("w2",), ids=(2,))
-        runs = [grid_beam_search(lm, cs, k=3, T=5) for _ in range(3)]
+        runs = [run_grid_search(lm, cs, k=3, T=5).best for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
 
     def test_unfinished_fallback_still_covers_constraints(self):
         # eos never competitive: best hypothesis is unfinished but in row n
         table = np.log(np.array([[1e-12, 0.6, 0.3, 0.1 - 1e-12]] * 4))
         cs = ConstraintSet(words=("w2",), ids=(2,))
-        hyp = grid_beam_search(TableLM(table), cs, k=2, T=4)
+        hyp = run_grid_search(TableLM(table), cs, k=2, T=4).best
         assert not hyp.finished
         assert 2 in hyp.tokens
 
@@ -330,7 +319,7 @@ class TestConstraintSet:
     def test_cap_enforced(self):
         v = Vocabulary([f"w{i}" for i in range(9)])
         with pytest.raises(ValueError):
-            ConstraintSet.from_words([f"w{i}" for i in range(6)], v)
+            ConstraintSet.from_words([f"w{i}" for i in range(MAX_CONSTRAINTS + 1)], v)
 
 
 class TestSequenceLogprob:
@@ -362,7 +351,7 @@ class TestSequenceLogprob:
         enc = encode(regions, cfg, froz)
         sm = SceneStepModel(enc, cfg, froz)
         cs = ConstraintSet.from_words(["dog"], cfg.vocab)
-        hyp = grid_beam_search(sm, cs, k=3, T=cfg.max_len - 1)
+        hyp = run_grid_search(sm, cs, k=3, T=cfg.max_len - 1).best
         assert hyp.finished
         recomputed = sequence_logprob(hyp.tokens, sm).item()
         assert recomputed == pytest.approx(hyp.logprob, abs=1e-9)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gridcap import numerics as nm
 from gridcap.numerics import Tensor
 from gridcap.data import SceneRecord
+from gridcap.decoder import MAX_CONSTRAINTS
 from gridcap.selector import (Detection, SelectorConfig, build_ground_truth,
                               extract_features, init_selector_params,
                               inner_attention, select_constraints,
@@ -305,14 +306,14 @@ class TestSelectConstraints:
         assert select_constraints([0.8, 0.7], dets, cfg) == ["zebra"]
 
     def test_truncation_keeps_top_scores(self):
-        cfg = SelectorConfig(embed_dim=8, num_heads=2, max_constraints=5)
+        cfg = SelectorConfig(embed_dim=8, num_heads=2)
         words = ["w%d" % i for i in range(7)]
         scores = [0.55, 0.95, 0.6, 0.8, 0.7, 0.9, 0.65]
         dets = [det(w) for w in words]
         got = select_constraints(scores, dets, cfg)
         ranked = sorted(zip(scores, words), key=lambda p: (-p[0], p[1]))
-        assert got == [w for _, w in ranked[:5]]
-        assert len(got) == 5
+        assert got == [w for _, w in ranked[:MAX_CONSTRAINTS]]
+        assert len(got) == MAX_CONSTRAINTS
 
     def test_excluded_classes_never_selected(self):
         cfg = SelectorConfig(embed_dim=8, num_heads=2,

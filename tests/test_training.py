@@ -254,7 +254,7 @@ TINY_CONFIG = {
     "captioner": {"d_model": 16, "num_enc_layers": 1, "num_dec_layers": 1,
                   "num_heads": 2, "num_memory": 2, "embed_dim": 8,
                   "ffn_dim": 32, "max_len": 16},
-    "train": {"selector_epochs": 2, "xent_epochs": 2, "rl_epochs": 1,
+    "train": {"selector_epochs": 2, "xent_epochs": 10, "rl_epochs": 1,
               "warmup": 50, "batch_size": 8, "beam_size": 3},
 }
 
@@ -287,13 +287,26 @@ class TestCli:
                      "captions_oracle.jsonl", "grid_trace_oracle.jsonl",
                      "eval_selector.json"):
             assert (run / name).exists(), name
+        # the fine-tune stage scored scenes and moved the captioner
+        pre = json.loads((run / "captioner_report.json").read_text())
+        rl = json.loads((run / "finetune_report.json").read_text())
+        assert rl["phases"][0]["epochs"][0]["scored_scenes"] >= 1
+        assert (rl["checkpoint_hashes"]["captioner_rl"]
+                != pre["checkpoint_hashes"]["captioner"])
 
     def test_eval_report_contents(self, run_dir):
         base, _, _ = run_dir
-        report = json.loads((base / "run" / "eval_selector.json").read_text())
+        run = base / "run"
+        report = json.loads((run / "eval_selector.json").read_text())
         assert report["mode"] == "selector"
         assert 0.0 <= report["constraint_satisfaction"] <= 1.0
-        assert "checkpoint_hashes" in report
+        rl = json.loads((run / "finetune_report.json").read_text())
+        sel = json.loads((run / "selector_report.json").read_text())
+        assert report["checkpoints"] == {
+            "captioner": {"file": "captioner_rl.ckpt",
+                          "hash": rl["checkpoint_hashes"]["captioner_rl"]},
+            "selector": {"file": "selector.ckpt",
+                         "hash": sel["checkpoint_hashes"]["selector"]}}
         assert set(report["decoder"]) == {"step_calls", "offered", "kept",
                                           "unfinished_fallbacks"}
 
@@ -311,10 +324,18 @@ class TestCli:
         _, config, _ = run_dir
         assert cli.main(["eval", "--config", config, "--mode", "best"]) == 1
 
-    def test_unknown_config_key_is_exit_1(self, tmp_path):
+    @pytest.mark.parametrize("section,key,value", [
+        ("data", "num_scenes", 5),
+        ("train", "length_norm", "none"),
+        ("train", "scst_baseline", "mean_beam"),
+        ("selector", "max_constraints", 5),
+    ])
+    def test_unknown_config_key_is_exit_1(self, tmp_path, section, key, value):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"data": {"num_scenes": 5}}))
+        bad.write_text(json.dumps({"out_dir": str(tmp_path / "out"),
+                                   section: {key: value}}))
         assert cli.main(["gen-data", "--config", str(bad)]) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_missing_artifacts_is_exit_1(self, tmp_path):
         config = tmp_path / "c.json"
@@ -331,6 +352,23 @@ class TestCli:
         ckpt.write_bytes(blob[: len(blob) // 2])
         assert cli.main(["eval", "--config", config, "--mode", "none",
                          "--out", str(out)]) == 1
+
+    @pytest.mark.parametrize("section,key,value,mode", [
+        ("captioner", "d_model", 24, "none"),
+        ("selector", "embed_dim", 8, "selector"),
+    ])
+    def test_mismatched_checkpoint_is_exit_1(self, run_dir, tmp_path, capsys,
+                                             section, key, value, mode):
+        # well-formed checkpoints trained under another config
+        base, _, _ = run_dir
+        out = tmp_path / "run"
+        shutil.copytree(base / "run", out)
+        config = tmp_path / "c.json"
+        changed = {**TINY_CONFIG[section], key: value}
+        config.write_text(json.dumps({**TINY_CONFIG, section: changed,
+                                      "out_dir": str(out)}))
+        assert cli.main(["eval", "--config", str(config), "--mode", mode]) == 1
+        assert "does not fit the config" in capsys.readouterr().err
 
     def test_divergence_maps_to_exit_2(self, run_dir, monkeypatch):
         _, config, _ = run_dir
