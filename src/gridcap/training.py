@@ -14,9 +14,8 @@ evaluation, is one ``run_grid_search`` call made by ``_decode_for_scene``.
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,21 +58,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.rl_lr <= 0:
             raise ValueError("rl_lr must be positive")
-
-
-@dataclass
-class RunReport:
-    """Append-only log of a run: config echo, phase curves, checkpoint hashes."""
-
-    config: dict
-    phases: list[dict] = field(default_factory=list)
-    checkpoint_hashes: dict = field(default_factory=dict)
-
-    def add_phase(self, name: str, epochs: list[dict]) -> None:
-        self.phases.append({"name": name, "epochs": epochs})
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=1)
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:

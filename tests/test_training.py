@@ -261,12 +261,12 @@ TINY_CONFIG = {
 
 class TestCli:
     STAGES = (["gen-data"], ["train-selector"], ["train-captioner"],
-              ["finetune"], ["decode", "--mode", "oracle", "--trace-grid"],
+              ["finetune"], ["eval", "--mode", "oracle", "--trace-grid"],
               ["eval", "--mode", "selector"])
 
     @pytest.fixture(scope="class")
     def run_dir(self, tmp_path_factory):
-        """The six pipeline stages on TINY_CONFIG, with their exit codes.
+        """The pipeline stages on TINY_CONFIG, with their exit codes.
 
         Numeric overflow, invalid values and division by zero raise here,
         so a stage that produces one fails instead of warning."""
