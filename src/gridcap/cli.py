@@ -1,10 +1,16 @@
 """Command-line surface: one subcommand per pipeline stage.
 
+The five subcommands are ``gen-data``, ``train-selector``,
+``train-captioner``, ``finetune`` and ``eval --mode M``. ``eval`` scores the
+test split and writes ``eval_M.json`` plus the decoded captions as
+``captions_M.jsonl``; with ``--trace-grid`` it also writes every grid cell
+as ``grid_trace_M.jsonl``.
+
 Every stage reads a single JSON config (sections: seed, out_dir, data,
 selector, captioner, train) plus a few overrides, and leaves its artifacts
 in the output directory, so a full experiment is a short sequence of
-commands. Exit codes: 0 success, 1 configuration problem, 2 training
-divergence.
+commands. Exit codes: 0 success, 1 configuration problem (a bad config or
+a missing or corrupt artifact), 2 training divergence.
 """
 
 from __future__ import annotations
@@ -68,9 +74,15 @@ class Experiment:
             raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        sections = {name: dict(raw.get(name, {}))
+        sections = {name: raw.get(name, {})
                     for name in ("data", "selector", "captioner", "train")}
-        self.seed = seed = int(seed if seed is not None else raw.get("seed", 0))
+        for name, section in sections.items():
+            if not isinstance(section, dict):
+                raise ConfigError(f"config section {name!r} must be a JSON object")
+        seed = seed if seed is not None else raw.get("seed", 0)
+        if type(seed) is not int:
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
+        self.seed = seed
         self.out_dir = out or raw.get("out_dir") or "runs/default"
         self.data_cfg = _build(DatasetConfig, {**sections["data"], "seed": seed})
         self.data_cfg.held_out = tuple(self.data_cfg.held_out)
@@ -87,8 +99,7 @@ class Experiment:
             "seed": self.seed,
             "data": {k: list(v) if isinstance(v, tuple) else v
                      for k, v in self.data_cfg.__dict__.items()},
-            "selector": {k: list(v) if isinstance(v, tuple) else v
-                         for k, v in self.sel_cfg.__dict__.items()},
+            "selector": self.sel_cfg.__dict__,
             "captioner": self._cap_section,
             "train": self.train_cfg.__dict__,
         }
@@ -196,8 +207,9 @@ def cmd_finetune(exp: Experiment, args) -> int:
                                         synonyms)
     ckpt_hash = exp.write_phase("finetune_report.json", "captioner_rl",
                                 "scst_constrained", params, epochs)
-    print(f"fine-tuned checkpoint {ckpt_hash[:12]} "
-          f"val-CIDEr {epochs[-1]['val_cider_d']:.3f}")
+    kept = next(e for e in epochs if e["kept"])
+    print(f"fine-tuned checkpoint {ckpt_hash[:12]} from epoch {kept['epoch']} "
+          f"val-CIDEr {kept['val_cider_d']:.3f}")
     return 0
 
 

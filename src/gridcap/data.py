@@ -11,7 +11,7 @@ area so confidence-ranked baselines stay beatable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class DatasetConfig:
     mention_dropout: float = 0.3
     visual_dim: int = 16
     seed: int = 0
-    selector_sees_heldout: bool = False
 
     def __post_init__(self):
         for w in self.classes:
@@ -228,19 +227,18 @@ def apply_heldout(scenes: list[SceneRecord], cfg: DatasetConfig,
                   synonyms: dict[str, list[str]]) -> HeldoutSplits:
     """Drop image-caption pairs mentioning a held-out class from training.
 
-    The captioner never trains on them; the selector follows suit unless
-    configured to see them. Validation and test keep everything, tagged
-    in/out-domain downstream by their references.
+    Neither the captioner nor the selector trains on them. Validation and
+    test keep everything, tagged in/out-domain downstream by their
+    references.
     """
     missing = set(cfg.held_out) - set(cfg.classes)
     if missing:
         raise ValueError(f"held-out classes {sorted(missing)} not in the class vocabulary")
     train = [s for s in scenes if s.split == "train"]
     cap_train = [s for s in train if not scene_mentions(s, cfg.held_out, synonyms)]
-    sel_train = train if cfg.selector_sees_heldout else cap_train
     return HeldoutSplits(
         captioner_train=cap_train,
-        selector_train=sel_train,
+        selector_train=cap_train,
         val=[s for s in scenes if s.split == "val"],
         test=[s for s in scenes if s.split == "test"],
     )

@@ -10,10 +10,12 @@ can build and drop graphs freely.
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -515,10 +517,22 @@ def _canonical_checkpoint_bytes(params: dict[str, Tensor]) -> bytes:
 
 
 def save_checkpoint(path, params: dict[str, Tensor]) -> str:
-    """Write name -> (shape, little-endian float64 payload); returns content hash."""
+    """Write name -> (shape, little-endian float64 payload); returns content hash.
+
+    The bytes go to a temporary file in the same directory that then
+    replaces ``path``, so an interrupted write leaves any earlier checkpoint
+    whole and readers never see a partial one.
+    """
     blob = _canonical_checkpoint_bytes(params)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     return hashlib.sha256(blob).hexdigest()
 
 

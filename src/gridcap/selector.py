@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class SelectorConfig:
     lambda1: float = 0.8
     threshold: float = 0.5
     max_proposals: int = 10
-    exclude_classes: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
@@ -221,8 +220,6 @@ def select_constraints(scores, detections: list[Detection],
     best: dict[str, float] = {}
     for y, det in zip(values, detections):
         word = det.class_word.lower()
-        if word in cfg.exclude_classes:
-            continue
         if y >= cfg.threshold and y > best.get(word, -1.0):
             best[word] = float(y)
     ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))

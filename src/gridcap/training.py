@@ -259,7 +259,8 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
     log-probability, so constraint words receive gradient like any other
     token. Scenes with an empty constraint set fall back to unconstrained
     search. After each epoch the validation split is decoded in oracle mode
-    and scored by CIDEr-D; the best-scoring epoch's parameters are returned.
+    and scored by CIDEr-D; the first best-scoring epoch's parameters are
+    returned, and only that epoch's record has ``kept`` true.
 
     A scene whose search finishes fewer than two candidates has nothing to
     compare and is skipped. Each epoch record counts ``scored_scenes`` and
@@ -274,7 +275,7 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
     state = AdamState()
     scenes = list(splits.captioner_train)
     epochs = []
-    best_val = -1.0
+    best_val, best_epoch = -1.0, 0
     best_snapshot = {k: v.data.copy() for k, v in params.items()}
     for epoch in range(train_cfg.rl_epochs):
         order = rng.permutation(len(scenes))
@@ -320,7 +321,7 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
         val_cider = float(np.mean([cider_d(o.caption, s.references, reward_idf)
                                    for s, o in zip(splits.val, val)])) if val else 0.0
         if val_cider > best_val:
-            best_val = val_cider
+            best_val, best_epoch = val_cider, epoch
             best_snapshot = {k: v.data.copy() for k, v in params.items()}
         epochs.append({
             "epoch": epoch,
@@ -334,6 +335,8 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
                         "fewer than two candidates", epoch, skipped)
         log.info("finetune epoch %d reward %.3f val-CIDEr %.3f", epoch,
                  epochs[-1]["mean_beam_reward"], val_cider)
+    for record in epochs:
+        record["kept"] = record["epoch"] == best_epoch
     for k, v in params.items():
         v.data[...] = best_snapshot[k]
     return params, epochs

@@ -115,14 +115,10 @@ class TestHeldout:
         for s in splits.captioner_train:
             assert not scene_mentions(s, cfg.held_out, synonyms)
 
-    def test_selector_follows_flag(self, corpus):
+    def test_selector_trains_on_captioner_split(self, corpus):
         cfg, scenes = corpus
-        synonyms = default_synonyms(cfg.classes)
-        strict = apply_heldout(scenes, cfg, synonyms)
-        assert strict.selector_train == strict.captioner_train
-        loose_cfg = DatasetConfig(**{**cfg.__dict__, "selector_sees_heldout": True})
-        loose = apply_heldout(scenes, loose_cfg, synonyms)
-        assert len(loose.selector_train) == cfg.num_train
+        splits = apply_heldout(scenes, cfg, default_synonyms(cfg.classes))
+        assert splits.selector_train == splits.captioner_train
 
     def test_val_test_sizes_balanced(self, corpus):
         cfg, scenes = corpus

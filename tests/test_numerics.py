@@ -287,3 +287,37 @@ class TestCheckpoint:
         h1 = nm.checkpoint_hash(params)
         params["w"].data[0, 0] = 2.0
         assert nm.checkpoint_hash(params) != h1
+
+    def test_interrupted_save_keeps_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        nm.save_checkpoint(path, {"w": Tensor(np.ones((8, 8)), requires_grad=True)})
+        before = path.read_bytes()
+
+        class TornFile:
+            """Writes half of what it is given, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+
+        real_open = open
+
+        def torn_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return TornFile(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(nm, "open", torn_open, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            nm.save_checkpoint(path, {"w": Tensor(np.zeros((8, 8)),
+                                                  requires_grad=True)})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

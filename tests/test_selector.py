@@ -315,12 +315,6 @@ class TestSelectConstraints:
         assert got == [w for _, w in ranked[:MAX_CONSTRAINTS]]
         assert len(got) == MAX_CONSTRAINTS
 
-    def test_excluded_classes_never_selected(self):
-        cfg = SelectorConfig(embed_dim=8, num_heads=2,
-                             exclude_classes=("person",))
-        dets = [det("person"), det("bus")]
-        assert select_constraints([0.99, 0.8], dets, cfg) == ["bus"]
-
     def test_subthreshold_addition_changes_nothing(self):
         cfg = SelectorConfig(embed_dim=8, num_heads=2)
         dets = [det("bus"), det("car")]

@@ -205,6 +205,31 @@ class TestFinetune:
         assert checkpoint_hash(params) == before
         assert "scored no scene" in caplog.text
 
+    def test_returns_and_marks_the_first_best_epoch(self, tiny_world,
+                                                    pretrained, monkeypatch):
+        # validation scores high, low, high: epoch 0 is kept, not the last
+        _, _, synonyms, splits, _ = tiny_world
+        cfg, pre = pretrained
+        tcfg = TrainConfig(rl_epochs=3, beam_size=3, seed=9)
+        sub = tr.HeldoutSplits(captioner_train=splits.captioner_train[:6],
+                               selector_train=[], val=splits.val[:2], test=[])
+        decode, hashes = tr.decode_split, []
+
+        def scheduled_val(scenes, mode, cfg, params, *args, **kwargs):
+            hashes.append(checkpoint_hash(params))
+            outputs = decode(scenes, mode, cfg, params, *args, **kwargs)
+            good = len(hashes) != 2
+            return [dataclasses.replace(o, caption=s.references[0] if good else [])
+                    for s, o in zip(scenes, outputs)]
+
+        monkeypatch.setattr(tr, "decode_split", scheduled_val)
+        params, epochs = finetune_scst_dgbs(sub, cfg, fresh_copy(pre), tcfg,
+                                            synonyms)
+        assert [e["kept"] for e in epochs] == [True, False, False]
+        assert epochs[0]["val_cider_d"] == epochs[2]["val_cider_d"] > epochs[1]["val_cider_d"]
+        assert hashes[0] != hashes[2]
+        assert checkpoint_hash(params) == hashes[0]
+
 
 class TestDecodeEval:
     def test_report_shape_and_satisfaction(self, tiny_world):
@@ -285,6 +310,7 @@ class TestCli:
         for name in ("scenes.jsonl", "vocab.json", "synonyms.json",
                      "selector.ckpt", "captioner.ckpt", "captioner_rl.ckpt",
                      "captions_oracle.jsonl", "grid_trace_oracle.jsonl",
+                     "eval_oracle.json", "captions_selector.jsonl",
                      "eval_selector.json"):
             assert (run / name).exists(), name
         # the fine-tune stage scored scenes and moved the captioner
@@ -324,16 +350,35 @@ class TestCli:
         _, config, _ = run_dir
         assert cli.main(["eval", "--config", config, "--mode", "best"]) == 1
 
+    def test_unknown_subcommand_is_exit_1(self, run_dir):
+        # eval writes the captions the old decode subcommand wrote
+        _, config, _ = run_dir
+        assert cli.main(["decode", "--config", config, "--mode", "oracle"]) == 1
+
     @pytest.mark.parametrize("section,key,value", [
         ("data", "num_scenes", 5),
         ("train", "length_norm", "none"),
         ("train", "scst_baseline", "mean_beam"),
         ("selector", "max_constraints", 5),
+        ("selector", "exclude_classes", "person"),
+        ("data", "selector_sees_heldout", True),
     ])
     def test_unknown_config_key_is_exit_1(self, tmp_path, section, key, value):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"out_dir": str(tmp_path / "out"),
                                    section: {key: value}}))
+        assert cli.main(["gen-data", "--config", str(bad)]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("raw", [
+        {"data": [1, 2]},
+        {"train": "fast"},
+        {"seed": "abc"},
+        {"seed": 1.5},
+    ], ids=["data-list", "train-string", "seed-string", "seed-float"])
+    def test_malformed_config_value_is_exit_1(self, tmp_path, raw):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"out_dir": str(tmp_path / "out"), **raw}))
         assert cli.main(["gen-data", "--config", str(bad)]) == 1
         assert not (tmp_path / "out").exists()
 
@@ -352,6 +397,24 @@ class TestCli:
         ckpt.write_bytes(blob[: len(blob) // 2])
         assert cli.main(["eval", "--config", config, "--mode", "none",
                          "--out", str(out)]) == 1
+
+    @pytest.mark.parametrize("name,text", [
+        ("vocab.json", '{"tokens": '),
+        ("synonyms.json", "[1,2]"),
+        ("synonyms.json", '{"a": '),
+        ("scenes.jsonl", "garbage"),
+        ("scenes.jsonl", '{"scene_id": 1}'),
+    ], ids=["vocab-truncated", "synonyms-list", "synonyms-truncated",
+            "scenes-garbage", "scenes-missing-keys"])
+    def test_corrupt_artifact_is_exit_1(self, run_dir, tmp_path, capsys,
+                                        name, text):
+        base, config, _ = run_dir
+        out = tmp_path / "run"
+        shutil.copytree(base / "run", out)
+        (out / name).write_text(text)
+        assert cli.main(["eval", "--config", config, "--mode", "none",
+                         "--out", str(out)]) == 1
+        assert f"corrupt {out / name}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,key,value,mode", [
         ("captioner", "d_model", 24, "none"),
