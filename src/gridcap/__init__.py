@@ -7,9 +7,8 @@ output while keeping the sequence score differentiable for reward
 fine-tuning.
 """
 
-from .numerics import (AdamState, NoamSchedule, Tensor, adam_step, backward,
-                       checkpoint_hash, load_checkpoint, noam_lr,
-                       save_checkpoint)
+from .numerics import (AdamState, Tensor, adam_step, backward, checkpoint_hash,
+                       load_checkpoint, noam_lr, save_checkpoint)
 from .selector import (Detection, SelectorConfig, build_ground_truth,
                        extract_features, select_constraints, selector_forward,
                        weighted_bce)

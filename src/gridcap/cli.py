@@ -6,11 +6,16 @@ test split and writes ``eval_M.json`` plus the decoded captions as
 ``captions_M.jsonl``; with ``--trace-grid`` it also writes every grid cell
 as ``grid_trace_M.jsonl``.
 
-Every stage reads a single JSON config (sections: seed, out_dir, data,
-selector, captioner, train) plus a few overrides, and leaves its artifacts
-in the output directory, so a full experiment is a short sequence of
-commands. Exit codes: 0 success, 1 configuration problem (a bad config or
-a missing or corrupt artifact), 2 training divergence.
+Every stage reads a single JSON config plus a few overrides, and leaves
+its artifacts in the output directory, so a full experiment is a short
+sequence of commands. ``seed`` (an integer) and ``out_dir`` (a string) are
+top-level only; the sections are ``data``, ``selector``, ``captioner`` and
+``train``. Each section accepts only its own config class's fields, less
+those the program sets (the data and train seeds, the captioner's
+vocabulary and visual width), each with a value of its default's type.
+Any other key or value exits 1 when the config is read, at every stage.
+Exit codes: 0 success, 1 configuration problem (a bad config or a missing
+or corrupt artifact), 2 training divergence.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -45,13 +51,31 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+SECTIONS = ("data", "selector", "captioner", "train")
+
+
+def _fits(value, default) -> bool:
+    """Whether a JSON value may fill a field with this default: bool is not
+    int, an int may fill a float, and a list may fill a tuple."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    return type(value) is type(default) or (type(default), type(value)) == (float, int)
+
+
 def _build(cls, section: dict, **extra):
-    names = set(cls.__dataclass_fields__)
-    unknown = set(section) - names
+    """``cls`` from a config section; ``extra`` holds the fields the program
+    sets itself, which the section may not name."""
+    fields = cls.__dataclass_fields__
+    unknown = set(section) - (set(fields) - set(extra))
     if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        raise ConfigError(f"{cls.__name__} does not take keys {sorted(unknown)}")
+    for key, value in section.items():
+        if not _fits(value, fields[key].default):
+            raise ConfigError(f"{cls.__name__}.{key} must be of type "
+                              f"{type(fields[key].default).__name__}, got {value!r}")
+    section = {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
     try:
-        return cls(**{**section, **extra})
+        return cls(**section, **extra)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {cls.__name__}: {exc}") from exc
 
@@ -74,22 +98,27 @@ class Experiment:
             raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        sections = {name: raw.get(name, {})
-                    for name in ("data", "selector", "captioner", "train")}
+        unknown = set(raw) - {"seed", "out_dir", *SECTIONS}
+        if unknown:
+            raise ConfigError(f"config does not take top-level keys {sorted(unknown)}")
+        sections = {name: raw.get(name, {}) for name in SECTIONS}
         for name, section in sections.items():
             if not isinstance(section, dict):
                 raise ConfigError(f"config section {name!r} must be a JSON object")
         seed = seed if seed is not None else raw.get("seed", 0)
         if type(seed) is not int:
             raise ConfigError(f"seed must be an integer, got {seed!r}")
+        if not isinstance(raw.get("out_dir", ""), str):
+            raise ConfigError(f"out_dir must be a string, got {raw['out_dir']!r}")
         self.seed = seed
         self.out_dir = out or raw.get("out_dir") or "runs/default"
-        self.data_cfg = _build(DatasetConfig, {**sections["data"], "seed": seed})
-        self.data_cfg.held_out = tuple(self.data_cfg.held_out)
-        self.data_cfg.classes = tuple(self.data_cfg.classes)
+        self.data_cfg = _build(DatasetConfig, sections["data"], seed=seed)
         self.sel_cfg = _build(SelectorConfig, sections["selector"])
+        # checked now; the vocabulary comes from gen-data's vocab.json
+        self._cap_cfg = _build(CaptionerConfig, sections["captioner"], vocab=None,
+                               visual_dim=self.data_cfg.visual_dim)
         self._cap_section = sections["captioner"]
-        self.train_cfg = _build(TrainConfig, {**sections["train"], "seed": seed})
+        self.train_cfg = _build(TrainConfig, sections["train"], seed=seed)
 
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
@@ -97,8 +126,7 @@ class Experiment:
     def config_echo(self) -> dict:
         return {
             "seed": self.seed,
-            "data": {k: list(v) if isinstance(v, tuple) else v
-                     for k, v in self.data_cfg.__dict__.items()},
+            "data": self.data_cfg.__dict__,  # tuples dump as JSON lists
             "selector": self.sel_cfg.__dict__,
             "captioner": self._cap_section,
             "train": self.train_cfg.__dict__,
@@ -124,9 +152,7 @@ class Experiment:
         return apply_heldout(scenes, self.data_cfg, synonyms), synonyms
 
     def cap_cfg(self) -> CaptionerConfig:
-        vocab = self.read("vocab.json", Vocabulary.load)
-        section = {**self._cap_section, "visual_dim": self.data_cfg.visual_dim}
-        return _build(CaptionerConfig, section, vocab=vocab)
+        return replace(self._cap_cfg, vocab=self.read("vocab.json", Vocabulary.load))
 
     def load_ckpt(self, name: str, init, cfg):
         """Load a checkpoint whose parameter names and shapes match those

@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .captioner import Vocabulary
-from .selector import Detection, surface_forms
+from .selector import Detection, mentions_any
 
 CLASS_WORDS = (
     "lamp", "chair", "table", "vase", "clock", "mirror", "plant", "shelf",
@@ -32,6 +32,10 @@ VERBS_PL = ("sit", "stand", "rest", "lean", "wait")
 PREPS = ("near", "beside", "behind", "under")
 FILLERS = ("a", "two", "and") + ADJECTIVES + VERBS_SG + VERBS_PL + PREPS
 
+MIN_DETECTIONS, MAX_DETECTIONS = 2, 10  # detections per scene, inclusive
+SALIENCE_TAU = 0.14  # area fraction past which an object beyond the two largest is salient
+MENTION_DROPOUT = 0.3  # chance a reference drops one non-primary mention
+
 
 @dataclass
 class DatasetConfig:
@@ -39,10 +43,6 @@ class DatasetConfig:
     num_eval: int = 140  # split evenly into val and test
     classes: tuple[str, ...] = CLASS_WORDS
     held_out: tuple[str, ...] = HELD_OUT_DEFAULT
-    min_detections: int = 2
-    max_detections: int = 10
-    salience_tau: float = 0.14
-    mention_dropout: float = 0.3
     visual_dim: int = 16
     seed: int = 0
 
@@ -53,8 +53,6 @@ class DatasetConfig:
         missing = set(self.held_out) - set(self.classes)
         if missing:
             raise ValueError(f"held-out classes {sorted(missing)} not in the class vocabulary")
-        if not 2 <= self.min_detections <= self.max_detections <= 10:
-            raise ValueError("detections per scene must stay within [2, 10]")
 
 
 @dataclass
@@ -105,10 +103,9 @@ def _class_embeddings(cfg: DatasetConfig) -> np.ndarray:
     return rng.normal(0.0, 1.0, size=(len(cfg.classes), cfg.visual_dim - 4))
 
 
-def _salient_words(scene_dets: list[Detection], area_frac: list[float],
-                   tau: float) -> list[str]:
+def _salient_words(scene_dets: list[Detection], area_frac: list[float]) -> list[str]:
     order = sorted(range(len(scene_dets)), key=lambda i: (-area_frac[i], i))
-    chosen = list(order[:2]) + [i for i in order[2:] if area_frac[i] >= tau]
+    chosen = list(order[:2]) + [i for i in order[2:] if area_frac[i] >= SALIENCE_TAU]
     words = []
     for i in chosen:
         w = scene_dets[i].class_word
@@ -117,8 +114,7 @@ def _salient_words(scene_dets: list[Detection], area_frac: list[float],
     return words
 
 
-def gen_captions(scene: SceneRecord, cfg: DatasetConfig,
-                 rng: np.random.Generator) -> list[list[str]]:
+def gen_captions(scene: SceneRecord, rng: np.random.Generator) -> list[list[str]]:
     """Template references mentioning the salient objects.
 
     Grammar: "a <adj>? <class> <verb> [<prep> a <class> [and a <class>]]".
@@ -126,12 +122,12 @@ def gen_captions(scene: SceneRecord, cfg: DatasetConfig,
     always kept, so a dominant object appears in every reference.
     """
     area_frac = [(d.box[2] * d.box[3]) / (scene.W * scene.H) for d in scene.detections]
-    salient = _salient_words(scene.detections, area_frac, cfg.salience_tau)[:3]
+    salient = _salient_words(scene.detections, area_frac)[:3]
     counts = {w: sum(1 for d in scene.detections if d.class_word == w) for w in salient}
     refs = []
     for _ in range(int(rng.integers(2, 4))):
         mentions = list(salient)
-        if len(mentions) > 1 and rng.random() < cfg.mention_dropout:
+        if len(mentions) > 1 and rng.random() < MENTION_DROPOUT:
             drop = 1 + int(rng.integers(0, len(mentions) - 1))
             mentions.pop(drop)
         first = mentions[0]
@@ -156,7 +152,7 @@ def gen_scene(rng: np.random.Generator, cfg: DatasetConfig, scene_id: str,
               split: str, class_emb: np.ndarray) -> SceneRecord:
     width = int(rng.integers(240, 641))
     height = int(rng.integers(240, 641))
-    n_det = int(rng.integers(cfg.min_detections, cfg.max_detections + 1))
+    n_det = int(rng.integers(MIN_DETECTIONS, MAX_DETECTIONS + 1))
 
     # draw classes from a per-scene subset so duplicates actually occur
     subset_size = max(2, n_det - int(rng.integers(0, n_det // 2 + 1)))
@@ -189,7 +185,7 @@ def gen_scene(rng: np.random.Generator, cfg: DatasetConfig, scene_id: str,
     scene = SceneRecord(scene_id=scene_id, W=width, H=height,
                         detections=detections, region_visual=visual,
                         references=[], split=split)
-    scene.references = gen_captions(scene, cfg, rng)
+    scene.references = gen_captions(scene, rng)
     return scene
 
 
@@ -207,12 +203,6 @@ def gen_dataset(cfg: DatasetConfig) -> list[SceneRecord]:
         scenes.append(gen_scene(rng, cfg, scene_id=f"s{i:05d}", split=split,
                                 class_emb=class_emb))
     return scenes
-
-
-def scene_mentions(scene: SceneRecord, words,
-                   synonyms: dict[str, list[str]]) -> bool:
-    tokens = {t for ref in scene.references for t in ref}
-    return any(surface_forms(w, synonyms) & tokens for w in words)
 
 
 @dataclass
@@ -235,7 +225,8 @@ def apply_heldout(scenes: list[SceneRecord], cfg: DatasetConfig,
     if missing:
         raise ValueError(f"held-out classes {sorted(missing)} not in the class vocabulary")
     train = [s for s in scenes if s.split == "train"]
-    cap_train = [s for s in train if not scene_mentions(s, cfg.held_out, synonyms)]
+    cap_train = [s for s in train if not mentions_any(
+        [t for ref in s.references for t in ref], cfg.held_out, synonyms)]
     return HeldoutSplits(
         captioner_train=cap_train,
         selector_train=cap_train,

@@ -11,7 +11,10 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .selector import surface_forms
+from .selector import mentions_any
+
+MAX_N = 4  # CIDEr-D n-gram orders 1..MAX_N
+CIDER_SIGMA = 6.0  # CIDEr-D length-penalty width
 
 
 @dataclass
@@ -39,20 +42,18 @@ class IdfTable:
 
     df: dict[tuple, int]
     corpus_size: int
-    max_n: int = 4
 
     @classmethod
-    def from_references(cls, reference_sets: list[list[list[str]]],
-                        max_n: int = 4) -> "IdfTable":
+    def from_references(cls, reference_sets: list[list[list[str]]]) -> "IdfTable":
         df: dict[tuple, int] = defaultdict(int)
         for refs in reference_sets:
             seen = set()
             for ref in refs:
-                for n in range(1, max_n + 1):
+                for n in range(1, MAX_N + 1):
                     seen.update(ngrams(ref, n).keys())
             for g in seen:
                 df[g] += 1
-        return cls(df=dict(df), corpus_size=len(reference_sets), max_n=max_n)
+        return cls(df=dict(df), corpus_size=len(reference_sets))
 
     def idf(self, gram: tuple) -> float:
         return math.log(self.corpus_size) - math.log(max(1.0, self.df.get(gram, 0)))
@@ -62,32 +63,32 @@ def _tfidf_vector(tokens, idf: IdfTable):
     """Per-order {ngram: tf*idf} maps and their squared norms."""
     vecs = []
     sq_norms = []
-    for n in range(1, idf.max_n + 1):
+    for n in range(1, MAX_N + 1):
         vec = {g: tf * idf.idf(g) for g, tf in ngrams(tokens, n).items()}
         vecs.append(vec)
         sq_norms.append(sum(w * w for w in vec.values()))
     return vecs, sq_norms
 
 
-def cider_d(candidate: list[str], references: list[list[str]],
-            idf: IdfTable, sigma: float = 6.0) -> float:
+def cider_d(candidate: list[str], references: list[list[str]], idf: IdfTable) -> float:
     """Consensus score: clipped TF-IDF n-gram cosine with a length penalty.
 
     Candidate counts are clipped at the reference count before the dot
-    product, similarities are penalized by exp(-(len_c - len_r)^2 / (2s^2)),
-    averaged over n-gram orders and references, and scaled by 10.
+    product, similarities are penalized by exp(-(len_c - len_r)^2 / (2s^2))
+    with s = CIDER_SIGMA, averaged over n-gram orders 1..MAX_N and
+    references, and scaled by 10.
     """
     if not candidate:
         return 0.0
     if not references:
         raise ValueError("cider_d needs at least one reference")
     cand_vecs, cand_sq = _tfidf_vector(candidate, idf)
-    total = [0.0] * idf.max_n
+    total = [0.0] * MAX_N
     for ref in references:
         ref_vecs, ref_sq = _tfidf_vector(ref, idf)
         delta = float(len(candidate) - len(ref))
-        penalty = math.exp(-(delta * delta) / (2.0 * sigma * sigma))
-        for n in range(idf.max_n):
+        penalty = math.exp(-(delta * delta) / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
+        for n in range(MAX_N):
             dot = 0.0
             for g, w in cand_vecs[n].items():
                 rw = ref_vecs[n].get(g, 0.0)
@@ -95,7 +96,7 @@ def cider_d(candidate: list[str], references: list[list[str]],
             if cand_sq[n] > 0 and ref_sq[n] > 0:
                 dot /= math.sqrt(cand_sq[n] * ref_sq[n])
             total[n] += dot * penalty
-    score = sum(total) / idf.max_n / len(references)
+    score = sum(total) / MAX_N / len(references)
     return 10.0 * score
 
 
@@ -142,11 +143,10 @@ def f1_class(records: list[EvalRecord], class_word: str,
     class word or a listed synonym, and actually positive when any
     reference does. Undefined precision/recall collapse to 0.
     """
-    forms = surface_forms(class_word, synonyms)
     tp = fp = fn = 0
     for rec in records:
-        pred = bool(forms & {t.lower() for t in rec.generated})
-        actual = any(forms & {t.lower() for t in ref} for ref in rec.references)
+        pred = mentions_any(rec.generated, [class_word], synonyms)
+        actual = any(mentions_any(ref, [class_word], synonyms) for ref in rec.references)
         if pred and actual:
             tp += 1
         elif pred:
@@ -160,18 +160,11 @@ def f1_class(records: list[EvalRecord], class_word: str,
     return 2.0 * precision * recall / (precision + recall)
 
 
-def mentions_any(tokens: list[str], words, synonyms: dict[str, list[str]]) -> bool:
-    toks = {t.lower() for t in tokens}
-    return any(surface_forms(w, synonyms) & toks for w in words)
-
-
 def eval_report(records: list[EvalRecord], held_out: list[str],
-                synonyms: dict[str, list[str]],
-                idf: IdfTable | None = None) -> dict:
+                synonyms: dict[str, list[str]]) -> dict:
     """Score a decoded test set, split by whether references mention a
     held-out class. F1 per held-out class is counted over all records."""
-    if idf is None:
-        idf = IdfTable.from_references([r.references for r in records])
+    idf = IdfTable.from_references([r.references for r in records])
     out_mask = [mentions_any([t for ref in r.references for t in ref],
                              held_out, synonyms) for r in records]
 

@@ -1,10 +1,12 @@
 """Minimal dense-tensor math with reverse-mode differentiation.
 
 Everything is 64-bit: the test suite leans on tight finite-difference
-tolerances, and at desk scale speed is a non-issue. Each op records its
-inputs and a vector-Jacobian closure on the output tensor; ``backward``
-walks that explicit per-graph tape. There is no global graph, so callers
-can build and drop graphs freely.
+tolerances. Speed does matter, and at desk-scale widths the Python work of
+an op (building its output tensor and recording it) mostly outweighs its
+arithmetic, so the number of op calls largely sets run time. Each op
+records its inputs and a vector-Jacobian closure on the output tensor;
+``backward`` walks that explicit per-graph tape. There is no global
+graph, so callers can build and drop graphs freely.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 MASK_FILL = -1e9  # additive pre-softmax penalty; underflows to exact 0 weight
+LN_EPS = 1e-5  # layer-norm variance floor
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class NumericsError(Exception):
@@ -297,11 +301,11 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x.data - mu) * inv
     out = Tensor(gain.data * xhat + bias.data)
 
@@ -452,9 +456,6 @@ def zero_grads(params) -> None:
 class AdamState:
     """Per-parameter first/second moment buffers plus the shared step count."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -464,7 +465,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
     """One Adam update with bias correction; missing grads count as zero."""
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if name not in state.m:
@@ -476,21 +477,14 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
         v[:] = b2 * v + (1 - b2) * (g * g)
         mhat = m / (1 - b1 ** t)
         vhat = v / (1 - b2 ** t)
-        p.data[...] = p.data - lr * mhat / (np.sqrt(vhat) + state.epsilon)
+        p.data[...] = p.data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
-@dataclass
-class NoamSchedule:
+def noam_lr(step: int, model_dim: int, warmup: int) -> float:
     """Warmup-then-decay learning rate tied to the model width."""
-
-    model_dim: int
-    warmup: int = 10000
-
-
-def noam_lr(step: int, sched: NoamSchedule) -> float:
     if step < 1:
         raise NumericsError("noam_lr is defined for step >= 1")
-    return sched.model_dim ** -0.5 * min(step ** -0.5, step * sched.warmup ** -1.5)
+    return model_dim ** -0.5 * min(step ** -0.5, step * warmup ** -1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,9 @@ from .numerics import Tensor
 
 log = logging.getLogger(__name__)
 
+BCE_LAMBDA0, BCE_LAMBDA1 = 0.2, 0.8  # weighted-BCE weights of negatives, positives
+SELECT_THRESHOLD = 0.5  # a class word is selected when a region scores this high
+
 
 @dataclass
 class Detection:
@@ -38,14 +41,9 @@ class SelectorConfig:
     num_layers: int = 2
     num_heads: int = 2
     ffn_dim: int = 128
-    lambda0: float = 0.2
-    lambda1: float = 0.8
-    threshold: float = 0.5
     max_proposals: int = 10
 
     def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must lie in (0, 1)")
         if self.embed_dim % self.num_heads != 0:
             raise ValueError("embed_dim must be divisible by num_heads")
 
@@ -187,6 +185,12 @@ def surface_forms(word: str, synonyms: dict[str, list[str]]) -> set[str]:
     return forms
 
 
+def mentions_any(tokens: list[str], words, synonyms: dict[str, list[str]]) -> bool:
+    """Whether any token is a surface form of any of the words, ignoring case."""
+    toks = {t.lower() for t in tokens}
+    return any(surface_forms(w, synonyms) & toks for w in words)
+
+
 def build_ground_truth(scene, synonyms: dict[str, list[str]]) -> np.ndarray:
     """Binary selection target per region of a scene.
 
@@ -196,18 +200,12 @@ def build_ground_truth(scene, synonyms: dict[str, list[str]]) -> np.ndarray:
     """
     if not scene.references:
         raise ValueError(f"scene {scene.scene_id} has no reference captions")
-    ref_tokens = set()
-    for ref in scene.references:
-        ref_tokens.update(tok.lower() for tok in ref)
-    targets = np.zeros(len(scene.detections))
-    for i, det in enumerate(scene.detections):
-        if surface_forms(det.class_word, synonyms) & ref_tokens:
-            targets[i] = 1.0
-    return targets
+    tokens = [tok for ref in scene.references for tok in ref]
+    return np.array([float(mentions_any(tokens, [det.class_word], synonyms))
+                     for det in scene.detections])
 
 
-def select_constraints(scores, detections: list[Detection],
-                       cfg: SelectorConfig) -> list[str]:
+def select_constraints(scores, detections: list[Detection]) -> list[str]:
     """Class words whose best region clears the threshold.
 
     Deduplicated by word, ordered by max region score descending (word
@@ -220,7 +218,7 @@ def select_constraints(scores, detections: list[Detection],
     best: dict[str, float] = {}
     for y, det in zip(values, detections):
         word = det.class_word.lower()
-        if y >= cfg.threshold and y > best.get(word, -1.0):
+        if y >= SELECT_THRESHOLD and y > best.get(word, -1.0):
             best[word] = float(y)
     ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
     return [word for word, _ in ranked[:MAX_CONSTRAINTS]]

@@ -26,8 +26,9 @@ from .data import DatasetConfig, HeldoutSplits, SceneRecord
 from .decoder import (MAX_CONSTRAINTS, ConstraintSet, run_grid_search,
                       sequence_logprob)
 from .metrics import EvalRecord, IdfTable, cider_d, eval_report
-from .numerics import AdamState, NoamSchedule, Tensor, adam_step, noam_lr, zero_grads
-from .selector import (SelectorConfig, build_ground_truth, extract_features,
+from .numerics import AdamState, Tensor, adam_step, noam_lr, zero_grads
+from .selector import (BCE_LAMBDA0, BCE_LAMBDA1, SelectorConfig,
+                       build_ground_truth, extract_features,
                        init_selector_params, select_constraints,
                        selector_forward, surface_forms, weighted_bce)
 
@@ -118,7 +119,7 @@ def _selection_val_f1(scenes, cfg, params, synonyms) -> float:
     for scene in scenes:
         feats, classes, dets, targets = scene_selector_inputs(scene, cfg, synonyms)
         scores = selector_forward(feats, classes, cfg, froz)
-        selected = select_constraints(scores, dets, cfg)
+        selected = select_constraints(scores, dets)
         gt_words = {d.class_word for d, t in zip(dets, targets) if t > 0.5}
         scores_f1.append(selection_f1(selected, gt_words))
     return float(np.mean(scores_f1)) if scores_f1 else 0.0
@@ -130,7 +131,6 @@ def train_selector(splits: HeldoutSplits, synonyms: dict[str, list[str]],
     rng = _rng(train_cfg.seed, 1)
     params = init_selector_params(cfg, rng)
     state = AdamState()
-    sched = NoamSchedule(model_dim=cfg.embed_dim, warmup=train_cfg.warmup)
     prepared = [scene_selector_inputs(s, cfg, synonyms) for s in splits.selector_train]
     epochs = []
     step = 0
@@ -142,11 +142,11 @@ def train_selector(splits: HeldoutSplits, synonyms: dict[str, list[str]],
             for idx in batch:
                 feats, classes, _, targets = prepared[idx]
                 scores = selector_forward(feats, classes, cfg, params)
-                loss = weighted_bce(scores, targets, cfg.lambda0, cfg.lambda1)
+                loss = weighted_bce(scores, targets, BCE_LAMBDA0, BCE_LAMBDA1)
                 total += _check_finite(loss.item(), "selector loss")
                 nm.backward(nm.mul(loss, 1.0 / len(batch)))
             step += 1
-            adam_step(params, state, noam_lr(step, sched))
+            adam_step(params, state, noam_lr(step, cfg.embed_dim, train_cfg.warmup))
         epochs.append({
             "epoch": epoch,
             "loss": total / max(1, len(prepared)),
@@ -183,7 +183,6 @@ def pretrain_captioner(splits: HeldoutSplits, cfg: CaptionerConfig,
     rng = _rng(train_cfg.seed, 2)
     params = init_captioner_params(cfg, rng)
     state = AdamState()
-    sched = NoamSchedule(model_dim=cfg.d_model, warmup=train_cfg.warmup)
     samples = [(scene, ref) for scene in splits.captioner_train
                for ref in scene.references]
     epochs = []
@@ -200,7 +199,7 @@ def pretrain_captioner(splits: HeldoutSplits, cfg: CaptionerConfig,
                 total += _check_finite(loss.item(), "captioner loss")
                 nm.backward(nm.mul(loss, 1.0 / len(batch)))
             step += 1
-            adam_step(params, state, noam_lr(step, sched))
+            adam_step(params, state, noam_lr(step, cfg.d_model, train_cfg.warmup))
         epochs.append({
             "epoch": epoch,
             "loss": total / max(1, len(samples)),
@@ -250,8 +249,7 @@ def _decode_for_scene(scene, words, vocab, cfg, froz_params, k, trace=False):
 
 def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
                        params: dict[str, Tensor], train_cfg: TrainConfig,
-                       synonyms: dict[str, list[str]],
-                       reward_idf: IdfTable | None = None):
+                       synonyms: dict[str, list[str]]):
     """Self-critical fine-tuning; the beam comes from constrained search.
 
     Every finished beam candidate is rewarded, advantages are centered on
@@ -268,9 +266,7 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
     only and is 0.0 when none was scored, which is logged as a warning.
     """
     vocab = cfg.vocab
-    if reward_idf is None:
-        reward_idf = IdfTable.from_references(
-            [s.references for s in splits.captioner_train])
+    reward_idf = IdfTable.from_references([s.references for s in splits.captioner_train])
     rng = _rng(train_cfg.seed, 3)
     state = AdamState()
     scenes = list(splits.captioner_train)
@@ -367,7 +363,7 @@ def constraints_for_mode(scene: SceneRecord, mode: str, vocab, synonyms,
             raise ValueError("selector mode needs a trained selector")
         feats, classes, dets, _ = scene_selector_inputs(scene, sel_cfg, synonyms)
         scores = selector_forward(feats, classes, sel_cfg, sel_params)
-        return select_constraints(scores, dets, sel_cfg)
+        return select_constraints(scores, dets)
     raise ValueError(f"unknown decode mode {mode!r}")
 
 

@@ -5,8 +5,13 @@ import pytest
 
 from gridcap.data import (CLASS_WORDS, FILLERS, DatasetConfig, SceneRecord,
                           apply_heldout, build_vocabulary, default_synonyms,
-                          gen_dataset, read_jsonl, scene_mentions, write_jsonl)
-from gridcap.selector import build_ground_truth
+                          gen_dataset, read_jsonl, write_jsonl)
+from gridcap.metrics import EvalRecord, eval_report
+from gridcap.selector import build_ground_truth, mentions_any
+
+
+def refs_mention(scene, words, synonyms):
+    return mentions_any([t for ref in scene.references for t in ref], words, synonyms)
 
 
 @pytest.fixture(scope="module")
@@ -113,12 +118,24 @@ class TestHeldout:
         synonyms = default_synonyms(cfg.classes)
         splits = apply_heldout(scenes, cfg, synonyms)
         for s in splits.captioner_train:
-            assert not scene_mentions(s, cfg.held_out, synonyms)
+            assert not refs_mention(s, cfg.held_out, synonyms)
 
     def test_selector_trains_on_captioner_split(self, corpus):
         cfg, scenes = corpus
         splits = apply_heldout(scenes, cfg, default_synonyms(cfg.classes))
         assert splits.selector_train == splits.captioner_train
+
+    def test_mixed_case_mention_is_held_out_as_eval_counts_it(self, corpus):
+        # training filters with the check eval uses to call a scene out-domain
+        cfg, scenes = corpus
+        synonyms = default_synonyms(cfg.classes)
+        scene = SceneRecord.from_dict({**scenes[0].to_dict(),
+                                       "references": [["a", "Vase", "sits"]]})
+        assert scene.split == "train"
+        assert apply_heldout([scene], cfg, synonyms).captioner_train == []
+        record = EvalRecord(scene.scene_id, ["a", "vase"], scene.references)
+        assert eval_report([record], list(cfg.held_out),
+                           synonyms)["out_domain"]["count"] == 1
 
     def test_val_test_sizes_balanced(self, corpus):
         cfg, scenes = corpus
@@ -130,7 +147,7 @@ class TestHeldout:
         cfg, scenes = corpus
         synonyms = default_synonyms(cfg.classes)
         splits = apply_heldout(scenes, cfg, synonyms)
-        out = [s for s in splits.test if scene_mentions(s, cfg.held_out, synonyms)]
+        out = [s for s in splits.test if refs_mention(s, cfg.held_out, synonyms)]
         assert 0 < len(out) < len(splits.test)
 
     def test_heldout_outside_vocabulary_rejected(self):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gridcap import numerics as nm
-from gridcap.numerics import (AdamState, DegenerateMaskError, NoamSchedule,
-                              NumericsError, Tensor, adam_step, noam_lr)
+from gridcap.numerics import (AdamState, DegenerateMaskError, NumericsError,
+                              Tensor, adam_step, noam_lr)
 
 
 def finite_difference(f, tensors, h=1e-5):
@@ -245,25 +245,23 @@ class TestAdam:
 
 class TestNoam:
     def test_branches_equal_at_warmup(self):
-        s = NoamSchedule(model_dim=32, warmup=700)
         assert 700 ** -0.5 == pytest.approx(700 * 700 ** -1.5, rel=1e-12)
-        assert noam_lr(700, s) == pytest.approx(32 ** -0.5 * 700 ** -0.5, rel=1e-12)
+        assert noam_lr(700, 32, 700) == pytest.approx(32 ** -0.5 * 700 ** -0.5, rel=1e-12)
 
     def test_monotone_up_then_down(self):
-        s = NoamSchedule(model_dim=64, warmup=50)
-        values = [noam_lr(t, s) for t in range(1, 200)]
+        values = [noam_lr(t, 64, 50) for t in range(1, 200)]
         for t in range(1, 49):
             assert values[t] > values[t - 1]
         for t in range(50, 199):
             assert values[t] < values[t - 1]
 
     def test_reference_value(self):
-        assert noam_lr(400, NoamSchedule(64, 400)) == pytest.approx(
+        assert noam_lr(400, 64, 400) == pytest.approx(
             0.125 * 400 ** -0.5, rel=1e-12)
 
     def test_step_zero_rejected(self):
         with pytest.raises(NumericsError):
-            noam_lr(0, NoamSchedule(64, 400))
+            noam_lr(0, 64, 400)
 
 
 class TestCheckpoint:

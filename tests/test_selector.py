@@ -296,28 +296,24 @@ class TestGroundTruth:
 
 class TestSelectConstraints:
     def test_threshold(self):
-        cfg = SelectorConfig(embed_dim=8, num_heads=2)
         dets = [det("bus"), det("car")]
-        assert select_constraints([0.9, 0.4], dets, cfg) == ["bus"]
+        assert select_constraints([0.9, 0.4], dets) == ["bus"]
 
     def test_dedup_by_word(self):
-        cfg = SelectorConfig(embed_dim=8, num_heads=2)
         dets = [det("zebra"), det("zebra")]
-        assert select_constraints([0.8, 0.7], dets, cfg) == ["zebra"]
+        assert select_constraints([0.8, 0.7], dets) == ["zebra"]
 
     def test_truncation_keeps_top_scores(self):
-        cfg = SelectorConfig(embed_dim=8, num_heads=2)
         words = ["w%d" % i for i in range(7)]
         scores = [0.55, 0.95, 0.6, 0.8, 0.7, 0.9, 0.65]
         dets = [det(w) for w in words]
-        got = select_constraints(scores, dets, cfg)
+        got = select_constraints(scores, dets)
         ranked = sorted(zip(scores, words), key=lambda p: (-p[0], p[1]))
         assert got == [w for _, w in ranked[:MAX_CONSTRAINTS]]
         assert len(got) == MAX_CONSTRAINTS
 
     def test_subthreshold_addition_changes_nothing(self):
-        cfg = SelectorConfig(embed_dim=8, num_heads=2)
         dets = [det("bus"), det("car")]
-        base = select_constraints([0.9, 0.8], dets, cfg)
-        extended = select_constraints([0.9, 0.8, 0.2], dets + [det("cat")], cfg)
+        base = select_constraints([0.9, 0.8], dets)
+        extended = select_constraints([0.9, 0.8, 0.2], dets + [det("cat")])
         assert base == extended

@@ -48,7 +48,7 @@ class TestSelectorPhase:
         # zero parameters force every score to 0.5; with unit loss weights
         # the weighted loss collapses to plain BCE at 0.5, which is ln 2
         _, _, synonyms, splits, _ = tiny_world
-        cfg = SelectorConfig(lambda0=1.0, lambda1=1.0)
+        cfg = SelectorConfig()
         params = init_selector_params(cfg, np.random.default_rng(0))
         for p in params.values():
             p.data[...] = 0.0
@@ -57,7 +57,7 @@ class TestSelectorPhase:
         feats, classes, _, targets = scene_selector_inputs(
             splits.selector_train[0], cfg, synonyms)
         scores = selector_forward(feats, classes, cfg, params)
-        loss = weighted_bce(scores, targets, cfg.lambda0, cfg.lambda1)
+        loss = weighted_bce(scores, targets, 1.0, 1.0)
         assert loss.item() == pytest.approx(math.log(2), rel=1e-12)
 
     def test_selection_f1_edge_cases(self):
@@ -362,25 +362,73 @@ class TestCli:
         ("selector", "max_constraints", 5),
         ("selector", "exclude_classes", "person"),
         ("data", "selector_sees_heldout", True),
+        # set by every stage itself
+        ("data", "seed", 4),
+        ("train", "seed", 4),
+        ("captioner", "visual_dim", 99),
+        ("captioner", "vocab", "a"),
+        ("captioner", "bogus", 1),
+        # fixed by the method, not settable
+        ("selector", "lambda0", 1.0),
+        ("selector", "lambda1", 1.0),
+        ("selector", "threshold", 0.3),
+        ("data", "min_detections", 3),
+        ("data", "max_detections", 5),
+        ("data", "salience_tau", 0.2),
+        ("data", "mention_dropout", 0.0),
+        # a misspelled section is an unknown top-level key
+        ("selecter", "embed_dim", 8),
     ])
-    def test_unknown_config_key_is_exit_1(self, tmp_path, section, key, value):
+    def test_unknown_config_key_is_exit_1(self, run_dir, tmp_path, capsys,
+                                          section, key, value):
+        # every stage rejects the key when it reads the config, even with
+        # all of its input artifacts present
+        base, _, _ = run_dir
+        out = tmp_path / "run"
+        shutil.copytree(base / "run", out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"out_dir": str(tmp_path / "out"),
-                                   section: {key: value}}))
-        assert cli.main(["gen-data", "--config", str(bad)]) == 1
-        assert not (tmp_path / "out").exists()
+        bad.write_text(json.dumps({**TINY_CONFIG, "out_dir": str(out),
+                                   section: {**TINY_CONFIG.get(section, {}),
+                                             key: value}}))
+        named = repr(section if section == "selecter" else key)
+        for stage in self.STAGES:
+            assert cli.main(stage[:1] + ["--config", str(bad)] + stage[1:]) == 1
+            assert named in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("raw", [
         {"data": [1, 2]},
         {"train": "fast"},
         {"seed": "abc"},
         {"seed": 1.5},
-    ], ids=["data-list", "train-string", "seed-string", "seed-float"])
-    def test_malformed_config_value_is_exit_1(self, tmp_path, raw):
+        {"data": {"num_train": "x"}},
+        {"data": {"held_out": ["vase", 5]}},
+        {"captioner": {"num_heads": 2.0}},
+        {"train": {"selector_epochs": 1.5}},
+        {"train": {"beam_size": True}},
+        {"out_dir": 5},
+    ], ids=["data-list", "train-string", "seed-string", "seed-float",
+            "num_train-string", "held_out-int", "num_heads-float",
+            "selector_epochs-float", "beam_size-bool", "out_dir-int"])
+    def test_malformed_config_value_is_exit_1(self, tmp_path, monkeypatch, raw):
+        monkeypatch.chdir(tmp_path)  # so a run that ignored out_dir writes here too
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"out_dir": str(tmp_path / "out"), **raw}))
         assert cli.main(["gen-data", "--config", str(bad)]) == 1
-        assert not (tmp_path / "out").exists()
+        assert sorted(tmp_path.iterdir()) == [bad]
+
+    def test_int_fills_float_and_list_fills_tuple(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "out_dir": str(tmp_path / "out"),
+            "data": {"num_train": 2, "num_eval": 2, "classes": ["lamp", "vase"],
+                     "held_out": ["vase"]},
+            "train": {"rl_lr": 1}}))
+        exp = cli.Experiment(str(config), None, None)
+        assert exp.data_cfg.held_out == ("vase",)
+        assert exp.train_cfg.rl_lr == 1
+        assert cli.main(["gen-data", "--config", str(config)]) == 0
 
     def test_missing_artifacts_is_exit_1(self, tmp_path):
         config = tmp_path / "c.json"
