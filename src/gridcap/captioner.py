@@ -10,9 +10,14 @@ embedding matrix.
 
 One decoder-layer body serves two callers. Teacher forcing runs it over a
 whole sequence, for training and sequence scoring. ``SceneStepModel.step``
-runs it over the last token of many prefixes at once, for search. It takes
-earlier positions' self-attention keys and values from a cache, and the
-encoder's cross-attention keys and values are computed once per scene.
+runs it over the last token of many prefixes at once, for search. It is
+called once per grid column, each prefix extending one of the previous
+call's, so earlier positions' self-attention keys and values come from
+per-layer (rows, length, d) arrays of that call; the encoder's
+cross-attention keys and values are computed once per scene.
+
+The parameter builders (``init_matrix``, ``init_layer_norm``, ``init_ffn``)
+and the feed-forward sub-block ``ffn`` also build the region selector.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .numerics import Tensor
+from .decoder import MAX_CONSTRAINTS
+from .numerics import Tensor, check_at_least
 
 RESERVED = ("<pad>", "<bos>", "<eos>", "<unk>")
 
@@ -84,10 +90,12 @@ class CaptionerConfig:
     visual_dim: int = 16
 
     def __post_init__(self):
+        # a search's budget max_len - 1 holds every constraint word and EOS
+        check_at_least(self, d_model=1, num_enc_layers=0, num_dec_layers=1,
+                       num_heads=1, num_memory=0, embed_dim=1, ffn_dim=1,
+                       max_len=MAX_CONSTRAINTS + 2, visual_dim=1)
         if self.d_model % self.num_heads != 0:
             raise ValueError("d_model must be divisible by num_heads")
-        if self.num_memory < 0:
-            raise ValueError("num_memory must be nonnegative")
 
     @property
     def head_dim(self) -> int:
@@ -103,60 +111,60 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
     return table
 
 
+def init_matrix(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
+    """Trainable (rows, cols) matrix drawn from a normal of variance 2/(rows+cols)."""
+    scale = (2.0 / (rows + cols)) ** 0.5
+    return Tensor(rng.normal(0.0, scale, size=(rows, cols)), requires_grad=True)
+
+
+def init_vector(n: int, value: float = 0.0) -> Tensor:
+    return Tensor(np.full(n, value), requires_grad=True)
+
+
+def init_layer_norm(pre: str, dim: int) -> dict[str, Tensor]:
+    """Unit gain and zero bias of the layer norm named ``pre``."""
+    return {f"{pre}.ln_gain": init_vector(dim, 1.0), f"{pre}.ln_bias": init_vector(dim)}
+
+
+def init_ffn(rng: np.random.Generator, pre: str, dim: int, hidden: int) -> dict[str, Tensor]:
+    """Parameters of the pre-norm feed-forward sub-block ``ffn(x, params, pre)``."""
+    return {**init_layer_norm(pre, dim),
+            f"{pre}.w1": init_matrix(rng, dim, hidden), f"{pre}.b1": init_vector(hidden),
+            f"{pre}.w2": init_matrix(rng, hidden, dim), f"{pre}.b2": init_vector(dim)}
+
+
 def init_captioner_params(cfg: CaptionerConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    def mat(rows, cols):
-        scale = (2.0 / (rows + cols)) ** 0.5
-        return Tensor(rng.normal(0.0, scale, size=(rows, cols)), requires_grad=True)
-
-    def vec(n, value=0.0):
-        return Tensor(np.full(n, value), requires_grad=True)
-
+    d = cfg.d_model
     p: dict[str, Tensor] = {
         "embed.E": Tensor(rng.normal(0.0, 0.1, size=(len(cfg.vocab), cfg.embed_dim)),
                           requires_grad=True),
-        "embed.up_w": mat(cfg.embed_dim, cfg.d_model),
-        "embed.up_b": vec(cfg.d_model),
-        "embed.down_w": mat(cfg.d_model, cfg.embed_dim),
-        "embed.down_b": vec(cfg.embed_dim),
-        "enc.input.w": mat(cfg.visual_dim, cfg.d_model),
-        "enc.input.b": vec(cfg.d_model),
-        "enc.final.ln_gain": vec(cfg.d_model, 1.0),
-        "enc.final.ln_bias": vec(cfg.d_model),
-        "dec.final.ln_gain": vec(cfg.d_model, 1.0),
-        "dec.final.ln_bias": vec(cfg.d_model),
+        "embed.up_w": init_matrix(rng, cfg.embed_dim, d),
+        "embed.up_b": init_vector(d),
+        "embed.down_w": init_matrix(rng, d, cfg.embed_dim),
+        "embed.down_b": init_vector(cfg.embed_dim),
+        "enc.input.w": init_matrix(rng, cfg.visual_dim, d),
+        "enc.input.b": init_vector(d),
+        **init_layer_norm("enc.final", d),
+        **init_layer_norm("dec.final", d),
     }
     for i in range(cfg.num_enc_layers):
         pre = f"enc{i}"
-        p[f"{pre}.attn.ln_gain"] = vec(cfg.d_model, 1.0)
-        p[f"{pre}.attn.ln_bias"] = vec(cfg.d_model)
+        p |= init_layer_norm(f"{pre}.attn", d)
         for w in ("wq", "wk", "wv", "wo"):
-            p[f"{pre}.attn.{w}"] = mat(cfg.d_model, cfg.d_model)
+            p[f"{pre}.attn.{w}"] = init_matrix(rng, d, d)
         if cfg.num_memory > 0:
-            p[f"{pre}.mem.k"] = Tensor(
-                rng.normal(0.0, 0.1, size=(cfg.num_memory, cfg.head_dim)),
-                requires_grad=True)
-            p[f"{pre}.mem.v"] = Tensor(
-                rng.normal(0.0, 0.1, size=(cfg.num_memory, cfg.head_dim)),
-                requires_grad=True)
-        p[f"{pre}.ffn.ln_gain"] = vec(cfg.d_model, 1.0)
-        p[f"{pre}.ffn.ln_bias"] = vec(cfg.d_model)
-        p[f"{pre}.ffn.w1"] = mat(cfg.d_model, cfg.ffn_dim)
-        p[f"{pre}.ffn.b1"] = vec(cfg.ffn_dim)
-        p[f"{pre}.ffn.w2"] = mat(cfg.ffn_dim, cfg.d_model)
-        p[f"{pre}.ffn.b2"] = vec(cfg.d_model)
+            for kv in ("k", "v"):
+                p[f"{pre}.mem.{kv}"] = Tensor(
+                    rng.normal(0.0, 0.1, size=(cfg.num_memory, cfg.head_dim)),
+                    requires_grad=True)
+        p |= init_ffn(rng, f"{pre}.ffn", d, cfg.ffn_dim)
     for i in range(cfg.num_dec_layers):
         pre = f"dec{i}"
         for block in ("self", "cross"):
-            p[f"{pre}.{block}.ln_gain"] = vec(cfg.d_model, 1.0)
-            p[f"{pre}.{block}.ln_bias"] = vec(cfg.d_model)
+            p |= init_layer_norm(f"{pre}.{block}", d)
             for w in ("wq", "wk", "wv", "wo"):
-                p[f"{pre}.{block}.{w}"] = mat(cfg.d_model, cfg.d_model)
-        p[f"{pre}.ffn.ln_gain"] = vec(cfg.d_model, 1.0)
-        p[f"{pre}.ffn.ln_bias"] = vec(cfg.d_model)
-        p[f"{pre}.ffn.w1"] = mat(cfg.d_model, cfg.ffn_dim)
-        p[f"{pre}.ffn.b1"] = vec(cfg.ffn_dim)
-        p[f"{pre}.ffn.w2"] = mat(cfg.ffn_dim, cfg.d_model)
-        p[f"{pre}.ffn.b2"] = vec(cfg.d_model)
+                p[f"{pre}.{block}.{w}"] = init_matrix(rng, d, d)
+        p |= init_ffn(rng, f"{pre}.ffn", d, cfg.ffn_dim)
     return p
 
 
@@ -165,7 +173,8 @@ def frozen(params: dict[str, Tensor]) -> dict[str, Tensor]:
     return {k: v.detach() for k, v in params.items()}
 
 
-def _ffn(x: Tensor, params: dict[str, Tensor], pre: str) -> Tensor:
+def ffn(x: Tensor, params: dict[str, Tensor], pre: str) -> Tensor:
+    """Pre-norm residual feed-forward sub-block: x + W2 relu(W1 LN(x))."""
     h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
     h = nm.linear(nm.relu(nm.linear(h, params[f"{pre}.w1"], params[f"{pre}.b1"])),
                   params[f"{pre}.w2"], params[f"{pre}.b2"])
@@ -195,7 +204,7 @@ def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor]) -> T
             mem_k=params.get(f"enc{i}.mem.k"),
             mem_v=params.get(f"enc{i}.mem.v"))
         x = nm.add(x, nm.matmul(attended, params[f"{pre}.wo"]))
-        x = _ffn(x, params, f"enc{i}.ffn")
+        x = ffn(x, params, f"enc{i}.ffn")
     return nm.layer_norm(x, params["enc.final.ln_gain"], params["enc.final.ln_bias"])
 
 
@@ -243,7 +252,7 @@ def _decoder_stack(x: Tensor, self_mask: np.ndarray, self_kv, cross_kv,
         attended = nm.multi_head_attention(q, k, v, cfg.num_heads)
         x = nm.add(x, nm.matmul(attended, params[f"{pre}.wo"]))
 
-        x = _ffn(x, params, f"dec{i}.ffn")
+        x = ffn(x, params, f"dec{i}.ffn")
 
     x = nm.layer_norm(x, params["dec.final.ln_gain"], params["dec.final.ln_bias"])
     return nm.linear(x, params["embed.down_w"], params["embed.down_b"])
@@ -303,24 +312,27 @@ class SceneStepModel:
     search needs.
 
     ``step(prefixes)`` scores every prefix in one decoder pass over their
-    last tokens only. Earlier positions contribute self-attention keys and
-    values cached from the previous call: each prefix attends to the stacked
-    keys of all prefixes under the block mask ``segment[key] != prefix``. The
-    encoder output's cross-attention keys and values are computed once, on
-    the first call.
+    last tokens only, in the call order of a grid search: all prefixes of
+    a call have one length n, and past BOS each prefix's parent (the prefix
+    minus its last token) was a prefix of the previous call. Any other call
+    order raises ``ValueError``.
 
-    Cache scope: only the prefixes of the latest call keep their keys and
-    values, so memory stays at one grid column. A prefix whose parent is not
-    cached has its missing ancestors stepped first, so any call order gives
-    the same rows. The cache assumes fixed weights: an instance serves one
-    search, and a search after a parameter update needs a new instance.
+    Cache: per decoder layer, a keys and a values array of shape (rows, n,
+    d) whose row r holds every position of the latest call's prefix r. A
+    call gathers its parents' rows, appends its new position, and attends
+    over the (rows * n, d) stack under the block mask ``segment[key] !=
+    row``, PAD keys other than a row's own position blocked as under
+    teacher forcing. The encoder's cross-attention keys and values are
+    computed once, on the first call. The cache assumes fixed weights: an
+    instance serves one search.
     """
 
     enc_out: Tensor
     cfg: CaptionerConfig
     params: dict[str, Tensor]
     _cross: list | None = field(default=None, init=False)
-    _kv: dict = field(default_factory=dict, init=False)
+    _rows: dict = field(default_factory=dict, init=False)  # prefix -> row of _kv
+    _kv: list = field(default_factory=list, init=False)  # per layer (keys, values)
 
     @property
     def bos_id(self) -> int:
@@ -340,59 +352,50 @@ class SceneStepModel:
         Returns a plain array (searches never need the tape; use
         sequence-level recomputation for gradients).
         """
+        cfg, params = self.cfg, self.params
         checked = []
         for p in prefixes:
-            if len(p) >= self.cfg.max_len:
+            if len(p) >= cfg.max_len:
                 raise BudgetExhausted(
-                    f"prefix length {len(p)} is at budget {self.cfg.max_len}")
-            checked.append(tuple(_validate_tokens(p, self.cfg).tolist()))
+                    f"prefix length {len(p)} is at budget {cfg.max_len}")
+            checked.append(tuple(_validate_tokens(p, cfg).tolist()))
+        if len({len(p) for p in checked}) != 1:
+            raise ValueError("a step takes one or more prefixes of one length")
+        rows, n = len(checked), len(checked[0])
+        if n == 1:  # BOS alone: no earlier position to attend to
+            parents = [0] * rows
+            empty = np.zeros((1, 0, cfg.d_model))
+            past_kv = [(empty, empty)] * cfg.num_dec_layers
+        else:
+            try:
+                parents = [self._rows[p[:-1]] for p in checked]
+            except KeyError as exc:
+                raise ValueError(f"prefix {exc.args[0]} was not stepped by the "
+                                 "previous call") from None
+            past_kv = self._kv
         if self._cross is None:
-            self._cross = [_cross_kv(self.enc_out, self.params, i)
-                           for i in range(self.cfg.num_dec_layers)]
-        logprobs, self._kv = self._extend(checked, self._kv)
-        return logprobs
-
-    def _extend(self, prefixes: list[tuple], cache: dict):
-        """Log-prob rows of ``prefixes`` and the per-layer keys and values of
-        all their positions, given those of their parents in ``cache``."""
-        missing = sorted({p[:-1] for p in prefixes
-                          if len(p) > 1 and p[:-1] not in cache})
-        if missing:
-            cache = {**cache, **self._extend(missing, cache)[1]}
-        cfg, params = self.cfg, self.params
-        past = [cache[p[:-1]] if len(p) > 1 else None for p in prefixes]
-        # keys: each prefix's cached rows, then its new row, prefix by prefix;
-        # a row sees its own block minus PAD keys other than itself, as the
-        # last position does under teacher forcing
-        sizes = np.array([len(p) for p in prefixes])
-        ends = np.cumsum(sizes)
-        segment = np.repeat(np.arange(len(prefixes)), sizes)
-        keys = np.arange(ends[-1])
-        pad_keys = np.concatenate(prefixes) == cfg.vocab.pad_id
-        mask = ((segment[None, :] != np.arange(len(prefixes))[:, None])
-                | (pad_keys[None, :] & (keys[None, :] != ends[:, None] - 1)))
+            self._cross = [_cross_kv(self.enc_out, params, i)
+                           for i in range(cfg.num_dec_layers)]
+        ids = np.array(checked)
+        pad_keys = ids == cfg.vocab.pad_id
+        pad_keys[:, -1] = False  # a row always sees its own position
+        segment = np.repeat(np.arange(rows), n)
+        mask = (segment[None, :] != np.arange(rows)[:, None]) | pad_keys.reshape(1, -1)
         layers = []
 
         def self_kv(i, k, v):
-            kv = []
-            for j, new in enumerate((k.data, v.data)):
-                parts = []
-                for b, rows in enumerate(past):
-                    if rows is not None:
-                        parts.append(rows[i][j])
-                    parts.append(new[b:b + 1])
-                kv.append(np.concatenate(parts))
+            kv = tuple(np.concatenate([past[parents], new.data[:, None]], axis=1)
+                       for past, new in zip(past_kv[i], (k, v)))
             layers.append(kv)
-            return Tensor(kv[0]), Tensor(kv[1])
+            return tuple(Tensor(a.reshape(rows * n, -1)) for a in kv)
 
-        x = _embed([p[-1] for p in prefixes],
-                   positional_encoding(cfg.max_len, cfg.d_model)[sizes - 1], params)
+        x = _embed(ids[:, -1], positional_encoding(cfg.max_len, cfg.d_model)[[n - 1] * rows],
+                   params)
         h = _decoder_stack(x, mask, self_kv, self._cross.__getitem__, cfg, params)
         logits = nm.matmul(h, nm.transpose(params["embed.E"]))
-        logprobs = nm.log_softmax(logits, axis=-1).data
-        entries = {p: [(k[e - n:e], v[e - n:e]) for k, v in layers]
-                   for p, n, e in zip(prefixes, sizes, ends)}
-        return logprobs, entries
+        self._rows = {p: r for r, p in enumerate(checked)}
+        self._kv = layers
+        return nm.log_softmax(logits, axis=-1).data
 
     def all_step_logprobs(self, full_ids) -> Tensor:
         """Teacher-forced per-position log-prob rows, on the tape when the

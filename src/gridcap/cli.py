@@ -12,8 +12,10 @@ sequence of commands. ``seed`` (an integer) and ``out_dir`` (a string) are
 top-level only; the sections are ``data``, ``selector``, ``captioner`` and
 ``train``. Each section accepts only its own config class's fields, less
 those the program sets (the data and train seeds, the captioner's
-vocabulary and visual width), each with a value of its default's type.
-Any other key or value exits 1 when the config is read, at every stage.
+vocabulary and visual width), each with a value of its default's type
+inside the field's range. Any other key or value exits 1 when the config
+is read, at every stage, and so does a negative seed. So does an output
+directory that names a file.
 Exit codes: 0 success, 1 configuration problem (a bad config or a missing
 or corrupt artifact), 2 training divergence.
 """
@@ -80,13 +82,6 @@ def _build(cls, section: dict, **extra):
         raise ConfigError(f"bad {cls.__name__}: {exc}") from exc
 
 
-def _write_jsonl(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, separators=(",", ":")))
-            fh.write("\n")
-
-
 class Experiment:
     """Config file plus the artifact paths of one output directory."""
 
@@ -135,14 +130,14 @@ class Experiment:
     # -- artifacts ----------------------------------------------------------
 
     def read(self, name: str, reader):
-        """``reader(path)`` on one artifact; a missing or malformed file
-        raises ConfigError."""
+        """``reader(path)`` on one artifact; a missing, unreadable or
+        malformed file raises ConfigError."""
         path = self.path(name)
         if not os.path.exists(path):
             raise ConfigError(f"{path} missing; run the stage that writes it first")
         try:
             return reader(path)
-        except (ValueError, KeyError, TypeError, NumericsError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, NumericsError) as exc:
             raise ConfigError(f"corrupt {path}: {exc!r}") from exc
 
     def inputs(self):
@@ -187,11 +182,14 @@ class Experiment:
 
 
 def cmd_gen_data(exp: Experiment, args) -> int:
-    os.makedirs(exp.out_dir, exist_ok=True)
+    try:
+        os.makedirs(exp.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {exp.out_dir}: {exc}") from exc
     scenes = gen_dataset(exp.data_cfg)
     synonyms = default_synonyms(exp.data_cfg.classes)
     vocab = build_vocabulary(exp.data_cfg)
-    write_jsonl(exp.path("scenes.jsonl"), scenes)
+    write_jsonl(exp.path("scenes.jsonl"), (s.to_dict() for s in scenes))
     save_synonyms(exp.path("synonyms.json"), synonyms)
     vocab.save(exp.path("vocab.json"))
     exp.write_report("dataset_meta.json", {
@@ -217,7 +215,13 @@ def cmd_train_selector(exp: Experiment, args) -> int:
 
 def cmd_train_captioner(exp: Experiment, args) -> int:
     splits, _ = exp.inputs()
-    params, epochs = pretrain_captioner(splits, exp.cap_cfg(), exp.train_cfg)
+    cfg = exp.cap_cfg()
+    longest = max((len(ref) + 2 for s in splits.captioner_train + splits.val
+                   for ref in s.references), default=0)
+    if longest > cfg.max_len:
+        raise ConfigError(f"a caption is {longest} tokens with BOS and EOS, over "
+                          f"captioner.max_len {cfg.max_len}")
+    params, epochs = pretrain_captioner(splits, cfg, exp.train_cfg)
     ckpt_hash = exp.write_phase("captioner_report.json", "captioner",
                                 "captioner_xent", params, epochs)
     print(f"captioner checkpoint {ckpt_hash[:12]} "
@@ -259,14 +263,14 @@ def cmd_eval(exp: Experiment, args) -> int:
         report["checkpoints"]["selector"] = {
             "file": "selector.ckpt", "hash": checkpoint_hash(sel_params)}
     exp.write_report(f"eval_{mode}.json", report)
-    _write_jsonl(exp.path(f"captions_{mode}.jsonl"), (
+    write_jsonl(exp.path(f"captions_{mode}.jsonl"), (
         {"scene_id": o.scene_id, "mode": o.mode, "constraints": o.constraints,
          "caption": o.caption, "logprob": o.logprob, "finished": o.finished,
          "satisfied": o.satisfied} for o in outputs))
     if args.trace_grid:
-        _write_jsonl(exp.path(f"grid_trace_{mode}.jsonl"),
-                     ({"scene_id": o.scene_id, **row}
-                      for o in outputs for row in o.trace))
+        write_jsonl(exp.path(f"grid_trace_{mode}.jsonl"),
+                    ({"scene_id": o.scene_id, **row}
+                     for o in outputs for row in o.trace))
     out = report["out_domain"]
     print(f"mode {mode}: out-domain F1 {out['f1_average']:.3f} "
           f"CIDEr-D {out['cider_d']:.3f}, satisfaction "

@@ -16,6 +16,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .captioner import Vocabulary
+from .numerics import check_at_least
 from .selector import Detection, mentions_any
 
 CLASS_WORDS = (
@@ -47,6 +48,10 @@ class DatasetConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # region features are 4 geometry values after at least one class value
+        check_at_least(self, num_train=0, num_eval=0, visual_dim=5, seed=0)
+        if not self.classes:
+            raise ValueError("classes must not be empty")
         for w in self.classes:
             if " " in w or w != w.lower():
                 raise ValueError(f"class word {w!r} must be one lowercase token")
@@ -235,10 +240,11 @@ def apply_heldout(scenes: list[SceneRecord], cfg: DatasetConfig,
     )
 
 
-def write_jsonl(path, scenes: list[SceneRecord]) -> None:
+def write_jsonl(path, rows) -> None:
+    """One compact JSON object per line, e.g. ``SceneRecord.to_dict()`` rows."""
     with open(path, "w", encoding="utf-8") as fh:
-        for s in scenes:
-            fh.write(json.dumps(s.to_dict(), separators=(",", ":")))
+        for row in rows:
+            fh.write(json.dumps(row, separators=(",", ":")))
             fh.write("\n")
 
 

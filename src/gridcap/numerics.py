@@ -37,6 +37,13 @@ class DegenerateMaskError(NumericsError):
     """An attention row with every key masked has no defined distribution."""
 
 
+def check_at_least(cfg, **bounds) -> None:
+    """ValueError naming the first field of ``cfg`` that is below its bound."""
+    for name, low in bounds.items():
+        if getattr(cfg, name) < low:
+            raise ValueError(f"{name} must be at least {low}, got {getattr(cfg, name)}")
+
+
 def _as_f64(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     return arr

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
+from .captioner import ffn, init_ffn, init_layer_norm, init_matrix, init_vector
 from .decoder import MAX_CONSTRAINTS
-from .numerics import Tensor
+from .numerics import Tensor, check_at_least
 
 log = logging.getLogger(__name__)
 
@@ -44,6 +45,8 @@ class SelectorConfig:
     max_proposals: int = 10
 
     def __post_init__(self):
+        check_at_least(self, embed_dim=1, num_layers=0, num_heads=1, ffn_dim=1,
+                       max_proposals=1)
         if self.embed_dim % self.num_heads != 0:
             raise ValueError("embed_dim must be divisible by num_heads")
 
@@ -95,34 +98,18 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
 
 
 def init_selector_params(cfg: SelectorConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    d, f = cfg.embed_dim, cfg.ffn_dim
-
-    def mat(rows, cols):
-        scale = (2.0 / (rows + cols)) ** 0.5
-        return Tensor(rng.normal(0.0, scale, size=(rows, cols)), requires_grad=True)
-
-    params: dict[str, Tensor] = {
-        "input.w": mat(6, d),
-        "input.b": Tensor(np.zeros(d), requires_grad=True),
-    }
+    d = cfg.embed_dim
+    params = {"input.w": init_matrix(rng, 6, d), "input.b": init_vector(d)}
     for i in range(cfg.num_layers):
         for block in ("inner", "self"):
             pre = f"layer{i}.{block}"
-            params[f"{pre}.ln_gain"] = Tensor(np.ones(d), requires_grad=True)
-            params[f"{pre}.ln_bias"] = Tensor(np.zeros(d), requires_grad=True)
+            params |= init_layer_norm(pre, d)
             for w in ("wq", "wk", "wv"):
-                params[f"{pre}.{w}"] = mat(d, d)
-        pre = f"layer{i}.ffn"
-        params[f"{pre}.ln_gain"] = Tensor(np.ones(d), requires_grad=True)
-        params[f"{pre}.ln_bias"] = Tensor(np.zeros(d), requires_grad=True)
-        params[f"{pre}.w1"] = mat(d, f)
-        params[f"{pre}.b1"] = Tensor(np.zeros(f), requires_grad=True)
-        params[f"{pre}.w2"] = mat(f, d)
-        params[f"{pre}.b2"] = Tensor(np.zeros(d), requires_grad=True)
-    params["final.ln_gain"] = Tensor(np.ones(d), requires_grad=True)
-    params["final.ln_bias"] = Tensor(np.zeros(d), requires_grad=True)
-    params["head.w"] = mat(d, 1)
-    params["head.b"] = Tensor(np.zeros(1), requires_grad=True)
+                params[f"{pre}.{w}"] = init_matrix(rng, d, d)
+        params |= init_ffn(rng, f"layer{i}.ffn", d, cfg.ffn_dim)
+    params |= init_layer_norm("final", d)
+    params["head.w"] = init_matrix(rng, d, 1)
+    params["head.b"] = init_vector(1)
     return params
 
 
@@ -148,11 +135,7 @@ def selector_forward(features: Tensor | np.ndarray, classes, cfg: SelectorConfig
         h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
         x = nm.add(x, self_attention(h, params[f"{pre}.wq"], params[f"{pre}.wk"],
                                      params[f"{pre}.wv"], cfg.num_heads))
-        pre = f"layer{i}.ffn"
-        h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
-        h = nm.linear(nm.relu(nm.linear(h, params[f"{pre}.w1"], params[f"{pre}.b1"])),
-                      params[f"{pre}.w2"], params[f"{pre}.b2"])
-        x = nm.add(x, h)
+        x = ffn(x, params, f"layer{i}.ffn")
     x = nm.layer_norm(x, params["final.ln_gain"], params["final.ln_bias"])
     logits = nm.linear(x, params["head.w"], params["head.b"])
     return nm.reshape(nm.sigmoid(logits), (x.shape[0],))
@@ -205,23 +188,26 @@ def build_ground_truth(scene, synonyms: dict[str, list[str]]) -> np.ndarray:
                      for det in scene.detections])
 
 
-def select_constraints(scores, detections: list[Detection]) -> list[str]:
-    """Class words whose best region clears the threshold.
+def rank_class_words(detections: list[Detection], scores) -> list[str]:
+    """Distinct lowercase class words of ``detections``, ordered by their best
+    score descending (word order breaks ties), capped at MAX_CONSTRAINTS."""
+    best: dict[str, float] = {}
+    for det, y in zip(detections, scores):
+        word = det.class_word.lower()
+        best[word] = max(y, best.get(word, y))
+    return sorted(best, key=lambda w: (-best[w], w))[:MAX_CONSTRAINTS]
 
-    Deduplicated by word, ordered by max region score descending (word
-    order breaks ties), truncated to the constraint cap. An empty list is
-    valid and means unconstrained decoding.
+
+def select_constraints(scores, detections: list[Detection]) -> list[str]:
+    """Ranked class words of the regions that clear the threshold.
+
+    An empty list is valid and means unconstrained decoding.
     """
     values = scores.data if isinstance(scores, Tensor) else np.asarray(scores)
     if len(values) != len(detections):
         raise ValueError("scores and detections are misaligned")
-    best: dict[str, float] = {}
-    for y, det in zip(values, detections):
-        word = det.class_word.lower()
-        if y >= SELECT_THRESHOLD and y > best.get(word, -1.0):
-            best[word] = float(y)
-    ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [word for word, _ in ranked[:MAX_CONSTRAINTS]]
+    keep = values >= SELECT_THRESHOLD
+    return rank_class_words([d for d, k in zip(detections, keep) if k], values[keep])
 
 
 def load_synonyms(path) -> dict[str, list[str]]:

@@ -15,7 +15,7 @@ evaluation, is one ``run_grid_search`` call made by ``_decode_for_scene``.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,14 +23,14 @@ from . import numerics as nm
 from .captioner import (CaptionerConfig, SceneStepModel, encode, frozen,
                         init_captioner_params, xent_loss)
 from .data import DatasetConfig, HeldoutSplits, SceneRecord
-from .decoder import (MAX_CONSTRAINTS, ConstraintSet, run_grid_search,
-                      sequence_logprob)
+from .decoder import ConstraintSet, run_grid_search, sequence_logprob
 from .metrics import EvalRecord, IdfTable, cider_d, eval_report
-from .numerics import AdamState, Tensor, adam_step, noam_lr, zero_grads
+from .numerics import (AdamState, Tensor, adam_step, check_at_least, noam_lr,
+                       zero_grads)
 from .selector import (BCE_LAMBDA0, BCE_LAMBDA1, SelectorConfig,
                        build_ground_truth, extract_features,
-                       init_selector_params, select_constraints,
-                       selector_forward, surface_forms, weighted_bce)
+                       init_selector_params, mentions_any, rank_class_words,
+                       select_constraints, selector_forward, weighted_bce)
 
 log = logging.getLogger(__name__)
 
@@ -53,10 +53,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "warmup", "selector_epochs", "xent_epochs",
-                     "rl_epochs", "beam_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        check_at_least(self, batch_size=1, warmup=1, selector_epochs=1,
+                       xent_epochs=1, rl_epochs=1, beam_size=1, seed=0)
         if self.rl_lr <= 0:
             raise ValueError("rl_lr must be positive")
 
@@ -94,10 +92,7 @@ def scene_selector_inputs(scene: SceneRecord, cfg: SelectorConfig,
     dets = [scene.detections[i] for i in kept]
     feats = np.stack([extract_features(d, scene.W, scene.H) for d in dets])
     classes = np.array([d.class_id for d in dets], dtype=np.intp)
-    trimmed = SceneRecord(scene_id=scene.scene_id, W=scene.W, H=scene.H,
-                          detections=dets, region_visual=[],
-                          references=scene.references, split=scene.split)
-    targets = build_ground_truth(trimmed, synonyms)
+    targets = build_ground_truth(replace(scene, detections=dets), synonyms)
     return feats, classes, dets, targets
 
 
@@ -216,20 +211,16 @@ def pretrain_captioner(splits: HeldoutSplits, cfg: CaptionerConfig,
 
 
 def build_training_constraints(scene: SceneRecord, synonyms, vocab) -> list[str]:
-    """Detected classes that the references actually mention.
+    """Ranked class words of the detections that the references mention,
+    by detection confidence, kept when in the vocabulary.
 
-    Ordered by best detection confidence (word order breaks ties), capped.
     This is the fine-tuning constraint source; evaluation may use the
     selector instead.
     """
-    ref_tokens = {t.lower() for ref in scene.references for t in ref}
-    best: dict[str, float] = {}
-    for d in scene.detections:
-        w = d.class_word.lower()
-        if surface_forms(w, synonyms) & ref_tokens and d.score > best.get(w, -1.0):
-            best[w] = d.score
-    ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [w for w, _ in ranked[:MAX_CONSTRAINTS] if w in vocab.token_to_id]
+    tokens = [t for ref in scene.references for t in ref]
+    dets = [d for d in scene.detections if mentions_any(tokens, [d.class_word], synonyms)]
+    return [w for w in rank_class_words(dets, [d.score for d in dets])
+            if w in vocab.token_to_id]
 
 
 def _strip_eos(tokens, vocab) -> list[int]:

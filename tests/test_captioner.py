@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridcap import numerics as nm
 from gridcap.numerics import Tensor
@@ -238,16 +239,24 @@ def last_row_logprobs(tokens, model):
     return expected - math.log(np.exp(expected).sum())
 
 
+def step_path(model, tokens):
+    """Step every prefix of ``tokens`` in turn, as a search would; returns
+    the last call's rows."""
+    for n in range(1, len(tokens) + 1):
+        lp = model.step([tuple(tokens[:n])])
+    return lp
+
+
 class TestStepDistribution:
     def test_normalized(self, setup):
         model = step_model(*setup)
-        lp = model.step([[model.bos_id, 5]])
+        lp = step_path(model, [model.bos_id, 5])
         assert np.exp(lp[0]).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_final_logits_row(self, setup):
         model = step_model(*setup)
         toks = [model.bos_id, 5, 6]
-        lp = model.step([toks])
+        lp = step_path(model, toks)
         np.testing.assert_allclose(lp[0], last_row_logprobs(toks, model),
                                    atol=1e-12)
 
@@ -267,47 +276,67 @@ class TestStepDistribution:
         model = step_model(*setup)
         assert model.bos_id == cfg.vocab.bos_id
         assert model.vocab_size == len(cfg.vocab)
-        lp = model.step([(model.bos_id,), (model.bos_id, 5)])
+        model.step([(model.bos_id,)])
+        lp = model.step([(model.bos_id, 5), (model.bos_id, 6)])
         assert lp.shape == (2, len(cfg.vocab))
+
+
+def check_search_order(model, rng, widths):
+    """Step a random prefix tree column by column, each call extending some
+    prefixes of the previous call by 1-3 tokens drawn from the whole
+    vocabulary (PAD and EOS included); every row must equal the last row of
+    a full teacher-forced recompute."""
+    cfg = model.cfg
+    column = [(model.bos_id,)]
+    for width in widths:
+        lp = model.step(column)
+        assert lp.shape == (len(column), len(cfg.vocab))
+        for prefix, row in zip(column, lp):
+            np.testing.assert_allclose(
+                row, last_row_logprobs(prefix, model), rtol=0, atol=1e-12)
+        if len(column[0]) == cfg.max_len - 1:
+            break
+        picked = rng.permutation(len(column))[:width]
+        children = {column[i] + (int(tok),) for i in picked
+                    for tok in rng.integers(len(cfg.vocab), size=int(rng.integers(1, 4)))}
+        column = sorted(children, key=lambda p: rng.random())
 
 
 class TestCachedStep:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_batches_match_full_recompute(self, seed):
-        # mixed-length prefixes (PAD and EOS included) in shuffled order:
-        # some parents are cached by the previous call, some are not
         cfg = tiny_cfg(num_dec_layers=2)
         rng = np.random.default_rng(seed)
         model = step_model(cfg, init_captioner_params(cfg, rng),
                            rng.normal(size=(4, 3)))
-        pool = [(model.bos_id,)]
-        for _ in range(12):
-            size = int(rng.integers(1, 7))
-            batch = []
-            for _ in range(size):
-                base = pool[int(rng.integers(len(pool)))]
-                if rng.random() < 0.3:
-                    base = base[:int(rng.integers(1, len(base) + 1))]
-                length = len(base) + int(rng.integers(0, 3))
-                tail = rng.integers(0, len(cfg.vocab), size=length - len(base))
-                prefix = (base + tuple(tail.tolist()))[:cfg.max_len - 1]
-                batch.append(prefix)
-            lp = model.step(batch)
-            assert lp.shape == (len(batch), len(cfg.vocab))
-            for prefix, row in zip(batch, lp):
-                np.testing.assert_allclose(
-                    row, last_row_logprobs(prefix, model), rtol=0, atol=1e-12)
-            pool = [p + (int(rng.integers(len(cfg.vocab))),) for p in batch
-                    if len(p) < cfg.max_len - 1] or pool
+        check_search_order(model, rng, rng.integers(1, 7, size=12))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), layers=st.integers(1, 3),
+           widths=st.lists(st.integers(1, 6), min_size=1, max_size=10))
+    def test_search_order_trees_match_decode_logits(self, seed, layers, widths):
+        cfg = tiny_cfg(num_dec_layers=layers)
+        rng = np.random.default_rng(seed)
+        model = step_model(cfg, init_captioner_params(cfg, rng),
+                           rng.normal(size=(3, 3)))
+        check_search_order(model, rng, widths)
 
     def test_keeps_only_the_latest_call(self, setup):
         model = step_model(*setup)
         bos = model.bos_id
         model.step([(bos,)])
         model.step([(bos, 5), (bos, 6)])
-        assert set(model._kv) == {(bos, 5), (bos, 6)}
-        model.step([(bos, 5, 7, 8)])  # steps the uncached (bos, 5, 7) first
-        assert set(model._kv) == {(bos, 5, 7, 8)}
+        assert set(model._rows) == {(bos, 5), (bos, 6)}
+        with pytest.raises(ValueError):
+            model.step([(bos, 5, 7, 8)])  # its parent (bos, 5, 7) is uncached
+        assert set(model._rows) == {(bos, 5), (bos, 6)}
+        model.step([(bos, 5, 7)])
+        assert set(model._rows) == {(bos, 5, 7)}
+
+    def test_mixed_lengths_rejected(self, setup):
+        model = step_model(*setup)
+        with pytest.raises(ValueError):
+            model.step([(model.bos_id,), (model.bos_id, 5)])
 
 
 class TestCheckpointIntegration:

@@ -181,8 +181,8 @@ class TestSerialization:
         _, scenes = corpus
         p1 = tmp_path / "a.jsonl"
         p2 = tmp_path / "b.jsonl"
-        write_jsonl(p1, scenes)
-        write_jsonl(p2, read_jsonl(p1))
+        write_jsonl(p1, [s.to_dict() for s in scenes])
+        write_jsonl(p2, [s.to_dict() for s in read_jsonl(p1)])
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_record_field_names(self, corpus):

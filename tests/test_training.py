@@ -408,15 +408,65 @@ class TestCli:
         {"train": {"selector_epochs": 1.5}},
         {"train": {"beam_size": True}},
         {"out_dir": 5},
+        # out of range
+        {"captioner": {"num_heads": 0}},
+        {"selector": {"num_heads": 0}},
+        {"data": {"visual_dim": 3}},
+        {"data": {"num_eval": -3}},
+        {"selector": {"max_proposals": 0}},
+        {"captioner": {"max_len": 2}},
+        {"seed": -1},
     ], ids=["data-list", "train-string", "seed-string", "seed-float",
             "num_train-string", "held_out-int", "num_heads-float",
-            "selector_epochs-float", "beam_size-bool", "out_dir-int"])
+            "selector_epochs-float", "beam_size-bool", "out_dir-int",
+            "captioner-num_heads-0", "selector-num_heads-0", "visual_dim-3",
+            "num_eval-negative", "max_proposals-0", "max_len-2", "seed-negative"])
     def test_malformed_config_value_is_exit_1(self, tmp_path, monkeypatch, raw):
         monkeypatch.chdir(tmp_path)  # so a run that ignored out_dir writes here too
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"out_dir": str(tmp_path / "out"), **raw}))
         assert cli.main(["gen-data", "--config", str(bad)]) == 1
         assert sorted(tmp_path.iterdir()) == [bad]
+
+    def test_negative_seed_option_is_exit_1(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "out_dir": str(tmp_path / "out")}))
+        assert cli.main(["gen-data", "--config", str(config), "--seed", "-2"]) == 1
+        assert sorted(tmp_path.iterdir()) == [config]
+
+    def test_out_dir_naming_a_file_is_exit_1(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "out_dir": str(taken)}))
+        assert cli.main(["gen-data", "--config", str(config)]) == 1
+        assert taken.read_text() == "a file"
+
+    def test_artifact_that_is_a_directory_is_exit_1(self, run_dir, tmp_path,
+                                                    capsys):
+        base, config, _ = run_dir
+        out = tmp_path / "run"
+        shutil.copytree(base / "run", out)
+        (out / "selector.ckpt").unlink()
+        (out / "selector.ckpt").mkdir()
+        assert cli.main(["eval", "--config", config, "--mode", "selector",
+                         "--out", str(out)]) == 1
+        assert f"corrupt {out / 'selector.ckpt'}" in capsys.readouterr().err
+
+    def test_captions_over_max_len_are_exit_1(self, run_dir, tmp_path, capsys):
+        # 7 fits every constraint set but not this data's longest captions
+        base, _, _ = run_dir
+        out = tmp_path / "run"
+        shutil.copytree(base / "run", out)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            **TINY_CONFIG, "out_dir": str(out),
+            "captioner": {**TINY_CONFIG["captioner"], "max_len": 7}}))
+        before = (out / "captioner.ckpt").read_bytes()
+        assert cli.main(["train-captioner", "--config", str(config)]) == 1
+        assert "over captioner.max_len 7" in capsys.readouterr().err
+        assert (out / "captioner.ckpt").read_bytes() == before
 
     def test_int_fills_float_and_list_fills_tuple(self, tmp_path):
         config = tmp_path / "c.json"
