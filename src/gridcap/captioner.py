@@ -196,13 +196,16 @@ def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor]) -> T
     for i in range(cfg.num_enc_layers):
         pre = f"enc{i}.attn"
         h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
-        attended = nm.multi_head_attention(
-            nm.matmul(h, params[f"{pre}.wq"]),
-            nm.matmul(h, params[f"{pre}.wk"]),
-            nm.matmul(h, params[f"{pre}.wv"]),
-            cfg.num_heads,
-            mem_k=params.get(f"enc{i}.mem.k"),
-            mem_v=params.get(f"enc{i}.mem.v"))
+        k = nm.matmul(h, params[f"{pre}.wk"])
+        v = nm.matmul(h, params[f"{pre}.wv"])
+        if cfg.num_memory > 0:
+            # each memory slot is one (head_dim) row that every head reads
+            k = nm.concat([k, nm.concat([params[f"enc{i}.mem.k"]] * cfg.num_heads,
+                                        axis=1)])
+            v = nm.concat([v, nm.concat([params[f"enc{i}.mem.v"]] * cfg.num_heads,
+                                        axis=1)])
+        attended = nm.multi_head_attention(nm.matmul(h, params[f"{pre}.wq"]), k, v,
+                                           cfg.num_heads)
         x = nm.add(x, nm.matmul(attended, params[f"{pre}.wo"]))
         x = ffn(x, params, f"enc{i}.ffn")
     return nm.layer_norm(x, params["enc.final.ln_gain"], params["enc.final.ln_bias"])

@@ -15,9 +15,10 @@ those the program sets (the data and train seeds, the captioner's
 vocabulary and visual width), each with a value of its default's type
 inside the field's range. Any other key or value exits 1 when the config
 is read, at every stage, and so does a negative seed. So does an output
-directory that names a file.
-Exit codes: 0 success, 1 configuration problem (a bad config or a missing
-or corrupt artifact), 2 training divergence.
+directory that names a file, an artifact path that cannot be written, and,
+after gen-data, an empty captioner-training, validation or test split.
+Exit codes: 0 success, 1 configuration problem (a bad config, a missing,
+corrupt or unwritable artifact, or an empty split), 2 training divergence.
 """
 
 from __future__ import annotations
@@ -82,6 +83,12 @@ def _build(cls, section: dict, **extra):
         raise ConfigError(f"bad {cls.__name__}: {exc}") from exc
 
 
+def _write_report(path, report: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
 class Experiment:
     """Config file plus the artifact paths of one output directory."""
 
@@ -140,11 +147,25 @@ class Experiment:
         except (OSError, ValueError, KeyError, TypeError, NumericsError) as exc:
             raise ConfigError(f"corrupt {path}: {exc!r}") from exc
 
+    def write(self, name: str, writer, *args):
+        """``writer(path, *args)`` on one artifact; an unwritable path raises
+        ConfigError."""
+        try:
+            return writer(self.path(name), *args)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {self.path(name)}: {exc}") from exc
+
     def inputs(self):
-        """(held-out splits, synonym table) from gen-data's artifacts."""
+        """(held-out splits, synonym table) from gen-data's artifacts; an
+        empty split raises ConfigError."""
         scenes = self.read("scenes.jsonl", read_jsonl)
         synonyms = self.read("synonyms.json", load_synonyms)
-        return apply_heldout(scenes, self.data_cfg, synonyms), synonyms
+        splits = apply_heldout(scenes, self.data_cfg, synonyms)
+        for split, keys in (("captioner_train", "data.num_train and data.held_out"),
+                            ("val", "data.num_eval"), ("test", "data.num_eval")):
+            if not getattr(splits, split):
+                raise ConfigError(f"the {split} split is empty (sized by {keys})")
+        return splits, synonyms
 
     def cap_cfg(self) -> CaptionerConfig:
         return replace(self._cap_cfg, vocab=self.read("vocab.json", Vocabulary.load))
@@ -163,17 +184,12 @@ class Experiment:
                 f"wants {want.get(bad[0])}")
         return params
 
-    def write_report(self, name: str, report: dict) -> None:
-        with open(self.path(name), "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
     def write_phase(self, report: str, key: str, phase: str, params,
                     epochs: list[dict]) -> str:
         """Save ``<key>.ckpt`` and a report of the phase that trained it;
         returns the checkpoint hash."""
-        ckpt_hash = save_checkpoint(self.path(f"{key}.ckpt"), params)
-        self.write_report(report, {
+        ckpt_hash = self.write(f"{key}.ckpt", save_checkpoint, params)
+        self.write(report, _write_report, {
             "config": self.config_echo(),
             "phases": [{"name": phase, "epochs": epochs}],
             "checkpoint_hashes": {key: ckpt_hash},
@@ -189,10 +205,10 @@ def cmd_gen_data(exp: Experiment, args) -> int:
     scenes = gen_dataset(exp.data_cfg)
     synonyms = default_synonyms(exp.data_cfg.classes)
     vocab = build_vocabulary(exp.data_cfg)
-    write_jsonl(exp.path("scenes.jsonl"), (s.to_dict() for s in scenes))
-    save_synonyms(exp.path("synonyms.json"), synonyms)
-    vocab.save(exp.path("vocab.json"))
-    exp.write_report("dataset_meta.json", {
+    exp.write("scenes.jsonl", write_jsonl, (s.to_dict() for s in scenes))
+    exp.write("synonyms.json", save_synonyms, synonyms)
+    exp.write("vocab.json", vocab.save)
+    exp.write("dataset_meta.json", _write_report, {
         "config": exp.config_echo(),
         "num_scenes": len(scenes),
         "splits": {s: sum(1 for x in scenes if x.split == s)
@@ -262,15 +278,15 @@ def cmd_eval(exp: Experiment, args) -> int:
     if sel_params is not None:
         report["checkpoints"]["selector"] = {
             "file": "selector.ckpt", "hash": checkpoint_hash(sel_params)}
-    exp.write_report(f"eval_{mode}.json", report)
-    write_jsonl(exp.path(f"captions_{mode}.jsonl"), (
+    exp.write(f"eval_{mode}.json", _write_report, report)
+    exp.write(f"captions_{mode}.jsonl", write_jsonl, (
         {"scene_id": o.scene_id, "mode": o.mode, "constraints": o.constraints,
          "caption": o.caption, "logprob": o.logprob, "finished": o.finished,
          "satisfied": o.satisfied} for o in outputs))
     if args.trace_grid:
-        write_jsonl(exp.path(f"grid_trace_{mode}.jsonl"),
-                    ({"scene_id": o.scene_id, **row}
-                     for o in outputs for row in o.trace))
+        exp.write(f"grid_trace_{mode}.jsonl", write_jsonl,
+                  ({"scene_id": o.scene_id, **row}
+                   for o in outputs for row in o.trace))
     out = report["out_domain"]
     print(f"mode {mode}: out-domain F1 {out['f1_average']:.3f} "
           f"CIDEr-D {out['cider_d']:.3f}, satisfaction "

@@ -112,11 +112,6 @@ class GridResult:
     kept: int = 0  # hypotheses that survived pruning, summed over cells
 
 
-def _prune(cands: dict[tuple, Hypothesis], k: int) -> list[Hypothesis]:
-    ranked = sorted(cands.values(), key=Hypothesis.sort_key)
-    return ranked[:k]
-
-
 def _expand(parent: Hypothesis, lp: np.ndarray, constraint_ids: tuple[int, ...],
             k: int, eos: int) -> list[Hypothesis]:
     """The continuations of ``parent`` that can survive pruning: its k best
@@ -150,42 +145,38 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
         raise ValueError("beam size and budget must be positive")
     if n >= T:
         raise InfeasibleConstraintsError(f"{n} constraints cannot fit a budget of {T}")
-    eos = model.eos_id
-    root = Hypothesis(tokens=(), logprob=0.0)
 
-    # cells[c][t]; column t holds hypotheses with t+1 generated tokens
-    cells: list[list[list[Hypothesis]]] = [[[] for _ in range(T)] for _ in range(n + 1)]
+    # the last column's beams by coverage; a column reads only the one before
+    beams: dict[int, list[Hypothesis]] = {0: [Hypothesis(tokens=(), logprob=0.0)]}
     finished_full: list[Hypothesis] = []
+    fallback = None  # best unfinished full-coverage hypothesis of the latest column
     trace_rows: list[dict] = []
     step_calls = offered = kept_total = 0
 
     for t in range(T):
-        window = feasible_coverage(t + 1, n, T)
-        new_cells: dict[int, dict[tuple, Hypothesis]] = {c: {} for c in window}
-
-        if t == 0:
-            parents = [root]
-        else:
-            parents = [h for c in feasible_coverage(t, n, T)
-                       for h in cells[c][t - 1] if not h.finished]
+        parents = [h for beam in beams.values() for h in beam if not h.finished]
+        # a column's hypotheses are distinct, and children of distinct parents
+        # differ in their prefix, so no child is offered twice
+        cands = {c: [] for c in feasible_coverage(t + 1, n, T)}
         if parents:
             rows = model.step([(model.bos_id,) + p.tokens for p in parents])
             step_calls += 1
             for parent, lp in zip(parents, rows):
-                for h in _expand(parent, lp, constraints.ids, k, eos):
+                for h in _expand(parent, lp, constraints.ids, k, model.eos_id):
                     offered += 1
-                    bucket = new_cells.get(len(h.met))
-                    if bucket is not None and h.tokens not in bucket:
-                        bucket[h.tokens] = h
+                    if len(h.met) in cands:
+                        cands[len(h.met)].append(h)
 
-        for c in window:
-            kept = _prune(new_cells[c], k)
+        beams = {}
+        for c, hyps in cands.items():
+            kept = sorted(hyps, key=Hypothesis.sort_key)[:k]
             for h in kept:
                 assert len(h.tokens) == t + 1 and len(h.met) == c
-            cells[c][t] = kept
+            beams[c] = kept
             kept_total += len(kept)
             if c == n:
                 finished_full.extend(h for h in kept if h.finished)
+                fallback = next((h for h in kept if not h.finished), fallback)
             if trace:
                 trace_rows.append({
                     "t": t, "c": c,
@@ -202,15 +193,11 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
     finished_full.sort(key=Hypothesis.sort_key)
     if finished_full:
         return GridResult(best=finished_full[0], finished=finished_full, **counts)
-
     # no finished full-coverage decode: fall back to the most complete
     # unfinished one, flagged by finished=False
-    for t in range(T - 1, -1, -1):
-        open_hyps = [h for h in cells[n][t] if not h.finished]
-        if open_hyps:
-            best = min(open_hyps, key=Hypothesis.sort_key)
-            return GridResult(best=best, finished=[], **counts)
-    raise SearchError("no hypothesis ever reached full constraint coverage")
+    if fallback is None:
+        raise SearchError("no hypothesis ever reached full constraint coverage")
+    return GridResult(best=fallback, finished=[], **counts)
 
 
 def sequence_logprob(tokens, model) -> Tensor:

@@ -373,25 +373,17 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
-                         mask: np.ndarray | None = None,
-                         mem_k: Tensor | None = None,
-                         mem_v: Tensor | None = None) -> Tensor:
+                         mask: np.ndarray | None = None) -> Tensor:
     """Per-head scaled dot attention over column blocks, heads concatenated.
 
-    No output projection. ``mem_k``/``mem_v`` (m, head_dim) are extra key
-    and value rows shared by every head; ``mask`` covers the input keys only,
-    so it cannot be combined with memory rows.
+    No output projection; ``mask`` applies to every head.
     """
     hd = q.shape[1] // num_heads
     heads = []
     for h in range(num_heads):
         lo, hi = h * hd, (h + 1) * hd
-        kh = col_slice(k, lo, hi)
-        vh = col_slice(v, lo, hi)
-        if mem_k is not None:
-            kh = concat([kh, mem_k], axis=0)
-            vh = concat([vh, mem_v], axis=0)
-        heads.append(scaled_dot_attention(col_slice(q, lo, hi), kh, vh, mask))
+        heads.append(scaled_dot_attention(col_slice(q, lo, hi), col_slice(k, lo, hi),
+                                          col_slice(v, lo, hi), mask))
     return heads[0] if num_heads == 1 else concat(heads, axis=1)
 
 

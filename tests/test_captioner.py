@@ -56,7 +56,8 @@ class TestVocabulary:
 
 
 def plain_encoder_reference(x, cfg, params):
-    """Independent plain pre-norm transformer encoder, no memory slots."""
+    """Independent pre-norm transformer encoder in plain numpy; every head
+    also attends to its layer's memory slots."""
     def ln(v, gain, bias, eps=1e-5):
         mu = v.mean(axis=-1, keepdims=True)
         var = v.var(axis=-1, keepdims=True)
@@ -76,8 +77,12 @@ def plain_encoder_reference(x, cfg, params):
         outs = []
         for hh in range(cfg.num_heads):
             sl = slice(hh * hd, (hh + 1) * hd)
-            w = softmax(q[:, sl] @ k[:, sl].T / math.sqrt(hd))
-            outs.append(w @ v[:, sl])
+            kh, vh = k[:, sl], v[:, sl]
+            if cfg.num_memory > 0:
+                kh = np.concatenate([kh, p[f"enc{i}.mem.k"]])
+                vh = np.concatenate([vh, p[f"enc{i}.mem.v"]])
+            w = softmax(q[:, sl] @ kh.T / math.sqrt(hd))
+            outs.append(w @ vh)
         h = h + np.concatenate(outs, axis=1) @ p[f"{pre}.wo"]
         pre = f"enc{i}.ffn"
         z = ln(h, p[f"{pre}.ln_gain"], p[f"{pre}.ln_bias"])
@@ -96,13 +101,15 @@ class TestEncode:
                 out = encode(rng.normal(size=(n, 3)), cfg, params)
                 assert out.shape == (n, cfg.d_model)
 
-    def test_zero_memory_equals_plain_encoder(self):
-        cfg = tiny_cfg(num_memory=0, num_enc_layers=2)
-        params = init_captioner_params(cfg, np.random.default_rng(4))
+    def test_equals_plain_encoder_reference(self):
         x = np.random.default_rng(5).normal(size=(5, 3))
-        ours = encode(x, cfg, params).data
-        reference = plain_encoder_reference(x, cfg, params)
-        np.testing.assert_allclose(ours, reference, atol=1e-12)
+        for num_memory, num_heads in ((0, 2), (3, 1), (3, 2), (3, 4)):
+            cfg = tiny_cfg(num_memory=num_memory, num_heads=num_heads,
+                           num_enc_layers=2)
+            params = init_captioner_params(cfg, np.random.default_rng(4))
+            ours = encode(x, cfg, params).data
+            reference = plain_encoder_reference(x, cfg, params)
+            np.testing.assert_allclose(ours, reference, atol=1e-12)
 
     def test_memory_layer_gradcheck(self, setup):
         cfg, params, regions = setup

@@ -454,6 +454,37 @@ class TestCli:
                          "--out", str(out)]) == 1
         assert f"corrupt {out / 'selector.ckpt'}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage,name", [
+        (["train-selector"], "selector.ckpt"),
+        (["eval", "--mode", "none"], "captions_none.jsonl"),
+    ], ids=["selector-ckpt", "captions-jsonl"])
+    def test_unwritable_artifact_is_exit_1(self, run_dir, tmp_path, capsys,
+                                           stage, name):
+        base, config, _ = run_dir
+        out = tmp_path / "run"
+        shutil.copytree(base / "run", out)
+        (out / name).unlink(missing_ok=True)
+        (out / name).mkdir()
+        assert cli.main(stage[:1] + ["--config", config, "--out", str(out)]
+                        + stage[1:]) == 1
+        assert f"cannot write {out / name}" in capsys.readouterr().err
+        assert not list(out.glob("*.tmp"))
+
+    @pytest.mark.parametrize("data,split", [
+        ({"num_eval": 0}, "val"),
+        ({"num_eval": 1}, "test"),
+        ({"num_train": 0}, "captioner_train"),
+    ], ids=["num_eval-0", "num_eval-1", "num_train-0"])
+    def test_empty_split_is_exit_1(self, tmp_path, capsys, data, split):
+        out = tmp_path / "run"
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "out_dir": str(out),
+                                      "data": {**TINY_CONFIG["data"], **data}}))
+        assert cli.main(["gen-data", "--config", str(config)]) == 0
+        assert cli.main(["train-selector", "--config", str(config)]) == 1
+        assert f"the {split} split is empty" in capsys.readouterr().err
+        assert not (out / "selector.ckpt").exists()
+
     def test_captions_over_max_len_are_exit_1(self, run_dir, tmp_path, capsys):
         # 7 fits every constraint set but not this data's longest captions
         base, _, _ = run_dir
