@@ -348,12 +348,17 @@ def tmean(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (np.broadcast_to(g / n, a.data.shape).copy(),))
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
                          mask: np.ndarray | None = None) -> Tensor:
-    """softmax(q kᵀ / sqrt(d) + mask) v.
+    """softmax(q kᵀ / sqrt(head_dim) + mask) v per head, heads side by side.
 
-    q (m, d), k (n, d), v (n, dv). mask, when given, is boolean (m, n) with
-    True marking BLOCKED positions; blocked weights underflow to exactly 0.
+    q (m, d), k (n, d), v (n, dv); head h reads the h-th of ``num_heads``
+    equal column blocks of each. mask, when given, is boolean (m, n) with
+    True marking BLOCKED positions, shared by every head; blocked weights
+    underflow to exactly 0. No output projection.
+
+    One tape node: the heads run as (heads, rows, head_dim) arrays, and the
+    backward reuses the saved probabilities.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
         raise NumericsError("attention expects 2-D q, k, v")
@@ -361,30 +366,47 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
         raise NumericsError(f"q/k key dims {q.shape} vs {k.shape}")
     if k.shape[0] != v.shape[0]:
         raise NumericsError(f"k/v sequence dims {k.shape} vs {v.shape}")
-    scores = mul(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
+    if num_heads < 1 or q.shape[1] % num_heads or v.shape[1] % num_heads:
+        raise NumericsError(f"{num_heads} heads do not split widths "
+                            f"{q.shape[1]} and {v.shape[1]}")
+    m, n = q.shape[0], k.shape[0]
+
+    def split(a):  # (rows, heads * w) -> (heads, rows, w) view
+        return a.reshape(a.shape[0], num_heads, a.shape[1] // num_heads).transpose(1, 0, 2)
+
+    def merge(a):  # (heads, rows, w) -> C-ordered (rows, heads * w)
+        return np.ascontiguousarray(
+            a.transpose(1, 0, 2).reshape(a.shape[1], num_heads * a.shape[2]))
+
+    q3, k3, v3 = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / math.sqrt(q.shape[1] // num_heads)
+    scores = (q3 @ k3.transpose(0, 2, 1)) * scale
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (q.shape[0], k.shape[0]):
-            raise NumericsError(f"mask shape {mask.shape} vs {(q.shape[0], k.shape[0])}")
+        if mask.shape != (m, n):
+            raise NumericsError(f"mask shape {mask.shape} vs {(m, n)}")
         if mask.all(axis=1).any():
             raise DegenerateMaskError("attention row with all keys masked")
-        scores = add(scores, Tensor(np.where(mask, MASK_FILL, 0.0)))
-    return matmul(softmax(scores, axis=-1), v)
+        scores = scores + np.where(mask, MASK_FILL, 0.0)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(merge(probs @ v3))
+
+    def vjp(g):
+        g3 = split(g)
+        gp = g3 @ v3.transpose(0, 2, 1)
+        gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
+        return (merge(gs @ k3),
+                merge((q3.transpose(0, 2, 1) @ gs).transpose(0, 2, 1)),
+                merge(probs.transpose(0, 2, 1) @ g3))
+
+    return _record(out, (q, k, v), vjp)
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
                          mask: np.ndarray | None = None) -> Tensor:
-    """Per-head scaled dot attention over column blocks, heads concatenated.
-
-    No output projection; ``mask`` applies to every head.
-    """
-    hd = q.shape[1] // num_heads
-    heads = []
-    for h in range(num_heads):
-        lo, hi = h * hd, (h + 1) * hd
-        heads.append(scaled_dot_attention(col_slice(q, lo, hi), col_slice(k, lo, hi),
-                                          col_slice(v, lo, hi), mask))
-    return heads[0] if num_heads == 1 else concat(heads, axis=1)
+    """softmax(q kᵀ / sqrt(d) + mask) v: ``multi_head_attention`` with one head."""
+    return multi_head_attention(q, k, v, 1, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +414,19 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
 # ---------------------------------------------------------------------------
 
 
-def backward(loss: Tensor) -> None:
-    """Populate grad on every requires_grad tensor reachable from loss.
+def _released(g):
+    raise NumericsError("backward through a graph that an earlier backward released")
 
-    loss must be a recorded scalar. Grad buffers are accumulated, so two
-    calls without zeroing yield exactly twice the gradient.
+
+def backward(loss: Tensor) -> None:
+    """Accumulate grad on every leaf (a requires_grad tensor with no VJP)
+    reachable from loss, then release the graph.
+
+    loss must be a recorded scalar. Leaf grad buffers are accumulated, so
+    backwards of two graphs over the same leaves add up. Intermediate
+    tensors keep ``grad`` None, and each one drops its VJP and parents once
+    processed, so its saved arrays are freed during the walk; a second
+    backward through a released node raises ``NumericsError``.
     """
     if loss.data.size != 1:
         raise NumericsError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -421,13 +451,18 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         g = grads.pop(id(node), None)
-        if g is None:
+        if node._vjp is None:  # leaf
+            if g is not None:
+                if node.grad is None:
+                    node.grad = np.array(g, dtype=np.float64, copy=True)
+                else:
+                    node.grad += g
             continue
-        if node._vjp is not None:
-            parent_grads = node._vjp(g)
-            for p, pg in zip(node._parents, parent_grads):
+        if g is not None:
+            for p, pg in zip(node._parents, node._vjp(g)):
                 if not p.requires_grad or pg is None:
                     continue
                 acc = grads.get(id(p))
@@ -435,10 +470,7 @@ def backward(loss: Tensor) -> None:
                     grads[id(p)] = np.array(pg, dtype=np.float64, copy=True)
                 else:
                     acc += pg
-        if node.grad is None:
-            node.grad = np.array(g, dtype=np.float64, copy=True)
-        else:
-            node.grad += g
+        node._vjp, node._parents = _released, ()
 
 
 def zero_grads(params) -> None:
