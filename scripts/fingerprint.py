@@ -42,7 +42,6 @@ def main() -> None:
     def phase(params, epochs):
         return {"checkpoint_hash": checkpoint_hash(params), "epochs": epochs}
 
-    # hashed as each phase ends: fine-tuning updates its input in place
     sel_params, epochs = train_selector(splits, synonyms, sel_cfg, train_cfg)
     phases = {"train_selector": phase(sel_params, epochs)}
     cap_params, epochs = pretrain_captioner(splits, cap_cfg, train_cfg)

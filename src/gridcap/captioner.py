@@ -8,13 +8,18 @@ space than the model width, with learned up/down projections on either side
 of the decoder stack, and output logits tie to the transpose of the
 embedding matrix.
 
-One decoder-layer body serves two callers. Teacher forcing runs it over a
-whole sequence, for training and sequence scoring. ``SceneStepModel.step``
-runs it over the last token of many prefixes at once, for search. It is
-called once per grid column, each prefix extending one of the previous
-call's, so earlier positions' self-attention keys and values come from
-per-layer (rows, length, d) arrays of that call; the encoder's
-cross-attention keys and values are computed once per scene.
+One decoder-layer body serves two callers. Teacher forcing runs it over
+whole sequences, for training and sequence scoring. A minibatch packs its
+sequences as stacked rows in one pass: a block mask keeps each row to
+itself, the non-PAD earlier positions of its own sequence and its own
+scene's encoder rows. The encoder packs the minibatch's distinct scenes
+the same way, with the memory slots visible to every row. One sequence is
+the packed case with one segment. ``SceneStepModel.step`` runs it over
+the last token of many prefixes at once, for search. It is called once
+per grid column, each prefix extending one of the previous call's, so
+earlier positions' self-attention keys and values come from per-layer
+(rows, length, d) arrays of that call; the encoder's cross-attention keys
+and values are computed once per scene.
 
 The parameter builders (``init_matrix``, ``init_layer_norm``, ``init_ffn``)
 and the feed-forward sub-block ``ffn`` also build the region selector.
@@ -181,17 +186,26 @@ def ffn(x: Tensor, params: dict[str, Tensor], pre: str) -> Tensor:
     return nm.add(x, h)
 
 
-def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor]) -> Tensor:
+def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor],
+           segments=None) -> Tensor:
     """Region vectors (n, visual_dim) -> encoder memory (n, d_model).
 
-    Memory slots extend each layer's keys and values only; the output
-    sequence always has the input length.
+    Several scenes pack into one call as stacked rows: ``segments`` (n,)
+    numbers each row's scene (default: one scene), and a row attends to the
+    rows of its own scene only. Memory slots extend each layer's keys and
+    values, visible to every row; the output has the input's rows.
     """
     x = region_vectors if isinstance(region_vectors, Tensor) else Tensor(region_vectors)
     if x.shape[0] < 1:
         raise ValueError("encoder needs at least one region")
     if x.shape[1] != cfg.visual_dim:
         raise ValueError(f"expected visual dim {cfg.visual_dim}, got {x.shape[1]}")
+    n = x.shape[0]
+    seg = np.zeros(n, dtype=np.intp) if segments is None else np.asarray(segments)
+    if seg.shape != (n,):
+        raise ValueError(f"segments shape {seg.shape} vs {n} region rows")
+    mask = np.concatenate([seg[:, None] != seg[None, :],
+                           np.zeros((n, cfg.num_memory), dtype=bool)], axis=1)
     x = nm.linear(x, params["enc.input.w"], params["enc.input.b"])
     for i in range(cfg.num_enc_layers):
         pre = f"enc{i}.attn"
@@ -205,7 +219,7 @@ def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor]) -> T
             v = nm.concat([v, nm.concat([params[f"enc{i}.mem.v"]] * cfg.num_heads,
                                         axis=1)])
         attended = nm.multi_head_attention(nm.matmul(h, params[f"{pre}.wq"]), k, v,
-                                           cfg.num_heads)
+                                           cfg.num_heads, mask)
         x = nm.add(x, nm.matmul(attended, params[f"{pre}.wo"]))
         x = ffn(x, params, f"enc{i}.ffn")
     return nm.layer_norm(x, params["enc.final.ln_gain"], params["enc.final.ln_bias"])
@@ -232,12 +246,14 @@ def _embed(ids, pe: np.ndarray, params: dict[str, Tensor]) -> Tensor:
 
 
 def _decoder_stack(x: Tensor, self_mask: np.ndarray, self_kv, cross_kv,
-                   cfg: CaptionerConfig, params: dict[str, Tensor]) -> Tensor:
+                   cfg: CaptionerConfig, params: dict[str, Tensor],
+                   cross_mask: np.ndarray | None = None) -> Tensor:
     """The decoder layers over the rows of ``x``, then the down projection.
 
     ``self_kv(i, k, v)`` turns layer i's key and value rows of ``x`` into the
     keys and values those rows attend to, with ``self_mask`` marking blocked
-    (row, key) pairs; ``cross_kv(i)`` gives layer i's encoder keys and values.
+    (row, key) pairs; ``cross_kv(i)`` gives layer i's encoder keys and values,
+    with ``cross_mask`` marking blocked (row, encoder row) pairs.
     """
     for i in range(cfg.num_dec_layers):
         pre = f"dec{i}.self"
@@ -252,7 +268,7 @@ def _decoder_stack(x: Tensor, self_mask: np.ndarray, self_kv, cross_kv,
         h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
         q = nm.matmul(h, params[f"{pre}.wq"])
         k, v = cross_kv(i)
-        attended = nm.multi_head_attention(q, k, v, cfg.num_heads)
+        attended = nm.multi_head_attention(q, k, v, cfg.num_heads, mask=cross_mask)
         x = nm.add(x, nm.matmul(attended, params[f"{pre}.wo"]))
 
         x = ffn(x, params, f"dec{i}.ffn")
@@ -266,43 +282,78 @@ def _cross_kv(enc_out: Tensor, params: dict[str, Tensor], i: int):
             nm.matmul(enc_out, params[f"dec{i}.cross.wv"]))
 
 
+def _packed(tokens, scenes, enc_segments, cfg: CaptionerConfig):
+    """Stacked ids and positions of one sequence, or of a packed list of them,
+    with their self- and cross-attention masks."""
+    seqs = [_validate_tokens(t, cfg) for t in ([tokens] if scenes is None else tokens)]
+    scenes = np.zeros(1, dtype=np.intp) if scenes is None else np.asarray(scenes)
+    if scenes.shape != (len(seqs),):
+        raise ValueError(f"{len(scenes)} scene numbers for {len(seqs)} sequences")
+    ids = np.concatenate(seqs)
+    segment = np.repeat(np.arange(len(seqs)), [len(s) for s in seqs])
+    pos = np.concatenate([np.arange(len(s)) for s in seqs])
+    row = np.arange(len(ids))
+    self_mask = ((segment[:, None] != segment[None, :]) | (pos[None, :] > pos[:, None])
+                 | ((ids == cfg.vocab.pad_id)[None, :] & (row[:, None] != row[None, :])))
+    cross_mask = scenes[segment][:, None] != np.asarray(enc_segments)[None, :]
+    return ids, pos, self_mask, cross_mask
+
+
 def decode_hidden(tokens, enc_out: Tensor, cfg: CaptionerConfig,
-                  params: dict[str, Tensor]) -> Tensor:
+                  params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
     """Down-projected decoder states (len(tokens), embed_dim), pre-tying.
 
     Teacher forcing: every position attends to itself and the non-PAD
-    positions before it, and keys and values come from all rows.
+    positions before it, and to the encoder rows. Packed: ``tokens`` is a
+    list of sequences whose rows are stacked in order, ``scenes[b]`` numbers
+    sequence b's scene, and its rows see only their own sequence and the
+    encoder rows with that number in ``enc_segments`` (as given to
+    ``encode``). One sequence is the packed case with one segment.
     """
-    ids = _validate_tokens(tokens, cfg)
-    n = len(ids)
-    x = _embed(ids, positional_encoding(n, cfg.d_model), params)
-    causal = np.triu(np.ones((n, n), dtype=bool), k=1)
-    pad_keys = (ids == cfg.vocab.pad_id)[None, :] & ~np.eye(n, dtype=bool)
-    return _decoder_stack(x, causal | pad_keys, lambda i, k, v: (k, v),
-                          lambda i: _cross_kv(enc_out, params, i), cfg, params)
+    if enc_segments is None:
+        enc_segments = np.zeros(enc_out.shape[0], dtype=np.intp)
+    ids, pos, self_mask, cross_mask = _packed(tokens, scenes, enc_segments, cfg)
+    x = _embed(ids, positional_encoding(cfg.max_len, cfg.d_model)[pos], params)
+    return _decoder_stack(x, self_mask, lambda i, k, v: (k, v),
+                          lambda i: _cross_kv(enc_out, params, i), cfg, params,
+                          cross_mask)
 
 
 def decode_logits(tokens, enc_out: Tensor, cfg: CaptionerConfig,
-                  params: dict[str, Tensor]) -> Tensor:
-    """Next-token logits (len(tokens), |V|); the output head is the
-    transpose of the word embedding matrix."""
-    h = decode_hidden(tokens, enc_out, cfg, params)
+                  params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
+    """Next-token logits (rows, |V|) of one or a packed list of sequences (see
+    ``decode_hidden``); the output head is the transpose of the word
+    embedding matrix."""
+    h = decode_hidden(tokens, enc_out, cfg, params, scenes, enc_segments)
     return nm.matmul(h, nm.transpose(params["embed.E"]))
 
 
 def xent_loss(tokens, enc_out: Tensor, cfg: CaptionerConfig,
-              params: dict[str, Tensor]) -> Tensor:
-    """Mean next-token cross-entropy; positions whose target is PAD are skipped."""
-    ids = _validate_tokens(tokens, cfg)
-    if cfg.vocab.eos_id not in ids:
-        raise ValueError("training sequence lacks EOS")
-    logits = decode_logits(ids, enc_out, cfg, params)
-    lsm = nm.log_softmax(logits, axis=-1)
-    rows = [t for t in range(len(ids) - 1) if ids[t + 1] != cfg.vocab.pad_id]
-    if not rows:
-        raise ValueError("no supervised positions in sequence")
-    picked = nm.take(lsm, rows, ids[np.array(rows) + 1])
-    return nm.neg(nm.tmean(picked))
+              params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
+    """Mean next-token cross-entropy; positions whose target is PAD are skipped.
+
+    Packed (see ``decode_hidden``): the mean over sequences of each one's
+    mean, so a supervised row weighs 1 / (its sequence's supervised rows ·
+    number of sequences).
+    """
+    seqs = [tokens] if scenes is None else tokens
+    rows, targets, weights = [], [], []
+    start = 0
+    for seq in seqs:
+        ids = _validate_tokens(seq, cfg)
+        if cfg.vocab.eos_id not in ids:
+            raise ValueError("training sequence lacks EOS")
+        sup = np.flatnonzero(ids[1:] != cfg.vocab.pad_id)
+        if not len(sup):
+            raise ValueError("no supervised positions in sequence")
+        rows.append(start + sup)
+        targets.append(ids[sup + 1])
+        weights.append(np.full(len(sup), 1.0 / (len(sup) * len(seqs))))
+        start += len(ids)
+    lsm = nm.log_softmax(decode_logits(tokens, enc_out, cfg, params, scenes,
+                                       enc_segments), axis=-1)
+    picked = nm.take(lsm, np.concatenate(rows), np.concatenate(targets))
+    return nm.neg(nm.tsum(nm.mul(picked, Tensor(np.concatenate(weights)))))
 
 
 class BudgetExhausted(Exception):

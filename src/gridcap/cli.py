@@ -28,6 +28,7 @@ import json
 import logging
 import os
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -185,13 +186,13 @@ class Experiment:
         return params
 
     def write_phase(self, report: str, key: str, phase: str, params,
-                    epochs: list[dict]) -> str:
-        """Save ``<key>.ckpt`` and a report of the phase that trained it;
-        returns the checkpoint hash."""
+                    epochs: list[dict], wall_s: float) -> str:
+        """Save ``<key>.ckpt`` and a report of the phase that trained it, with
+        its epochs and wall time; returns the checkpoint hash."""
         ckpt_hash = self.write(f"{key}.ckpt", save_checkpoint, params)
         self.write(report, _write_report, {
             "config": self.config_echo(),
-            "phases": [{"name": phase, "epochs": epochs}],
+            "phases": [{"name": phase, "epochs": epochs, "wall_s": wall_s}],
             "checkpoint_hashes": {key: ckpt_hash},
         })
         return ckpt_hash
@@ -221,9 +222,11 @@ def cmd_gen_data(exp: Experiment, args) -> int:
 
 def cmd_train_selector(exp: Experiment, args) -> int:
     splits, synonyms = exp.inputs()
+    start = time.perf_counter()
     params, epochs = train_selector(splits, synonyms, exp.sel_cfg, exp.train_cfg)
     ckpt_hash = exp.write_phase("selector_report.json", "selector",
-                                "selector_bce", params, epochs)
+                                "selector_bce", params, epochs,
+                                time.perf_counter() - start)
     print(f"selector checkpoint {ckpt_hash[:12]} "
           f"val-F1 {epochs[-1]['val_selection_f1']:.3f}")
     return 0
@@ -237,9 +240,11 @@ def cmd_train_captioner(exp: Experiment, args) -> int:
     if longest > cfg.max_len:
         raise ConfigError(f"a caption is {longest} tokens with BOS and EOS, over "
                           f"captioner.max_len {cfg.max_len}")
+    start = time.perf_counter()
     params, epochs = pretrain_captioner(splits, cfg, exp.train_cfg)
     ckpt_hash = exp.write_phase("captioner_report.json", "captioner",
-                                "captioner_xent", params, epochs)
+                                "captioner_xent", params, epochs,
+                                time.perf_counter() - start)
     print(f"captioner checkpoint {ckpt_hash[:12]} "
           f"val-ppl {epochs[-1]['val_perplexity']:.2f}")
     return 0
@@ -249,10 +254,12 @@ def cmd_finetune(exp: Experiment, args) -> int:
     splits, synonyms = exp.inputs()
     cfg = exp.cap_cfg()
     params = exp.load_ckpt("captioner.ckpt", init_captioner_params, cfg)
+    start = time.perf_counter()
     params, epochs = finetune_scst_dgbs(splits, cfg, params, exp.train_cfg,
                                         synonyms)
     ckpt_hash = exp.write_phase("finetune_report.json", "captioner_rl",
-                                "scst_constrained", params, epochs)
+                                "scst_constrained", params, epochs,
+                                time.perf_counter() - start)
     kept = next(e for e in epochs if e["kept"])
     print(f"fine-tuned checkpoint {ckpt_hash[:12]} from epoch {kept['epoch']} "
           f"val-CIDEr {kept['val_cider_d']:.3f}")

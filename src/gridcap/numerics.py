@@ -3,10 +3,15 @@
 Everything is 64-bit: the test suite leans on tight finite-difference
 tolerances. Speed does matter, and at desk-scale widths the Python work of
 an op (building its output tensor and recording it) mostly outweighs its
-arithmetic, so the number of op calls largely sets run time. Each op
-records its inputs and a vector-Jacobian closure on the output tensor;
-``backward`` walks that explicit per-graph tape. There is no global
-graph, so callers can build and drop graphs freely.
+arithmetic, so the number of op calls largely sets run time. Attention is
+therefore one op per call, all heads at once, with its own backward.
+
+Each op records its inputs and a vector-Jacobian closure on the output
+tensor; ``backward`` walks that explicit per-graph tape. There is no global
+graph, so callers can build and drop graphs freely. ``backward`` stores
+gradients on leaves only (the parameters and other tensors no op made) and
+releases each node's closure as it goes, so one graph serves one backward
+and its saved arrays are freed during the walk.
 """
 
 from __future__ import annotations
@@ -372,9 +377,12 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     m, n = q.shape[0], k.shape[0]
 
     def split(a):  # (rows, heads * w) -> (heads, rows, w) view
-        return a.reshape(a.shape[0], num_heads, a.shape[1] // num_heads).transpose(1, 0, 2)
+        rows, width = a.shape
+        return a.reshape(rows, num_heads, width // num_heads).transpose(1, 0, 2)
 
-    def merge(a):  # (heads, rows, w) -> C-ordered (rows, heads * w)
+    # merge returns C order and the key gradient is (qᵀ gs)ᵀ, so every product
+    # rounds exactly as the separate per-head ops used to
+    def merge(a):  # (heads, rows, w) -> (rows, heads * w)
         return np.ascontiguousarray(
             a.transpose(1, 0, 2).reshape(a.shape[1], num_heads * a.shape[2]))
 

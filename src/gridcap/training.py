@@ -2,14 +2,15 @@
 
 Three phases, strictly ordered and parameter-isolated: selector training
 (weighted binary cross-entropy on mention targets), captioner pre-training
-(teacher-forced cross-entropy on the filtered split), and reward
-fine-tuning (self-critical policy gradient where each beam candidate from
-the constrained search is scored by the consensus metric against the
-mean-of-beam baseline, with gradients flowing through every token of the
-candidate, constraint words included).
+(teacher-forced cross-entropy on the filtered split, each minibatch one
+packed forward and backward), and reward fine-tuning (self-critical policy
+gradient where each beam candidate from the constrained search is scored
+by the consensus metric against the mean-of-beam baseline, with gradients
+flowing through every token of the candidate, constraint words included).
 
 Every decode, whether a fine-tuning beam, a validation pass or an
 evaluation, is one ``run_grid_search`` call made by ``_decode_for_scene``.
+Every epoch record counts its Adam steps as ``updates``.
 """
 
 from __future__ import annotations
@@ -128,10 +129,9 @@ def train_selector(splits: HeldoutSplits, synonyms: dict[str, list[str]],
     state = AdamState()
     prepared = [scene_selector_inputs(s, cfg, synonyms) for s in splits.selector_train]
     epochs = []
-    step = 0
     for epoch in range(train_cfg.selector_epochs):
         order = rng.permutation(len(prepared))
-        total = 0.0
+        total, steps_before = 0.0, state.step
         for batch in _batches(order, train_cfg.batch_size):
             zero_grads(params)
             for idx in batch:
@@ -140,12 +140,13 @@ def train_selector(splits: HeldoutSplits, synonyms: dict[str, list[str]],
                 loss = weighted_bce(scores, targets, BCE_LAMBDA0, BCE_LAMBDA1)
                 total += _check_finite(loss.item(), "selector loss")
                 nm.backward(nm.mul(loss, 1.0 / len(batch)))
-            step += 1
-            adam_step(params, state, noam_lr(step, cfg.embed_dim, train_cfg.warmup))
+            adam_step(params, state, noam_lr(state.step + 1, cfg.embed_dim,
+                                             train_cfg.warmup))
         epochs.append({
             "epoch": epoch,
             "loss": total / max(1, len(prepared)),
             "val_selection_f1": _selection_val_f1(splits.val, cfg, params, synonyms),
+            "updates": state.step - steps_before,
         })
         log.info("selector epoch %d loss %.4f val-F1 %.3f", epoch,
                  epochs[-1]["loss"], epochs[-1]["val_selection_f1"])
@@ -161,44 +162,66 @@ def _caption_ids(ref: list[str], vocab) -> list[int]:
     return [vocab.bos_id] + vocab.encode(ref) + [vocab.eos_id]
 
 
-def _val_perplexity(scenes, cfg: CaptionerConfig, params) -> float:
+def _packed_samples(samples, vocab):
+    """(scene, reference) samples as one packed minibatch: the region rows of
+    their distinct scenes, each row's scene number, the caption ids and each
+    caption's scene number, scenes numbered by first appearance."""
+    numbers: dict[int, int] = {}
+    regions, segments, scene_of = [], [], []
+    for scene, _ in samples:
+        if id(scene) not in numbers:
+            numbers[id(scene)] = len(numbers)
+            regions.append(np.array(scene.region_visual))
+            segments.append(np.full(len(scene.region_visual), numbers[id(scene)]))
+        scene_of.append(numbers[id(scene)])
+    captions = [_caption_ids(ref, vocab) for _, ref in samples]
+    return np.concatenate(regions), np.concatenate(segments), captions, scene_of
+
+
+def _minibatch_xent(samples, cfg: CaptionerConfig, params) -> Tensor:
+    """Mean per-sample cross-entropy of one packed minibatch: one encoder and
+    one decoder pass."""
+    regions, segments, captions, scene_of = _packed_samples(samples, cfg.vocab)
+    enc = encode(regions, cfg, params, segments)
+    return xent_loss(captions, enc, cfg, params, scene_of, segments)
+
+
+def _val_perplexity(scenes, cfg: CaptionerConfig, params, batch_size: int) -> float:
+    """exp of the mean per-sample cross-entropy, packed ``batch_size``
+    samples at a time (dense masks grow with the packed rows squared)."""
     froz = frozen(params)
-    losses = []
-    for scene in scenes:
-        enc = encode(np.array(scene.region_visual), cfg, froz)
-        for ref in scene.references:
-            ids = _caption_ids(ref, cfg.vocab)
-            losses.append(xent_loss(ids, enc, cfg, froz).item())
-    return float(np.exp(np.mean(losses))) if losses else float("inf")
+    samples = [(scene, ref) for scene in scenes for ref in scene.references]
+    total = sum(_minibatch_xent(chunk, cfg, froz).item() * len(chunk)
+                for chunk in _batches(samples, batch_size))
+    return float(np.exp(total / len(samples))) if samples else float("inf")
 
 
 def pretrain_captioner(splits: HeldoutSplits, cfg: CaptionerConfig,
                        train_cfg: TrainConfig):
-    """Teacher-forced cross-entropy on the held-out-filtered training split."""
+    """Teacher-forced cross-entropy on the held-out-filtered training split,
+    one packed forward and backward per minibatch."""
     rng = _rng(train_cfg.seed, 2)
     params = init_captioner_params(cfg, rng)
     state = AdamState()
     samples = [(scene, ref) for scene in splits.captioner_train
                for ref in scene.references]
     epochs = []
-    step = 0
     for epoch in range(train_cfg.xent_epochs):
         order = rng.permutation(len(samples))
-        total = 0.0
+        total, steps_before = 0.0, state.step
         for batch in _batches(order, train_cfg.batch_size):
             zero_grads(params)
-            for idx in batch:
-                scene, ref = samples[idx]
-                enc = encode(np.array(scene.region_visual), cfg, params)
-                loss = xent_loss(_caption_ids(ref, cfg.vocab), enc, cfg, params)
-                total += _check_finite(loss.item(), "captioner loss")
-                nm.backward(nm.mul(loss, 1.0 / len(batch)))
-            step += 1
-            adam_step(params, state, noam_lr(step, cfg.d_model, train_cfg.warmup))
+            loss = _minibatch_xent([samples[i] for i in batch], cfg, params)
+            total += _check_finite(loss.item(), "captioner loss") * len(batch)
+            nm.backward(loss)
+            adam_step(params, state, noam_lr(state.step + 1, cfg.d_model,
+                                             train_cfg.warmup))
         epochs.append({
             "epoch": epoch,
             "loss": total / max(1, len(samples)),
-            "val_perplexity": _val_perplexity(splits.val, cfg, params),
+            "val_perplexity": _val_perplexity(splits.val, cfg, params,
+                                              train_cfg.batch_size),
+            "updates": state.step - steps_before,
         })
         log.info("captioner epoch %d loss %.4f val-ppl %.2f", epoch,
                  epochs[-1]["loss"], epochs[-1]["val_perplexity"])
@@ -249,7 +272,8 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
     token. Scenes with an empty constraint set fall back to unconstrained
     search. After each epoch the validation split is decoded in oracle mode
     and scored by CIDEr-D; the first best-scoring epoch's parameters are
-    returned, and only that epoch's record has ``kept`` true.
+    returned, and only that epoch's record has ``kept`` true. Training runs
+    on a copy: the caller's ``params`` are left as they were.
 
     A scene whose search finishes fewer than two candidates has nothing to
     compare and is skipped. Each epoch record counts ``scored_scenes`` and
@@ -263,10 +287,12 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
     scenes = list(splits.captioner_train)
     epochs = []
     best_val, best_epoch = -1.0, 0
-    best_snapshot = {k: v.data.copy() for k, v in params.items()}
+    best_snapshot = {k: v.data for k, v in params.items()}  # never written
+    params = {k: Tensor(v.data.copy(), requires_grad=True) for k, v in params.items()}
     for epoch in range(train_cfg.rl_epochs):
         order = rng.permutation(len(scenes))
         reward_sum, reward_n, skipped = 0.0, 0, 0
+        steps_before = state.step
         for batch in _batches(order, train_cfg.batch_size):
             zero_grads(params)
             touched = False
@@ -316,6 +342,7 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
             "val_cider_d": val_cider,
             "scored_scenes": reward_n,
             "skipped_scenes": skipped,
+            "updates": state.step - steps_before,
         })
         if reward_n == 0:
             log.warning("finetune epoch %d scored no scene: all %d finished "

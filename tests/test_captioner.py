@@ -128,6 +128,57 @@ class TestEncode:
             encode(np.zeros((0, 3)), cfg, params)
 
 
+class TestPacking:
+    """Several scenes and sequences stacked as rows of one pass."""
+
+    def scenes(self):
+        rng = np.random.default_rng(7)
+        return rng.normal(size=(3, 3)), rng.normal(size=(4, 3))
+
+    def test_packed_encoder_rows_equal_each_scene_alone(self, setup):
+        cfg, params, _ = setup
+        a, b = self.scenes()
+        packed = encode(np.concatenate([a, b]), cfg, params, [0, 0, 0, 1, 1, 1, 1])
+        alone = np.concatenate([encode(a, cfg, params).data, encode(b, cfg, params).data])
+        np.testing.assert_allclose(packed.data, alone, rtol=0, atol=1e-12)
+
+    def test_minibatch_equals_per_sample_loop(self, setup):
+        # two references of one scene, and a sequence with a PAD token
+        cfg, params, _ = setup
+        a, b = self.scenes()
+        v = cfg.vocab
+        samples = [(a, [v.bos_id, 4, 6, v.eos_id]),
+                   (a, [v.bos_id, 5, 7, 8, v.eos_id]),
+                   (b, [v.bos_id, 6, v.eos_id, v.pad_id])]
+        nm.zero_grads(params)
+        loop = 0.0
+        for regions, toks in samples:
+            loss = xent_loss(toks, encode(regions, cfg, params), cfg, params)
+            loop += loss.item() / len(samples)
+            nm.backward(nm.mul(loss, 1.0 / len(samples)))
+        loop_grads = {k: p.grad.copy() for k, p in params.items()}
+
+        nm.zero_grads(params)
+        segments = [0] * len(a) + [1] * len(b)
+        enc = encode(np.concatenate([a, b]), cfg, params, segments)
+        packed = xent_loss([t for _, t in samples], enc, cfg, params, [0, 0, 1],
+                           segments)
+        nm.backward(packed)
+        assert packed.item() == pytest.approx(loop, rel=1e-12)
+        for k, p in params.items():
+            np.testing.assert_allclose(p.grad, loop_grads[k], rtol=0, atol=1e-12,
+                                       err_msg=k)
+
+    def test_one_scene_number_per_sequence(self, setup):
+        cfg, params, regions = setup
+        v = cfg.vocab
+        enc = encode(regions, cfg, frozen(params))
+        with pytest.raises(ValueError):
+            xent_loss([[v.bos_id, 4, v.eos_id]] * 2, enc, cfg, frozen(params), [0])
+        with pytest.raises(ValueError):
+            encode(regions, cfg, params, [0, 1])
+
+
 class TestDecodeLogits:
     def test_causality_is_bitwise(self, setup):
         cfg, params, regions = setup

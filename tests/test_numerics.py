@@ -120,6 +120,80 @@ class TestAttention:
         check_grads(loss, [q, k, v], 1e-6)
 
 
+def per_head_attention(q, k, v, num_heads, mask=None):
+    """Heads as separate one-head calls on column slices, side by side."""
+    w, wv = q.shape[1] // num_heads, v.shape[1] // num_heads
+    return nm.concat([nm.scaled_dot_attention(
+        nm.col_slice(q, h * w, (h + 1) * w), nm.col_slice(k, h * w, (h + 1) * w),
+        nm.col_slice(v, h * wv, (h + 1) * wv), mask) for h in range(num_heads)],
+        axis=1)
+
+
+def attention_case(heads, masked, memory, m=3, n=5, head_dim=3, seed=11):
+    """Inputs (q, k, v, memory keys, memory values), a loss weight, a mask
+    and an ``attend(op)`` that appends the memory rows, repeated per head, to
+    the keys and values as the encoder does."""
+    rng = np.random.default_rng(seed)
+    d = heads * head_dim
+    tensors = [Tensor(rng.normal(size=shape), requires_grad=True)
+               for shape in ((m, d), (n, d), (n, d), (memory, head_dim),
+                             (memory, head_dim))]
+    mask = None
+    if masked:
+        mask = rng.random((m, n + memory)) < 0.5
+        mask[np.arange(m), rng.integers(n + memory, size=m)] = False
+    w = Tensor(rng.normal(size=(m, d)))
+
+    def attend(op):
+        q, k, v, mem_k, mem_v = tensors
+        if memory:
+            k = nm.concat([k, nm.concat([mem_k] * heads, axis=1)])
+            v = nm.concat([v, nm.concat([mem_v] * heads, axis=1)])
+        return op(q, k, v, heads, mask)
+
+    return tensors if memory else tensors[:3], w, attend
+
+
+class TestMultiHeadAttention:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("memory", [0, 2])
+    def test_gradcheck(self, heads, masked, memory):
+        tensors, w, attend = attention_case(heads, masked, memory)
+
+        def loss():
+            return nm.tsum(nm.mul(attend(nm.multi_head_attention), w))
+
+        check_grads(loss, tensors, 1e-6)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("memory", [0, 2])
+    def test_equals_per_head_composition(self, heads, masked, memory):
+        tensors, w, attend = attention_case(heads, masked, memory, m=6, n=4)
+        results = []
+        for op in (nm.multi_head_attention, per_head_attention):
+            for t in tensors:
+                t.zero_grad()
+            out = attend(op)
+            nm.backward(nm.tsum(nm.mul(out, w)))
+            results.append([out.data] + [t.grad for t in tensors])
+        for fused, composed in zip(*results):
+            np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
+
+    def test_fully_blocked_row_is_an_error(self):
+        q, k, v = (Tensor(np.ones(shape)) for shape in ((2, 4), (3, 4), (3, 4)))
+        mask = np.zeros((2, 3), dtype=bool)
+        mask[0, :] = True
+        with pytest.raises(DegenerateMaskError):
+            nm.multi_head_attention(q, k, v, 2, mask)
+
+    def test_heads_must_split_the_widths(self):
+        q, k, v = (Tensor(np.ones(shape)) for shape in ((2, 4), (3, 4), (3, 5)))
+        with pytest.raises(NumericsError):
+            nm.multi_head_attention(q, k, v, 2)
+
+
 class TestElementwise:
     def test_softmax_uniform(self):
         out = nm.softmax(Tensor([0.0, 0.0, 0.0]))
@@ -193,6 +267,29 @@ class TestBackward:
         nm.backward(loss1)
         nm.backward(loss2)
         np.testing.assert_array_equal(x.grad, 2 * once)
+
+    def test_intermediate_tensors_keep_no_grad(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        y = nm.mul(x, x)
+        loss = nm.tsum(y)
+        nm.backward(loss)
+        assert y.grad is None and loss.grad is None
+        np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+    def test_second_backward_on_one_loss_raises(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        loss = nm.tsum(nm.mul(x, x))
+        nm.backward(loss)
+        with pytest.raises(NumericsError):
+            nm.backward(loss)
+        np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+    def test_new_graph_over_a_released_node_raises(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        y = nm.mul(x, x)
+        nm.backward(nm.tsum(y))
+        with pytest.raises(NumericsError):
+            nm.backward(nm.tsum(nm.mul(y, 2.0)))
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)

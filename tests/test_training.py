@@ -90,6 +90,17 @@ class TestCaptionerPhase:
         _, epochs = pretrain_captioner(splits, cfg, tcfg)
         assert epochs[-1]["val_perplexity"] < len(vocab)
 
+    def test_epoch_records_count_updates(self, tiny_world):
+        _, _, synonyms, splits, vocab = tiny_world
+        tcfg = TrainConfig(xent_epochs=1, selector_epochs=1, warmup=50,
+                           batch_size=4, seed=6)
+        _, epochs = pretrain_captioner(splits, tiny_cap_cfg(vocab), tcfg)
+        samples = sum(len(s.references) for s in splits.captioner_train)
+        assert epochs[0]["updates"] == math.ceil(samples / 4)
+        tcfg = dataclasses.replace(tcfg, batch_size=5)
+        _, epochs = train_selector(splits, synonyms, SelectorConfig(), tcfg)
+        assert epochs[0]["updates"] == math.ceil(len(splits.selector_train) / 5)
+
     def test_seeded_runs_produce_identical_checkpoints(self, tiny_world):
         _, _, _, splits, vocab = tiny_world
         cfg = tiny_cap_cfg(vocab)
@@ -181,6 +192,19 @@ class TestFinetune:
         assert epochs[0]["scored_scenes"] >= 1
         assert "val_cider_d" in epochs[0]
         assert checkpoint_hash(params) != before
+
+    def test_leaves_its_input_alone(self, tiny_world, pretrained):
+        _, _, synonyms, splits, _ = tiny_world
+        cfg, pre = pretrained
+        tcfg = TrainConfig(rl_epochs=1, beam_size=3, seed=9)
+        sub = tr.HeldoutSplits(captioner_train=splits.captioner_train[:6],
+                               selector_train=[], val=splits.val[:2], test=[])
+        given = fresh_copy(pre)
+        before = checkpoint_hash(given)
+        tuned, epochs = finetune_scst_dgbs(sub, cfg, given, tcfg, synonyms)
+        assert epochs[0]["scored_scenes"] >= 1 and epochs[0]["updates"] >= 1
+        assert checkpoint_hash(given) == before
+        assert checkpoint_hash(tuned) != before
 
     def test_scenes_without_two_candidates_are_counted_and_warned(
             self, tiny_world, pretrained, monkeypatch, caplog):
@@ -319,6 +343,14 @@ class TestCli:
         assert rl["phases"][0]["epochs"][0]["scored_scenes"] >= 1
         assert (rl["checkpoint_hashes"]["captioner_rl"]
                 != pre["checkpoint_hashes"]["captioner"])
+
+    def test_phase_reports_record_wall_time_and_updates(self, run_dir):
+        base, _, _ = run_dir
+        for name in ("selector", "captioner", "finetune"):
+            report = json.loads((base / "run" / f"{name}_report.json").read_text())
+            phase, = report["phases"]
+            assert phase["wall_s"] > 0
+            assert all(isinstance(e["updates"], int) for e in phase["epochs"])
 
     def test_eval_report_contents(self, run_dir):
         base, _, _ = run_dir
