@@ -59,7 +59,7 @@ class Tensor:
 
     Immutable after creation except for ``grad``. Ops attach ``_parents``
     and ``_vjp`` (grad_out -> per-parent gradient arrays) when any input
-    requires a gradient.
+    requires a gradient; ``backward`` detaches them again.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
@@ -462,12 +462,11 @@ def backward(loss: Tensor) -> None:
     while order:
         node = order.pop()
         g = grads.pop(id(node), None)
-        if node._vjp is None:  # leaf
-            if g is not None:
-                if node.grad is None:
-                    node.grad = np.array(g, dtype=np.float64, copy=True)
-                else:
-                    node.grad += g
+        if node._vjp is None:  # leaf; every array in grads is this walk's own
+            if node.grad is None:
+                node.grad = g
+            elif g is not None:
+                node.grad += g
             continue
         if g is not None:
             for p, pg in zip(node._parents, node._vjp(g)):
