@@ -6,8 +6,9 @@ pre-training and constrained self-critical fine-tuning, and every
 ``decode_split`` output field (captions, log-probs, traces and search
 counters) of the test split in all six modes at beam sizes 1, 3 and 5. A
 change meant to keep behaviour prints the same bytes as its parent: run the
-script in both checkouts and ``cmp`` the outputs. It imports ``gridcap``
-from the ``src`` directory next to it.
+script in both checkouts and ``cmp`` the outputs. A change that may move
+results by rounding is compared with ``scripts/fingerprint_diff.py``. It
+imports ``gridcap`` from the ``src`` directory next to it.
 """
 
 import dataclasses
