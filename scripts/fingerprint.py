@@ -4,7 +4,8 @@ Usage: ``python scripts/fingerprint.py > fp.json`` (no options). The document
 holds the checkpoint hash and epoch records of selector training, captioner
 pre-training and constrained self-critical fine-tuning, and every
 ``decode_split`` output field (captions, log-probs, traces and search
-counters) of the test split in all six modes at beam sizes 1, 3 and 5. A
+counters) of the test split in all six modes at beam sizes 1, 3 and 5,
+and the selector-mode constraint words of every validation and test scene. A
 change meant to keep behaviour prints the same bytes as its parent: run the
 script in both checkouts and ``cmp`` the outputs. A change that may move
 results by rounding is compared with ``scripts/fingerprint_diff.py``. It
@@ -18,12 +19,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from gridcap.captioner import CaptionerConfig  # noqa: E402
+from gridcap.captioner import CaptionerConfig, frozen  # noqa: E402
 from gridcap.data import (DatasetConfig, apply_heldout, build_vocabulary,  # noqa: E402
                           default_synonyms, gen_dataset)
 from gridcap.numerics import checkpoint_hash  # noqa: E402
 from gridcap.selector import SelectorConfig  # noqa: E402
-from gridcap.training import (EVAL_MODES, TrainConfig, decode_split,  # noqa: E402
+from gridcap.training import (EVAL_MODES, TrainConfig,  # noqa: E402
+                              constraints_for_mode, decode_split,
                               finetune_scst_dgbs, pretrain_captioner,
                               train_selector)
 
@@ -45,6 +47,12 @@ def main() -> None:
 
     sel_params, epochs = train_selector(splits, synonyms, sel_cfg, train_cfg)
     phases = {"train_selector": phase(sel_params, epochs)}
+    sel_froz = frozen(sel_params)
+    selections = {
+        split: [constraints_for_mode(scene, "selector", cap_cfg.vocab, synonyms,
+                                     sel_cfg, sel_froz)
+                for scene in getattr(splits, split)]
+        for split in ("val", "test")}
     cap_params, epochs = pretrain_captioner(splits, cap_cfg, train_cfg)
     phases["pretrain_captioner"] = phase(cap_params, epochs)
     rl_params, epochs = finetune_scst_dgbs(splits, cap_cfg, cap_params, train_cfg,
@@ -57,8 +65,8 @@ def main() -> None:
             outputs = decode_split(splits.test, mode, cap_cfg, rl_params, cfg,
                                    synonyms, sel_cfg, sel_params, trace=True)
             decodes[f"{mode}@{beam}"] = [dataclasses.asdict(o) for o in outputs]
-    json.dump({"phases": phases, "decodes": decodes}, sys.stdout, sort_keys=True,
-              indent=1)
+    json.dump({"phases": phases, "decodes": decodes, "selections": selections},
+              sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")
 
 

@@ -19,7 +19,8 @@ def document():
     return {"phases": {"pretrain_captioner": {
                 "checkpoint_hash": "ab",
                 "epochs": [{"epoch": 0, "loss": 2.0, "val_perplexity": 9.0}]}},
-            "decodes": {"none@1": [decode, copy.deepcopy(decode)]}}
+            "decodes": {"none@1": [decode, copy.deepcopy(decode)]},
+            "selections": {"val": [["dog"], []], "test": [["cat", "dog"]]}}
 
 
 def test_rounding_is_measured_and_passes():
@@ -52,3 +53,10 @@ def test_trace_tokens_count_as_non_float():
     new["decodes"]["none@1"][1]["trace"][0]["hyps"][0]["tokens"] = ["the"]
     report, mismatch = fingerprint_diff.compare(old, new)
     assert mismatch and report["decodes_differing"] == 1
+
+
+def test_a_changed_selection_fails():
+    old, new = document(), document()
+    new["selections"]["test"][0] = ["cat"]
+    report, mismatch = fingerprint_diff.compare(old, new)
+    assert mismatch and report["decodes_differing"] == 0
