@@ -500,7 +500,12 @@ class AdamState:
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
-    """One Adam update with bias correction; missing grads count as zero."""
+    """One Adam update with bias correction; missing grads count as zero.
+
+    Moments and parameters are updated in place, each operation in the order
+    of m = b1 m + (1-b1) g, v = b2 v + (1-b2) g², p -= lr m̂ / (√v̂ + eps),
+    so the results round exactly as that out-of-place recurrence does.
+    """
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -511,11 +516,20 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
-        m[:] = b1 * m + (1 - b1) * g
-        v[:] = b2 * v + (1 - b2) * (g * g)
-        mhat = m / (1 - b1 ** t)
-        vhat = v / (1 - b2 ** t)
-        p.data[...] = p.data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        tmp = g * (1 - b1)
+        m *= b1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1 - b2
+        v *= b2
+        v += tmp
+        denom = v / (1 - b2 ** t)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        np.divide(m, 1 - b1 ** t, out=tmp)
+        tmp *= lr
+        tmp /= denom
+        p.data -= tmp
 
 
 def noam_lr(step: int, model_dim: int, warmup: int) -> float:

@@ -329,6 +329,30 @@ class TestAdam:
         adam_step({"p": p}, AdamState(), lr=0.1)
         assert abs(p.data[0] + 0.1) < 1e-8
 
+    def test_in_place_update_equals_out_of_place_recurrence(self):
+        rng = np.random.default_rng(7)
+        params = {"a": Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+                  "b": Tensor(rng.normal(size=5), requires_grad=True)}
+        ref = {k: p.data.copy() for k, p in params.items()}
+        m = {k: np.zeros_like(p) for k, p in ref.items()}
+        v = {k: np.zeros_like(p) for k, p in ref.items()}
+        state = AdamState()
+        b1, b2, eps = nm.ADAM_BETA1, nm.ADAM_BETA2, nm.ADAM_EPS
+        for t in (1, 2, 3):
+            params["a"].grad = rng.normal(size=(4, 3))
+            params["b"].grad = None if t == 2 else rng.normal(size=5)
+            adam_step(params, state, lr=0.01 * t)
+            for k, p in params.items():
+                g = p.grad if p.grad is not None else np.zeros_like(ref[k])
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * (g * g)
+                mhat = m[k] / (1 - b1 ** t)
+                vhat = v[k] / (1 - b2 ** t)
+                ref[k] = ref[k] - 0.01 * t * mhat / (np.sqrt(vhat) + eps)
+                np.testing.assert_array_equal(p.data, ref[k])
+                np.testing.assert_array_equal(state.m[k], m[k])
+                np.testing.assert_array_equal(state.v[k], v[k])
+
     def test_converges_on_quadratic(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         state = AdamState()
