@@ -2,9 +2,12 @@
 
 Scores each detected region for "must this object be mentioned in the
 caption", using only geometry and detector confidence, never the class
-identity itself. Class ids drive one thing only: the block mask used by
-the inner-attention operator, which lets regions of the same class exchange
-information before the fully connected self-attention pass.
+identity itself. Class ids drive one thing only: the block mask of the
+inner-attention pass, which lets regions of the same class in the same
+scene exchange information before the self-attention pass over the
+scene's regions. A minibatch packs its scenes as stacked rows numbered by
+``segments``, as the captioner's encoder does: both masks also block every
+other scene, and one scene is the packed case with one segment.
 """
 
 from __future__ import annotations
@@ -73,30 +76,6 @@ def extract_features(d: Detection, width: float, height: float) -> np.ndarray:
     return np.array([x_c / width, y_c / height, nw, nh, nw * nh, d.score])
 
 
-def inner_attention(x: Tensor, classes, wq: Tensor, wk: Tensor, wv: Tensor,
-                    num_heads: int = 1) -> Tensor:
-    """Attention restricted to regions of one class.
-
-    One attention pass under the mask ``class_i != class_j``: blocked
-    weights underflow to exactly 0, so a row never reads another class's
-    values, and a region always sees itself, so no row is fully masked.
-    Output order matches input order.
-    """
-    if x.shape[0] == 0:  # softmax over an empty key axis raises
-        return Tensor(np.zeros((0, x.shape[1])))
-    classes = np.asarray(classes)
-    return nm.multi_head_attention(
-        nm.matmul(x, wq), nm.matmul(x, wk), nm.matmul(x, wv), num_heads,
-        mask=classes[:, None] != classes[None, :])
-
-
-def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-                   num_heads: int = 1) -> Tensor:
-    """Full attention over all regions, no class restriction."""
-    return nm.multi_head_attention(
-        nm.matmul(x, wq), nm.matmul(x, wk), nm.matmul(x, wv), num_heads)
-
-
 def init_selector_params(cfg: SelectorConfig, rng: np.random.Generator) -> dict[str, Tensor]:
     d = cfg.embed_dim
     params = {"input.w": init_matrix(rng, 6, d), "input.b": init_vector(d)}
@@ -114,51 +93,73 @@ def init_selector_params(cfg: SelectorConfig, rng: np.random.Generator) -> dict[
 
 
 def selector_forward(features: Tensor | np.ndarray, classes, cfg: SelectorConfig,
-                     params: dict[str, Tensor]) -> Tensor:
+                     params: dict[str, Tensor], segments=None) -> Tensor:
     """Per-region selection scores in (0, 1), aligned with the input rows.
 
     Pipeline: input projection, then num_layers blocks of inner attention,
     self attention, and feed-forward, each as a pre-norm residual sub-block,
-    then a final norm and a sigmoid scoring head.
+    then a final norm and a sigmoid scoring head. ``segments`` (n,) numbers
+    each row's scene (default: one scene). Inner attention blocks other
+    scenes and other classes, and self attention blocks other scenes; a
+    region always sees itself, so no row is fully masked.
     """
     x = features if isinstance(features, Tensor) else Tensor(features)
-    if x.shape[0] > cfg.max_proposals:
-        raise ValueError(f"{x.shape[0]} regions exceed max_proposals={cfg.max_proposals}")
+    n = x.shape[0]
+    if n < 1:
+        raise ValueError("selector needs at least one region")
+    seg = np.zeros(n, dtype=np.intp) if segments is None else np.asarray(segments)
+    classes = np.asarray(classes)
+    if seg.shape != (n,) or classes.shape != (n,):
+        raise ValueError(f"segments {seg.shape} and classes {classes.shape} "
+                         f"vs {n} region rows")
+    largest = np.unique(seg, return_counts=True)[1].max()
+    if largest > cfg.max_proposals:
+        raise ValueError(f"{largest} regions of one scene exceed "
+                         f"max_proposals={cfg.max_proposals}")
+    other_scene = seg[:, None] != seg[None, :]
+    masks = {"inner": other_scene | (classes[:, None] != classes[None, :]),
+             "self": other_scene}
     x = nm.linear(x, params["input.w"], params["input.b"])
     for i in range(cfg.num_layers):
-        pre = f"layer{i}.inner"
-        h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
-        x = nm.add(x, inner_attention(h, classes, params[f"{pre}.wq"],
-                                      params[f"{pre}.wk"], params[f"{pre}.wv"],
-                                      cfg.num_heads))
-        pre = f"layer{i}.self"
-        h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
-        x = nm.add(x, self_attention(h, params[f"{pre}.wq"], params[f"{pre}.wk"],
-                                     params[f"{pre}.wv"], cfg.num_heads))
+        for block, mask in masks.items():
+            pre = f"layer{i}.{block}"
+            h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
+            x = nm.add(x, nm.multi_head_attention(
+                nm.matmul(h, params[f"{pre}.wq"]), nm.matmul(h, params[f"{pre}.wk"]),
+                nm.matmul(h, params[f"{pre}.wv"]), cfg.num_heads, mask))
         x = ffn(x, params, f"layer{i}.ffn")
     x = nm.layer_norm(x, params["final.ln_gain"], params["final.ln_bias"])
     logits = nm.linear(x, params["head.w"], params["head.b"])
-    return nm.reshape(nm.sigmoid(logits), (x.shape[0],))
+    return nm.reshape(nm.sigmoid(logits), (n,))
 
 
 _BCE_EPS = 1e-12
 
 
-def weighted_bce(scores: Tensor, targets, lambda0: float, lambda1: float) -> Tensor:
-    """Mean of -[l1*t*log y + l0*(1-t)*log(1-y)] over regions.
+def weighted_bce(scores: Tensor, targets, lambda0: float, lambda1: float,
+                 segments=None) -> Tensor:
+    """-[l1*t*log y + l0*(1-t)*log(1-y)] averaged over each scene's regions,
+    then over scenes.
 
-    Scores landing exactly on 0 or 1 (sigmoid saturation) are clamped to
-    [eps, 1-eps]; that is logged, not fatal.
+    ``segments`` numbers each region's scene as for ``selector_forward``
+    (default: one scene), so a region weighs 1 / (its scene's regions ·
+    number of scenes). Scores landing exactly on 0 or 1 (sigmoid saturation)
+    are clamped to [eps, 1-eps]; that is logged, not fatal.
     """
     t = np.asarray(targets, dtype=np.float64)
     if scores.data.shape != t.shape:
         raise ValueError(f"scores {scores.data.shape} vs targets {t.shape}")
+    seg = np.zeros(len(t), dtype=np.intp) if segments is None else np.asarray(segments)
+    if seg.shape != t.shape:
+        raise ValueError(f"segments {seg.shape} vs targets {t.shape}")
+    _, scene, sizes = np.unique(seg, return_inverse=True, return_counts=True)
+    w = 1.0 / (sizes[scene] * len(sizes))
     if np.any((scores.data <= 0.0) | (scores.data >= 1.0)):
         log.warning("clamping saturated selection scores before BCE")
     y = nm.clip(scores, _BCE_EPS, 1.0 - _BCE_EPS)
-    pos = nm.mul(Tensor(lambda1 * t), nm.log(y))
-    neg = nm.mul(Tensor(lambda0 * (1.0 - t)), nm.log(nm.add(nm.neg(y), 1.0)))
-    return nm.neg(nm.tmean(nm.add(pos, neg)))
+    pos = nm.mul(Tensor(lambda1 * t * w), nm.log(y))
+    neg = nm.mul(Tensor(lambda0 * (1.0 - t) * w), nm.log(nm.add(nm.neg(y), 1.0)))
+    return nm.neg(nm.tsum(nm.add(pos, neg)))
 
 
 def surface_forms(word: str, synonyms: dict[str, list[str]]) -> set[str]:

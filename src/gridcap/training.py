@@ -109,43 +109,59 @@ def selection_f1(selected, target_words) -> float:
     return 2 * p * r / (p + r)
 
 
-def _selection_val_f1(scenes, cfg, params, synonyms) -> float:
-    scores_f1 = []
+def _packed_scenes(prepared):
+    """Prepared selector inputs of several scenes (``scene_selector_inputs``
+    tuples) as one packed minibatch: stacked features, class ids and
+    targets, and each row's scene number."""
+    feats, classes, _, targets = zip(*prepared)
+    segments = np.repeat(np.arange(len(prepared)), [len(c) for c in classes])
+    return (np.concatenate(feats), np.concatenate(classes),
+            np.concatenate(targets), segments)
+
+
+def _selection_val_f1(prepared, cfg, params, batch_size: int) -> float:
+    """Mean selection F1 of prepared scenes, ``batch_size`` scenes packed
+    per forward."""
     froz = frozen(params)
-    for scene in scenes:
-        feats, classes, dets, targets = scene_selector_inputs(scene, cfg, synonyms)
-        scores = selector_forward(feats, classes, cfg, froz)
-        selected = select_constraints(scores, dets)
-        gt_words = {d.class_word for d, t in zip(dets, targets) if t > 0.5}
-        scores_f1.append(selection_f1(selected, gt_words))
+    scores_f1 = []
+    for chunk in _batches(prepared, batch_size):
+        feats, classes, _, segments = _packed_scenes(chunk)
+        scores = selector_forward(feats, classes, cfg, froz, segments).data
+        for b, (_, _, dets, targets) in enumerate(chunk):
+            selected = select_constraints(scores[segments == b], dets)
+            gt_words = {d.class_word for d, t in zip(dets, targets) if t > 0.5}
+            scores_f1.append(selection_f1(selected, gt_words))
     return float(np.mean(scores_f1)) if scores_f1 else 0.0
 
 
 def train_selector(splits: HeldoutSplits, synonyms: dict[str, list[str]],
                    cfg: SelectorConfig, train_cfg: TrainConfig):
-    """Adam plus warmup schedule on weighted BCE; returns (params, epoch log)."""
+    """Adam plus warmup schedule on weighted BCE, one packed forward and
+    backward per minibatch; returns (params, epoch log)."""
     rng = _rng(train_cfg.seed, 1)
     params = init_selector_params(cfg, rng)
     state = AdamState()
     prepared = [scene_selector_inputs(s, cfg, synonyms) for s in splits.selector_train]
+    val = [scene_selector_inputs(s, cfg, synonyms) for s in splits.val]
     epochs = []
     for epoch in range(train_cfg.selector_epochs):
         order = rng.permutation(len(prepared))
         total, steps_before = 0.0, state.step
         for batch in _batches(order, train_cfg.batch_size):
             zero_grads(params)
-            for idx in batch:
-                feats, classes, _, targets = prepared[idx]
-                scores = selector_forward(feats, classes, cfg, params)
-                loss = weighted_bce(scores, targets, BCE_LAMBDA0, BCE_LAMBDA1)
-                total += _check_finite(loss.item(), "selector loss")
-                nm.backward(nm.mul(loss, 1.0 / len(batch)))
+            feats, classes, targets, segments = _packed_scenes(
+                [prepared[i] for i in batch])
+            scores = selector_forward(feats, classes, cfg, params, segments)
+            loss = weighted_bce(scores, targets, BCE_LAMBDA0, BCE_LAMBDA1, segments)
+            total += _check_finite(loss.item(), "selector loss") * len(batch)
+            nm.backward(loss)
             adam_step(params, state, noam_lr(state.step + 1, cfg.embed_dim,
                                              train_cfg.warmup))
         epochs.append({
             "epoch": epoch,
             "loss": total / max(1, len(prepared)),
-            "val_selection_f1": _selection_val_f1(splits.val, cfg, params, synonyms),
+            "val_selection_f1": _selection_val_f1(val, cfg, params,
+                                                  train_cfg.batch_size),
             "updates": state.step - steps_before,
         })
         log.info("selector epoch %d loss %.4f val-F1 %.3f", epoch,

@@ -11,8 +11,8 @@ from gridcap.data import SceneRecord
 from gridcap.decoder import MAX_CONSTRAINTS
 from gridcap.selector import (Detection, SelectorConfig, build_ground_truth,
                               extract_features, init_selector_params,
-                              inner_attention, select_constraints,
-                              selector_forward, self_attention, weighted_bce)
+                              select_constraints, selector_forward,
+                              weighted_bce)
 
 from test_numerics import check_grads
 
@@ -61,103 +61,227 @@ class TestExtractFeatures:
             extract_features(det("lamp", box=(95.0, 50.0, 20.0, 10.0)), 100, 100)
 
 
-def proj(rng, d):
-    return Tensor(rng.normal(size=(d, d)), requires_grad=True)
+def small_selector(seed, num_layers=2, num_heads=2):
+    cfg = SelectorConfig(embed_dim=8, num_layers=num_layers, num_heads=num_heads,
+                         ffn_dim=16)
+    return cfg, init_selector_params(cfg, np.random.default_rng(seed))
+
+
+def packed(rng, scene_classes):
+    """Features, class ids and segments of scenes given as class-id lists."""
+    classes = np.concatenate([np.asarray(c, dtype=np.intp) for c in scene_classes])
+    segments = np.repeat(np.arange(len(scene_classes)),
+                         [len(c) for c in scene_classes])
+    return rng.uniform(size=(len(classes), 6)), classes, segments
+
+
+def _np_layer_norm(x, p, pre):
+    xhat = (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(
+        x.var(axis=-1, keepdims=True) + nm.LN_EPS)
+    return p[f"{pre}.ln_gain"] * xhat + p[f"{pre}.ln_bias"]
+
+
+def _np_grouped_attention(h, p, pre, num_heads, groups):
+    """Multi-head attention where each row attends to the rows of its group,
+    one group at a time."""
+    hd = h.shape[1] // num_heads
+    q, k, v = (h @ p[f"{pre}.{w}"] for w in ("wq", "wk", "wv"))
+    out = np.empty_like(h)
+    for g in set(groups):
+        rows = np.array([x == g for x in groups])
+        for head in range(num_heads):
+            cols = slice(head * hd, (head + 1) * hd)
+            sc = q[rows, cols] @ k[rows, cols].T / math.sqrt(hd)
+            e = np.exp(sc - sc.max(axis=1, keepdims=True))
+            out[np.ix_(rows, np.arange(cols.start, cols.stop))] = (
+                e / e.sum(axis=1, keepdims=True)) @ v[rows, cols]
+    return out
+
+
+def reference_scores(feats, inner_groups, self_groups, cfg, params):
+    """The selector in plain numpy, attention computed group by group."""
+    p = {k: v.data for k, v in params.items()}
+    x = feats @ p["input.w"] + p["input.b"]
+    for i in range(cfg.num_layers):
+        for block, groups in (("inner", inner_groups), ("self", self_groups)):
+            pre = f"layer{i}.{block}"
+            x = x + _np_grouped_attention(_np_layer_norm(x, p, pre), p, pre,
+                                          cfg.num_heads, groups)
+        pre = f"layer{i}.ffn"
+        h = np.maximum(_np_layer_norm(x, p, pre) @ p[f"{pre}.w1"] + p[f"{pre}.b1"], 0)
+        x = x + h @ p[f"{pre}.w2"] + p[f"{pre}.b2"]
+    x = _np_layer_norm(x, p, "final")
+    return 1.0 / (1.0 + np.exp(-(x @ p["head.w"] + p["head.b"])[:, 0]))
+
+
+def redrawn(params, rng, names):
+    """A copy of params with the named matrices drawn afresh."""
+    out = dict(params)
+    for name in names:
+        out[name] = Tensor(rng.normal(size=params[name].shape))
+    return out
 
 
 class TestInnerAttention:
     def test_unique_class_gets_its_value_projection(self):
+        # each class occurs once per scene (class ids repeat across scenes),
+        # so every inner-attention row reads only its own value projection
+        # and the inner query and key projections cannot matter
+        cfg, params = small_selector(11)
         rng = np.random.default_rng(11)
-        x = Tensor(rng.normal(size=(4, 8)))
-        wq, wk, wv = (proj(rng, 8) for _ in range(3))
-        out = inner_attention(x, [3, 7, 3, 3], wq, wk, wv, num_heads=2)
-        expected = (x.data @ wv.data)[1:2]  # its only unmasked weight is 1
-        np.testing.assert_array_equal(out.data[1:2], expected)
+        feats, classes, segments = packed(rng, [[3, 7, 1], [3, 7]])
+        base = selector_forward(feats, classes, cfg, params, segments).data
+        other = redrawn(params, rng, [f"layer{i}.inner.{w}" for i in range(2)
+                                      for w in ("wq", "wk")])
+        out = selector_forward(feats, classes, cfg, other, segments).data
+        np.testing.assert_array_equal(out, base)
 
     @settings(derandomize=True, deadline=None, max_examples=50)
-    @given(classes=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+    @given(scene_classes=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=8),
+                                  min_size=1, max_size=3),
            num_heads=st.sampled_from([1, 2, 4]),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_per_class_reference(self, classes, num_heads, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(len(classes), 8))
-        wq, wk, wv = (proj(rng, 8) for _ in range(3))
-        out = inner_attention(Tensor(x), classes, wq, wk, wv,
-                              num_heads=num_heads).data
-        # plain numpy: each class attended over in isolation
-        cls = np.asarray(classes)
-        hd = 8 // num_heads
-        expected = np.empty_like(x)
-        for c in set(classes):
-            rows = cls == c
-            q, k, v = (x[rows] @ w.data for w in (wq, wk, wv))
-            for h in range(num_heads):
-                cols = slice(h * hd, (h + 1) * hd)
-                s = q[:, cols] @ k[:, cols].T / math.sqrt(hd)
-                e = np.exp(s - s.max(axis=1, keepdims=True))
-                expected[rows, cols] = (
-                    e / e.sum(axis=1, keepdims=True)) @ v[:, cols]
+    def test_matches_per_class_reference(self, scene_classes, num_heads, seed):
+        cfg, params = small_selector(seed % 1000, num_heads=num_heads)
+        feats, classes, segments = packed(np.random.default_rng(seed), scene_classes)
+        out = selector_forward(feats, classes, cfg, params, segments).data
+        inner = list(zip(segments.tolist(), classes.tolist()))
+        expected = reference_scores(feats, inner, segments.tolist(), cfg, params)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     def test_class_isolation_is_bitwise(self):
+        # with the self blocks' value projection zeroed only inner attention
+        # mixes rows, so rows of other classes cannot reach a class's scores
+        cfg, params = small_selector(12, num_layers=1)
+        params["layer0.self.wv"].data[...] = 0.0
         rng = np.random.default_rng(12)
-        wq, wk, wv = (proj(rng, 8) for _ in range(3))
         classes = [0, 1, 0, 1, 2]
-        base = rng.normal(size=(5, 8))
-        ref = inner_attention(Tensor(base), classes, wq, wk, wv, num_heads=2).data
+        base = rng.uniform(size=(5, 6))
+        ref = selector_forward(base, classes, cfg, params).data
+        rows_b = [i for i, c in enumerate(classes) if c == 1]
+        rows_a = [i for i, c in enumerate(classes) if c != 1]
         for _ in range(100):
             perturbed = base.copy()
-            rows_b = [i for i, c in enumerate(classes) if c == 1]
-            perturbed[rows_b] = rng.normal(scale=10.0, size=(len(rows_b), 8))
-            out = inner_attention(Tensor(perturbed), classes, wq, wk, wv,
-                                  num_heads=2).data
-            rows_a = [i for i, c in enumerate(classes) if c != 1]
+            perturbed[rows_b] = rng.normal(scale=10.0, size=(len(rows_b), 6))
+            out = selector_forward(perturbed, classes, cfg, params).data
             assert (out[rows_a] == ref[rows_a]).all()
 
     def test_single_class_equals_dense_self_attention(self):
-        rng = np.random.default_rng(13)
-        x = Tensor(rng.normal(size=(6, 8)))
-        wq, wk, wv = (proj(rng, 8) for _ in range(3))
-        inner = inner_attention(x, [5] * 6, wq, wk, wv, num_heads=2)
-        dense = self_attention(x, wq, wk, wv, num_heads=2)
-        np.testing.assert_allclose(inner.data, dense.data, atol=1e-12)
+        cfg, params = small_selector(13)
+        feats = np.random.default_rng(13).uniform(size=(6, 6))
+        out = selector_forward(feats, [5] * 6, cfg, params).data
+        dense = [0] * 6  # inner attention over the whole scene
+        np.testing.assert_allclose(
+            out, reference_scores(feats, dense, dense, cfg, params), atol=1e-12)
 
     def test_empty_input(self):
-        rng = np.random.default_rng(14)
-        wq, wk, wv = (proj(rng, 8) for _ in range(3))
-        out = inner_attention(Tensor(np.zeros((0, 8))), [], wq, wk, wv)
-        assert out.shape == (0, 8)
+        cfg, params = small_selector(14)
+        with pytest.raises(ValueError):
+            selector_forward(np.zeros((0, 6)), [], cfg, params)
 
 
 class TestSelfAttention:
     def test_single_region_is_value_projection(self):
+        # one region per scene: every attention row reads only itself, so no
+        # query or key projection can matter, nor can the other scenes
+        cfg, params = small_selector(15)
         rng = np.random.default_rng(15)
-        x = Tensor(rng.normal(size=(1, 8)))
-        wq, wk, wv = (proj(rng, 8) for _ in range(3))
-        out = self_attention(x, wq, wk, wv, num_heads=2)
-        np.testing.assert_array_equal(out.data, x.data @ wv.data)
+        feats, classes, segments = packed(rng, [[0], [0], [1]])
+        base = selector_forward(feats, classes, cfg, params, segments).data
+        other = redrawn(params, rng, [f"layer{i}.{b}.{w}" for i in range(2)
+                                      for b in ("inner", "self")
+                                      for w in ("wq", "wk")])
+        out = selector_forward(feats, classes, cfg, other, segments).data
+        np.testing.assert_array_equal(out, base)
 
     def test_permutation_equivariance(self):
+        cfg, params = small_selector(16)
         rng = np.random.default_rng(16)
-        x = rng.normal(size=(7, 8))
-        wq, wk, wv = (proj(rng, 8) for _ in range(3))
-        out = self_attention(Tensor(x), wq, wk, wv, num_heads=2).data
+        feats, classes, segments = packed(rng, [[0, 1, 0], [2, 1, 1, 2]])
+        out = selector_forward(feats, classes, cfg, params, segments).data
         perm = rng.permutation(7)
-        out_p = self_attention(Tensor(x[perm]), wq, wk, wv, num_heads=2).data
+        out_p = selector_forward(feats[perm], classes[perm], cfg, params,
+                                 segments[perm]).data
         np.testing.assert_allclose(out_p, out[perm], atol=1e-10)
 
     def test_gradcheck_through_inner_and_self_stack(self):
+        cfg = SelectorConfig(embed_dim=6, num_layers=1, num_heads=2, ffn_dim=8)
+        params = init_selector_params(cfg, np.random.default_rng(17))
         rng = np.random.default_rng(17)
-        x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        mats = [proj(rng, 6) for _ in range(6)]
-        w = rng.normal(size=(4, 6))
+        feats, classes, segments = packed(rng, [[0, 1, 0], [1, 1]])
+        x = Tensor(feats, requires_grad=True)
+        targets = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
 
         def loss():
-            h = inner_attention(x, [0, 1, 0, 1], *mats[:3], num_heads=2)
-            h = self_attention(h, *mats[3:], num_heads=2)
-            return nm.tsum(nm.mul(h, Tensor(w)))
+            scores = selector_forward(x, classes, cfg, params, segments)
+            return weighted_bce(scores, targets, 0.2, 0.8, segments)
 
-        check_grads(loss, [x] + mats, 1e-4)
+        check_grads(loss, [x] + list(params.values()), 1e-4)
+
+
+class TestSelectorPacking:
+    def scenes(self, rng, sizes):
+        return [(rng.uniform(size=(n, 6)), rng.integers(0, 3, size=n),
+                 rng.integers(0, 2, size=n).astype(float)) for n in sizes]
+
+    def test_packed_scores_equal_each_scene_alone(self):
+        cfg, params = small_selector(30)
+        scenes = self.scenes(np.random.default_rng(30), [4, 1, 7, 3])
+        feats, classes, _ = (np.concatenate(part) for part in zip(*scenes))
+        segments = np.repeat(np.arange(4), [4, 1, 7, 3])
+        out = selector_forward(feats, classes, cfg, params, segments).data
+        alone = np.concatenate([selector_forward(f, c, cfg, params).data
+                                for f, c, _ in scenes])
+        np.testing.assert_allclose(out, alone, rtol=0, atol=1e-12)
+
+    def test_other_scenes_rows_leave_scores_bitwise_unchanged(self):
+        cfg, params = small_selector(31)
+        rng = np.random.default_rng(31)
+        feats, classes, segments = packed(rng, [[0, 1, 0], [0, 1, 1, 2], [2]])
+        ref = selector_forward(feats, classes, cfg, params, segments).data
+        mine = segments == 1
+        for _ in range(20):
+            perturbed = feats.copy()
+            perturbed[~mine] = rng.normal(scale=10.0, size=(int((~mine).sum()), 6))
+            out = selector_forward(perturbed, classes, cfg, params, segments).data
+            assert (out[mine] == ref[mine]).all()
+
+    def test_minibatch_loss_and_gradients_equal_per_scene_loop(self):
+        cfg, params = small_selector(32)
+        scenes = self.scenes(np.random.default_rng(32), [3, 5, 2])
+        feats, classes, targets = (np.concatenate(part) for part in zip(*scenes))
+        segments = np.repeat(np.arange(3), [3, 5, 2])
+        nm.zero_grads(params)
+        looped = 0.0
+        for f, c, t in scenes:
+            loss = weighted_bce(selector_forward(f, c, cfg, params), t, 0.2, 0.8)
+            looped += loss.item() / len(scenes)
+            nm.backward(nm.mul(loss, 1.0 / len(scenes)))
+        grads = {k: p.grad.copy() for k, p in params.items()}
+        nm.zero_grads(params)
+        loss = weighted_bce(selector_forward(feats, classes, cfg, params, segments),
+                            targets, 0.2, 0.8, segments)
+        nm.backward(loss)
+        assert loss.item() == pytest.approx(looped, rel=0, abs=1e-12)
+        for k, p in params.items():
+            np.testing.assert_allclose(p.grad, grads[k], rtol=0, atol=1e-12)
+
+    def test_segments_shape_mismatch_raises(self):
+        cfg, params = small_selector(33)
+        feats, classes, _ = packed(np.random.default_rng(33), [[0, 1, 2]])
+        with pytest.raises(ValueError):
+            selector_forward(feats, classes, cfg, params, [0, 0])
+        with pytest.raises(ValueError):
+            weighted_bce(Tensor([0.5, 0.5, 0.5]), [1.0, 0.0, 1.0], 0.2, 0.8, [0, 1])
+
+    def test_max_proposals_is_checked_per_scene(self):
+        cfg = SelectorConfig(embed_dim=8, num_heads=2, max_proposals=3)
+        params = init_selector_params(cfg, np.random.default_rng(34))
+        feats, classes, segments = packed(np.random.default_rng(34),
+                                          [[0, 1, 2], [0, 1, 2]])
+        assert selector_forward(feats, classes, cfg, params, segments).shape == (6,)
+        with pytest.raises(ValueError):
+            selector_forward(feats[:4], classes[:4], cfg, params, [0, 0, 0, 0])
 
 
 class TestSelectorForward:
