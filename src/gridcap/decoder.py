@@ -18,8 +18,10 @@ result equals a full-vocabulary expansion.
 
 Every token, constraint word or not, is scored with the model's own
 log-probability, which is what makes the sequence score differentiable:
-``sequence_logprob`` recomputes the whole sum under the trainable model so
-reward gradients flow through constrained decodes too.
+``sequence_logprob`` recomputes the whole sum of each candidate under the
+trainable model so reward gradients flow through constrained decodes too.
+It packs all of a scene's candidates into one teacher-forced pass, as
+pre-training packs its minibatch.
 """
 
 from __future__ import annotations
@@ -200,17 +202,23 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
     return GridResult(best=fallback, finished=[], **counts)
 
 
-def sequence_logprob(tokens, model) -> Tensor:
-    """Differentiable sum of per-token log-probs for a completed decode.
+def sequence_logprob(candidates, model) -> Tensor:
+    """Differentiable per-token log-prob sums (len(candidates),) of completed
+    decodes, all scored in one packed teacher-forced pass.
 
     Constraint words and free words are scored alike under the trainable
-    model, so the scalar matches the search-time hypothesis score and its
+    model, so each sum matches the search-time hypothesis score and its
     gradient reaches every parameter.
     """
-    tokens = tuple(int(x) for x in tokens)
-    if not tokens:
+    seqs = [tuple(int(x) for x in c) for c in candidates]
+    if not seqs or not all(seqs):
         raise ValueError("cannot score an empty sequence")
-    lsm = model.all_step_logprobs((model.bos_id,) + tokens)
-    rows = np.arange(len(tokens))
-    picked = nm.take(lsm, rows, np.asarray(tokens, dtype=np.intp))
-    return nm.tsum(picked)
+    lsm = model.all_step_logprobs([(model.bos_id,) + s for s in seqs])
+    starts = np.cumsum([0] + [len(s) + 1 for s in seqs[:-1]])
+    rows = np.concatenate([start + np.arange(len(s)) for start, s in zip(starts, seqs)])
+    picked = nm.take(lsm, rows, np.concatenate(seqs))
+    owner = np.repeat(np.arange(len(seqs)), [len(s) for s in seqs])
+    # one-hot (rows, candidates) sums each candidate's rows into its column
+    sums = nm.matmul(nm.reshape(picked, (1, len(rows))),
+                     Tensor(np.equal.outer(owner, np.arange(len(seqs))).astype(float)))
+    return nm.reshape(sums, (len(seqs),))

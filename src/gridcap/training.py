@@ -2,11 +2,13 @@
 
 Three phases, strictly ordered and parameter-isolated: selector training
 (weighted binary cross-entropy on mention targets), captioner pre-training
-(teacher-forced cross-entropy on the filtered split, each minibatch one
-packed forward and backward), and reward fine-tuning (self-critical policy
-gradient where each beam candidate from the constrained search is scored
-by the consensus metric against the mean-of-beam baseline, with gradients
-flowing through every token of the candidate, constraint words included).
+(teacher-forced cross-entropy on the filtered split), and reward
+fine-tuning (self-critical policy gradient where each beam candidate from
+the constrained search is scored by the consensus metric against the
+mean-of-beam baseline, with gradients flowing through every token of the
+candidate, constraint words included). All three pack under block masks:
+a selector or captioner minibatch is one forward and one backward, and a
+fine-tuning scene's candidates are one teacher-forced pass.
 
 Every decode, whether a fine-tuning beam, a validation pass or an
 evaluation, is one ``run_grid_search`` call made by ``_decode_for_scene``.
@@ -293,8 +295,12 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
 
     A scene whose search finishes fewer than two candidates has nothing to
     compare and is skipped. Each epoch record counts ``scored_scenes`` and
-    ``skipped_scenes``; ``mean_beam_reward`` averages over scored scenes
-    only and is 0.0 when none was scored, which is logged as a warning.
+    ``skipped_scenes``, and ``zero_advantage_scenes``: scored scenes whose
+    candidates all earned one reward, so no policy term was built.
+    ``mean_beam_reward`` averages over scored scenes only and is 0.0 when
+    none was scored, which is logged as a warning. A scene's candidates are
+    scored in one packed teacher-forced pass, and its policy loss is their
+    log-probs weighted by -advantage / candidates.
     """
     vocab = cfg.vocab
     reward_idf = IdfTable.from_references([s.references for s in splits.captioner_train])
@@ -307,7 +313,7 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
     params = {k: Tensor(v.data.copy(), requires_grad=True) for k, v in params.items()}
     for epoch in range(train_cfg.rl_epochs):
         order = rng.permutation(len(scenes))
-        reward_sum, reward_n, skipped = 0.0, 0, 0
+        reward_sum, reward_n, skipped, zero_adv = 0.0, 0, 0, 0
         steps_before = state.step
         for batch in _batches(order, train_cfg.batch_size):
             zero_grads(params)
@@ -331,16 +337,12 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
                 reward_n += 1
                 adv = rewards - baseline
                 if not adv.any():
+                    zero_adv += 1
                     continue
                 enc_live = encode(np.array(scene.region_visual), cfg, params)
                 live = SceneStepModel(enc_live, cfg, params)
-                loss = None
-                for h, a in zip(cands, adv):
-                    if a == 0.0:
-                        continue
-                    term = nm.mul(sequence_logprob(h.tokens, live),
-                                  -float(a) / len(cands))
-                    loss = term if loss is None else nm.add(loss, term)
+                lps = sequence_logprob([h.tokens for h in cands], live)
+                loss = nm.tsum(nm.mul(lps, Tensor(-adv / len(cands))))
                 _check_finite(loss.item(), "policy loss")
                 nm.backward(nm.mul(loss, 1.0 / len(batch)))
                 touched = True
@@ -358,6 +360,7 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
             "val_cider_d": val_cider,
             "scored_scenes": reward_n,
             "skipped_scenes": skipped,
+            "zero_advantage_scenes": zero_adv,
             "updates": state.step - steps_before,
         })
         if reward_n == 0:

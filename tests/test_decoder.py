@@ -13,6 +13,7 @@ from gridcap.decoder import (MAX_CONSTRAINTS, ConstraintSet, Hypothesis,
 
 from test_numerics import check_grads
 from gridcap import numerics as nm
+from gridcap.numerics import Tensor
 
 
 class TableLM:
@@ -342,8 +343,9 @@ class TestSequenceLogprob:
         tokens = v.encode(["red", "dog"]) + [v.eos_id]
         manual = sum(float(sm.step([(v.bos_id,) + tuple(tokens[:i])])[0, tokens[i]])
                      for i in range(len(tokens)))
-        got = sequence_logprob(tokens, sm).item()
-        assert got == pytest.approx(manual, abs=1e-9)
+        got = sequence_logprob([tokens], sm)
+        assert got.shape == (1,)
+        assert got.data[0] == pytest.approx(manual, abs=1e-9)
 
     def test_matches_search_hypothesis_score(self, model):
         cfg, params, regions = model
@@ -351,10 +353,11 @@ class TestSequenceLogprob:
         enc = encode(regions, cfg, froz)
         sm = SceneStepModel(enc, cfg, froz)
         cs = ConstraintSet.from_words(["dog"], cfg.vocab)
-        hyp = run_grid_search(sm, cs, k=3, T=cfg.max_len - 1).best
-        assert hyp.finished
-        recomputed = sequence_logprob(hyp.tokens, sm).item()
-        assert recomputed == pytest.approx(hyp.logprob, abs=1e-9)
+        result = run_grid_search(sm, cs, k=3, T=cfg.max_len - 1)
+        assert len(result.finished) >= 2 and result.best.finished
+        recomputed = sequence_logprob([h.tokens for h in result.finished], sm).data
+        np.testing.assert_allclose(recomputed, [h.logprob for h in result.finished],
+                                   rtol=0, atol=1e-9)
 
     def test_gradient_matches_finite_differences(self, model):
         cfg, params, regions = model
@@ -366,6 +369,40 @@ class TestSequenceLogprob:
         def loss():
             enc = encode(regions, cfg, params)
             sm = SceneStepModel(enc, cfg, params)
-            return sequence_logprob(tokens, sm)
+            return nm.tsum(sequence_logprob([tokens], sm))
 
         check_grads(loss, subset, 1e-4)
+
+    def test_packed_candidates_equal_each_scored_alone(self, model):
+        cfg, params, regions = model
+        v = cfg.vocab
+        cands = [tuple(v.encode(["red", "dog", "runs"])) + (v.eos_id,),
+                 tuple(v.encode(["cat"])) + (v.eos_id,),
+                 tuple(v.encode(["dog", "dog", "red", "cat", "runs"]))]
+        weights = np.array([0.7, -1.3, 0.4])
+
+        def scored(group):
+            sm = SceneStepModel(encode(regions, cfg, params), cfg, params)
+            lps = sequence_logprob(group, sm)
+            return lps, nm.tsum(nm.mul(lps, Tensor(weights[[cands.index(c)
+                                                             for c in group]])))
+
+        nm.zero_grads(params)
+        alone = []
+        for c in cands:
+            lps, loss = scored([c])
+            alone.append(lps.data[0])
+            nm.backward(loss)
+        grads = {k: p.grad.copy() for k, p in params.items()}
+        nm.zero_grads(params)
+        lps, loss = scored(cands)
+        nm.backward(loss)
+        np.testing.assert_allclose(lps.data, alone, rtol=0, atol=1e-12)
+        for k, p in params.items():
+            np.testing.assert_allclose(p.grad, grads[k], rtol=0, atol=1e-12)
+
+    def test_empty_candidate_rejected(self, model):
+        cfg, params, regions = model
+        sm = SceneStepModel(encode(regions, cfg, frozen(params)), cfg, frozen(params))
+        with pytest.raises(ValueError):
+            sequence_logprob([(cfg.vocab.eos_id,), ()], sm)

@@ -173,6 +173,8 @@ class TestFinetune:
         monkeypatch.setattr(tr, "cider_d", lambda *a, **kw: 1.0)
         params, epochs = finetune_scst_dgbs(splits, cfg, params, tcfg, synonyms)
         assert epochs[0]["scored_scenes"] >= 1
+        assert epochs[0]["zero_advantage_scenes"] == epochs[0]["scored_scenes"]
+        assert epochs[0]["updates"] == 0
         for k in params:
             assert (params[k].data == before[k]).all()
         assert epochs[0]["mean_beam_reward"] == pytest.approx(1.0)
@@ -190,6 +192,7 @@ class TestFinetune:
         params, epochs = finetune_scst_dgbs(sub, cfg, params, tcfg, synonyms)
         assert len(epochs) == 1
         assert epochs[0]["scored_scenes"] >= 1
+        assert epochs[0]["zero_advantage_scenes"] < epochs[0]["scored_scenes"]
         assert "val_cider_d" in epochs[0]
         assert checkpoint_hash(params) != before
 
