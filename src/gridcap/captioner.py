@@ -9,8 +9,7 @@ of the decoder stack, and output logits tie to the transpose of the
 embedding matrix.
 
 One decoder-layer body serves two callers. Teacher forcing runs it over
-whole sequences, for training and for scoring a scene's SCST candidates
-(``SceneStepModel.all_step_logprobs``). A minibatch packs its
+whole sequences, for training and sequence scoring. A minibatch packs its
 sequences as stacked rows in one pass: a block mask keeps each row to
 itself, the non-PAD earlier positions of its own sequence and its own
 scene's encoder rows. The encoder packs the minibatch's distinct scenes
@@ -363,8 +362,8 @@ class BudgetExhausted(Exception):
 
 @dataclass(repr=False)
 class SceneStepModel:
-    """The decoder of one scene's encoder rows: a search's batched step,
-    with the ids a search needs, and packed teacher-forced scoring.
+    """The decoder step of one scene, batched over prefixes, with the ids a
+    search needs, and packed teacher-forced scoring of whole sequences.
 
     ``step(prefixes)`` scores every prefix in one decoder pass over their
     last tokens only, in the call order of a grid search: all prefixes of
@@ -380,11 +379,6 @@ class SceneStepModel:
     teacher forcing. The encoder's cross-attention keys and values are
     computed once, on the first call. The cache assumes fixed weights: an
     instance serves one search.
-
-    ``all_step_logprobs(seqs)`` is independent of that cache: it scores
-    whole BOS-led sequences as one packed teacher-forced pass, on the tape
-    when the parameters require gradients, as SCST's ``sequence_logprob``
-    needs.
     """
 
     enc_out: Tensor
@@ -458,10 +452,7 @@ class SceneStepModel:
         return nm.log_softmax(logits, axis=-1).data
 
     def all_step_logprobs(self, seqs) -> Tensor:
-        """Teacher-forced next-token log-prob rows of a list of BOS-led
-        sequences, packed in order into one decoder pass over this scene's
-        encoder rows; on the tape when the bundled parameters require
-        gradients."""
-        logits = decode_logits(seqs, self.enc_out, self.cfg, self.params,
-                               np.zeros(len(seqs), dtype=np.intp))
+        """Teacher-forced log-prob rows of BOS-led sequences packed in one
+        pass, on the tape when the bundled parameters require gradients."""
+        logits = decode_logits(seqs, self.enc_out, self.cfg, self.params, [0] * len(seqs))
         return nm.log_softmax(logits, axis=-1)

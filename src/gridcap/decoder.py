@@ -18,10 +18,9 @@ result equals a full-vocabulary expansion.
 
 Every token, constraint word or not, is scored with the model's own
 log-probability, which is what makes the sequence score differentiable:
-``sequence_logprob`` recomputes the whole sum of each candidate under the
-trainable model so reward gradients flow through constrained decodes too.
-It packs all of a scene's candidates into one teacher-forced pass, as
-pre-training packs its minibatch.
+``sequence_logprob`` recomputes each candidate's sum under the trainable
+model in one packed pass, so reward gradients flow through constrained
+decodes too.
 """
 
 from __future__ import annotations
@@ -203,8 +202,7 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
 
 
 def sequence_logprob(candidates, model) -> Tensor:
-    """Differentiable per-token log-prob sums (len(candidates),) of completed
-    decodes, all scored in one packed teacher-forced pass.
+    """Differentiable log-prob sums (len(candidates),) of completed decodes.
 
     Constraint words and free words are scored alike under the trainable
     model, so each sum matches the search-time hypothesis score and its
@@ -214,11 +212,8 @@ def sequence_logprob(candidates, model) -> Tensor:
     if not seqs or not all(seqs):
         raise ValueError("cannot score an empty sequence")
     lsm = model.all_step_logprobs([(model.bos_id,) + s for s in seqs])
-    starts = np.cumsum([0] + [len(s) + 1 for s in seqs[:-1]])
-    rows = np.concatenate([start + np.arange(len(s)) for start, s in zip(starts, seqs)])
-    picked = nm.take(lsm, rows, np.concatenate(seqs))
     owner = np.repeat(np.arange(len(seqs)), [len(s) for s in seqs])
-    # one-hot (rows, candidates) sums each candidate's rows into its column
-    sums = nm.matmul(nm.reshape(picked, (1, len(rows))),
-                     Tensor(np.equal.outer(owner, np.arange(len(seqs))).astype(float)))
-    return nm.reshape(sums, (len(seqs),))
+    # candidate b's rows follow b earlier BOS rows; a one-hot matmul sums them
+    picked = nm.take(lsm, np.arange(len(owner)) + owner, np.concatenate(seqs))
+    onehot = Tensor(owner[:, None] == np.arange(len(seqs)))
+    return nm.reshape(nm.matmul(nm.reshape(picked, (1, -1)), onehot), (len(seqs),))

@@ -2,12 +2,10 @@
 
 Scores each detected region for "must this object be mentioned in the
 caption", using only geometry and detector confidence, never the class
-identity itself. Class ids drive one thing only: the block mask of the
-inner-attention pass, which lets regions of the same class in the same
-scene exchange information before the self-attention pass over the
-scene's regions. A minibatch packs its scenes as stacked rows numbered by
-``segments``, as the captioner's encoder does: both masks also block every
-other scene, and one scene is the packed case with one segment.
+identity itself. Class ids drive one thing only: the block mask that lets
+regions of the same class and scene exchange information before the
+self-attention pass over the scene. Like the encoder, a minibatch packs
+its scenes as stacked rows, and one scene is the one-segment case.
 """
 
 from __future__ import annotations
@@ -99,23 +97,17 @@ def selector_forward(features: Tensor | np.ndarray, classes, cfg: SelectorConfig
     Pipeline: input projection, then num_layers blocks of inner attention,
     self attention, and feed-forward, each as a pre-norm residual sub-block,
     then a final norm and a sigmoid scoring head. ``segments`` (n,) numbers
-    each row's scene (default: one scene). Inner attention blocks other
-    scenes and other classes, and self attention blocks other scenes; a
-    region always sees itself, so no row is fully masked.
+    each row's scene (default: one). Inner attention blocks other scenes and
+    classes, self attention other scenes; a region always sees itself.
     """
     x = features if isinstance(features, Tensor) else Tensor(features)
     n = x.shape[0]
-    if n < 1:
-        raise ValueError("selector needs at least one region")
     seg = np.zeros(n, dtype=np.intp) if segments is None else np.asarray(segments)
     classes = np.asarray(classes)
-    if seg.shape != (n,) or classes.shape != (n,):
-        raise ValueError(f"segments {seg.shape} and classes {classes.shape} "
-                         f"vs {n} region rows")
-    largest = np.unique(seg, return_counts=True)[1].max()
-    if largest > cfg.max_proposals:
-        raise ValueError(f"{largest} regions of one scene exceed "
-                         f"max_proposals={cfg.max_proposals}")
+    if n < 1 or seg.shape != (n,) or classes.shape != (n,):
+        raise ValueError(f"{n} regions, segments {seg.shape}, classes {classes.shape}")
+    if (most := np.unique(seg, return_counts=True)[1].max()) > cfg.max_proposals:
+        raise ValueError(f"{most} regions exceed max_proposals={cfg.max_proposals}")
     other_scene = seg[:, None] != seg[None, :]
     masks = {"inner": other_scene | (classes[:, None] != classes[None, :]),
              "self": other_scene}
@@ -138,20 +130,17 @@ _BCE_EPS = 1e-12
 
 def weighted_bce(scores: Tensor, targets, lambda0: float, lambda1: float,
                  segments=None) -> Tensor:
-    """-[l1*t*log y + l0*(1-t)*log(1-y)] averaged over each scene's regions,
-    then over scenes.
+    """Mean over scenes (``segments`` as for ``selector_forward``) of each
+    scene's mean of -[l1*t*log y + l0*(1-t)*log(1-y)] over its regions.
 
-    ``segments`` numbers each region's scene as for ``selector_forward``
-    (default: one scene), so a region weighs 1 / (its scene's regions ·
-    number of scenes). Scores landing exactly on 0 or 1 (sigmoid saturation)
-    are clamped to [eps, 1-eps]; that is logged, not fatal.
+    Scores landing exactly on 0 or 1 (sigmoid saturation) are clamped to
+    [eps, 1-eps]; that is logged, not fatal.
     """
     t = np.asarray(targets, dtype=np.float64)
-    if scores.data.shape != t.shape:
-        raise ValueError(f"scores {scores.data.shape} vs targets {t.shape}")
-    seg = np.zeros(len(t), dtype=np.intp) if segments is None else np.asarray(segments)
-    if seg.shape != t.shape:
-        raise ValueError(f"segments {seg.shape} vs targets {t.shape}")
+    seg = np.zeros(t.shape, dtype=np.intp) if segments is None else np.asarray(segments)
+    if not scores.data.shape == t.shape == seg.shape:
+        raise ValueError(f"scores {scores.data.shape}, targets {t.shape}, "
+                         f"segments {seg.shape}")
     _, scene, sizes = np.unique(seg, return_inverse=True, return_counts=True)
     w = 1.0 / (sizes[scene] * len(sizes))
     if np.any((scores.data <= 0.0) | (scores.data >= 1.0)):

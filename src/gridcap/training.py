@@ -2,13 +2,12 @@
 
 Three phases, strictly ordered and parameter-isolated: selector training
 (weighted binary cross-entropy on mention targets), captioner pre-training
-(teacher-forced cross-entropy on the filtered split), and reward
-fine-tuning (self-critical policy gradient where each beam candidate from
-the constrained search is scored by the consensus metric against the
-mean-of-beam baseline, with gradients flowing through every token of the
-candidate, constraint words included). All three pack under block masks:
-a selector or captioner minibatch is one forward and one backward, and a
-fine-tuning scene's candidates are one teacher-forced pass.
+(teacher-forced cross-entropy on the filtered split), and reward fine-tuning
+(self-critical policy gradient where each beam candidate from the constrained
+search is scored by the consensus metric against the mean-of-beam baseline,
+with gradients flowing through every token, constraint words included). All
+three pack under block masks: one pass per selector or captioner minibatch
+and per fine-tuning scene's candidates.
 
 Every decode, whether a fine-tuning beam, a validation pass or an
 evaluation, is one ``run_grid_search`` call made by ``_decode_for_scene``.
@@ -112,9 +111,7 @@ def selection_f1(selected, target_words) -> float:
 
 
 def _packed_scenes(prepared):
-    """Prepared selector inputs of several scenes (``scene_selector_inputs``
-    tuples) as one packed minibatch: stacked features, class ids and
-    targets, and each row's scene number."""
+    """Packed ``scene_selector_inputs``: features, classes, targets, segments."""
     feats, classes, _, targets = zip(*prepared)
     segments = np.repeat(np.arange(len(prepared)), [len(c) for c in classes])
     return (np.concatenate(feats), np.concatenate(classes),
@@ -122,8 +119,7 @@ def _packed_scenes(prepared):
 
 
 def _selection_val_f1(prepared, cfg, params, batch_size: int) -> float:
-    """Mean selection F1 of prepared scenes, ``batch_size`` scenes packed
-    per forward."""
+    """Mean selection F1 of prepared scenes, ``batch_size`` per forward."""
     froz = frozen(params)
     scores_f1 = []
     for chunk in _batches(prepared, batch_size):
@@ -138,8 +134,7 @@ def _selection_val_f1(prepared, cfg, params, batch_size: int) -> float:
 
 def train_selector(splits: HeldoutSplits, synonyms: dict[str, list[str]],
                    cfg: SelectorConfig, train_cfg: TrainConfig):
-    """Adam plus warmup schedule on weighted BCE, one packed forward and
-    backward per minibatch; returns (params, epoch log)."""
+    """Adam with warmup on packed weighted-BCE minibatches; returns (params, epoch log)."""
     rng = _rng(train_cfg.seed, 1)
     params = init_selector_params(cfg, rng)
     state = AdamState()
@@ -151,8 +146,7 @@ def train_selector(splits: HeldoutSplits, synonyms: dict[str, list[str]],
         total, steps_before = 0.0, state.step
         for batch in _batches(order, train_cfg.batch_size):
             zero_grads(params)
-            feats, classes, targets, segments = _packed_scenes(
-                [prepared[i] for i in batch])
+            feats, classes, targets, segments = _packed_scenes([prepared[i] for i in batch])
             scores = selector_forward(feats, classes, cfg, params, segments)
             loss = weighted_bce(scores, targets, BCE_LAMBDA0, BCE_LAMBDA1, segments)
             total += _check_finite(loss.item(), "selector loss") * len(batch)
@@ -162,8 +156,7 @@ def train_selector(splits: HeldoutSplits, synonyms: dict[str, list[str]],
         epochs.append({
             "epoch": epoch,
             "loss": total / max(1, len(prepared)),
-            "val_selection_f1": _selection_val_f1(val, cfg, params,
-                                                  train_cfg.batch_size),
+            "val_selection_f1": _selection_val_f1(val, cfg, params, train_cfg.batch_size),
             "updates": state.step - steps_before,
         })
         log.info("selector epoch %d loss %.4f val-F1 %.3f", epoch,
@@ -298,9 +291,7 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
     ``skipped_scenes``, and ``zero_advantage_scenes``: scored scenes whose
     candidates all earned one reward, so no policy term was built.
     ``mean_beam_reward`` averages over scored scenes only and is 0.0 when
-    none was scored, which is logged as a warning. A scene's candidates are
-    scored in one packed teacher-forced pass, and its policy loss is their
-    log-probs weighted by -advantage / candidates.
+    none was scored, which is logged as a warning.
     """
     vocab = cfg.vocab
     reward_idf = IdfTable.from_references([s.references for s in splits.captioner_train])
