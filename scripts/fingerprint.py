@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from gridcap.captioner import CaptionerConfig, frozen  # noqa: E402
+from gridcap.captioner import CaptionerConfig  # noqa: E402
 from gridcap.data import (DatasetConfig, apply_heldout, build_vocabulary,  # noqa: E402
                           default_synonyms, gen_dataset)
 from gridcap.numerics import checkpoint_hash  # noqa: E402
@@ -47,10 +47,9 @@ def main() -> None:
 
     sel_params, epochs = train_selector(splits, synonyms, sel_cfg, train_cfg)
     phases = {"train_selector": phase(sel_params, epochs)}
-    sel_froz = frozen(sel_params)
     selections = {
         split: [constraints_for_mode(scene, "selector", cap_cfg.vocab, synonyms,
-                                     sel_cfg, sel_froz)
+                                     sel_cfg, sel_params)
                 for scene in getattr(splits, split)]
         for split in ("val", "test")}
     cap_params, epochs = pretrain_captioner(splits, cap_cfg, train_cfg)

@@ -19,7 +19,9 @@ the last token of many prefixes at once, for search. It is called once
 per grid column, each prefix extending one of the previous call's, so
 earlier positions' self-attention keys and values come from per-layer
 (rows, length, d) arrays of that call; the encoder's cross-attention keys
-and values are computed once per scene.
+and values are computed once per scene. One ``SceneStepModel`` serves a
+scene: it searches without a tape, then scores the search's candidates on
+the tape.
 
 The parameter builders (``init_matrix``, ``init_layer_norm``, ``init_ffn``)
 and the feed-forward sub-block ``ffn`` also build the region selector.
@@ -171,11 +173,6 @@ def init_captioner_params(cfg: CaptionerConfig, rng: np.random.Generator) -> dic
                 p[f"{pre}.{block}.{w}"] = init_matrix(rng, d, d)
         p |= init_ffn(rng, f"{pre}.ffn", d, cfg.ffn_dim)
     return p
-
-
-def frozen(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    """Detached view of a parameter set; forwards build no tape."""
-    return {k: v.detach() for k, v in params.items()}
 
 
 def ffn(x: Tensor, params: dict[str, Tensor], pre: str) -> Tensor:
@@ -362,8 +359,15 @@ class BudgetExhausted(Exception):
 
 @dataclass(repr=False)
 class SceneStepModel:
-    """The decoder step of one scene, batched over prefixes, with the ids a
-    search needs, and packed teacher-forced scoring of whole sequences.
+    """One scene's decoder: the step a search calls, batched over prefixes,
+    with the ids a search needs, and packed teacher-forced scoring of whole
+    sequences.
+
+    Built from the scene's encoder output and the parameters, both as they
+    are, on the tape when the parameters require gradients. ``step`` reads
+    a detached view of both and so builds no tape; ``all_step_logprobs``
+    reads them as given, so a search's candidates can be scored for
+    gradients on the model that found them.
 
     ``step(prefixes)`` scores every prefix in one decoder pass over their
     last tokens only, in the call order of a grid search: all prefixes of
@@ -376,15 +380,17 @@ class SceneStepModel:
     call gathers its parents' rows, appends its new position, and attends
     over the (rows * n, d) stack under the block mask ``segment[key] !=
     row``, PAD keys other than a row's own position blocked as under
-    teacher forcing. The encoder's cross-attention keys and values are
-    computed once, on the first call. The cache assumes fixed weights: an
-    instance serves one search.
+    teacher forcing. The detached view, the encoder's cross-attention keys
+    and values and the position table are made together on the first call.
+    The cache assumes fixed weights: an instance serves one search.
     """
 
     enc_out: Tensor
     cfg: CaptionerConfig
     params: dict[str, Tensor]
-    _cross: list | None = field(default=None, init=False)
+    _detached: dict | None = field(default=None, init=False)
+    _cross: list = field(default_factory=list, init=False)  # per layer (keys, values)
+    _pe: np.ndarray | None = field(default=None, init=False)
     _rows: dict = field(default_factory=dict, init=False)  # prefix -> row of _kv
     _kv: list = field(default_factory=list, init=False)  # per layer (keys, values)
 
@@ -401,12 +407,9 @@ class SceneStepModel:
         return len(self.cfg.vocab)
 
     def step(self, prefixes) -> np.ndarray:
-        """Next-token log-probs (len(prefixes), |V|) of BOS-led prefixes.
-
-        Returns a plain array (searches never need the tape; use
-        sequence-level recomputation for gradients).
-        """
-        cfg, params = self.cfg, self.params
+        """Next-token log-probs (len(prefixes), |V|) of BOS-led prefixes, as
+        a plain array."""
+        cfg = self.cfg
         checked = []
         for p in prefixes:
             if len(p) >= cfg.max_len:
@@ -427,9 +430,13 @@ class SceneStepModel:
                 raise ValueError(f"prefix {exc.args[0]} was not stepped by the "
                                  "previous call") from None
             past_kv = self._kv
-        if self._cross is None:
-            self._cross = [_cross_kv(self.enc_out, params, i)
+        if self._detached is None:
+            self._detached = {k: v.detach() for k, v in self.params.items()}
+            enc = self.enc_out.detach()
+            self._cross = [_cross_kv(enc, self._detached, i)
                            for i in range(cfg.num_dec_layers)]
+            self._pe = positional_encoding(cfg.max_len, cfg.d_model)
+        params = self._detached
         ids = np.array(checked)
         pad_keys = ids == cfg.vocab.pad_id
         pad_keys[:, -1] = False  # a row always sees its own position
@@ -443,8 +450,7 @@ class SceneStepModel:
             layers.append(kv)
             return tuple(Tensor(a.reshape(rows * n, -1)) for a in kv)
 
-        x = _embed(ids[:, -1], positional_encoding(cfg.max_len, cfg.d_model)[[n - 1] * rows],
-                   params)
+        x = _embed(ids[:, -1], self._pe[[n - 1] * rows], params)
         h = _decoder_stack(x, mask, self_kv, self._cross.__getitem__, cfg, params)
         logits = nm.matmul(h, nm.transpose(params["embed.E"]))
         self._rows = {p: r for r, p in enumerate(checked)}
@@ -453,6 +459,6 @@ class SceneStepModel:
 
     def all_step_logprobs(self, seqs) -> Tensor:
         """Teacher-forced log-prob rows of BOS-led sequences packed in one
-        pass, on the tape when the bundled parameters require gradients."""
+        pass, on the tape when the model's parameters require gradients."""
         logits = decode_logits(seqs, self.enc_out, self.cfg, self.params, [0] * len(seqs))
         return nm.log_softmax(logits, axis=-1)

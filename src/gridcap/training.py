@@ -10,7 +10,10 @@ three pack under block masks: one pass per selector or captioner minibatch
 and per fine-tuning scene's candidates.
 
 Every decode, whether a fine-tuning beam, a validation pass or an
-evaluation, is one ``run_grid_search`` call made by ``_decode_for_scene``.
+evaluation, is one ``run_grid_search`` call made by ``_decode_for_scene`` on
+the scene's one model from ``_scene_model``. That model searches without a
+tape and then scores the candidates on the tape, so each fine-tuning scene
+is encoded once.
 Every epoch record counts its Adam steps as ``updates``.
 """
 
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numerics as nm
-from .captioner import (CaptionerConfig, SceneStepModel, encode, frozen,
+from .captioner import (CaptionerConfig, SceneStepModel, encode,
                         init_captioner_params, xent_loss)
 from .data import DatasetConfig, HeldoutSplits, SceneRecord
 from .decoder import ConstraintSet, run_grid_search, sequence_logprob
@@ -120,11 +123,10 @@ def _packed_scenes(prepared):
 
 def _selection_val_f1(prepared, cfg, params, batch_size: int) -> float:
     """Mean selection F1 of prepared scenes, ``batch_size`` per forward."""
-    froz = frozen(params)
     scores_f1 = []
     for chunk in _batches(prepared, batch_size):
         feats, classes, _, segments = _packed_scenes(chunk)
-        scores = selector_forward(feats, classes, cfg, froz, segments).data
+        scores = selector_forward(feats, classes, cfg, params, segments).data
         for b, (_, _, dets, targets) in enumerate(chunk):
             selected = select_constraints(scores[segments == b], dets)
             gt_words = {d.class_word for d, t in zip(dets, targets) if t > 0.5}
@@ -200,9 +202,8 @@ def _minibatch_xent(samples, cfg: CaptionerConfig, params) -> Tensor:
 def _val_perplexity(scenes, cfg: CaptionerConfig, params, batch_size: int) -> float:
     """exp of the mean per-sample cross-entropy, packed ``batch_size``
     samples at a time (dense masks grow with the packed rows squared)."""
-    froz = frozen(params)
     samples = [(scene, ref) for scene in scenes for ref in scene.references]
-    total = sum(_minibatch_xent(chunk, cfg, froz).item() * len(chunk)
+    total = sum(_minibatch_xent(chunk, cfg, params).item() * len(chunk)
                 for chunk in _batches(samples, batch_size))
     return float(np.exp(total / len(samples))) if samples else float("inf")
 
@@ -264,11 +265,16 @@ def _strip_eos(tokens, vocab) -> list[int]:
     return ids
 
 
-def _decode_for_scene(scene, words, vocab, cfg, froz_params, k, trace=False):
-    enc = encode(np.array(scene.region_visual), cfg, froz_params)
-    model = SceneStepModel(enc, cfg, froz_params)
+def _scene_model(scene: SceneRecord, cfg: CaptionerConfig, params) -> SceneStepModel:
+    """The scene's one model: its encode, on the tape when ``params`` are."""
+    return SceneStepModel(encode(np.array(scene.region_visual), cfg, params),
+                          cfg, params)
+
+
+def _decode_for_scene(model: SceneStepModel, words, k, trace=False):
+    vocab = model.cfg.vocab
     constraints = ConstraintSet.from_words(words, vocab)
-    return run_grid_search(model, constraints, k=k, T=cfg.max_len - 1,
+    return run_grid_search(model, constraints, k=k, T=model.cfg.max_len - 1,
                            trace=trace, token_names=vocab.decode)
 
 
@@ -312,9 +318,8 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
             for idx in batch:
                 scene = scenes[idx]
                 words = build_training_constraints(scene, synonyms, vocab)
-                froz = frozen(params)
-                result = _decode_for_scene(scene, words, vocab, cfg, froz,
-                                           train_cfg.beam_size)
+                model = _scene_model(scene, cfg, params)
+                result = _decode_for_scene(model, words, train_cfg.beam_size)
                 cands = result.finished[: train_cfg.beam_size]
                 if len(cands) < 2:
                     skipped += 1
@@ -330,9 +335,7 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
                 if not adv.any():
                     zero_adv += 1
                     continue
-                enc_live = encode(np.array(scene.region_visual), cfg, params)
-                live = SceneStepModel(enc_live, cfg, params)
-                lps = sequence_logprob([h.tokens for h in cands], live)
+                lps = sequence_logprob([h.tokens for h in cands], model)
                 loss = nm.tsum(nm.mul(lps, Tensor(-adv / len(cands))))
                 _check_finite(loss.item(), "policy loss")
                 nm.backward(nm.mul(loss, 1.0 / len(batch)))
@@ -416,13 +419,11 @@ def decode_split(scenes: list[SceneRecord], mode: str, cfg: CaptionerConfig,
                  sel_params: dict | None = None,
                  trace: bool = False) -> list[DecodeOutput]:
     vocab = cfg.vocab
-    froz = frozen(cap_params)
-    sel_froz = frozen(sel_params) if sel_params else None
     outputs = []
     for scene in scenes:
         words = constraints_for_mode(scene, mode, vocab, synonyms,
-                                     sel_cfg, sel_froz)
-        result = _decode_for_scene(scene, words, vocab, cfg, froz,
+                                     sel_cfg, sel_params)
+        result = _decode_for_scene(_scene_model(scene, cfg, cap_params), words,
                                    train_cfg.beam_size, trace=trace)
         caption = vocab.decode(_strip_eos(result.best.tokens, vocab))
         satisfied = all(w in caption for w in words)

@@ -8,7 +8,7 @@ from gridcap import numerics as nm
 from gridcap.numerics import Tensor
 from gridcap.captioner import (BudgetExhausted, CaptionerConfig,
                                SceneStepModel, Vocabulary, decode_hidden,
-                               decode_logits, encode, frozen,
+                               decode_logits, encode,
                                init_captioner_params, xent_loss)
 
 from test_numerics import check_grads
@@ -172,9 +172,9 @@ class TestPacking:
     def test_one_scene_number_per_sequence(self, setup):
         cfg, params, regions = setup
         v = cfg.vocab
-        enc = encode(regions, cfg, frozen(params))
+        enc = encode(regions, cfg, params)
         with pytest.raises(ValueError):
-            xent_loss([[v.bos_id, 4, v.eos_id]] * 2, enc, cfg, frozen(params), [0])
+            xent_loss([[v.bos_id, 4, v.eos_id]] * 2, enc, cfg, params, [0])
         with pytest.raises(ValueError):
             encode(regions, cfg, params, [0, 1])
 
@@ -182,32 +182,32 @@ class TestPacking:
 class TestDecodeLogits:
     def test_causality_is_bitwise(self, setup):
         cfg, params, regions = setup
-        enc = encode(regions, cfg, frozen(params))
+        enc = encode(regions, cfg, params)
         v = cfg.vocab
         rng = np.random.default_rng(7)
         for _ in range(10):
             n = int(rng.integers(3, 8))
             toks = [v.bos_id] + list(rng.integers(4, len(v), size=n))
-            base = decode_logits(toks, enc, cfg, frozen(params)).data
+            base = decode_logits(toks, enc, cfg, params).data
             j = int(rng.integers(1, n + 1))
             mutated = list(toks)
             mutated[j] = int(rng.integers(4, len(v)))
-            out = decode_logits(mutated, enc, cfg, frozen(params)).data
+            out = decode_logits(mutated, enc, cfg, params).data
             assert (out[:j] == base[:j]).all()
 
     def test_logits_shape(self, setup):
         cfg, params, regions = setup
-        enc = encode(regions, cfg, frozen(params))
+        enc = encode(regions, cfg, params)
         toks = [cfg.vocab.bos_id, 5, 6, 7]
-        out = decode_logits(toks, enc, cfg, frozen(params))
+        out = decode_logits(toks, enc, cfg, params)
         assert out.shape == (4, len(cfg.vocab))
 
     def test_weight_tying_direct_recomputation(self, setup):
         cfg, params, regions = setup
-        enc = encode(regions, cfg, frozen(params))
+        enc = encode(regions, cfg, params)
         toks = [cfg.vocab.bos_id, 5, 6]
-        h = decode_hidden(toks, enc, cfg, frozen(params)).data
-        logits = decode_logits(toks, enc, cfg, frozen(params)).data
+        h = decode_hidden(toks, enc, cfg, params).data
+        logits = decode_logits(toks, enc, cfg, params).data
         E = params["embed.E"].data
         np.testing.assert_allclose(logits, h @ E.T, atol=1e-12)
         # doubling one embedding row doubles that word's logit, h held fixed
@@ -219,16 +219,15 @@ class TestDecodeLogits:
 
     def test_must_begin_with_bos(self, setup):
         cfg, params, regions = setup
-        enc = encode(regions, cfg, frozen(params))
+        enc = encode(regions, cfg, params)
         with pytest.raises(ValueError):
-            decode_logits([5, 6], enc, cfg, frozen(params))
+            decode_logits([5, 6], enc, cfg, params)
 
     def test_unknown_id_rejected(self, setup):
         cfg, params, regions = setup
-        enc = encode(regions, cfg, frozen(params))
+        enc = encode(regions, cfg, params)
         with pytest.raises(ValueError):
-            decode_logits([cfg.vocab.bos_id, len(cfg.vocab)], enc, cfg,
-                          frozen(params))
+            decode_logits([cfg.vocab.bos_id, len(cfg.vocab)], enc, cfg, params)
 
     def test_masked_decoder_layer_gradcheck(self, setup):
         cfg, params, regions = setup
@@ -250,25 +249,25 @@ class TestXentLoss:
     def test_uniform_head_gives_log_vocab(self, setup):
         cfg, params, regions = setup
         params["embed.E"].data[...] = 0.0  # zero head -> uniform logits
-        enc = encode(regions, cfg, frozen(params))
+        enc = encode(regions, cfg, params)
         v = cfg.vocab
-        loss = xent_loss([v.bos_id, v.unk_id, v.eos_id], enc, cfg, frozen(params))
+        loss = xent_loss([v.bos_id, v.unk_id, v.eos_id], enc, cfg, params)
         assert loss.item() == pytest.approx(math.log(len(v)), rel=1e-12)
 
     def test_pad_extension_leaves_loss_unchanged(self, setup):
         cfg, params, regions = setup
-        enc = encode(regions, cfg, frozen(params))
+        enc = encode(regions, cfg, params)
         v = cfg.vocab
         toks = [v.bos_id, 5, 6, v.eos_id]
-        base = xent_loss(toks, enc, cfg, frozen(params)).item()
-        padded = xent_loss(toks + [v.pad_id] * 3, enc, cfg, frozen(params)).item()
+        base = xent_loss(toks, enc, cfg, params).item()
+        padded = xent_loss(toks + [v.pad_id] * 3, enc, cfg, params).item()
         assert abs(base - padded) < 1e-12
 
     def test_missing_eos_rejected(self, setup):
         cfg, params, regions = setup
-        enc = encode(regions, cfg, frozen(params))
+        enc = encode(regions, cfg, params)
         with pytest.raises(ValueError):
-            xent_loss([cfg.vocab.bos_id, 5, 6], enc, cfg, frozen(params))
+            xent_loss([cfg.vocab.bos_id, 5, 6], enc, cfg, params)
 
     def test_overfits_one_caption(self, setup):
         cfg, params, regions = setup
@@ -287,8 +286,7 @@ class TestXentLoss:
 
 
 def step_model(cfg, params, regions):
-    froz = frozen(params)
-    return SceneStepModel(encode(regions, cfg, froz), cfg, froz)
+    return SceneStepModel(encode(regions, cfg, params), cfg, params)
 
 
 def last_row_logprobs(tokens, model):
@@ -400,11 +398,11 @@ class TestCachedStep:
 class TestCheckpointIntegration:
     def test_save_load_decode_bit_identical(self, setup, tmp_path):
         cfg, params, regions = setup
-        enc = encode(regions, cfg, frozen(params))
+        enc = encode(regions, cfg, params)
         toks = [cfg.vocab.bos_id, 5, 6]
-        base = decode_logits(toks, enc, cfg, frozen(params)).data
+        base = decode_logits(toks, enc, cfg, params).data
         nm.save_checkpoint(tmp_path / "cap.ckpt", params)
         loaded = nm.load_checkpoint(tmp_path / "cap.ckpt")
-        enc2 = encode(regions, cfg, frozen(loaded))
-        again = decode_logits(toks, enc2, cfg, frozen(loaded)).data
+        enc2 = encode(regions, cfg, loaded)
+        again = decode_logits(toks, enc2, cfg, loaded).data
         assert (base == again).all()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridcap.captioner import Vocabulary, encode, frozen, init_captioner_params
+from gridcap.captioner import Vocabulary, encode, init_captioner_params
 from gridcap.captioner import CaptionerConfig, SceneStepModel
 from gridcap.decoder import (MAX_CONSTRAINTS, ConstraintSet, Hypothesis,
                              InfeasibleConstraintsError, feasible_coverage,
@@ -323,6 +323,18 @@ class TestConstraintSet:
             ConstraintSet.from_words([f"w{i}" for i in range(MAX_CONSTRAINTS + 1)], v)
 
 
+def recorded_steps(model):
+    """The rows of every ``model.step`` call from now on, in order."""
+    rows, step = [], model.step
+
+    def recording(prefixes):
+        rows.append(step(prefixes))
+        return rows[-1]
+
+    model.step = recording
+    return rows
+
+
 class TestSequenceLogprob:
     @pytest.fixture
     def model(self):
@@ -336,9 +348,7 @@ class TestSequenceLogprob:
 
     def test_no_forced_equals_plain_likelihood(self, model):
         cfg, params, regions = model
-        froz = frozen(params)
-        enc = encode(regions, cfg, froz)
-        sm = SceneStepModel(enc, cfg, froz)
+        sm = SceneStepModel(encode(regions, cfg, params), cfg, params)
         v = cfg.vocab
         tokens = v.encode(["red", "dog"]) + [v.eos_id]
         manual = sum(float(sm.step([(v.bos_id,) + tuple(tokens[:i])])[0, tokens[i]])
@@ -349,15 +359,39 @@ class TestSequenceLogprob:
 
     def test_matches_search_hypothesis_score(self, model):
         cfg, params, regions = model
-        froz = frozen(params)
-        enc = encode(regions, cfg, froz)
-        sm = SceneStepModel(enc, cfg, froz)
+        sm = SceneStepModel(encode(regions, cfg, params), cfg, params)
         cs = ConstraintSet.from_words(["dog"], cfg.vocab)
         result = run_grid_search(sm, cs, k=3, T=cfg.max_len - 1)
         assert len(result.finished) >= 2 and result.best.finished
         recomputed = sequence_logprob([h.tokens for h in result.finished], sm).data
         np.testing.assert_allclose(recomputed, [h.logprob for h in result.finished],
                                    rtol=0, atol=1e-9)
+
+    def test_one_model_searches_off_the_tape_then_scores_on_it(self, model):
+        cfg, params, regions = model
+        detached = {k: v.detach() for k, v in params.items()}
+        live = SceneStepModel(encode(regions, cfg, params), cfg, params)
+        plain = SceneStepModel(encode(regions, cfg, detached), cfg, detached)
+        cs = ConstraintSet.from_words(["dog"], cfg.vocab)
+        live_rows, plain_rows = recorded_steps(live), recorded_steps(plain)
+        result = run_grid_search(live, cs, k=3, T=cfg.max_len - 1)
+        run_grid_search(plain, cs, k=3, T=cfg.max_len - 1)
+        assert all(p.grad is None for p in params.values())
+        assert not any(t.requires_grad for kv in live._cross for t in kv)
+        assert len(live_rows) == len(plain_rows) > 1
+        for a, b in zip(live_rows, plain_rows):
+            np.testing.assert_array_equal(a, b)
+
+        cands = [h.tokens for h in result.finished]
+        weights = Tensor(np.linspace(-1.0, 1.0, len(cands)))
+        nm.backward(nm.tsum(nm.mul(sequence_logprob(cands, live), weights)))
+        grads = {k: p.grad.copy() for k, p in params.items()}
+        nm.zero_grads(params)
+        fresh = SceneStepModel(encode(regions, cfg, params), cfg, params)
+        nm.backward(nm.tsum(nm.mul(sequence_logprob(cands, fresh), weights)))
+        for k, p in params.items():
+            np.testing.assert_allclose(grads[k], p.grad, rtol=0, atol=1e-12,
+                                       err_msg=k)
 
     def test_gradient_matches_finite_differences(self, model):
         cfg, params, regions = model
@@ -403,6 +437,6 @@ class TestSequenceLogprob:
 
     def test_empty_candidate_rejected(self, model):
         cfg, params, regions = model
-        sm = SceneStepModel(encode(regions, cfg, frozen(params)), cfg, frozen(params))
+        sm = SceneStepModel(encode(regions, cfg, params), cfg, params)
         with pytest.raises(ValueError):
             sequence_logprob([(cfg.vocab.eos_id,), ()], sm)

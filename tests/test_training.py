@@ -209,6 +209,25 @@ class TestFinetune:
         assert checkpoint_hash(given) == before
         assert checkpoint_hash(tuned) != before
 
+    def test_encodes_each_scene_once(self, tiny_world, pretrained, monkeypatch):
+        # one model per scene searches and scores: one encode per training
+        # scene and one per validation decode
+        _, _, synonyms, splits, _ = tiny_world
+        cfg, pre = pretrained
+        tcfg = TrainConfig(rl_epochs=1, beam_size=3, seed=9)
+        sub = tr.HeldoutSplits(captioner_train=splits.captioner_train[:6],
+                               selector_train=[], val=splits.val[:2], test=[])
+        encode, calls = tr.encode, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "encode", counted)
+        _, epochs = finetune_scst_dgbs(sub, cfg, fresh_copy(pre), tcfg, synonyms)
+        assert epochs[0]["zero_advantage_scenes"] < epochs[0]["scored_scenes"]
+        assert len(calls) == 6 + 2
+
     def test_scenes_without_two_candidates_are_counted_and_warned(
             self, tiny_world, pretrained, monkeypatch, caplog):
         _, _, synonyms, splits, _ = tiny_world
