@@ -79,6 +79,39 @@ def _check_finite(value: float, what: str) -> float:
     return value
 
 
+def _train_epochs(phase: str, params, items, minibatch_loss, val_key: str,
+                  validate, model_dim: int, num_epochs: int,
+                  train_cfg: TrainConfig, rng: np.random.Generator) -> list[dict]:
+    """Pre-training: Adam under the Noam schedule over shuffled minibatches
+    of ``items``, one forward and backward each; returns the epoch records.
+
+    ``minibatch_loss(batch)`` is a list of items' mean loss, and
+    ``validate()`` gives each epoch record its ``val_key`` value. Each
+    epoch logs one INFO line containing " epoch ".
+    """
+    state = AdamState()
+    records = []
+    for epoch in range(num_epochs):
+        order = rng.permutation(len(items))
+        total, steps_before = 0.0, state.step
+        for batch in _batches(order, train_cfg.batch_size):
+            zero_grads(params)
+            loss = minibatch_loss([items[i] for i in batch])
+            total += _check_finite(loss.item(), f"{phase} loss") * len(batch)
+            nm.backward(loss)
+            adam_step(params, state, noam_lr(state.step + 1, model_dim,
+                                             train_cfg.warmup))
+        records.append({
+            "epoch": epoch,
+            "loss": total / max(1, len(items)),
+            val_key: validate(),
+            "updates": state.step - steps_before,
+        })
+        log.info("%s epoch %d loss %.4f %s %.4f", phase, epoch,
+                 records[-1]["loss"], val_key, records[-1][val_key])
+    return records
+
+
 # ---------------------------------------------------------------------------
 # selector phase
 # ---------------------------------------------------------------------------
@@ -139,30 +172,18 @@ def train_selector(splits: HeldoutSplits, synonyms: dict[str, list[str]],
     """Adam with warmup on packed weighted-BCE minibatches; returns (params, epoch log)."""
     rng = _rng(train_cfg.seed, 1)
     params = init_selector_params(cfg, rng)
-    state = AdamState()
     prepared = [scene_selector_inputs(s, cfg, synonyms) for s in splits.selector_train]
     val = [scene_selector_inputs(s, cfg, synonyms) for s in splits.val]
-    epochs = []
-    for epoch in range(train_cfg.selector_epochs):
-        order = rng.permutation(len(prepared))
-        total, steps_before = 0.0, state.step
-        for batch in _batches(order, train_cfg.batch_size):
-            zero_grads(params)
-            feats, classes, targets, segments = _packed_scenes([prepared[i] for i in batch])
-            scores = selector_forward(feats, classes, cfg, params, segments)
-            loss = weighted_bce(scores, targets, BCE_LAMBDA0, BCE_LAMBDA1, segments)
-            total += _check_finite(loss.item(), "selector loss") * len(batch)
-            nm.backward(loss)
-            adam_step(params, state, noam_lr(state.step + 1, cfg.embed_dim,
-                                             train_cfg.warmup))
-        epochs.append({
-            "epoch": epoch,
-            "loss": total / max(1, len(prepared)),
-            "val_selection_f1": _selection_val_f1(val, cfg, params, train_cfg.batch_size),
-            "updates": state.step - steps_before,
-        })
-        log.info("selector epoch %d loss %.4f val-F1 %.3f", epoch,
-                 epochs[-1]["loss"], epochs[-1]["val_selection_f1"])
+
+    def minibatch_bce(batch):
+        feats, classes, targets, segments = _packed_scenes(batch)
+        scores = selector_forward(feats, classes, cfg, params, segments)
+        return weighted_bce(scores, targets, BCE_LAMBDA0, BCE_LAMBDA1, segments)
+
+    epochs = _train_epochs(
+        "selector", params, prepared, minibatch_bce, "val_selection_f1",
+        lambda: _selection_val_f1(val, cfg, params, train_cfg.batch_size),
+        cfg.embed_dim, train_cfg.selector_epochs, train_cfg, rng)
     return params, epochs
 
 
@@ -214,29 +235,13 @@ def pretrain_captioner(splits: HeldoutSplits, cfg: CaptionerConfig,
     one packed forward and backward per minibatch."""
     rng = _rng(train_cfg.seed, 2)
     params = init_captioner_params(cfg, rng)
-    state = AdamState()
     samples = [(scene, ref) for scene in splits.captioner_train
                for ref in scene.references]
-    epochs = []
-    for epoch in range(train_cfg.xent_epochs):
-        order = rng.permutation(len(samples))
-        total, steps_before = 0.0, state.step
-        for batch in _batches(order, train_cfg.batch_size):
-            zero_grads(params)
-            loss = _minibatch_xent([samples[i] for i in batch], cfg, params)
-            total += _check_finite(loss.item(), "captioner loss") * len(batch)
-            nm.backward(loss)
-            adam_step(params, state, noam_lr(state.step + 1, cfg.d_model,
-                                             train_cfg.warmup))
-        epochs.append({
-            "epoch": epoch,
-            "loss": total / max(1, len(samples)),
-            "val_perplexity": _val_perplexity(splits.val, cfg, params,
-                                              train_cfg.batch_size),
-            "updates": state.step - steps_before,
-        })
-        log.info("captioner epoch %d loss %.4f val-ppl %.2f", epoch,
-                 epochs[-1]["loss"], epochs[-1]["val_perplexity"])
+    epochs = _train_epochs(
+        "captioner", params, samples,
+        lambda batch: _minibatch_xent(batch, cfg, params), "val_perplexity",
+        lambda: _val_perplexity(splits.val, cfg, params, train_cfg.batch_size),
+        cfg.d_model, train_cfg.xent_epochs, train_cfg, rng)
     return params, epochs
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import math
 import os
 import shutil
@@ -108,6 +109,35 @@ class TestCaptionerPhase:
         p1, _ = pretrain_captioner(splits, cfg, tcfg)
         p2, _ = pretrain_captioner(splits, cfg, tcfg)
         assert checkpoint_hash(p1) == checkpoint_hash(p2)
+
+
+def pretrain(phase, tiny_world, tcfg):
+    """Run one pre-training phase on the tiny world."""
+    _, _, synonyms, splits, vocab = tiny_world
+    if phase == "selector":
+        return train_selector(splits, synonyms, SelectorConfig(), tcfg)
+    return pretrain_captioner(splits, tiny_cap_cfg(vocab), tcfg)
+
+
+@pytest.mark.parametrize("phase,loss_name", [("selector", "weighted_bce"),
+                                             ("captioner", "xent_loss")])
+class TestPretrainLoop:
+    def test_non_finite_loss_names_the_phase(self, tiny_world, monkeypatch,
+                                             phase, loss_name):
+        monkeypatch.setattr(tr, loss_name, lambda *a, **kw: Tensor(np.nan))
+        tcfg = TrainConfig(selector_epochs=1, xent_epochs=1, seed=3)
+        with pytest.raises(tr.TrainingDiverged, match=f"non-finite {phase} loss"):
+            pretrain(phase, tiny_world, tcfg)
+
+    def test_one_epoch_line_per_epoch(self, tiny_world, caplog, phase, loss_name):
+        tcfg = TrainConfig(selector_epochs=3, xent_epochs=3, warmup=50, seed=3)
+        with caplog.at_level(logging.INFO, logger=tr.log.name):
+            pretrain(phase, tiny_world, tcfg)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == tr.log.name and r.levelno == logging.INFO]
+        assert len(lines) == 3
+        assert all(line.startswith(f"{phase} epoch {i} ")
+                   for i, line in enumerate(lines))
 
 
 class TestConstraintSources:
