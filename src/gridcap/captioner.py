@@ -280,10 +280,11 @@ def _cross_kv(enc_out: Tensor, params: dict[str, Tensor], i: int):
 
 
 def _packed(tokens, scenes, enc_segments, cfg: CaptionerConfig):
-    """Stacked ids and positions of one sequence, or of a packed list of them,
-    with their self- and cross-attention masks."""
-    seqs = [_validate_tokens(t, cfg) for t in ([tokens] if scenes is None else tokens)]
-    scenes = np.zeros(1, dtype=np.intp) if scenes is None else np.asarray(scenes)
+    """Stacked ids and positions of a list of sequences, with their self- and
+    cross-attention masks."""
+    seqs = [_validate_tokens(t, cfg) for t in tokens]
+    scenes = (np.zeros(len(seqs), dtype=np.intp) if scenes is None
+              else np.asarray(scenes))
     if scenes.shape != (len(seqs),):
         raise ValueError(f"{len(scenes)} scene numbers for {len(seqs)} sequences")
     ids = np.concatenate(seqs)
@@ -298,14 +299,13 @@ def _packed(tokens, scenes, enc_segments, cfg: CaptionerConfig):
 
 def decode_hidden(tokens, enc_out: Tensor, cfg: CaptionerConfig,
                   params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
-    """Down-projected decoder states (len(tokens), embed_dim), pre-tying.
+    """Down-projected decoder states (rows, embed_dim), pre-tying.
 
-    Teacher forcing: every position attends to itself and the non-PAD
-    positions before it, and to the encoder rows. Packed: ``tokens`` is a
-    list of sequences whose rows are stacked in order, ``scenes[b]`` numbers
-    sequence b's scene, and its rows see only their own sequence and the
-    encoder rows with that number in ``enc_segments`` (as given to
-    ``encode``). One sequence is the packed case with one segment.
+    Teacher forcing, packed: ``tokens`` is a list of sequences whose rows
+    are stacked in order. Every position attends to itself and the non-PAD
+    positions before it in its own sequence, and to the encoder rows of its
+    scene: ``scenes[b]`` (default 0) numbers sequence b's scene, matched
+    against ``enc_segments`` (as given to ``encode``; default one scene).
     """
     if enc_segments is None:
         enc_segments = np.zeros(enc_out.shape[0], dtype=np.intp)
@@ -318,7 +318,7 @@ def decode_hidden(tokens, enc_out: Tensor, cfg: CaptionerConfig,
 
 def decode_logits(tokens, enc_out: Tensor, cfg: CaptionerConfig,
                   params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
-    """Next-token logits (rows, |V|) of one or a packed list of sequences (see
+    """Next-token logits (rows, |V|) of a packed list of sequences (see
     ``decode_hidden``); the output head is the transpose of the word
     embedding matrix."""
     h = decode_hidden(tokens, enc_out, cfg, params, scenes, enc_segments)
@@ -329,14 +329,13 @@ def xent_loss(tokens, enc_out: Tensor, cfg: CaptionerConfig,
               params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
     """Mean next-token cross-entropy; positions whose target is PAD are skipped.
 
-    Packed (see ``decode_hidden``): the mean over sequences of each one's
-    mean, so a supervised row weighs 1 / (its sequence's supervised rows ·
-    number of sequences).
+    ``tokens`` is a packed list of sequences (see ``decode_hidden``); the
+    loss is the mean over sequences of each one's mean, so a supervised row
+    weighs 1 / (its sequence's supervised rows · number of sequences).
     """
-    seqs = [tokens] if scenes is None else tokens
     rows, targets, weights = [], [], []
     start = 0
-    for seq in seqs:
+    for seq in tokens:
         ids = _validate_tokens(seq, cfg)
         if cfg.vocab.eos_id not in ids:
             raise ValueError("training sequence lacks EOS")
@@ -345,7 +344,7 @@ def xent_loss(tokens, enc_out: Tensor, cfg: CaptionerConfig,
             raise ValueError("no supervised positions in sequence")
         rows.append(start + sup)
         targets.append(ids[sup + 1])
-        weights.append(np.full(len(sup), 1.0 / (len(sup) * len(seqs))))
+        weights.append(np.full(len(sup), 1.0 / (len(sup) * len(tokens))))
         start += len(ids)
     lsm = nm.log_softmax(decode_logits(tokens, enc_out, cfg, params, scenes,
                                        enc_segments), axis=-1)
@@ -460,5 +459,5 @@ class SceneStepModel:
     def all_step_logprobs(self, seqs) -> Tensor:
         """Teacher-forced log-prob rows of BOS-led sequences packed in one
         pass, on the tape when the model's parameters require gradients."""
-        logits = decode_logits(seqs, self.enc_out, self.cfg, self.params, [0] * len(seqs))
+        logits = decode_logits(seqs, self.enc_out, self.cfg, self.params)
         return nm.log_softmax(logits, axis=-1)

@@ -153,7 +153,7 @@ class TestPacking:
         nm.zero_grads(params)
         loop = 0.0
         for regions, toks in samples:
-            loss = xent_loss(toks, encode(regions, cfg, params), cfg, params)
+            loss = xent_loss([toks], encode(regions, cfg, params), cfg, params)
             loop += loss.item() / len(samples)
             nm.backward(nm.mul(loss, 1.0 / len(samples)))
         loop_grads = {k: p.grad.copy() for k, p in params.items()}
@@ -175,6 +175,8 @@ class TestPacking:
         enc = encode(regions, cfg, params)
         with pytest.raises(ValueError):
             xent_loss([[v.bos_id, 4, v.eos_id]] * 2, enc, cfg, params, [0])
+        with pytest.raises(ValueError):  # a bare id list, not a list of sequences
+            decode_logits([v.bos_id, 4, v.eos_id], enc, cfg, params)
         with pytest.raises(ValueError):
             encode(regions, cfg, params, [0, 1])
 
@@ -188,26 +190,26 @@ class TestDecodeLogits:
         for _ in range(10):
             n = int(rng.integers(3, 8))
             toks = [v.bos_id] + list(rng.integers(4, len(v), size=n))
-            base = decode_logits(toks, enc, cfg, params).data
+            base = decode_logits([toks], enc, cfg, params).data
             j = int(rng.integers(1, n + 1))
             mutated = list(toks)
             mutated[j] = int(rng.integers(4, len(v)))
-            out = decode_logits(mutated, enc, cfg, params).data
+            out = decode_logits([mutated], enc, cfg, params).data
             assert (out[:j] == base[:j]).all()
 
     def test_logits_shape(self, setup):
         cfg, params, regions = setup
         enc = encode(regions, cfg, params)
         toks = [cfg.vocab.bos_id, 5, 6, 7]
-        out = decode_logits(toks, enc, cfg, params)
+        out = decode_logits([toks], enc, cfg, params)
         assert out.shape == (4, len(cfg.vocab))
 
     def test_weight_tying_direct_recomputation(self, setup):
         cfg, params, regions = setup
         enc = encode(regions, cfg, params)
         toks = [cfg.vocab.bos_id, 5, 6]
-        h = decode_hidden(toks, enc, cfg, params).data
-        logits = decode_logits(toks, enc, cfg, params).data
+        h = decode_hidden([toks], enc, cfg, params).data
+        logits = decode_logits([toks], enc, cfg, params).data
         E = params["embed.E"].data
         np.testing.assert_allclose(logits, h @ E.T, atol=1e-12)
         # doubling one embedding row doubles that word's logit, h held fixed
@@ -221,13 +223,13 @@ class TestDecodeLogits:
         cfg, params, regions = setup
         enc = encode(regions, cfg, params)
         with pytest.raises(ValueError):
-            decode_logits([5, 6], enc, cfg, params)
+            decode_logits([[5, 6]], enc, cfg, params)
 
     def test_unknown_id_rejected(self, setup):
         cfg, params, regions = setup
         enc = encode(regions, cfg, params)
         with pytest.raises(ValueError):
-            decode_logits([cfg.vocab.bos_id, len(cfg.vocab)], enc, cfg, params)
+            decode_logits([[cfg.vocab.bos_id, len(cfg.vocab)]], enc, cfg, params)
 
     def test_masked_decoder_layer_gradcheck(self, setup):
         cfg, params, regions = setup
@@ -239,7 +241,7 @@ class TestDecodeLogits:
 
         def loss():
             enc = encode(regions, cfg, params)
-            return nm.tsum(nm.mul(decode_logits(toks, enc, cfg, params),
+            return nm.tsum(nm.mul(decode_logits([toks], enc, cfg, params),
                                   Tensor(w)))
 
         check_grads(loss, subset, 1e-4)
@@ -251,7 +253,7 @@ class TestXentLoss:
         params["embed.E"].data[...] = 0.0  # zero head -> uniform logits
         enc = encode(regions, cfg, params)
         v = cfg.vocab
-        loss = xent_loss([v.bos_id, v.unk_id, v.eos_id], enc, cfg, params)
+        loss = xent_loss([[v.bos_id, v.unk_id, v.eos_id]], enc, cfg, params)
         assert loss.item() == pytest.approx(math.log(len(v)), rel=1e-12)
 
     def test_pad_extension_leaves_loss_unchanged(self, setup):
@@ -259,15 +261,15 @@ class TestXentLoss:
         enc = encode(regions, cfg, params)
         v = cfg.vocab
         toks = [v.bos_id, 5, 6, v.eos_id]
-        base = xent_loss(toks, enc, cfg, params).item()
-        padded = xent_loss(toks + [v.pad_id] * 3, enc, cfg, params).item()
+        base = xent_loss([toks], enc, cfg, params).item()
+        padded = xent_loss([toks + [v.pad_id] * 3], enc, cfg, params).item()
         assert abs(base - padded) < 1e-12
 
     def test_missing_eos_rejected(self, setup):
         cfg, params, regions = setup
         enc = encode(regions, cfg, params)
         with pytest.raises(ValueError):
-            xent_loss([cfg.vocab.bos_id, 5, 6], enc, cfg, params)
+            xent_loss([[cfg.vocab.bos_id, 5, 6]], enc, cfg, params)
 
     def test_overfits_one_caption(self, setup):
         cfg, params, regions = setup
@@ -278,7 +280,7 @@ class TestXentLoss:
         for _ in range(50):
             nm.zero_grads(params)
             enc = encode(regions, cfg, params)
-            loss = xent_loss(toks, enc, cfg, params)
+            loss = xent_loss([toks], enc, cfg, params)
             losses.append(loss.item())
             nm.backward(loss)
             nm.adam_step(params, state, lr=0.01)
@@ -290,7 +292,7 @@ def step_model(cfg, params, regions):
 
 
 def last_row_logprobs(tokens, model):
-    row = decode_logits(tokens, model.enc_out, model.cfg, model.params).data[-1]
+    row = decode_logits([tokens], model.enc_out, model.cfg, model.params).data[-1]
     expected = row - row.max()
     return expected - math.log(np.exp(expected).sum())
 
@@ -400,9 +402,9 @@ class TestCheckpointIntegration:
         cfg, params, regions = setup
         enc = encode(regions, cfg, params)
         toks = [cfg.vocab.bos_id, 5, 6]
-        base = decode_logits(toks, enc, cfg, params).data
+        base = decode_logits([toks], enc, cfg, params).data
         nm.save_checkpoint(tmp_path / "cap.ckpt", params)
         loaded = nm.load_checkpoint(tmp_path / "cap.ckpt")
         enc2 = encode(regions, cfg, loaded)
-        again = decode_logits(toks, enc2, cfg, loaded).data
+        again = decode_logits([toks], enc2, cfg, loaded).data
         assert (base == again).all()
