@@ -17,8 +17,11 @@ inside the field's range. Any other key or value exits 1 when the config
 is read, at every stage, and so does a negative seed. So does an output
 directory that names a file, an artifact path that cannot be written, and,
 after gen-data, an empty captioner-training, validation or test split.
+The environment variable ``GRIDCAP_LOGLEVEL`` sets the log level by name
+(default WARNING; INFO shows one line per training epoch).
 Exit codes: 0 success, 1 configuration problem (a bad config, a missing,
-corrupt or unwritable artifact, or an empty split), 2 training divergence.
+corrupt or unwritable artifact, an empty split, or an unknown
+``GRIDCAP_LOGLEVEL``), 2 training divergence.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from .data import (DatasetConfig, apply_heldout, build_vocabulary,
                    default_synonyms, gen_dataset, read_jsonl, write_jsonl)
 from .numerics import (NumericsError, checkpoint_hash, load_checkpoint,
                        save_checkpoint)
-from .selector import (SelectorConfig, init_selector_params, load_synonyms,
-                       save_synonyms)
+from .selector import (SelectorConfig, extract_features, init_selector_params,
+                       load_synonyms, save_synonyms)
 from .training import (EVAL_MODES, TrainConfig, TrainingDiverged, decode_eval,
                        finetune_scst_dgbs, pretrain_captioner, train_selector)
 
@@ -156,10 +159,23 @@ class Experiment:
         except OSError as exc:
             raise ConfigError(f"cannot write {self.path(name)}: {exc}") from exc
 
+    def _read_scenes(self, path):
+        """``read_jsonl``, then every region row's width against
+        ``data.visual_dim`` and every detection's image, box and score."""
+        scenes = read_jsonl(path)
+        for scene in scenes:
+            for det, row in zip(scene.detections, scene.region_visual):
+                if len(row) != self.data_cfg.visual_dim:
+                    raise ValueError(f"scene {scene.scene_id!r} has a region row of "
+                                     f"width {len(row)}, data.visual_dim is "
+                                     f"{self.data_cfg.visual_dim}")
+                extract_features(det, scene.W, scene.H)
+        return scenes
+
     def inputs(self):
-        """(held-out splits, synonym table) from gen-data's artifacts; an
-        empty split raises ConfigError."""
-        scenes = self.read("scenes.jsonl", read_jsonl)
+        """(held-out splits, synonym table) from gen-data's artifacts; a
+        corrupt scene or an empty split raises ConfigError."""
+        scenes = self.read("scenes.jsonl", self._read_scenes)
         synonyms = self.read("synonyms.json", load_synonyms)
         splits = apply_heldout(scenes, self.data_cfg, synonyms)
         for split, keys in (("captioner_train", "data.num_train and data.held_out"),
@@ -327,8 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("GRIDCAP_LOGLEVEL", "WARNING"))
     try:
+        level = os.environ.get("GRIDCAP_LOGLEVEL", "WARNING")
+        if not isinstance(logging.getLevelName(level), int):
+            raise ConfigError(f"GRIDCAP_LOGLEVEL must name a logging level such "
+                              f"as INFO or DEBUG, got {level!r}")
+        logging.basicConfig(level=level)
         args = build_parser().parse_args(argv)
         exp = Experiment(args.config, args.seed, args.out)
         return COMMANDS[args.command](exp, args)

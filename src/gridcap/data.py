@@ -83,9 +83,19 @@ class SceneRecord:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SceneRecord":
+        """A scene from ``to_dict`` output; ValueError unless it has a
+        detection, one region row per detection and a reference."""
         dets = [Detection(class_id=d["class_id"], class_word=d["class_word"],
                           box=tuple(d["box"]), score=d["score"])
                 for d in obj["detections"]]
+        where = f"scene {obj['scene_id']!r}"
+        if not dets:
+            raise ValueError(f"{where} has no detections")
+        if len(obj["region_visual"]) != len(dets):
+            raise ValueError(f"{where} has {len(obj['region_visual'])} region "
+                             f"rows for {len(dets)} detections")
+        if not obj["references"]:
+            raise ValueError(f"{where} has no references")
         return cls(scene_id=obj["scene_id"], W=obj["W"], H=obj["H"],
                    detections=dets, region_visual=obj["region_visual"],
                    references=obj["references"], split=obj["split"])

@@ -629,6 +629,40 @@ class TestCli:
                          "--out", str(out)]) == 1
         assert f"corrupt {out / name}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda s: s | {"detections": [], "region_visual": []},
+        lambda s: s | {"region_visual": [r[:3] for r in s["region_visual"]]},
+        lambda s: s | {"region_visual": s["region_visual"][1:]},
+        lambda s: s | {"references": []},
+        lambda s: s | {"detections": [s["detections"][0] | {"score": 1.5}]
+                       + s["detections"][1:]},
+        lambda s: s | {"detections": [s["detections"][0] | {"box": [0, 0, 10, 10]}]
+                       + s["detections"][1:]},
+        lambda s: s | {"W": 0},
+    ], ids=["no-detections", "narrow-rows", "missing-row", "no-references",
+            "score-over-1", "box-off-image", "zero-width"])
+    def test_corrupt_scene_record_is_exit_1(self, run_dir, tmp_path, capsys,
+                                            corrupt):
+        base, config, _ = run_dir
+        out = tmp_path / "run"
+        shutil.copytree(base / "run", out)
+        path = out / "scenes.jsonl"
+        lines = path.read_text().splitlines()
+        lines[0] = json.dumps(corrupt(json.loads(lines[0])))
+        path.write_text("\n".join(lines) + "\n")
+        for stage in ("train-selector", "train-captioner"):
+            assert cli.main([stage, "--config", config, "--out", str(out)]) == 1
+            assert f"config error: corrupt {path}" in capsys.readouterr().err
+
+    def test_unknown_log_level_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "out_dir": str(tmp_path / "x")}))
+        monkeypatch.setenv("GRIDCAP_LOGLEVEL", "verbose")
+        assert cli.main(["gen-data", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: GRIDCAP_LOGLEVEL") and "'verbose'" in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("section,key,value,mode", [
         ("captioner", "d_model", 24, "none"),
         ("selector", "embed_dim", 8, "selector"),
