@@ -358,15 +358,12 @@ class BudgetExhausted(Exception):
 
 @dataclass(repr=False)
 class SceneStepModel:
-    """One scene's decoder: the step a search calls, batched over prefixes,
-    with the ids a search needs, and packed teacher-forced scoring of whole
-    sequences.
+    """The decoder step of one scene, batched over prefixes, with the ids a
+    search needs, and packed teacher-forced scoring of whole sequences.
 
-    Built from the scene's encoder output and the parameters, both as they
-    are, on the tape when the parameters require gradients. ``step`` reads
-    a detached view of both and so builds no tape; ``all_step_logprobs``
-    reads them as given, so a search's candidates can be scored for
-    gradients on the model that found them.
+    It holds the scene's encoder output and the parameters as given, so
+    ``all_step_logprobs`` is on the tape when they are; ``step`` reads a
+    detached view of both and builds no tape.
 
     ``step(prefixes)`` scores every prefix in one decoder pass over their
     last tokens only, in the call order of a grid search: all prefixes of

@@ -160,15 +160,17 @@ class Experiment:
             raise ConfigError(f"cannot write {self.path(name)}: {exc}") from exc
 
     def _read_scenes(self, path):
-        """``read_jsonl``, then every region row's width against
-        ``data.visual_dim`` and every detection's image, box and score."""
+        """``read_jsonl``, then a check that every region row is
+        ``data.visual_dim`` finite numbers and that every detection's image,
+        box and score pass ``extract_features``."""
         scenes = read_jsonl(path)
+        dim = self.data_cfg.visual_dim
         for scene in scenes:
             for det, row in zip(scene.detections, scene.region_visual):
-                if len(row) != self.data_cfg.visual_dim:
-                    raise ValueError(f"scene {scene.scene_id!r} has a region row of "
-                                     f"width {len(row)}, data.visual_dim is "
-                                     f"{self.data_cfg.visual_dim}")
+                row = np.asarray(row, dtype=np.float64)
+                if row.shape != (dim,) or not np.isfinite(row).all():
+                    raise ValueError(f"scene {scene.scene_id!r} has a region row "
+                                     f"that is not {dim} finite numbers")
                 extract_features(det, scene.W, scene.H)
         return scenes
 

@@ -85,9 +85,9 @@ def _train_epochs(phase: str, params, items, minibatch_loss, val_key: str,
     """Pre-training: Adam under the Noam schedule over shuffled minibatches
     of ``items``, one forward and backward each; returns the epoch records.
 
-    ``minibatch_loss(batch)`` is a list of items' mean loss, and
-    ``validate()`` gives each epoch record its ``val_key`` value. Each
-    epoch logs one INFO line containing " epoch ".
+    ``minibatch_loss(batch)`` gives the mean loss of a list of items, and
+    ``validate()`` each epoch record's ``val_key`` value. Each epoch logs
+    one INFO line containing " epoch ".
     """
     state = AdamState()
     records = []

@@ -633,14 +633,15 @@ class TestCli:
         lambda s: s | {"detections": [], "region_visual": []},
         lambda s: s | {"region_visual": [r[:3] for r in s["region_visual"]]},
         lambda s: s | {"region_visual": s["region_visual"][1:]},
+        lambda s: s | {"region_visual": [["x"] + r[1:] for r in s["region_visual"]]},
         lambda s: s | {"references": []},
         lambda s: s | {"detections": [s["detections"][0] | {"score": 1.5}]
                        + s["detections"][1:]},
         lambda s: s | {"detections": [s["detections"][0] | {"box": [0, 0, 10, 10]}]
                        + s["detections"][1:]},
         lambda s: s | {"W": 0},
-    ], ids=["no-detections", "narrow-rows", "missing-row", "no-references",
-            "score-over-1", "box-off-image", "zero-width"])
+    ], ids=["no-detections", "narrow-rows", "missing-row", "text-in-row",
+            "no-references", "score-over-1", "box-off-image", "zero-width"])
     def test_corrupt_scene_record_is_exit_1(self, run_dir, tmp_path, capsys,
                                             corrupt):
         base, config, _ = run_dir
