@@ -9,19 +9,20 @@ of the decoder stack, and output logits tie to the transpose of the
 embedding matrix.
 
 One decoder-layer body serves two callers. Teacher forcing runs it over
-whole sequences, for training and sequence scoring. A minibatch packs its
-sequences as stacked rows in one pass: a block mask keeps each row to
-itself, the non-PAD earlier positions of its own sequence and its own
-scene's encoder rows. The encoder packs the minibatch's distinct scenes
-the same way, with the memory slots visible to every row. One sequence is
-the packed case with one segment. ``SceneStepModel.step`` runs it over
-the last token of many prefixes at once, for search. It is called once
-per grid column, each prefix extending one of the previous call's, so
-earlier positions' self-attention keys and values come from per-layer
-(rows, length, d) arrays of that call; the encoder's cross-attention keys
-and values are computed once per scene. One ``SceneStepModel`` serves a
-scene: it searches without a tape, then scores the search's candidates on
-the tape.
+whole sequences packed as stacked rows of one pass: a block mask keeps each
+row to itself, the earlier positions of its own sequence and its own
+scene's encoder rows. The encoder packs distinct scenes the same way, with
+the memory slots visible to every row. ``token_logprobs`` scores every
+next token of such a pass for both objectives: ``xent_loss`` weighs it for
+pre-training, and ``SceneStepModel.all_step_logprobs`` returns it for
+self-critical scoring. ``SceneStepModel.step`` runs the body over the last
+token of many prefixes at once, for search. It is called once per grid
+column, each prefix extending one of the previous call's, so earlier
+positions' self-attention keys and values come from per-layer (rows,
+length, d) arrays of that call; the encoder's cross-attention keys and
+values are computed once per scene. One ``SceneStepModel`` serves a scene:
+it searches without a tape, then scores the search's candidates on the
+tape. PAD is an ordinary token to both paths.
 
 The parameter builders (``init_matrix``, ``init_layer_norm``, ``init_ffn``)
 and the feed-forward sub-block ``ffn`` also build the region selector.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,12 +111,14 @@ class CaptionerConfig:
         return self.d_model // self.num_heads
 
 
+@lru_cache
 def positional_encoding(length: int, dim: int) -> np.ndarray:
-    """Sinusoidal position table (length, dim)."""
+    """Sinusoidal position table (length, dim), built once and read-only."""
     pos = np.arange(length)[:, None].astype(np.float64)
     i = np.arange(dim)[None, :].astype(np.float64)
     angles = pos / np.power(10000.0, 2.0 * np.floor(i / 2.0) / dim)
     table = np.where(i % 2 == 0, np.sin(angles), np.cos(angles))
+    table.flags.writeable = False
     return table
 
 
@@ -183,6 +187,23 @@ def ffn(x: Tensor, params: dict[str, Tensor], pre: str) -> Tensor:
     return nm.add(x, h)
 
 
+def _project(h: Tensor, params: dict[str, Tensor], pre: str):
+    """Keys and values ``h Wk`` and ``h Wv`` of the attention named ``pre``."""
+    return nm.matmul(h, params[f"{pre}.wk"]), nm.matmul(h, params[f"{pre}.wv"])
+
+
+def attention(x: Tensor, params: dict[str, Tensor], pre: str, kv, num_heads: int,
+              mask: np.ndarray | None = None) -> Tensor:
+    """Pre-norm residual attention sub-block: x + Wo MHA(h Wq, kv(h)) with
+    h = LN(x); ``kv(h)`` gives the keys and values and ``mask`` marks
+    blocked (row, key) pairs."""
+    h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
+    k, v = kv(h)
+    attended = nm.multi_head_attention(nm.matmul(h, params[f"{pre}.wq"]), k, v,
+                                       num_heads, mask)
+    return nm.add(x, nm.matmul(attended, params[f"{pre}.wo"]))
+
+
 def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor],
            segments=None) -> Tensor:
     """Region vectors (n, visual_dim) -> encoder memory (n, d_model).
@@ -205,19 +226,13 @@ def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor],
                            np.zeros((n, cfg.num_memory), dtype=bool)], axis=1)
     x = nm.linear(x, params["enc.input.w"], params["enc.input.b"])
     for i in range(cfg.num_enc_layers):
-        pre = f"enc{i}.attn"
-        h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
-        k = nm.matmul(h, params[f"{pre}.wk"])
-        v = nm.matmul(h, params[f"{pre}.wv"])
-        if cfg.num_memory > 0:
-            # each memory slot is one (head_dim) row that every head reads
-            k = nm.concat([k, nm.concat([params[f"enc{i}.mem.k"]] * cfg.num_heads,
-                                        axis=1)])
-            v = nm.concat([v, nm.concat([params[f"enc{i}.mem.v"]] * cfg.num_heads,
-                                        axis=1)])
-        attended = nm.multi_head_attention(nm.matmul(h, params[f"{pre}.wq"]), k, v,
-                                           cfg.num_heads, mask)
-        x = nm.add(x, nm.matmul(attended, params[f"{pre}.wo"]))
+        def kv(h, i=i):  # each memory slot is one (head_dim) row every head reads
+            return [nm.concat([t, nm.concat([params[f"enc{i}.mem.{name}"]]
+                                            * cfg.num_heads, axis=1)])
+                    if cfg.num_memory else t
+                    for t, name in zip(_project(h, params, f"enc{i}.attn"), "kv")]
+
+        x = attention(x, params, f"enc{i}.attn", kv, cfg.num_heads, mask)
         x = ffn(x, params, f"enc{i}.ffn")
     return nm.layer_norm(x, params["enc.final.ln_gain"], params["enc.final.ln_bias"])
 
@@ -242,59 +257,23 @@ def _embed(ids, pe: np.ndarray, params: dict[str, Tensor]) -> Tensor:
     return nm.add(x, Tensor(pe))
 
 
-def _decoder_stack(x: Tensor, self_mask: np.ndarray, self_kv, cross_kv,
-                   cfg: CaptionerConfig, params: dict[str, Tensor],
-                   cross_mask: np.ndarray | None = None) -> Tensor:
+def _decoder_stack(x: Tensor, self_kv, self_mask: np.ndarray, cross_kv,
+                   cross_mask: np.ndarray | None, cfg: CaptionerConfig,
+                   params: dict[str, Tensor]) -> Tensor:
     """The decoder layers over the rows of ``x``, then the down projection.
 
-    ``self_kv(i, k, v)`` turns layer i's key and value rows of ``x`` into the
-    keys and values those rows attend to, with ``self_mask`` marking blocked
-    (row, key) pairs; ``cross_kv(i)`` gives layer i's encoder keys and values,
-    with ``cross_mask`` marking blocked (row, encoder row) pairs.
+    ``self_kv(i, h)`` and ``cross_kv(i, h)`` give layer i's self- and
+    cross-attention keys and values for the normed rows ``h``; the masks
+    mark blocked (row, key) pairs.
     """
     for i in range(cfg.num_dec_layers):
-        pre = f"dec{i}.self"
-        h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
-        q = nm.matmul(h, params[f"{pre}.wq"])
-        k, v = self_kv(i, nm.matmul(h, params[f"{pre}.wk"]),
-                       nm.matmul(h, params[f"{pre}.wv"]))
-        attended = nm.multi_head_attention(q, k, v, cfg.num_heads, mask=self_mask)
-        x = nm.add(x, nm.matmul(attended, params[f"{pre}.wo"]))
-
-        pre = f"dec{i}.cross"
-        h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
-        q = nm.matmul(h, params[f"{pre}.wq"])
-        k, v = cross_kv(i)
-        attended = nm.multi_head_attention(q, k, v, cfg.num_heads, mask=cross_mask)
-        x = nm.add(x, nm.matmul(attended, params[f"{pre}.wo"]))
-
+        x = attention(x, params, f"dec{i}.self", lambda h: self_kv(i, h),
+                      cfg.num_heads, self_mask)
+        x = attention(x, params, f"dec{i}.cross", lambda h: cross_kv(i, h),
+                      cfg.num_heads, cross_mask)
         x = ffn(x, params, f"dec{i}.ffn")
-
     x = nm.layer_norm(x, params["dec.final.ln_gain"], params["dec.final.ln_bias"])
     return nm.linear(x, params["embed.down_w"], params["embed.down_b"])
-
-
-def _cross_kv(enc_out: Tensor, params: dict[str, Tensor], i: int):
-    return (nm.matmul(enc_out, params[f"dec{i}.cross.wk"]),
-            nm.matmul(enc_out, params[f"dec{i}.cross.wv"]))
-
-
-def _packed(tokens, scenes, enc_segments, cfg: CaptionerConfig):
-    """Stacked ids and positions of a list of sequences, with their self- and
-    cross-attention masks."""
-    seqs = [_validate_tokens(t, cfg) for t in tokens]
-    scenes = (np.zeros(len(seqs), dtype=np.intp) if scenes is None
-              else np.asarray(scenes))
-    if scenes.shape != (len(seqs),):
-        raise ValueError(f"{len(scenes)} scene numbers for {len(seqs)} sequences")
-    ids = np.concatenate(seqs)
-    segment = np.repeat(np.arange(len(seqs)), [len(s) for s in seqs])
-    pos = np.concatenate([np.arange(len(s)) for s in seqs])
-    row = np.arange(len(ids))
-    self_mask = ((segment[:, None] != segment[None, :]) | (pos[None, :] > pos[:, None])
-                 | ((ids == cfg.vocab.pad_id)[None, :] & (row[:, None] != row[None, :])))
-    cross_mask = scenes[segment][:, None] != np.asarray(enc_segments)[None, :]
-    return ids, pos, self_mask, cross_mask
 
 
 def decode_hidden(tokens, enc_out: Tensor, cfg: CaptionerConfig,
@@ -302,18 +281,28 @@ def decode_hidden(tokens, enc_out: Tensor, cfg: CaptionerConfig,
     """Down-projected decoder states (rows, embed_dim), pre-tying.
 
     Teacher forcing, packed: ``tokens`` is a list of sequences whose rows
-    are stacked in order. Every position attends to itself and the non-PAD
+    are stacked in order. Every position attends to itself and the
     positions before it in its own sequence, and to the encoder rows of its
     scene: ``scenes[b]`` (default 0) numbers sequence b's scene, matched
     against ``enc_segments`` (as given to ``encode``; default one scene).
     """
+    seqs = [_validate_tokens(t, cfg) for t in tokens]
+    scenes = (np.zeros(len(seqs), dtype=np.intp) if scenes is None
+              else np.asarray(scenes))
+    if scenes.shape != (len(seqs),):
+        raise ValueError(f"{len(scenes)} scene numbers for {len(seqs)} sequences")
     if enc_segments is None:
         enc_segments = np.zeros(enc_out.shape[0], dtype=np.intp)
-    ids, pos, self_mask, cross_mask = _packed(tokens, scenes, enc_segments, cfg)
-    x = _embed(ids, positional_encoding(cfg.max_len, cfg.d_model)[pos], params)
-    return _decoder_stack(x, self_mask, lambda i, k, v: (k, v),
-                          lambda i: _cross_kv(enc_out, params, i), cfg, params,
-                          cross_mask)
+    segment = np.repeat(np.arange(len(seqs)), [len(s) for s in seqs])
+    pos = np.concatenate([np.arange(len(s)) for s in seqs])
+    self_mask = (segment[:, None] != segment[None, :]) | (pos[None, :] > pos[:, None])
+    cross_mask = scenes[segment][:, None] != np.asarray(enc_segments)[None, :]
+    x = _embed(np.concatenate(seqs),
+               positional_encoding(cfg.max_len, cfg.d_model)[pos], params)
+    return _decoder_stack(
+        x, lambda i, h: _project(h, params, f"dec{i}.self"), self_mask,
+        lambda i, h: _project(enc_out, params, f"dec{i}.cross"), cross_mask,
+        cfg, params)
 
 
 def decode_logits(tokens, enc_out: Tensor, cfg: CaptionerConfig,
@@ -325,31 +314,34 @@ def decode_logits(tokens, enc_out: Tensor, cfg: CaptionerConfig,
     return nm.matmul(h, nm.transpose(params["embed.E"]))
 
 
-def xent_loss(tokens, enc_out: Tensor, cfg: CaptionerConfig,
-              params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
-    """Mean next-token cross-entropy; positions whose target is PAD are skipped.
-
-    ``tokens`` is a packed list of sequences (see ``decode_hidden``); the
-    loss is the mean over sequences of each one's mean, so a supervised row
-    weighs 1 / (its sequence's supervised rows · number of sequences).
-    """
-    rows, targets, weights = [], [], []
-    start = 0
-    for seq in tokens:
-        ids = _validate_tokens(seq, cfg)
-        if cfg.vocab.eos_id not in ids:
-            raise ValueError("training sequence lacks EOS")
-        sup = np.flatnonzero(ids[1:] != cfg.vocab.pad_id)
-        if not len(sup):
-            raise ValueError("no supervised positions in sequence")
-        rows.append(start + sup)
-        targets.append(ids[sup + 1])
-        weights.append(np.full(len(sup), 1.0 / (len(sup) * len(tokens))))
-        start += len(ids)
+def token_logprobs(tokens, enc_out: Tensor, cfg: CaptionerConfig,
+                   params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
+    """Log-prob of every next token of a packed list of sequences (see
+    ``decode_hidden``), sequence by sequence: a length-L sequence gives L - 1
+    entries, position t scoring token t + 1."""
     lsm = nm.log_softmax(decode_logits(tokens, enc_out, cfg, params, scenes,
                                        enc_segments), axis=-1)
-    picked = nm.take(lsm, np.concatenate(rows), np.concatenate(targets))
-    return nm.neg(nm.tsum(nm.mul(picked, Tensor(np.concatenate(weights)))))
+    seqs = [np.asarray(t, dtype=np.intp) for t in tokens]
+    last = np.cumsum([len(s) for s in seqs]) - 1
+    return nm.take(lsm, np.delete(np.arange(last[-1] + 1), last),
+                   np.concatenate([s[1:] for s in seqs]))
+
+
+def xent_loss(tokens, enc_out: Tensor, cfg: CaptionerConfig,
+              params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
+    """Mean next-token cross-entropy of a packed list of sequences (see
+    ``decode_hidden``), each of which must hold EOS.
+
+    The loss is the mean over sequences of each one's mean, so a length-L
+    sequence's ``token_logprobs`` entries weigh 1 / ((L - 1) · number of
+    sequences).
+    """
+    if any(cfg.vocab.eos_id not in _validate_tokens(t, cfg) for t in tokens):
+        raise ValueError("training sequence lacks EOS")
+    steps = [len(t) - 1 for t in tokens]
+    weights = np.repeat([1.0 / (n * len(tokens)) for n in steps], steps)
+    picked = token_logprobs(tokens, enc_out, cfg, params, scenes, enc_segments)
+    return nm.neg(nm.tsum(nm.mul(picked, Tensor(weights))))
 
 
 class BudgetExhausted(Exception):
@@ -363,7 +355,8 @@ class SceneStepModel:
 
     It holds the scene's encoder output and the parameters as given, so
     ``all_step_logprobs`` is on the tape when they are; ``step`` reads a
-    detached view of both and builds no tape.
+    detached view of both, made with the encoder's cross-attention keys and
+    values when the model is built, and builds no tape.
 
     ``step(prefixes)`` scores every prefix in one decoder pass over their
     last tokens only, in the call order of a grid search: all prefixes of
@@ -375,20 +368,20 @@ class SceneStepModel:
     d) whose row r holds every position of the latest call's prefix r. A
     call gathers its parents' rows, appends its new position, and attends
     over the (rows * n, d) stack under the block mask ``segment[key] !=
-    row``, PAD keys other than a row's own position blocked as under
-    teacher forcing. The detached view, the encoder's cross-attention keys
-    and values and the position table are made together on the first call.
-    The cache assumes fixed weights: an instance serves one search.
+    row``. The cache assumes fixed weights: an instance serves one search.
     """
 
     enc_out: Tensor
     cfg: CaptionerConfig
     params: dict[str, Tensor]
-    _detached: dict | None = field(default=None, init=False)
-    _cross: list = field(default_factory=list, init=False)  # per layer (keys, values)
-    _pe: np.ndarray | None = field(default=None, init=False)
     _rows: dict = field(default_factory=dict, init=False)  # prefix -> row of _kv
     _kv: list = field(default_factory=list, init=False)  # per layer (keys, values)
+
+    def __post_init__(self):
+        self._detached = {k: v.detach() for k, v in self.params.items()}
+        enc = self.enc_out.detach()
+        self._cross = [_project(enc, self._detached, f"dec{i}.cross")
+                       for i in range(self.cfg.num_dec_layers)]
 
     @property
     def bos_id(self) -> int:
@@ -415,46 +408,37 @@ class SceneStepModel:
         if len({len(p) for p in checked}) != 1:
             raise ValueError("a step takes one or more prefixes of one length")
         rows, n = len(checked), len(checked[0])
-        if n == 1:  # BOS alone: no earlier position to attend to
-            parents = [0] * rows
-            empty = np.zeros((1, 0, cfg.d_model))
-            past_kv = [(empty, empty)] * cfg.num_dec_layers
-        else:
-            try:
-                parents = [self._rows[p[:-1]] for p in checked]
-            except KeyError as exc:
-                raise ValueError(f"prefix {exc.args[0]} was not stepped by the "
-                                 "previous call") from None
-            past_kv = self._kv
-        if self._detached is None:
-            self._detached = {k: v.detach() for k, v in self.params.items()}
-            enc = self.enc_out.detach()
-            self._cross = [_cross_kv(enc, self._detached, i)
-                           for i in range(cfg.num_dec_layers)]
-            self._pe = positional_encoding(cfg.max_len, cfg.d_model)
-        params = self._detached
-        ids = np.array(checked)
-        pad_keys = ids == cfg.vocab.pad_id
-        pad_keys[:, -1] = False  # a row always sees its own position
+        if n == 1:  # BOS alone: its empty parent has no position to attend to
+            self._rows = {(): 0}
+            self._kv = [(np.zeros((1, 0, cfg.d_model)),) * 2] * cfg.num_dec_layers
+        try:
+            parents = [self._rows[p[:-1]] for p in checked]
+        except KeyError as exc:
+            raise ValueError(f"prefix {exc.args[0]} was not stepped by the "
+                             "previous call") from None
+        past_kv, params = self._kv, self._detached
         segment = np.repeat(np.arange(rows), n)
-        mask = (segment[None, :] != np.arange(rows)[:, None]) | pad_keys.reshape(1, -1)
+        mask = segment[None, :] != np.arange(rows)[:, None]
         layers = []
 
-        def self_kv(i, k, v):
+        def self_kv(i, h):
             kv = tuple(np.concatenate([past[parents], new.data[:, None]], axis=1)
-                       for past, new in zip(past_kv[i], (k, v)))
+                       for past, new in zip(past_kv[i],
+                                            _project(h, params, f"dec{i}.self")))
             layers.append(kv)
             return tuple(Tensor(a.reshape(rows * n, -1)) for a in kv)
 
-        x = _embed(ids[:, -1], self._pe[[n - 1] * rows], params)
-        h = _decoder_stack(x, mask, self_kv, self._cross.__getitem__, cfg, params)
+        x = _embed([p[-1] for p in checked],
+                   positional_encoding(cfg.max_len, cfg.d_model)[[n - 1] * rows],
+                   params)
+        h = _decoder_stack(x, self_kv, mask, lambda i, h: self._cross[i], None,
+                           cfg, params)
         logits = nm.matmul(h, nm.transpose(params["embed.E"]))
         self._rows = {p: r for r, p in enumerate(checked)}
         self._kv = layers
         return nm.log_softmax(logits, axis=-1).data
 
     def all_step_logprobs(self, seqs) -> Tensor:
-        """Teacher-forced log-prob rows of BOS-led sequences packed in one
-        pass, on the tape when the model's parameters require gradients."""
-        logits = decode_logits(seqs, self.enc_out, self.cfg, self.params)
-        return nm.log_softmax(logits, axis=-1)
+        """``token_logprobs`` of BOS-led sequences on the model's encode, on
+        the tape when the model's parameters require gradients."""
+        return token_logprobs(seqs, self.enc_out, self.cfg, self.params)

@@ -18,9 +18,9 @@ result equals a full-vocabulary expansion.
 
 Every token, constraint word or not, is scored with the model's own
 log-probability, which is what makes the sequence score differentiable:
-``sequence_logprob`` recomputes each candidate's sum under the trainable
-model in one packed pass, so reward gradients flow through constrained
-decodes too.
+``sequence_logprob`` sums each candidate's next-token log-probs, which the
+trainable model returns for all candidates from one packed pass, so reward
+gradients flow through constrained decodes too.
 """
 
 from __future__ import annotations
@@ -204,16 +204,16 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
 def sequence_logprob(candidates, model) -> Tensor:
     """Differentiable log-prob sums (len(candidates),) of completed decodes.
 
-    Constraint words and free words are scored alike under the trainable
-    model, so each sum matches the search-time hypothesis score and its
-    gradient reaches every parameter.
+    ``model.all_step_logprobs`` gives the next-token log-probs of BOS-led
+    sequences, sequence by sequence. Constraint words and free words are
+    scored alike under the trainable model, so each sum matches the
+    search-time hypothesis score and its gradient reaches every parameter.
     """
     seqs = [tuple(int(x) for x in c) for c in candidates]
     if not seqs or not all(seqs):
         raise ValueError("cannot score an empty sequence")
-    lsm = model.all_step_logprobs([(model.bos_id,) + s for s in seqs])
+    picked = model.all_step_logprobs([(model.bos_id,) + s for s in seqs])
+    # the entries come candidate by candidate; a one-hot matmul sums each's
     owner = np.repeat(np.arange(len(seqs)), [len(s) for s in seqs])
-    # candidate b's rows follow b earlier BOS rows; a one-hot matmul sums them
-    picked = nm.take(lsm, np.arange(len(owner)) + owner, np.concatenate(seqs))
     onehot = Tensor(owner[:, None] == np.arange(len(seqs)))
     return nm.reshape(nm.matmul(nm.reshape(picked, (1, -1)), onehot), (len(seqs),))

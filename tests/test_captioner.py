@@ -9,7 +9,8 @@ from gridcap.numerics import Tensor
 from gridcap.captioner import (BudgetExhausted, CaptionerConfig,
                                SceneStepModel, Vocabulary, decode_hidden,
                                decode_logits, encode,
-                               init_captioner_params, xent_loss)
+                               init_captioner_params, token_logprobs,
+                               xent_loss)
 
 from test_numerics import check_grads
 
@@ -143,7 +144,8 @@ class TestPacking:
         np.testing.assert_allclose(packed.data, alone, rtol=0, atol=1e-12)
 
     def test_minibatch_equals_per_sample_loop(self, setup):
-        # two references of one scene, and a sequence with a PAD token
+        # two references of one scene, and a sequence ending in a PAD token,
+        # which both paths score as an ordinary token
         cfg, params, _ = setup
         a, b = self.scenes()
         v = cfg.vocab
@@ -179,6 +181,30 @@ class TestPacking:
             decode_logits([v.bos_id, 4, v.eos_id], enc, cfg, params)
         with pytest.raises(ValueError):
             encode(regions, cfg, params, [0, 1])
+
+
+class TestTokenLogprobs:
+    def test_packed_sequences_equal_each_scored_alone(self, setup):
+        cfg, params, regions = setup
+        enc = encode(regions, cfg, params)
+        v = cfg.vocab
+        seqs = [[v.bos_id, 5, 6, 7, 8, v.eos_id], [v.bos_id, 9],
+                [v.bos_id, 4, v.pad_id, v.eos_id]]
+        packed = token_logprobs(seqs, enc, cfg, params).data
+        alone = np.concatenate([token_logprobs([s], enc, cfg, params).data
+                                for s in seqs])
+        assert packed.shape == (sum(len(s) - 1 for s in seqs),)
+        np.testing.assert_allclose(packed, alone, rtol=0, atol=1e-12)
+
+    def test_entries_are_the_next_token_log_softmax(self, setup):
+        cfg, params, regions = setup
+        enc = encode(regions, cfg, params)
+        toks = [cfg.vocab.bos_id, 5, 6, cfg.vocab.eos_id]
+        logits = decode_logits([toks], enc, cfg, params).data
+        lsm = logits - logits.max(axis=1, keepdims=True)
+        lsm -= np.log(np.exp(lsm).sum(axis=1, keepdims=True))
+        np.testing.assert_allclose(token_logprobs([toks], enc, cfg, params).data,
+                                   lsm[np.arange(3), toks[1:]], rtol=0, atol=1e-12)
 
 
 class TestDecodeLogits:
@@ -256,14 +282,16 @@ class TestXentLoss:
         loss = xent_loss([[v.bos_id, v.unk_id, v.eos_id]], enc, cfg, params)
         assert loss.item() == pytest.approx(math.log(len(v)), rel=1e-12)
 
-    def test_pad_extension_leaves_loss_unchanged(self, setup):
+    def test_is_the_weighted_token_logprobs_sum_bitwise(self, setup):
         cfg, params, regions = setup
         enc = encode(regions, cfg, params)
         v = cfg.vocab
-        toks = [v.bos_id, 5, 6, v.eos_id]
-        base = xent_loss([toks], enc, cfg, params).item()
-        padded = xent_loss([toks + [v.pad_id] * 3], enc, cfg, params).item()
-        assert abs(base - padded) < 1e-12
+        seqs = [[v.bos_id, 5, 6, v.eos_id], [v.bos_id, v.eos_id],
+                [v.bos_id, 7, 4, 9, 5, v.eos_id]]
+        weights = np.concatenate([np.full(len(s) - 1, 1.0 / ((len(s) - 1) * 3))
+                                  for s in seqs])
+        tlp = token_logprobs(seqs, enc, cfg, params).data
+        assert xent_loss(seqs, enc, cfg, params).item() == -(tlp * weights).sum()
 
     def test_missing_eos_rejected(self, setup):
         cfg, params, regions = setup

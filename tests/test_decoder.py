@@ -357,6 +357,16 @@ class TestSequenceLogprob:
         assert got.shape == (1,)
         assert got.data[0] == pytest.approx(manual, abs=1e-9)
 
+    def test_pad_scores_as_an_ordinary_token_on_both_paths(self, model):
+        cfg, params, regions = model
+        sm = SceneStepModel(encode(regions, cfg, params), cfg, params)
+        v = cfg.vocab
+        tokens = v.encode(["red"]) + [v.pad_id] + v.encode(["dog"]) + [v.eos_id]
+        stepped = sum(float(sm.step([(v.bos_id,) + tuple(tokens[:i])])[0, tokens[i]])
+                      for i in range(len(tokens)))
+        got = sequence_logprob([tokens], sm).data[0]
+        assert got == pytest.approx(stepped, rel=0, abs=1e-12)
+
     def test_matches_search_hypothesis_score(self, model):
         cfg, params, regions = model
         sm = SceneStepModel(encode(regions, cfg, params), cfg, params)
