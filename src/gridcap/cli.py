@@ -36,7 +36,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .captioner import CaptionerConfig, Vocabulary, init_captioner_params
+from .captioner import RESERVED, CaptionerConfig, Vocabulary, init_captioner_params
 from .data import (DatasetConfig, apply_heldout, build_vocabulary,
                    default_synonyms, gen_dataset, read_jsonl, write_jsonl)
 from .numerics import (NumericsError, checkpoint_hash, load_checkpoint,
@@ -161,17 +161,26 @@ class Experiment:
 
     def _read_scenes(self, path):
         """``read_jsonl``, then a check that every region row is
-        ``data.visual_dim`` finite numbers and that every detection's image,
-        box and score pass ``extract_features``."""
+        ``data.visual_dim`` finite numbers, that every detection's class id
+        numbers its class word in ``data.classes``, that its image, box and
+        score pass ``extract_features``, and that no reference holds a
+        reserved vocabulary token."""
         scenes = read_jsonl(path)
-        dim = self.data_cfg.visual_dim
+        dim, classes = self.data_cfg.visual_dim, self.data_cfg.classes
         for scene in scenes:
+            where = f"scene {scene.scene_id!r}"
             for det, row in zip(scene.detections, scene.region_visual):
                 row = np.asarray(row, dtype=np.float64)
                 if row.shape != (dim,) or not np.isfinite(row).all():
-                    raise ValueError(f"scene {scene.scene_id!r} has a region row "
-                                     f"that is not {dim} finite numbers")
+                    raise ValueError(f"{where} has a region row that is not "
+                                     f"{dim} finite numbers")
+                if not (0 <= det.class_id < len(classes)
+                        and classes[det.class_id] == det.class_word):
+                    raise ValueError(f"{where} has class id {det.class_id!r} with "
+                                     f"word {det.class_word!r}, not in data.classes")
                 extract_features(det, scene.W, scene.H)
+            if any(t in RESERVED for ref in scene.references for t in ref):
+                raise ValueError(f"{where} has a reference holding a reserved token")
         return scenes
 
     def inputs(self):

@@ -583,6 +583,8 @@ def save_checkpoint(path, params: dict[str, Tensor]) -> str:
 
 
 def load_checkpoint(path) -> dict[str, Tensor]:
+    """Parameters written by ``save_checkpoint``; NumericsError on an unknown
+    format or a non-finite value."""
     with open(path, "rb") as fh:
         payload = json.loads(fh.read().decode("utf-8"))
     if payload.get("format") != _CKPT_FORMAT:
@@ -591,6 +593,8 @@ def load_checkpoint(path) -> dict[str, Tensor]:
     for name, entry in payload["params"].items():
         raw = base64.b64decode(entry["data"])
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(entry["shape"])
+        if not np.isfinite(arr).all():
+            raise NumericsError(f"parameter {name} in {path} is not finite")
         params[name] = Tensor(arr.copy(), requires_grad=True)
     return params
 

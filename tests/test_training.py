@@ -13,7 +13,8 @@ from gridcap import training as tr
 from gridcap.captioner import CaptionerConfig, Vocabulary
 from gridcap.data import (DatasetConfig, apply_heldout, build_vocabulary,
                           default_synonyms, gen_dataset)
-from gridcap.numerics import Tensor, checkpoint_hash
+from gridcap.numerics import (Tensor, checkpoint_hash, load_checkpoint,
+                              save_checkpoint)
 from gridcap.selector import SelectorConfig, init_selector_params
 from gridcap.training import (TrainConfig, build_training_constraints,
                               constraints_for_mode, decode_eval,
@@ -640,8 +641,15 @@ class TestCli:
         lambda s: s | {"detections": [s["detections"][0] | {"box": [0, 0, 10, 10]}]
                        + s["detections"][1:]},
         lambda s: s | {"W": 0},
+        lambda s: s | {"detections": [s["detections"][0] | {"class_word": "zebra"}]
+                       + s["detections"][1:]},
+        lambda s: s | {"detections": [s["detections"][0] | {"class_id": 99}]
+                       + s["detections"][1:]},
+        lambda s: s | {"references": [s["references"][0] + ["<pad>"]]
+                       + s["references"][1:]},
     ], ids=["no-detections", "narrow-rows", "missing-row", "text-in-row",
-            "no-references", "score-over-1", "box-off-image", "zero-width"])
+            "no-references", "score-over-1", "box-off-image", "zero-width",
+            "unknown-class-word", "class-id-out-of-range", "reserved-reference"])
     def test_corrupt_scene_record_is_exit_1(self, run_dir, tmp_path, capsys,
                                             corrupt):
         base, config, _ = run_dir
@@ -654,6 +662,24 @@ class TestCli:
         for stage in ("train-selector", "train-captioner"):
             assert cli.main([stage, "--config", config, "--out", str(out)]) == 1
             assert f"config error: corrupt {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", [["eval", "--mode", "none"], ["finetune"]],
+                             ids=["eval", "finetune"])
+    def test_non_finite_checkpoint_is_exit_1(self, run_dir, tmp_path, capsys,
+                                             stage):
+        base, config, _ = run_dir
+        out = tmp_path / "run"
+        shutil.copytree(base / "run", out)
+        (out / "captioner_rl.ckpt").unlink()
+        ckpt = out / "captioner.ckpt"
+        params = load_checkpoint(ckpt)
+        params["embed.E"].data[0, 0] = np.nan
+        save_checkpoint(ckpt, params)
+        assert cli.main(stage[:1] + ["--config", config, "--out", str(out)]
+                        + stage[1:]) == 1
+        assert f"config error: corrupt {ckpt}" in capsys.readouterr().err
+        assert not (out / "captions_none.jsonl").exists()
+        assert not (out / "captioner_rl.ckpt").exists()
 
     def test_unknown_log_level_is_exit_1(self, tmp_path, capsys, monkeypatch):
         config = tmp_path / "c.json"
