@@ -385,13 +385,9 @@ def constraints_for_mode(scene: SceneRecord, mode: str, vocab, synonyms,
     if mode == "none":
         return []
     if mode in ("top1", "top2", "top3"):
-        k = int(mode[-1])
-        order = sorted(scene.detections, key=lambda d: (-d.score, d.class_word))
-        words = []
-        for d in order[:k]:
-            if d.class_word not in words:
-                words.append(d.class_word)
-        return words
+        top = sorted(scene.detections,
+                     key=lambda d: (-d.score, d.class_word))[:int(mode[-1])]
+        return rank_class_words(top, [d.score for d in top])
     if mode == "oracle":
         return build_training_constraints(scene, synonyms, vocab)
     if mode == "selector":
