@@ -192,8 +192,8 @@ def _project(h: Tensor, params: dict[str, Tensor], pre: str):
     return nm.matmul(h, params[f"{pre}.wk"]), nm.matmul(h, params[f"{pre}.wv"])
 
 
-def attention(x: Tensor, params: dict[str, Tensor], pre: str, kv, num_heads: int,
-              mask: np.ndarray | None = None) -> Tensor:
+def _attention(x: Tensor, params: dict[str, Tensor], pre: str, kv,
+               num_heads: int, mask: np.ndarray | None = None) -> Tensor:
     """Pre-norm residual attention sub-block: x + Wo MHA(h Wq, kv(h)) with
     h = LN(x); ``kv(h)`` gives the keys and values and ``mask`` marks
     blocked (row, key) pairs."""
@@ -232,7 +232,7 @@ def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor],
                     if cfg.num_memory else t
                     for t, name in zip(_project(h, params, f"enc{i}.attn"), "kv")]
 
-        x = attention(x, params, f"enc{i}.attn", kv, cfg.num_heads, mask)
+        x = _attention(x, params, f"enc{i}.attn", kv, cfg.num_heads, mask)
         x = ffn(x, params, f"enc{i}.ffn")
     return nm.layer_norm(x, params["enc.final.ln_gain"], params["enc.final.ln_bias"])
 
@@ -267,10 +267,10 @@ def _decoder_stack(x: Tensor, self_kv, self_mask: np.ndarray, cross_kv,
     mark blocked (row, key) pairs.
     """
     for i in range(cfg.num_dec_layers):
-        x = attention(x, params, f"dec{i}.self", lambda h: self_kv(i, h),
-                      cfg.num_heads, self_mask)
-        x = attention(x, params, f"dec{i}.cross", lambda h: cross_kv(i, h),
-                      cfg.num_heads, cross_mask)
+        x = _attention(x, params, f"dec{i}.self", lambda h: self_kv(i, h),
+                       cfg.num_heads, self_mask)
+        x = _attention(x, params, f"dec{i}.cross", lambda h: cross_kv(i, h),
+                       cfg.num_heads, cross_mask)
         x = ffn(x, params, f"dec{i}.ffn")
     x = nm.layer_norm(x, params["dec.final.ln_gain"], params["dec.final.ln_bias"])
     return nm.linear(x, params["embed.down_w"], params["embed.down_b"])

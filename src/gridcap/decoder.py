@@ -213,7 +213,7 @@ def sequence_logprob(candidates, model) -> Tensor:
     if not seqs or not all(seqs):
         raise ValueError("cannot score an empty sequence")
     picked = model.all_step_logprobs([(model.bos_id,) + s for s in seqs])
-    # the entries come candidate by candidate; a one-hot matmul sums each's
+    # entries come candidate by candidate; a one-hot matmul sums each one's
     owner = np.repeat(np.arange(len(seqs)), [len(s) for s in seqs])
     onehot = Tensor(owner[:, None] == np.arange(len(seqs)))
     return nm.reshape(nm.matmul(nm.reshape(picked, (1, -1)), onehot), (len(seqs),))
