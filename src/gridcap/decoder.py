@@ -9,12 +9,10 @@ actual coverage. Row n therefore holds exactly the sequences that satisfy
 all n constraints.
 
 Each grid column costs one batched model call that scores every live
-parent. A parent then offers only the continuations that can survive
-pruning: its k best free tokens (those other than its unmet constraint
-words) and each unmet constraint word. Every free continuation of a parent
-lands in the parent's own coverage row, so any free token beyond its k best
-ranks below k hypotheses of that row and would be pruned anyway; the
-result equals a full-vocabulary expansion.
+parent, giving a (parents, vocabulary) score matrix and, beside it, the
+coverage each continuation would reach. Every cell then keeps its k best
+entries of that coverage straight from the matrix, so the search is a
+full-vocabulary expansion, and hypotheses are built only for kept entries.
 
 Every token, constraint word or not, is scored with the model's own
 log-probability, which is what makes the sequence score differentiable:
@@ -109,25 +107,8 @@ class GridResult:
     finished: list[Hypothesis]  # all finished full-coverage hypotheses, ranked
     trace: list[dict] = field(default_factory=list)
     step_calls: int = 0  # batched model calls, one per column with a live parent
-    offered: int = 0  # continuations built by expansion
+    offered: int = 0  # each live parent's k best free tokens plus its unmet words
     kept: int = 0  # hypotheses that survived pruning, summed over cells
-
-
-def _expand(parent: Hypothesis, lp: np.ndarray, constraint_ids: tuple[int, ...],
-            k: int, eos: int) -> list[Hypothesis]:
-    """The continuations of ``parent`` that can survive pruning: its k best
-    free tokens by (-logprob, token), then each unmet constraint id."""
-    scores = parent.logprob + lp
-    unmet = [c for c in constraint_ids if c not in parent.met]
-    free = np.ones(len(scores), dtype=bool)
-    free[unmet] = False
-    free_ids = np.flatnonzero(free)
-    best = free_ids[np.lexsort((free_ids, -scores[free_ids]))[:k]]
-    out = [Hypothesis(parent.tokens + (tok,), float(scores[tok]), parent.met,
-                      tok == eos) for tok in best.tolist()]
-    out += [Hypothesis(parent.tokens + (tok,), float(scores[tok]),
-                       parent.met | {tok}, tok == eos) for tok in unmet]
-    return out
 
 
 def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
@@ -156,23 +137,38 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
 
     for t in range(T):
         parents = [h for beam in beams.values() for h in beam if not h.finished]
-        # a column's hypotheses are distinct, and children of distinct parents
-        # differ in their prefix, so no child is offered twice
-        cands = {c: [] for c in feasible_coverage(t + 1, n, T)}
         if parents:
             rows = model.step([(model.bos_id,) + p.tokens for p in parents])
             step_calls += 1
-            for parent, lp in zip(parents, rows):
-                for h in _expand(parent, lp, constraints.ids, k, model.eos_id):
-                    offered += 1
-                    if len(h.met) in cands:
-                        cands[len(h.met)].append(h)
+        else:  # every beam has finished; the column's cells stay empty
+            rows = np.empty((0, model.vocab_size))
+        # entry (i, tok) of each matrix is the continuation parents[i] + tok
+        vocab = rows.shape[1]
+        scores = (np.array([p.logprob for p in parents])[:, None] + rows).ravel()
+        gains = np.zeros(rows.shape, dtype=bool)  # tok is an unmet constraint
+        for i, p in enumerate(parents):
+            gains[i, [c for c in constraints.ids if c not in p.met]] = True
+        unmet = gains.sum(axis=1)
+        cover = ((n - unmet)[:, None] + gains).ravel()
+        offered += int((np.minimum(k, vocab - unmet) + unmet).sum())
+        # parents share one length, so sort_key orders equal scores by the
+        # parent's tokens, then by the new token
+        rank = np.argsort(sorted(range(len(parents)), key=lambda i: parents[i].tokens))
 
         beams = {}
-        for c, hyps in cands.items():
-            kept = sorted(hyps, key=Hypothesis.sort_key)[:k]
-            for h in kept:
+        for c in feasible_coverage(t + 1, n, T):
+            idx = np.flatnonzero(cover == c)
+            if len(idx) > k:  # drop entries scored below the cell's k-th best
+                idx = idx[scores[idx] >= -np.partition(-scores[idx], k - 1)[k - 1]]
+            idx = idx[np.lexsort((idx % vocab, rank[idx // vocab], -scores[idx]))][:k]
+            kept = []
+            for j in idx.tolist():
+                p, tok = parents[j // vocab], j % vocab
+                h = Hypothesis(p.tokens + (tok,), float(scores[j]),
+                               p.met | {tok} if gains.flat[j] else p.met,
+                               tok == model.eos_id)
                 assert len(h.tokens) == t + 1 and len(h.met) == c
+                kept.append(h)
             beams[c] = kept
             kept_total += len(kept)
             if c == n:

@@ -124,6 +124,20 @@ def search_case(draw):
 
 
 @st.composite
+def tied_search_case(draw):
+    """Like ``search_case``, but every table entry is one of two log-probs,
+    so hypotheses of one cell often tie on score (sums stay exact)."""
+    V = draw(st.integers(2, 6))
+    T = draw(st.integers(1, 5))
+    ids = draw(st.lists(st.integers(1, V - 1), max_size=min(2, T - 1),
+                        unique=True))
+    k = draw(st.integers(1, V + 2))
+    table = draw(st.lists(st.sampled_from((-1.0, -2.0)), min_size=T * V,
+                          max_size=T * V))
+    return TableLM(np.reshape(table, (T, V))), T, tuple(ids), k
+
+
+@st.composite
 def lm_with_constraints(draw):
     """A random TableLM, its budget T, and 1-2 distinct non-eos constraint ids."""
     V = draw(st.integers(3, 5))
@@ -261,6 +275,30 @@ class TestGridBeamSearch:
         assert result.best == best
         assert result.finished == finished
         assert result.trace == trace
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(tied_search_case())
+    def test_ties_break_like_full_vocabulary_expansion(self, case):
+        # equal scores order by tokens, so parents of one cell tie-break by
+        # their own tokens before the new token
+        lm, T, ids, k = case
+        n = len(ids)
+        cs = ConstraintSet(words=tuple(f"w{i}" for i in ids), ids=ids)
+        best, finished, trace = full_vocab_grid_search(lm, ids, k, T)
+        result = run_grid_search(lm, cs, k=k, T=T, trace=True)
+        assert result.best == best
+        assert result.finished == finished
+        assert result.trace == trace
+        live = {t: [] for t in range(T)}  # coverage of each live parent
+        live[0].append(0)  # the root
+        for row in trace:
+            if row["t"] + 1 < T:
+                live[row["t"] + 1] += [row["c"] for h in row["hyps"]
+                                       if not h["finished"]]
+        assert result.step_calls == sum(1 for cs in live.values() if cs)
+        assert result.offered == sum(min(k, lm.vocab_size - (n - c)) + n - c
+                                     for cs in live.values() for c in cs)
+        assert result.kept == sum(len(row["hyps"]) for row in trace)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(search_case())
