@@ -163,8 +163,9 @@ class Experiment:
         """``read_jsonl``, then a check that every region row is
         ``data.visual_dim`` finite numbers, that every detection's class id
         numbers its class word in ``data.classes``, that its image, box and
-        score pass ``extract_features``, and that no reference holds a
-        reserved vocabulary token."""
+        score pass ``extract_features``, and that every reference is a
+        non-empty list of strings none of which is a reserved vocabulary
+        token."""
         scenes = read_jsonl(path)
         dim, classes = self.data_cfg.visual_dim, self.data_cfg.classes
         for scene in scenes:
@@ -179,8 +180,13 @@ class Experiment:
                     raise ValueError(f"{where} has class id {det.class_id!r} with "
                                      f"word {det.class_word!r}, not in data.classes")
                 extract_features(det, scene.W, scene.H)
-            if any(t in RESERVED for ref in scene.references for t in ref):
-                raise ValueError(f"{where} has a reference holding a reserved token")
+            for ref in scene.references:
+                if not (isinstance(ref, list) and ref
+                        and all(isinstance(t, str) for t in ref)):
+                    raise ValueError(f"{where} has a reference that is not a "
+                                     f"non-empty list of strings")
+                if any(t in RESERVED for t in ref):
+                    raise ValueError(f"{where} has a reference holding a reserved token")
         return scenes
 
     def inputs(self):
@@ -196,7 +202,14 @@ class Experiment:
         return splits, synonyms
 
     def cap_cfg(self) -> CaptionerConfig:
-        return replace(self._cap_cfg, vocab=self.read("vocab.json", Vocabulary.load))
+        """The captioner config with gen-data's vocabulary, which must hold
+        every ``data.classes`` word."""
+        vocab = self.read("vocab.json", Vocabulary.load)
+        missing = [w for w in self.data_cfg.classes if w not in vocab.token_to_id]
+        if missing:
+            raise ConfigError(f"{self.path('vocab.json')} lacks the data.classes "
+                              f"words {missing}")
+        return replace(self._cap_cfg, vocab=vocab)
 
     def load_ckpt(self, name: str, init, cfg):
         """Load a checkpoint whose parameter names and shapes match those

@@ -201,12 +201,16 @@ def select_constraints(scores, detections: list[Detection]) -> list[str]:
 
 
 def load_synonyms(path) -> dict[str, list[str]]:
-    """JSON object mapping class word -> accepted surface forms."""
+    """JSON object mapping class word -> list of accepted surface forms."""
     with open(path, "r", encoding="utf-8") as fh:
         table = json.load(fh)
     if not isinstance(table, dict):
         raise ValueError(f"synonym table {path} must be a JSON object")
-    return {str(k): [str(v) for v in vs] for k, vs in table.items()}
+    for word, forms in table.items():
+        if not (isinstance(forms, list) and all(isinstance(f, str) for f in forms)):
+            raise ValueError(f"synonym table {path} maps {word!r} to {forms!r}, "
+                             f"not a list of strings")
+    return table
 
 
 def save_synonyms(path, table: dict[str, list[str]]) -> None:

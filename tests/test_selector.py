@@ -11,6 +11,7 @@ from gridcap.data import SceneRecord
 from gridcap.decoder import MAX_CONSTRAINTS
 from gridcap.selector import (Detection, SelectorConfig, build_ground_truth,
                               extract_features, init_selector_params,
+                              load_synonyms, save_synonyms,
                               select_constraints, selector_forward,
                               weighted_bce)
 
@@ -416,6 +417,23 @@ class TestGroundTruth:
         scene = scene_with(["dog"], [])
         with pytest.raises(ValueError):
             build_ground_truth(scene, {})
+
+
+class TestSynonymTable:
+    def test_round_trip(self, tmp_path):
+        table = {"lamp": ["lamps", "Lanterns"], "vase": []}
+        save_synonyms(tmp_path / "s.json", table)
+        assert load_synonyms(tmp_path / "s.json") == table
+
+    @pytest.mark.parametrize("forms", ['"lamps"', '["lamps", 3]', "null", '{"a": 1}'],
+                             ids=["string", "int-form", "null", "object"])
+    def test_forms_that_are_not_a_list_of_strings_rejected(self, tmp_path, forms):
+        # a bare string would read as its letters, and the filler "a" would
+        # then count as a lamp mention
+        path = tmp_path / "s.json"
+        path.write_text(f'{{"vase": ["vases"], "lamp": {forms}}}')
+        with pytest.raises(ValueError, match="'lamp'"):
+            load_synonyms(path)
 
 
 class TestSelectConstraints:

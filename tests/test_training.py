@@ -616,9 +616,12 @@ class TestCli:
         ("vocab.json", '{"tokens": '),
         ("synonyms.json", "[1,2]"),
         ("synonyms.json", '{"a": '),
+        ("synonyms.json", '{"lamp": "lamps"}'),
+        ("synonyms.json", '{"lamp": ["lamps", 3]}'),
         ("scenes.jsonl", "garbage"),
         ("scenes.jsonl", '{"scene_id": 1}'),
     ], ids=["vocab-truncated", "synonyms-list", "synonyms-truncated",
+            "synonyms-string-forms", "synonyms-int-form",
             "scenes-garbage", "scenes-missing-keys"])
     def test_corrupt_artifact_is_exit_1(self, run_dir, tmp_path, capsys,
                                         name, text):
@@ -647,9 +650,15 @@ class TestCli:
                        + s["detections"][1:]},
         lambda s: s | {"references": [s["references"][0] + ["<pad>"]]
                        + s["references"][1:]},
+        lambda s: s | {"references": [s["references"][0] + [5]]
+                       + s["references"][1:]},
+        lambda s: s | {"references": [" ".join(s["references"][0])]
+                       + s["references"][1:]},
+        lambda s: s | {"references": [[]] + s["references"][1:]},
     ], ids=["no-detections", "narrow-rows", "missing-row", "text-in-row",
             "no-references", "score-over-1", "box-off-image", "zero-width",
-            "unknown-class-word", "class-id-out-of-range", "reserved-reference"])
+            "unknown-class-word", "class-id-out-of-range", "reserved-reference",
+            "int-in-reference", "string-reference", "empty-reference"])
     def test_corrupt_scene_record_is_exit_1(self, run_dir, tmp_path, capsys,
                                             corrupt):
         base, config, _ = run_dir
@@ -662,6 +671,24 @@ class TestCli:
         for stage in ("train-selector", "train-captioner"):
             assert cli.main([stage, "--config", config, "--out", str(out)]) == 1
             assert f"config error: corrupt {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["top1", "selector"])
+    def test_vocabulary_without_a_class_word_is_exit_1(self, run_dir, tmp_path,
+                                                       capsys, mode):
+        # same size, so the checkpoints would still fit the vocabulary
+        base, config, _ = run_dir
+        out = tmp_path / "run"
+        shutil.copytree(base / "run", out)
+        path = out / "vocab.json"
+        vocab = json.loads(path.read_text())
+        vocab["tokens"] = ["fenze" if t == "fence" else t for t in vocab["tokens"]]
+        path.write_text(json.dumps(vocab))
+        (out / f"captions_{mode}.jsonl").unlink(missing_ok=True)
+        assert cli.main(["eval", "--config", config, "--mode", mode,
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path} lacks") and "'fence'" in err
+        assert not (out / f"captions_{mode}.jsonl").exists()
 
     @pytest.mark.parametrize("stage", [["eval", "--mode", "none"], ["finetune"]],
                              ids=["eval", "finetune"])
