@@ -80,6 +80,8 @@ class Vocabulary:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         tokens = payload["tokens"]
+        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+            raise ValueError(f"vocabulary {path} tokens must be a list of strings")
         if tuple(tokens[:4]) != RESERVED:
             raise ValueError(f"vocabulary {path} lacks the reserved token header")
         return cls(tokens[4:])

@@ -614,14 +614,15 @@ class TestCli:
 
     @pytest.mark.parametrize("name,text", [
         ("vocab.json", '{"tokens": '),
+        ("vocab.json", '{"tokens": ["<pad>", "<bos>", "<eos>", "<unk>", 5]}'),
         ("synonyms.json", "[1,2]"),
         ("synonyms.json", '{"a": '),
         ("synonyms.json", '{"lamp": "lamps"}'),
         ("synonyms.json", '{"lamp": ["lamps", 3]}'),
         ("scenes.jsonl", "garbage"),
         ("scenes.jsonl", '{"scene_id": 1}'),
-    ], ids=["vocab-truncated", "synonyms-list", "synonyms-truncated",
-            "synonyms-string-forms", "synonyms-int-form",
+    ], ids=["vocab-truncated", "vocab-int-token", "synonyms-list",
+            "synonyms-truncated", "synonyms-string-forms", "synonyms-int-form",
             "scenes-garbage", "scenes-missing-keys"])
     def test_corrupt_artifact_is_exit_1(self, run_dir, tmp_path, capsys,
                                         name, text):
