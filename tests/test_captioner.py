@@ -424,6 +424,23 @@ class TestCachedStep:
         with pytest.raises(ValueError):
             model.step([(model.bos_id,), (model.bos_id, 5)])
 
+    @pytest.mark.parametrize("column, message", [
+        ([(5,)], "BOS"),
+        ([(1, 5), (1, 10)], "unknown token id"),
+        ([(1, 5), (1, -1)], "unknown token id"),
+        ([], "one or more prefixes"),
+    ], ids=["no-bos", "id-past-vocabulary", "negative-id", "no-prefixes"])
+    def test_bad_prefixes_rejected_and_cache_kept(self, setup, column, message):
+        model = step_model(*setup)
+        bos = model.bos_id
+        assert bos == 1 and model.vocab_size == 10
+        model.step([(bos,)])
+        with pytest.raises(ValueError, match=message):
+            model.step(column)
+        assert set(model._rows) == {(bos,)}
+        model.step([(bos, 5)])
+        assert set(model._rows) == {(bos, 5)}
+
 
 class TestCheckpointIntegration:
     def test_save_load_decode_bit_identical(self, setup, tmp_path):
