@@ -19,8 +19,9 @@ self-critical scoring. ``SceneStepModel.step`` runs the body over the last
 token of many prefixes at once, for search. It is called once per grid
 column, each prefix extending one of the previous call's, so earlier
 positions' self-attention keys and values come from per-layer (rows,
-length, d) arrays of that call; the encoder's cross-attention keys and
-values are computed once per scene. One ``SceneStepModel`` serves a scene:
+length, d) arrays of that call, and each row attends to its own block of
+them, unmasked; the encoder's cross-attention keys and values are computed
+once per scene. One ``SceneStepModel`` serves a scene:
 it searches without a tape, then scores the search's candidates on the
 tape. PAD is an ordinary token to both paths.
 
@@ -259,14 +260,15 @@ def _embed(ids, pe: np.ndarray, params: dict[str, Tensor]) -> Tensor:
     return nm.add(x, Tensor(pe))
 
 
-def _decoder_stack(x: Tensor, self_kv, self_mask: np.ndarray, cross_kv,
+def _decoder_stack(x: Tensor, self_kv, self_mask: np.ndarray | None, cross_kv,
                    cross_mask: np.ndarray | None, cfg: CaptionerConfig,
                    params: dict[str, Tensor]) -> Tensor:
     """The decoder layers over the rows of ``x``, then the down projection.
 
     ``self_kv(i, h)`` and ``cross_kv(i, h)`` give layer i's self- and
-    cross-attention keys and values for the normed rows ``h``; the masks
-    mark blocked (row, key) pairs.
+    cross-attention keys and values for the normed rows ``h``, shared by
+    every row or one block per row (see ``nm.multi_head_attention``); the
+    masks mark blocked (row, key) pairs of shared keys.
     """
     for i in range(cfg.num_dec_layers):
         x = _attention(x, params, f"dec{i}.self", lambda h: self_kv(i, h),
@@ -368,9 +370,10 @@ class SceneStepModel:
 
     Cache: per decoder layer, a keys and a values array of shape (rows, n,
     d) whose row r holds every position of the latest call's prefix r. A
-    call gathers its parents' rows, appends its new position, and attends
-    over the (rows * n, d) stack under the block mask ``segment[key] !=
-    row``. The cache assumes fixed weights: an instance serves one search.
+    call gathers its parents' rows, appends its new position, and passes
+    the arrays as per-row key blocks, so each new position attends to its
+    own prefix with no mask. The cache assumes fixed weights: an instance
+    serves one search.
     """
 
     enc_out: Tensor
@@ -399,17 +402,27 @@ class SceneStepModel:
 
     def step(self, prefixes) -> np.ndarray:
         """Next-token log-probs (len(prefixes), |V|) of BOS-led prefixes, as
-        a plain array."""
+        a plain array.
+
+        The prefixes are checked as one (rows, n) id array: ``BudgetExhausted``
+        when one is at the budget, then ``ValueError`` for mixed lengths,
+        a missing BOS or an unknown id."""
         cfg = self.cfg
-        checked = []
-        for p in prefixes:
-            if len(p) >= cfg.max_len:
-                raise BudgetExhausted(
-                    f"prefix length {len(p)} is at budget {cfg.max_len}")
-            checked.append(tuple(_validate_tokens(p, cfg).tolist()))
-        if len({len(p) for p in checked}) != 1:
+        lengths = {len(p) for p in prefixes}
+        if max(lengths, default=0) >= cfg.max_len:
+            raise BudgetExhausted(
+                f"prefix length {max(lengths)} is at budget {cfg.max_len}")
+        if len(lengths) != 1:
             raise ValueError("a step takes one or more prefixes of one length")
-        rows, n = len(checked), len(checked[0])
+        ids = np.array(prefixes, dtype=np.intp)
+        if ids.ndim != 2 or ids.shape[1] == 0:
+            raise ValueError("token sequence must be a nonempty 1-D id list")
+        if (ids[:, 0] != cfg.vocab.bos_id).any():
+            raise ValueError("token sequence must begin with BOS")
+        if ids.min() < 0 or ids.max() >= len(cfg.vocab):
+            raise ValueError("unknown token id in sequence")
+        checked = [tuple(p) for p in ids.tolist()]
+        n = ids.shape[1]
         if n == 1:  # BOS alone: its empty parent has no position to attend to
             self._rows = {(): 0}
             self._kv = [(np.zeros((1, 0, cfg.d_model)),) * 2] * cfg.num_dec_layers
@@ -419,8 +432,6 @@ class SceneStepModel:
             raise ValueError(f"prefix {exc.args[0]} was not stepped by the "
                              "previous call") from None
         past_kv, params = self._kv, self._detached
-        segment = np.repeat(np.arange(rows), n)
-        mask = segment[None, :] != np.arange(rows)[:, None]
         layers = []
 
         def self_kv(i, h):
@@ -428,12 +439,12 @@ class SceneStepModel:
                        for past, new in zip(past_kv[i],
                                             _project(h, params, f"dec{i}.self")))
             layers.append(kv)
-            return tuple(Tensor(a.reshape(rows * n, -1)) for a in kv)
+            return tuple(Tensor(a) for a in kv)
 
-        x = _embed([p[-1] for p in checked],
-                   positional_encoding(cfg.max_len, cfg.d_model)[[n - 1] * rows],
+        x = _embed(ids[:, -1],
+                   positional_encoding(cfg.max_len, cfg.d_model)[[n - 1] * len(ids)],
                    params)
-        h = _decoder_stack(x, self_kv, mask, lambda i, h: self._cross[i], None,
+        h = _decoder_stack(x, self_kv, None, lambda i, h: self._cross[i], None,
                            cfg, params)
         logits = nm.matmul(h, nm.transpose(params["embed.E"]))
         self._rows = {p: r for r, p in enumerate(checked)}

@@ -314,11 +314,16 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x.data - mu) * inv
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    One centring serves the variance and ``xhat``; the statistics round
+    exactly as ``x.mean`` and ``x.var`` compute them.
+    """
+    n = x.shape[-1]
+    xc = x.data - np.add.reduce(x.data, -1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, -1, keepdims=True) / n + LN_EPS)
+    xhat = xc  # the centred rows are this call's own, so scale them in place
+    xhat *= inv
     out = Tensor(gain.data * xhat + bias.data)
 
     def vjp(g):
@@ -357,38 +362,48 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
                          mask: np.ndarray | None = None) -> Tensor:
     """softmax(q kᵀ / sqrt(head_dim) + mask) v per head, heads side by side.
 
-    q (m, d), k (n, d), v (n, dv); head h reads the h-th of ``num_heads``
-    equal column blocks of each. mask, when given, is boolean (m, n) with
-    True marking BLOCKED positions, shared by every head; blocked weights
-    underflow to exactly 0. No output projection.
+    Shared keys: q (m, d), k (n, d) and v (n, dv) give (m, dv). mask, when
+    given, is boolean (m, n) with True marking BLOCKED positions, shared by
+    every head; blocked weights underflow to exactly 0.
 
-    One tape node: the heads run as (heads, rows, head_dim) arrays, and the
-    backward reuses the saved probabilities.
+    Per-row key blocks: q (m, d), k (m, n, d) and v (m, n, dv) give (m, dv),
+    query row r attending to block r only. This form takes no mask.
+
+    Head h reads the h-th of ``num_heads`` equal column blocks of q, k and v.
+    No output projection. One tape node: the heads run as (heads, rows,
+    head_dim) arrays, one such stack per key block, and the backward reuses
+    the saved probabilities.
     """
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise NumericsError("attention expects 2-D q, k, v")
-    if q.shape[1] != k.shape[1]:
+    blocks = k.data.ndim == 3
+    if q.data.ndim != 2 or k.data.ndim not in (2, 3) or v.data.ndim != k.data.ndim:
+        raise NumericsError("attention expects 2-D q and 2-D or 3-D k, v")
+    if q.shape[1] != k.shape[-1]:
         raise NumericsError(f"q/k key dims {q.shape} vs {k.shape}")
-    if k.shape[0] != v.shape[0]:
+    if k.shape[:-1] != v.shape[:-1]:
         raise NumericsError(f"k/v sequence dims {k.shape} vs {v.shape}")
-    if num_heads < 1 or q.shape[1] % num_heads or v.shape[1] % num_heads:
+    if blocks and k.shape[0] != q.shape[0]:
+        raise NumericsError(f"{k.shape[0]} key blocks for {q.shape[0]} query rows")
+    if blocks and mask is not None:
+        raise NumericsError("per-row key blocks take no mask")
+    if num_heads < 1 or q.shape[1] % num_heads or v.shape[-1] % num_heads:
         raise NumericsError(f"{num_heads} heads do not split widths "
-                            f"{q.shape[1]} and {v.shape[1]}")
-    m, n = q.shape[0], k.shape[0]
+                            f"{q.shape[1]} and {v.shape[-1]}")
+    m, n = q.shape[0], k.shape[-2]
+    lift = (slice(None), None) if blocks else ()  # row r: block r's one-row query
 
-    def split(a):  # (rows, heads * w) -> (heads, rows, w) view
-        rows, width = a.shape
-        return a.reshape(rows, num_heads, width // num_heads).transpose(1, 0, 2)
+    def split(a):  # (..., rows, heads * w) -> (..., heads, rows, w) view
+        return a.reshape(a.shape[:-1] + (num_heads, a.shape[-1] // num_heads)
+                         ).swapaxes(-3, -2)
 
     # merge returns C order and the key gradient is (qᵀ gs)ᵀ, so every product
     # rounds exactly as the separate per-head ops used to
-    def merge(a):  # (heads, rows, w) -> (rows, heads * w)
-        return np.ascontiguousarray(
-            a.transpose(1, 0, 2).reshape(a.shape[1], num_heads * a.shape[2]))
+    def merge(a):  # (..., heads, rows, w) -> (..., rows, heads * w)
+        a = a.swapaxes(-3, -2)
+        return np.ascontiguousarray(a.reshape(a.shape[:-2] + (num_heads * a.shape[-1],)))
 
-    q3, k3, v3 = split(q.data), split(k.data), split(v.data)
+    q3, k3, v3 = split(q.data[lift]), split(k.data), split(v.data)
     scale = 1.0 / math.sqrt(q.shape[1] // num_heads)
-    scores = (q3 @ k3.transpose(0, 2, 1)) * scale
+    scores = (q3 @ k3.swapaxes(-1, -2)) * scale
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (m, n):
@@ -398,15 +413,15 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
         scores = scores + np.where(mask, MASK_FILL, 0.0)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(merge(probs @ v3))
+    out = Tensor(merge(probs @ v3).reshape(m, v.shape[-1]))
 
     def vjp(g):
-        g3 = split(g)
-        gp = g3 @ v3.transpose(0, 2, 1)
+        g3 = split(g[lift])
+        gp = g3 @ v3.swapaxes(-1, -2)
         gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
-        return (merge(gs @ k3),
-                merge((q3.transpose(0, 2, 1) @ gs).transpose(0, 2, 1)),
-                merge(probs.transpose(0, 2, 1) @ g3))
+        return (merge(gs @ k3).reshape(q.shape),
+                merge((q3.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)),
+                merge(probs.swapaxes(-1, -2) @ g3))
 
     return _record(out, (q, k, v), vjp)
 

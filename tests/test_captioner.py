@@ -399,7 +399,7 @@ class TestCachedStep:
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), layers=st.integers(1, 3),
-           widths=st.lists(st.integers(1, 6), min_size=1, max_size=10))
+           widths=st.lists(st.integers(1, 10), min_size=1, max_size=10))
     def test_search_order_trees_match_decode_logits(self, seed, layers, widths):
         cfg = tiny_cfg(num_dec_layers=layers)
         rng = np.random.default_rng(seed)

@@ -194,6 +194,58 @@ class TestMultiHeadAttention:
             nm.multi_head_attention(q, k, v, 2)
 
 
+def block_case(heads, rows=4, n=3, head_dim=3, seed=12):
+    """Queries (rows, d), per-row key and value blocks (rows, n, d) and a
+    loss weight (rows, d)."""
+    rng = np.random.default_rng(seed)
+    d = heads * head_dim
+    q, k, v = (Tensor(rng.normal(size=shape), requires_grad=True)
+               for shape in ((rows, d), (rows, n, d), (rows, n, d)))
+    return q, k, v, Tensor(rng.normal(size=(rows, d)))
+
+
+class TestPerRowKeyBlocks:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_gradcheck(self, heads):
+        q, k, v, w = block_case(heads)
+
+        def loss():
+            return nm.tsum(nm.mul(nm.multi_head_attention(q, k, v, heads), w))
+
+        check_grads(loss, [q, k, v], 1e-6)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_equals_one_shared_key_call_per_row(self, heads):
+        q, k, v, w = block_case(heads, rows=5, n=4)
+        out = nm.multi_head_attention(q, k, v, heads)
+        nm.backward(nm.tsum(nm.mul(out, w)))
+        blocked = [out.data, q.grad, k.grad, v.grad]
+        rows = []
+        for r in range(q.shape[0]):
+            qr, kr, vr = (Tensor(t.data[r:r + 1] if t is q else t.data[r],
+                                 requires_grad=True) for t in (q, k, v))
+            row = nm.multi_head_attention(qr, kr, vr, heads)
+            nm.backward(nm.tsum(nm.mul(row, Tensor(w.data[r:r + 1]))))
+            rows.append([row.data[0], qr.grad[0], kr.grad, vr.grad])
+        for got, want in zip(blocked, map(np.stack, zip(*rows))):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_mask_rejected(self):
+        q, k, v, _ = block_case(2)
+        with pytest.raises(NumericsError):
+            nm.multi_head_attention(q, k, v, 2, np.zeros((4, 3), dtype=bool))
+
+    def test_one_block_per_query_row(self):
+        q, k, v, _ = block_case(2)
+        with pytest.raises(NumericsError):
+            nm.multi_head_attention(q, Tensor(k.data[:3]), Tensor(v.data[:3]), 2)
+
+    def test_key_and_value_blocks_share_a_length(self):
+        q, k, v, _ = block_case(2)
+        with pytest.raises(NumericsError):
+            nm.multi_head_attention(q, k, Tensor(v.data[:, :2]), 2)
+
+
 class TestElementwise:
     def test_softmax_uniform(self):
         out = nm.softmax(Tensor([0.0, 0.0, 0.0]))
@@ -224,6 +276,21 @@ class TestElementwise:
             return nm.tsum(nm.mul(nm.layer_norm(x, gain, bias), Tensor(w)))
 
         check_grads(loss, [x, gain, bias], 1e-6)
+
+    @pytest.mark.parametrize("shape", [(10, 64), (40, 64), (480, 64), (3, 7, 64)])
+    def test_layer_norm_rounds_as_mean_and_var(self, shape):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(loc=0.3, scale=2.0, size=shape), requires_grad=True)
+        gain = Tensor(rng.normal(size=shape[-1]), requires_grad=True)
+        bias = Tensor(rng.normal(size=shape[-1]), requires_grad=True)
+        out = nm.layer_norm(x, gain, bias)
+        inv = 1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + nm.LN_EPS)
+        xhat = (x.data - x.data.mean(axis=-1, keepdims=True)) * inv
+        assert np.array_equal(out.data, gain.data * xhat + bias.data)
+        saved = dict(zip(out._vjp.__code__.co_freevars,
+                         (c.cell_contents for c in out._vjp.__closure__)))
+        assert np.array_equal(saved["xhat"], xhat)
+        assert np.array_equal(saved["inv"], inv)
 
     def test_log_softmax_matches_log_of_softmax(self):
         rng = np.random.default_rng(6)
