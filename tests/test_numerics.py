@@ -222,8 +222,9 @@ class TestPerRowKeyBlocks:
         blocked = [out.data, q.grad, k.grad, v.grad]
         rows = []
         for r in range(q.shape[0]):
-            qr, kr, vr = (Tensor(t.data[r:r + 1] if t is q else t.data[r],
-                                 requires_grad=True) for t in (q, k, v))
+            qr = Tensor(q.data[r:r + 1], requires_grad=True)
+            kr = Tensor(k.data[r], requires_grad=True)
+            vr = Tensor(v.data[r], requires_grad=True)
             row = nm.multi_head_attention(qr, kr, vr, heads)
             nm.backward(nm.tsum(nm.mul(row, Tensor(w.data[r:r + 1]))))
             rows.append([row.data[0], qr.grad[0], kr.grad, vr.grad])
@@ -287,6 +288,7 @@ class TestElementwise:
         inv = 1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + nm.LN_EPS)
         xhat = (x.data - x.data.mean(axis=-1, keepdims=True)) * inv
         assert np.array_equal(out.data, gain.data * xhat + bias.data)
+        # the arrays the backward reads live only in the VJP closure
         saved = dict(zip(out._vjp.__code__.co_freevars,
                          (c.cell_contents for c in out._vjp.__closure__)))
         assert np.array_equal(saved["xhat"], xhat)
