@@ -8,20 +8,20 @@ space than the model width, with learned up/down projections on either side
 of the decoder stack, and output logits tie to the transpose of the
 embedding matrix.
 
-One decoder-layer body serves two callers. Teacher forcing runs it over
-whole sequences packed as stacked rows of one pass: a block mask keeps each
-row to itself, the earlier positions of its own sequence and its own
-scene's encoder rows. The encoder packs distinct scenes the same way, with
-the memory slots visible to every row. ``token_logprobs`` scores every
-next token of such a pass for both objectives: ``xent_loss`` weighs it for
-pre-training, and ``SceneStepModel.all_step_logprobs`` returns it for
-self-critical scoring. ``SceneStepModel.step`` runs the body over the last
-token of many prefixes at once, for search. It is called once per grid
+One decoder-layer body serves two callers, on (blocks, rows, width)
+activations. Teacher forcing runs it over whole sequences packed as the
+rows of one block: a mask keeps each row to itself, the earlier positions
+of its own sequence and its own scene's encoder rows. The encoder packs
+distinct scenes the same way, with the memory slots visible to every row.
+``token_logprobs`` scores every next token of such a pass for both
+objectives: ``xent_loss`` weighs it for pre-training, and
+``SceneStepModel.all_step_logprobs`` returns it for self-critical scoring.
+``SceneStepModel.step`` runs the body over the last token of many prefixes
+at once, for search, one block per prefix. It is called once per grid
 column, each prefix extending one of the previous call's, so earlier
 positions' self-attention keys and values come from per-layer (rows,
-length, d) arrays of that call, and each row attends to its own block of
-them, unmasked; the encoder's cross-attention keys and values are computed
-once per scene. One ``SceneStepModel`` serves a scene:
+length, d) arrays of that call; the encoder's cross-attention keys and
+values are computed once per scene. One ``SceneStepModel`` serves a scene:
 it searches without a tape, then scores the search's candidates on the
 tape. PAD is an ordinary token to both paths.
 
@@ -226,18 +226,21 @@ def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor],
     if seg.shape != (n,):
         raise ValueError(f"segments shape {seg.shape} vs {n} region rows")
     mask = np.concatenate([seg[:, None] != seg[None, :],
-                           np.zeros((n, cfg.num_memory), dtype=bool)], axis=1)
-    x = nm.linear(x, params["enc.input.w"], params["enc.input.b"])
+                           np.zeros((n, cfg.num_memory), dtype=bool)], axis=1)[None]
+    x = nm.linear(nm.reshape(x, (1,) + x.shape), params["enc.input.w"],
+                  params["enc.input.b"])
     for i in range(cfg.num_enc_layers):
         def kv(h, i=i):  # each memory slot is one (head_dim) row every head reads
-            return [nm.concat([t, nm.concat([params[f"enc{i}.mem.{name}"]]
-                                            * cfg.num_heads, axis=1)])
+            return [nm.concat([t, nm.reshape(nm.concat(
+                        [params[f"enc{i}.mem.{name}"]] * cfg.num_heads, axis=1),
+                        (1, cfg.num_memory, -1))], axis=1)
                     if cfg.num_memory else t
                     for t, name in zip(_project(h, params, f"enc{i}.attn"), "kv")]
 
         x = _attention(x, params, f"enc{i}.attn", kv, cfg.num_heads, mask)
         x = ffn(x, params, f"enc{i}.ffn")
-    return nm.layer_norm(x, params["enc.final.ln_gain"], params["enc.final.ln_bias"])
+    x = nm.layer_norm(x, params["enc.final.ln_gain"], params["enc.final.ln_bias"])
+    return nm.reshape(x, (n, cfg.d_model))
 
 
 def _validate_tokens(tokens, cfg: CaptionerConfig) -> np.ndarray:
@@ -263,12 +266,11 @@ def _embed(ids, pe: np.ndarray, params: dict[str, Tensor]) -> Tensor:
 def _decoder_stack(x: Tensor, self_kv, self_mask: np.ndarray | None, cross_kv,
                    cross_mask: np.ndarray | None, cfg: CaptionerConfig,
                    params: dict[str, Tensor]) -> Tensor:
-    """The decoder layers over the rows of ``x``, then the down projection.
+    """The decoder layers over ``x`` (blocks, rows, d), then the down projection.
 
     ``self_kv(i, h)`` and ``cross_kv(i, h)`` give layer i's self- and
-    cross-attention keys and values for the normed rows ``h``, shared by
-    every row or one block per row (see ``nm.multi_head_attention``); the
-    masks mark blocked (row, key) pairs of shared keys.
+    cross-attention keys and values, one block per block of the normed rows
+    ``h``; the masks, when given, mark blocked (row, key) pairs.
     """
     for i in range(cfg.num_dec_layers):
         x = _attention(x, params, f"dec{i}.self", lambda h: self_kv(i, h),
@@ -301,12 +303,14 @@ def decode_hidden(tokens, enc_out: Tensor, cfg: CaptionerConfig,
     pos = np.concatenate([np.arange(len(s)) for s in seqs])
     self_mask = (segment[:, None] != segment[None, :]) | (pos[None, :] > pos[:, None])
     cross_mask = scenes[segment][:, None] != np.asarray(enc_segments)[None, :]
-    x = _embed(np.concatenate(seqs),
-               positional_encoding(cfg.max_len, cfg.d_model)[pos], params)
-    return _decoder_stack(
-        x, lambda i, h: _project(h, params, f"dec{i}.self"), self_mask,
-        lambda i, h: _project(enc_out, params, f"dec{i}.cross"), cross_mask,
+    x = _embed(np.concatenate(seqs)[None],
+               positional_encoding(cfg.max_len, cfg.d_model)[pos[None]], params)
+    enc = nm.reshape(enc_out, (1,) + enc_out.shape)
+    h = _decoder_stack(
+        x, lambda i, h: _project(h, params, f"dec{i}.self"), self_mask[None],
+        lambda i, h: _project(enc, params, f"dec{i}.cross"), cross_mask[None],
         cfg, params)
+    return nm.reshape(h, h.shape[1:])
 
 
 def decode_logits(tokens, enc_out: Tensor, cfg: CaptionerConfig,
@@ -371,9 +375,9 @@ class SceneStepModel:
     Cache: per decoder layer, a keys and a values array of shape (rows, n,
     d) whose row r holds every position of the latest call's prefix r. A
     call gathers its parents' rows, appends its new position, and passes
-    the arrays as per-row key blocks, so each new position attends to its
-    own prefix with no mask. The cache assumes fixed weights: an instance
-    serves one search.
+    row r as the key block of query block r, with no mask; the scene's
+    cross-attention keys and values are repeated as one block per row.
+    The cache assumes fixed weights: an instance serves one search.
     """
 
     enc_out: Tensor
@@ -384,7 +388,7 @@ class SceneStepModel:
 
     def __post_init__(self):
         self._detached = {k: v.detach() for k, v in self.params.items()}
-        enc = self.enc_out.detach()
+        enc = Tensor(self.enc_out.data[None])
         self._cross = [_project(enc, self._detached, f"dec{i}.cross")
                        for i in range(self.cfg.num_dec_layers)]
 
@@ -435,21 +439,23 @@ class SceneStepModel:
         layers = []
 
         def self_kv(i, h):
-            kv = tuple(np.concatenate([past[parents], new.data[:, None]], axis=1)
+            kv = tuple(np.concatenate([past[parents], new.data], axis=1)
                        for past, new in zip(past_kv[i],
                                             _project(h, params, f"dec{i}.self")))
             layers.append(kv)
             return tuple(Tensor(a) for a in kv)
 
-        x = _embed(ids[:, -1],
-                   positional_encoding(cfg.max_len, cfg.d_model)[[n - 1] * len(ids)],
+        def cross_kv(i, h):  # a copy per row: np.broadcast_to's view costs more
+            return tuple(Tensor(t.data.repeat(len(ids), axis=0))
+                         for t in self._cross[i])
+
+        x = _embed(ids[:, -1:], positional_encoding(cfg.max_len, cfg.d_model)[n - 1],
                    params)
-        h = _decoder_stack(x, self_kv, None, lambda i, h: self._cross[i], None,
-                           cfg, params)
+        h = _decoder_stack(x, self_kv, None, cross_kv, None, cfg, params)
         logits = nm.matmul(h, nm.transpose(params["embed.E"]))
         self._rows = {p: r for r, p in enumerate(checked)}
         self._kv = layers
-        return nm.log_softmax(logits, axis=-1).data
+        return nm.log_softmax(logits, axis=-1).data[:, 0]
 
     def all_step_logprobs(self, seqs) -> Tensor:
         """``token_logprobs`` of BOS-led sequences on the model's encode, on

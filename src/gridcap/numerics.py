@@ -4,7 +4,8 @@ Everything is 64-bit: the test suite leans on tight finite-difference
 tolerances. Speed does matter, and at desk-scale widths the Python work of
 an op (building its output tensor and recording it) mostly outweighs its
 arithmetic, so the number of op calls largely sets run time. Attention is
-therefore one op per call, all heads at once, with its own backward.
+therefore one op per call over every head and every block of its (blocks,
+rows, width) inputs, with its own backward.
 
 Each op records its inputs and a vector-Jacobian closure on the output
 tensor; ``backward`` walks that explicit per-graph tape. There is no global
@@ -49,11 +50,6 @@ def check_at_least(cfg, **bounds) -> None:
             raise ValueError(f"{name} must be at least {low}, got {getattr(cfg, name)}")
 
 
-def _as_f64(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     """Dense float64 array plus optional gradient buffer.
 
@@ -65,7 +61,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_f64(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -171,15 +167,16 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Standard 2-D product; gradients flow to both operands."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise NumericsError("matmul expects 2-D tensors")
-    if a.shape[1] != b.shape[0]:
-        raise NumericsError(f"matmul inner dims {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
+    """(..., k) @ (k, n), as one 2-D product over a's flattened leading axes."""
+    ad, bd = a.data, b.data
+    if ad.ndim < 2 or bd.ndim != 2 or ad.shape[-1] != bd.shape[0]:
+        raise NumericsError(f"matmul needs (..., k) @ (k, n), got {a.shape} x {b.shape}")
+    a2 = ad.reshape(-1, bd.shape[0])
+    out = Tensor((a2 @ bd).reshape(ad.shape[:-1] + bd.shape[1:]))
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        g2 = g.reshape(-1, bd.shape[1])
+        return (g2 @ bd.T).reshape(ad.shape), a2.T @ g2
 
     return _record(out, (a, b), vjp)
 
@@ -360,67 +357,60 @@ def tmean(a: Tensor) -> Tensor:
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
                          mask: np.ndarray | None = None) -> Tensor:
-    """softmax(q kᵀ / sqrt(head_dim) + mask) v per head, heads side by side.
+    """softmax(q kᵀ / sqrt(head_dim) + mask) v per block and head, heads side
+    by side.
 
-    Shared keys: q (m, d), k (n, d) and v (n, dv) give (m, dv). mask, when
-    given, is boolean (m, n) with True marking BLOCKED positions, shared by
-    every head; blocked weights underflow to exactly 0.
-
-    Per-row key blocks: q (m, d), k (m, n, d) and v (m, n, dv) give (m, dv),
-    query row r attending to block r only. This form takes no mask.
+    q (B, m, d), k (B, n, d) and v (B, n, dv) give (B, m, dv): the query rows
+    of block b attend to the keys of block b only. mask, when given, is
+    boolean (B, m, n) with True marking BLOCKED (row, key) pairs, shared by
+    every head; blocked weights underflow to exactly 0, so padded keys change
+    no sum. Packed sequences are one block under a mask; per-row keys are
+    one-row blocks.
 
     Head h reads the h-th of ``num_heads`` equal column blocks of q, k and v.
-    No output projection. One tape node: the heads run as (heads, rows,
-    head_dim) arrays, one such stack per key block, and the backward reuses
-    the saved probabilities.
+    No output projection. One tape node: the heads run as (B, heads, rows,
+    head_dim) arrays, and the backward reuses the saved probabilities.
     """
-    blocks = k.data.ndim == 3
-    if q.data.ndim != 2 or k.data.ndim not in (2, 3) or v.data.ndim != k.data.ndim:
-        raise NumericsError("attention expects 2-D q and 2-D or 3-D k, v")
-    if q.shape[1] != k.shape[-1]:
-        raise NumericsError(f"q/k key dims {q.shape} vs {k.shape}")
-    if k.shape[:-1] != v.shape[:-1]:
-        raise NumericsError(f"k/v sequence dims {k.shape} vs {v.shape}")
-    if blocks and k.shape[0] != q.shape[0]:
-        raise NumericsError(f"{k.shape[0]} key blocks for {q.shape[0]} query rows")
-    if blocks and mask is not None:
-        raise NumericsError("per-row key blocks take no mask")
-    if num_heads < 1 or q.shape[1] % num_heads or v.shape[-1] % num_heads:
+    if not q.data.ndim == k.data.ndim == v.data.ndim == 3:
+        raise NumericsError("attention expects 3-D (blocks, rows, width) q, k, v")
+    if q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
+        raise NumericsError(f"q/k blocks or key dims {q.shape} vs {k.shape}")
+    if k.shape[:2] != v.shape[:2]:
+        raise NumericsError(f"k/v blocks or lengths {k.shape} vs {v.shape}")
+    if num_heads < 1 or q.shape[2] % num_heads or v.shape[2] % num_heads:
         raise NumericsError(f"{num_heads} heads do not split widths "
-                            f"{q.shape[1]} and {v.shape[-1]}")
-    m, n = q.shape[0], k.shape[-2]
-    lift = (slice(None), None) if blocks else ()  # row r: block r's one-row query
+                            f"{q.shape[2]} and {v.shape[2]}")
 
-    def split(a):  # (..., rows, heads * w) -> (..., heads, rows, w) view
-        return a.reshape(a.shape[:-1] + (num_heads, a.shape[-1] // num_heads)
-                         ).swapaxes(-3, -2)
+    def split(a):  # (B, rows, heads * w) -> (B, heads, rows, w) view
+        return a.reshape(a.shape[:2] + (num_heads, a.shape[2] // num_heads)
+                         ).swapaxes(1, 2)
 
     # merge returns C order and the key gradient is (qᵀ gs)ᵀ, so every product
     # rounds exactly as the separate per-head ops used to
-    def merge(a):  # (..., heads, rows, w) -> (..., rows, heads * w)
-        a = a.swapaxes(-3, -2)
-        return np.ascontiguousarray(a.reshape(a.shape[:-2] + (num_heads * a.shape[-1],)))
+    def merge(a):  # (B, heads, rows, w) -> (B, rows, heads * w)
+        a = a.swapaxes(1, 2)
+        return np.ascontiguousarray(a.reshape(a.shape[:2] + (num_heads * a.shape[3],)))
 
-    q3, k3, v3 = split(q.data[lift]), split(k.data), split(v.data)
-    scale = 1.0 / math.sqrt(q.shape[1] // num_heads)
+    q3, k3, v3 = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / math.sqrt(q.shape[2] // num_heads)
     scores = (q3 @ k3.swapaxes(-1, -2)) * scale
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (m, n):
-            raise NumericsError(f"mask shape {mask.shape} vs {(m, n)}")
-        if mask.all(axis=1).any():
+        want = scores.shape[:1] + scores.shape[2:]  # (B, m, n)
+        if mask.shape != want:
+            raise NumericsError(f"mask shape {mask.shape} vs {want}")
+        if mask.all(axis=-1).any():
             raise DegenerateMaskError("attention row with all keys masked")
-        scores = scores + np.where(mask, MASK_FILL, 0.0)
+        scores = scores + np.where(mask, MASK_FILL, 0.0)[:, None]
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(merge(probs @ v3).reshape(m, v.shape[-1]))
+    out = Tensor(merge(probs @ v3))
 
     def vjp(g):
-        g3 = split(g[lift])
+        g3 = split(g)
         gp = g3 @ v3.swapaxes(-1, -2)
         gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
-        return (merge(gs @ k3).reshape(q.shape),
-                merge((q3.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)),
+        return (merge(gs @ k3), merge((q3.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)),
                 merge(probs.swapaxes(-1, -2) @ g3))
 
     return _record(out, (q, k, v), vjp)
@@ -599,10 +589,11 @@ def save_checkpoint(path, params: dict[str, Tensor]) -> str:
 
 def load_checkpoint(path) -> dict[str, Tensor]:
     """Parameters written by ``save_checkpoint``; NumericsError on an unknown
-    format or a non-finite value."""
+    or malformed format or a non-finite value."""
     with open(path, "rb") as fh:
         payload = json.loads(fh.read().decode("utf-8"))
-    if payload.get("format") != _CKPT_FORMAT:
+    if not (isinstance(payload, dict) and payload.get("format") == _CKPT_FORMAT
+            and isinstance(payload.get("params"), dict)):
         raise NumericsError(f"unrecognized checkpoint format in {path}")
     params = {}
     for name, entry in payload["params"].items():

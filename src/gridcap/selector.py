@@ -108,10 +108,10 @@ def selector_forward(features: Tensor | np.ndarray, classes, cfg: SelectorConfig
         raise ValueError(f"{n} regions, segments {seg.shape}, classes {classes.shape}")
     if (most := np.unique(seg, return_counts=True)[1].max()) > cfg.max_proposals:
         raise ValueError(f"{most} regions exceed max_proposals={cfg.max_proposals}")
-    other_scene = seg[:, None] != seg[None, :]
+    other_scene = seg[None, :, None] != seg[None, None, :]  # one (1, n, n) block
     masks = {"inner": other_scene | (classes[:, None] != classes[None, :]),
              "self": other_scene}
-    x = nm.linear(x, params["input.w"], params["input.b"])
+    x = nm.linear(nm.reshape(x, (1,) + x.shape), params["input.w"], params["input.b"])
     for i in range(cfg.num_layers):
         for block, mask in masks.items():
             pre = f"layer{i}.{block}"

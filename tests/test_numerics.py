@@ -67,52 +67,76 @@ class TestMatmul:
 
         check_grads(loss, [a, b], 1e-6)
 
+    def test_leading_axes_gradcheck(self):
+        rng = np.random.default_rng(13)
+        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        w = rng.normal(size=(2, 3, 5))
+
+        def loss():
+            return nm.tsum(nm.mul(nm.matmul(a, b), Tensor(w)))
+
+        assert nm.matmul(a, b).shape == (2, 3, 5)
+        check_grads(loss, [a, b], 1e-6)
+
+    def test_one_block_is_bitwise_the_2d_product(self):
+        rng = np.random.default_rng(14)
+        data, b_data = rng.normal(size=(7, 4)), rng.normal(size=(4, 3))
+        w = rng.normal(size=(7, 3))
+        results = []
+        for shape in ((7, 4), (1, 7, 4)):
+            a = Tensor(data.reshape(shape), requires_grad=True)
+            b = Tensor(b_data, requires_grad=True)
+            out = nm.matmul(a, b)
+            nm.backward(nm.tsum(nm.mul(out, Tensor(w.reshape(out.shape)))))
+            results.append([out.data.reshape(7, 3), a.grad.reshape(7, 4), b.grad])
+        for flat, blocked in zip(*results):
+            assert np.array_equal(flat, blocked)
+
 
 class TestAttention:
     def test_single_key_returns_value_row(self):
-        q = Tensor(np.array([[0.3, -0.7]]))
-        k = Tensor(np.array([[1.0, 2.0]]))
-        v = Tensor(np.array([[5.0, -1.0, 2.0]]))
+        q = Tensor(np.array([[[0.3, -0.7]]]))
+        k = Tensor(np.array([[[1.0, 2.0]]]))
+        v = Tensor(np.array([[[5.0, -1.0, 2.0]]]))
         out = nm.scaled_dot_attention(q, k, v)
         np.testing.assert_array_equal(out.data, v.data)
 
     def test_uniform_scores_average_values(self):
         rng = np.random.default_rng(1)
-        q = Tensor(np.zeros((2, 3)))
-        k = Tensor(rng.normal(size=(4, 3)))
-        v = Tensor(rng.normal(size=(4, 5)))
-        out = nm.scaled_dot_attention(q, Tensor(np.zeros((4, 3))), v)
-        np.testing.assert_allclose(out.data, np.tile(v.data.mean(axis=0), (2, 1)),
+        q = Tensor(np.zeros((1, 2, 3)))
+        v = Tensor(rng.normal(size=(1, 4, 5)))
+        out = nm.scaled_dot_attention(q, Tensor(np.zeros((1, 4, 3))), v)
+        np.testing.assert_allclose(out.data[0], np.tile(v.data[0].mean(axis=0), (2, 1)),
                                    atol=1e-12)
-        del k, q
 
     def test_masked_keys_get_zero_weight(self):
         rng = np.random.default_rng(2)
-        q = Tensor(rng.normal(size=(2, 3)))
-        k = Tensor(rng.normal(size=(4, 3)))
-        v = Tensor(rng.normal(size=(4, 5)))
-        mask = np.zeros((2, 4), dtype=bool)
-        mask[:, 2:] = True
+        q = Tensor(rng.normal(size=(1, 2, 3)))
+        k = Tensor(rng.normal(size=(1, 4, 3)))
+        v = Tensor(rng.normal(size=(1, 4, 5)))
+        mask = np.zeros((1, 2, 4), dtype=bool)
+        mask[..., 2:] = True
         out = nm.scaled_dot_attention(q, k, v, mask)
         # equals attention computed on the unmasked submatrix alone
-        sub = nm.scaled_dot_attention(q, Tensor(k.data[:2]), Tensor(v.data[:2]))
+        sub = nm.scaled_dot_attention(q, Tensor(k.data[:, :2]), Tensor(v.data[:, :2]))
         np.testing.assert_allclose(out.data, sub.data, atol=1e-12)
 
     def test_all_masked_row_is_an_error(self):
-        q = Tensor(np.ones((2, 2)))
-        k = Tensor(np.ones((3, 2)))
-        v = Tensor(np.ones((3, 2)))
-        mask = np.zeros((2, 3), dtype=bool)
-        mask[1, :] = True
+        q = Tensor(np.ones((1, 2, 2)))
+        k = Tensor(np.ones((1, 3, 2)))
+        v = Tensor(np.ones((1, 3, 2)))
+        mask = np.zeros((1, 2, 3), dtype=bool)
+        mask[0, 1, :] = True
         with pytest.raises(DegenerateMaskError):
             nm.scaled_dot_attention(q, k, v, mask)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(3)
-        q = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        k = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        v = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        w = rng.normal(size=(3, 2))
+        q = Tensor(rng.normal(size=(1, 3, 2)), requires_grad=True)
+        k = Tensor(rng.normal(size=(1, 3, 2)), requires_grad=True)
+        v = Tensor(rng.normal(size=(1, 3, 2)), requires_grad=True)
+        w = rng.normal(size=(1, 3, 2))
 
         def loss():
             return nm.tsum(nm.mul(nm.scaled_dot_attention(q, k, v), Tensor(w)))
@@ -120,38 +144,53 @@ class TestAttention:
         check_grads(loss, [q, k, v], 1e-6)
 
 
-def per_head_attention(q, k, v, num_heads, mask=None):
-    """Heads as separate one-head calls on column slices, side by side."""
-    w, wv = q.shape[1] // num_heads, v.shape[1] // num_heads
-    return nm.concat([nm.scaled_dot_attention(
-        nm.col_slice(q, h * w, (h + 1) * w), nm.col_slice(k, h * w, (h + 1) * w),
-        nm.col_slice(v, h * wv, (h + 1) * wv), mask) for h in range(num_heads)],
-        axis=1)
+def per_head_attention(q, k, v, num_heads, mask, g):
+    """Plain numpy reference for (B, m, d) blocks, one block and head at a
+    time on column slices: the output and the q, k and v gradients of
+    sum(output * g)."""
+    w, wv = q.shape[-1] // num_heads, v.shape[-1] // num_heads
+    fill = np.zeros(q.shape[:2] + k.shape[1:2]) if mask is None else np.where(
+        mask, nm.MASK_FILL, 0.0)
+    out, gq, gk, gv = (np.zeros(a.shape) for a in (g, q, k, v))
+    for b in range(q.shape[0]):
+        for h in range(num_heads):
+            c, cv = slice(h * w, (h + 1) * w), slice(h * wv, (h + 1) * wv)
+            s = q[b, :, c] @ k[b, :, c].T / np.sqrt(w) + fill[b]
+            p = np.exp(s - s.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            out[b, :, cv] = p @ v[b, :, cv]
+            gp = g[b, :, cv] @ v[b, :, cv].T
+            gs = p * (gp - (gp * p).sum(axis=1, keepdims=True)) / np.sqrt(w)
+            gq[b, :, c] = gs @ k[b, :, c]
+            gk[b, :, c] = gs.T @ q[b, :, c]
+            gv[b, :, cv] = p.T @ g[b, :, cv]
+    return out, gq, gk, gv
 
 
 def attention_case(heads, masked, memory, m=3, n=5, head_dim=3, seed=11):
-    """Inputs (q, k, v, memory keys, memory values), a loss weight, a mask
-    and an ``attend(op)`` that appends the memory rows, repeated per head, to
-    the keys and values as the encoder does."""
+    """Inputs (q, k, v, memory keys, memory values) of one block, a loss
+    weight, a mask and an ``attend(op)`` that appends the memory rows,
+    repeated per head, to the keys and values as the encoder does."""
     rng = np.random.default_rng(seed)
     d = heads * head_dim
     tensors = [Tensor(rng.normal(size=shape), requires_grad=True)
-               for shape in ((m, d), (n, d), (n, d), (memory, head_dim),
+               for shape in ((1, m, d), (1, n, d), (1, n, d), (memory, head_dim),
                              (memory, head_dim))]
     mask = None
     if masked:
-        mask = rng.random((m, n + memory)) < 0.5
-        mask[np.arange(m), rng.integers(n + memory, size=m)] = False
-    w = Tensor(rng.normal(size=(m, d)))
+        mask = rng.random((1, m, n + memory)) < 0.5
+        mask[0, np.arange(m), rng.integers(n + memory, size=m)] = False
+    w = Tensor(rng.normal(size=(1, m, d)))
 
     def attend(op):
         q, k, v, mem_k, mem_v = tensors
         if memory:
-            k = nm.concat([k, nm.concat([mem_k] * heads, axis=1)])
-            v = nm.concat([v, nm.concat([mem_v] * heads, axis=1)])
+            k, v = (nm.concat([t, nm.reshape(nm.concat([mem] * heads, axis=1),
+                                             (1, memory, d))], axis=1)
+                    for t, mem in ((k, mem_k), (v, mem_v)))
         return op(q, k, v, heads, mask)
 
-    return tensors if memory else tensors[:3], w, attend
+    return tensors if memory else tensors[:3], w, mask, attend
 
 
 class TestMultiHeadAttention:
@@ -159,7 +198,7 @@ class TestMultiHeadAttention:
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("memory", [0, 2])
     def test_gradcheck(self, heads, masked, memory):
-        tensors, w, attend = attention_case(heads, masked, memory)
+        tensors, w, _, attend = attention_case(heads, masked, memory)
 
         def loss():
             return nm.tsum(nm.mul(attend(nm.multi_head_attention), w))
@@ -170,38 +209,59 @@ class TestMultiHeadAttention:
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("memory", [0, 2])
     def test_equals_per_head_composition(self, heads, masked, memory):
-        tensors, w, attend = attention_case(heads, masked, memory, m=6, n=4)
-        results = []
-        for op in (nm.multi_head_attention, per_head_attention):
-            for t in tensors:
-                t.zero_grad()
-            out = attend(op)
-            nm.backward(nm.tsum(nm.mul(out, w)))
-            results.append([out.data] + [t.grad for t in tensors])
-        for fused, composed in zip(*results):
-            np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
+        n = 4
+        tensors, w, mask, attend = attention_case(heads, masked, memory, m=6, n=n)
+        out = attend(nm.multi_head_attention)
+        nm.backward(nm.tsum(nm.mul(out, w)))
+        q, k, v = (t.data for t in tensors[:3])
+        if memory:
+            k, v = (np.concatenate([a, np.tile(t.data, heads)[None]], axis=1)
+                    for a, t in ((k, tensors[3]), (v, tensors[4])))
+        want, gq, gk, gv = per_head_attention(q, k, v, heads, mask, w.data)
+        want_grads = [gq, gk[:, :n], gv[:, :n]]
+        for g in (gk, gv)[:len(tensors) - 3]:  # every head reads each memory row
+            want_grads.append(sum(np.split(g[0, n:], heads, axis=1)))
+        for got, expected in zip([out.data] + [t.grad for t in tensors],
+                                 [want] + want_grads):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_fully_blocked_row_is_an_error(self):
-        q, k, v = (Tensor(np.ones(shape)) for shape in ((2, 4), (3, 4), (3, 4)))
-        mask = np.zeros((2, 3), dtype=bool)
-        mask[0, :] = True
+        q, k, v = (Tensor(np.ones(shape)) for shape in ((1, 2, 4), (1, 3, 4), (1, 3, 4)))
+        mask = np.zeros((1, 2, 3), dtype=bool)
+        mask[0, 0, :] = True
         with pytest.raises(DegenerateMaskError):
             nm.multi_head_attention(q, k, v, 2, mask)
 
     def test_heads_must_split_the_widths(self):
-        q, k, v = (Tensor(np.ones(shape)) for shape in ((2, 4), (3, 4), (3, 5)))
+        q, k, v = (Tensor(np.ones(shape)) for shape in ((1, 2, 4), (1, 3, 4), (1, 3, 5)))
         with pytest.raises(NumericsError):
             nm.multi_head_attention(q, k, v, 2)
 
+    def test_2d_input_rejected(self):
+        q, k, v = (Tensor(np.ones(shape)) for shape in ((2, 4), (1, 3, 4), (1, 3, 4)))
+        with pytest.raises(NumericsError):
+            nm.multi_head_attention(q, k, v, 2)
+
+    @pytest.mark.parametrize("mask_shape", [(2, 3), (1, 2, 4), (2, 2, 3)])
+    def test_mask_of_the_wrong_shape_rejected(self, mask_shape):
+        q, k, v = (Tensor(np.ones(shape)) for shape in ((1, 2, 4), (1, 3, 4), (1, 3, 4)))
+        with pytest.raises(NumericsError):
+            nm.multi_head_attention(q, k, v, 2, np.zeros(mask_shape, dtype=bool))
+
 
 def block_case(heads, rows=4, n=3, head_dim=3, seed=12):
-    """Queries (rows, d), per-row key and value blocks (rows, n, d) and a
-    loss weight (rows, d)."""
+    """One-row query blocks (rows, 1, d), per-row key and value blocks
+    (rows, n, d) and a loss weight (rows, 1, d)."""
     rng = np.random.default_rng(seed)
     d = heads * head_dim
     q, k, v = (Tensor(rng.normal(size=shape), requires_grad=True)
-               for shape in ((rows, d), (rows, n, d), (rows, n, d)))
-    return q, k, v, Tensor(rng.normal(size=(rows, d)))
+               for shape in ((rows, 1, d), (rows, n, d), (rows, n, d)))
+    return q, k, v, Tensor(rng.normal(size=(rows, 1, d)))
+
+
+def padding_mask(lengths, n):
+    """(rows, 1, n) mask blocking the keys of each row past its length."""
+    return (np.arange(n) >= np.asarray(lengths)[:, None])[:, None]
 
 
 class TestPerRowKeyBlocks:
@@ -215,6 +275,16 @@ class TestPerRowKeyBlocks:
         check_grads(loss, [q, k, v], 1e-6)
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_padded_gradcheck(self, heads):
+        q, k, v, w = block_case(heads, n=4)
+        mask = padding_mask([4, 1, 3, 2], 4)
+
+        def loss():
+            return nm.tsum(nm.mul(nm.multi_head_attention(q, k, v, heads, mask), w))
+
+        check_grads(loss, [q, k, v], 1e-6)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_equals_one_shared_key_call_per_row(self, heads):
         q, k, v, w = block_case(heads, rows=5, n=4)
         out = nm.multi_head_attention(q, k, v, heads)
@@ -222,19 +292,34 @@ class TestPerRowKeyBlocks:
         blocked = [out.data, q.grad, k.grad, v.grad]
         rows = []
         for r in range(q.shape[0]):
-            qr = Tensor(q.data[r:r + 1], requires_grad=True)
-            kr = Tensor(k.data[r], requires_grad=True)
-            vr = Tensor(v.data[r], requires_grad=True)
+            qr, kr, vr = (Tensor(t.data[r:r + 1], requires_grad=True) for t in (q, k, v))
             row = nm.multi_head_attention(qr, kr, vr, heads)
             nm.backward(nm.tsum(nm.mul(row, Tensor(w.data[r:r + 1]))))
-            rows.append([row.data[0], qr.grad[0], kr.grad, vr.grad])
+            rows.append([row.data[0], qr.grad[0], kr.grad[0], vr.grad[0]])
         for got, want in zip(blocked, map(np.stack, zip(*rows))):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_mask_rejected(self):
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_padded_blocks_equal_ragged_blocks(self, heads):
+        lengths = [5, 1, 3, 2]
+        q, k, v, w = block_case(heads, n=5)
+        out = nm.multi_head_attention(q, k, v, heads, padding_mask(lengths, 5))
+        nm.backward(nm.tsum(nm.mul(out, w)))
+        for r, n in enumerate(lengths):
+            qr, kr, vr = (Tensor(t.data[r:r + 1, :n], requires_grad=True)
+                          for t in (q, k, v))
+            row = nm.multi_head_attention(qr, kr, vr, heads)
+            nm.backward(nm.tsum(nm.mul(row, Tensor(w.data[r:r + 1]))))
+            for got, want in ((out.data[r], row.data[0]), (q.grad[r], qr.grad[0]),
+                              (k.grad[r, :n], kr.grad[0]), (v.grad[r, :n], vr.grad[0])):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            # padded keys take no weight, so they get no gradient
+            assert not k.grad[r, n:].any() and not v.grad[r, n:].any()
+
+    def test_fully_padded_row_is_an_error(self):
         q, k, v, _ = block_case(2)
-        with pytest.raises(NumericsError):
-            nm.multi_head_attention(q, k, v, 2, np.zeros((4, 3), dtype=bool))
+        with pytest.raises(DegenerateMaskError):
+            nm.multi_head_attention(q, k, v, 2, padding_mask([3, 1, 0, 2], 3))
 
     def test_one_block_per_query_row(self):
         q, k, v, _ = block_case(2)
@@ -303,12 +388,12 @@ class TestElementwise:
     def test_structural_ops_gradcheck(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-        w = rng.normal(size=(14, 2))
+        w = rng.normal(size=(28, 2))
 
         def loss():
             g = nm.gather_rows(x, [4, 0, 2])
             s = nm.scatter_rows(g, [1, 3, 5], 7)
-            c = nm.concat([nm.col_slice(s, 0, 2), nm.col_slice(s, 2, 4)], axis=0)
+            c = nm.concat([nm.reshape(s, (14, 2)), nm.reshape(nm.transpose(s), (14, 2))])
             return nm.tsum(nm.mul(nm.relu(c), Tensor(w)))
 
         check_grads(loss, [x], 1e-6)
@@ -375,8 +460,8 @@ class TestBackward:
 
     def test_ops_are_deterministic(self):
         rng = np.random.default_rng(8)
-        a = rng.normal(size=(6, 6))
-        b = rng.normal(size=(6, 6))
+        a = rng.normal(size=(1, 6, 6))
+        b = rng.normal(size=(1, 6, 6))
         r1 = nm.scaled_dot_attention(Tensor(a), Tensor(b), Tensor(b)).data
         r2 = nm.scaled_dot_attention(Tensor(a), Tensor(b), Tensor(b)).data
         assert (r1 == r2).all()

@@ -612,6 +612,23 @@ class TestCli:
         assert cli.main(["eval", "--config", config, "--mode", "none",
                          "--out", str(out)]) == 1
 
+    @pytest.mark.parametrize("text", [
+        "[]", '{"format": "gridcap-checkpoint-v1", "params": []}',
+    ], ids=["list-root", "list-params"])
+    def test_checkpoint_that_is_not_an_object_is_exit_1(self, run_dir, tmp_path,
+                                                         capsys, text):
+        base, config, _ = run_dir
+        out = tmp_path / "run"
+        shutil.copytree(base / "run", out)
+        (out / "captioner_rl.ckpt").unlink()
+        ckpt = out / "captioner.ckpt"
+        ckpt.write_text(text)
+        assert cli.main(["eval", "--config", config, "--mode", "none",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: corrupt {ckpt}")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("name,text", [
         ("vocab.json", '{"tokens": '),
         ("vocab.json", '{"tokens": ["<pad>", "<bos>", "<eos>", "<unk>", 5]}'),
