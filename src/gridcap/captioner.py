@@ -69,11 +69,8 @@ class Vocabulary:
         return [self.tokens[i] for i in ids]
 
     def save(self, path) -> None:
-        payload = {"tokens": list(self.tokens),
-                   "reserved": {"pad": "<pad>", "bos": "<bos>",
-                                "eos": "<eos>", "unk": "<unk>"}}
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump({"tokens": list(self.tokens)}, fh, indent=1)
             fh.write("\n")
 
     @classmethod
@@ -244,13 +241,17 @@ def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor],
 
 
 def _validate_tokens(tokens, cfg: CaptionerConfig) -> np.ndarray:
+    """``tokens`` as a checked (rows, n) id array: the one token-id check of
+    teacher forcing and the decoder step. In this order, the array must be
+    non-empty, every row must begin with BOS, n must be at most ``max_len``
+    and every id must be in the vocabulary; else ``ValueError``."""
     ids = np.asarray(tokens, dtype=np.intp)
-    if ids.ndim != 1 or len(ids) == 0:
+    if ids.ndim != 2 or ids.size == 0:
         raise ValueError("token sequence must be a nonempty 1-D id list")
-    if ids[0] != cfg.vocab.bos_id:
+    if (ids[:, 0] != cfg.vocab.bos_id).any():
         raise ValueError("token sequence must begin with BOS")
-    if len(ids) > cfg.max_len:
-        raise ValueError(f"sequence length {len(ids)} exceeds budget {cfg.max_len}")
+    if ids.shape[1] > cfg.max_len:
+        raise ValueError(f"sequence length {ids.shape[1]} exceeds budget {cfg.max_len}")
     if ids.min() < 0 or ids.max() >= len(cfg.vocab):
         raise ValueError("unknown token id in sequence")
     return ids
@@ -292,7 +293,7 @@ def decode_hidden(tokens, enc_out: Tensor, cfg: CaptionerConfig,
     scene: ``scenes[b]`` (default 0) numbers sequence b's scene, matched
     against ``enc_segments`` (as given to ``encode``; default one scene).
     """
-    seqs = [_validate_tokens(t, cfg) for t in tokens]
+    seqs = [_validate_tokens([t], cfg)[0] for t in tokens]
     scenes = (np.zeros(len(seqs), dtype=np.intp) if scenes is None
               else np.asarray(scenes))
     if scenes.shape != (len(seqs),):
@@ -344,11 +345,12 @@ def xent_loss(tokens, enc_out: Tensor, cfg: CaptionerConfig,
     sequence's ``token_logprobs`` entries weigh 1 / ((L - 1) · number of
     sequences).
     """
-    if any(cfg.vocab.eos_id not in _validate_tokens(t, cfg) for t in tokens):
+    picked = token_logprobs(tokens, enc_out, cfg, params, scenes, enc_segments)
+    # token_logprobs has checked every caption, so each converts to ids
+    if any(cfg.vocab.eos_id not in np.asarray(t) for t in tokens):
         raise ValueError("training sequence lacks EOS")
     steps = [len(t) - 1 for t in tokens]
     weights = np.repeat([1.0 / (n * len(tokens)) for n in steps], steps)
-    picked = token_logprobs(tokens, enc_out, cfg, params, scenes, enc_segments)
     return nm.neg(nm.tsum(nm.mul(picked, Tensor(weights))))
 
 
@@ -408,9 +410,10 @@ class SceneStepModel:
         """Next-token log-probs (len(prefixes), |V|) of BOS-led prefixes, as
         a plain array.
 
-        The prefixes are checked as one (rows, n) id array: ``BudgetExhausted``
-        when one is at the budget, then ``ValueError`` for mixed lengths,
-        a missing BOS or an unknown id."""
+        The prefixes are checked in this order: ``BudgetExhausted`` when one
+        is at the budget, ``ValueError`` for mixed lengths, then
+        ``_validate_tokens`` on them as one (rows, n) id array, the check
+        teacher forcing runs too."""
         cfg = self.cfg
         lengths = {len(p) for p in prefixes}
         if max(lengths, default=0) >= cfg.max_len:
@@ -418,13 +421,7 @@ class SceneStepModel:
                 f"prefix length {max(lengths)} is at budget {cfg.max_len}")
         if len(lengths) != 1:
             raise ValueError("a step takes one or more prefixes of one length")
-        ids = np.array(prefixes, dtype=np.intp)
-        if ids.ndim != 2 or ids.shape[1] == 0:
-            raise ValueError("token sequence must be a nonempty 1-D id list")
-        if (ids[:, 0] != cfg.vocab.bos_id).any():
-            raise ValueError("token sequence must begin with BOS")
-        if ids.min() < 0 or ids.max() >= len(cfg.vocab):
-            raise ValueError("unknown token id in sequence")
+        ids = _validate_tokens(prefixes, cfg)
         checked = [tuple(p) for p in ids.tolist()]
         n = ids.shape[1]
         if n == 1:  # BOS alone: its empty parent has no position to attend to

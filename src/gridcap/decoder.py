@@ -72,10 +72,6 @@ class ConstraintSet:
         return len(self.ids)
 
     @classmethod
-    def empty(cls) -> "ConstraintSet":
-        return cls((), ())
-
-    @classmethod
     def from_words(cls, words, vocab) -> "ConstraintSet":
         words = tuple(dict.fromkeys(words))
         if len(words) > MAX_CONSTRAINTS:

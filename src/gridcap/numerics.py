@@ -336,12 +336,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _record(out, (x, gain, bias), vjp)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b)."""
-    out = matmul(x, w)
-    if b is not None:
-        out = add(out, b)
-    return out
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b."""
+    return add(matmul(x, w), b)
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -485,8 +482,8 @@ def backward(loss: Tensor) -> None:
         node._vjp, node._parents = _released, ()
 
 
-def zero_grads(params) -> None:
-    for p in (params.values() if isinstance(params, dict) else params):
+def zero_grads(params: dict[str, Tensor]) -> None:
+    for p in params.values():
         p.zero_grad()
 
 

@@ -251,6 +251,12 @@ class TestDecodeLogits:
         with pytest.raises(ValueError):
             decode_logits([[5, 6]], enc, cfg, params)
 
+    def test_over_budget_rejected(self, setup):
+        cfg, params, regions = setup
+        enc = encode(regions, cfg, params)
+        with pytest.raises(ValueError, match="exceeds budget"):
+            decode_logits([[cfg.vocab.bos_id] + [5] * cfg.max_len], enc, cfg, params)
+
     def test_unknown_id_rejected(self, setup):
         cfg, params, regions = setup
         enc = encode(regions, cfg, params)

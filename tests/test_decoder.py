@@ -171,7 +171,7 @@ class TestBeamSearch:
         table[0, 2] = big
         table[1, 1] = big
         table[2, 0] = big
-        hyp = run_grid_search(TableLM(table), ConstraintSet.empty(), k=2, T=3).best
+        hyp = run_grid_search(TableLM(table), ConstraintSet((), ()), k=2, T=3).best
         assert hyp.tokens == (2, 1, 0)
         assert hyp.finished
 
@@ -181,7 +181,7 @@ class TestBeamSearch:
             V = int(rng.integers(2, 6))
             T = int(rng.integers(1, 6))
             lm = TableLM.constant(rng, V, T)
-            hyp = run_grid_search(lm, ConstraintSet.empty(), k=V, T=T).best
+            hyp = run_grid_search(lm, ConstraintSet((), ()), k=V, T=T).best
             tokens, lp = exhaustive_best(lm, T)
             assert hyp.tokens == tokens
             assert hyp.logprob == pytest.approx(lp, abs=1e-9)
@@ -192,7 +192,7 @@ class TestBeamSearch:
             V = int(rng.integers(3, 6))
             T = int(rng.integers(2, 5))
             lm = TableLM.random(rng, V, T)
-            hyp = run_grid_search(lm, ConstraintSet.empty(), k=V ** T, T=T).best
+            hyp = run_grid_search(lm, ConstraintSet((), ()), k=V ** T, T=T).best
             tokens, lp = exhaustive_best(lm, T)
             assert hyp.tokens == tokens
             assert hyp.logprob == pytest.approx(lp, abs=1e-9)
@@ -200,13 +200,13 @@ class TestBeamSearch:
     def test_returned_is_best_of_finished(self):
         rng = np.random.default_rng(32)
         lm = TableLM.random(rng, 5, 4)
-        result = run_grid_search(lm, ConstraintSet.empty(), k=3, T=4)
+        result = run_grid_search(lm, ConstraintSet((), ()), k=3, T=4)
         assert all(result.best.logprob >= h.logprob for h in result.finished)
 
     def test_no_finish_returns_flagged_unfinished(self):
         # eos is so unlikely it never survives a k=1 beam
         table = np.log(np.array([[1e-12, 0.5, 0.5]] * 3))
-        hyp = run_grid_search(TableLM(table), ConstraintSet.empty(), k=1, T=3).best
+        hyp = run_grid_search(TableLM(table), ConstraintSet((), ()), k=1, T=3).best
         assert not hyp.finished
         assert len(hyp.tokens) == 3
 
