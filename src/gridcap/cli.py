@@ -14,9 +14,11 @@ top-level only; the sections are ``data``, ``selector``, ``captioner`` and
 those the program sets (the data and train seeds, the captioner's
 vocabulary and visual width), each with a value of its default's type
 inside the field's range. Any other key or value exits 1 when the config
-is read, at every stage, and so does a negative seed. So does an output
-directory that names a file, an artifact path that cannot be written, and,
-after gen-data, an empty captioner-training, validation or test split.
+is read, at every stage, and so does a negative seed. A non-finite number
+(JSON's ``NaN`` or ``Infinity``) in the config or in ``scenes.jsonl`` exits
+1 too. So does an output directory that names a file, an artifact path
+that cannot be written, and, after gen-data, an empty captioner-training,
+validation or test split.
 The environment variable ``GRIDCAP_LOGLEVEL`` sets the log level by name
 (default WARNING; INFO shows one line per training epoch).
 Exit codes: 0 success, 1 configuration problem (a bad config, a missing,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +58,13 @@ def extract_features(d: Detection, width: float, height: float) -> np.ndarray:
 
     The area fraction is computed as the product of the two normalized box
     sides so it equals components 3 x 4 exactly, not merely to rounding.
+    A non-finite image size or box value raises ``ValueError``.
     """
+    x_c, y_c, w, h = d.box
+    if not all(map(math.isfinite, (width, height, x_c, y_c, w, h))):
+        raise ValueError(f"non-finite image size {width}x{height} or box {d.box}")
     if width <= 0 or height <= 0:
         raise ValueError(f"image dimensions must be positive, got {width}x{height}")
-    x_c, y_c, w, h = d.box
     if w <= 0 or h <= 0:
         raise ValueError(f"degenerate box size {w}x{h}")
     if not (0.0 <= d.score <= 1.0):

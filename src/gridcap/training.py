@@ -60,8 +60,8 @@ class TrainConfig:
     def __post_init__(self):
         check_at_least(self, batch_size=1, warmup=1, selector_epochs=1,
                        xent_epochs=1, rl_epochs=1, beam_size=1, seed=0)
-        if self.rl_lr <= 0:
-            raise ValueError("rl_lr must be positive")
+        if not (np.isfinite(self.rl_lr) and self.rl_lr > 0):
+            raise ValueError("rl_lr must be finite and positive")
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:

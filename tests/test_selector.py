@@ -61,6 +61,14 @@ class TestExtractFeatures:
         with pytest.raises(ValueError):
             extract_features(det("lamp", box=(95.0, 50.0, 20.0, 10.0)), 100, 100)
 
+    @pytest.mark.parametrize("box, width", [
+        ((math.nan, 50.0, 20.0, 10.0), 100),
+        ((50.0, 50.0, 20.0, 10.0), math.inf),
+    ], ids=["nan-box", "infinite-width"])
+    def test_non_finite_values_rejected(self, box, width):
+        with pytest.raises(ValueError, match="non-finite"):
+            extract_features(det("lamp", box=box), width, 100)
+
 
 def small_selector(seed, num_layers=2, num_heads=2):
     cfg = SelectorConfig(embed_dim=8, num_layers=num_layers, num_heads=num_heads,

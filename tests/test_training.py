@@ -501,11 +501,14 @@ class TestCli:
         {"selector": {"max_proposals": 0}},
         {"captioner": {"max_len": 2}},
         {"seed": -1},
+        {"train": {"rl_lr": float("nan")}},
+        {"train": {"rl_lr": float("inf")}},
     ], ids=["data-list", "train-string", "seed-string", "seed-float",
             "num_train-string", "held_out-int", "num_heads-float",
             "selector_epochs-float", "beam_size-bool", "out_dir-int",
             "captioner-num_heads-0", "selector-num_heads-0", "visual_dim-3",
-            "num_eval-negative", "max_proposals-0", "max_len-2", "seed-negative"])
+            "num_eval-negative", "max_proposals-0", "max_len-2", "seed-negative",
+            "rl_lr-nan", "rl_lr-infinity"])
     def test_malformed_config_value_is_exit_1(self, tmp_path, monkeypatch, raw):
         monkeypatch.chdir(tmp_path)  # so a run that ignored out_dir writes here too
         bad = tmp_path / "bad.json"
@@ -673,10 +676,14 @@ class TestCli:
         lambda s: s | {"references": [" ".join(s["references"][0])]
                        + s["references"][1:]},
         lambda s: s | {"references": [[]] + s["references"][1:]},
+        lambda s: s | {"detections": [s["detections"][0] | {"box": [float("nan"), 5, 5, 5]}]
+                       + s["detections"][1:]},
+        lambda s: s | {"W": float("inf")},
     ], ids=["no-detections", "narrow-rows", "missing-row", "text-in-row",
             "no-references", "score-over-1", "box-off-image", "zero-width",
             "unknown-class-word", "class-id-out-of-range", "reserved-reference",
-            "int-in-reference", "string-reference", "empty-reference"])
+            "int-in-reference", "string-reference", "empty-reference",
+            "nan-box", "infinite-width"])
     def test_corrupt_scene_record_is_exit_1(self, run_dir, tmp_path, capsys,
                                             corrupt):
         base, config, _ = run_dir
