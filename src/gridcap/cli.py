@@ -3,8 +3,9 @@
 The five subcommands are ``gen-data``, ``train-selector``,
 ``train-captioner``, ``finetune`` and ``eval --mode M``. ``eval`` scores the
 test split and writes ``eval_M.json`` plus the decoded captions as
-``captions_M.jsonl``; with ``--trace-grid`` it also writes every grid cell
-as ``grid_trace_M.jsonl``.
+``captions_M.jsonl``; with ``--trace-grid`` it also writes, as
+``grid_trace_M.jsonl``, the grid cells of the columns each search ran (a
+search stops once its k best finished decodes can no longer change).
 
 Every stage reads a single JSON config plus a few overrides, and leaves
 its artifacts in the output directory, so a full experiment is a short
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "eval":
             p.add_argument("--mode", required=True, choices=EVAL_MODES)
             p.add_argument("--trace-grid", action="store_true",
-                           help="also write the beam grid as JSONL")
+                           help="also write the grid cells each search ran as JSONL")
     return parser
 
 

@@ -14,6 +14,14 @@ coverage each continuation would reach. Every cell then keeps its k best
 entries of that coverage straight from the matrix, so the search is a
 full-vocabulary expansion, and hypotheses are built only for kept entries.
 
+The search stops early, and exactly (Huang, Zhao & Ma 2017, "When to
+Finish?"). A step row is a log-softmax, so every entry is at most 0 and no
+hypothesis scores above its parent. Once the k-th best finished
+full-coverage hypothesis scores strictly above every live one, no later
+column can change the k best, so the search ends there; it also ends when
+no hypothesis is live. A step row holding a value above 0 (or NaN) breaks
+that premise and raises ``ValueError``.
+
 Every token, constraint word or not, is scored with the model's own
 log-probability, which is what makes the sequence score differentiable:
 ``sequence_logprob`` sums each candidate's next-token log-probs, which the
@@ -100,9 +108,9 @@ def feasible_coverage(t: int, n: int, T: int) -> range:
 @dataclass
 class GridResult:
     best: Hypothesis
-    finished: list[Hypothesis]  # all finished full-coverage hypotheses, ranked
-    trace: list[dict] = field(default_factory=list)
-    step_calls: int = 0  # batched model calls, one per column with a live parent
+    finished: list[Hypothesis]  # the k best finished full-coverage hypotheses, ranked
+    trace: list[dict] = field(default_factory=list)  # the cells of the columns run
+    step_calls: int = 0  # batched model calls, one per column run
     offered: int = 0  # each live parent's k best free tokens plus its unmet words
     kept: int = 0  # hypotheses that survived pruning, summed over cells
 
@@ -117,6 +125,13 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
     parent. Ties break on token ids so the search is deterministic for
     identical inputs. Beams prune and finished hypotheses rank on the raw
     log-prob sum.
+
+    Every step row must be at most 0, as a log-softmax is; a value above 0
+    or NaN raises ``ValueError``. On that premise the search stops after
+    the first column where no hypothesis is live, or where the k-th best
+    finished full-coverage hypothesis scores strictly above every live
+    one, so ``best`` and ``finished`` (the k best) equal those of a search
+    run over all T columns.
     """
     n = len(constraints)
     if k < 1 or T < 1:
@@ -124,20 +139,18 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
     if n >= T:
         raise InfeasibleConstraintsError(f"{n} constraints cannot fit a budget of {T}")
 
-    # the last column's beams by coverage; a column reads only the one before
-    beams: dict[int, list[Hypothesis]] = {0: [Hypothesis(tokens=(), logprob=0.0)]}
-    finished_full: list[Hypothesis] = []
+    # the live hypotheses of the last column; a column reads only the one before
+    parents = [Hypothesis(tokens=(), logprob=0.0)]
+    finished_full: list[Hypothesis] = []  # the k best so far, ranked
     fallback = None  # best unfinished full-coverage hypothesis of the latest column
     trace_rows: list[dict] = []
     step_calls = offered = kept_total = 0
 
     for t in range(T):
-        parents = [h for beam in beams.values() for h in beam if not h.finished]
-        if parents:
-            rows = model.step([(model.bos_id,) + p.tokens for p in parents])
-            step_calls += 1
-        else:  # every beam has finished; the column's cells stay empty
-            rows = np.empty((0, model.vocab_size))
+        rows = model.step([(model.bos_id,) + p.tokens for p in parents])
+        step_calls += 1
+        if not (rows <= 0).all():
+            raise ValueError("a step row holds a log-prob above 0 or NaN")
         # entry (i, tok) of each matrix is the continuation parents[i] + tok
         vocab = rows.shape[1]
         scores = (np.array([p.logprob for p in parents])[:, None] + rows).ravel()
@@ -151,7 +164,7 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
         # parent's tokens, then by the new token
         rank = np.argsort(sorted(range(len(parents)), key=lambda i: parents[i].tokens))
 
-        beams = {}
+        column = []  # every cell's kept hypotheses, by coverage
         for c in feasible_coverage(t + 1, n, T):
             idx = np.flatnonzero(cover == c)
             if len(idx) > k:  # drop entries scored below the cell's k-th best
@@ -165,7 +178,7 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
                                tok == model.eos_id)
                 assert len(h.tokens) == t + 1 and len(h.met) == c
                 kept.append(h)
-            beams[c] = kept
+            column += kept
             kept_total += len(kept)
             if c == n:
                 finished_full.extend(h for h in kept if h.finished)
@@ -181,9 +194,17 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
                     } for h in kept],
                 })
 
+        finished_full.sort(key=Hypothesis.sort_key)
+        del finished_full[k:]
+        parents = [h for h in column if not h.finished]
+        # no hypothesis outscores its parent, so nothing live can still
+        # reach the k best once the k-th scores above every live hypothesis
+        if not parents or (len(finished_full) == k and finished_full[-1].logprob
+                           > max(p.logprob for p in parents)):
+            break
+
     counts = {"trace": trace_rows, "step_calls": step_calls,
               "offered": offered, "kept": kept_total}
-    finished_full.sort(key=Hypothesis.sort_key)
     if finished_full:
         return GridResult(best=finished_full[0], finished=finished_full, **counts)
     # no finished full-coverage decode: fall back to the most complete

@@ -13,7 +13,9 @@ Every decode, whether a fine-tuning beam, a validation pass or an
 evaluation, is one ``run_grid_search`` call made by ``_decode_for_scene`` on
 the scene's one model from ``_scene_model``. That model searches without a
 tape and then scores the candidates on the tape, so each fine-tuning scene
-is encoded once.
+is encoded once. A search returns the beam-size best finished decodes as
+``finished`` and stops as soon as they can no longer change; those are a
+fine-tuning scene's candidates.
 Every epoch record counts its Adam steps as ``updates``.
 """
 
@@ -288,8 +290,9 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
                        synonyms: dict[str, list[str]]):
     """Self-critical fine-tuning; the beam comes from constrained search.
 
-    Every finished beam candidate is rewarded, advantages are centered on
-    the beam mean, and the policy term is the differentiable sequence
+    Each of the search's k best finished decodes (k is the beam size) is a
+    candidate and is rewarded, advantages are centered on the beam mean,
+    and the policy term is the differentiable sequence
     log-probability, so constraint words receive gradient like any other
     token. Scenes with an empty constraint set fall back to unconstrained
     search. After each epoch the validation split is decoded in oracle mode
@@ -325,7 +328,7 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
                 words = build_training_constraints(scene, synonyms, vocab)
                 model = _scene_model(scene, cfg, params)
                 result = _decode_for_scene(model, words, train_cfg.beam_size)
-                cands = result.finished[: train_cfg.beam_size]
+                cands = result.finished
                 if len(cands) < 2:
                     skipped += 1
                     continue

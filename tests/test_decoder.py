@@ -99,6 +99,36 @@ def full_vocab_grid_search(lm, constraint_ids, k: int, T: int):
     return None, [], trace
 
 
+def stop_column(trace, n: int, k: int, T: int) -> int:
+    """The first column of a full-length ``trace`` after which no hypothesis
+    is live, or the k-th best finished full-coverage log-prob so far is
+    above every live one; T - 1 when no column qualifies."""
+    finished = []
+    for t in range(T):
+        rows = [row for row in trace if row["t"] == t]
+        finished += [h["logprob"] for row in rows if row["c"] == n
+                     for h in row["hyps"] if h["finished"]]
+        live = [h["logprob"] for row in rows for h in row["hyps"]
+                if not h["finished"]]
+        top = sorted(finished, reverse=True)[:k]
+        if not live or (len(top) == k and top[-1] > max(live)):
+            return t
+    return T - 1
+
+
+def live_coverage(trace) -> dict:
+    """Coverage of each live parent, by the column that expands it, for the
+    columns ``trace`` ran."""
+    last = trace[-1]["t"]
+    live = {t: [] for t in range(last + 1)}
+    live[0].append(0)  # the root
+    for row in trace:
+        if row["t"] < last:
+            live[row["t"] + 1] += [row["c"] for h in row["hyps"]
+                                   if not h["finished"]]
+    return live
+
+
 class CountingLM(TableLM):
     """A TableLM that records the batch size of every step call."""
 
@@ -273,8 +303,11 @@ class TestGridBeamSearch:
         best, finished, trace = full_vocab_grid_search(lm, ids, k, T)
         result = run_grid_search(lm, cs, k=k, T=T, trace=True)
         assert result.best == best
-        assert result.finished == finished
-        assert result.trace == trace
+        assert result.finished == finished[:k]
+        # the trace is the reference's, cut after the first column where
+        # the stop rule holds
+        stop = stop_column(trace, len(ids), k, T)
+        assert result.trace == [row for row in trace if row["t"] <= stop]
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(tied_search_case())
@@ -287,41 +320,51 @@ class TestGridBeamSearch:
         best, finished, trace = full_vocab_grid_search(lm, ids, k, T)
         result = run_grid_search(lm, cs, k=k, T=T, trace=True)
         assert result.best == best
-        assert result.finished == finished
-        assert result.trace == trace
-        live = {t: [] for t in range(T)}  # coverage of each live parent
-        live[0].append(0)  # the root
-        for row in trace:
-            if row["t"] + 1 < T:
-                live[row["t"] + 1] += [row["c"] for h in row["hyps"]
-                                       if not h["finished"]]
+        assert result.finished == finished[:k]
+        stop = stop_column(trace, n, k, T)
+        assert result.trace == [row for row in trace if row["t"] <= stop]
+        live = live_coverage(result.trace)
         assert result.step_calls == sum(1 for cs in live.values() if cs)
         assert result.offered == sum(min(k, lm.vocab_size - (n - c)) + n - c
                                      for cs in live.values() for c in cs)
-        assert result.kept == sum(len(row["hyps"]) for row in trace)
+        assert result.kept == sum(len(row["hyps"]) for row in result.trace)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(search_case())
     def test_counters_and_expansion_bound(self, case):
-        # one step call per column with a live parent, scoring all of them,
-        # and each live parent offers at most k + (n - c) continuations
+        # one step call per column run, scoring every live parent, and each
+        # live parent offers at most k + (n - c) continuations
         lm, T, ids, k = case
         lm = CountingLM(lm.table)
         n = len(ids)
         cs = ConstraintSet(words=tuple(f"w{i}" for i in ids), ids=ids)
         result = run_grid_search(lm, cs, k=k, T=T, trace=True)
-        live = {t: [] for t in range(T)}  # coverage of each live parent
-        live[0].append(0)  # the root
-        for row in result.trace:
-            if row["t"] + 1 < T:
-                live[row["t"] + 1] += [row["c"] for h in row["hyps"]
-                                       if not h["finished"]]
+        live = live_coverage(result.trace)
         assert lm.batches == [len(cs) for cs in live.values() if cs]
         assert result.step_calls == len(lm.batches)
         assert result.offered <= sum(k + n - c for cs in live.values() for c in cs)
         assert result.offered == sum(min(k, lm.vocab_size - (n - c)) + n - c
                                      for cs in live.values() for c in cs)
         assert result.kept == sum(len(row["hyps"]) for row in result.trace)
+
+    def test_dominant_eos_stops_after_two_columns(self):
+        # eos takes 0.97 of every row: after column 1 the two finished
+        # decodes outscore every live prefix, so columns 2..T-1 never run
+        table = np.log(np.array([[0.97, 0.01, 0.01, 0.01]] * 6))
+        lm = CountingLM(table)
+        result = run_grid_search(lm, ConstraintSet((), ()), k=2, T=6, trace=True)
+        assert result.step_calls == len(lm.batches) == 2
+        assert {row["t"] for row in result.trace} == {0, 1}
+        assert [h.tokens for h in result.finished] == [(0,), (1, 0)]
+        _, finished, _ = full_vocab_grid_search(lm, (), 2, 6)
+        assert result.finished == finished[:2]
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan])
+    def test_step_row_above_zero_or_nan_rejected(self, bad):
+        table = np.log(np.full((3, 4), 0.25))
+        table[1, 2] = bad
+        with pytest.raises(ValueError, match="above 0"):
+            run_grid_search(TableLM(table), ConstraintSet((), ()), k=4, T=3)
 
     def test_determinism(self):
         rng = np.random.default_rng(38)
