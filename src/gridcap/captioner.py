@@ -243,11 +243,15 @@ def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor],
 def _validate_tokens(tokens, cfg: CaptionerConfig) -> np.ndarray:
     """``tokens`` as a checked (rows, n) id array: the one token-id check of
     teacher forcing and the decoder step. In this order, the array must be
-    non-empty, every row must begin with BOS, n must be at most ``max_len``
-    and every id must be in the vocabulary; else ``ValueError``."""
-    ids = np.asarray(tokens, dtype=np.intp)
+    non-empty and of integers, every row must begin with BOS, n must be at
+    most ``max_len`` and every id must be in the vocabulary; else
+    ``ValueError``."""
+    ids = np.asarray(tokens)
     if ids.ndim != 2 or ids.size == 0:
         raise ValueError("token sequence must be a nonempty 1-D id list")
+    if ids.dtype.kind not in "iu":  # signed or unsigned integers
+        raise ValueError(f"token ids must be integers, not {ids.dtype}")
+    ids = ids.astype(np.intp, copy=False)
     if (ids[:, 0] != cfg.vocab.bos_id).any():
         raise ValueError("token sequence must begin with BOS")
     if ids.shape[1] > cfg.max_len:

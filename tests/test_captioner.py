@@ -263,6 +263,14 @@ class TestDecodeLogits:
         with pytest.raises(ValueError):
             decode_logits([[cfg.vocab.bos_id, len(cfg.vocab)]], enc, cfg, params)
 
+    @pytest.mark.parametrize("bad", [5.7, 5.0])
+    def test_float_id_rejected(self, setup, bad):
+        # a float id would otherwise be truncated to another token's id
+        cfg, params, regions = setup
+        enc = encode(regions, cfg, params)
+        with pytest.raises(ValueError, match="integers"):
+            decode_logits([[cfg.vocab.bos_id, bad]], enc, cfg, params)
+
     def test_masked_decoder_layer_gradcheck(self, setup):
         cfg, params, regions = setup
         v = cfg.vocab
@@ -434,8 +442,10 @@ class TestCachedStep:
         ([(5,)], "BOS"),
         ([(1, 5), (1, 10)], "unknown token id"),
         ([(1, 5), (1, -1)], "unknown token id"),
+        ([(1, 5), (1, 5.7)], "integers"),
         ([], "one or more prefixes"),
-    ], ids=["no-bos", "id-past-vocabulary", "negative-id", "no-prefixes"])
+    ], ids=["no-bos", "id-past-vocabulary", "negative-id", "float-id",
+            "no-prefixes"])
     def test_bad_prefixes_rejected_and_cache_kept(self, setup, column, message):
         model = step_model(*setup)
         bos = model.bos_id
