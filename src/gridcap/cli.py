@@ -151,7 +151,8 @@ class Experiment:
             raise ConfigError(f"{path} missing; run the stage that writes it first")
         try:
             return reader(path)
-        except (OSError, ValueError, KeyError, TypeError, NumericsError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, OverflowError,
+                NumericsError) as exc:
             raise ConfigError(f"corrupt {path}: {exc!r}") from exc
 
     def write(self, name: str, writer, *args):

@@ -679,11 +679,12 @@ class TestCli:
         lambda s: s | {"detections": [s["detections"][0] | {"box": [float("nan"), 5, 5, 5]}]
                        + s["detections"][1:]},
         lambda s: s | {"W": float("inf")},
+        lambda s: s | {"W": 10 ** 400},
     ], ids=["no-detections", "narrow-rows", "missing-row", "text-in-row",
             "no-references", "score-over-1", "box-off-image", "zero-width",
             "unknown-class-word", "class-id-out-of-range", "reserved-reference",
             "int-in-reference", "string-reference", "empty-reference",
-            "nan-box", "infinite-width"])
+            "nan-box", "infinite-width", "huge-int-width"])
     def test_corrupt_scene_record_is_exit_1(self, run_dir, tmp_path, capsys,
                                             corrupt):
         base, config, _ = run_dir
