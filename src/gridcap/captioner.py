@@ -248,7 +248,8 @@ def _validate_tokens(tokens, cfg: CaptionerConfig) -> np.ndarray:
     ``ValueError``."""
     ids = np.asarray(tokens)
     if ids.ndim != 2 or ids.size == 0:
-        raise ValueError("token sequence must be a nonempty 1-D id list")
+        raise ValueError(f"token ids must be a non-empty (rows, n) array, "
+                         f"got shape {ids.shape}")
     if ids.dtype.kind not in "iu":  # signed or unsigned integers
         raise ValueError(f"token ids must be integers, not {ids.dtype}")
     ids = ids.astype(np.intp, copy=False)

@@ -15,11 +15,15 @@ top-level only; the sections are ``data``, ``selector``, ``captioner`` and
 those the program sets (the data and train seeds, the captioner's
 vocabulary and visual width), each with a value of its default's type
 inside the field's range. Any other key or value exits 1 when the config
-is read, at every stage, and so does a negative seed. A non-finite number
-(JSON's ``NaN`` or ``Infinity``) in the config or in ``scenes.jsonl`` exits
-1 too. So does an output directory that names a file, an artifact path
-that cannot be written, and, after gen-data, an empty captioner-training,
-validation or test split.
+is read, at every stage, and so does a negative seed. So does a
+``data.classes`` word that is empty, not one lowercase token, or a
+reserved vocabulary token such as ``<pad>``. A non-finite number (JSON's
+``NaN`` or ``Infinity``) in the config exits 1 too. After gen-data, every
+stage reads ``scenes.jsonl`` through ``data.read_jsonl``, which checks
+each record against the ``data`` section; a record it rejects exits 1,
+among them one whose ``split`` is not ``train``, ``val`` or ``test``. So
+does an output directory that names a file, an artifact path that cannot
+be written, and an empty captioner-training, validation or test split.
 The environment variable ``GRIDCAP_LOGLEVEL`` sets the log level by name
 (default WARNING; INFO shows one line per training epoch).
 Exit codes: 0 success, 1 configuration problem (a bad config, a missing,
@@ -39,13 +43,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .captioner import RESERVED, CaptionerConfig, Vocabulary, init_captioner_params
-from .data import (DatasetConfig, apply_heldout, build_vocabulary,
+from .captioner import CaptionerConfig, Vocabulary, init_captioner_params
+from .data import (SPLITS, DatasetConfig, apply_heldout, build_vocabulary,
                    default_synonyms, gen_dataset, read_jsonl, write_jsonl)
 from .numerics import (NumericsError, checkpoint_hash, load_checkpoint,
                        save_checkpoint)
-from .selector import (SelectorConfig, extract_features, init_selector_params,
-                       load_synonyms, save_synonyms)
+from .selector import SelectorConfig, init_selector_params, load_synonyms
 from .training import (EVAL_MODES, TrainConfig, TrainingDiverged, decode_eval,
                        finetune_scst_dgbs, pretrain_captioner, train_selector)
 
@@ -143,14 +146,14 @@ class Experiment:
 
     # -- artifacts ----------------------------------------------------------
 
-    def read(self, name: str, reader):
-        """``reader(path)`` on one artifact; a missing, unreadable or
+    def read(self, name: str, reader, *args):
+        """``reader(path, *args)`` on one artifact; a missing, unreadable or
         malformed file raises ConfigError."""
         path = self.path(name)
         if not os.path.exists(path):
             raise ConfigError(f"{path} missing; run the stage that writes it first")
         try:
-            return reader(path)
+            return reader(path, *args)
         except (OSError, ValueError, KeyError, TypeError, OverflowError,
                 NumericsError) as exc:
             raise ConfigError(f"corrupt {path}: {exc!r}") from exc
@@ -163,40 +166,10 @@ class Experiment:
         except OSError as exc:
             raise ConfigError(f"cannot write {self.path(name)}: {exc}") from exc
 
-    def _read_scenes(self, path):
-        """``read_jsonl``, then a check that every region row is
-        ``data.visual_dim`` finite numbers, that every detection's class id
-        numbers its class word in ``data.classes``, that its image, box and
-        score pass ``extract_features``, and that every reference is a
-        non-empty list of strings none of which is a reserved vocabulary
-        token."""
-        scenes = read_jsonl(path)
-        dim, classes = self.data_cfg.visual_dim, self.data_cfg.classes
-        for scene in scenes:
-            where = f"scene {scene.scene_id!r}"
-            for det, row in zip(scene.detections, scene.region_visual):
-                row = np.asarray(row, dtype=np.float64)
-                if row.shape != (dim,) or not np.isfinite(row).all():
-                    raise ValueError(f"{where} has a region row that is not "
-                                     f"{dim} finite numbers")
-                if not (0 <= det.class_id < len(classes)
-                        and classes[det.class_id] == det.class_word):
-                    raise ValueError(f"{where} has class id {det.class_id!r} with "
-                                     f"word {det.class_word!r}, not in data.classes")
-                extract_features(det, scene.W, scene.H)
-            for ref in scene.references:
-                if not (isinstance(ref, list) and ref
-                        and all(isinstance(t, str) for t in ref)):
-                    raise ValueError(f"{where} has a reference that is not a "
-                                     f"non-empty list of strings")
-                if any(t in RESERVED for t in ref):
-                    raise ValueError(f"{where} has a reference holding a reserved token")
-        return scenes
-
     def inputs(self):
         """(held-out splits, synonym table) from gen-data's artifacts; a
         corrupt scene or an empty split raises ConfigError."""
-        scenes = self.read("scenes.jsonl", self._read_scenes)
+        scenes = self.read("scenes.jsonl", read_jsonl, self.data_cfg)
         synonyms = self.read("synonyms.json", load_synonyms)
         splits = apply_heldout(scenes, self.data_cfg, synonyms)
         for split, keys in (("captioner_train", "data.num_train and data.held_out"),
@@ -251,13 +224,12 @@ def cmd_gen_data(exp: Experiment, args) -> int:
     synonyms = default_synonyms(exp.data_cfg.classes)
     vocab = build_vocabulary(exp.data_cfg)
     exp.write("scenes.jsonl", write_jsonl, (s.to_dict() for s in scenes))
-    exp.write("synonyms.json", save_synonyms, synonyms)
+    exp.write("synonyms.json", _write_report, synonyms)
     exp.write("vocab.json", vocab.save)
     exp.write("dataset_meta.json", _write_report, {
         "config": exp.config_echo(),
         "num_scenes": len(scenes),
-        "splits": {s: sum(1 for x in scenes if x.split == s)
-                   for s in ("train", "val", "test")},
+        "splits": {s: sum(1 for x in scenes if x.split == s) for s in SPLITS},
         "vocab_size": len(vocab),
     })
     print(f"wrote {len(scenes)} scenes to {exp.path('scenes.jsonl')}")

@@ -15,9 +15,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .captioner import Vocabulary
+from .captioner import RESERVED, Vocabulary
 from .numerics import check_at_least
-from .selector import Detection, mentions_any
+from .selector import Detection, extract_features, mentions_any
 
 CLASS_WORDS = (
     "lamp", "chair", "table", "vase", "clock", "mirror", "plant", "shelf",
@@ -36,6 +36,7 @@ FILLERS = ("a", "two", "and") + ADJECTIVES + VERBS_SG + VERBS_PL + PREPS
 MIN_DETECTIONS, MAX_DETECTIONS = 2, 10  # detections per scene, inclusive
 SALIENCE_TAU = 0.14  # area fraction past which an object beyond the two largest is salient
 MENTION_DROPOUT = 0.3  # chance a reference drops one non-primary mention
+SPLITS = ("train", "val", "test")
 
 
 @dataclass
@@ -53,8 +54,9 @@ class DatasetConfig:
         if not self.classes:
             raise ValueError("classes must not be empty")
         for w in self.classes:
-            if " " in w or w != w.lower():
-                raise ValueError(f"class word {w!r} must be one lowercase token")
+            if not w or " " in w or w != w.lower() or w in RESERVED:
+                raise ValueError(f"class word {w!r} must be one lowercase token "
+                                 f"and not a reserved one")
         missing = set(self.held_out) - set(self.classes)
         if missing:
             raise ValueError(f"held-out classes {sorted(missing)} not in the class vocabulary")
@@ -82,9 +84,17 @@ class SceneRecord:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "SceneRecord":
-        """A scene from ``to_dict`` output; ValueError unless it has a
-        detection, one region row per detection and a reference."""
+    def from_dict(cls, obj: dict, cfg: DatasetConfig) -> "SceneRecord":
+        """A scene from ``to_dict`` output, checked against ``cfg``.
+
+        ValueError unless, in this order: the scene has a detection, one
+        region row per detection and a reference; each region row is
+        ``cfg.visual_dim`` finite numbers; each class id numbers its class
+        word in ``cfg.classes``; ``extract_features`` accepts the image size
+        and each box and score; each reference is a non-empty list of
+        strings, none of them a reserved vocabulary token; and ``split`` is
+        one of ``SPLITS``. A missing key raises KeyError.
+        """
         dets = [Detection(class_id=d["class_id"], class_word=d["class_word"],
                           box=tuple(d["box"]), score=d["score"])
                 for d in obj["detections"]]
@@ -96,6 +106,26 @@ class SceneRecord:
                              f"rows for {len(dets)} detections")
         if not obj["references"]:
             raise ValueError(f"{where} has no references")
+        dim, classes = cfg.visual_dim, cfg.classes
+        for det, row in zip(dets, obj["region_visual"]):
+            row = np.asarray(row, dtype=np.float64)
+            if row.shape != (dim,) or not np.isfinite(row).all():
+                raise ValueError(f"{where} has a region row that is not "
+                                 f"{dim} finite numbers")
+            if not (0 <= det.class_id < len(classes)
+                    and classes[det.class_id] == det.class_word):
+                raise ValueError(f"{where} has class id {det.class_id!r} with "
+                                 f"word {det.class_word!r}, not in data.classes")
+            extract_features(det, obj["W"], obj["H"])
+        for ref in obj["references"]:
+            if not (isinstance(ref, list) and ref
+                    and all(isinstance(t, str) for t in ref)):
+                raise ValueError(f"{where} has a reference that is not a "
+                                 f"non-empty list of strings")
+            if any(t in RESERVED for t in ref):
+                raise ValueError(f"{where} has a reference holding a reserved token")
+        if obj["split"] not in SPLITS:
+            raise ValueError(f"{where} has split {obj['split']!r}, not one of {SPLITS}")
         return cls(scene_id=obj["scene_id"], W=obj["W"], H=obj["H"],
                    detections=dets, region_visual=obj["region_visual"],
                    references=obj["references"], split=obj["split"])
@@ -255,11 +285,16 @@ def write_jsonl(path, rows) -> None:
             fh.write("\n")
 
 
-def read_jsonl(path) -> list[SceneRecord]:
+def read_jsonl(path, cfg: DatasetConfig) -> list[SceneRecord]:
+    """The scenes of a ``write_jsonl`` file; blank lines are skipped. Each
+    record passes ``SceneRecord.from_dict``'s checks against ``cfg`` (its
+    structure, region rows, class ids, image and boxes, references and
+    split), or the read raises ValueError, KeyError, TypeError or
+    OverflowError."""
     scenes = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
-                scenes.append(SceneRecord.from_dict(json.loads(line)))
+                scenes.append(SceneRecord.from_dict(json.loads(line), cfg))
     return scenes

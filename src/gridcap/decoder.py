@@ -56,7 +56,6 @@ class Hypothesis:
 
     tokens: tuple[int, ...]
     logprob: float
-    met: frozenset[int] = frozenset()
     finished: bool = False
 
     def sort_key(self):
@@ -156,7 +155,7 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
         scores = (np.array([p.logprob for p in parents])[:, None] + rows).ravel()
         gains = np.zeros(rows.shape, dtype=bool)  # tok is an unmet constraint
         for i, p in enumerate(parents):
-            gains[i, [c for c in constraints.ids if c not in p.met]] = True
+            gains[i, [c for c in constraints.ids if c not in p.tokens]] = True
         unmet = gains.sum(axis=1)
         cover = ((n - unmet)[:, None] + gains).ravel()
         offered += int((np.minimum(k, vocab - unmet) + unmet).sum())
@@ -174,9 +173,8 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
             for j in idx.tolist():
                 p, tok = parents[j // vocab], j % vocab
                 h = Hypothesis(p.tokens + (tok,), float(scores[j]),
-                               p.met | {tok} if gains.flat[j] else p.met,
                                tok == model.eos_id)
-                assert len(h.tokens) == t + 1 and len(h.met) == c
+                assert len(h.tokens) == t + 1
                 kept.append(h)
             column += kept
             kept_total += len(kept)

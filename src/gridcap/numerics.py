@@ -141,10 +141,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     """Elementwise product; either side may be a python scalar."""
-    if isinstance(a, (int, float)):
-        a = Tensor(float(a))
-    if isinstance(b, (int, float)):
-        b = Tensor(float(b))
+    a, b = _wrap(a), _wrap(b)
     if a.shape != b.shape and a.data.ndim != 0 and b.data.ndim != 0:
         raise NumericsError(f"mul shapes {a.shape} vs {b.shape}")
     out = Tensor(a.data * b.data)
@@ -261,8 +258,8 @@ def relu(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     # stable in both tails
-    s = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                 np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    e = np.exp(-np.abs(a.data))
+    s = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(s)
     return _record(out, (a,), lambda g: (g * s * (1.0 - s),))
 

@@ -215,9 +215,3 @@ def load_synonyms(path) -> dict[str, list[str]]:
             raise ValueError(f"synonym table {path} maps {word!r} to {forms!r}, "
                              f"not a list of strings")
     return table
-
-
-def save_synonyms(path, table: dict[str, list[str]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table, fh, indent=1, sort_keys=True)
-        fh.write("\n")

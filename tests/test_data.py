@@ -130,7 +130,7 @@ class TestHeldout:
         cfg, scenes = corpus
         synonyms = default_synonyms(cfg.classes)
         scene = SceneRecord.from_dict({**scenes[0].to_dict(),
-                                       "references": [["a", "Vase", "sits"]]})
+                                       "references": [["a", "Vase", "sits"]]}, cfg)
         assert scene.split == "train"
         assert apply_heldout([scene], cfg, synonyms).captioner_train == []
         record = EvalRecord(scene.scene_id, ["a", "vase"], scene.references)
@@ -178,18 +178,18 @@ class TestVocabulary:
 
 class TestSerialization:
     def test_jsonl_round_trip_byte_identical(self, corpus, tmp_path):
-        _, scenes = corpus
+        cfg, scenes = corpus
         p1 = tmp_path / "a.jsonl"
         p2 = tmp_path / "b.jsonl"
         write_jsonl(p1, [s.to_dict() for s in scenes])
-        write_jsonl(p2, [s.to_dict() for s in read_jsonl(p1)])
+        write_jsonl(p2, [s.to_dict() for s in read_jsonl(p1, cfg)])
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_record_field_names(self, corpus):
-        _, scenes = corpus
+        cfg, scenes = corpus
         obj = scenes[0].to_dict()
         assert list(obj) == ["scene_id", "W", "H", "detections",
                              "region_visual", "references", "split"]
         line = json.dumps(obj)
-        back = SceneRecord.from_dict(json.loads(line))
+        back = SceneRecord.from_dict(json.loads(line), cfg)
         assert back.to_dict() == obj

@@ -503,12 +503,15 @@ class TestCli:
         {"seed": -1},
         {"train": {"rl_lr": float("nan")}},
         {"train": {"rl_lr": float("inf")}},
+        {"data": {"classes": ["<pad>", "lamp"], "held_out": []}},
+        {"data": {"classes": ["", "lamp"], "held_out": []}},
     ], ids=["data-list", "train-string", "seed-string", "seed-float",
             "num_train-string", "held_out-int", "num_heads-float",
             "selector_epochs-float", "beam_size-bool", "out_dir-int",
             "captioner-num_heads-0", "selector-num_heads-0", "visual_dim-3",
             "num_eval-negative", "max_proposals-0", "max_len-2", "seed-negative",
-            "rl_lr-nan", "rl_lr-infinity"])
+            "rl_lr-nan", "rl_lr-infinity", "reserved-class-word",
+            "empty-class-word"])
     def test_malformed_config_value_is_exit_1(self, tmp_path, monkeypatch, raw):
         monkeypatch.chdir(tmp_path)  # so a run that ignored out_dir writes here too
         bad = tmp_path / "bad.json"
@@ -680,11 +683,12 @@ class TestCli:
                        + s["detections"][1:]},
         lambda s: s | {"W": float("inf")},
         lambda s: s | {"W": 10 ** 400},
+        lambda s: s | {"split": "trian"},
     ], ids=["no-detections", "narrow-rows", "missing-row", "text-in-row",
             "no-references", "score-over-1", "box-off-image", "zero-width",
             "unknown-class-word", "class-id-out-of-range", "reserved-reference",
             "int-in-reference", "string-reference", "empty-reference",
-            "nan-box", "infinite-width", "huge-int-width"])
+            "nan-box", "infinite-width", "huge-int-width", "bogus-split"])
     def test_corrupt_scene_record_is_exit_1(self, run_dir, tmp_path, capsys,
                                             corrupt):
         base, config, _ = run_dir
