@@ -14,16 +14,16 @@ rows of one block: a mask keeps each row to itself, the earlier positions
 of its own sequence and its own scene's encoder rows. The encoder packs
 distinct scenes the same way, with the memory slots visible to every row.
 ``token_logprobs`` scores every next token of such a pass for both
-objectives: ``xent_loss`` weighs it for pre-training, and
-``SceneStepModel.all_step_logprobs`` returns it for self-critical scoring.
+objectives: ``xent_loss`` weighs it for pre-training, and self-critical
+fine-tuning weighs it by advantage over several scenes' candidates.
 ``SceneStepModel.step`` runs the body over the last token of many prefixes
 at once, for search, one block per prefix. It is called once per grid
 column, each prefix extending one of the previous call's, so earlier
 positions' self-attention keys and values come from per-layer (rows,
 length, d) arrays of that call; the encoder's cross-attention keys and
 values are computed once per scene. One ``SceneStepModel`` serves a scene:
-it searches without a tape, then scores the search's candidates on the
-tape. PAD is an ordinary token to both paths.
+it searches without a tape, and its taped encode is what the search's
+candidates are scored against. PAD is an ordinary token to both paths.
 
 The parameter builders (``init_matrix``, ``init_layer_norm``, ``init_ffn``)
 and the feed-forward sub-block ``ffn`` also build the region selector.
@@ -369,9 +369,11 @@ class SceneStepModel:
     search needs, and packed teacher-forced scoring of whole sequences.
 
     It holds the scene's encoder output and the parameters as given, so
-    ``all_step_logprobs`` is on the tape when they are; ``step`` reads a
-    detached view of both, made with the encoder's cross-attention keys and
-    values when the model is built, and builds no tape.
+    ``enc_out`` and ``all_step_logprobs`` are on the tape when they are;
+    fine-tuning scores against ``enc_out`` in packed passes over several
+    scenes. ``step`` reads a detached view of both, made with the encoder's
+    cross-attention keys and values when the model is built, and builds no
+    tape.
 
     ``step(prefixes)`` scores every prefix in one decoder pass over their
     last tokens only, in the call order of a grid search: all prefixes of

@@ -16,9 +16,10 @@ those the program sets (the data and train seeds, the captioner's
 vocabulary and visual width), each with a value of its default's type
 inside the field's range. Any other key or value exits 1 when the config
 is read, at every stage, and so does a negative seed. So does a
-``data.classes`` word that is empty, not one lowercase token, or a
-reserved vocabulary token such as ``<pad>``. A non-finite number (JSON's
-``NaN`` or ``Infinity``) in the config exits 1 too. After gen-data, every
+``data.classes`` word that is empty, not one lowercase token, a
+reserved vocabulary token such as ``<pad>``, or a caption template word
+such as ``a``, or whose plural (the word plus ``s``) is one. A non-finite
+number (JSON's ``NaN`` or ``Infinity``) in the config exits 1 too. After gen-data, every
 stage reads ``scenes.jsonl`` through ``data.read_jsonl``, which checks
 each record against the ``data`` section; a record it rejects exits 1,
 among them one whose ``split`` is not ``train``, ``val`` or ``test``. So

@@ -57,6 +57,10 @@ class DatasetConfig:
             if not w or " " in w or w != w.lower() or w in RESERVED:
                 raise ValueError(f"class word {w!r} must be one lowercase token "
                                  f"and not a reserved one")
+            # a template word in a reference would read as a mention
+            if w in FILLERS or w + "s" in FILLERS:
+                raise ValueError(f"class word {w!r} or its plural is a caption "
+                                 f"template word")
         missing = set(self.held_out) - set(self.classes)
         if missing:
             raise ValueError(f"held-out classes {sorted(missing)} not in the class vocabulary")

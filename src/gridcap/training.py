@@ -6,16 +6,17 @@ Three phases, strictly ordered and parameter-isolated: selector training
 (self-critical policy gradient where each beam candidate from the constrained
 search is scored by the consensus metric against the mean-of-beam baseline,
 with gradients flowing through every token, constraint words included). All
-three pack under block masks: one pass per selector or captioner minibatch
-and per fine-tuning scene's candidates.
+three pack under block masks: one pass per selector or captioner minibatch,
+and per fine-tuning minibatch one pass per ``SCST_PASS_ROWS`` packed decoder
+rows of candidates.
 
 Every decode, whether a fine-tuning beam, a validation pass or an
 evaluation, is one ``run_grid_search`` call made by ``_decode_for_scene`` on
 the scene's one model from ``_scene_model``. That model searches without a
-tape and then scores the candidates on the tape, so each fine-tuning scene
-is encoded once. A search returns the beam-size best finished decodes as
-``finished`` and stops as soon as they can no longer change; those are a
-fine-tuning scene's candidates.
+tape, and its taped encode is the one its candidates are scored against, so
+each fine-tuning scene is encoded once. A search returns the beam-size best
+finished decodes as ``finished`` and stops as soon as they can no longer
+change; those are a fine-tuning scene's candidates.
 Every epoch record counts its Adam steps as ``updates``.
 """
 
@@ -28,9 +29,10 @@ import numpy as np
 
 from . import numerics as nm
 from .captioner import (CaptionerConfig, SceneStepModel, encode,
-                        init_captioner_params, xent_loss)
+                        init_captioner_params, token_logprobs, xent_loss)
 from .data import DatasetConfig, HeldoutSplits, SceneRecord
-from .decoder import ConstraintSet, run_grid_search, sequence_logprob
+# sequence_logprob is not called here: bench/tracer.py wraps this binding
+from .decoder import ConstraintSet, run_grid_search, sequence_logprob  # noqa: F401
 from .metrics import EvalRecord, IdfTable, cider_d, eval_report
 from .numerics import (AdamState, Tensor, adam_step, check_at_least, noam_lr,
                        zero_grads)
@@ -285,6 +287,57 @@ def _decode_for_scene(model: SceneStepModel, words, k, trace=False):
                            trace=trace, token_names=vocab.decode)
 
 
+# Packed decoder rows per SCST scoring pass. Dense self-attention masks grow
+# with the rows squared, so one pass over a whole minibatch costs more than
+# a few passes of about this size; a scene over the cap is a pass alone.
+SCST_PASS_ROWS = 128
+
+
+@dataclass(eq=False)  # a taped encode has no value equality
+class ScoredScene:
+    """A fine-tuning scene to score: its taped encode, its BOS-led
+    candidates and their advantages (not all zero)."""
+
+    enc_out: Tensor
+    seqs: list[tuple[int, ...]]
+    adv: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return sum(len(s) for s in self.seqs)
+
+
+def _scoring_passes(scored: list[ScoredScene]) -> list[list[ScoredScene]]:
+    """Whole scenes in order, in passes of at most ``SCST_PASS_ROWS``
+    packed decoder rows; a scene over the cap is a pass of its own."""
+    passes, rows = [], 0
+    for scene in scored:
+        if passes and rows + scene.rows <= SCST_PASS_ROWS:
+            passes[-1].append(scene)
+            rows += scene.rows
+        else:
+            passes.append([scene])
+            rows = scene.rows
+    return passes
+
+
+def _policy_loss(group: list[ScoredScene], cfg: CaptionerConfig, params,
+                 batch_size: int) -> Tensor:
+    """One packed ``token_logprobs`` pass over the candidates of ``group``
+    against their scenes' encodes: every token of a candidate weighs
+    -advantage / (candidates · batch_size)."""
+    seqs = [s for g in group for s in g.seqs]
+    scene_of = np.repeat(np.arange(len(group)), [len(g.seqs) for g in group])
+    enc_segments = np.repeat(np.arange(len(group)),
+                             [g.enc_out.shape[0] for g in group])
+    picked = token_logprobs(seqs, nm.concat([g.enc_out for g in group]), cfg,
+                            params, scene_of, enc_segments)
+    weights = np.concatenate([
+        np.repeat(-g.adv / (len(g.seqs) * batch_size), [len(s) - 1 for s in g.seqs])
+        for g in group])
+    return nm.tsum(nm.mul(picked, Tensor(weights)))
+
+
 def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
                        params: dict[str, Tensor], train_cfg: TrainConfig,
                        synonyms: dict[str, list[str]]):
@@ -295,10 +348,15 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
     and the policy term is the differentiable sequence
     log-probability, so constraint words receive gradient like any other
     token. Scenes with an empty constraint set fall back to unconstrained
-    search. After each epoch the validation split is decoded in oracle mode
-    and scored by CIDEr-D; the first best-scoring epoch's parameters are
-    returned, and only that epoch's record has ``kept`` true. Training runs
-    on a copy: the caller's ``params`` are left as they were.
+    search. Each scene of a minibatch is encoded and searched alone. The
+    scenes with a non-zero advantage are then scored together, whole and
+    in minibatch order, in packed passes of at most ``SCST_PASS_ROWS``
+    decoder rows, each with one backward; a minibatch that scored any
+    scene makes one Adam step. After each epoch the validation split is
+    decoded in oracle mode and scored by CIDEr-D; the first best-scoring
+    epoch's parameters are returned, and only that epoch's record has
+    ``kept`` true. Training runs on a copy: the caller's ``params`` are left
+    as they were.
 
     A scene whose search finishes fewer than two candidates has nothing to
     compare and is skipped. Each epoch record counts ``scored_scenes`` and
@@ -322,7 +380,7 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
         steps_before = state.step
         for batch in _batches(order, train_cfg.batch_size):
             zero_grads(params)
-            touched = False
+            scored = []
             for idx in batch:
                 scene = scenes[idx]
                 words = build_training_constraints(scene, synonyms, vocab)
@@ -343,12 +401,13 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
                 if not adv.any():
                     zero_adv += 1
                     continue
-                lps = sequence_logprob([h.tokens for h in cands], model)
-                loss = nm.tsum(nm.mul(lps, Tensor(-adv / len(cands))))
+                scored.append(ScoredScene(
+                    model.enc_out, [(vocab.bos_id,) + h.tokens for h in cands], adv))
+            for group in _scoring_passes(scored):
+                loss = _policy_loss(group, cfg, params, len(batch))
                 _check_finite(loss.item(), "policy loss")
-                nm.backward(nm.mul(loss, 1.0 / len(batch)))
-                touched = True
-            if touched:
+                nm.backward(loss)
+            if scored:
                 adam_step(params, state, train_cfg.rl_lr)
         val = decode_split(splits.val, "oracle", cfg, params, train_cfg, synonyms)
         val_cider = float(np.mean([cider_d(o.caption, s.references, reward_idf)

@@ -158,6 +158,11 @@ class TestHeldout:
         with pytest.raises(ValueError):
             DatasetConfig(classes=("coffee table",), held_out=())
 
+    @pytest.mark.parametrize("word", ["a", "two", "sit"])  # "sits" is a filler
+    def test_template_word_class_rejected(self, word):
+        with pytest.raises(ValueError, match="template word"):
+            DatasetConfig(classes=(word, "lamp"), held_out=())
+
 
 class TestVocabulary:
     def test_contains_heldout_words(self):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gridcap import cli
+from gridcap import numerics as nm
 from gridcap import training as tr
 from gridcap.captioner import CaptionerConfig, Vocabulary
 from gridcap.data import (DatasetConfig, apply_heldout, build_vocabulary,
@@ -259,6 +260,66 @@ class TestFinetune:
         assert epochs[0]["zero_advantage_scenes"] < epochs[0]["scored_scenes"]
         assert len(calls) == 6 + 2
 
+    @pytest.mark.parametrize("cap_of", [
+        lambda rows: sum(rows),
+        lambda rows: rows[0] + rows[1],
+        lambda rows: rows[1] - 1,
+    ], ids=["one-pass", "split", "over-cap"])
+    def test_packed_passes_equal_per_scene_losses(self, tiny_world, pretrained,
+                                                  monkeypatch, cap_of):
+        # scenes with different region counts, scored in packed passes under
+        # the row cap, against each scene's own sequence_logprob loss
+        _, _, _, splits, vocab = tiny_world
+        cfg, pre = pretrained
+        batch_size, rng = 6, np.random.default_rng(4)
+        scenes = list({len(s.region_visual): s
+                       for s in splits.captioner_train}.values())[:4]
+        assert len(scenes) == 4
+        packed, ref = fresh_copy(pre), fresh_copy(pre)
+        scored, ref_loss = [], Tensor(0.0)
+        for scene in scenes:
+            cands = [h.tokens for h in tr._decode_for_scene(
+                tr._scene_model(scene, cfg, pre), [], 3).finished]
+            adv = rng.normal(size=len(cands))
+            scored.append(tr.ScoredScene(
+                tr._scene_model(scene, cfg, packed).enc_out,
+                [(vocab.bos_id,) + c for c in cands], adv))
+            lps = tr.sequence_logprob(cands, tr._scene_model(scene, cfg, ref))
+            ref_loss = nm.add(ref_loss, nm.tsum(nm.mul(
+                lps, Tensor(-adv / (len(cands) * batch_size)))))
+        nm.backward(ref_loss)
+
+        rows = [s.rows for s in scored]
+        cap = cap_of(rows)
+        monkeypatch.setattr(tr, "SCST_PASS_ROWS", cap)
+        passes = tr._scoring_passes(scored)
+        assert [s for group in passes for s in group] == scored
+        assert all(len(g) == 1 or sum(s.rows for s in g) <= cap for g in passes)
+        if cap < sum(rows):
+            assert len(passes) >= 2
+        if cap < rows[1]:
+            assert [scored[1]] in passes
+        total = 0.0
+        for group in passes:
+            loss = tr._policy_loss(group, cfg, packed, batch_size)
+            total += loss.item()
+            nm.backward(loss)
+        assert abs(total - ref_loss.item()) <= 1e-12
+        for k in ref:
+            np.testing.assert_allclose(packed[k].grad, ref[k].grad,
+                                       rtol=0, atol=1e-12, err_msg=k)
+
+    def test_non_finite_policy_loss_diverges(self, tiny_world, pretrained,
+                                             monkeypatch):
+        _, _, synonyms, splits, _ = tiny_world
+        cfg, pre = pretrained
+        tcfg = TrainConfig(rl_epochs=1, beam_size=3, seed=9)
+        sub = tr.HeldoutSplits(captioner_train=splits.captioner_train[:3],
+                               selector_train=[], val=splits.val[:1], test=[])
+        monkeypatch.setattr(tr, "cider_d", lambda *a, **kw: float("nan"))
+        with pytest.raises(tr.TrainingDiverged, match="non-finite policy loss"):
+            finetune_scst_dgbs(sub, cfg, fresh_copy(pre), tcfg, synonyms)
+
     def test_scenes_without_two_candidates_are_counted_and_warned(
             self, tiny_world, pretrained, monkeypatch, caplog):
         _, _, synonyms, splits, _ = tiny_world
@@ -505,13 +566,14 @@ class TestCli:
         {"train": {"rl_lr": float("inf")}},
         {"data": {"classes": ["<pad>", "lamp"], "held_out": []}},
         {"data": {"classes": ["", "lamp"], "held_out": []}},
+        {"data": {"classes": ["a", "lamp"], "held_out": []}},
     ], ids=["data-list", "train-string", "seed-string", "seed-float",
             "num_train-string", "held_out-int", "num_heads-float",
             "selector_epochs-float", "beam_size-bool", "out_dir-int",
             "captioner-num_heads-0", "selector-num_heads-0", "visual_dim-3",
             "num_eval-negative", "max_proposals-0", "max_len-2", "seed-negative",
             "rl_lr-nan", "rl_lr-infinity", "reserved-class-word",
-            "empty-class-word"])
+            "empty-class-word", "template-class-word"])
     def test_malformed_config_value_is_exit_1(self, tmp_path, monkeypatch, raw):
         monkeypatch.chdir(tmp_path)  # so a run that ignored out_dir writes here too
         bad = tmp_path / "bad.json"
