@@ -61,6 +61,9 @@ class DatasetConfig:
             if w in FILLERS or w + "s" in FILLERS:
                 raise ValueError(f"class word {w!r} or its plural is a caption "
                                  f"template word")
+            if self.classes.count(w) > 1 or w + "s" in self.classes:
+                raise ValueError(f"class word {w!r} repeats or its plural is "
+                                 f"another class word; a class is its word")
         missing = set(self.held_out) - set(self.classes)
         if missing:
             raise ValueError(f"held-out classes {sorted(missing)} not in the class vocabulary")
@@ -93,14 +96,14 @@ class SceneRecord:
 
         ValueError unless, in this order: the scene has a detection, one
         region row per detection and a reference; each region row is
-        ``cfg.visual_dim`` finite numbers; each class id numbers its class
-        word in ``cfg.classes``; ``extract_features`` accepts the image size
+        ``cfg.visual_dim`` finite numbers; each class word is in
+        ``cfg.classes``; ``extract_features`` accepts the image size
         and each box and score; each reference is a non-empty list of
         strings, none of them a reserved vocabulary token; and ``split`` is
-        one of ``SPLITS``. A missing key raises KeyError.
-        """
-        dets = [Detection(class_id=d["class_id"], class_word=d["class_word"],
-                          box=tuple(d["box"]), score=d["score"])
+        one of ``SPLITS``. A missing key raises KeyError; other keys, such
+        as the ``class_id`` older files give a detection, are ignored."""
+        dets = [Detection(class_word=d["class_word"], box=tuple(d["box"]),
+                          score=d["score"])
                 for d in obj["detections"]]
         where = f"scene {obj['scene_id']!r}"
         if not dets:
@@ -116,10 +119,9 @@ class SceneRecord:
             if row.shape != (dim,) or not np.isfinite(row).all():
                 raise ValueError(f"{where} has a region row that is not "
                                  f"{dim} finite numbers")
-            if not (0 <= det.class_id < len(classes)
-                    and classes[det.class_id] == det.class_word):
-                raise ValueError(f"{where} has class id {det.class_id!r} with "
-                                 f"word {det.class_word!r}, not in data.classes")
+            if det.class_word not in classes:
+                raise ValueError(f"{where} has class word {det.class_word!r}, "
+                                 f"not in data.classes")
             extract_features(det, obj["W"], obj["H"])
         for ref in obj["references"]:
             if not (isinstance(ref, list) and ref
@@ -221,8 +223,7 @@ def gen_scene(rng: np.random.Generator, cfg: DatasetConfig, scene_id: str,
         af = wf * hf
         score = float(np.clip(0.25 + 0.9 * np.sqrt(af) + rng.normal(0.0, 0.12),
                               0.02, 0.98))
-        detections.append(Detection(class_id=int(cid),
-                                    class_word=cfg.classes[int(cid)],
+        detections.append(Detection(class_word=cfg.classes[int(cid)],
                                     box=(float(x_c), float(y_c), float(w), float(h)),
                                     score=score))
         feat = np.concatenate([
@@ -292,7 +293,7 @@ def write_jsonl(path, rows) -> None:
 def read_jsonl(path, cfg: DatasetConfig) -> list[SceneRecord]:
     """The scenes of a ``write_jsonl`` file; blank lines are skipped. Each
     record passes ``SceneRecord.from_dict``'s checks against ``cfg`` (its
-    structure, region rows, class ids, image and boxes, references and
+    structure, region rows, class words, image and boxes, references and
     split), or the read raises ValueError, KeyError, TypeError or
     OverflowError."""
     scenes = []

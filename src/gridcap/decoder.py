@@ -65,14 +65,11 @@ class Hypothesis:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Ordered distinct single-token constraint words with their ids."""
+    """The vocabulary ids of ordered distinct single-token constraint words."""
 
-    words: tuple[str, ...]
     ids: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.words) != len(self.ids):
-            raise ValueError("words and ids are misaligned")
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("duplicate constraint ids")
 
@@ -91,7 +88,7 @@ class ConstraintSet:
             if i is None or i in reserved:
                 raise ValueError(f"constraint {w!r} is not a usable vocabulary token")
             ids.append(i)
-        return cls(words, tuple(ids))
+        return cls(tuple(ids))
 
 
 def feasible_coverage(t: int, n: int, T: int) -> range:
@@ -109,14 +106,14 @@ def feasible_coverage(t: int, n: int, T: int) -> range:
 class GridResult:
     best: Hypothesis
     finished: list[Hypothesis]  # the k best finished full-coverage hypotheses, ranked
-    trace: list[dict] = field(default_factory=list)  # the cells of the columns run
+    trace: list[dict] = field(default_factory=list)  # each column's cells, by token id
     step_calls: int = 0  # batched model calls, one per column run
     offered: int = 0  # each live parent's k best free tokens plus its unmet words
     kept: int = 0  # hypotheses that survived pruning, summed over cells
 
 
 def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
-                    trace: bool = False, token_names=None) -> GridResult:
+                    trace: bool = False) -> GridResult:
     """Fill the coverage-by-time grid and return the best full-coverage decode.
 
     ``model`` provides ``bos_id``, ``eos_id``, ``vocab_size`` and
@@ -124,7 +121,7 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
     BOS-led prefixes; it is called once per grid column with every live
     parent. Ties break on token ids so the search is deterministic for
     identical inputs. Beams prune and finished hypotheses rank on the raw
-    log-prob sum.
+    log-prob sum. ``trace`` records each cell's kept hypotheses by token id.
 
     Every step row must be at most 0, as a log-softmax is; a value above 0
     or NaN raises ``ValueError``. On that premise the search stops after
@@ -186,8 +183,7 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
                 trace_rows.append({
                     "t": t, "c": c,
                     "hyps": [{
-                        "tokens": (token_names(h.tokens) if token_names
-                                   else list(h.tokens)),
+                        "tokens": list(h.tokens),
                         "logprob": h.logprob,
                         "finished": h.finished,
                     } for h in kept],

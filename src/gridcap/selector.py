@@ -2,8 +2,8 @@
 
 Scores each detected region for "must this object be mentioned in the
 caption", using only geometry and detector confidence, never the class
-identity itself. Class ids drive one thing only: the block mask that lets
-regions of the same class and scene exchange information before the
+identity itself. Class words drive one thing only: the block mask that
+lets regions of the same class and scene exchange information before the
 self-attention pass over the scene. Like the encoder, a minibatch packs
 its scenes as stacked rows, and one scene is the one-segment case.
 """
@@ -30,9 +30,8 @@ SELECT_THRESHOLD = 0.5  # a class word is selected when a region scores this hig
 
 @dataclass
 class Detection:
-    """One detected box: center-based geometry in pixels plus confidence."""
+    """One detected box: its class word, center-based box in pixels, confidence."""
 
-    class_id: int
     class_word: str
     box: tuple[float, float, float, float]  # (x_c, y_c, w, h)
     score: float
@@ -100,9 +99,10 @@ def selector_forward(features: Tensor | np.ndarray, classes, cfg: SelectorConfig
 
     Pipeline: input projection, then num_layers blocks of inner attention,
     self attention, and feed-forward, each as a pre-norm residual sub-block,
-    then a final norm and a sigmoid scoring head. ``segments`` (n,) numbers
-    each row's scene (default: one). Inner attention blocks other scenes and
-    classes, self attention other scenes; a region always sees itself.
+    then a final norm and a sigmoid scoring head. ``classes`` (n,) holds each
+    row's class word and ``segments`` (n,) its scene (default: one). Inner
+    attention blocks other scenes and words, self attention other scenes; a
+    region always sees itself.
     """
     x = features if isinstance(features, Tensor) else Tensor(features)
     n = x.shape[0]

@@ -123,7 +123,7 @@ def _train_epochs(phase: str, params, items, minibatch_loss, val_key: str,
 
 def scene_selector_inputs(scene: SceneRecord, cfg: SelectorConfig,
                           synonyms: dict[str, list[str]]):
-    """Features, class ids, kept detections, mention targets for one scene.
+    """Features, class words, kept detections, mention targets for one scene.
 
     Proposals are truncated to the top max_proposals by confidence, keeping
     the original ordering of the survivors.
@@ -133,7 +133,7 @@ def scene_selector_inputs(scene: SceneRecord, cfg: SelectorConfig,
     kept = sorted(order[: cfg.max_proposals])
     dets = [scene.detections[i] for i in kept]
     feats = np.stack([extract_features(d, scene.W, scene.H) for d in dets])
-    classes = np.array([d.class_id for d in dets], dtype=np.intp)
+    classes = np.array([d.class_word for d in dets])
     targets = build_ground_truth(replace(scene, detections=dets), synonyms)
     return feats, classes, dets, targets
 
@@ -281,10 +281,9 @@ def _scene_model(scene: SceneRecord, cfg: CaptionerConfig, params) -> SceneStepM
 
 
 def _decode_for_scene(model: SceneStepModel, words, k, trace=False):
-    vocab = model.cfg.vocab
-    constraints = ConstraintSet.from_words(words, vocab)
+    constraints = ConstraintSet.from_words(words, model.cfg.vocab)
     return run_grid_search(model, constraints, k=k, T=model.cfg.max_len - 1,
-                           trace=trace, token_names=vocab.decode)
+                           trace=trace)
 
 
 # Packed decoder rows per SCST scoring pass. Dense self-attention masks grow
@@ -481,6 +480,7 @@ def decode_split(scenes: list[SceneRecord], mode: str, cfg: CaptionerConfig,
                  sel_cfg: SelectorConfig | None = None,
                  sel_params: dict | None = None,
                  trace: bool = False) -> list[DecodeOutput]:
+    """Each scene's best decode under ``mode``, its trace's token ids as words."""
     vocab = cfg.vocab
     outputs = []
     for scene in scenes:
@@ -490,6 +490,8 @@ def decode_split(scenes: list[SceneRecord], mode: str, cfg: CaptionerConfig,
                                    train_cfg.beam_size, trace=trace)
         caption = vocab.decode(_strip_eos(result.best.tokens, vocab))
         satisfied = all(w in caption for w in words)
+        for hyp in (h for row in result.trace for h in row["hyps"]):
+            hyp["tokens"] = vocab.decode(hyp["tokens"])
         outputs.append(DecodeOutput(
             scene_id=scene.scene_id, mode=mode, constraints=words,
             caption=caption, logprob=result.best.logprob,

@@ -163,6 +163,15 @@ class TestHeldout:
         with pytest.raises(ValueError, match="template word"):
             DatasetConfig(classes=(word, "lamp"), held_out=())
 
+    @pytest.mark.parametrize("classes", [("lamp", "lamp", "chair"),
+                                         ("lamp", "lamps", "chair"),
+                                         ("lamps", "chair", "lamp")],
+                             ids=["repeated", "plural-after", "plural-before"])
+    def test_repeated_or_plural_class_word_rejected(self, classes):
+        # a class is its word, and default_synonyms reads "lamps" as "lamp"
+        with pytest.raises(ValueError, match="repeats or its plural"):
+            DatasetConfig(classes=classes, held_out=())
+
 
 class TestVocabulary:
     def test_contains_heldout_words(self):
@@ -198,3 +207,13 @@ class TestSerialization:
         line = json.dumps(obj)
         back = SceneRecord.from_dict(json.loads(line), cfg)
         assert back.to_dict() == obj
+        for det in obj["detections"]:
+            assert list(det) == ["class_word", "box", "score"]
+
+    def test_record_with_class_ids_reads_unchanged(self, corpus):
+        # scene files written before detections dropped their class index
+        cfg, scenes = corpus
+        obj = scenes[0].to_dict()
+        old = obj | {"detections": [{"class_id": cfg.classes.index(d["class_word"])} | d
+                                    for d in obj["detections"]]}
+        assert SceneRecord.from_dict(old, cfg) == SceneRecord.from_dict(obj, cfg)

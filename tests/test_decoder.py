@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridcap.captioner import Vocabulary, encode, init_captioner_params
+from gridcap.captioner import (Vocabulary, encode, init_captioner_params,
+                               token_logprobs)
 from gridcap.captioner import CaptionerConfig, SceneStepModel
 from gridcap.decoder import (MAX_CONSTRAINTS, ConstraintSet, Hypothesis,
                              InfeasibleConstraintsError, feasible_coverage,
@@ -197,7 +198,7 @@ class TestBeamSearch:
         table[0, 2] = big
         table[1, 1] = big
         table[2, 0] = big
-        hyp = run_grid_search(TableLM(table), ConstraintSet((), ()), k=2, T=3).best
+        hyp = run_grid_search(TableLM(table), ConstraintSet(()), k=2, T=3).best
         assert hyp.tokens == (2, 1, 0)
         assert hyp.finished
 
@@ -207,7 +208,7 @@ class TestBeamSearch:
             V = int(rng.integers(2, 6))
             T = int(rng.integers(1, 6))
             lm = TableLM.constant(rng, V, T)
-            hyp = run_grid_search(lm, ConstraintSet((), ()), k=V, T=T).best
+            hyp = run_grid_search(lm, ConstraintSet(()), k=V, T=T).best
             tokens, lp = exhaustive_best(lm, T)
             assert hyp.tokens == tokens
             assert hyp.logprob == pytest.approx(lp, abs=1e-9)
@@ -218,7 +219,7 @@ class TestBeamSearch:
             V = int(rng.integers(3, 6))
             T = int(rng.integers(2, 5))
             lm = TableLM.random(rng, V, T)
-            hyp = run_grid_search(lm, ConstraintSet((), ()), k=V ** T, T=T).best
+            hyp = run_grid_search(lm, ConstraintSet(()), k=V ** T, T=T).best
             tokens, lp = exhaustive_best(lm, T)
             assert hyp.tokens == tokens
             assert hyp.logprob == pytest.approx(lp, abs=1e-9)
@@ -226,13 +227,13 @@ class TestBeamSearch:
     def test_returned_is_best_of_finished(self):
         rng = np.random.default_rng(32)
         lm = TableLM.random(rng, 5, 4)
-        result = run_grid_search(lm, ConstraintSet((), ()), k=3, T=4)
+        result = run_grid_search(lm, ConstraintSet(()), k=3, T=4)
         assert all(result.best.logprob >= h.logprob for h in result.finished)
 
     def test_no_finish_returns_flagged_unfinished(self):
         # eos is so unlikely it never survives a k=1 beam
         table = np.log(np.array([[1e-12, 0.5, 0.5]] * 3))
-        hyp = run_grid_search(TableLM(table), ConstraintSet((), ()), k=1, T=3).best
+        hyp = run_grid_search(TableLM(table), ConstraintSet(()), k=1, T=3).best
         assert not hyp.finished
         assert len(hyp.tokens) == 3
 
@@ -243,7 +244,7 @@ class TestGridBeamSearch:
     @example((TableLM.random(np.random.default_rng(34), 5, 5), 5, (3,)))
     def test_saturation_matches_constrained_exhaustive(self, case):
         lm, T, ids = case
-        cs = ConstraintSet(words=tuple(f"w{i}" for i in ids), ids=ids)
+        cs = ConstraintSet(ids)
         hyp = run_grid_search(lm, cs, k=lm.vocab_size ** T, T=T).best
         tokens, lp = exhaustive_best(lm, T, constraint_ids=ids)
         assert hyp.tokens == tokens
@@ -258,7 +259,7 @@ class TestGridBeamSearch:
             n = int(rng.integers(1, min(3, T)))
             ids = tuple(rng.choice(range(1, V), size=n, replace=False).tolist())
             lm = TableLM.random(rng, V, T)
-            cs = ConstraintSet(words=tuple(f"w{i}" for i in ids), ids=ids)
+            cs = ConstraintSet(ids)
             hyp = run_grid_search(lm, cs, k=4, T=T).best
             for cid in ids:
                 assert cid in hyp.tokens
@@ -266,7 +267,7 @@ class TestGridBeamSearch:
     def test_grid_cells_respect_feasibility_window(self):
         rng = np.random.default_rng(36)
         lm = TableLM.random(rng, 5, 5)
-        cs = ConstraintSet(words=("w2", "w4"), ids=(2, 4))
+        cs = ConstraintSet((2, 4))
         result = run_grid_search(lm, cs, k=3, T=5, trace=True)
         seen = {(row["t"], row["c"]) for row in result.trace if row["hyps"]}
         for t, c in seen:
@@ -274,7 +275,7 @@ class TestGridBeamSearch:
 
     def test_infeasible_constraint_count(self):
         lm = TableLM(np.log(np.full((3, 4), 0.25)))
-        cs = ConstraintSet(words=("w1", "w2", "w3"), ids=(1, 2, 3))
+        cs = ConstraintSet((1, 2, 3))
         with pytest.raises(InfeasibleConstraintsError):
             run_grid_search(lm, cs, k=2, T=3)
 
@@ -283,7 +284,7 @@ class TestGridBeamSearch:
         for trial in range(15):
             V, T = 5, 5
             lm = TableLM.random(rng, V, T)
-            cs = ConstraintSet(words=("w1",), ids=(1,))
+            cs = ConstraintSet((1,))
             scores = []
             for k in (1, 2, 3, 5, 10, 40, V ** T):
                 scores.append(run_grid_search(lm, cs, k=k, T=T).best.logprob)
@@ -294,7 +295,7 @@ class TestGridBeamSearch:
     @given(search_case())
     def test_matches_full_vocabulary_expansion(self, case):
         lm, T, ids, k = case
-        cs = ConstraintSet(words=tuple(f"w{i}" for i in ids), ids=ids)
+        cs = ConstraintSet(ids)
         best, finished, trace = full_vocab_grid_search(lm, ids, k, T)
         result = run_grid_search(lm, cs, k=k, T=T, trace=True)
         assert result.best == best
@@ -311,7 +312,7 @@ class TestGridBeamSearch:
         # their own tokens before the new token
         lm, T, ids, k = case
         n = len(ids)
-        cs = ConstraintSet(words=tuple(f"w{i}" for i in ids), ids=ids)
+        cs = ConstraintSet(ids)
         best, finished, trace = full_vocab_grid_search(lm, ids, k, T)
         result = run_grid_search(lm, cs, k=k, T=T, trace=True)
         assert result.best == best
@@ -332,7 +333,7 @@ class TestGridBeamSearch:
         lm, T, ids, k = case
         lm = CountingLM(lm.table)
         n = len(ids)
-        cs = ConstraintSet(words=tuple(f"w{i}" for i in ids), ids=ids)
+        cs = ConstraintSet(ids)
         result = run_grid_search(lm, cs, k=k, T=T, trace=True)
         live = live_coverage(result.trace)
         assert lm.batches == [len(cs) for cs in live.values() if cs]
@@ -347,7 +348,7 @@ class TestGridBeamSearch:
         # decodes outscore every live prefix, so columns 2..T-1 never run
         table = np.log(np.array([[0.97, 0.01, 0.01, 0.01]] * 6))
         lm = CountingLM(table)
-        result = run_grid_search(lm, ConstraintSet((), ()), k=2, T=6, trace=True)
+        result = run_grid_search(lm, ConstraintSet(()), k=2, T=6, trace=True)
         assert result.step_calls == len(lm.batches) == 2
         assert {row["t"] for row in result.trace} == {0, 1}
         assert [h.tokens for h in result.finished] == [(0,), (1, 0)]
@@ -359,19 +360,19 @@ class TestGridBeamSearch:
         table = np.log(np.full((3, 4), 0.25))
         table[1, 2] = bad
         with pytest.raises(ValueError, match="above 0"):
-            run_grid_search(TableLM(table), ConstraintSet((), ()), k=4, T=3)
+            run_grid_search(TableLM(table), ConstraintSet(()), k=4, T=3)
 
     def test_determinism(self):
         rng = np.random.default_rng(38)
         lm = TableLM.random(rng, 5, 5)
-        cs = ConstraintSet(words=("w2",), ids=(2,))
+        cs = ConstraintSet((2,))
         runs = [run_grid_search(lm, cs, k=3, T=5).best for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
 
     def test_unfinished_fallback_still_covers_constraints(self):
         # eos never competitive: best hypothesis is unfinished but in row n
         table = np.log(np.array([[1e-12, 0.6, 0.3, 0.1 - 1e-12]] * 4))
-        cs = ConstraintSet(words=("w2",), ids=(2,))
+        cs = ConstraintSet((2,))
         hyp = run_grid_search(TableLM(table), cs, k=2, T=4).best
         assert not hyp.finished
         assert 2 in hyp.tokens
@@ -381,7 +382,7 @@ class TestConstraintSet:
     def test_duplicates_collapse(self):
         v = Vocabulary(["dog", "cat"])
         cs = ConstraintSet.from_words(["dog", "dog", "cat"], v)
-        assert cs.words == ("dog", "cat")
+        assert cs.ids == (v.token_to_id["dog"], v.token_to_id["cat"])
 
     def test_reserved_rejected(self):
         v = Vocabulary(["dog"])
@@ -411,17 +412,18 @@ def recorded_steps(model):
     return rows
 
 
-class TestSequenceLogprob:
-    @pytest.fixture
-    def model(self):
-        cfg = CaptionerConfig(vocab=Vocabulary(["red", "dog", "runs", "cat"]),
-                              d_model=8, num_enc_layers=1, num_dec_layers=1,
-                              num_heads=2, num_memory=2, embed_dim=4,
-                              ffn_dim=12, max_len=8, visual_dim=3)
-        params = init_captioner_params(cfg, np.random.default_rng(40))
-        regions = np.random.default_rng(41).normal(size=(3, 3))
-        return cfg, params, regions
+@pytest.fixture
+def model():
+    cfg = CaptionerConfig(vocab=Vocabulary(["red", "dog", "runs", "cat"]),
+                          d_model=8, num_enc_layers=1, num_dec_layers=1,
+                          num_heads=2, num_memory=2, embed_dim=4,
+                          ffn_dim=12, max_len=8, visual_dim=3)
+    params = init_captioner_params(cfg, np.random.default_rng(40))
+    regions = np.random.default_rng(41).normal(size=(3, 3))
+    return cfg, params, regions
 
+
+class TestSequenceLogprob:
     def test_no_forced_equals_plain_likelihood(self, model):
         cfg, params, regions = model
         sm = SceneStepModel(encode(regions, cfg, params), cfg, params)
@@ -526,3 +528,70 @@ class TestSequenceLogprob:
         sm = SceneStepModel(encode(regions, cfg, params), cfg, params)
         with pytest.raises(ValueError):
             sequence_logprob([(cfg.vocab.eos_id,), ()], sm)
+
+
+class TestTokenLogprobsScoresSearches:
+    """``captioner.token_logprobs`` as fine-tuning's policy loss uses it:
+    the finished candidates of real searches, BOS-led, packed across scenes
+    through ``scenes`` and ``enc_segments`` against per-scene encodes."""
+
+    @pytest.fixture
+    def two_scenes(self, model):
+        cfg, params, regions = model
+        other = np.random.default_rng(42).normal(size=(5, 3))
+        cs = ConstraintSet.from_words(["dog"], cfg.vocab)
+        cands = []  # (scene number, BOS-led candidate, its search log-prob)
+        for b, r in enumerate((regions, other)):
+            sm = SceneStepModel(encode(r, cfg, params), cfg, params)
+            finished = run_grid_search(sm, cs, k=3, T=cfg.max_len - 1).finished
+            assert len(finished) >= 2
+            cands += [(b, (cfg.vocab.bos_id,) + h.tokens, h.logprob)
+                      for h in finished]
+        return (regions, other), cands
+
+    @staticmethod
+    def packed(cfg, params, scenes, cands) -> Tensor:
+        enc = [encode(r, cfg, params) for r in scenes]
+        return token_logprobs([c for _, c, _ in cands], nm.concat(enc), cfg, params,
+                              [b for b, _, _ in cands],
+                              np.repeat([0, 1], [len(r) for r in scenes]))
+
+    @staticmethod
+    def owner(cands) -> np.ndarray:
+        """The candidate number of each packed entry."""
+        return np.repeat(np.arange(len(cands)), [len(c) - 1 for _, c, _ in cands])
+
+    def test_sums_are_the_search_scores(self, model, two_scenes):
+        cfg, params, _ = model
+        scenes, cands = two_scenes
+        picked = self.packed(cfg, params, scenes, cands).data
+        np.testing.assert_allclose(np.bincount(self.owner(cands), weights=picked),
+                                   [lp for _, _, lp in cands], rtol=0, atol=1e-9)
+
+    def test_packed_sums_and_gradients_equal_each_alone(self, model, two_scenes):
+        cfg, params, _ = model
+        scenes, cands = two_scenes
+        owner = self.owner(cands)
+        for i, (b, seq, _) in enumerate(cands):
+            nm.zero_grads(params)
+            packed = nm.tsum(nm.mul(self.packed(cfg, params, scenes, cands),
+                                    Tensor((owner == i).astype(float))))
+            nm.backward(packed)
+            grads = {k: p.grad.copy() for k, p in params.items()}
+            nm.zero_grads(params)
+            alone = nm.tsum(token_logprobs([seq], encode(scenes[b], cfg, params),
+                                           cfg, params))
+            nm.backward(alone)
+            assert abs(packed.item() - alone.item()) <= 1e-12
+            for k, p in params.items():
+                np.testing.assert_allclose(grads[k], p.grad, rtol=0, atol=1e-12,
+                                           err_msg=k)
+
+    def test_packed_gradient_matches_finite_differences(self, model, two_scenes):
+        cfg, params, _ = model
+        scenes, cands = two_scenes
+        rows = sum(len(c) - 1 for _, c, _ in cands)
+        weights = Tensor(np.random.default_rng(43).normal(size=rows))
+        subset = [params["embed.E"], params["dec0.cross.wv"], params["enc0.mem.v"]]
+        check_grads(lambda: nm.tsum(nm.mul(self.packed(cfg, params, scenes, cands),
+                                           weights)), subset, 1e-4)

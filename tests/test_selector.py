@@ -18,13 +18,12 @@ from gridcap.selector import (Detection, SelectorConfig, build_ground_truth,
 from test_numerics import check_grads
 
 
-def det(word, box=(50.0, 50.0, 20.0, 20.0), score=0.9, class_id=None):
-    cid = class_id if class_id is not None else abs(hash(word)) % 1000
-    return Detection(class_id=cid, class_word=word, box=box, score=score)
+def det(word, box=(50.0, 50.0, 20.0, 20.0), score=0.9):
+    return Detection(class_word=word, box=box, score=score)
 
 
 def scene_with(classes, references, W=100, H=100):
-    dets = [det(w, class_id=i) for i, w in enumerate(classes)]
+    dets = [det(w) for w in classes]
     return SceneRecord(scene_id="t0", W=W, H=H, detections=dets,
                        region_visual=[], references=references, split="test")
 

@@ -63,6 +63,25 @@ class TestSelectorPhase:
         loss = weighted_bce(scores, targets, 1.0, 1.0)
         assert loss.item() == pytest.approx(math.log(2), rel=1e-12)
 
+    def test_class_words_group_regions_as_class_indices_do(self, tiny_world):
+        # a class is its word: packed scenes group by word exactly as by the
+        # word's index in data.classes, bit for bit
+        dcfg, _, synonyms, splits, _ = tiny_world
+        cfg = SelectorConfig()
+        params = init_selector_params(cfg, np.random.default_rng(4))
+        prepared = [tr.scene_selector_inputs(s, cfg, synonyms)
+                    for s in splits.selector_train[:8]]
+        feats, words, _, segments = tr._packed_scenes(prepared)
+        assert any(len({d.class_word for d in dets}) < len(dets)
+                   for _, _, dets, _ in prepared)  # a class repeats in a scene
+        assert words.tolist() == [d.class_word for _, _, dets, _ in prepared
+                                  for d in dets]
+        from gridcap.selector import selector_forward
+        ids = [dcfg.classes.index(w) for w in words]
+        np.testing.assert_array_equal(
+            selector_forward(feats, words, cfg, params, segments).data,
+            selector_forward(feats, ids, cfg, params, segments).data)
+
     def test_selection_f1_edge_cases(self):
         assert selection_f1([], set()) == 1.0
         assert selection_f1(["a"], set()) == 0.0
@@ -451,6 +470,10 @@ class TestCli:
                      "eval_oracle.json", "captions_selector.jsonl",
                      "eval_selector.json"):
             assert (run / name).exists(), name
+        # gen-data writes each detection as its class word, box and score
+        for line in (run / "scenes.jsonl").read_text().splitlines():
+            assert all(list(d) == ["class_word", "box", "score"]
+                       for d in json.loads(line)["detections"])
         # the fine-tune stage scored scenes and moved the captioner
         pre = json.loads((run / "captioner_report.json").read_text())
         rl = json.loads((run / "finetune_report.json").read_text())
@@ -567,13 +590,16 @@ class TestCli:
         {"data": {"classes": ["<pad>", "lamp"], "held_out": []}},
         {"data": {"classes": ["", "lamp"], "held_out": []}},
         {"data": {"classes": ["a", "lamp"], "held_out": []}},
+        {"data": {"classes": ["lamp", "lamp", "chair"], "held_out": []}},
+        {"data": {"classes": ["lamp", "lamps", "chair"], "held_out": []}},
     ], ids=["data-list", "train-string", "seed-string", "seed-float",
             "num_train-string", "held_out-int", "num_heads-float",
             "selector_epochs-float", "beam_size-bool", "out_dir-int",
             "captioner-num_heads-0", "selector-num_heads-0", "visual_dim-3",
             "num_eval-negative", "max_proposals-0", "max_len-2", "seed-negative",
             "rl_lr-nan", "rl_lr-infinity", "reserved-class-word",
-            "empty-class-word", "template-class-word"])
+            "empty-class-word", "template-class-word", "repeated-class-word",
+            "plural-class-word"])
     def test_malformed_config_value_is_exit_1(self, tmp_path, monkeypatch, raw):
         monkeypatch.chdir(tmp_path)  # so a run that ignored out_dir writes here too
         bad = tmp_path / "bad.json"
@@ -732,8 +758,6 @@ class TestCli:
         lambda s: s | {"W": 0},
         lambda s: s | {"detections": [s["detections"][0] | {"class_word": "zebra"}]
                        + s["detections"][1:]},
-        lambda s: s | {"detections": [s["detections"][0] | {"class_id": 99}]
-                       + s["detections"][1:]},
         lambda s: s | {"references": [s["references"][0] + ["<pad>"]]
                        + s["references"][1:]},
         lambda s: s | {"references": [s["references"][0] + [5]]
@@ -748,7 +772,7 @@ class TestCli:
         lambda s: s | {"split": "trian"},
     ], ids=["no-detections", "narrow-rows", "missing-row", "text-in-row",
             "no-references", "score-over-1", "box-off-image", "zero-width",
-            "unknown-class-word", "class-id-out-of-range", "reserved-reference",
+            "unknown-class-word", "reserved-reference",
             "int-in-reference", "string-reference", "empty-reference",
             "nan-box", "infinite-width", "huge-int-width", "bogus-split"])
     def test_corrupt_scene_record_is_exit_1(self, run_dir, tmp_path, capsys,
