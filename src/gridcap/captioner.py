@@ -9,13 +9,15 @@ of the decoder stack, and output logits tie to the transpose of the
 embedding matrix.
 
 One decoder-layer body serves two callers, on (blocks, rows, width)
-activations. Teacher forcing runs it over whole sequences packed as the
-rows of one block: a mask keeps each row to itself, the earlier positions
-of its own sequence and its own scene's encoder rows. The encoder packs
-distinct scenes the same way, with the memory slots visible to every row.
-``token_logprobs`` scores every next token of such a pass for both
-objectives: ``xent_loss`` weighs it for pre-training, and self-critical
-fine-tuning weighs it by advantage over several scenes' candidates.
+activations. Teacher forcing runs it over prefix-tree rows packed as one
+block: each row is a token after a parent row (none at BOS), its position
+is its depth, and a mask keeps it to its ancestors, itself and its own
+scene's encoder rows. A packed list of whole sequences is the chain case,
+one row per position, which ``token_logprobs`` scores and ``xent_loss``
+weighs for pre-training. Self-critical fine-tuning scores a trie of its
+candidates' distinct prefixes with ``tree_logprobs``, each (row, next
+token) edge once. The encoder packs distinct scenes the same way, with the
+memory slots visible to every row.
 ``SceneStepModel.step`` runs the body over the last token of many prefixes
 at once, for search, one block per prefix. It is called once per grid
 column, each prefix extending one of the previous call's, so earlier
@@ -288,35 +290,69 @@ def _decoder_stack(x: Tensor, self_kv, self_mask: np.ndarray | None, cross_kv,
     return nm.linear(x, params["embed.down_w"], params["embed.down_b"])
 
 
-def decode_hidden(tokens, enc_out: Tensor, cfg: CaptionerConfig,
-                  params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
-    """Down-projected decoder states (rows, embed_dim), pre-tying.
+def tree_layout(parents) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and self-attention mask of prefix-tree rows.
 
-    Teacher forcing, packed: ``tokens`` is a list of sequences whose rows
-    are stacked in order. Every position attends to itself and the
-    positions before it in its own sequence, and to the encoder rows of its
-    scene: ``scenes[b]`` (default 0) numbers sequence b's scene, matched
-    against ``enc_segments`` (as given to ``encode``; default one scene).
+    ``parents[r]`` is row r's parent row, which comes before it, or -1 at
+    BOS. Row r's position is its depth, and row r of the (rows, rows) mask,
+    True where blocked, admits exactly its ancestors and itself.
     """
-    seqs = [_validate_tokens([t], cfg)[0] for t in tokens]
-    scenes = (np.zeros(len(seqs), dtype=np.intp) if scenes is None
-              else np.asarray(scenes))
-    if scenes.shape != (len(seqs),):
-        raise ValueError(f"{len(scenes)} scene numbers for {len(seqs)} sequences")
+    parents = np.asarray(parents, dtype=np.intp)
+    if ((parents < -1) | (parents >= np.arange(len(parents)))).any():
+        raise ValueError("a row's parent must come before it")
+    depth = np.zeros(len(parents), dtype=np.intp)
+    admitted = np.eye(len(parents), dtype=bool)
+    rows, node = np.arange(len(parents)), parents
+    while (live := node >= 0).any():  # one level of ancestors per round
+        rows, node = rows[live], node[live]
+        depth[rows] += 1
+        admitted[rows, node] = True
+        node = parents[node]
+    return depth, ~admitted
+
+
+def _tree_hidden(ids, parents, scenes, enc_out: Tensor, enc_segments,
+                 cfg: CaptionerConfig, params: dict[str, Tensor]) -> Tensor:
+    """Down-projected decoder states (rows, embed_dim), pre-tying, of checked
+    prefix-tree rows (see ``tree_layout``): row r holds token ``ids[r]`` and
+    attends to its ancestors, itself and the encoder rows of its scene
+    ``scenes[r]``, matched against ``enc_segments`` (as given to ``encode``;
+    None is one scene)."""
+    pos, self_mask = tree_layout(parents)
     if enc_segments is None:
         enc_segments = np.zeros(enc_out.shape[0], dtype=np.intp)
-    segment = np.repeat(np.arange(len(seqs)), [len(s) for s in seqs])
-    pos = np.concatenate([np.arange(len(s)) for s in seqs])
-    self_mask = (segment[:, None] != segment[None, :]) | (pos[None, :] > pos[:, None])
-    cross_mask = scenes[segment][:, None] != np.asarray(enc_segments)[None, :]
-    x = _embed(np.concatenate(seqs)[None],
-               positional_encoding(cfg.max_len, cfg.d_model)[pos[None]], params)
+    cross_mask = scenes[:, None] != np.asarray(enc_segments)[None, :]
+    x = _embed(ids[None], positional_encoding(cfg.max_len, cfg.d_model)[pos[None]],
+               params)
     enc = nm.reshape(enc_out, (1,) + enc_out.shape)
     h = _decoder_stack(
         x, lambda i, h: _project(h, params, f"dec{i}.self"), self_mask[None],
         lambda i, h: _project(enc, params, f"dec{i}.cross"), cross_mask[None],
         cfg, params)
     return nm.reshape(h, h.shape[1:])
+
+
+def decode_hidden(tokens, enc_out: Tensor, cfg: CaptionerConfig,
+                  params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
+    """Down-projected decoder states (rows, embed_dim), pre-tying.
+
+    Teacher forcing, packed: ``tokens`` is a list of sequences whose rows
+    are stacked in order, the chain case of a prefix tree. Every position
+    attends to itself and the positions before it in its own sequence, and
+    to the encoder rows of its scene: ``scenes[b]`` (default 0) numbers
+    sequence b's scene, matched against ``enc_segments`` (as given to
+    ``encode``; default one scene).
+    """
+    seqs = [_validate_tokens([t], cfg)[0] for t in tokens]
+    scenes = (np.zeros(len(seqs), dtype=np.intp) if scenes is None
+              else np.asarray(scenes))
+    if scenes.shape != (len(seqs),):
+        raise ValueError(f"{len(scenes)} scene numbers for {len(seqs)} sequences")
+    lengths = [len(s) for s in seqs]
+    parents = np.arange(sum(lengths)) - 1
+    parents[np.cumsum(lengths) - lengths] = -1
+    return _tree_hidden(np.concatenate(seqs), parents, np.repeat(scenes, lengths),
+                        enc_out, enc_segments, cfg, params)
 
 
 def decode_logits(tokens, enc_out: Tensor, cfg: CaptionerConfig,
@@ -339,6 +375,26 @@ def token_logprobs(tokens, enc_out: Tensor, cfg: CaptionerConfig,
     last = np.cumsum([len(s) for s in seqs]) - 1
     return nm.take(lsm, np.delete(np.arange(last[-1] + 1), last),
                    np.concatenate([s[1:] for s in seqs]))
+
+
+def tree_logprobs(ids, parents, rows, targets, enc_out: Tensor,
+                  cfg: CaptionerConfig, params: dict[str, Tensor], scenes=None,
+                  enc_segments=None) -> Tensor:
+    """Log-prob of token ``targets[j]`` after prefix-tree row ``rows[j]``,
+    from one teacher-forced pass over the rows.
+
+    Row r holds token ``ids[r]`` after its parent row ``parents[r]``, which
+    comes before it, or -1 at BOS (see ``tree_layout``). It attends to its
+    ancestors, itself and the encoder rows of its scene: ``scenes[r]``
+    (default 0), matched against ``enc_segments`` as in ``decode_hidden``.
+    Each row's path from BOS must be a prefix of a sequence that
+    ``_validate_tokens`` accepts, as every search candidate is.
+    """
+    ids = np.asarray(ids, dtype=np.intp)
+    scenes = np.zeros(len(ids), dtype=np.intp) if scenes is None else np.asarray(scenes)
+    h = _tree_hidden(ids, parents, scenes, enc_out, enc_segments, cfg, params)
+    lsm = nm.log_softmax(nm.matmul(h, nm.transpose(params["embed.E"])), axis=-1)
+    return nm.take(lsm, rows, targets)
 
 
 def xent_loss(tokens, enc_out: Tensor, cfg: CaptionerConfig,

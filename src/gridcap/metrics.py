@@ -70,23 +70,41 @@ def _tfidf_vector(tokens, idf: IdfTable):
     return vecs, sq_norms
 
 
-def cider_d(candidate: list[str], references: list[list[str]], idf: IdfTable) -> float:
+@dataclass(frozen=True, eq=False)
+class ReferenceVectors:
+    """A reference set's per-order TF-IDF vectors, squared norms and
+    lengths under one ``IdfTable``, built once so that every candidate of a
+    beam is scored against the same vectors."""
+
+    idf: IdfTable
+    refs: list[tuple[list[dict], list[float], int]]
+
+    @classmethod
+    def build(cls, references: list[list[str]], idf: IdfTable) -> "ReferenceVectors":
+        if not references:
+            raise ValueError("cider_d needs at least one reference")
+        return cls(idf, [(*_tfidf_vector(ref, idf), len(ref)) for ref in references])
+
+
+def cider_d(candidate: list[str], references, idf: IdfTable) -> float:
     """Consensus score: clipped TF-IDF n-gram cosine with a length penalty.
 
     Candidate counts are clipped at the reference count before the dot
     product, similarities are penalized by exp(-(len_c - len_r)^2 / (2s^2))
     with s = CIDER_SIGMA, averaged over n-gram orders 1..MAX_N and
-    references, and scaled by 10.
+    references, and scaled by 10. ``references`` is a list of token lists,
+    or their ``ReferenceVectors`` built with ``idf``.
     """
     if not candidate:
         return 0.0
-    if not references:
-        raise ValueError("cider_d needs at least one reference")
+    if not isinstance(references, ReferenceVectors):
+        references = ReferenceVectors.build(references, idf)
+    elif references.idf is not idf:
+        raise ValueError("reference vectors were built with another IDF table")
     cand_vecs, cand_sq = _tfidf_vector(candidate, idf)
     total = [0.0] * MAX_N
-    for ref in references:
-        ref_vecs, ref_sq = _tfidf_vector(ref, idf)
-        delta = float(len(candidate) - len(ref))
+    for ref_vecs, ref_sq, ref_len in references.refs:
+        delta = float(len(candidate) - ref_len)
         penalty = math.exp(-(delta * delta) / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
         for n in range(MAX_N):
             dot = 0.0
@@ -96,7 +114,7 @@ def cider_d(candidate: list[str], references: list[list[str]], idf: IdfTable) ->
             if cand_sq[n] > 0 and ref_sq[n] > 0:
                 dot /= math.sqrt(cand_sq[n] * ref_sq[n])
             total[n] += dot * penalty
-    score = sum(total) / MAX_N / len(references)
+    score = sum(total) / MAX_N / len(references.refs)
     return 10.0 * score
 
 

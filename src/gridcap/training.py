@@ -7,8 +7,9 @@ Three phases, strictly ordered and parameter-isolated: selector training
 search is scored by the consensus metric against the mean-of-beam baseline,
 with gradients flowing through every token, constraint words included). All
 three pack under block masks: one pass per selector or captioner minibatch,
-and per fine-tuning minibatch one pass per ``SCST_PASS_ROWS`` packed decoder
-rows of candidates.
+whose captions are chains of decoder rows, and per fine-tuning minibatch one
+pass per ``SCST_PASS_ROWS`` decoder rows, where a scene's rows are the trie
+of its candidates' distinct proper prefixes.
 
 Every decode, whether a fine-tuning beam, a validation pass or an
 evaluation, is one ``run_grid_search`` call made by ``_decode_for_scene`` on
@@ -16,7 +17,8 @@ the scene's one model from ``_scene_model``. That model searches without a
 tape, and its taped encode is the one its candidates are scored against, so
 each fine-tuning scene is encoded once. A search returns the beam-size best
 finished decodes as ``finished`` and stops as soon as they can no longer
-change; those are a fine-tuning scene's candidates.
+change; those are a fine-tuning scene's candidates, all rewarded against
+one build of the scene's reference vectors.
 Every epoch record counts its Adam steps as ``updates``.
 """
 
@@ -29,11 +31,11 @@ import numpy as np
 
 from . import numerics as nm
 from .captioner import (CaptionerConfig, SceneStepModel, encode,
-                        init_captioner_params, token_logprobs, xent_loss)
+                        init_captioner_params, tree_logprobs, xent_loss)
 from .data import DatasetConfig, HeldoutSplits, SceneRecord
 # sequence_logprob is not called here: bench/tracer.py wraps this binding
 from .decoder import ConstraintSet, run_grid_search, sequence_logprob  # noqa: F401
-from .metrics import EvalRecord, IdfTable, cider_d, eval_report
+from .metrics import EvalRecord, IdfTable, ReferenceVectors, cider_d, eval_report
 from .numerics import (AdamState, Tensor, adam_step, check_at_least, noam_lr,
                        zero_grads)
 from .selector import (BCE_LAMBDA0, BCE_LAMBDA1, SelectorConfig,
@@ -286,29 +288,63 @@ def _decode_for_scene(model: SceneStepModel, words, k, trace=False):
                            trace=trace)
 
 
-# Packed decoder rows per SCST scoring pass. Dense self-attention masks grow
-# with the rows squared, so one pass over a whole minibatch costs more than
-# a few passes of about this size; a scene over the cap is a pass alone.
+# Decoder rows per SCST scoring pass, counted as prefix-tree rows (trie
+# nodes) of the packed scenes. Dense self-attention masks grow with the rows
+# squared, so one pass over a whole minibatch costs more than a few passes
+# of about this size; a scene over the cap is a pass alone.
 SCST_PASS_ROWS = 128
 
 
 @dataclass(eq=False)  # a taped encode has no value equality
 class ScoredScene:
     """A fine-tuning scene to score: its taped encode, its BOS-led
-    candidates and their advantages (not all zero)."""
+    candidates and their advantages (not all zero), and the trie of the
+    candidates' distinct proper prefixes that scores them.
+
+    Trie row r holds token ``ids[r]`` after row ``parents[r]`` (-1 at BOS),
+    rows in order of first appearance. A candidate's tokens after BOS are
+    the targets of (row, next token) edges ``edge_rows`` and ``edge_ids``;
+    ``edge_of`` names the edge of each such token, candidate by candidate.
+    A candidate's last token is only a target, never a row.
+    """
 
     enc_out: Tensor
     seqs: list[tuple[int, ...]]
     adv: np.ndarray
 
+    def __post_init__(self):
+        rows: dict[tuple[int, ...], int] = {}
+        edges: dict[tuple[int, int], int] = {}
+        ids, parents, self.edge_of = [], [], []
+        for seq in self.seqs:
+            for t in range(1, len(seq)):
+                prefix = seq[:t]
+                if prefix not in rows:
+                    rows[prefix] = len(ids)
+                    ids.append(seq[t - 1])
+                    parents.append(rows.get(prefix[:-1], -1))
+                self.edge_of.append(edges.setdefault((rows[prefix], seq[t]), len(edges)))
+        self.ids = np.array(ids, dtype=np.intp)
+        self.parents = np.array(parents, dtype=np.intp)
+        self.edge_rows, self.edge_ids = np.array(
+            list(edges), dtype=np.intp).reshape(-1, 2).T
+
     @property
     def rows(self) -> int:
-        return sum(len(s) for s in self.seqs)
+        return len(self.ids)
+
+    def edge_weights(self, batch_size: int) -> np.ndarray:
+        """Each edge's summed -advantage / (candidates · batch_size) over
+        the candidates through it."""
+        weights = -self.adv / (len(self.seqs) * batch_size)
+        return np.bincount(self.edge_of,
+                           np.repeat(weights, [len(s) - 1 for s in self.seqs]),
+                           minlength=len(self.edge_ids))
 
 
 def _scoring_passes(scored: list[ScoredScene]) -> list[list[ScoredScene]]:
-    """Whole scenes in order, in passes of at most ``SCST_PASS_ROWS``
-    packed decoder rows; a scene over the cap is a pass of its own."""
+    """Whole scenes in order, in passes of at most ``SCST_PASS_ROWS`` trie
+    rows; a scene over the cap is a pass of its own."""
     passes, rows = [], 0
     for scene in scored:
         if passes and rows + scene.rows <= SCST_PASS_ROWS:
@@ -322,18 +358,22 @@ def _scoring_passes(scored: list[ScoredScene]) -> list[list[ScoredScene]]:
 
 def _policy_loss(group: list[ScoredScene], cfg: CaptionerConfig, params,
                  batch_size: int) -> Tensor:
-    """One packed ``token_logprobs`` pass over the candidates of ``group``
-    against their scenes' encodes: every token of a candidate weighs
+    """One packed ``tree_logprobs`` pass over the tries of ``group`` against
+    their scenes' encodes: each edge is picked once and weighs its
+    ``edge_weights``, so every token of a candidate weighs
     -advantage / (candidates · batch_size)."""
-    seqs = [s for g in group for s in g.seqs]
-    scene_of = np.repeat(np.arange(len(group)), [len(g.seqs) for g in group])
-    enc_segments = np.repeat(np.arange(len(group)),
-                             [g.enc_out.shape[0] for g in group])
-    picked = token_logprobs(seqs, nm.concat([g.enc_out for g in group]), cfg,
-                            params, scene_of, enc_segments)
-    weights = np.concatenate([
-        np.repeat(-g.adv / (len(g.seqs) * batch_size), [len(s) - 1 for s in g.seqs])
-        for g in group])
+    offsets = np.cumsum([0] + [g.rows for g in group[:-1]])
+    number = np.arange(len(group))
+    picked = tree_logprobs(
+        np.concatenate([g.ids for g in group]),
+        np.concatenate([np.where(g.parents < 0, -1, g.parents + o)
+                        for g, o in zip(group, offsets)]),
+        np.concatenate([g.edge_rows + o for g, o in zip(group, offsets)]),
+        np.concatenate([g.edge_ids for g in group]),
+        nm.concat([g.enc_out for g in group]), cfg, params,
+        np.repeat(number, [g.rows for g in group]),
+        np.repeat(number, [g.enc_out.shape[0] for g in group]))
+    weights = np.concatenate([g.edge_weights(batch_size) for g in group])
     return nm.tsum(nm.mul(picked, Tensor(weights)))
 
 
@@ -351,7 +391,10 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
     scenes with a non-zero advantage are then scored together, whole and
     in minibatch order, in packed passes of at most ``SCST_PASS_ROWS``
     decoder rows, each with one backward; a minibatch that scored any
-    scene makes one Adam step. After each epoch the validation split is
+    scene makes one Adam step. A scene's rows are the trie of its
+    candidates' distinct proper prefixes (see ``ScoredScene``), and each
+    (row, next token) edge is picked once, weighted by the candidates
+    through it. After each epoch the validation split is
     decoded in oracle mode and scored by CIDEr-D; the first best-scoring
     epoch's parameters are returned, and only that epoch's record has
     ``kept`` true. Training runs on a copy: the caller's ``params`` are left
@@ -360,7 +403,9 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
     A scene whose search finishes fewer than two candidates has nothing to
     compare and is skipped. Each epoch record counts ``scored_scenes`` and
     ``skipped_scenes``, and ``zero_advantage_scenes``: scored scenes whose
-    candidates all earned one reward, so no policy term was built.
+    candidates all earned one reward, so no policy term was built. It also
+    counts ``scoring_passes``, the backwards of the policy loss, and
+    ``scored_rows``, the decoder rows those passes scored.
     ``mean_beam_reward`` averages over scored scenes only and is 0.0 when
     none was scored, which is logged as a warning.
     """
@@ -376,6 +421,7 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
     for epoch in range(train_cfg.rl_epochs):
         order = rng.permutation(len(scenes))
         reward_sum, reward_n, skipped, zero_adv = 0.0, 0, 0, 0
+        passes, scored_rows = 0, 0
         steps_before = state.step
         for batch in _batches(order, train_cfg.batch_size):
             zero_grads(params)
@@ -389,9 +435,10 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
                 if len(cands) < 2:
                     skipped += 1
                     continue
+                refs = ReferenceVectors.build(scene.references, reward_idf)
                 rewards = np.array([
-                    cider_d(vocab.decode(_strip_eos(h.tokens, vocab)),
-                            scene.references, reward_idf)
+                    cider_d(vocab.decode(_strip_eos(h.tokens, vocab)), refs,
+                            reward_idf)
                     for h in cands])
                 baseline = rewards.mean()
                 reward_sum += baseline
@@ -406,6 +453,8 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
                 loss = _policy_loss(group, cfg, params, len(batch))
                 _check_finite(loss.item(), "policy loss")
                 nm.backward(loss)
+                passes += 1
+                scored_rows += sum(g.rows for g in group)
             if scored:
                 adam_step(params, state, train_cfg.rl_lr)
         val = decode_split(splits.val, "oracle", cfg, params, train_cfg, synonyms)
@@ -421,6 +470,8 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
             "scored_scenes": reward_n,
             "skipped_scenes": skipped,
             "zero_advantage_scenes": zero_adv,
+            "scoring_passes": passes,
+            "scored_rows": scored_rows,
             "updates": state.step - steps_before,
         })
         if reward_n == 0:

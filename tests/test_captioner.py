@@ -10,7 +10,7 @@ from gridcap.captioner import (BudgetExhausted, CaptionerConfig,
                                SceneStepModel, Vocabulary, decode_hidden,
                                decode_logits, encode,
                                init_captioner_params, token_logprobs,
-                               xent_loss)
+                               tree_layout, tree_logprobs, xent_loss)
 
 from test_numerics import check_grads
 
@@ -181,6 +181,40 @@ class TestPacking:
             decode_logits([v.bos_id, 4, v.eos_id], enc, cfg, params)
         with pytest.raises(ValueError):
             encode(regions, cfg, params, [0, 1])
+
+
+class TestTreeRows:
+    """Teacher forcing over prefix-tree rows; packed sequences are chains."""
+
+    def test_chain_case_is_the_packed_sequence_mask(self):
+        lengths = [3, 1, 5, 2]
+        segment = np.repeat(np.arange(len(lengths)), lengths)
+        pos = np.concatenate([np.arange(n) for n in lengths])
+        parents = np.where(pos == 0, -1, np.arange(len(pos)) - 1)
+        depth, mask = tree_layout(parents)
+        np.testing.assert_array_equal(depth, pos)
+        assert mask.dtype == bool
+        np.testing.assert_array_equal(
+            mask, (segment[:, None] != segment[None, :]) | (pos[None, :] > pos[:, None]))
+
+    def test_chain_tree_scores_exactly_as_token_logprobs(self, setup):
+        cfg, params, regions = setup
+        enc = encode(regions, cfg, params)
+        v = cfg.vocab
+        seqs = [[v.bos_id, 5, 6, v.eos_id], [v.bos_id, 9], [v.bos_id, 4, v.eos_id]]
+        ids = np.concatenate(seqs)
+        ends = np.cumsum([len(s) for s in seqs])
+        parents = np.arange(len(ids)) - 1
+        parents[ends - [len(s) for s in seqs]] = -1
+        rows = np.delete(np.arange(len(ids)), ends - 1)
+        got = tree_logprobs(ids, parents, rows, np.concatenate([s[1:] for s in seqs]),
+                            enc, cfg, params)
+        assert (got.data == token_logprobs(seqs, enc, cfg, params).data).all()
+
+    @pytest.mark.parametrize("parents", [[-1, 0, 2], [-1, -2, 1], [1, -1]])
+    def test_parent_after_its_row_rejected(self, parents):
+        with pytest.raises(ValueError, match="come before it"):
+            tree_layout(parents)
 
 
 class TestTokenLogprobs:

@@ -4,8 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gridcap.metrics import (EvalRecord, IdfTable, bleu4, cider_d,
-                             eval_report, f1_class, ngrams)
+from gridcap.metrics import (EvalRecord, IdfTable, ReferenceVectors, bleu4,
+                             cider_d, eval_report, f1_class, ngrams)
 
 CORPUS = [
     [["a", "red", "dog", "runs", "fast"]],
@@ -110,6 +110,21 @@ class TestCiderD:
         idf2 = IdfTable.from_references(corpus2)
         refs2 = corpus2[3]
         assert cider_d(cand2, refs2, idf2) == pytest.approx(base, abs=1e-12)
+
+    def test_reference_vectors_score_exactly_as_the_references(self):
+        idf = IdfTable.from_references(CORPUS)
+        refs = CORPUS[3]
+        vectors = ReferenceVectors.build(refs, idf)
+        for cand in (["a", "dog", "barks", "fast"], ["the", "cat"], ["zebra"], []):
+            assert cider_d(cand, vectors, idf) == cider_d(cand, refs, idf)
+
+    def test_reference_vectors_need_references_and_their_own_idf(self):
+        idf = IdfTable.from_references(CORPUS)
+        with pytest.raises(ValueError, match="at least one reference"):
+            ReferenceVectors.build([], idf)
+        vectors = ReferenceVectors.build(CORPUS[0], idf)
+        with pytest.raises(ValueError, match="another IDF table"):
+            cider_d(["a", "dog"], vectors, IdfTable.from_references(CORPUS))
 
 
 class TestBleu4:

@@ -4,16 +4,21 @@ import logging
 import math
 import os
 import shutil
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gridcap import cli
 from gridcap import numerics as nm
 from gridcap import training as tr
-from gridcap.captioner import CaptionerConfig, Vocabulary
+from gridcap.captioner import (CaptionerConfig, Vocabulary, encode,
+                               init_captioner_params, token_logprobs,
+                               tree_layout)
 from gridcap.data import (DatasetConfig, apply_heldout, build_vocabulary,
                           default_synonyms, gen_dataset)
+from gridcap.metrics import ReferenceVectors
 from gridcap.numerics import (Tensor, checkpoint_hash, load_checkpoint,
                               save_checkpoint)
 from gridcap.selector import SelectorConfig, init_selector_params
@@ -328,6 +333,74 @@ class TestFinetune:
             np.testing.assert_allclose(packed[k].grad, ref[k].grad,
                                        rtol=0, atol=1e-12, err_msg=k)
 
+    def test_epoch_records_count_scoring_passes_and_rows(self, tiny_world,
+                                                         pretrained, monkeypatch):
+        # every beam of distinct captions earns distinct rewards, so every
+        # scene with two candidates is scored: its trie rows are the distinct
+        # proper prefixes of its BOS-led candidates
+        _, _, synonyms, splits, vocab = tiny_world
+        cfg, pre = pretrained
+        tcfg = TrainConfig(rl_epochs=1, beam_size=3, batch_size=3, seed=9)
+        sub = tr.HeldoutSplits(captioner_train=splits.captioner_train[:6],
+                               selector_train=[], val=splits.val[:1], test=[])
+        search, beams = tr.run_grid_search, []
+
+        def recorded(*args, **kwargs):
+            result = search(*args, **kwargs)
+            beams.append(result.finished)
+            return result
+
+        backward, backwards = nm.backward, []
+
+        def counted(loss):
+            backwards.append(loss)
+            backward(loss)
+
+        monkeypatch.setattr(tr, "run_grid_search", recorded)
+        monkeypatch.setattr(nm, "backward", counted)
+        monkeypatch.setattr(tr, "cider_d", lambda cand, *args: float(
+            zlib.crc32(" ".join(cand).encode())))
+        monkeypatch.setattr(tr, "SCST_PASS_ROWS", 24)
+        _, epochs = finetune_scst_dgbs(sub, cfg, fresh_copy(pre), tcfg, synonyms)
+        record = epochs[0]
+        scored = [beam for beam in beams[:6] if len(beam) >= 2]
+        assert record["zero_advantage_scenes"] == 0
+        assert record["scored_scenes"] == len(scored) >= 2
+        assert record["scored_rows"] == sum(
+            len({(vocab.bos_id,) + h.tokens[:t] for h in beam
+                 for t in range(len(h.tokens))}) for beam in scored)
+        assert record["scoring_passes"] == len(backwards) >= 2
+
+    def test_rewards_equal_per_candidate_cider_d(self, tiny_world, pretrained,
+                                                 monkeypatch):
+        # a beam's rewards score its candidates against reference vectors
+        # built once, exactly as cider_d on the references would
+        _, _, synonyms, splits, _ = tiny_world
+        cfg, pre = pretrained
+        tcfg = TrainConfig(rl_epochs=1, beam_size=3, seed=9)
+        sub = tr.HeldoutSplits(captioner_train=splits.captioner_train[:4],
+                               selector_train=[], val=splits.val[:1], test=[])
+        build, built = ReferenceVectors.build, {}
+
+        def recording(cls, references, idf):
+            vectors = build(references, idf)
+            built[id(vectors)] = (vectors, references)
+            return vectors
+
+        cider, compared = tr.cider_d, []
+
+        def checked(cand, refs, idf):
+            got = cider(cand, refs, idf)
+            if isinstance(refs, ReferenceVectors):
+                compared.append(got == cider(cand, built[id(refs)][1], idf))
+            return got
+
+        monkeypatch.setattr(ReferenceVectors, "build", classmethod(recording))
+        monkeypatch.setattr(tr, "cider_d", checked)
+        _, epochs = finetune_scst_dgbs(sub, cfg, fresh_copy(pre), tcfg, synonyms)
+        assert len(compared) >= 2 * epochs[0]["scored_scenes"] > 0
+        assert all(compared)
+
     def test_non_finite_policy_loss_diverges(self, tiny_world, pretrained,
                                              monkeypatch):
         _, _, synonyms, splits, _ = tiny_world
@@ -386,6 +459,68 @@ class TestFinetune:
         assert epochs[0]["val_cider_d"] == epochs[2]["val_cider_d"] > epochs[1]["val_cider_d"]
         assert hashes[0] != hashes[2]
         assert checkpoint_hash(params) == hashes[0]
+
+
+TREE_CFG = CaptionerConfig(vocab=Vocabulary(["red", "dog", "runs"]), d_model=8,
+                           num_enc_layers=1, num_dec_layers=1, num_heads=2,
+                           num_memory=2, embed_dim=4, ffn_dim=12, max_len=10,
+                           visual_dim=3)
+BOS, EOS = TREE_CFG.vocab.bos_id, TREE_CFG.vocab.eos_id
+RED, DOG, RUNS = (TREE_CFG.vocab.token_to_id[w] for w in ("red", "dog", "runs"))
+# a scene's distinct candidates, each BOS, up to max_len - 2 words, EOS
+BEAMS = st.lists(st.lists(st.sampled_from([RED, DOG, RUNS]),
+                          max_size=TREE_CFG.max_len - 2).map(
+                     lambda words: (BOS, *words, EOS)),
+                 min_size=1, max_size=5, unique=True)
+
+
+class TestPrefixTree:
+    """A scored scene's trie against per-candidate chain scoring."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(beams=st.lists(BEAMS, min_size=1, max_size=2), seed=st.integers(0, 999))
+    @example(beams=[[(BOS, EOS), (BOS, RED, DOG, DOG, RUNS, RED, EOS),
+                     (BOS, RED, DOG, DOG, RUNS, DOG, RED, EOS)],
+                    [(BOS, DOG, EOS), (BOS, RED, RUNS, EOS), (BOS, RUNS, EOS)]],
+             seed=0)
+    def test_trie_rows_and_loss_equal_chain_scoring(self, beams, seed):
+        cfg, batch_size = TREE_CFG, 3
+        rng = np.random.default_rng(seed)
+        regions = [rng.normal(size=(n, cfg.visual_dim)) for n in (2, 3)]
+        advs = [rng.normal(size=len(beam)) for beam in beams]
+        base = init_captioner_params(cfg, np.random.default_rng(seed))
+        tree_params, chain_params = fresh_copy(base), fresh_copy(base)
+        group = [tr.ScoredScene(encode(r, cfg, tree_params), beam, adv)
+                 for r, beam, adv in zip(regions, beams, advs)]
+        for scene, beam in zip(group, beams):
+            prefix = []
+            for tok, parent in zip(scene.ids.tolist(), scene.parents.tolist()):
+                prefix.append((prefix[parent] if parent >= 0 else ()) + (tok,))
+            assert sorted(prefix) == sorted(
+                {seq[:t] for seq in beam for t in range(1, len(seq))})
+            depth, mask = tree_layout(scene.parents)
+            assert depth.tolist() == [len(p) - 1 for p in prefix]
+            np.testing.assert_array_equal(
+                ~mask, [[p[:len(q)] == q for q in prefix] for p in prefix])
+            edges = list(zip(scene.edge_rows.tolist(), scene.edge_ids.tolist()))
+            assert sorted(edges) == sorted(
+                {(prefix.index(seq[:t]), seq[t]) for seq in beam
+                 for t in range(1, len(seq))})
+
+        loss = tr._policy_loss(group, cfg, tree_params, batch_size)
+        nm.backward(loss)
+        ref = Tensor(0.0)
+        for r, beam, adv in zip(regions, beams, advs):
+            enc = encode(r, cfg, chain_params)
+            for seq, a in zip(beam, adv):
+                ref = nm.add(ref, nm.mul(nm.tsum(token_logprobs([seq], enc, cfg,
+                                                                chain_params)),
+                                         -a / (len(beam) * batch_size)))
+        nm.backward(ref)
+        assert abs(loss.item() - ref.item()) <= 1e-12
+        for k in base:
+            np.testing.assert_allclose(tree_params[k].grad, chain_params[k].grad,
+                                       rtol=0, atol=1e-12, err_msg=k)
 
 
 class TestDecodeEval:
