@@ -8,16 +8,17 @@ space than the model width, with learned up/down projections on either side
 of the decoder stack, and output logits tie to the transpose of the
 embedding matrix.
 
-One decoder-layer body serves two callers, on (blocks, rows, width)
-activations. Teacher forcing runs it over prefix-tree rows packed as one
-block: each row is a token after a parent row (none at BOS), its position
-is its depth, and a mask keeps it to its ancestors, itself and its own
-scene's encoder rows. A packed list of whole sequences is the chain case,
-one row per position, which ``token_logprobs`` scores and ``xent_loss``
-weighs for pre-training. Self-critical fine-tuning scores a trie of its
-candidates' distinct prefixes with ``tree_logprobs``, each (row, next
-token) edge once. The encoder packs distinct scenes the same way, with the
-memory slots visible to every row.
+One decoder-layer body and one output head serve two callers, on (blocks,
+rows, width) activations. ``tree_logprobs`` is the one teacher-forced
+scorer. It runs the body over prefix-tree rows packed as one block: each
+row is a token after a parent row (none at BOS), its position is its depth,
+and a mask keeps it to its ancestors, itself and its own scene's encoder
+rows; it picks the log-prob of each (row, next token) edge it is given, and
+runs the token-id check on every path. Pre-training's packed captions are
+the chain case, one row per position, laid out by ``chain_rows`` and
+weighed by ``xent_loss``. Self-critical fine-tuning scores a trie of its
+candidates' distinct prefixes, each edge once. The encoder packs distinct
+scenes the same way, with the memory slots visible to every row.
 ``SceneStepModel.step`` runs the body over the last token of many prefixes
 at once, for search, one block per prefix. It is called once per grid
 column, each prefix extending one of the previous call's, so earlier
@@ -242,26 +243,31 @@ def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor],
     return nm.reshape(x, (n, cfg.d_model))
 
 
+def _check_ids(ids: np.ndarray, heads, length: int, cfg: CaptionerConfig) -> np.ndarray:
+    """``ids`` as ``np.intp`` after the one token-id check of teacher forcing
+    and the step. In this order, they must be integers, each sequence's
+    first id in ``heads`` BOS, the longest ``length`` at most ``max_len``
+    and every id in the vocabulary; else ``ValueError``."""
+    if ids.dtype.kind not in "iu":  # signed or unsigned integers
+        raise ValueError(f"token ids must be integers, not {ids.dtype}")
+    ids = ids.astype(np.intp, copy=False)
+    if (heads != cfg.vocab.bos_id).any():
+        raise ValueError("token sequence must begin with BOS")
+    if length > cfg.max_len:
+        raise ValueError(f"sequence length {length} exceeds budget {cfg.max_len}")
+    if ids.min() < 0 or ids.max() >= len(cfg.vocab):
+        raise ValueError("unknown token id in sequence")
+    return ids
+
+
 def _validate_tokens(tokens, cfg: CaptionerConfig) -> np.ndarray:
-    """``tokens`` as a checked (rows, n) id array: the one token-id check of
-    teacher forcing and the decoder step. In this order, the array must be
-    non-empty and of integers, every row must begin with BOS, n must be at
-    most ``max_len`` and every id must be in the vocabulary; else
-    ``ValueError``."""
+    """``tokens`` as a checked (rows, n) id array, one sequence per row: it
+    must be non-empty, then pass ``_check_ids``; else ``ValueError``."""
     ids = np.asarray(tokens)
     if ids.ndim != 2 or ids.size == 0:
         raise ValueError(f"token ids must be a non-empty (rows, n) array, "
                          f"got shape {ids.shape}")
-    if ids.dtype.kind not in "iu":  # signed or unsigned integers
-        raise ValueError(f"token ids must be integers, not {ids.dtype}")
-    ids = ids.astype(np.intp, copy=False)
-    if (ids[:, 0] != cfg.vocab.bos_id).any():
-        raise ValueError("token sequence must begin with BOS")
-    if ids.shape[1] > cfg.max_len:
-        raise ValueError(f"sequence length {ids.shape[1]} exceeds budget {cfg.max_len}")
-    if ids.min() < 0 or ids.max() >= len(cfg.vocab):
-        raise ValueError("unknown token id in sequence")
-    return ids
+    return _check_ids(ids, ids[:, 0], ids.shape[1], cfg)
 
 
 def _embed(ids, pe: np.ndarray, params: dict[str, Tensor]) -> Tensor:
@@ -290,6 +296,12 @@ def _decoder_stack(x: Tensor, self_kv, self_mask: np.ndarray | None, cross_kv,
     return nm.linear(x, params["embed.down_w"], params["embed.down_b"])
 
 
+def _output_head(h: Tensor, params: dict[str, Tensor]) -> Tensor:
+    """Next-token log-probs of decoder states ``h``: log-softmax of ``h Eᵀ``,
+    the head tied to the word embedding matrix E, shared by step and scorer."""
+    return nm.log_softmax(nm.matmul(h, nm.transpose(params["embed.E"])), axis=-1)
+
+
 def tree_layout(parents) -> tuple[np.ndarray, np.ndarray]:
     """Positions and self-attention mask of prefix-tree rows.
 
@@ -311,70 +323,31 @@ def tree_layout(parents) -> tuple[np.ndarray, np.ndarray]:
     return depth, ~admitted
 
 
-def _tree_hidden(ids, parents, scenes, enc_out: Tensor, enc_segments,
-                 cfg: CaptionerConfig, params: dict[str, Tensor]) -> Tensor:
-    """Down-projected decoder states (rows, embed_dim), pre-tying, of checked
-    prefix-tree rows (see ``tree_layout``): row r holds token ``ids[r]`` and
-    attends to its ancestors, itself and the encoder rows of its scene
-    ``scenes[r]``, matched against ``enc_segments`` (as given to ``encode``;
-    None is one scene)."""
-    pos, self_mask = tree_layout(parents)
-    if enc_segments is None:
-        enc_segments = np.zeros(enc_out.shape[0], dtype=np.intp)
-    cross_mask = scenes[:, None] != np.asarray(enc_segments)[None, :]
-    x = _embed(ids[None], positional_encoding(cfg.max_len, cfg.d_model)[pos[None]],
-               params)
-    enc = nm.reshape(enc_out, (1,) + enc_out.shape)
-    h = _decoder_stack(
-        x, lambda i, h: _project(h, params, f"dec{i}.self"), self_mask[None],
-        lambda i, h: _project(enc, params, f"dec{i}.cross"), cross_mask[None],
-        cfg, params)
-    return nm.reshape(h, h.shape[1:])
+def chain_rows(tokens, cfg: CaptionerConfig, scenes=None):
+    """Prefix-tree rows of packed whole sequences, the chain case:
+    ``(ids, parents, rows, targets, row_scenes)`` for ``tree_logprobs``.
 
-
-def decode_hidden(tokens, enc_out: Tensor, cfg: CaptionerConfig,
-                  params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
-    """Down-projected decoder states (rows, embed_dim), pre-tying.
-
-    Teacher forcing, packed: ``tokens`` is a list of sequences whose rows
-    are stacked in order, the chain case of a prefix tree. Every position
-    attends to itself and the positions before it in its own sequence, and
-    to the encoder rows of its scene: ``scenes[b]`` (default 0) numbers
-    sequence b's scene, matched against ``enc_segments`` (as given to
-    ``encode``; default one scene).
+    Each sequence must pass ``_validate_tokens`` and ``scenes[b]`` (default
+    0) numbers sequence b's scene; an empty list, too, raises ``ValueError``.
+    Each position is a row after the one before it in its sequence, and the
+    edges pick every next token, sequence by sequence: a length-L sequence
+    gives L - 1 edges. Its last position is a row no edge reads (13-14% of
+    pre-training's rows); dropping it would change the rows of each
+    pre-training pass, and so its rounding.
     """
+    if len(tokens) == 0:
+        raise ValueError("the list of sequences to score is empty")
     seqs = [_validate_tokens([t], cfg)[0] for t in tokens]
     scenes = (np.zeros(len(seqs), dtype=np.intp) if scenes is None
               else np.asarray(scenes))
     if scenes.shape != (len(seqs),):
-        raise ValueError(f"{len(scenes)} scene numbers for {len(seqs)} sequences")
+        raise ValueError(f"{scenes.size} scene numbers for {len(seqs)} sequences")
     lengths = [len(s) for s in seqs]
-    parents = np.arange(sum(lengths)) - 1
-    parents[np.cumsum(lengths) - lengths] = -1
-    return _tree_hidden(np.concatenate(seqs), parents, np.repeat(scenes, lengths),
-                        enc_out, enc_segments, cfg, params)
-
-
-def decode_logits(tokens, enc_out: Tensor, cfg: CaptionerConfig,
-                  params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
-    """Next-token logits (rows, |V|) of a packed list of sequences (see
-    ``decode_hidden``); the output head is the transpose of the word
-    embedding matrix."""
-    h = decode_hidden(tokens, enc_out, cfg, params, scenes, enc_segments)
-    return nm.matmul(h, nm.transpose(params["embed.E"]))
-
-
-def token_logprobs(tokens, enc_out: Tensor, cfg: CaptionerConfig,
-                   params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
-    """Log-prob of every next token of a packed list of sequences (see
-    ``decode_hidden``), sequence by sequence: a length-L sequence gives L - 1
-    entries, position t scoring token t + 1."""
-    lsm = nm.log_softmax(decode_logits(tokens, enc_out, cfg, params, scenes,
-                                       enc_segments), axis=-1)
-    seqs = [np.asarray(t, dtype=np.intp) for t in tokens]
-    last = np.cumsum([len(s) for s in seqs]) - 1
-    return nm.take(lsm, np.delete(np.arange(last[-1] + 1), last),
-                   np.concatenate([s[1:] for s in seqs]))
+    ends = np.cumsum(lengths)
+    parents = np.arange(ends[-1]) - 1
+    parents[ends - lengths] = -1
+    return (np.concatenate(seqs), parents, np.delete(np.arange(ends[-1]), ends - 1),
+            np.concatenate([s[1:] for s in seqs]), np.repeat(scenes, lengths))
 
 
 def tree_logprobs(ids, parents, rows, targets, enc_out: Tensor,
@@ -383,33 +356,56 @@ def tree_logprobs(ids, parents, rows, targets, enc_out: Tensor,
     """Log-prob of token ``targets[j]`` after prefix-tree row ``rows[j]``,
     from one teacher-forced pass over the rows.
 
-    Row r holds token ``ids[r]`` after its parent row ``parents[r]``, which
-    comes before it, or -1 at BOS (see ``tree_layout``). It attends to its
-    ancestors, itself and the encoder rows of its scene: ``scenes[r]``
-    (default 0), matched against ``enc_segments`` as in ``decode_hidden``.
-    Each row's path from BOS must be a prefix of a sequence that
-    ``_validate_tokens`` accepts, as every search candidate is.
+    Row r holds token ``ids[r]`` after its parent row ``parents[r]`` (see
+    ``tree_layout``). It attends to its ancestors, itself and the encoder
+    rows of its scene: ``scenes[r]`` (default 0), matched against
+    ``enc_segments`` (as given to ``encode``; default one scene).
+    ``chain_rows`` lays out packed whole sequences.
+
+    Each row's path from BOS, and each edge's row path and target, is a
+    sequence that must pass ``_check_ids``. That check, a count of ids or
+    scene numbers other than the rows', and an edge from no row raise
+    ``ValueError``.
     """
-    ids = np.asarray(ids, dtype=np.intp)
-    scenes = np.zeros(len(ids), dtype=np.intp) if scenes is None else np.asarray(scenes)
-    h = _tree_hidden(ids, parents, scenes, enc_out, enc_segments, cfg, params)
-    lsm = nm.log_softmax(nm.matmul(h, nm.transpose(params["embed.E"])), axis=-1)
-    return nm.take(lsm, rows, targets)
+    depth, self_mask = tree_layout(parents)
+    ids, rows, targets = np.asarray(ids), np.asarray(rows), np.asarray(targets)
+    scenes = np.zeros(len(depth), dtype=np.intp) if scenes is None else np.asarray(scenes)
+    if len(depth) == 0 or ids.shape != depth.shape or scenes.shape != depth.shape:
+        raise ValueError(f"{len(depth)} rows need as many ids and scene numbers, "
+                         f"got {ids.size} and {scenes.size}")
+    if rows.dtype.kind not in "iu" or ((rows < 0) | (rows >= len(depth))).any():
+        raise ValueError("every edge must start at a row of the tree")
+    checked = _check_ids(np.concatenate([ids, targets]), ids[depth == 0],
+                         max(depth.max() + 1, depth[rows].max(initial=-1) + 2), cfg)
+    ids, targets = checked[:len(depth)], checked[len(depth):]
+    if enc_segments is None:
+        enc_segments = np.zeros(enc_out.shape[0], dtype=np.intp)
+    cross_mask = scenes[:, None] != np.asarray(enc_segments)[None, :]
+    x = _embed(ids[None], positional_encoding(cfg.max_len, cfg.d_model)[depth[None]],
+               params)
+    enc = nm.reshape(enc_out, (1,) + enc_out.shape)
+    h = _decoder_stack(
+        x, lambda i, h: _project(h, params, f"dec{i}.self"), self_mask[None],
+        lambda i, h: _project(enc, params, f"dec{i}.cross"), cross_mask[None],
+        cfg, params)
+    return nm.take(_output_head(nm.reshape(h, h.shape[1:]), params), rows, targets)
 
 
 def xent_loss(tokens, enc_out: Tensor, cfg: CaptionerConfig,
               params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
     """Mean next-token cross-entropy of a packed list of sequences (see
-    ``decode_hidden``), each of which must hold EOS.
+    ``chain_rows``), each of which must hold EOS, scored by ``tree_logprobs``.
 
-    The loss is the mean over sequences of each one's mean, so a length-L
-    sequence's ``token_logprobs`` entries weigh 1 / ((L - 1) · number of
+    The loss is the mean over sequences of each one's mean, so each of a
+    length-L sequence's L - 1 edges weighs 1 / ((L - 1) · number of
     sequences).
     """
-    picked = token_logprobs(tokens, enc_out, cfg, params, scenes, enc_segments)
-    # token_logprobs has checked every caption, so each converts to ids
+    ids, parents, rows, targets, row_scenes = chain_rows(tokens, cfg, scenes)
+    # chain_rows has checked every caption, so each converts to ids
     if any(cfg.vocab.eos_id not in np.asarray(t) for t in tokens):
         raise ValueError("training sequence lacks EOS")
+    picked = tree_logprobs(ids, parents, rows, targets, enc_out, cfg, params,
+                           row_scenes, enc_segments)
     steps = [len(t) - 1 for t in tokens]
     weights = np.repeat([1.0 / (n * len(tokens)) for n in steps], steps)
     return nm.neg(nm.tsum(nm.mul(picked, Tensor(weights))))
@@ -422,14 +418,14 @@ class BudgetExhausted(Exception):
 @dataclass(repr=False)
 class SceneStepModel:
     """The decoder step of one scene, batched over prefixes, with the ids a
-    search needs, and packed teacher-forced scoring of whole sequences.
+    search needs.
 
     It holds the scene's encoder output and the parameters as given, so
-    ``enc_out`` and ``all_step_logprobs`` are on the tape when they are;
-    fine-tuning scores against ``enc_out`` in packed passes over several
-    scenes. ``step`` reads a detached view of both, made with the encoder's
-    cross-attention keys and values when the model is built, and builds no
-    tape.
+    ``enc_out`` is on the tape when they are: fine-tuning scores the
+    search's candidates against it with ``tree_logprobs``, in packed passes
+    over several scenes. ``step`` reads a detached view of both, made with
+    the encoder's cross-attention keys and values when the model is built,
+    builds no tape, and ends in the scorer's output head.
 
     ``step(prefixes)`` scores every prefix in one decoder pass over their
     last tokens only, in the call order of a grid search: all prefixes of
@@ -511,13 +507,15 @@ class SceneStepModel:
 
         x = _embed(ids[:, -1:], positional_encoding(cfg.max_len, cfg.d_model)[n - 1],
                    params)
-        h = _decoder_stack(x, self_kv, None, cross_kv, None, cfg, params)
-        logits = nm.matmul(h, nm.transpose(params["embed.E"]))
+        lp = _output_head(_decoder_stack(x, self_kv, None, cross_kv, None, cfg,
+                                         params), params)
         self._rows = {p: r for r, p in enumerate(checked)}
         self._kv = layers
-        return nm.log_softmax(logits, axis=-1).data[:, 0]
+        return lp.data[:, 0]
 
     def all_step_logprobs(self, seqs) -> Tensor:
-        """``token_logprobs`` of BOS-led sequences on the model's encode, on
-        the tape when the model's parameters require gradients."""
-        return token_logprobs(seqs, self.enc_out, self.cfg, self.params)
+        """``tree_logprobs`` of BOS-led sequences (see ``chain_rows``) on the
+        model's encode, on the tape when the model's parameters are."""
+        ids, parents, rows, targets, _ = chain_rows(seqs, self.cfg)
+        return tree_logprobs(ids, parents, rows, targets, self.enc_out, self.cfg,
+                             self.params)

@@ -24,10 +24,10 @@ that premise and raises ``ValueError``.
 
 Every token, constraint word or not, is scored with the model's own
 log-probability, which is what makes the sequence score differentiable:
-teacher forcing a finished decode on the tape gives the log-probs the
-search summed, so reward gradients flow through constrained decodes too.
-``sequence_logprob`` sums them per candidate for one scene's model;
-fine-tuning scores several scenes' candidates per packed pass instead.
+teacher forcing a finished decode on the tape (the captioner's one scorer,
+``tree_logprobs``) gives the log-probs the search summed, so reward
+gradients flow through constrained decodes too. ``sequence_logprob`` sums
+them per candidate of one scene; fine-tuning scores packed tries instead.
 """
 
 from __future__ import annotations

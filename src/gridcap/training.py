@@ -6,10 +6,10 @@ Three phases, strictly ordered and parameter-isolated: selector training
 (self-critical policy gradient where each beam candidate from the constrained
 search is scored by the consensus metric against the mean-of-beam baseline,
 with gradients flowing through every token, constraint words included). All
-three pack under block masks: one pass per selector or captioner minibatch,
-whose captions are chains of decoder rows, and per fine-tuning minibatch one
-pass per ``SCST_PASS_ROWS`` decoder rows, where a scene's rows are the trie
-of its candidates' distinct proper prefixes.
+three pack under block masks, one pass per minibatch or, in fine-tuning, per
+``SCST_PASS_ROWS`` decoder rows. Both captioner phases score with the one
+teacher-forced scorer, ``captioner.tree_logprobs``: a caption is a chain of
+rows, a fine-tuning scene the trie of its candidates' distinct prefixes.
 
 Every decode, whether a fine-tuning beam, a validation pass or an
 evaluation, is one ``run_grid_search`` call made by ``_decode_for_scene`` on

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from gridcap import numerics as nm
 from gridcap.numerics import Tensor
+from gridcap import captioner
 from gridcap.captioner import (BudgetExhausted, CaptionerConfig,
-                               SceneStepModel, Vocabulary, decode_hidden,
-                               decode_logits, encode,
-                               init_captioner_params, token_logprobs,
-                               tree_layout, tree_logprobs, xent_loss)
+                               SceneStepModel, Vocabulary, chain_rows, encode,
+                               init_captioner_params, tree_layout,
+                               tree_logprobs, xent_loss)
 
 from test_numerics import check_grads
 
@@ -23,6 +23,29 @@ def tiny_cfg(**kw):
                     ffn_dim=12, max_len=10, visual_dim=3)
     defaults.update(kw)
     return CaptionerConfig(**defaults)
+
+
+def chain_logprobs(seqs, enc, cfg, params, scenes=None, enc_segments=None) -> Tensor:
+    """Log-prob of every next token of packed whole sequences, sequence by
+    sequence: ``tree_logprobs`` over their ``chain_rows``."""
+    ids, parents, rows, targets, row_scenes = chain_rows(seqs, cfg, scenes)
+    return tree_logprobs(ids, parents, rows, targets, enc, cfg, params, row_scenes,
+                         enc_segments)
+
+
+def full_rows(tokens, enc, cfg, params) -> Tensor:
+    """Next-token log-probs (len(tokens), |V|) at every position of one
+    sequence: ``tree_logprobs`` picking every vocabulary id at every row."""
+    ids, parents, _, _, _ = chain_rows([tokens], cfg)
+    n, size = len(ids), len(cfg.vocab)
+    picked = tree_logprobs(ids, parents, np.repeat(np.arange(n), size),
+                           np.tile(np.arange(size), n), enc, cfg, params)
+    return nm.reshape(picked, (n, size))
+
+
+def log_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 @pytest.fixture
@@ -178,43 +201,82 @@ class TestPacking:
         with pytest.raises(ValueError):
             xent_loss([[v.bos_id, 4, v.eos_id]] * 2, enc, cfg, params, [0])
         with pytest.raises(ValueError):  # a bare id list, not a list of sequences
-            decode_logits([v.bos_id, 4, v.eos_id], enc, cfg, params)
+            xent_loss([v.bos_id, 4, v.eos_id], enc, cfg, params)
+        with pytest.raises(ValueError, match="empty"):
+            xent_loss([], enc, cfg, params)
         with pytest.raises(ValueError):
             encode(regions, cfg, params, [0, 1])
+
+
+def chain_of(n):
+    """One chain of n rows: BOS, then n - 1 copies of token 5."""
+    return dict(ids=[1] + [5] * (n - 1), parents=list(range(-1, n - 1)))
 
 
 class TestTreeRows:
     """Teacher forcing over prefix-tree rows; packed sequences are chains."""
 
     def test_chain_case_is_the_packed_sequence_mask(self):
+        cfg = tiny_cfg()
         lengths = [3, 1, 5, 2]
+        seqs = [[cfg.vocab.bos_id] + [4 + (n + t) % 6 for t in range(n - 1)]
+                for n in lengths]
+        ids, parents, rows, targets, scenes = chain_rows(seqs, cfg, [2, 0, 1, 1])
         segment = np.repeat(np.arange(len(lengths)), lengths)
         pos = np.concatenate([np.arange(n) for n in lengths])
-        parents = np.where(pos == 0, -1, np.arange(len(pos)) - 1)
+        np.testing.assert_array_equal(ids, np.concatenate(seqs))
+        np.testing.assert_array_equal(parents, np.where(pos == 0, -1, np.arange(len(pos)) - 1))
+        np.testing.assert_array_equal(scenes, np.repeat([2, 0, 1, 1], lengths))
+        # an edge per position but each sequence's last, to the next token
+        assert rows.tolist() == [r for r in range(len(pos) - 1)
+                                 if segment[r + 1] == segment[r]]
+        np.testing.assert_array_equal(targets, ids[rows + 1])
         depth, mask = tree_layout(parents)
         np.testing.assert_array_equal(depth, pos)
         assert mask.dtype == bool
         np.testing.assert_array_equal(
             mask, (segment[:, None] != segment[None, :]) | (pos[None, :] > pos[:, None]))
 
-    def test_chain_tree_scores_exactly_as_token_logprobs(self, setup):
-        cfg, params, regions = setup
-        enc = encode(regions, cfg, params)
-        v = cfg.vocab
-        seqs = [[v.bos_id, 5, 6, v.eos_id], [v.bos_id, 9], [v.bos_id, 4, v.eos_id]]
-        ids = np.concatenate(seqs)
-        ends = np.cumsum([len(s) for s in seqs])
-        parents = np.arange(len(ids)) - 1
-        parents[ends - [len(s) for s in seqs]] = -1
-        rows = np.delete(np.arange(len(ids)), ends - 1)
-        got = tree_logprobs(ids, parents, rows, np.concatenate([s[1:] for s in seqs]),
-                            enc, cfg, params)
-        assert (got.data == token_logprobs(seqs, enc, cfg, params).data).all()
-
     @pytest.mark.parametrize("parents", [[-1, 0, 2], [-1, -2, 1], [1, -1]])
     def test_parent_after_its_row_rejected(self, parents):
         with pytest.raises(ValueError, match="come before it"):
             tree_layout(parents)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(targets=[5, -1, 2]), "unknown token id"),
+        (dict(targets=[5, 4.7, 2]), "integers"),
+        (dict(ids=[1, 4.7, 6]), "integers"),
+        (dict(ids=[5, 5, 6]), "BOS"),
+        (chain_of(11) | dict(rows=[0], targets=[5]), "length 11 exceeds budget"),
+        (chain_of(10) | dict(rows=[9], targets=[2]), "length 11 exceeds budget"),
+        (dict(rows=[0, -1, 2]), "row of the tree"),
+        (dict(scenes=[0, 0]), "scene numbers"),
+        (dict(ids=[1, 5]), "as many ids"),
+    ], ids=["target-minus-one", "float-target", "float-id", "root-not-bos",
+            "row-past-budget", "edge-past-budget", "edge-from-no-row",
+            "scene-count", "id-count"])
+    def test_bad_rows_rejected(self, setup, change, message):
+        # the token-id check of whole sequences, run on every edge's path
+        cfg, params, regions = setup
+        assert cfg.vocab.bos_id == 1 and len(cfg.vocab) == 10 and cfg.max_len == 10
+        tree = dict(ids=[1, 5, 6], parents=[-1, 0, 0], rows=[0, 1, 2],
+                    targets=[5, 2, 2], scenes=None) | change
+        with pytest.raises(ValueError, match=message):
+            tree_logprobs(tree["ids"], tree["parents"], tree["rows"], tree["targets"],
+                          encode(regions, cfg, params), cfg, params, tree["scenes"])
+
+
+@pytest.fixture
+def head_inputs(monkeypatch):
+    """The decoder states of every ``captioner._output_head`` call."""
+    states, head = [], captioner._output_head
+
+    def spy(h, params):
+        states.append(h.data)
+        return head(h, params)
+
+    monkeypatch.setattr(captioner, "_output_head", spy)
+    return states
 
 
 class TestTokenLogprobs:
@@ -224,24 +286,25 @@ class TestTokenLogprobs:
         v = cfg.vocab
         seqs = [[v.bos_id, 5, 6, 7, 8, v.eos_id], [v.bos_id, 9],
                 [v.bos_id, 4, v.pad_id, v.eos_id]]
-        packed = token_logprobs(seqs, enc, cfg, params).data
-        alone = np.concatenate([token_logprobs([s], enc, cfg, params).data
+        packed = chain_logprobs(seqs, enc, cfg, params).data
+        alone = np.concatenate([chain_logprobs([s], enc, cfg, params).data
                                 for s in seqs])
         assert packed.shape == (sum(len(s) - 1 for s in seqs),)
         np.testing.assert_allclose(packed, alone, rtol=0, atol=1e-12)
 
-    def test_entries_are_the_next_token_log_softmax(self, setup):
+    def test_entries_are_the_next_token_log_softmax(self, setup, head_inputs):
         cfg, params, regions = setup
         enc = encode(regions, cfg, params)
         toks = [cfg.vocab.bos_id, 5, 6, cfg.vocab.eos_id]
-        logits = decode_logits([toks], enc, cfg, params).data
-        lsm = logits - logits.max(axis=1, keepdims=True)
-        lsm -= np.log(np.exp(lsm).sum(axis=1, keepdims=True))
-        np.testing.assert_allclose(token_logprobs([toks], enc, cfg, params).data,
-                                   lsm[np.arange(3), toks[1:]], rtol=0, atol=1e-12)
+        picked = chain_logprobs([toks], enc, cfg, params).data
+        (h,) = head_inputs
+        lsm = log_softmax(h @ params["embed.E"].data.T)
+        np.testing.assert_allclose(picked, lsm[np.arange(3), toks[1:]], rtol=0, atol=1e-12)
 
 
 class TestDecodeLogits:
+    """Full teacher-forced next-token rows, every vocabulary id picked."""
+
     def test_causality_is_bitwise(self, setup):
         cfg, params, regions = setup
         enc = encode(regions, cfg, params)
@@ -250,52 +313,53 @@ class TestDecodeLogits:
         for _ in range(10):
             n = int(rng.integers(3, 8))
             toks = [v.bos_id] + list(rng.integers(4, len(v), size=n))
-            base = decode_logits([toks], enc, cfg, params).data
+            base = full_rows(toks, enc, cfg, params).data
             j = int(rng.integers(1, n + 1))
             mutated = list(toks)
             mutated[j] = int(rng.integers(4, len(v)))
-            out = decode_logits([mutated], enc, cfg, params).data
+            out = full_rows(mutated, enc, cfg, params).data
             assert (out[:j] == base[:j]).all()
 
     def test_logits_shape(self, setup):
         cfg, params, regions = setup
         enc = encode(regions, cfg, params)
         toks = [cfg.vocab.bos_id, 5, 6, 7]
-        out = decode_logits([toks], enc, cfg, params)
+        out = full_rows(toks, enc, cfg, params)
         assert out.shape == (4, len(cfg.vocab))
 
-    def test_weight_tying_direct_recomputation(self, setup):
+    def test_weight_tying_direct_recomputation(self, setup, head_inputs):
         cfg, params, regions = setup
         enc = encode(regions, cfg, params)
-        toks = [cfg.vocab.bos_id, 5, 6]
-        h = decode_hidden([toks], enc, cfg, params).data
-        logits = decode_logits([toks], enc, cfg, params).data
+        rows = full_rows([cfg.vocab.bos_id, 5, 6], enc, cfg, params).data
+        (h,) = head_inputs
         E = params["embed.E"].data
-        np.testing.assert_allclose(logits, h @ E.T, atol=1e-12)
-        # doubling one embedding row doubles that word's logit, h held fixed
+        np.testing.assert_allclose(rows, log_softmax(h @ E.T), atol=1e-12)
+        # doubling one embedding row doubles that word's logit, h held fixed:
+        # against word 0, its log-prob gains the logit once more
         w = 5
         E2 = E.copy()
         E2[w] *= 2.0
-        np.testing.assert_allclose((h @ E2.T)[:, w], 2.0 * logits[:, w],
-                                   atol=1e-12)
+        doubled = captioner._output_head(Tensor(h), {"embed.E": Tensor(E2)}).data
+        np.testing.assert_allclose(doubled[:, w] - doubled[:, 0],
+                                   rows[:, w] - rows[:, 0] + h @ E[w], atol=1e-12)
 
     def test_must_begin_with_bos(self, setup):
         cfg, params, regions = setup
         enc = encode(regions, cfg, params)
         with pytest.raises(ValueError):
-            decode_logits([[5, 6]], enc, cfg, params)
+            chain_logprobs([[5, 6]], enc, cfg, params)
 
     def test_over_budget_rejected(self, setup):
         cfg, params, regions = setup
         enc = encode(regions, cfg, params)
         with pytest.raises(ValueError, match="exceeds budget"):
-            decode_logits([[cfg.vocab.bos_id] + [5] * cfg.max_len], enc, cfg, params)
+            chain_logprobs([[cfg.vocab.bos_id] + [5] * cfg.max_len], enc, cfg, params)
 
     def test_unknown_id_rejected(self, setup):
         cfg, params, regions = setup
         enc = encode(regions, cfg, params)
         with pytest.raises(ValueError):
-            decode_logits([[cfg.vocab.bos_id, len(cfg.vocab)]], enc, cfg, params)
+            chain_logprobs([[cfg.vocab.bos_id, len(cfg.vocab)]], enc, cfg, params)
 
     @pytest.mark.parametrize("bad", [5.7, 5.0])
     def test_float_id_rejected(self, setup, bad):
@@ -303,7 +367,7 @@ class TestDecodeLogits:
         cfg, params, regions = setup
         enc = encode(regions, cfg, params)
         with pytest.raises(ValueError, match="integers"):
-            decode_logits([[cfg.vocab.bos_id, bad]], enc, cfg, params)
+            chain_logprobs([[cfg.vocab.bos_id, bad]], enc, cfg, params)
 
     def test_masked_decoder_layer_gradcheck(self, setup):
         cfg, params, regions = setup
@@ -315,8 +379,7 @@ class TestDecodeLogits:
 
         def loss():
             enc = encode(regions, cfg, params)
-            return nm.tsum(nm.mul(decode_logits([toks], enc, cfg, params),
-                                  Tensor(w)))
+            return nm.tsum(nm.mul(full_rows(toks, enc, cfg, params), Tensor(w)))
 
         check_grads(loss, subset, 1e-4)
 
@@ -338,7 +401,7 @@ class TestXentLoss:
                 [v.bos_id, 7, 4, 9, 5, v.eos_id]]
         weights = np.concatenate([np.full(len(s) - 1, 1.0 / ((len(s) - 1) * 3))
                                   for s in seqs])
-        tlp = token_logprobs(seqs, enc, cfg, params).data
+        tlp = chain_logprobs(seqs, enc, cfg, params).data
         assert xent_loss(seqs, enc, cfg, params).item() == -(tlp * weights).sum()
 
     def test_missing_eos_rejected(self, setup):
@@ -368,9 +431,7 @@ def step_model(cfg, params, regions):
 
 
 def last_row_logprobs(tokens, model):
-    row = decode_logits([tokens], model.enc_out, model.cfg, model.params).data[-1]
-    expected = row - row.max()
-    return expected - math.log(np.exp(expected).sum())
+    return full_rows(tokens, model.enc_out, model.cfg, model.params).data[-1]
 
 
 def step_path(model, tokens):
@@ -497,9 +558,9 @@ class TestCheckpointIntegration:
         cfg, params, regions = setup
         enc = encode(regions, cfg, params)
         toks = [cfg.vocab.bos_id, 5, 6]
-        base = decode_logits([toks], enc, cfg, params).data
+        base = full_rows(toks, enc, cfg, params).data
         nm.save_checkpoint(tmp_path / "cap.ckpt", params)
         loaded = nm.load_checkpoint(tmp_path / "cap.ckpt")
         enc2 = encode(regions, cfg, loaded)
-        again = decode_logits([toks], enc2, cfg, loaded).data
+        again = full_rows(toks, enc2, cfg, loaded).data
         assert (base == again).all()

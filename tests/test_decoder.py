@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridcap.captioner import (Vocabulary, encode, init_captioner_params,
-                               token_logprobs)
+from gridcap.captioner import Vocabulary, encode, init_captioner_params
 from gridcap.captioner import CaptionerConfig, SceneStepModel
 from gridcap.decoder import (MAX_CONSTRAINTS, ConstraintSet, Hypothesis,
                              InfeasibleConstraintsError, feasible_coverage,
                              run_grid_search, sequence_logprob)
 
+from test_captioner import chain_logprobs
 from test_numerics import check_grads
 from gridcap import numerics as nm
 from gridcap.numerics import Tensor
@@ -531,9 +531,9 @@ class TestSequenceLogprob:
 
 
 class TestTokenLogprobsScoresSearches:
-    """``captioner.token_logprobs`` as fine-tuning's policy loss uses it:
-    the finished candidates of real searches, BOS-led, packed across scenes
-    through ``scenes`` and ``enc_segments`` against per-scene encodes."""
+    """``captioner.tree_logprobs`` on the chains of real searches' finished
+    candidates, BOS-led, packed across scenes through ``scenes`` and
+    ``enc_segments`` against per-scene encodes."""
 
     @pytest.fixture
     def two_scenes(self, model):
@@ -552,7 +552,7 @@ class TestTokenLogprobsScoresSearches:
     @staticmethod
     def packed(cfg, params, scenes, cands) -> Tensor:
         enc = [encode(r, cfg, params) for r in scenes]
-        return token_logprobs([c for _, c, _ in cands], nm.concat(enc), cfg, params,
+        return chain_logprobs([c for _, c, _ in cands], nm.concat(enc), cfg, params,
                               [b for b, _, _ in cands],
                               np.repeat([0, 1], [len(r) for r in scenes]))
 
@@ -579,7 +579,7 @@ class TestTokenLogprobsScoresSearches:
             nm.backward(packed)
             grads = {k: p.grad.copy() for k, p in params.items()}
             nm.zero_grads(params)
-            alone = nm.tsum(token_logprobs([seq], encode(scenes[b], cfg, params),
+            alone = nm.tsum(chain_logprobs([seq], encode(scenes[b], cfg, params),
                                            cfg, params))
             nm.backward(alone)
             assert abs(packed.item() - alone.item()) <= 1e-12

@@ -14,8 +14,7 @@ from gridcap import cli
 from gridcap import numerics as nm
 from gridcap import training as tr
 from gridcap.captioner import (CaptionerConfig, Vocabulary, encode,
-                               init_captioner_params, token_logprobs,
-                               tree_layout)
+                               init_captioner_params, tree_layout)
 from gridcap.data import (DatasetConfig, apply_heldout, build_vocabulary,
                           default_synonyms, gen_dataset)
 from gridcap.metrics import ReferenceVectors
@@ -26,6 +25,8 @@ from gridcap.training import (TrainConfig, build_training_constraints,
                               constraints_for_mode, decode_eval,
                               finetune_scst_dgbs, pretrain_captioner,
                               selection_f1, train_selector)
+
+from test_captioner import chain_logprobs
 
 
 @pytest.fixture(scope="module")
@@ -513,7 +514,7 @@ class TestPrefixTree:
         for r, beam, adv in zip(regions, beams, advs):
             enc = encode(r, cfg, chain_params)
             for seq, a in zip(beam, adv):
-                ref = nm.add(ref, nm.mul(nm.tsum(token_logprobs([seq], enc, cfg,
+                ref = nm.add(ref, nm.mul(nm.tsum(chain_logprobs([seq], enc, cfg,
                                                                 chain_params)),
                                          -a / (len(beam) * batch_size)))
         nm.backward(ref)
