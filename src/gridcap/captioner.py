@@ -245,9 +245,9 @@ def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor],
 
 def _check_ids(ids: np.ndarray, heads, length: int, cfg: CaptionerConfig) -> np.ndarray:
     """``ids`` as ``np.intp`` after the one token-id check of teacher forcing
-    and the step. In this order, they must be integers, each sequence's
-    first id in ``heads`` BOS, the longest ``length`` at most ``max_len``
-    and every id in the vocabulary; else ``ValueError``."""
+    and the step. In this order: ids must be integers, each sequence's first
+    id (in ``heads``) BOS, the longest sequence's ``length`` at most
+    ``max_len``, and every id in the vocabulary; else ``ValueError``."""
     if ids.dtype.kind not in "iu":  # signed or unsigned integers
         raise ValueError(f"token ids must be integers, not {ids.dtype}")
     ids = ids.astype(np.intp, copy=False)
