@@ -9,8 +9,12 @@ of the decoder stack, and output logits tie to the transpose of the
 embedding matrix.
 
 One decoder-layer body and one output head serve two callers, on (blocks,
-rows, width) activations. ``tree_logprobs`` is the one teacher-forced
-scorer. It runs the body over prefix-tree rows packed as one block: each
+rows, width) activations. The body's sub-blocks take an op set: the
+scorer runs them on the taped ops of ``numerics``, and the step on those
+ops' array forwards, ``numerics.ARRAY_OPS``, so a search builds no tensor
+and no tape node but rounds exactly as the taped body. ``tree_logprobs``
+is the one teacher-forced scorer. It runs the body over prefix-tree rows
+packed as one block: each
 row is a token after a parent row (none at BOS), its position is its depth,
 and a mask keeps it to its ancestors, itself and its own scene's encoder
 rows; it picks the log-prob of each (row, next token) edge it is given, and
@@ -24,9 +28,11 @@ at once, for search, one block per prefix. It is called once per grid
 column, each prefix extending one of the previous call's, so earlier
 positions' self-attention keys and values come from per-layer (rows,
 length, d) arrays of that call; the encoder's cross-attention keys and
-values are computed once per scene. One ``SceneStepModel`` serves a scene:
-it searches without a tape, and its taped encode is what the search's
-candidates are scored against. PAD is an ordinary token to both paths.
+values are computed once per scene. The step's parameters, keys, values
+and cache are plain arrays. One ``SceneStepModel`` serves a scene: it
+searches on arrays, and its encode, on the tape when the parameters are,
+is what the search's candidates are scored against. PAD is an ordinary
+token to both paths.
 
 The parameter builders (``init_matrix``, ``init_layer_norm``, ``init_ffn``)
 and the feed-forward sub-block ``ffn`` also build the region selector.
@@ -182,29 +188,33 @@ def init_captioner_params(cfg: CaptionerConfig, rng: np.random.Generator) -> dic
     return p
 
 
-def ffn(x: Tensor, params: dict[str, Tensor], pre: str) -> Tensor:
+# The sub-blocks below run on an op set ``ops``: the taped ops of ``numerics``
+# (the default) on tensors, or ``numerics.ARRAY_OPS`` on plain arrays.
+
+
+def ffn(x: Tensor, params: dict[str, Tensor], pre: str, ops=nm) -> Tensor:
     """Pre-norm residual feed-forward sub-block: x + W2 relu(W1 LN(x))."""
-    h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
-    h = nm.linear(nm.relu(nm.linear(h, params[f"{pre}.w1"], params[f"{pre}.b1"])),
-                  params[f"{pre}.w2"], params[f"{pre}.b2"])
-    return nm.add(x, h)
+    h = ops.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
+    h = ops.linear(ops.relu(ops.linear(h, params[f"{pre}.w1"], params[f"{pre}.b1"])),
+                   params[f"{pre}.w2"], params[f"{pre}.b2"])
+    return ops.add(x, h)
 
 
-def _project(h: Tensor, params: dict[str, Tensor], pre: str):
+def _project(h: Tensor, params: dict[str, Tensor], pre: str, ops=nm):
     """Keys and values ``h Wk`` and ``h Wv`` of the attention named ``pre``."""
-    return nm.matmul(h, params[f"{pre}.wk"]), nm.matmul(h, params[f"{pre}.wv"])
+    return ops.matmul(h, params[f"{pre}.wk"]), ops.matmul(h, params[f"{pre}.wv"])
 
 
 def _attention(x: Tensor, params: dict[str, Tensor], pre: str, kv,
-               num_heads: int, mask: np.ndarray | None = None) -> Tensor:
+               num_heads: int, mask: np.ndarray | None = None, ops=nm) -> Tensor:
     """Pre-norm residual attention sub-block: x + Wo MHA(h Wq, kv(h)) with
     h = LN(x); ``kv(h)`` gives the keys and values and ``mask`` marks
     blocked (row, key) pairs."""
-    h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
+    h = ops.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
     k, v = kv(h)
-    attended = nm.multi_head_attention(nm.matmul(h, params[f"{pre}.wq"]), k, v,
-                                       num_heads, mask)
-    return nm.add(x, nm.matmul(attended, params[f"{pre}.wo"]))
+    attended = ops.multi_head_attention(ops.matmul(h, params[f"{pre}.wq"]), k, v,
+                                        num_heads, mask)
+    return ops.add(x, ops.matmul(attended, params[f"{pre}.wo"]))
 
 
 def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor],
@@ -270,16 +280,16 @@ def _validate_tokens(tokens, cfg: CaptionerConfig) -> np.ndarray:
     return _check_ids(ids, ids[:, 0], ids.shape[1], cfg)
 
 
-def _embed(ids, pe: np.ndarray, params: dict[str, Tensor]) -> Tensor:
+def _embed(ids, pe: np.ndarray, params: dict[str, Tensor], ops=nm) -> Tensor:
     """Up-projected embeddings of ``ids`` plus their position rows ``pe``."""
-    x = nm.gather_rows(params["embed.E"], ids)
-    x = nm.linear(x, params["embed.up_w"], params["embed.up_b"])
-    return nm.add(x, Tensor(pe))
+    x = ops.gather_rows(params["embed.E"], ids)
+    x = ops.linear(x, params["embed.up_w"], params["embed.up_b"])
+    return ops.add(x, pe)
 
 
 def _decoder_stack(x: Tensor, self_kv, self_mask: np.ndarray | None, cross_kv,
                    cross_mask: np.ndarray | None, cfg: CaptionerConfig,
-                   params: dict[str, Tensor]) -> Tensor:
+                   params: dict[str, Tensor], ops=nm) -> Tensor:
     """The decoder layers over ``x`` (blocks, rows, d), then the down projection.
 
     ``self_kv(i, h)`` and ``cross_kv(i, h)`` give layer i's self- and
@@ -288,18 +298,18 @@ def _decoder_stack(x: Tensor, self_kv, self_mask: np.ndarray | None, cross_kv,
     """
     for i in range(cfg.num_dec_layers):
         x = _attention(x, params, f"dec{i}.self", lambda h: self_kv(i, h),
-                       cfg.num_heads, self_mask)
+                       cfg.num_heads, self_mask, ops)
         x = _attention(x, params, f"dec{i}.cross", lambda h: cross_kv(i, h),
-                       cfg.num_heads, cross_mask)
-        x = ffn(x, params, f"dec{i}.ffn")
-    x = nm.layer_norm(x, params["dec.final.ln_gain"], params["dec.final.ln_bias"])
-    return nm.linear(x, params["embed.down_w"], params["embed.down_b"])
+                       cfg.num_heads, cross_mask, ops)
+        x = ffn(x, params, f"dec{i}.ffn", ops)
+    x = ops.layer_norm(x, params["dec.final.ln_gain"], params["dec.final.ln_bias"])
+    return ops.linear(x, params["embed.down_w"], params["embed.down_b"])
 
 
-def _output_head(h: Tensor, params: dict[str, Tensor]) -> Tensor:
+def _output_head(h: Tensor, params: dict[str, Tensor], ops=nm) -> Tensor:
     """Next-token log-probs of decoder states ``h``: log-softmax of ``h Eᵀ``,
     the head tied to the word embedding matrix E, shared by step and scorer."""
-    return nm.log_softmax(nm.matmul(h, nm.transpose(params["embed.E"])), axis=-1)
+    return ops.log_softmax(ops.matmul(h, ops.transpose(params["embed.E"])), axis=-1)
 
 
 def tree_layout(parents) -> tuple[np.ndarray, np.ndarray]:
@@ -364,8 +374,9 @@ def tree_logprobs(ids, parents, rows, targets, enc_out: Tensor,
 
     Each row's path from BOS, and each edge's row path and target, is a
     sequence that must pass ``_check_ids``. That check, a count of ids or
-    scene numbers other than the rows', and an edge from no row raise
-    ``ValueError``.
+    scene numbers other than the rows', an edge from no row, a count of
+    ``enc_segments`` other than the encoder rows, and a scene with no
+    encoder rows raise ``ValueError``.
     """
     depth, self_mask = tree_layout(parents)
     ids, rows, targets = np.asarray(ids), np.asarray(rows), np.asarray(targets)
@@ -378,9 +389,14 @@ def tree_logprobs(ids, parents, rows, targets, enc_out: Tensor,
     checked = _check_ids(np.concatenate([ids, targets]), ids[depth == 0],
                          max(depth.max() + 1, depth[rows].max(initial=-1) + 2), cfg)
     ids, targets = checked[:len(depth)], checked[len(depth):]
-    if enc_segments is None:
-        enc_segments = np.zeros(enc_out.shape[0], dtype=np.intp)
-    cross_mask = scenes[:, None] != np.asarray(enc_segments)[None, :]
+    enc_segments = (np.zeros(enc_out.shape[0], dtype=np.intp) if enc_segments is None
+                    else np.asarray(enc_segments))
+    if enc_segments.shape != enc_out.shape[:1]:
+        raise ValueError(f"{enc_segments.size} encoder segment numbers for "
+                         f"{enc_out.shape[0]} encoder rows")
+    cross_mask = scenes[:, None] != enc_segments[None, :]
+    if (alone := cross_mask.all(axis=1)).any():
+        raise ValueError(f"scene {scenes[alone.argmax()]} has no encoder rows")
     x = _embed(ids[None], positional_encoding(cfg.max_len, cfg.d_model)[depth[None]],
                params)
     enc = nm.reshape(enc_out, (1,) + enc_out.shape)
@@ -423,9 +439,11 @@ class SceneStepModel:
     It holds the scene's encoder output and the parameters as given, so
     ``enc_out`` is on the tape when they are: fine-tuning scores the
     search's candidates against it with ``tree_logprobs``, in packed passes
-    over several scenes. ``step`` reads a detached view of both, made with
-    the encoder's cross-attention keys and values when the model is built,
-    builds no tape, and ends in the scorer's output head.
+    over several scenes. ``step`` runs on arrays: it reads the parameters'
+    arrays and the encoder's cross-attention keys and values, computed from
+    the encoder output's array when the model is built, and runs the
+    scorer's decoder body and output head on ``numerics.ARRAY_OPS``, so it
+    builds no tensor and no tape node.
 
     ``step(prefixes)`` scores every prefix in one decoder pass over their
     last tokens only, in the call order of a grid search: all prefixes of
@@ -435,9 +453,10 @@ class SceneStepModel:
 
     Cache: per decoder layer, a keys and a values array of shape (rows, n,
     d) whose row r holds every position of the latest call's prefix r. A
-    call gathers its parents' rows, appends its new position, and passes
-    row r as the key block of query block r, with no mask; the scene's
-    cross-attention keys and values are repeated as one block per row.
+    call gathers its parents' rows with one ``np.intp`` index array,
+    appends its new position, and passes row r as the key block of query
+    block r, with no mask; the scene's cross-attention keys and values are
+    repeated as one block per row.
     The cache assumes fixed weights: an instance serves one search.
     """
 
@@ -448,9 +467,9 @@ class SceneStepModel:
     _kv: list = field(default_factory=list, init=False)  # per layer (keys, values)
 
     def __post_init__(self):
-        self._detached = {k: v.detach() for k, v in self.params.items()}
-        enc = Tensor(self.enc_out.data[None])
-        self._cross = [_project(enc, self._detached, f"dec{i}.cross")
+        self._arrays = {k: v.data for k, v in self.params.items()}
+        self._cross = [_project(self.enc_out.data[None], self._arrays,
+                                f"dec{i}.cross", nm.ARRAY_OPS)
                        for i in range(self.cfg.num_dec_layers)]
 
     @property
@@ -487,31 +506,30 @@ class SceneStepModel:
             self._rows = {(): 0}
             self._kv = [(np.zeros((1, 0, cfg.d_model)),) * 2] * cfg.num_dec_layers
         try:
-            parents = [self._rows[p[:-1]] for p in checked]
+            parents = np.array([self._rows[p[:-1]] for p in checked], dtype=np.intp)
         except KeyError as exc:
             raise ValueError(f"prefix {exc.args[0]} was not stepped by the "
                              "previous call") from None
-        past_kv, params = self._kv, self._detached
+        past_kv, params, ops = self._kv, self._arrays, nm.ARRAY_OPS
         layers = []
 
         def self_kv(i, h):
-            kv = tuple(np.concatenate([past[parents], new.data], axis=1)
+            kv = tuple(np.concatenate([past[parents], new], axis=1)
                        for past, new in zip(past_kv[i],
-                                            _project(h, params, f"dec{i}.self")))
+                                            _project(h, params, f"dec{i}.self", ops)))
             layers.append(kv)
-            return tuple(Tensor(a) for a in kv)
+            return kv
 
         def cross_kv(i, h):  # a copy per row: np.broadcast_to's view costs more
-            return tuple(Tensor(t.data.repeat(len(ids), axis=0))
-                         for t in self._cross[i])
+            return tuple(t.repeat(len(ids), axis=0) for t in self._cross[i])
 
         x = _embed(ids[:, -1:], positional_encoding(cfg.max_len, cfg.d_model)[n - 1],
-                   params)
+                   params, ops)
         lp = _output_head(_decoder_stack(x, self_kv, None, cross_kv, None, cfg,
-                                         params), params)
+                                         params, ops), params, ops)
         self._rows = {p: r for r, p in enumerate(checked)}
         self._kv = layers
-        return lp.data[:, 0]
+        return lp[:, 0]
 
     def all_step_logprobs(self, seqs) -> Tensor:
         """``tree_logprobs`` of BOS-led sequences (see ``chain_rows``) on the

@@ -7,12 +7,19 @@ arithmetic, so the number of op calls largely sets run time. Attention is
 therefore one op per call over every head and every block of its (blocks,
 rows, width) inputs, with its own backward.
 
-Each op records its inputs and a vector-Jacobian closure on the output
-tensor; ``backward`` walks that explicit per-graph tape. There is no global
-graph, so callers can build and drop graphs freely. ``backward`` stores
-gradients on leaves only (the parameters and other tensors no op made) and
-releases each node's closure as it goes, so one graph serves one backward
-and its saved arrays are freed during the walk.
+An op is its array forward plus a tape record. The forward (``*_forward``)
+holds the op's shape checks and arithmetic on plain arrays, and returns
+the intermediates its backward reads; the taped op wraps the result in a
+``Tensor`` and records the inputs and a vector-Jacobian closure on it.
+``ARRAY_OPS`` is the array op set of the decoder's ops, with the taped
+ops' names and signatures: decoding runs the one decoder body on it and
+builds no tensor or tape node.
+
+``backward`` walks the explicit per-graph tape. There is no global graph,
+so callers can build and drop graphs freely. ``backward`` stores gradients
+on leaves only (the parameters and other tensors no op made) and releases
+each node's closure as it goes, so one graph serves one backward and its
+saved arrays are freed during the walk.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -106,14 +114,19 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], vjp) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def add_forward(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b; b may share a's shape, be a scalar, or be a last-axis vector."""
+    if a.shape != b.shape and b.ndim not in (0, 1):
+        raise NumericsError(f"add shapes {a.shape} vs {b.shape}")
+    if b.ndim == 1 and a.shape and a.shape[-1] != b.shape[0]:
+        raise NumericsError(f"add broadcast {a.shape} vs {b.shape}")
+    return a + b
+
+
 def add(a, b) -> Tensor:
     """a + b; b may share a's shape, be a scalar, or be a last-axis vector."""
     a, b = _wrap(a), _wrap(b)
-    if a.shape != b.shape and b.data.ndim not in (0, 1):
-        raise NumericsError(f"add shapes {a.shape} vs {b.shape}")
-    if b.data.ndim == 1 and a.shape and a.shape[-1] != b.shape[0]:
-        raise NumericsError(f"add broadcast {a.shape} vs {b.shape}")
-    out = Tensor(a.data + b.data)
+    out = Tensor(add_forward(a.data, b.data))
 
     def vjp(g):
         gb = g
@@ -163,25 +176,34 @@ def neg(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (-g,))
 
 
+def matmul_forward(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(..., k) @ (k, n), as one 2-D product over a's flattened leading axes."""
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise NumericsError(f"matmul needs (..., k) @ (k, n), got {a.shape} x {b.shape}")
+    return (a.reshape(-1, b.shape[0]) @ b).reshape(a.shape[:-1] + b.shape[1:])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """(..., k) @ (k, n), as one 2-D product over a's flattened leading axes."""
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim != 2 or ad.shape[-1] != bd.shape[0]:
-        raise NumericsError(f"matmul needs (..., k) @ (k, n), got {a.shape} x {b.shape}")
-    a2 = ad.reshape(-1, bd.shape[0])
-    out = Tensor((a2 @ bd).reshape(ad.shape[:-1] + bd.shape[1:]))
+    out = Tensor(matmul_forward(ad, bd))
 
     def vjp(g):
+        a2 = ad.reshape(-1, bd.shape[0])
         g2 = g.reshape(-1, bd.shape[1])
         return (g2 @ bd.T).reshape(ad.shape), a2.T @ g2
 
     return _record(out, (a, b), vjp)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
+def transpose_forward(a: np.ndarray) -> np.ndarray:
+    if a.ndim != 2:
         raise NumericsError("transpose expects a 2-D tensor")
-    out = Tensor(a.data.T)
+    return a.T
+
+
+def transpose(a: Tensor) -> Tensor:
+    out = Tensor(transpose_forward(a.data))
     return _record(out, (a,), lambda g: (g.T,))
 
 
@@ -198,10 +220,15 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     return _record(out, tuple(parts), vjp)
 
 
+def gather_rows_forward(a: np.ndarray, idx) -> np.ndarray:
+    """Rows a[idx]."""
+    return a[np.asarray(idx, dtype=np.intp)]
+
+
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Select rows a[idx]; backward scatter-adds into the source rows."""
     idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor(a.data[idx])
+    out = Tensor(gather_rows_forward(a.data, idx))
 
     def vjp(g):
         ga = np.zeros_like(a.data)
@@ -251,8 +278,12 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record(out, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
+def relu_forward(a: np.ndarray) -> np.ndarray:
+    return np.maximum(a, 0.0)
+
+
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
+    out = Tensor(relu_forward(a.data))
     return _record(out, (a,), lambda g: (g * (a.data > 0),))
 
 
@@ -295,10 +326,15 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def log_softmax_forward(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Log-softmax along ``axis``; its backward reads this output."""
+    shifted = a - a.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    ls = shifted - lse
+    return shifted - lse
+
+
+def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    ls = log_softmax_forward(a.data, axis)
     out = Tensor(ls)
 
     def vjp(g):
@@ -307,18 +343,26 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
+def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Normalize the last axis to zero mean / unit variance, then affine:
+    ``(out, xhat, inv)`` with the normalized rows and 1/σ the backward reads.
 
     One centring serves the variance and ``xhat``; the statistics round
     exactly as ``x.mean`` and ``x.var`` compute them.
     """
     n = x.shape[-1]
-    xc = x.data - np.add.reduce(x.data, -1, keepdims=True) / n
+    xc = x - np.add.reduce(x, -1, keepdims=True) / n
     inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, -1, keepdims=True) / n + LN_EPS)
     xhat = xc  # the centred rows are this call's own, so scale them in place
     xhat *= inv
-    out = Tensor(gain.data * xhat + bias.data)
+    return gain * xhat + bias, xhat, inv
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine
+    (see ``layer_norm_forward``)."""
+    y, xhat, inv = layer_norm_forward(x.data, gain.data, bias.data)
+    out = Tensor(y)
 
     def vjp(g):
         dxhat = g * gain.data
@@ -333,8 +377,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _record(out, (x, gain, bias), vjp)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x @ w + b."""
+    return add_forward(matmul_forward(x, w), b)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b, as a taped ``matmul`` and ``add``."""
     return add(matmul(x, w), b)
 
 
@@ -347,6 +396,53 @@ def tmean(a: Tensor) -> Tensor:
     n = a.data.size
     out = Tensor(a.data.mean())
     return _record(out, (a,), lambda g: (np.broadcast_to(g / n, a.data.shape).copy(),))
+
+
+def _split_heads(a: np.ndarray, num_heads: int) -> np.ndarray:
+    """(B, rows, heads * w) -> (B, heads, rows, w) view."""
+    return a.reshape(a.shape[:2] + (num_heads, a.shape[2] // num_heads)).swapaxes(1, 2)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(B, heads, rows, w) -> (B, rows, heads * w), in C order.
+
+    With the key gradient taken as (qᵀ gs)ᵀ, every product of the op rounds
+    exactly as the separate per-head ops used to."""
+    a = a.swapaxes(1, 2)
+    return np.ascontiguousarray(a.reshape(a.shape[:2] + (a.shape[2] * a.shape[3],)))
+
+
+def _head_scale(q3: np.ndarray) -> float:
+    """1/sqrt(head_dim) of split queries (B, heads, m, head_dim)."""
+    return 1.0 / math.sqrt(q3.shape[3])
+
+
+def multi_head_attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                                 num_heads: int, mask: np.ndarray | None = None):
+    """``multi_head_attention`` on arrays: ``(out, probs)``, with the
+    (B, heads, m, n) attention probabilities the backward reads."""
+    if not q.ndim == k.ndim == v.ndim == 3:
+        raise NumericsError("attention expects 3-D (blocks, rows, width) q, k, v")
+    if q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
+        raise NumericsError(f"q/k blocks or key dims {q.shape} vs {k.shape}")
+    if k.shape[:2] != v.shape[:2]:
+        raise NumericsError(f"k/v blocks or lengths {k.shape} vs {v.shape}")
+    if num_heads < 1 or q.shape[2] % num_heads or v.shape[2] % num_heads:
+        raise NumericsError(f"{num_heads} heads do not split widths "
+                            f"{q.shape[2]} and {v.shape[2]}")
+    q3, k3 = _split_heads(q, num_heads), _split_heads(k, num_heads)
+    scores = (q3 @ k3.swapaxes(-1, -2)) * _head_scale(q3)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        want = scores.shape[:1] + scores.shape[2:]  # (B, m, n)
+        if mask.shape != want:
+            raise NumericsError(f"mask shape {mask.shape} vs {want}")
+        if mask.all(axis=-1).any():
+            raise DegenerateMaskError("attention row with all keys masked")
+        scores = scores + np.where(mask, MASK_FILL, 0.0)[:, None]
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    return _merge_heads(probs @ _split_heads(v, num_heads)), probs
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
@@ -365,47 +461,17 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     No output projection. One tape node: the heads run as (B, heads, rows,
     head_dim) arrays, and the backward reuses the saved probabilities.
     """
-    if not q.data.ndim == k.data.ndim == v.data.ndim == 3:
-        raise NumericsError("attention expects 3-D (blocks, rows, width) q, k, v")
-    if q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
-        raise NumericsError(f"q/k blocks or key dims {q.shape} vs {k.shape}")
-    if k.shape[:2] != v.shape[:2]:
-        raise NumericsError(f"k/v blocks or lengths {k.shape} vs {v.shape}")
-    if num_heads < 1 or q.shape[2] % num_heads or v.shape[2] % num_heads:
-        raise NumericsError(f"{num_heads} heads do not split widths "
-                            f"{q.shape[2]} and {v.shape[2]}")
-
-    def split(a):  # (B, rows, heads * w) -> (B, heads, rows, w) view
-        return a.reshape(a.shape[:2] + (num_heads, a.shape[2] // num_heads)
-                         ).swapaxes(1, 2)
-
-    # merge returns C order and the key gradient is (qᵀ gs)ᵀ, so every product
-    # rounds exactly as the separate per-head ops used to
-    def merge(a):  # (B, heads, rows, w) -> (B, rows, heads * w)
-        a = a.swapaxes(1, 2)
-        return np.ascontiguousarray(a.reshape(a.shape[:2] + (num_heads * a.shape[3],)))
-
-    q3, k3, v3 = split(q.data), split(k.data), split(v.data)
-    scale = 1.0 / math.sqrt(q.shape[2] // num_heads)
-    scores = (q3 @ k3.swapaxes(-1, -2)) * scale
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        want = scores.shape[:1] + scores.shape[2:]  # (B, m, n)
-        if mask.shape != want:
-            raise NumericsError(f"mask shape {mask.shape} vs {want}")
-        if mask.all(axis=-1).any():
-            raise DegenerateMaskError("attention row with all keys masked")
-        scores = scores + np.where(mask, MASK_FILL, 0.0)[:, None]
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(merge(probs @ v3))
+    y, probs = multi_head_attention_forward(q.data, k.data, v.data, num_heads, mask)
+    out = Tensor(y)
 
     def vjp(g):
-        g3 = split(g)
+        q3, k3, v3 = (_split_heads(t.data, num_heads) for t in (q, k, v))
+        g3 = _split_heads(g, num_heads)
         gp = g3 @ v3.swapaxes(-1, -2)
-        gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
-        return (merge(gs @ k3), merge((q3.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)),
-                merge(probs.swapaxes(-1, -2) @ g3))
+        gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * _head_scale(q3)
+        return (_merge_heads(gs @ k3),
+                _merge_heads((q3.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)),
+                _merge_heads(probs.swapaxes(-1, -2) @ g3))
 
     return _record(out, (q, k, v), vjp)
 
@@ -414,6 +480,19 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
                          mask: np.ndarray | None = None) -> Tensor:
     """softmax(q kᵀ / sqrt(d) + mask) v: ``multi_head_attention`` with one head."""
     return multi_head_attention(q, k, v, 1, mask)
+
+
+# The decoder's ops on plain arrays, by their taped names and signatures: each
+# is the taped op's own forward, so a body run on this set rounds exactly as
+# on the tape.
+ARRAY_OPS = SimpleNamespace(
+    add=add_forward, matmul=matmul_forward, linear=linear_forward,
+    transpose=transpose_forward, gather_rows=gather_rows_forward,
+    relu=relu_forward, log_softmax=log_softmax_forward,
+    layer_norm=lambda x, gain, bias: layer_norm_forward(x, gain, bias)[0],
+    multi_head_attention=lambda q, k, v, num_heads, mask=None:
+        multi_head_attention_forward(q, k, v, num_heads, mask)[0],
+)
 
 
 # ---------------------------------------------------------------------------

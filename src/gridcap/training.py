@@ -13,9 +13,11 @@ rows, a fine-tuning scene the trie of its candidates' distinct prefixes.
 
 Every decode, whether a fine-tuning beam, a validation pass or an
 evaluation, is one ``run_grid_search`` call made by ``_decode_for_scene`` on
-the scene's one model from ``_scene_model``. That model searches without a
-tape, and its taped encode is the one its candidates are scored against, so
-each fine-tuning scene is encoded once. A search returns the beam-size best
+the scene's one model from ``_scene_model``. That model searches on plain
+arrays, and its taped encode is the one its candidates are scored against, so
+each fine-tuning scene is encoded once. ``decode_split`` (validation and
+evaluation) encodes and selects on detached parameters, so it builds no
+tape at all. A search returns the beam-size best
 finished decodes as ``finished`` and stops as soon as they can no longer
 change; those are a fine-tuning scene's candidates, all rewarded against
 one build of the scene's reference vectors.
@@ -531,8 +533,13 @@ def decode_split(scenes: list[SceneRecord], mode: str, cfg: CaptionerConfig,
                  sel_cfg: SelectorConfig | None = None,
                  sel_params: dict | None = None,
                  trace: bool = False) -> list[DecodeOutput]:
-    """Each scene's best decode under ``mode``, its trace's token ids as words."""
+    """Each scene's best decode under ``mode``, its trace's token ids as words.
+
+    Encodes and selections run on detached parameters, so no tape is built."""
     vocab = cfg.vocab
+    cap_params = {k: v.detach() for k, v in cap_params.items()}
+    if sel_params is not None:
+        sel_params = {k: v.detach() for k, v in sel_params.items()}
     outputs = []
     for scene in scenes:
         words = constraints_for_mode(scene, mode, vocab, synonyms,

@@ -206,6 +206,13 @@ class TestPacking:
             xent_loss([], enc, cfg, params)
         with pytest.raises(ValueError):
             encode(regions, cfg, params, [0, 1])
+        # the encoder rows' scene numbers must match the encode, and every
+        # sequence's scene must have encoder rows
+        with pytest.raises(ValueError, match="2 encoder segment numbers"):
+            xent_loss([[v.bos_id, 4, v.eos_id]], enc, cfg, params, None, [0, 0])
+        for segments in (None, [0, 0, 0, 0]):
+            with pytest.raises(ValueError, match="scene 1 has no encoder rows"):
+                xent_loss([[v.bos_id, 4, v.eos_id]], enc, cfg, params, [1], segments)
 
 
 def chain_of(n):
@@ -252,18 +259,24 @@ class TestTreeRows:
         (dict(rows=[0, -1, 2]), "row of the tree"),
         (dict(scenes=[0, 0]), "scene numbers"),
         (dict(ids=[1, 5]), "as many ids"),
+        (dict(enc_segments=[0, 0]), "2 encoder segment numbers for 4 encoder rows"),
+        (dict(scenes=[0, 1, 0]), "scene 1 has no encoder rows"),
+        (dict(scenes=[1, 1, 1], enc_segments=[0, 0, 0, 0]),
+         "scene 1 has no encoder rows"),
     ], ids=["target-minus-one", "float-target", "float-id", "root-not-bos",
             "row-past-budget", "edge-past-budget", "edge-from-no-row",
-            "scene-count", "id-count"])
+            "scene-count", "id-count", "encoder-segment-count",
+            "scene-without-rows", "scene-without-segment-rows"])
     def test_bad_rows_rejected(self, setup, change, message):
         # the token-id check of whole sequences, run on every edge's path
         cfg, params, regions = setup
         assert cfg.vocab.bos_id == 1 and len(cfg.vocab) == 10 and cfg.max_len == 10
         tree = dict(ids=[1, 5, 6], parents=[-1, 0, 0], rows=[0, 1, 2],
-                    targets=[5, 2, 2], scenes=None) | change
+                    targets=[5, 2, 2], scenes=None, enc_segments=None) | change
         with pytest.raises(ValueError, match=message):
             tree_logprobs(tree["ids"], tree["parents"], tree["rows"], tree["targets"],
-                          encode(regions, cfg, params), cfg, params, tree["scenes"])
+                          encode(regions, cfg, params), cfg, params, tree["scenes"],
+                          tree["enc_segments"])
 
 
 @pytest.fixture

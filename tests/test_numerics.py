@@ -218,6 +218,8 @@ class TestMultiHeadAttention:
             k, v = (np.concatenate([a, np.tile(t.data, heads)[None]], axis=1)
                     for a, t in ((k, tensors[3]), (v, tensors[4])))
         want, gq, gk, gv = per_head_attention(q, k, v, heads, mask, w.data)
+        assert np.array_equal(nm.ARRAY_OPS.multi_head_attention(q, k, v, heads, mask),
+                              out.data)
         want_grads = [gq, gk[:, :n], gv[:, :n]]
         for g in (gk, gv)[:len(tensors) - 3]:  # every head reads each memory row
             want_grads.append(sum(np.split(g[0, n:], heads, axis=1)))
@@ -373,6 +375,8 @@ class TestElementwise:
         inv = 1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + nm.LN_EPS)
         xhat = (x.data - x.data.mean(axis=-1, keepdims=True)) * inv
         assert np.array_equal(out.data, gain.data * xhat + bias.data)
+        assert np.array_equal(nm.ARRAY_OPS.layer_norm(x.data, gain.data, bias.data),
+                              out.data)
         # the arrays the backward reads live only in the VJP closure
         saved = dict(zip(out._vjp.__code__.co_freevars,
                          (c.cell_contents for c in out._vjp.__closure__)))
@@ -407,6 +411,96 @@ class TestElementwise:
             return nm.tsum(nm.mul(nm.scatter_rows(x, [1, 3, 5], 7), Tensor(w)))
 
         check_grads(loss, [x], 1e-6)
+
+
+def array_op_cases():
+    """(op name, array inputs, further arguments) of the decoder's ops, with
+    the shapes the step feeds them: one-row query blocks (rows, 1, d), per-row
+    key blocks (rows, n, d), a boolean mask, and broadcast and scalar adds."""
+    rng = np.random.default_rng(21)
+
+    def r(*shape):
+        return rng.normal(size=shape)
+
+    mask = rng.random((3, 5, 5)) < 0.5
+    mask[:, np.arange(5), rng.integers(5, size=5)] = False  # no row fully blocked
+    return {
+        "matmul": ("matmul", [r(5, 4), r(4, 3)], ()),
+        "matmul-blocks": ("matmul", [r(6, 1, 8), r(8, 8)], ()),
+        "matmul-transposed": ("matmul", [r(6, 1, 4), r(7, 4).T], ()),
+        "add": ("add", [r(6, 1, 8), r(6, 1, 8)], ()),
+        "add-bias": ("add", [r(6, 1, 8), r(8)], ()),
+        "add-scalar": ("add", [r(3, 4), np.float64(0.7)], ()),
+        "linear": ("linear", [r(6, 1, 8), r(8, 5), r(5)], ()),
+        "layer_norm": ("layer_norm", [r(6, 1, 8), r(8), r(8)], ()),
+        "relu": ("relu", [r(6, 1, 12)], ()),
+        "gather_rows": ("gather_rows", [r(7, 4)], ([[3], [0], [3]],)),
+        "transpose": ("transpose", [r(7, 4)], ()),
+        "log_softmax": ("log_softmax", [r(6, 1, 9)], ()),
+        "log_softmax-axis": ("log_softmax", [r(6, 9)], (0,)),
+        "attention-row-blocks": ("multi_head_attention",
+                                 [r(6, 1, 8), r(6, 4, 8), r(6, 4, 8)], (2,)),
+        "attention-masked": ("multi_head_attention",
+                             [r(3, 5, 8), r(3, 5, 8), r(3, 5, 4)], (4, mask)),
+    }
+
+
+def bad_array_op_cases():
+    """Inputs every op form must reject, as in ``array_op_cases``."""
+    ones = np.ones
+    blocked = np.zeros((1, 2, 3), dtype=bool)
+    blocked[0, 1] = True
+    return {
+        "matmul-inner": ("matmul", [ones((2, 3)), ones((2, 3))], ()),
+        "matmul-vector": ("matmul", [ones(3), ones((3, 2))], ()),
+        "add-shapes": ("add", [ones((2, 3)), ones((3, 2))], ()),
+        "add-broadcast": ("add", [ones((2, 3)), ones(4)], ()),
+        "linear-bias": ("linear", [ones((2, 3)), ones((3, 4)), ones(3)], ()),
+        "transpose-3d": ("transpose", [ones((2, 3, 4))], ()),
+        "attention-2d": ("multi_head_attention",
+                         [ones((2, 4)), ones((1, 3, 4)), ones((1, 3, 4))], (2,)),
+        "attention-blocks": ("multi_head_attention",
+                             [ones((4, 1, 4)), ones((3, 3, 4)), ones((3, 3, 4))], (2,)),
+        "attention-lengths": ("multi_head_attention",
+                              [ones((4, 1, 4)), ones((4, 3, 4)), ones((4, 2, 4))], (2,)),
+        "attention-heads": ("multi_head_attention",
+                            [ones((1, 2, 4)), ones((1, 3, 4)), ones((1, 3, 5))], (2,)),
+        "attention-mask-shape": ("multi_head_attention",
+                                 [ones((1, 2, 4)), ones((1, 3, 4)), ones((1, 3, 4))],
+                                 (2, np.zeros((1, 2, 4), dtype=bool))),
+        "attention-blocked-row": ("multi_head_attention",
+                                  [ones((1, 2, 4)), ones((1, 3, 4)), ones((1, 3, 4))],
+                                  (2, blocked)),
+    }
+
+
+class TestArrayOps:
+    """``nm.ARRAY_OPS``: the decoder's ops on plain arrays, bitwise the taped
+    ops' outputs, with the taped ops' errors."""
+
+    def test_the_decoder_ops_and_only_they(self):
+        assert set(vars(nm.ARRAY_OPS)) == {name for name, _, _ in
+                                           array_op_cases().values()}
+
+    @pytest.mark.parametrize("case", list(array_op_cases()))
+    def test_equals_taped_op(self, case):
+        name, arrays, args = array_op_cases()[case]
+        taped = getattr(nm, name)(*(Tensor(a, requires_grad=True) for a in arrays),
+                                  *args)
+        got = getattr(nm.ARRAY_OPS, name)(*arrays, *args)
+        assert type(got) is np.ndarray and got.shape == taped.shape
+        assert np.array_equal(got, taped.data)
+
+    @pytest.mark.parametrize("case", list(bad_array_op_cases()))
+    def test_raises_as_taped_op(self, case):
+        name, arrays, args = bad_array_op_cases()[case]
+        with pytest.raises(NumericsError) as taped:
+            getattr(nm, name)(*(Tensor(a) for a in arrays), *args)
+        with pytest.raises(NumericsError) as plain:
+            getattr(nm.ARRAY_OPS, name)(*arrays, *args)
+        assert type(plain.value) is type(taped.value)
+        assert str(plain.value) == str(taped.value)
+        assert (type(taped.value) is DegenerateMaskError) == (case == "attention-blocked-row")
 
 
 class TestBackward:
