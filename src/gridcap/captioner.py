@@ -18,10 +18,11 @@ packed as one block: each
 row is a token after a parent row (none at BOS), its position is its depth,
 and a mask keeps it to its ancestors, itself and its own scene's encoder
 rows; it picks the log-prob of each (row, next token) edge it is given, and
-runs the token-id check on every path. Pre-training's packed captions are
-the chain case, one row per position, laid out by ``chain_rows`` and
-weighed by ``xent_loss``. Self-critical fine-tuning scores a trie of its
-candidates' distinct prefixes, each edge once. The encoder packs distinct
+runs the token-id check on every path. Both training phases weigh
+sequences' log-probs with ``weighted_logprob``: one pass over the trie of
+each scene's distinct proper prefixes (``prefix_tree``), each edge picked
+once; pre-training weighs a minibatch's references (``xent_loss``),
+fine-tuning each scene's candidates. The encoder packs distinct
 scenes the same way, with the memory slots visible to every row.
 ``SceneStepModel.step`` runs the body over the last token of many prefixes
 at once, for search, one block per prefix. It is called once per grid
@@ -315,11 +316,15 @@ def _output_head(h: Tensor, params: dict[str, Tensor], ops=nm) -> Tensor:
 def tree_layout(parents) -> tuple[np.ndarray, np.ndarray]:
     """Positions and self-attention mask of prefix-tree rows.
 
-    ``parents[r]`` is row r's parent row, which comes before it, or -1 at
-    BOS. Row r's position is its depth, and row r of the (rows, rows) mask,
-    True where blocked, admits exactly its ancestors and itself.
+    ``parents[r]`` is row r's parent row, an integer, which comes before it,
+    or -1 at BOS; else ``ValueError``. Row r's position is its depth, and
+    row r of the (rows, rows) mask, True where blocked, admits exactly its
+    ancestors and itself.
     """
-    parents = np.asarray(parents, dtype=np.intp)
+    parents = np.asarray(parents)
+    if parents.size and parents.dtype.kind not in "iu":  # signed or unsigned
+        raise ValueError(f"parent rows must be integers, not {parents.dtype}")
+    parents = parents.astype(np.intp, copy=False)
     if ((parents < -1) | (parents >= np.arange(len(parents)))).any():
         raise ValueError("a row's parent must come before it")
     depth = np.zeros(len(parents), dtype=np.intp)
@@ -333,31 +338,40 @@ def tree_layout(parents) -> tuple[np.ndarray, np.ndarray]:
     return depth, ~admitted
 
 
-def chain_rows(tokens, cfg: CaptionerConfig, scenes=None):
-    """Prefix-tree rows of packed whole sequences, the chain case:
-    ``(ids, parents, rows, targets, row_scenes)`` for ``tree_logprobs``.
+def prefix_tree(tokens, cfg: CaptionerConfig, scenes=None):
+    """Prefix-tree rows of packed whole sequences:
+    ``(ids, parents, rows, targets, edge_of, row_scenes)``, the rows and
+    edges ``tree_logprobs`` takes.
 
     Each sequence must pass ``_validate_tokens`` and ``scenes[b]`` (default
     0) numbers sequence b's scene; an empty list, too, raises ``ValueError``.
-    Each position is a row after the one before it in its sequence, and the
-    edges pick every next token, sequence by sequence: a length-L sequence
-    gives L - 1 edges. Its last position is a row no edge reads (13-14% of
-    pre-training's rows); dropping it would change the rows of each
-    pre-training pass, and so its rounding.
+    The rows are the distinct proper prefixes of each scene's sequences, in
+    order of first appearance: row r is a prefix's last token ``ids[r]``
+    after the row ``parents[r]`` of the prefix before it (-1 at BOS), in
+    scene ``row_scenes[r]``. Prefixes of different scenes never merge, and
+    a sequence's last token is only a target. Each (row, next token) edge
+    is listed once, as ``rows[j]`` and ``targets[j]``; ``edge_of`` gives
+    the edge of every token after BOS, sequence by sequence.
     """
     if len(tokens) == 0:
         raise ValueError("the list of sequences to score is empty")
-    seqs = [_validate_tokens([t], cfg)[0] for t in tokens]
+    seqs = [_validate_tokens([t], cfg)[0].tolist() for t in tokens]
     scenes = (np.zeros(len(seqs), dtype=np.intp) if scenes is None
               else np.asarray(scenes))
     if scenes.shape != (len(seqs),):
         raise ValueError(f"{scenes.size} scene numbers for {len(seqs)} sequences")
-    lengths = [len(s) for s in seqs]
-    ends = np.cumsum(lengths)
-    parents = np.arange(ends[-1]) - 1
-    parents[ends - lengths] = -1
-    return (np.concatenate(seqs), parents, np.delete(np.arange(ends[-1]), ends - 1),
-            np.concatenate([s[1:] for s in seqs]), np.repeat(scenes, lengths))
+    row_of: dict[tuple, int] = {}  # (scene, parent row, token) -> row
+    edge: dict[tuple[int, int], int] = {}  # (row, next token) -> edge
+    edge_of = []
+    for scene, seq in zip(scenes.tolist(), seqs):
+        row = -1
+        for token, after in zip(seq, seq[1:]):
+            row = row_of.setdefault((scene, row, token), len(row_of))
+            edge_of.append(edge.setdefault((row, after), len(edge)))
+    parents, ids = np.array([k[1:] for k in row_of], dtype=np.intp).reshape(-1, 2).T
+    rows, targets = np.array(list(edge), dtype=np.intp).reshape(-1, 2).T
+    return (ids, parents, rows, targets, np.array(edge_of, dtype=np.intp),
+            np.array([k[0] for k in row_of]))
 
 
 def tree_logprobs(ids, parents, rows, targets, enc_out: Tensor,
@@ -370,7 +384,7 @@ def tree_logprobs(ids, parents, rows, targets, enc_out: Tensor,
     ``tree_layout``). It attends to its ancestors, itself and the encoder
     rows of its scene: ``scenes[r]`` (default 0), matched against
     ``enc_segments`` (as given to ``encode``; default one scene).
-    ``chain_rows`` lays out packed whole sequences.
+    ``prefix_tree`` lays out packed whole sequences.
 
     Each row's path from BOS, and each edge's row path and target, is a
     sequence that must pass ``_check_ids``. That check, a count of ids or
@@ -407,24 +421,39 @@ def tree_logprobs(ids, parents, rows, targets, enc_out: Tensor,
     return nm.take(_output_head(nm.reshape(h, h.shape[1:]), params), rows, targets)
 
 
-def xent_loss(tokens, enc_out: Tensor, cfg: CaptionerConfig,
-              params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
-    """Mean next-token cross-entropy of a packed list of sequences (see
-    ``chain_rows``), each of which must hold EOS, scored by ``tree_logprobs``.
+def weighted_logprob(tokens, weights, enc_out: Tensor, cfg: CaptionerConfig,
+                     params: dict[str, Tensor], scenes=None,
+                     enc_segments=None) -> Tensor:
+    """Sum over packed sequences of ``weights[b]`` times sequence b's
+    log-prob, from one ``tree_logprobs`` pass over their ``prefix_tree``.
 
-    The loss is the mean over sequences of each one's mean, so each of a
-    length-L sequence's L - 1 edges weighs 1 / ((L - 1) · number of
-    sequences).
+    Each (row, next token) edge is picked once and weighs the summed
+    weights of the sequences through it. ``scenes`` and ``enc_segments``
+    are as for ``prefix_tree`` and ``tree_logprobs``.
     """
-    ids, parents, rows, targets, row_scenes = chain_rows(tokens, cfg, scenes)
-    # chain_rows has checked every caption, so each converts to ids
-    if any(cfg.vocab.eos_id not in np.asarray(t) for t in tokens):
-        raise ValueError("training sequence lacks EOS")
+    ids, parents, rows, targets, edge_of, row_scenes = prefix_tree(tokens, cfg, scenes)
     picked = tree_logprobs(ids, parents, rows, targets, enc_out, cfg, params,
                            row_scenes, enc_segments)
     steps = [len(t) - 1 for t in tokens]
-    weights = np.repeat([1.0 / (n * len(tokens)) for n in steps], steps)
-    return nm.neg(nm.tsum(nm.mul(picked, Tensor(weights))))
+    per_edge = np.bincount(edge_of, np.repeat(weights, steps), minlength=len(targets))
+    return nm.tsum(nm.mul(picked, Tensor(per_edge)))
+
+
+def xent_loss(tokens, enc_out: Tensor, cfg: CaptionerConfig,
+              params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
+    """Mean next-token cross-entropy of a packed list of sequences, each of
+    which must pass ``_validate_tokens`` and hold EOS (see ``prefix_tree``).
+
+    The loss is the mean over sequences of each one's mean, so a length-L
+    sequence weighs 1 / ((L - 1) · number of sequences) in the negated
+    ``weighted_logprob``.
+    """
+    captions = [_validate_tokens([t], cfg)[0] for t in tokens]
+    if any(cfg.vocab.eos_id not in c for c in captions):
+        raise ValueError("training sequence lacks EOS")
+    steps = np.array([len(c) - 1 for c in captions])
+    return nm.neg(weighted_logprob(captions, 1.0 / (steps * len(captions)), enc_out,
+                                   cfg, params, scenes, enc_segments))
 
 
 class BudgetExhausted(Exception):
@@ -438,7 +467,7 @@ class SceneStepModel:
 
     It holds the scene's encoder output and the parameters as given, so
     ``enc_out`` is on the tape when they are: fine-tuning scores the
-    search's candidates against it with ``tree_logprobs``, in packed passes
+    search's candidates against it with ``weighted_logprob``, in packed passes
     over several scenes. ``step`` runs on arrays: it reads the parameters'
     arrays and the encoder's cross-attention keys and values, computed from
     the encoder output's array when the model is built, and runs the
@@ -532,8 +561,10 @@ class SceneStepModel:
         return lp[:, 0]
 
     def all_step_logprobs(self, seqs) -> Tensor:
-        """``tree_logprobs`` of BOS-led sequences (see ``chain_rows``) on the
-        model's encode, on the tape when the model's parameters are."""
-        ids, parents, rows, targets, _ = chain_rows(seqs, self.cfg)
-        return tree_logprobs(ids, parents, rows, targets, self.enc_out, self.cfg,
-                             self.params)
+        """Log-prob of every next token of BOS-led sequences, sequence by
+        sequence, on the model's encode: ``tree_logprobs`` over their
+        ``prefix_tree``, each token reading its edge. No caller is left in
+        ``src/``; ``bench/tracer.py`` times it (ROADMAP item 1)."""
+        ids, parents, rows, targets, edge_of, _ = prefix_tree(seqs, self.cfg)
+        return tree_logprobs(ids, parents, rows[edge_of], targets[edge_of],
+                             self.enc_out, self.cfg, self.params)

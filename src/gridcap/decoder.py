@@ -213,9 +213,11 @@ def sequence_logprob(candidates, model) -> Tensor:
     """Differentiable log-prob sums (len(candidates),) of completed decodes.
 
     ``model.all_step_logprobs`` gives the next-token log-probs of BOS-led
-    sequences, sequence by sequence. Constraint words and free words are
-    scored alike under the trainable model, so each sum matches the
-    search-time hypothesis score and its gradient reaches every parameter.
+    sequences, sequence by sequence, the order the one-hot sum needs.
+    Constraint words and free words are scored alike under the trainable
+    model, so each sum matches the search-time hypothesis score and its
+    gradient reaches every parameter. No ``src/`` caller is left;
+    ``bench/tracer.py`` binds it (ROADMAP item 1).
     """
     seqs = [tuple(int(x) for x in c) for c in candidates]
     if not seqs or not all(seqs):

@@ -8,8 +8,9 @@ search is scored by the consensus metric against the mean-of-beam baseline,
 with gradients flowing through every token, constraint words included). All
 three pack under block masks, one pass per minibatch or, in fine-tuning, per
 ``SCST_PASS_ROWS`` decoder rows. Both captioner phases score with the one
-teacher-forced scorer, ``captioner.tree_logprobs``: a caption is a chain of
-rows, a fine-tuning scene the trie of its candidates' distinct prefixes.
+weighted scorer, ``captioner.weighted_logprob``: one teacher-forced pass
+over the trie of each scene's distinct proper prefixes, a pre-training
+minibatch's references or a fine-tuning scene's candidates.
 
 Every decode, whether a fine-tuning beam, a validation pass or an
 evaluation, is one ``run_grid_search`` call made by ``_decode_for_scene`` on
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import numerics as nm
 from .captioner import (CaptionerConfig, SceneStepModel, encode,
-                        init_captioner_params, tree_logprobs, xent_loss)
+                        init_captioner_params, weighted_logprob, xent_loss)
 from .data import DatasetConfig, HeldoutSplits, SceneRecord
 # sequence_logprob is not called here: bench/tracer.py wraps this binding
 from .decoder import ConstraintSet, run_grid_search, sequence_logprob  # noqa: F401
@@ -290,58 +291,27 @@ def _decode_for_scene(model: SceneStepModel, words, k, trace=False):
                            trace=trace)
 
 
-# Decoder rows per SCST scoring pass, counted as prefix-tree rows (trie
-# nodes) of the packed scenes. Dense self-attention masks grow with the rows
-# squared, so one pass over a whole minibatch costs more than a few passes
-# of about this size; a scene over the cap is a pass alone.
+# Decoder rows per SCST scoring pass: the packed scenes' distinct proper
+# prefixes (``captioner.prefix_tree`` rows). Dense self-attention masks grow
+# with the rows squared, so one pass over a whole minibatch costs more than
+# a few passes of about this size; a scene over the cap is a pass alone.
 SCST_PASS_ROWS = 128
 
 
 @dataclass(eq=False)  # a taped encode has no value equality
 class ScoredScene:
     """A fine-tuning scene to score: its taped encode, its BOS-led
-    candidates and their advantages (not all zero), and the trie of the
-    candidates' distinct proper prefixes that scores them.
-
-    Trie row r holds token ``ids[r]`` after row ``parents[r]`` (-1 at BOS),
-    rows in order of first appearance. A candidate's tokens after BOS are
-    the targets of (row, next token) edges ``edge_rows`` and ``edge_ids``;
-    ``edge_of`` names the edge of each such token, candidate by candidate.
-    A candidate's last token is only a target, never a row.
-    """
+    candidates and their advantages (not all zero)."""
 
     enc_out: Tensor
     seqs: list[tuple[int, ...]]
     adv: np.ndarray
 
-    def __post_init__(self):
-        rows: dict[tuple[int, ...], int] = {}
-        edges: dict[tuple[int, int], int] = {}
-        ids, parents, self.edge_of = [], [], []
-        for seq in self.seqs:
-            for t in range(1, len(seq)):
-                prefix = seq[:t]
-                if prefix not in rows:
-                    rows[prefix] = len(ids)
-                    ids.append(seq[t - 1])
-                    parents.append(rows.get(prefix[:-1], -1))
-                self.edge_of.append(edges.setdefault((rows[prefix], seq[t]), len(edges)))
-        self.ids = np.array(ids, dtype=np.intp)
-        self.parents = np.array(parents, dtype=np.intp)
-        self.edge_rows, self.edge_ids = np.array(
-            list(edges), dtype=np.intp).reshape(-1, 2).T
-
     @property
     def rows(self) -> int:
-        return len(self.ids)
-
-    def edge_weights(self, batch_size: int) -> np.ndarray:
-        """Each edge's summed -advantage / (candidates · batch_size) over
-        the candidates through it."""
-        weights = -self.adv / (len(self.seqs) * batch_size)
-        return np.bincount(self.edge_of,
-                           np.repeat(weights, [len(s) - 1 for s in self.seqs]),
-                           minlength=len(self.edge_ids))
+        """The scene's prefix-tree rows: its candidates' distinct proper
+        prefixes."""
+        return len({s[:t] for s in self.seqs for t in range(1, len(s))})
 
 
 def _scoring_passes(scored: list[ScoredScene]) -> list[list[ScoredScene]]:
@@ -360,23 +330,16 @@ def _scoring_passes(scored: list[ScoredScene]) -> list[list[ScoredScene]]:
 
 def _policy_loss(group: list[ScoredScene], cfg: CaptionerConfig, params,
                  batch_size: int) -> Tensor:
-    """One packed ``tree_logprobs`` pass over the tries of ``group`` against
-    their scenes' encodes: each edge is picked once and weighs its
-    ``edge_weights``, so every token of a candidate weighs
+    """One ``weighted_logprob`` pass over the candidates of ``group``
+    against their scenes' encodes: every candidate weighs
     -advantage / (candidates · batch_size)."""
-    offsets = np.cumsum([0] + [g.rows for g in group[:-1]])
     number = np.arange(len(group))
-    picked = tree_logprobs(
-        np.concatenate([g.ids for g in group]),
-        np.concatenate([np.where(g.parents < 0, -1, g.parents + o)
-                        for g, o in zip(group, offsets)]),
-        np.concatenate([g.edge_rows + o for g, o in zip(group, offsets)]),
-        np.concatenate([g.edge_ids for g in group]),
+    return weighted_logprob(
+        [s for g in group for s in g.seqs],
+        np.concatenate([-g.adv / (len(g.seqs) * batch_size) for g in group]),
         nm.concat([g.enc_out for g in group]), cfg, params,
-        np.repeat(number, [g.rows for g in group]),
+        np.repeat(number, [len(g.seqs) for g in group]),
         np.repeat(number, [g.enc_out.shape[0] for g in group]))
-    weights = np.concatenate([g.edge_weights(batch_size) for g in group])
-    return nm.tsum(nm.mul(picked, Tensor(weights)))
 
 
 def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
@@ -394,9 +357,9 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
     in minibatch order, in packed passes of at most ``SCST_PASS_ROWS``
     decoder rows, each with one backward; a minibatch that scored any
     scene makes one Adam step. A scene's rows are the trie of its
-    candidates' distinct proper prefixes (see ``ScoredScene``), and each
-    (row, next token) edge is picked once, weighted by the candidates
-    through it. After each epoch the validation split is
+    candidates' distinct proper prefixes, and each (row, next token) edge
+    is picked once, weighted by the candidates through it (see
+    ``captioner.weighted_logprob``). After each epoch the validation split is
     decoded in oracle mode and scored by CIDEr-D; the first best-scoring
     epoch's parameters are returned, and only that epoch's record has
     ``kept`` true. Training runs on a copy: the caller's ``params`` are left

@@ -8,8 +8,8 @@ from gridcap import numerics as nm
 from gridcap.numerics import Tensor
 from gridcap import captioner
 from gridcap.captioner import (BudgetExhausted, CaptionerConfig,
-                               SceneStepModel, Vocabulary, chain_rows, encode,
-                               init_captioner_params, tree_layout,
+                               SceneStepModel, Vocabulary, encode,
+                               init_captioner_params, prefix_tree, tree_layout,
                                tree_logprobs, xent_loss)
 
 from test_numerics import check_grads
@@ -23,6 +23,29 @@ def tiny_cfg(**kw):
                     ffn_dim=12, max_len=10, visual_dim=3)
     defaults.update(kw)
     return CaptionerConfig(**defaults)
+
+
+def chain_rows(tokens, cfg, scenes=None):
+    """The reference chain layout of packed whole sequences for
+    ``tree_logprobs``: ``(ids, parents, rows, targets, row_scenes)``.
+
+    Each position is a row after the one before it in its sequence, and the
+    edges pick every next token, sequence by sequence: a length-L sequence
+    gives L rows and L - 1 edges. It runs ``prefix_tree``'s checks.
+    """
+    if len(tokens) == 0:
+        raise ValueError("the list of sequences to score is empty")
+    seqs = [captioner._validate_tokens([t], cfg)[0] for t in tokens]
+    scenes = (np.zeros(len(seqs), dtype=np.intp) if scenes is None
+              else np.asarray(scenes))
+    if scenes.shape != (len(seqs),):
+        raise ValueError(f"{scenes.size} scene numbers for {len(seqs)} sequences")
+    lengths = [len(s) for s in seqs]
+    ends = np.cumsum(lengths)
+    parents = np.arange(ends[-1]) - 1
+    parents[ends - lengths] = -1
+    return (np.concatenate(seqs), parents, np.delete(np.arange(ends[-1]), ends - 1),
+            np.concatenate([s[1:] for s in seqs]), np.repeat(scenes, lengths))
 
 
 def chain_logprobs(seqs, enc, cfg, params, scenes=None, enc_segments=None) -> Tensor:
@@ -249,6 +272,26 @@ class TestTreeRows:
         with pytest.raises(ValueError, match="come before it"):
             tree_layout(parents)
 
+    @pytest.mark.parametrize("tokens, scenes, message", [
+        ([], None, "list of sequences to score is empty"),
+        ([1, 4, 2], None, r"non-empty \(rows, n\) array, got shape \(1,\)"),
+        ([[5, 4, 2]], None, "must begin with BOS"),
+        ([[1] + [5] * 10 + [2]], None, "length 12 exceeds budget 10"),
+        ([[1, 4.0, 2]], None, "must be integers"),
+        ([[1, 10, 2]], None, "unknown token id"),
+        ([[1, 4, 2]] * 2, [0], "1 scene numbers for 2 sequences"),
+    ], ids=["empty", "bare-ids", "no-bos", "over-budget", "float-id",
+            "id-past-vocabulary", "scene-count"])
+    def test_bad_sequences_rejected_as_by_the_chain_layout(self, setup, tokens,
+                                                           scenes, message):
+        # prefix_tree, and xent_loss through it, keep the chain layout's checks
+        cfg, params, regions = setup
+        enc = encode(regions, cfg, params)
+        for layout in (chain_rows, prefix_tree,
+                       lambda t, c, s: xent_loss(t, enc, c, params, s)):
+            with pytest.raises(ValueError, match=message):
+                layout(tokens, cfg, scenes)
+
     @pytest.mark.parametrize("change, message", [
         (dict(targets=[5, -1, 2]), "unknown token id"),
         (dict(targets=[5, 4.7, 2]), "integers"),
@@ -263,10 +306,13 @@ class TestTreeRows:
         (dict(scenes=[0, 1, 0]), "scene 1 has no encoder rows"),
         (dict(scenes=[1, 1, 1], enc_segments=[0, 0, 0, 0]),
          "scene 1 has no encoder rows"),
+        (dict(parents=[-1, 0.7, 1.9]), "parent rows must be integers"),
+        (dict(ids=[], parents=[], rows=[], targets=[]), "0 rows need as many ids"),
     ], ids=["target-minus-one", "float-target", "float-id", "root-not-bos",
             "row-past-budget", "edge-past-budget", "edge-from-no-row",
             "scene-count", "id-count", "encoder-segment-count",
-            "scene-without-rows", "scene-without-segment-rows"])
+            "scene-without-rows", "scene-without-segment-rows", "float-parent",
+            "no-rows"])
     def test_bad_rows_rejected(self, setup, change, message):
         # the token-id check of whole sequences, run on every edge's path
         cfg, params, regions = setup
@@ -416,6 +462,35 @@ class TestXentLoss:
                                   for s in seqs])
         tlp = chain_logprobs(seqs, enc, cfg, params).data
         assert xent_loss(seqs, enc, cfg, params).item() == -(tlp * weights).sum()
+
+    @settings(max_examples=30, deadline=None)
+    @given(captions=st.lists(st.tuples(st.integers(0, 2),
+                                       st.lists(st.integers(4, 6), max_size=7)),
+                             min_size=1, max_size=6),
+           seed=st.integers(0, 999))
+    def test_equals_per_caption_chain_reference(self, captions, seed):
+        # three words make prefixes repeat, within and across scenes
+        cfg = tiny_cfg(vocab=Vocabulary(["red", "dog", "runs"]))
+        v = cfg.vocab
+        seqs = [[v.bos_id, *words, v.eos_id] for _, words in captions]
+        scenes = [scene for scene, _ in captions]
+        rng = np.random.default_rng(seed)
+        regions, segments = rng.normal(size=(6, 3)), np.repeat([0, 1, 2], [2, 1, 3])
+        base = init_captioner_params(cfg, np.random.default_rng(seed))
+        packed, chain = ({k: Tensor(p.data.copy(), requires_grad=True)
+                          for k, p in base.items()} for _ in range(2))
+        loss = xent_loss(seqs, encode(regions, cfg, packed, segments), cfg, packed,
+                         scenes, segments)
+        nm.backward(loss)
+        enc, ref = encode(regions, cfg, chain, segments), Tensor(0.0)
+        for seq, scene in zip(seqs, scenes):
+            lp = nm.tsum(chain_logprobs([seq], enc, cfg, chain, [scene], segments))
+            ref = nm.add(ref, nm.mul(lp, -1.0 / ((len(seq) - 1) * len(seqs))))
+        nm.backward(ref)
+        assert abs(loss.item() - ref.item()) <= 1e-12
+        for k in base:
+            np.testing.assert_allclose(packed[k].grad, chain[k].grad, rtol=0,
+                                       atol=1e-12, err_msg=k)
 
     def test_missing_eos_rejected(self, setup):
         cfg, params, regions = setup

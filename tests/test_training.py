@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gridcap import cli
+from gridcap import captioner, cli
 from gridcap import numerics as nm
 from gridcap import training as tr
 from gridcap.captioner import (CaptionerConfig, Vocabulary, encode,
-                               init_captioner_params, tree_layout)
+                               init_captioner_params, prefix_tree, tree_layout)
 from gridcap.data import (DatasetConfig, apply_heldout, build_vocabulary,
                           default_synonyms, gen_dataset)
 from gridcap.metrics import ReferenceVectors
@@ -128,6 +128,34 @@ class TestCaptionerPhase:
         tcfg = dataclasses.replace(tcfg, batch_size=5)
         _, epochs = train_selector(splits, synonyms, SelectorConfig(), tcfg)
         assert epochs[0]["updates"] == math.ceil(len(splits.selector_train) / 5)
+
+    def test_scores_no_unread_row(self, tiny_world, monkeypatch):
+        # two references of one scene share "BOS a", and one of another scene
+        # starts the same way: each (scene, proper prefix) is scored once,
+        # and no caption's last token is a row
+        _, scenes, _, _, vocab = tiny_world
+        cfg = tiny_cap_cfg(vocab)
+        params = init_captioner_params(cfg, np.random.default_rng(0))
+        a, b, c = vocab.tokens[4:7]
+        samples = [(scenes[0], [a, b]), (scenes[0], [a, c]), (scenes[1], [a, b])]
+        scorer, scored = captioner.tree_logprobs, []
+
+        def spy(ids, parents, *args):
+            scored.append((ids, parents, args[-2]))
+            return scorer(ids, parents, *args)
+
+        monkeypatch.setattr(captioner, "tree_logprobs", spy)
+        tr._minibatch_xent(samples, cfg, params)
+        ((ids, parents, row_scenes),) = scored
+        prefix = []
+        for tok, parent in zip(ids.tolist(), parents.tolist()):
+            prefix.append((prefix[parent] if parent >= 0 else ()) + (tok,))
+        captions = [tr._caption_ids(ref, vocab) for _, ref in samples]
+        distinct = {(scene, tuple(cap[:t]))
+                    for scene, cap in zip([0, 0, 1], captions)
+                    for t in range(1, len(cap))}
+        assert len(ids) == len(distinct) == 7
+        assert set(zip(row_scenes.tolist(), prefix)) == distinct
 
     def test_seeded_runs_produce_identical_checkpoints(self, tiny_world):
         _, _, _, splits, vocab = tiny_world
@@ -494,19 +522,29 @@ class TestPrefixTree:
         group = [tr.ScoredScene(encode(r, cfg, tree_params), beam, adv)
                  for r, beam, adv in zip(regions, beams, advs)]
         for scene, beam in zip(group, beams):
+            ids, parents, rows, targets, edge_of, _ = prefix_tree(beam, cfg)
             prefix = []
-            for tok, parent in zip(scene.ids.tolist(), scene.parents.tolist()):
+            for tok, parent in zip(ids.tolist(), parents.tolist()):
                 prefix.append((prefix[parent] if parent >= 0 else ()) + (tok,))
             assert sorted(prefix) == sorted(
                 {seq[:t] for seq in beam for t in range(1, len(seq))})
-            depth, mask = tree_layout(scene.parents)
+            assert scene.rows == len(prefix)
+            depth, mask = tree_layout(parents)
             assert depth.tolist() == [len(p) - 1 for p in prefix]
             np.testing.assert_array_equal(
                 ~mask, [[p[:len(q)] == q for q in prefix] for p in prefix])
-            edges = list(zip(scene.edge_rows.tolist(), scene.edge_ids.tolist()))
+            edges = list(zip(rows.tolist(), targets.tolist()))
             assert sorted(edges) == sorted(
                 {(prefix.index(seq[:t]), seq[t]) for seq in beam
                  for t in range(1, len(seq))})
+            assert [edges[e] for e in edge_of] == [
+                (prefix.index(seq[:t]), seq[t]) for seq in beam
+                for t in range(1, len(seq))]
+        # packed, the scenes' tries stay apart: no prefix of two scenes merges
+        *_, row_scenes = prefix_tree(
+            [seq for beam in beams for seq in beam], cfg,
+            np.repeat(np.arange(len(beams)), [len(beam) for beam in beams]))
+        assert np.bincount(row_scenes).tolist() == [g.rows for g in group]
 
         loss = tr._policy_loss(group, cfg, tree_params, batch_size)
         nm.backward(loss)
