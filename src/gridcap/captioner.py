@@ -9,10 +9,11 @@ of the decoder stack, and output logits tie to the transpose of the
 embedding matrix.
 
 One decoder-layer body and one output head serve two callers, on (blocks,
-rows, width) activations. The body's sub-blocks take an op set: the
-scorer runs them on the taped ops of ``numerics``, and the step on those
-ops' array forwards, ``numerics.ARRAY_OPS``, so a search builds no tensor
-and no tape node but rounds exactly as the taped body. ``tree_logprobs``
+rows, width) activations. The encoder, the scorer and the body's
+sub-blocks take an op set: the taped ops of ``numerics`` when a backward
+follows, else those ops' array forwards, ``numerics.ARRAY_OPS``, which
+build no tensor and no tape node but round exactly as the taped ops. The
+step always runs on arrays. ``tree_logprobs``
 is the one teacher-forced scorer. It runs the body over prefix-tree rows
 packed as one block: each
 row is a token after a parent row (none at BOS), its position is its depth,
@@ -29,11 +30,9 @@ at once, for search, one block per prefix. It is called once per grid
 column, each prefix extending one of the previous call's, so earlier
 positions' self-attention keys and values come from per-layer (rows,
 length, d) arrays of that call; the encoder's cross-attention keys and
-values are computed once per scene. The step's parameters, keys, values
-and cache are plain arrays. One ``SceneStepModel`` serves a scene: it
-searches on arrays, and its encode, on the tape when the parameters are,
-is what the search's candidates are scored against. PAD is an ordinary
-token to both paths.
+values are one (1, n, d) block per layer, computed once per scene and read
+by every row. The step's parameters, keys, values and cache are plain
+arrays. PAD is an ordinary token to both paths.
 
 The parameter builders (``init_matrix``, ``init_layer_norm``, ``init_ffn``)
 and the feed-forward sub-block ``ffn`` also build the region selector.
@@ -219,15 +218,17 @@ def _attention(x: Tensor, params: dict[str, Tensor], pre: str, kv,
 
 
 def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor],
-           segments=None) -> Tensor:
-    """Region vectors (n, visual_dim) -> encoder memory (n, d_model).
+           segments=None, ops=nm) -> Tensor:
+    """Region vectors (n, visual_dim) -> encoder memory (n, d_model), on the
+    op set ``ops`` (on ``numerics.ARRAY_OPS``, parameter arrays give an array).
 
     Several scenes pack into one call as stacked rows: ``segments`` (n,)
     numbers each row's scene (default: one scene), and a row attends to the
     rows of its own scene only. Memory slots extend each layer's keys and
     values, visible to every row; the output has the input's rows.
     """
-    x = region_vectors if isinstance(region_vectors, Tensor) else Tensor(region_vectors)
+    x = (region_vectors if isinstance(region_vectors, Tensor)
+         else np.asarray(region_vectors, np.float64))
     if x.shape[0] < 1:
         raise ValueError("encoder needs at least one region")
     if x.shape[1] != cfg.visual_dim:
@@ -238,20 +239,20 @@ def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor],
         raise ValueError(f"segments shape {seg.shape} vs {n} region rows")
     mask = np.concatenate([seg[:, None] != seg[None, :],
                            np.zeros((n, cfg.num_memory), dtype=bool)], axis=1)[None]
-    x = nm.linear(nm.reshape(x, (1,) + x.shape), params["enc.input.w"],
-                  params["enc.input.b"])
+    x = ops.linear(ops.reshape(x, (1,) + x.shape), params["enc.input.w"],
+                   params["enc.input.b"])
     for i in range(cfg.num_enc_layers):
         def kv(h, i=i):  # each memory slot is one (head_dim) row every head reads
-            return [nm.concat([t, nm.reshape(nm.concat(
+            return [ops.concat([t, ops.reshape(ops.concat(
                         [params[f"enc{i}.mem.{name}"]] * cfg.num_heads, axis=1),
                         (1, cfg.num_memory, -1))], axis=1)
                     if cfg.num_memory else t
-                    for t, name in zip(_project(h, params, f"enc{i}.attn"), "kv")]
+                    for t, name in zip(_project(h, params, f"enc{i}.attn", ops), "kv")]
 
-        x = _attention(x, params, f"enc{i}.attn", kv, cfg.num_heads, mask)
-        x = ffn(x, params, f"enc{i}.ffn")
-    x = nm.layer_norm(x, params["enc.final.ln_gain"], params["enc.final.ln_bias"])
-    return nm.reshape(x, (n, cfg.d_model))
+        x = _attention(x, params, f"enc{i}.attn", kv, cfg.num_heads, mask, ops)
+        x = ffn(x, params, f"enc{i}.ffn", ops)
+    x = ops.layer_norm(x, params["enc.final.ln_gain"], params["enc.final.ln_bias"])
+    return ops.reshape(x, (n, cfg.d_model))
 
 
 def _check_ids(ids: np.ndarray, heads, length: int, cfg: CaptionerConfig) -> np.ndarray:
@@ -376,9 +377,9 @@ def prefix_tree(tokens, cfg: CaptionerConfig, scenes=None):
 
 def tree_logprobs(ids, parents, rows, targets, enc_out: Tensor,
                   cfg: CaptionerConfig, params: dict[str, Tensor], scenes=None,
-                  enc_segments=None) -> Tensor:
+                  enc_segments=None, ops=nm) -> Tensor:
     """Log-prob of token ``targets[j]`` after prefix-tree row ``rows[j]``,
-    from one teacher-forced pass over the rows.
+    from one teacher-forced pass over the rows on the op set ``ops``.
 
     Row r holds token ``ids[r]`` after its parent row ``parents[r]`` (see
     ``tree_layout``). It attends to its ancestors, itself and the encoder
@@ -412,37 +413,40 @@ def tree_logprobs(ids, parents, rows, targets, enc_out: Tensor,
     if (alone := cross_mask.all(axis=1)).any():
         raise ValueError(f"scene {scenes[alone.argmax()]} has no encoder rows")
     x = _embed(ids[None], positional_encoding(cfg.max_len, cfg.d_model)[depth[None]],
-               params)
-    enc = nm.reshape(enc_out, (1,) + enc_out.shape)
+               params, ops)
+    enc = ops.reshape(enc_out, (1,) + enc_out.shape)
     h = _decoder_stack(
-        x, lambda i, h: _project(h, params, f"dec{i}.self"), self_mask[None],
-        lambda i, h: _project(enc, params, f"dec{i}.cross"), cross_mask[None],
-        cfg, params)
-    return nm.take(_output_head(nm.reshape(h, h.shape[1:]), params), rows, targets)
+        x, lambda i, h: _project(h, params, f"dec{i}.self", ops), self_mask[None],
+        lambda i, h: _project(enc, params, f"dec{i}.cross", ops), cross_mask[None],
+        cfg, params, ops)
+    return ops.take(_output_head(ops.reshape(h, h.shape[1:]), params, ops),
+                    rows, targets)
 
 
 def weighted_logprob(tokens, weights, enc_out: Tensor, cfg: CaptionerConfig,
                      params: dict[str, Tensor], scenes=None,
-                     enc_segments=None) -> Tensor:
+                     enc_segments=None, ops=nm) -> Tensor:
     """Sum over packed sequences of ``weights[b]`` times sequence b's
     log-prob, from one ``tree_logprobs`` pass over their ``prefix_tree``.
 
     Each (row, next token) edge is picked once and weighs the summed
-    weights of the sequences through it. ``scenes`` and ``enc_segments``
-    are as for ``prefix_tree`` and ``tree_logprobs``.
+    weights of the sequences through it. ``scenes``, ``enc_segments`` and
+    ``ops`` are as for ``prefix_tree`` and ``tree_logprobs``.
     """
     ids, parents, rows, targets, edge_of, row_scenes = prefix_tree(tokens, cfg, scenes)
     picked = tree_logprobs(ids, parents, rows, targets, enc_out, cfg, params,
-                           row_scenes, enc_segments)
+                           row_scenes, enc_segments, ops)
     steps = [len(t) - 1 for t in tokens]
     per_edge = np.bincount(edge_of, np.repeat(weights, steps), minlength=len(targets))
-    return nm.tsum(nm.mul(picked, Tensor(per_edge)))
+    return ops.tsum(ops.mul(picked, per_edge))
 
 
 def xent_loss(tokens, enc_out: Tensor, cfg: CaptionerConfig,
-              params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
+              params: dict[str, Tensor], scenes=None, enc_segments=None,
+              ops=nm) -> Tensor:
     """Mean next-token cross-entropy of a packed list of sequences, each of
-    which must pass ``_validate_tokens`` and hold EOS (see ``prefix_tree``).
+    which must pass ``_validate_tokens`` and hold EOS (see ``prefix_tree``),
+    on the op set ``ops``.
 
     The loss is the mean over sequences of each one's mean, so a length-L
     sequence weighs 1 / ((L - 1) · number of sequences) in the negated
@@ -452,8 +456,8 @@ def xent_loss(tokens, enc_out: Tensor, cfg: CaptionerConfig,
     if any(cfg.vocab.eos_id not in c for c in captions):
         raise ValueError("training sequence lacks EOS")
     steps = np.array([len(c) - 1 for c in captions])
-    return nm.neg(weighted_logprob(captions, 1.0 / (steps * len(captions)), enc_out,
-                                   cfg, params, scenes, enc_segments))
+    return ops.neg(weighted_logprob(captions, 1.0 / (steps * len(captions)), enc_out,
+                                    cfg, params, scenes, enc_segments, ops))
 
 
 class BudgetExhausted(Exception):
@@ -465,14 +469,13 @@ class SceneStepModel:
     """The decoder step of one scene, batched over prefixes, with the ids a
     search needs.
 
-    It holds the scene's encoder output and the parameters as given, so
-    ``enc_out`` is on the tape when they are: fine-tuning scores the
-    search's candidates against it with ``weighted_logprob``, in packed passes
-    over several scenes. ``step`` runs on arrays: it reads the parameters'
-    arrays and the encoder's cross-attention keys and values, computed from
-    the encoder output's array when the model is built, and runs the
-    scorer's decoder body and output head on ``numerics.ARRAY_OPS``, so it
-    builds no tensor and no tape node.
+    It holds the scene's encoder output and the parameters as given,
+    tensors or arrays; training and evaluation give it ``encode``'s array
+    output and the parameter arrays. ``step`` runs on arrays: it reads
+    their arrays and the encoder's cross-attention keys and values, computed
+    once when the model is built, and runs the scorer's decoder body and
+    output head on ``numerics.ARRAY_OPS``, so it builds no tensor and no
+    tape node.
 
     ``step(prefixes)`` scores every prefix in one decoder pass over their
     last tokens only, in the call order of a grid search: all prefixes of
@@ -484,21 +487,21 @@ class SceneStepModel:
     d) whose row r holds every position of the latest call's prefix r. A
     call gathers its parents' rows with one ``np.intp`` index array,
     appends its new position, and passes row r as the key block of query
-    block r, with no mask; the scene's cross-attention keys and values are
-    repeated as one block per row.
+    block r, with no mask; each layer's cross-attention keys and values are
+    one (1, n, d) block that every query block reads.
     The cache assumes fixed weights: an instance serves one search.
     """
 
-    enc_out: Tensor
+    enc_out: Tensor | np.ndarray
     cfg: CaptionerConfig
-    params: dict[str, Tensor]
+    params: dict
     _rows: dict = field(default_factory=dict, init=False)  # prefix -> row of _kv
     _kv: list = field(default_factory=list, init=False)  # per layer (keys, values)
 
     def __post_init__(self):
-        self._arrays = {k: v.data for k, v in self.params.items()}
-        self._cross = [_project(self.enc_out.data[None], self._arrays,
-                                f"dec{i}.cross", nm.ARRAY_OPS)
+        self._arrays = nm.arrays_of(self.params)
+        enc = self.enc_out.data if isinstance(self.enc_out, Tensor) else self.enc_out
+        self._cross = [_project(enc[None], self._arrays, f"dec{i}.cross", nm.ARRAY_OPS)
                        for i in range(self.cfg.num_dec_layers)]
 
     @property
@@ -549,12 +552,10 @@ class SceneStepModel:
             layers.append(kv)
             return kv
 
-        def cross_kv(i, h):  # a copy per row: np.broadcast_to's view costs more
-            return tuple(t.repeat(len(ids), axis=0) for t in self._cross[i])
-
         x = _embed(ids[:, -1:], positional_encoding(cfg.max_len, cfg.d_model)[n - 1],
                    params, ops)
-        lp = _output_head(_decoder_stack(x, self_kv, None, cross_kv, None, cfg,
+        lp = _output_head(_decoder_stack(x, self_kv, None,
+                                         lambda i, h: self._cross[i], None, cfg,
                                          params, ops), params, ops)
         self._rows = {p: r for r, p in enumerate(checked)}
         self._kv = layers
@@ -563,8 +564,9 @@ class SceneStepModel:
     def all_step_logprobs(self, seqs) -> Tensor:
         """Log-prob of every next token of BOS-led sequences, sequence by
         sequence, on the model's encode: ``tree_logprobs`` over their
-        ``prefix_tree``, each token reading its edge. No caller is left in
-        ``src/``; ``bench/tracer.py`` times it (ROADMAP item 1)."""
+        ``prefix_tree``, each token reading its edge, on the tape (so the
+        model must hold tensors). No caller is left in ``src/``;
+        ``bench/tracer.py`` times it (ROADMAP item 1)."""
         ids, parents, rows, targets, edge_of, _ = prefix_tree(seqs, self.cfg)
         return tree_logprobs(ids, parents, rows[edge_of], targets[edge_of],
                              self.enc_out, self.cfg, self.params)

@@ -11,8 +11,10 @@ An op is its array forward plus a tape record. The forward (``*_forward``)
 holds the op's shape checks and arithmetic on plain arrays, and returns
 the intermediates its backward reads; the taped op wraps the result in a
 ``Tensor`` and records the inputs and a vector-Jacobian closure on it.
-``ARRAY_OPS`` is the array op set of the decoder's ops, with the taped
-ops' names and signatures: decoding runs the one decoder body on it and
+``ARRAY_OPS`` is the array op set, with the taped ops' names and
+signatures. A pass runs on the taped ops only when a backward follows it;
+every other pass (search, encodes and selections for decoding, validation)
+runs the same body on ``ARRAY_OPS`` over ``arrays_of`` the parameters and
 builds no tensor or tape node.
 
 ``backward`` walks the explicit per-graph tape. There is no global graph,
@@ -100,6 +102,12 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def arrays_of(params: dict) -> dict[str, np.ndarray]:
+    """Each entry's array, by name: a tensor's data (not a copy), an array
+    as given."""
+    return {k: v.data if isinstance(v, Tensor) else v for k, v in params.items()}
+
+
 def _record(out: Tensor, parents: tuple[Tensor, ...], vjp) -> Tensor:
     """Attach the tape node if any parent participates in differentiation."""
     if any(p.requires_grad for p in parents):
@@ -152,12 +160,17 @@ def sub(a, b) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
+def mul_forward(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise product of equal shapes, or by a 0-d side."""
+    if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
+        raise NumericsError(f"mul shapes {a.shape} vs {b.shape}")
+    return a * b
+
+
 def mul(a, b) -> Tensor:
     """Elementwise product; either side may be a python scalar."""
     a, b = _wrap(a), _wrap(b)
-    if a.shape != b.shape and a.data.ndim != 0 and b.data.ndim != 0:
-        raise NumericsError(f"mul shapes {a.shape} vs {b.shape}")
-    out = Tensor(a.data * b.data)
+    out = Tensor(mul_forward(a.data, b.data))
 
     def vjp(g):
         ga = g * b.data
@@ -207,10 +220,14 @@ def transpose(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g.T,))
 
 
-def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
+def concat_forward(parts: list[np.ndarray], axis: int = 0) -> np.ndarray:
     if not parts:
         raise NumericsError("concat of zero tensors")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+    return np.concatenate(parts, axis=axis)
+
+
+def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
+    out = Tensor(concat_forward([p.data for p in parts], axis))
     sizes = [p.data.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
 
@@ -259,11 +276,16 @@ def col_slice(a: Tensor, start: int, stop: int) -> Tensor:
     return _record(out, (a,), vjp)
 
 
+def take_forward(a: np.ndarray, rows, cols) -> np.ndarray:
+    """a[rows, cols] as a 1-D array."""
+    return a[np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)]
+
+
 def take(a: Tensor, rows, cols) -> Tensor:
     """a[rows, cols] as a 1-D tensor."""
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
-    out = Tensor(a.data[rows, cols])
+    out = Tensor(take_forward(a.data, rows, cols))
 
     def vjp(g):
         ga = np.zeros_like(a.data)
@@ -273,7 +295,9 @@ def take(a: Tensor, rows, cols) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
+def reshape(a, shape) -> Tensor:
+    """a in ``shape``; a may be a plain array, such as a pass's input rows."""
+    a = _wrap(a)
     out = Tensor(a.data.reshape(shape))
     return _record(out, (a,), lambda g: (g.reshape(a.data.shape),))
 
@@ -287,10 +311,13 @@ def relu(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g * (a.data > 0),))
 
 
+def sigmoid_forward(a: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(a))  # stable in both tails
+    return np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # stable in both tails
-    e = np.exp(-np.abs(a.data))
-    s = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    s = sigmoid_forward(a.data)
     out = Tensor(s)
     return _record(out, (a,), lambda g: (g * s * (1.0 - s),))
 
@@ -423,7 +450,7 @@ def multi_head_attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     (B, heads, m, n) attention probabilities the backward reads."""
     if not q.ndim == k.ndim == v.ndim == 3:
         raise NumericsError("attention expects 3-D (blocks, rows, width) q, k, v")
-    if q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
+    if k.shape[0] not in (1, q.shape[0]) or q.shape[2] != k.shape[2]:
         raise NumericsError(f"q/k blocks or key dims {q.shape} vs {k.shape}")
     if k.shape[:2] != v.shape[:2]:
         raise NumericsError(f"k/v blocks or lengths {k.shape} vs {v.shape}")
@@ -451,7 +478,9 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     by side.
 
     q (B, m, d), k (B, n, d) and v (B, n, dv) give (B, m, dv): the query rows
-    of block b attend to the keys of block b only. mask, when given, is
+    of block b attend to the keys of block b only. k and v may instead be
+    one block (1, n, ·) that every query block reads, with no copy per
+    block; its gradients sum over the query blocks. mask, when given, is
     boolean (B, m, n) with True marking BLOCKED (row, key) pairs, shared by
     every head; blocked weights underflow to exactly 0, so padded keys change
     no sum. Packed sequences are one block under a mask; per-row keys are
@@ -469,9 +498,11 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
         g3 = _split_heads(g, num_heads)
         gp = g3 @ v3.swapaxes(-1, -2)
         gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * _head_scale(q3)
-        return (_merge_heads(gs @ k3),
-                _merge_heads((q3.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)),
-                _merge_heads(probs.swapaxes(-1, -2) @ g3))
+        gk = _merge_heads((q3.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+        gv = _merge_heads(probs.swapaxes(-1, -2) @ g3)
+        if k.data.shape[0] != gk.shape[0]:  # one k/v block read by every query block
+            gk, gv = gk.sum(axis=0, keepdims=True), gv.sum(axis=0, keepdims=True)
+        return _merge_heads(gs @ k3), gk, gv
 
     return _record(out, (q, k, v), vjp)
 
@@ -482,13 +513,15 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
     return multi_head_attention(q, k, v, 1, mask)
 
 
-# The decoder's ops on plain arrays, by their taped names and signatures: each
-# is the taped op's own forward, so a body run on this set rounds exactly as
-# on the tape.
+# The ops of every gradient-free pass on plain arrays, by their taped names and
+# signatures: each is the taped op's own forward, so a body run on this set
+# rounds exactly as on the tape.
 ARRAY_OPS = SimpleNamespace(
-    add=add_forward, matmul=matmul_forward, linear=linear_forward,
-    transpose=transpose_forward, gather_rows=gather_rows_forward,
-    relu=relu_forward, log_softmax=log_softmax_forward,
+    add=add_forward, mul=mul_forward, neg=np.negative, matmul=matmul_forward,
+    linear=linear_forward, transpose=transpose_forward, concat=concat_forward,
+    reshape=np.reshape, gather_rows=gather_rows_forward, take=take_forward,
+    relu=relu_forward, sigmoid=sigmoid_forward, log_softmax=log_softmax_forward,
+    tsum=lambda a: np.asarray(a.sum()),
     layer_norm=lambda x, gain, bias: layer_norm_forward(x, gain, bias)[0],
     multi_head_attention=lambda q, k, v, num_heads, mask=None:
         multi_head_attention_forward(q, k, v, num_heads, mask)[0],

@@ -94,8 +94,10 @@ def init_selector_params(cfg: SelectorConfig, rng: np.random.Generator) -> dict[
 
 
 def selector_forward(features: Tensor | np.ndarray, classes, cfg: SelectorConfig,
-                     params: dict[str, Tensor], segments=None) -> Tensor:
-    """Per-region selection scores in (0, 1), aligned with the input rows.
+                     params: dict[str, Tensor], segments=None, ops=nm) -> Tensor:
+    """Per-region selection scores in (0, 1), aligned with the input rows,
+    on the op set ``ops`` (on ``numerics.ARRAY_OPS``, parameter arrays give
+    an array).
 
     Pipeline: input projection, then num_layers blocks of inner attention,
     self attention, and feed-forward, each as a pre-norm residual sub-block,
@@ -104,7 +106,7 @@ def selector_forward(features: Tensor | np.ndarray, classes, cfg: SelectorConfig
     attention blocks other scenes and words, self attention other scenes; a
     region always sees itself.
     """
-    x = features if isinstance(features, Tensor) else Tensor(features)
+    x = features if isinstance(features, Tensor) else np.asarray(features, np.float64)
     n = x.shape[0]
     seg = np.zeros(n, dtype=np.intp) if segments is None else np.asarray(segments)
     classes = np.asarray(classes)
@@ -115,18 +117,18 @@ def selector_forward(features: Tensor | np.ndarray, classes, cfg: SelectorConfig
     other_scene = seg[None, :, None] != seg[None, None, :]  # one (1, n, n) block
     masks = {"inner": other_scene | (classes[:, None] != classes[None, :]),
              "self": other_scene}
-    x = nm.linear(nm.reshape(x, (1,) + x.shape), params["input.w"], params["input.b"])
+    x = ops.linear(ops.reshape(x, (1,) + x.shape), params["input.w"], params["input.b"])
     for i in range(cfg.num_layers):
         for block, mask in masks.items():
             pre = f"layer{i}.{block}"
-            h = nm.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
-            x = nm.add(x, nm.multi_head_attention(
-                nm.matmul(h, params[f"{pre}.wq"]), nm.matmul(h, params[f"{pre}.wk"]),
-                nm.matmul(h, params[f"{pre}.wv"]), cfg.num_heads, mask))
-        x = ffn(x, params, f"layer{i}.ffn")
-    x = nm.layer_norm(x, params["final.ln_gain"], params["final.ln_bias"])
-    logits = nm.linear(x, params["head.w"], params["head.b"])
-    return nm.reshape(nm.sigmoid(logits), (n,))
+            h = ops.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
+            x = ops.add(x, ops.multi_head_attention(
+                ops.matmul(h, params[f"{pre}.wq"]), ops.matmul(h, params[f"{pre}.wk"]),
+                ops.matmul(h, params[f"{pre}.wv"]), cfg.num_heads, mask))
+        x = ffn(x, params, f"layer{i}.ffn", ops)
+    x = ops.layer_norm(x, params["final.ln_gain"], params["final.ln_bias"])
+    logits = ops.linear(x, params["head.w"], params["head.b"])
+    return ops.reshape(ops.sigmoid(logits), (n,))
 
 
 _BCE_EPS = 1e-12

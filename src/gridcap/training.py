@@ -12,16 +12,20 @@ weighted scorer, ``captioner.weighted_logprob``: one teacher-forced pass
 over the trie of each scene's distinct proper prefixes, a pre-training
 minibatch's references or a fine-tuning scene's candidates.
 
+A pass runs on the taped ops only when a backward follows it: the
+minibatch losses of the three phases. Every other pass runs on the
+parameters' arrays and ``numerics.ARRAY_OPS`` and builds no tensor: the
+validation passes (selection F1, perplexity), the encodes and selections of
+every decode, and the searches.
+
 Every decode, whether a fine-tuning beam, a validation pass or an
 evaluation, is one ``run_grid_search`` call made by ``_decode_for_scene`` on
-the scene's one model from ``_scene_model``. That model searches on plain
-arrays, and its taped encode is the one its candidates are scored against, so
-each fine-tuning scene is encoded once. ``decode_split`` (validation and
-evaluation) encodes and selects on detached parameters, so it builds no
-tape at all. A search returns the beam-size best
-finished decodes as ``finished`` and stops as soon as they can no longer
-change; those are a fine-tuning scene's candidates, all rewarded against
-one build of the scene's reference vectors.
+the scene's model from ``_scene_model``, which encodes the scene on arrays.
+Fine-tuning scores a minibatch's candidates afterwards, in packed passes,
+each with one taped encode of its scenes. A search returns the beam-size
+best finished decodes as ``finished`` and stops as soon as they can no
+longer change; those are a fine-tuning scene's candidates, all rewarded
+against one build of the scene's reference vectors.
 Every epoch record counts its Adam steps as ``updates``.
 """
 
@@ -39,8 +43,8 @@ from .data import DatasetConfig, HeldoutSplits, SceneRecord
 # sequence_logprob is not called here: bench/tracer.py wraps this binding
 from .decoder import ConstraintSet, run_grid_search, sequence_logprob  # noqa: F401
 from .metrics import EvalRecord, IdfTable, ReferenceVectors, cider_d, eval_report
-from .numerics import (AdamState, Tensor, adam_step, check_at_least, noam_lr,
-                       zero_grads)
+from .numerics import (ARRAY_OPS, AdamState, Tensor, adam_step, arrays_of,
+                       check_at_least, noam_lr, zero_grads)
 from .selector import (BCE_LAMBDA0, BCE_LAMBDA1, SelectorConfig,
                        build_ground_truth, extract_features,
                        init_selector_params, mentions_any, rank_class_words,
@@ -126,9 +130,9 @@ def _train_epochs(phase: str, params, items, minibatch_loss, val_key: str,
 # ---------------------------------------------------------------------------
 
 
-def scene_selector_inputs(scene: SceneRecord, cfg: SelectorConfig,
-                          synonyms: dict[str, list[str]]):
-    """Features, class words, kept detections, mention targets for one scene.
+def selector_proposals(scene: SceneRecord, cfg: SelectorConfig):
+    """Features, class words and kept detections of one scene; it reads no
+    reference.
 
     Proposals are truncated to the top max_proposals by confidence, keeping
     the original ordering of the survivors.
@@ -138,7 +142,13 @@ def scene_selector_inputs(scene: SceneRecord, cfg: SelectorConfig,
     kept = sorted(order[: cfg.max_proposals])
     dets = [scene.detections[i] for i in kept]
     feats = np.stack([extract_features(d, scene.W, scene.H) for d in dets])
-    classes = np.array([d.class_word for d in dets])
+    return feats, np.array([d.class_word for d in dets]), dets
+
+
+def scene_selector_inputs(scene: SceneRecord, cfg: SelectorConfig,
+                          synonyms: dict[str, list[str]]):
+    """``selector_proposals`` of one scene, then its mention targets."""
+    feats, classes, dets = selector_proposals(scene, cfg)
     targets = build_ground_truth(replace(scene, detections=dets), synonyms)
     return feats, classes, dets, targets
 
@@ -164,11 +174,12 @@ def _packed_scenes(prepared):
 
 
 def _selection_val_f1(prepared, cfg, params, batch_size: int) -> float:
-    """Mean selection F1 of prepared scenes, ``batch_size`` per forward."""
-    scores_f1 = []
+    """Mean selection F1 of prepared scenes, ``batch_size`` per forward on
+    the parameters' arrays."""
+    scores_f1, arrays = [], arrays_of(params)
     for chunk in _batches(prepared, batch_size):
         feats, classes, _, segments = _packed_scenes(chunk)
-        scores = selector_forward(feats, classes, cfg, params, segments).data
+        scores = selector_forward(feats, classes, cfg, arrays, segments, ARRAY_OPS)
         for b, (_, _, dets, targets) in enumerate(chunk):
             selected = select_constraints(scores[segments == b], dets)
             gt_words = {d.class_word for d, t in zip(dets, targets) if t > 0.5}
@@ -221,19 +232,21 @@ def _packed_samples(samples, vocab):
     return np.concatenate(regions), np.concatenate(segments), captions, scene_of
 
 
-def _minibatch_xent(samples, cfg: CaptionerConfig, params) -> Tensor:
+def _minibatch_xent(samples, cfg: CaptionerConfig, params, ops=nm) -> Tensor:
     """Mean per-sample cross-entropy of one packed minibatch: one encoder and
-    one decoder pass."""
+    one decoder pass on the op set ``ops``."""
     regions, segments, captions, scene_of = _packed_samples(samples, cfg.vocab)
-    enc = encode(regions, cfg, params, segments)
-    return xent_loss(captions, enc, cfg, params, scene_of, segments)
+    enc = encode(regions, cfg, params, segments, ops)
+    return xent_loss(captions, enc, cfg, params, scene_of, segments, ops)
 
 
 def _val_perplexity(scenes, cfg: CaptionerConfig, params, batch_size: int) -> float:
-    """exp of the mean per-sample cross-entropy, packed ``batch_size``
-    samples at a time (dense masks grow with the packed rows squared)."""
+    """exp of the mean per-sample cross-entropy on the parameters' arrays,
+    packed ``batch_size`` samples at a time (dense masks grow with the
+    packed rows squared)."""
     samples = [(scene, ref) for scene in scenes for ref in scene.references]
-    total = sum(_minibatch_xent(chunk, cfg, params).item() * len(chunk)
+    arrays = arrays_of(params)
+    total = sum(_minibatch_xent(chunk, cfg, arrays, ARRAY_OPS).item() * len(chunk)
                 for chunk in _batches(samples, batch_size))
     return float(np.exp(total / len(samples))) if samples else float("inf")
 
@@ -280,9 +293,11 @@ def _strip_eos(tokens, vocab) -> list[int]:
 
 
 def _scene_model(scene: SceneRecord, cfg: CaptionerConfig, params) -> SceneStepModel:
-    """The scene's one model: its encode, on the tape when ``params`` are."""
-    return SceneStepModel(encode(np.array(scene.region_visual), cfg, params),
-                          cfg, params)
+    """The scene's search model on the arrays of ``params`` (tensors or
+    arrays): its encode runs on ``ARRAY_OPS``, so it builds no tensor."""
+    arrays = arrays_of(params)
+    return SceneStepModel(encode(np.array(scene.region_visual), cfg, arrays,
+                                 ops=ARRAY_OPS), cfg, arrays)
 
 
 def _decode_for_scene(model: SceneStepModel, words, k, trace=False):
@@ -298,12 +313,13 @@ def _decode_for_scene(model: SceneStepModel, words, k, trace=False):
 SCST_PASS_ROWS = 128
 
 
-@dataclass(eq=False)  # a taped encode has no value equality
+@dataclass(eq=False)  # arrays have no value equality
 class ScoredScene:
-    """A fine-tuning scene to score: its taped encode, its BOS-led
-    candidates and their advantages (not all zero)."""
+    """A fine-tuning scene to score: its region vectors, its BOS-led
+    candidates and their advantages (not all zero). Its scoring pass
+    encodes it on the tape."""
 
-    enc_out: Tensor
+    regions: np.ndarray
     seqs: list[tuple[int, ...]]
     adv: np.ndarray
 
@@ -330,16 +346,17 @@ def _scoring_passes(scored: list[ScoredScene]) -> list[list[ScoredScene]]:
 
 def _policy_loss(group: list[ScoredScene], cfg: CaptionerConfig, params,
                  batch_size: int) -> Tensor:
-    """One ``weighted_logprob`` pass over the candidates of ``group``
-    against their scenes' encodes: every candidate weighs
-    -advantage / (candidates · batch_size)."""
+    """One taped ``encode`` of the scenes of ``group``, packed with
+    segments, and one ``weighted_logprob`` pass over their candidates
+    against it: every candidate weighs -advantage / (candidates ·
+    batch_size)."""
     number = np.arange(len(group))
+    segments = np.repeat(number, [len(g.regions) for g in group])
+    enc = encode(np.concatenate([g.regions for g in group]), cfg, params, segments)
     return weighted_logprob(
         [s for g in group for s in g.seqs],
         np.concatenate([-g.adv / (len(g.seqs) * batch_size) for g in group]),
-        nm.concat([g.enc_out for g in group]), cfg, params,
-        np.repeat(number, [len(g.seqs) for g in group]),
-        np.repeat(number, [g.enc_out.shape[0] for g in group]))
+        enc, cfg, params, np.repeat(number, [len(g.seqs) for g in group]), segments)
 
 
 def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
@@ -352,10 +369,11 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
     and the policy term is the differentiable sequence
     log-probability, so constraint words receive gradient like any other
     token. Scenes with an empty constraint set fall back to unconstrained
-    search. Each scene of a minibatch is encoded and searched alone. The
-    scenes with a non-zero advantage are then scored together, whole and
-    in minibatch order, in packed passes of at most ``SCST_PASS_ROWS``
-    decoder rows, each with one backward; a minibatch that scored any
+    search. Each scene of a minibatch is encoded and searched alone, on the
+    parameters' arrays. The scenes with a non-zero advantage are then
+    scored together, whole and in minibatch order, in packed passes of at
+    most ``SCST_PASS_ROWS`` decoder rows, each with one taped encode of its
+    scenes and one backward; a minibatch that scored any
     scene makes one Adam step. A scene's rows are the trie of its
     candidates' distinct proper prefixes, and each (row, next token) edge
     is picked once, weighted by the candidates through it (see
@@ -413,7 +431,8 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
                     zero_adv += 1
                     continue
                 scored.append(ScoredScene(
-                    model.enc_out, [(vocab.bos_id,) + h.tokens for h in cands], adv))
+                    np.array(scene.region_visual),
+                    [(vocab.bos_id,) + h.tokens for h in cands], adv))
             for group in _scoring_passes(scored):
                 loss = _policy_loss(group, cfg, params, len(batch))
                 _check_finite(loss.item(), "policy loss")
@@ -470,8 +489,9 @@ def constraints_for_mode(scene: SceneRecord, mode: str, vocab, synonyms,
     if mode == "selector":
         if sel_cfg is None or sel_params is None:
             raise ValueError("selector mode needs a trained selector")
-        feats, classes, dets, _ = scene_selector_inputs(scene, sel_cfg, synonyms)
-        scores = selector_forward(feats, classes, sel_cfg, sel_params)
+        feats, classes, dets = selector_proposals(scene, sel_cfg)
+        scores = selector_forward(feats, classes, sel_cfg, arrays_of(sel_params),
+                                  ops=ARRAY_OPS)
         return select_constraints(scores, dets)
     raise ValueError(f"unknown decode mode {mode!r}")
 
@@ -498,11 +518,9 @@ def decode_split(scenes: list[SceneRecord], mode: str, cfg: CaptionerConfig,
                  trace: bool = False) -> list[DecodeOutput]:
     """Each scene's best decode under ``mode``, its trace's token ids as words.
 
-    Encodes and selections run on detached parameters, so no tape is built."""
+    Encodes and selections run on the parameters' arrays (tensors or arrays
+    may be given), so no tensor is built."""
     vocab = cfg.vocab
-    cap_params = {k: v.detach() for k, v in cap_params.items()}
-    if sel_params is not None:
-        sel_params = {k: v.detach() for k, v in sel_params.items()}
     outputs = []
     for scene in scenes:
         words = constraints_for_mode(scene, mode, vocab, synonyms,

@@ -330,9 +330,9 @@ def head_inputs(monkeypatch):
     """The decoder states of every ``captioner._output_head`` call."""
     states, head = [], captioner._output_head
 
-    def spy(h, params):
+    def spy(h, params, *ops):
         states.append(h.data)
-        return head(h, params)
+        return head(h, params, *ops)
 
     monkeypatch.setattr(captioner, "_output_head", spy)
     return states

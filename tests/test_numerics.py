@@ -318,6 +318,34 @@ class TestPerRowKeyBlocks:
             # padded keys take no weight, so they get no gradient
             assert not k.grad[r, n:].any() and not v.grad[r, n:].any()
 
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_one_key_block_gradcheck(self, heads):
+        # one (1, n, d) key and value block read by every query block: its
+        # gradients sum over the query blocks
+        q, k, v, w = block_case(heads)
+        k, v = (Tensor(t.data[:1], requires_grad=True) for t in (k, v))
+
+        def loss():
+            return nm.tsum(nm.mul(nm.multi_head_attention(q, k, v, heads), w))
+
+        check_grads(loss, [q, k, v], 1e-6)
+        assert k.grad.shape == k.shape and v.grad.shape == v.shape
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_one_key_block_equals_it_repeated(self, heads):
+        q, k, v, w = block_case(heads, rows=5, n=4)
+        one = [Tensor(t.data[:1], requires_grad=True) for t in (k, v)]
+        many = [Tensor(t.data.repeat(5, axis=0), requires_grad=True) for t in one]
+        out = nm.multi_head_attention(q, *one, heads)
+        nm.backward(nm.tsum(nm.mul(out, w)))
+        q_grad, q.grad = q.grad, None
+        ref = nm.multi_head_attention(q, *many, heads)
+        nm.backward(nm.tsum(nm.mul(ref, w)))
+        assert np.array_equal(out.data, ref.data) and np.array_equal(q_grad, q.grad)
+        for a, b in zip(one, many):
+            np.testing.assert_allclose(a.grad, b.grad.sum(axis=0, keepdims=True),
+                                       rtol=0, atol=1e-12)
+
     def test_fully_padded_row_is_an_error(self):
         q, k, v, _ = block_case(2)
         with pytest.raises(DegenerateMaskError):
@@ -414,9 +442,11 @@ class TestElementwise:
 
 
 def array_op_cases():
-    """(op name, array inputs, further arguments) of the decoder's ops, with
+    """(op name, array inputs, further arguments) of the array op set, with
     the shapes the step feeds them: one-row query blocks (rows, 1, d), per-row
-    key blocks (rows, n, d), a boolean mask, and broadcast and scalar adds."""
+    key blocks (rows, n, d), one key block every query block reads, a
+    boolean mask, and broadcast and scalar adds; and the encoder's,
+    selector's and scorer's shapes. A list input is one list of arrays."""
     rng = np.random.default_rng(21)
 
     def r(*shape):
@@ -442,7 +472,23 @@ def array_op_cases():
                                  [r(6, 1, 8), r(6, 4, 8), r(6, 4, 8)], (2,)),
         "attention-masked": ("multi_head_attention",
                              [r(3, 5, 8), r(3, 5, 8), r(3, 5, 4)], (4, mask)),
+        "attention-one-kv-block": ("multi_head_attention",
+                                   [r(6, 1, 8), r(1, 4, 8), r(1, 4, 8)], (2,)),
+        "mul": ("mul", [r(7), r(7)], ()),
+        "mul-scalar": ("mul", [r(3, 4), np.float64(-1.5)], ()),
+        "neg": ("neg", [r(3, 4)], ()),
+        "concat": ("concat", [[r(1, 3, 4), r(1, 2, 4)]], (1,)),
+        "reshape": ("reshape", [r(1, 5, 6)], ((5, 6),)),
+        "take": ("take", [r(5, 9)], ([4, 0, 4], [8, 2, 1])),
+        "sigmoid": ("sigmoid", [np.array([-800.0, -3.0, 0.0, 2.5, 800.0])], ()),
+        "tsum": ("tsum", [r(4, 3)], ()),
     }
+
+
+def taped(a):
+    """The taped form of an ``array_op_cases`` input."""
+    return [Tensor(x, requires_grad=True) for x in a] if isinstance(a, list) else \
+        Tensor(a, requires_grad=True)
 
 
 def bad_array_op_cases():
@@ -471,6 +517,8 @@ def bad_array_op_cases():
         "attention-blocked-row": ("multi_head_attention",
                                   [ones((1, 2, 4)), ones((1, 3, 4)), ones((1, 3, 4))],
                                   (2, blocked)),
+        "mul-shapes": ("mul", [ones((2, 3)), ones(3)], ()),
+        "concat-empty": ("concat", [[]], ()),
     }
 
 
@@ -485,22 +533,22 @@ class TestArrayOps:
     @pytest.mark.parametrize("case", list(array_op_cases()))
     def test_equals_taped_op(self, case):
         name, arrays, args = array_op_cases()[case]
-        taped = getattr(nm, name)(*(Tensor(a, requires_grad=True) for a in arrays),
-                                  *args)
+        out = getattr(nm, name)(*map(taped, arrays), *args)
         got = getattr(nm.ARRAY_OPS, name)(*arrays, *args)
-        assert type(got) is np.ndarray and got.shape == taped.shape
-        assert np.array_equal(got, taped.data)
+        assert type(got) is np.ndarray and got.shape == out.shape
+        assert np.array_equal(got, out.data)
 
     @pytest.mark.parametrize("case", list(bad_array_op_cases()))
     def test_raises_as_taped_op(self, case):
         name, arrays, args = bad_array_op_cases()[case]
-        with pytest.raises(NumericsError) as taped:
-            getattr(nm, name)(*(Tensor(a) for a in arrays), *args)
+        with pytest.raises(NumericsError) as on_tape:
+            getattr(nm, name)(*map(taped, arrays), *args)
         with pytest.raises(NumericsError) as plain:
             getattr(nm.ARRAY_OPS, name)(*arrays, *args)
-        assert type(plain.value) is type(taped.value)
-        assert str(plain.value) == str(taped.value)
-        assert (type(taped.value) is DegenerateMaskError) == (case == "attention-blocked-row")
+        assert type(plain.value) is type(on_tape.value)
+        assert str(plain.value) == str(on_tape.value)
+        assert (type(on_tape.value) is DegenerateMaskError) == (
+            case == "attention-blocked-row")
 
 
 class TestBackward:

@@ -140,9 +140,10 @@ class TestCaptionerPhase:
         samples = [(scenes[0], [a, b]), (scenes[0], [a, c]), (scenes[1], [a, b])]
         scorer, scored = captioner.tree_logprobs, []
 
-        def spy(ids, parents, *args):
-            scored.append((ids, parents, args[-2]))
-            return scorer(ids, parents, *args)
+        def spy(ids, parents, rows, targets, enc_out, cfg, params, scenes, *rest):
+            scored.append((ids, parents, scenes))
+            return scorer(ids, parents, rows, targets, enc_out, cfg, params, scenes,
+                          *rest)
 
         monkeypatch.setattr(captioner, "tree_logprobs", spy)
         tr._minibatch_xent(samples, cfg, params)
@@ -294,24 +295,43 @@ class TestFinetune:
         assert checkpoint_hash(given) == before
         assert checkpoint_hash(tuned) != before
 
-    def test_encodes_each_scene_once(self, tiny_world, pretrained, monkeypatch):
-        # one model per scene searches and scores: one encode per training
-        # scene and one per validation decode
+    def test_tapes_one_encode_per_scoring_pass(self, tiny_world, pretrained,
+                                               monkeypatch):
+        # every search (six training scenes, two validation decodes) encodes
+        # its scene on arrays and builds no tensor; each scoring pass makes
+        # one taped encode of all its scenes
         _, _, synonyms, splits, _ = tiny_world
         cfg, pre = pretrained
         tcfg = TrainConfig(rl_epochs=1, beam_size=3, seed=9)
         sub = tr.HeldoutSplits(captioner_train=splits.captioner_train[:6],
                                selector_train=[], val=splits.val[:2], test=[])
+        made, init = [], Tensor.__init__
         encode, calls = tr.encode, []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return encode(*args, **kwargs)
+        def counted_init(tensor, *args, **kwargs):
+            made.append(tensor)
+            init(tensor, *args, **kwargs)
 
+        def counted(regions, *args, **kwargs):
+            before = len(made)
+            out = encode(regions, *args, **kwargs)
+            calls.append((len(regions), isinstance(out, Tensor), len(made) - before))
+            return out
+
+        monkeypatch.setattr(Tensor, "__init__", counted_init)
         monkeypatch.setattr(tr, "encode", counted)
+        monkeypatch.setattr(tr, "SCST_PASS_ROWS", 24)
         _, epochs = finetune_scst_dgbs(sub, cfg, fresh_copy(pre), tcfg, synonyms)
-        assert epochs[0]["zero_advantage_scenes"] < epochs[0]["scored_scenes"]
-        assert len(calls) == 6 + 2
+        record = epochs[0]
+        assert record["zero_advantage_scenes"] < record["scored_scenes"]
+        taped = [c for c in calls if c[1]]
+        assert sorted(c for c in calls if not c[1]) == sorted(
+            (len(s.region_visual), False, 0)
+            for s in sub.captioner_train + sub.val)
+        assert len(taped) == record["scoring_passes"] >= 2
+        assert all(made > 0 for _, _, made in taped)
+        # some pass packs several scenes
+        assert len(taped) < record["scored_scenes"] - record["zero_advantage_scenes"]
 
     @pytest.mark.parametrize("cap_of", [
         lambda rows: sum(rows),
@@ -331,13 +351,14 @@ class TestFinetune:
         packed, ref = fresh_copy(pre), fresh_copy(pre)
         scored, ref_loss = [], Tensor(0.0)
         for scene in scenes:
+            regions = np.array(scene.region_visual)
             cands = [h.tokens for h in tr._decode_for_scene(
                 tr._scene_model(scene, cfg, pre), [], 3).finished]
             adv = rng.normal(size=len(cands))
             scored.append(tr.ScoredScene(
-                tr._scene_model(scene, cfg, packed).enc_out,
-                [(vocab.bos_id,) + c for c in cands], adv))
-            lps = tr.sequence_logprob(cands, tr._scene_model(scene, cfg, ref))
+                regions, [(vocab.bos_id,) + c for c in cands], adv))
+            lps = tr.sequence_logprob(cands, captioner.SceneStepModel(
+                encode(regions, cfg, ref), cfg, ref))
             ref_loss = nm.add(ref_loss, nm.tsum(nm.mul(
                 lps, Tensor(-adv / (len(cands) * batch_size)))))
         nm.backward(ref_loss)
@@ -519,7 +540,7 @@ class TestPrefixTree:
         advs = [rng.normal(size=len(beam)) for beam in beams]
         base = init_captioner_params(cfg, np.random.default_rng(seed))
         tree_params, chain_params = fresh_copy(base), fresh_copy(base)
-        group = [tr.ScoredScene(encode(r, cfg, tree_params), beam, adv)
+        group = [tr.ScoredScene(r, beam, adv)
                  for r, beam, adv in zip(regions, beams, advs)]
         for scene, beam in zip(group, beams):
             ids, parents, rows, targets, edge_of, _ = prefix_tree(beam, cfg)
