@@ -14,8 +14,8 @@ the intermediates its backward reads; the taped op wraps the result in a
 ``ARRAY_OPS`` is the array op set, with the taped ops' names and
 signatures. A pass runs on the taped ops only when a backward follows it;
 every other pass (search, encodes and selections for decoding, validation)
-runs the same body on ``ARRAY_OPS`` over ``arrays_of`` the parameters and
-builds no tensor or tape node.
+runs the same body on ``ARRAY_OPS`` over the parameters' arrays
+(``arrays_of``) and builds no tensor or tape node.
 
 ``backward`` walks the explicit per-graph tape. There is no global graph,
 so callers can build and drop graphs freely. ``backward`` stores gradients

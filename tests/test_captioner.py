@@ -10,7 +10,7 @@ from gridcap import captioner
 from gridcap.captioner import (BudgetExhausted, CaptionerConfig,
                                SceneStepModel, Vocabulary, encode,
                                init_captioner_params, prefix_tree, tree_layout,
-                               tree_logprobs, xent_loss)
+                               tree_logprobs, weighted_logprob, xent_loss)
 
 from test_numerics import check_grads
 
@@ -323,6 +323,40 @@ class TestTreeRows:
             tree_logprobs(tree["ids"], tree["parents"], tree["rows"], tree["targets"],
                           encode(regions, cfg, params), cfg, params, tree["scenes"],
                           tree["enc_segments"])
+
+
+class TestArrayPasses:
+    """The encoder and the scorer on ``nm.ARRAY_OPS`` over parameter arrays
+    return arrays that equal their taped values bitwise."""
+
+    @pytest.mark.parametrize("segments", [None, [0, 1, 1, 0]])
+    def test_encode_equals_taped(self, setup, segments):
+        cfg, params, regions = setup
+        got = encode(regions, cfg, nm.arrays_of(params), segments, nm.ARRAY_OPS)
+        assert type(got) is np.ndarray
+        assert np.array_equal(got, encode(regions, cfg, params, segments).data)
+
+    def test_scorer_equals_taped(self, setup):
+        cfg, params, regions = setup
+        arrays, v = nm.arrays_of(params), cfg.vocab
+        seqs = [[v.bos_id, 5, 6, v.eos_id], [v.bos_id, 5, 7, 8, v.eos_id],
+                [v.bos_id, 9, v.eos_id]]
+        scenes, segments, weights = [0, 0, 1], [0, 0, 1, 1], np.array([0.5, -1.0, 2.0])
+        enc = encode(regions, cfg, params, segments)
+        enc_array = encode(regions, cfg, arrays, segments, nm.ARRAY_OPS)
+        ids, parents, rows, targets, _, row_scenes = prefix_tree(seqs, cfg, scenes)
+        tree = (ids, parents, rows, targets)
+        got = tree_logprobs(*tree, enc_array, cfg, arrays, row_scenes, segments,
+                            nm.ARRAY_OPS)
+        assert type(got) is np.ndarray
+        assert np.array_equal(got, tree_logprobs(*tree, enc, cfg, params, row_scenes,
+                                                 segments).data)
+        assert weighted_logprob(seqs, weights, enc_array, cfg, arrays, scenes, segments,
+                                nm.ARRAY_OPS) == weighted_logprob(
+            seqs, weights, enc, cfg, params, scenes, segments).item()
+        assert xent_loss(seqs, enc_array, cfg, arrays, scenes, segments,
+                         nm.ARRAY_OPS) == xent_loss(seqs, enc, cfg, params, scenes,
+                                                    segments).item()
 
 
 @pytest.fixture

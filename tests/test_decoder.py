@@ -40,8 +40,38 @@ class TableLM:
         return self.table[[len(p) - 1 for p in prefixes]]
 
 
-def exhaustive_best(lm: TableLM, T: int, constraint_ids=()):
-    """Brute-force argmax over every finished sequence of at most T tokens."""
+class PrefixLM:
+    """Each prefix's row comes from a generator seeded by (seed, length, the
+    whole BOS-led prefix), so the parents of one column get different rows;
+    eos is id 0, bos sits outside. The tied variant draws every entry from two
+    log-probs, so sums stay exact and hypotheses often tie."""
+
+    def __init__(self, seed: int, vocab_size: int, tied: bool = False):
+        self.seed, self.vocab_size, self.tied = seed, vocab_size, tied
+        self.eos_id = 0
+        self.bos_id = vocab_size  # never generated
+
+    def row(self, prefix) -> np.ndarray:
+        rng = np.random.default_rng([self.seed, len(prefix), *prefix])
+        if self.tied:
+            return rng.choice([-1.0, -2.0], size=self.vocab_size)
+        return np.log(rng.dirichlet(np.ones(self.vocab_size)))
+
+    def step(self, prefixes) -> np.ndarray:
+        return np.array([self.row(p) for p in prefixes])
+
+
+def prefix_lm(seed, V, T):
+    return PrefixLM(seed, V)
+
+
+def tied_prefix_lm(seed, V, T):
+    return PrefixLM(seed, V, tied=True)
+
+
+def exhaustive_best(lm, T: int, constraint_ids=()):
+    """Brute-force argmax over every finished sequence of at most T tokens,
+    each token scored by one ``lm.step`` call on its prefix."""
     need = set(constraint_ids)
     content_ids = [i for i in range(lm.vocab_size) if i != lm.eos_id]
     best = None
@@ -50,7 +80,8 @@ def exhaustive_best(lm: TableLM, T: int, constraint_ids=()):
             if not need <= set(content):
                 continue
             seq = content + (lm.eos_id,)
-            lp = sum(lm.table[t][tok] for t, tok in enumerate(seq))
+            lp = sum(lm.step([(lm.bos_id,) + seq[:t]])[0][tok]
+                     for t, tok in enumerate(seq))
             key = (-lp, seq)
             if best is None or key < best[0]:
                 best = (key, seq, lp)
@@ -126,28 +157,33 @@ def live_coverage(trace) -> dict:
     return live
 
 
-class CountingLM(TableLM):
-    """A TableLM that records the batch size of every step call."""
+class CountingLM:
+    """A model that records the batch size of every step call of ``lm``."""
 
-    def __init__(self, table):
-        super().__init__(table)
-        self.batches = []
+    def __init__(self, lm):
+        self.lm, self.batches = lm, []
+        self.vocab_size, self.eos_id, self.bos_id = lm.vocab_size, lm.eos_id, lm.bos_id
 
     def step(self, prefixes):
         self.batches.append(len(prefixes))
-        return super().step(prefixes)
+        return self.lm.step(prefixes)
+
+
+def table_lm(seed, V, T):
+    return TableLM.random(np.random.default_rng(seed), V, T)
 
 
 @st.composite
-def search_case(draw):
-    """A random TableLM, budget T, beam k in 1..V+2 and 0-2 constraint ids."""
+def search_case(draw, lm_of=table_lm):
+    """A random model ``lm_of(seed, V, T)`` (a TableLM by default), budget
+    T, beam k in 1..V+2 and 0-2 constraint ids."""
     V = draw(st.integers(2, 6))
     T = draw(st.integers(1, 5))
     ids = draw(st.lists(st.integers(1, V - 1), max_size=min(2, T - 1),
                         unique=True))
     k = draw(st.integers(1, V + 2))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    return TableLM.random(np.random.default_rng(seed), V, T), T, tuple(ids), k
+    return lm_of(seed, V, T), T, tuple(ids), k
 
 
 @st.composite
@@ -165,14 +201,57 @@ def tied_search_case(draw):
 
 
 @st.composite
-def lm_with_constraints(draw):
-    """A random TableLM, its budget T, and 1-2 distinct non-eos constraint ids."""
+def lm_with_constraints(draw, lm_of=table_lm):
+    """A random model ``lm_of(seed, V, T)`` (a TableLM by default), its
+    budget T, and 1-2 distinct non-eos constraint ids."""
     V = draw(st.integers(3, 5))
     T = draw(st.integers(2, 5))
     ids = draw(st.lists(st.integers(1, V - 1), min_size=1,
                         max_size=min(2, T - 1), unique=True))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    return TableLM.random(np.random.default_rng(seed), V, T), T, tuple(ids)
+    return lm_of(seed, V, T), T, tuple(ids)
+
+
+def check_saturation(lm, T, ids):
+    """A beam wide enough to keep every hypothesis finds the exhaustive best."""
+    hyp = run_grid_search(lm, ConstraintSet(ids), k=lm.vocab_size ** T, T=T).best
+    tokens, lp = exhaustive_best(lm, T, constraint_ids=ids)
+    assert hyp.tokens == tokens
+    assert hyp.logprob == pytest.approx(lp, abs=1e-9)
+    assert set(ids) <= set(hyp.tokens)
+
+
+def check_full_vocabulary_expansion(lm, T, ids, k):
+    """The search's best, finished and trace equal the reference's, the
+    trace cut after the first column where the stop rule holds; returns the
+    search's result."""
+    best, finished, trace = full_vocab_grid_search(lm, ids, k, T)
+    result = run_grid_search(lm, ConstraintSet(ids), k=k, T=T, trace=True)
+    assert result.best == best
+    assert result.finished == finished[:k]
+    stop = stop_column(trace, len(ids), k, T)
+    assert result.trace == [row for row in trace if row["t"] <= stop]
+    return result
+
+
+def check_counters(lm, ids, k, result):
+    """One step call per column run, and each live parent offers its k best
+    free tokens (at most) plus its unmet words."""
+    n, live = len(ids), live_coverage(result.trace)
+    assert result.step_calls == sum(1 for cs in live.values() if cs)
+    assert result.offered <= sum(k + n - c for cs in live.values() for c in cs)
+    assert result.offered == sum(min(k, lm.vocab_size - (n - c)) + n - c
+                                 for cs in live.values() for c in cs)
+    assert result.kept == sum(len(row["hyps"]) for row in result.trace)
+
+
+def check_step_batches(lm, T, ids, k):
+    """Every step call scores every live parent of its column."""
+    lm = CountingLM(lm)
+    result = run_grid_search(lm, ConstraintSet(ids), k=k, T=T, trace=True)
+    assert lm.batches == [len(cs) for cs in live_coverage(result.trace).values() if cs]
+    assert result.step_calls == len(lm.batches)
+    check_counters(lm, ids, k, result)
 
 
 class TestFeasibleCoverage:
@@ -243,13 +322,7 @@ class TestGridBeamSearch:
     @given(lm_with_constraints())
     @example((TableLM.random(np.random.default_rng(34), 5, 5), 5, (3,)))
     def test_saturation_matches_constrained_exhaustive(self, case):
-        lm, T, ids = case
-        cs = ConstraintSet(ids)
-        hyp = run_grid_search(lm, cs, k=lm.vocab_size ** T, T=T).best
-        tokens, lp = exhaustive_best(lm, T, constraint_ids=ids)
-        assert hyp.tokens == tokens
-        assert hyp.logprob == pytest.approx(lp, abs=1e-9)
-        assert set(ids) <= set(hyp.tokens)
+        check_saturation(*case)
 
     def test_constraint_always_satisfied(self):
         rng = np.random.default_rng(35)
@@ -294,16 +367,7 @@ class TestGridBeamSearch:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(search_case())
     def test_matches_full_vocabulary_expansion(self, case):
-        lm, T, ids, k = case
-        cs = ConstraintSet(ids)
-        best, finished, trace = full_vocab_grid_search(lm, ids, k, T)
-        result = run_grid_search(lm, cs, k=k, T=T, trace=True)
-        assert result.best == best
-        assert result.finished == finished[:k]
-        # the trace is the reference's, cut after the first column where
-        # the stop rule holds
-        stop = stop_column(trace, len(ids), k, T)
-        assert result.trace == [row for row in trace if row["t"] <= stop]
+        check_full_vocabulary_expansion(*case)
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(tied_search_case())
@@ -311,43 +375,20 @@ class TestGridBeamSearch:
         # equal scores order by tokens, so parents of one cell tie-break by
         # their own tokens before the new token
         lm, T, ids, k = case
-        n = len(ids)
-        cs = ConstraintSet(ids)
-        best, finished, trace = full_vocab_grid_search(lm, ids, k, T)
-        result = run_grid_search(lm, cs, k=k, T=T, trace=True)
-        assert result.best == best
-        assert result.finished == finished[:k]
-        stop = stop_column(trace, n, k, T)
-        assert result.trace == [row for row in trace if row["t"] <= stop]
-        live = live_coverage(result.trace)
-        assert result.step_calls == sum(1 for cs in live.values() if cs)
-        assert result.offered == sum(min(k, lm.vocab_size - (n - c)) + n - c
-                                     for cs in live.values() for c in cs)
-        assert result.kept == sum(len(row["hyps"]) for row in result.trace)
+        check_counters(lm, ids, k, check_full_vocabulary_expansion(lm, T, ids, k))
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(search_case())
     def test_counters_and_expansion_bound(self, case):
         # one step call per column run, scoring every live parent, and each
         # live parent offers at most k + (n - c) continuations
-        lm, T, ids, k = case
-        lm = CountingLM(lm.table)
-        n = len(ids)
-        cs = ConstraintSet(ids)
-        result = run_grid_search(lm, cs, k=k, T=T, trace=True)
-        live = live_coverage(result.trace)
-        assert lm.batches == [len(cs) for cs in live.values() if cs]
-        assert result.step_calls == len(lm.batches)
-        assert result.offered <= sum(k + n - c for cs in live.values() for c in cs)
-        assert result.offered == sum(min(k, lm.vocab_size - (n - c)) + n - c
-                                     for cs in live.values() for c in cs)
-        assert result.kept == sum(len(row["hyps"]) for row in result.trace)
+        check_step_batches(*case)
 
     def test_dominant_eos_stops_after_two_columns(self):
         # eos takes 0.97 of every row: after column 1 the two finished
         # decodes outscore every live prefix, so columns 2..T-1 never run
         table = np.log(np.array([[0.97, 0.01, 0.01, 0.01]] * 6))
-        lm = CountingLM(table)
+        lm = CountingLM(TableLM(table))
         result = run_grid_search(lm, ConstraintSet(()), k=2, T=6, trace=True)
         assert result.step_calls == len(lm.batches) == 2
         assert {row["t"] for row in result.trace} == {0, 1}
@@ -376,6 +417,42 @@ class TestGridBeamSearch:
         hyp = run_grid_search(TableLM(table), cs, k=2, T=4).best
         assert not hyp.finished
         assert 2 in hyp.tokens
+
+
+class TestPrefixDependentModel:
+    """The grid search against its references under ``PrefixLM``, whose
+    rows differ between the parents of one column, so a row paired with the
+    wrong parent, or a wrong parent tie rank, shows. Beam monotonicity is
+    not asserted: under such a model a wider beam may score worse, so
+    ``test_wider_beam_never_scores_worse`` stays on the position-only
+    ``TableLM``."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(search_case(prefix_lm))
+    def test_matches_full_vocabulary_expansion(self, case):
+        check_full_vocabulary_expansion(*case)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(search_case(tied_prefix_lm))
+    def test_ties_break_like_full_vocabulary_expansion(self, case):
+        lm, T, ids, k = case
+        check_counters(lm, ids, k, check_full_vocabulary_expansion(lm, T, ids, k))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(search_case(prefix_lm))
+    def test_counters_and_expansion_bound(self, case):
+        check_step_batches(*case)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(lm_with_constraints(prefix_lm))
+    def test_saturation_matches_constrained_exhaustive(self, case):
+        check_saturation(*case)
+
+    def test_rows_differ_between_parents_of_one_column(self):
+        lm = PrefixLM(0, 5)
+        rows = lm.step([(lm.bos_id, 1), (lm.bos_id, 2)])
+        assert not np.array_equal(rows[0], rows[1])
+        assert np.array_equal(lm.step([(lm.bos_id, 2)])[0], rows[1])
 
 
 class TestConstraintSet:

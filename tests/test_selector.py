@@ -293,6 +293,16 @@ class TestSelectorPacking:
 
 
 class TestSelectorForward:
+    def test_array_forward_equals_taped(self):
+        cfg, params = small_selector(33)
+        feats, classes, segments = packed(np.random.default_rng(33),
+                                          [[0, 1, 0], [2], [1, 1, 2, 0]])
+        got = selector_forward(feats, classes, cfg, nm.arrays_of(params), segments,
+                               nm.ARRAY_OPS)
+        assert type(got) is np.ndarray
+        assert np.array_equal(
+            got, selector_forward(feats, classes, cfg, params, segments).data)
+
     def test_zero_parameters_score_half(self):
         cfg = SelectorConfig(embed_dim=8, num_layers=2, num_heads=2, ffn_dim=16)
         params = init_selector_params(cfg, np.random.default_rng(0))

@@ -39,6 +39,29 @@ def tiny_world():
     return dcfg, scenes, synonyms, splits, vocab
 
 
+@pytest.fixture(scope="module")
+def selector(tiny_world):
+    """A selector trained for one epoch, which selects words on every
+    validation and test scene."""
+    _, _, synonyms, splits, _ = tiny_world
+    cfg = SelectorConfig()
+    params, _ = train_selector(splits, synonyms, cfg,
+                               TrainConfig(selector_epochs=1, warmup=50, seed=11))
+    return cfg, params
+
+
+def tensors_made(monkeypatch) -> list:
+    """A list that gets every ``Tensor`` built from now on."""
+    made, init = [], Tensor.__init__
+
+    def counted_init(tensor, *args, **kwargs):
+        made.append(tensor)
+        init(tensor, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted_init)
+    return made
+
+
 def tiny_cap_cfg(vocab):
     return CaptionerConfig(vocab=vocab, d_model=16, num_enc_layers=1,
                            num_dec_layers=1, num_heads=2, num_memory=2,
@@ -230,6 +253,52 @@ class TestConstraintSources:
         with pytest.raises(ValueError):
             constraints_for_mode(scenes[0], "best", vocab, synonyms)
 
+    def test_selector_mode_reads_no_reference(self, tiny_world, selector):
+        _, _, synonyms, splits, vocab = tiny_world
+        sel_cfg, sel_params = selector
+
+        def words(scene):
+            return constraints_for_mode(scene, "selector", vocab, synonyms,
+                                        sel_cfg, sel_params)
+
+        scenes = splits.val + splits.test
+        given = [words(s) for s in scenes]
+        assert any(given)
+        assert [words(dataclasses.replace(s, references=[])) for s in scenes] == given
+
+
+class TestGradientFreePasses:
+    """Decoding and validation run on parameter arrays: given tensors, they
+    build none."""
+
+    def test_selector_mode_decode_builds_no_tensor(self, tiny_world, pretrained,
+                                                   selector, monkeypatch):
+        _, _, synonyms, splits, _ = tiny_world
+        cfg, pre = pretrained
+        sel_cfg, sel_params = selector
+        made = tensors_made(monkeypatch)
+        outputs = tr.decode_split(splits.test[:4], "selector", cfg, pre,
+                                  TrainConfig(beam_size=3), synonyms, sel_cfg,
+                                  sel_params)
+        assert made == [] and len(outputs) == 4
+        assert any(o.constraints for o in outputs)
+
+    def test_validation_passes_build_no_tensor(self, tiny_world, pretrained,
+                                               selector, monkeypatch):
+        _, _, synonyms, splits, vocab = tiny_world
+        cfg, pre = pretrained
+        sel_cfg, sel_params = selector
+        prepared = [tr.scene_selector_inputs(s, sel_cfg, synonyms) for s in splits.val]
+        samples = [(s, ref) for s in splits.val for ref in s.references]
+        taped = sum(tr._minibatch_xent(chunk, cfg, pre).item() * len(chunk)
+                    for chunk in tr._batches(samples, 5))
+        made = tensors_made(monkeypatch)
+        ppl = tr._val_perplexity(splits.val, cfg, pre, 5)
+        f1 = tr._selection_val_f1(prepared, sel_cfg, sel_params, 5)
+        assert made == []
+        assert ppl == float(np.exp(taped / len(samples)))
+        assert 0.0 <= f1 <= 1.0
+
 
 @pytest.fixture(scope="module")
 def pretrained(tiny_world):
@@ -305,12 +374,7 @@ class TestFinetune:
         tcfg = TrainConfig(rl_epochs=1, beam_size=3, seed=9)
         sub = tr.HeldoutSplits(captioner_train=splits.captioner_train[:6],
                                selector_train=[], val=splits.val[:2], test=[])
-        made, init = [], Tensor.__init__
         encode, calls = tr.encode, []
-
-        def counted_init(tensor, *args, **kwargs):
-            made.append(tensor)
-            init(tensor, *args, **kwargs)
 
         def counted(regions, *args, **kwargs):
             before = len(made)
@@ -318,7 +382,7 @@ class TestFinetune:
             calls.append((len(regions), isinstance(out, Tensor), len(made) - before))
             return out
 
-        monkeypatch.setattr(Tensor, "__init__", counted_init)
+        made = tensors_made(monkeypatch)
         monkeypatch.setattr(tr, "encode", counted)
         monkeypatch.setattr(tr, "SCST_PASS_ROWS", 24)
         _, epochs = finetune_scst_dgbs(sub, cfg, fresh_copy(pre), tcfg, synonyms)
