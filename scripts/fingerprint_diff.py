@@ -10,7 +10,15 @@ object:
 - ``decodes`` and ``decodes_differing``: how many decodes both documents
   hold, and how many of them differ in a field that is not a float
   (caption, tokens, finished, satisfied, counters, trace tokens);
-- ``logprob_max_abs_diff``: the largest absolute difference of any log-prob;
+- ``fields_differing``: per decode field, how many decodes differ in it
+  (a trace that changes length counts under ``trace``), so a change that
+  moves only search counters and traces reads apart from one that moves
+  captions;
+- ``logprob_max_abs_diff``: the largest absolute difference of any log-prob,
+  trace hypotheses included (paired by position, so a trace that keeps other
+  hypotheses reads large here);
+- ``best_logprob_max_abs_diff``: the same over each decode's own
+  ``logprob`` only;
 - ``only_in_old`` and ``only_in_new``: keys found on one side only, with
   list positions written ``[]``.
 
@@ -62,24 +70,29 @@ def compare(old: dict, new: dict) -> tuple[dict, bool]:
     hashes: dict[str, bool] = {}
     epoch_diff: dict[str, float] = {}
     differing_decodes: set[tuple] = set()
+    differing_fields: dict[str, set[tuple]] = {}
     one_sided = {"only_old": set(), "only_new": set()}
-    logprob_diff = 0.0
+    logprob_diff = best_logprob_diff = 0.0
     mismatch = False
 
     def visit(kind, path, a, b):
-        nonlocal logprob_diff, mismatch
+        nonlocal logprob_diff, best_logprob_diff, mismatch
         if kind in one_sided:
             one_sided[kind].add(_shown(path))
         elif path[-1] == "checkpoint_hash":
             hashes[path[1]] = a == b
         elif kind == "float" and path[-1] == "logprob":
             logprob_diff = max(logprob_diff, abs(a - b))
+            if path[0] == "decodes" and len(path) == 4:
+                best_logprob_diff = max(best_logprob_diff, abs(a - b))
         elif kind == "float" and path[0] == "phases":
             epoch_diff[path[1]] = max(epoch_diff.get(path[1], 0.0), _rel_diff(a, b))
         elif kind == "other" and a != b:
             mismatch = True
             if path[0] == "decodes" and len(path) > 2:
                 differing_decodes.add(path[:3])
+            if path[0] == "decodes" and len(path) > 3:
+                differing_fields.setdefault(path[3], set()).add(path[:3])
 
     _walk(old, new, (), visit)
     shared = [k for k in old.get("decodes", {}) if k in new.get("decodes", {})]
@@ -89,7 +102,9 @@ def compare(old: dict, new: dict) -> tuple[dict, bool]:
         "decodes": sum(min(len(old["decodes"][k]), len(new["decodes"][k]))
                        for k in shared),
         "decodes_differing": len(differing_decodes),
+        "fields_differing": {f: len(d) for f, d in sorted(differing_fields.items())},
         "logprob_max_abs_diff": logprob_diff,
+        "best_logprob_max_abs_diff": best_logprob_diff,
         "only_in_old": sorted(one_sided["only_old"]),
         "only_in_new": sorted(one_sided["only_new"]),
     }

@@ -10,8 +10,10 @@ records; ``-`` for a stage that trains nothing). Then it prints the
 quality the stages report: the last selector epoch's val-F1, the last
 pre-training epoch's val-ppl, each fine-tuning epoch's val CIDEr-D, and
 selector-mode out-domain F1, CIDEr-D and constraint satisfaction on the
-test split. The last line holds the same numbers as one JSON object. It
-imports ``gridcap`` from the ``src`` directory next to it.
+test split, and the search work that eval reports (its ``decoder`` counts:
+``step_calls``, ``step_rows``, ``offered``, ``kept`` and
+``unfinished_fallbacks``). The last line holds the same numbers as one JSON
+object. It imports ``gridcap`` from the ``src`` directory next to it.
 """
 
 import contextlib
@@ -35,6 +37,8 @@ STAGES = (
     ("finetune", [], "finetune_report.json"),
     ("eval", ["--mode", "selector"], None),
 )
+DECODER_COUNTS = ("step_calls", "step_rows", "offered", "kept",
+                  "unfinished_fallbacks")
 
 
 def main() -> None:
@@ -69,6 +73,7 @@ def main() -> None:
         "selector_out_domain_cider_d": evaluation["out_domain"]["cider_d"],
         "selector_satisfaction": evaluation["constraint_satisfaction"],
     }
+    decoder = {k: evaluation["decoder"][k] for k in DECODER_COUNTS}
     print(f"{'stage':<16}{'wall_s':>8}{'updates':>9}")
     for name, stage in stages.items():
         updates = "-" if stage["updates"] is None else stage["updates"]
@@ -79,8 +84,11 @@ def main() -> None:
     print(f"selector mode: out-domain F1 {quality['selector_out_domain_f1']:.3f}  "
           f"CIDEr-D {quality['selector_out_domain_cider_d']:.3f}  "
           f"satisfaction {quality['selector_satisfaction']:.3f}")
+    print("selector-mode eval search: "
+          + "  ".join(f"{k} {v}" for k, v in decoder.items()))
     print(json.dumps({"stages": {n: {k: s[k] for k in ("wall_s", "updates")}
-                                 for n, s in stages.items()}} | quality))
+                                 for n, s in stages.items()}} | quality
+                     | {"eval_decoder": decoder}))
 
 
 if __name__ == "__main__":

@@ -4,8 +4,10 @@ The five subcommands are ``gen-data``, ``train-selector``,
 ``train-captioner``, ``finetune`` and ``eval --mode M``. ``eval`` scores the
 test split and writes ``eval_M.json`` plus the decoded captions as
 ``captions_M.jsonl``; with ``--trace-grid`` it also writes, as
-``grid_trace_M.jsonl``, the grid cells of the columns each search ran (a
-search stops once its k best finished decodes can no longer change).
+``grid_trace_M.jsonl``, the grid cells of the columns each search ran. A
+search asks only for its best decode: once it holds a finished one, a live
+hypothesis scoring below it is dominated and leaves the grid, and the
+search stops when none is left.
 
 Every stage reads a single JSON config plus a few overrides, and leaves
 its artifacts in the output directory, so a full experiment is a short

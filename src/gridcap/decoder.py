@@ -14,13 +14,17 @@ coverage each continuation would reach. Every cell then keeps its k best
 entries of that coverage straight from the matrix, so the search is a
 full-vocabulary expansion, and hypotheses are built only for kept entries.
 
-The search stops early, and exactly (Huang, Zhao & Ma 2017, "When to
-Finish?"). A step row is a log-softmax, so every entry is at most 0 and no
-hypothesis scores above its parent. Once the k-th best finished
-full-coverage hypothesis scores strictly above every live one, no later
-column can change the k best, so the search ends there; it also ends when
-no hypothesis is live. A step row holding a value above 0 (or NaN) breaks
-that premise and raises ``ValueError``.
+The search is pruned, and exactly (Huang, Zhao & Ma 2017, "When to
+Finish?"). A caller asks for the ``n_best`` best finished full-coverage
+decodes (at most k). Once that many are held, every live hypothesis scoring
+strictly below the ``n_best``-th of them is dropped after each column, and
+the search ends when no hypothesis is live. A step row is a log-softmax, so
+every entry is at most 0 and no hypothesis scores above its parent. So a
+dropped hypothesis, each of its descendants, and any hypothesis that their
+absence lets into a beam all score below that decode, while every cell's
+hypotheses at or above it are those of the unpruned search. The ``n_best``
+decodes therefore equal that search's. A step row holding a value above 0
+(or NaN) breaks the premise and raises ``ValueError``.
 
 Every token, constraint word or not, is scored with the model's own
 log-probability, which is what makes the sequence score differentiable:
@@ -104,16 +108,21 @@ def feasible_coverage(t: int, n: int, T: int) -> range:
 
 @dataclass
 class GridResult:
+    """A search's result. ``offered``, ``kept`` and ``trace`` describe the
+    pruned search: parents below the ``n_best``-th finished decode are
+    neither stepped nor offered, and their continuations are never kept."""
+
     best: Hypothesis
-    finished: list[Hypothesis]  # the k best finished full-coverage hypotheses, ranked
+    finished: list[Hypothesis]  # the n_best best finished full-coverage decodes, ranked
     trace: list[dict] = field(default_factory=list)  # each column's cells, by token id
     step_calls: int = 0  # batched model calls, one per column run
+    step_rows: int = 0  # prefixes passed to model.step, summed over calls
     offered: int = 0  # each live parent's k best free tokens plus its unmet words
-    kept: int = 0  # hypotheses that survived pruning, summed over cells
+    kept: int = 0  # hypotheses that survived the beams, summed over cells
 
 
 def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
-                    trace: bool = False) -> GridResult:
+                    trace: bool = False, *, n_best: int | None = None) -> GridResult:
     """Fill the coverage-by-time grid and return the best full-coverage decode.
 
     ``model`` provides ``bos_id``, ``eos_id``, ``vocab_size`` and
@@ -123,29 +132,35 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
     identical inputs. Beams prune and finished hypotheses rank on the raw
     log-prob sum. ``trace`` records each cell's kept hypotheses by token id.
 
-    Every step row must be at most 0, as a log-softmax is; a value above 0
-    or NaN raises ``ValueError``. On that premise the search stops after
-    the first column where no hypothesis is live, or where the k-th best
-    finished full-coverage hypothesis scores strictly above every live
-    one, so ``best`` and ``finished`` (the k best) equal those of a search
-    run over all T columns.
+    ``n_best`` (1..k, default k) is the number of finished full-coverage
+    decodes the caller ranks; ``finished`` holds at most that many. Every
+    step row must be at most 0, as a log-softmax is; a value above 0 or NaN
+    raises ``ValueError``. On that premise, once ``n_best`` finished decodes
+    are held, each column's live hypotheses scoring strictly below the
+    ``n_best``-th are dropped and the search ends when none is left, so
+    ``best`` and ``finished`` equal the first ``n_best`` of a k-beam search
+    run unpruned over all T columns.
     """
     n = len(constraints)
     if k < 1 or T < 1:
         raise ValueError("beam size and budget must be positive")
+    n_best = k if n_best is None else n_best
+    if not 1 <= n_best <= k:
+        raise ValueError(f"n_best must be in 1..{k}, got {n_best}")
     if n >= T:
         raise InfeasibleConstraintsError(f"{n} constraints cannot fit a budget of {T}")
 
     # the live hypotheses of the last column; a column reads only the one before
     parents = [Hypothesis(tokens=(), logprob=0.0)]
-    finished_full: list[Hypothesis] = []  # the k best so far, ranked
+    finished_full: list[Hypothesis] = []  # the n_best best so far, ranked
     fallback = None  # best unfinished full-coverage hypothesis of the latest column
     trace_rows: list[dict] = []
-    step_calls = offered = kept_total = 0
+    step_calls = step_rows = offered = kept_total = 0
 
     for t in range(T):
         rows = model.step([(model.bos_id,) + p.tokens for p in parents])
         step_calls += 1
+        step_rows += len(parents)
         if not (rows <= 0).all():
             raise ValueError("a step row holds a log-prob above 0 or NaN")
         # entry (i, tok) of each matrix is the continuation parents[i] + tok
@@ -190,15 +205,16 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
                 })
 
         finished_full.sort(key=Hypothesis.sort_key)
-        del finished_full[k:]
+        del finished_full[n_best:]
         parents = [h for h in column if not h.finished]
-        # no hypothesis outscores its parent, so nothing live can still
-        # reach the k best once the k-th scores above every live hypothesis
-        if not parents or (len(finished_full) == k and finished_full[-1].logprob
-                           > max(p.logprob for p in parents)):
+        # no hypothesis outscores its parent, so one below the n_best-th
+        # finished decode can neither reach the n_best nor displace them
+        if len(finished_full) == n_best:
+            parents = [p for p in parents if p.logprob >= finished_full[-1].logprob]
+        if not parents:
             break
 
-    counts = {"trace": trace_rows, "step_calls": step_calls,
+    counts = {"trace": trace_rows, "step_calls": step_calls, "step_rows": step_rows,
               "offered": offered, "kept": kept_total}
     if finished_full:
         return GridResult(best=finished_full[0], finished=finished_full, **counts)

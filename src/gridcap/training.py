@@ -22,10 +22,12 @@ Every decode, whether a fine-tuning beam, a validation pass or an
 evaluation, is one ``run_grid_search`` call made by ``_decode_for_scene`` on
 the scene's model from ``_scene_model``, which encodes the scene on arrays.
 Fine-tuning scores a minibatch's candidates afterwards, in packed passes,
-each with one taped encode of its scenes. A search returns the beam-size
-best finished decodes as ``finished`` and stops as soon as they can no
-longer change; those are a fine-tuning scene's candidates, all rewarded
-against one build of the scene's reference vectors.
+each with one taped encode of its scenes. A search returns the ``n_best``
+best finished decodes as ``finished`` and drops every live hypothesis that
+can no longer change them. Fine-tuning asks for the beam size: those are a
+scene's candidates, all rewarded against one build of the scene's reference
+vectors. ``decode_split`` (evaluation and fine-tuning's validation) reads
+only ``best``, so it asks for 1.
 Every epoch record counts its Adam steps as ``updates``.
 """
 
@@ -300,10 +302,10 @@ def _scene_model(scene: SceneRecord, cfg: CaptionerConfig, params) -> SceneStepM
                                  ops=ARRAY_OPS), cfg, arrays)
 
 
-def _decode_for_scene(model: SceneStepModel, words, k, trace=False):
+def _decode_for_scene(model: SceneStepModel, words, k, *, n_best=None, trace=False):
     constraints = ConstraintSet.from_words(words, model.cfg.vocab)
     return run_grid_search(model, constraints, k=k, T=model.cfg.max_len - 1,
-                           trace=trace)
+                           trace=trace, n_best=n_best)
 
 
 # Decoder rows per SCST scoring pass: the packed scenes' distinct proper
@@ -413,7 +415,8 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
                 scene = scenes[idx]
                 words = build_training_constraints(scene, synonyms, vocab)
                 model = _scene_model(scene, cfg, params)
-                result = _decode_for_scene(model, words, train_cfg.beam_size)
+                result = _decode_for_scene(model, words, train_cfg.beam_size,
+                                           n_best=train_cfg.beam_size)
                 cands = result.finished
                 if len(cands) < 2:
                     skipped += 1
@@ -507,6 +510,7 @@ class DecodeOutput:
     satisfied: bool
     trace: list[dict] = field(default_factory=list)
     step_calls: int = 0
+    step_rows: int = 0
     offered: int = 0
     kept: int = 0
 
@@ -518,15 +522,17 @@ def decode_split(scenes: list[SceneRecord], mode: str, cfg: CaptionerConfig,
                  trace: bool = False) -> list[DecodeOutput]:
     """Each scene's best decode under ``mode``, its trace's token ids as words.
 
-    Encodes and selections run on the parameters' arrays (tensors or arrays
-    may be given), so no tensor is built."""
+    Each search is asked for its best decode only (``n_best=1``), so the
+    trace and counters describe that pruned search. Encodes and selections
+    run on the parameters' arrays (tensors or arrays may be given), so no
+    tensor is built."""
     vocab = cfg.vocab
     outputs = []
     for scene in scenes:
         words = constraints_for_mode(scene, mode, vocab, synonyms,
                                      sel_cfg, sel_params)
         result = _decode_for_scene(_scene_model(scene, cfg, cap_params), words,
-                                   train_cfg.beam_size, trace=trace)
+                                   train_cfg.beam_size, n_best=1, trace=trace)
         caption = vocab.decode(_strip_eos(result.best.tokens, vocab))
         satisfied = all(w in caption for w in words)
         for hyp in (h for row in result.trace for h in row["hyps"]):
@@ -536,7 +542,7 @@ def decode_split(scenes: list[SceneRecord], mode: str, cfg: CaptionerConfig,
             caption=caption, logprob=result.best.logprob,
             finished=result.best.finished, satisfied=satisfied,
             trace=result.trace, step_calls=result.step_calls,
-            offered=result.offered, kept=result.kept))
+            step_rows=result.step_rows, offered=result.offered, kept=result.kept))
     return outputs
 
 
@@ -571,6 +577,7 @@ def decode_eval(splits: HeldoutSplits, mode: str, data_cfg: DatasetConfig,
         float(np.mean([len(o.constraints) for o in outputs])) if outputs else 0.0)
     report["decoder"] = {
         "step_calls": sum(o.step_calls for o in outputs),
+        "step_rows": sum(o.step_rows for o in outputs),
         "offered": sum(o.offered for o in outputs),
         "kept": sum(o.kept for o in outputs),
         "unfinished_fallbacks": sum(1 for o in outputs if not o.finished),

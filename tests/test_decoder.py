@@ -127,33 +127,49 @@ def full_vocab_grid_search(lm, constraint_ids, k: int, T: int):
     return None, [], trace
 
 
-def stop_column(trace, n: int, k: int, T: int) -> int:
-    """The first column of a full-length ``trace`` after which no hypothesis
-    is live, or the k-th best finished full-coverage log-prob so far is
-    above every live one; T - 1 when no column qualifies."""
-    finished = []
-    for t in range(T):
-        rows = [row for row in trace if row["t"] == t]
-        finished += [h["logprob"] for row in rows if row["c"] == n
+def thresholds(trace, n: int, n_best: int) -> dict:
+    """The pruning threshold after each column of ``trace``: the n_best-th
+    best finished full-coverage log-prob so far, -inf while fewer are held."""
+    finished, bound = [], {}
+    for t in sorted({row["t"] for row in trace}):
+        finished += [h["logprob"] for row in trace if row["t"] == t and row["c"] == n
                      for h in row["hyps"] if h["finished"]]
-        live = [h["logprob"] for row in rows for h in row["hyps"]
-                if not h["finished"]]
-        top = sorted(finished, reverse=True)[:k]
-        if not live or (len(top) == k and top[-1] > max(live)):
+        top = sorted(finished, reverse=True)
+        bound[t] = top[n_best - 1] if len(top) >= n_best else -np.inf
+    return bound
+
+
+def stop_column(trace, n: int, n_best: int, T: int) -> int:
+    """The first column of a full-length ``trace`` after which no live
+    hypothesis reaches the column's pruning threshold; T - 1 when no column
+    qualifies."""
+    bound = thresholds(trace, n, n_best)
+    for t in range(T):
+        if not any(h["logprob"] >= bound[t] for row in trace if row["t"] == t
+                   for h in row["hyps"] if not h["finished"]):
             return t
     return T - 1
 
 
-def live_coverage(trace) -> dict:
+def cut(trace, bound: dict) -> list:
+    """Each column of ``trace`` cut to the hypotheses at or above the
+    previous column's threshold in ``bound``."""
+    return [{**row, "hyps": [h for h in row["hyps"]
+                             if h["logprob"] >= bound.get(row["t"] - 1, -np.inf)]}
+            for row in trace]
+
+
+def live_coverage(trace, n: int, n_best: int) -> dict:
     """Coverage of each live parent, by the column that expands it, for the
-    columns ``trace`` ran."""
-    last = trace[-1]["t"]
+    columns ``trace`` ran: every unfinished hypothesis of the previous column
+    at or above its pruning threshold."""
+    bound, last = thresholds(trace, n, n_best), trace[-1]["t"]
     live = {t: [] for t in range(last + 1)}
     live[0].append(0)  # the root
     for row in trace:
         if row["t"] < last:
-            live[row["t"] + 1] += [row["c"] for h in row["hyps"]
-                                   if not h["finished"]]
+            live[row["t"] + 1] += [row["c"] for h in row["hyps"] if not h["finished"]
+                                   and h["logprob"] >= bound[row["t"]]]
     return live
 
 
@@ -221,24 +237,39 @@ def check_saturation(lm, T, ids):
     assert set(ids) <= set(hyp.tokens)
 
 
-def check_full_vocabulary_expansion(lm, T, ids, k):
-    """The search's best, finished and trace equal the reference's, the
-    trace cut after the first column where the stop rule holds; returns the
-    search's result."""
+def check_full_vocabulary_expansion(lm, T, ids, k) -> dict:
+    """For every n_best in 1..k, the search's best and finished equal the
+    unpruned reference's best and first n_best finished, its trace is the
+    reference's up to the stop column once both are cut to the hypotheses
+    at or above each previous column's threshold, and it makes no more step
+    calls or rows than the n_best = k search; returns the results by
+    n_best."""
+    n = len(ids)
     best, finished, trace = full_vocab_grid_search(lm, ids, k, T)
-    result = run_grid_search(lm, ConstraintSet(ids), k=k, T=T, trace=True)
-    assert result.best == best
-    assert result.finished == finished[:k]
-    stop = stop_column(trace, len(ids), k, T)
-    assert result.trace == [row for row in trace if row["t"] <= stop]
-    return result
+    results = {}
+    for n_best in range(k, 0, -1):
+        result = run_grid_search(lm, ConstraintSet(ids), k=k, T=T, trace=True,
+                                 n_best=n_best)
+        assert result.best == best
+        assert result.finished == finished[:n_best]
+        stop = stop_column(trace, n, n_best, T)
+        bound = thresholds(trace, n, n_best)
+        assert cut(result.trace, bound) == cut([row for row in trace
+                                                if row["t"] <= stop], bound)
+        assert result.step_calls <= results.get(k, result).step_calls
+        assert result.step_rows <= results.get(k, result).step_rows
+        results[n_best] = result
+    return results
 
 
-def check_counters(lm, ids, k, result):
-    """One step call per column run, and each live parent offers its k best
-    free tokens (at most) plus its unmet words."""
-    n, live = len(ids), live_coverage(result.trace)
+def check_counters(lm, ids, k, n_best, result):
+    """One step call per column run, scoring every live parent, and each
+    live parent offers its k best free tokens (at most) plus its unmet
+    words."""
+    n = len(ids)
+    live = live_coverage(result.trace, n, n_best)
     assert result.step_calls == sum(1 for cs in live.values() if cs)
+    assert result.step_rows == sum(len(cs) for cs in live.values())
     assert result.offered <= sum(k + n - c for cs in live.values() for c in cs)
     assert result.offered == sum(min(k, lm.vocab_size - (n - c)) + n - c
                                  for cs in live.values() for c in cs)
@@ -246,12 +277,18 @@ def check_counters(lm, ids, k, result):
 
 
 def check_step_batches(lm, T, ids, k):
-    """Every step call scores every live parent of its column."""
+    """For every n_best, each step call scores every live parent of its
+    column, and ``step_rows`` sums the batch sizes."""
     lm = CountingLM(lm)
-    result = run_grid_search(lm, ConstraintSet(ids), k=k, T=T, trace=True)
-    assert lm.batches == [len(cs) for cs in live_coverage(result.trace).values() if cs]
-    assert result.step_calls == len(lm.batches)
-    check_counters(lm, ids, k, result)
+    for n_best in range(1, k + 1):
+        lm.batches = []
+        result = run_grid_search(lm, ConstraintSet(ids), k=k, T=T, trace=True,
+                                 n_best=n_best)
+        live = live_coverage(result.trace, len(ids), n_best)
+        assert lm.batches == [len(cs) for cs in live.values() if cs]
+        assert result.step_calls == len(lm.batches)
+        assert result.step_rows == sum(lm.batches)
+        check_counters(lm, ids, k, n_best, result)
 
 
 class TestFeasibleCoverage:
@@ -375,7 +412,8 @@ class TestGridBeamSearch:
         # equal scores order by tokens, so parents of one cell tie-break by
         # their own tokens before the new token
         lm, T, ids, k = case
-        check_counters(lm, ids, k, check_full_vocabulary_expansion(lm, T, ids, k))
+        for n_best, result in check_full_vocabulary_expansion(lm, T, ids, k).items():
+            check_counters(lm, ids, k, n_best, result)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(search_case())
@@ -395,6 +433,12 @@ class TestGridBeamSearch:
         assert [h.tokens for h in result.finished] == [(0,), (1, 0)]
         _, finished, _ = full_vocab_grid_search(lm, (), 2, 6)
         assert result.finished == finished[:2]
+
+    @pytest.mark.parametrize("n_best", [0, 4])
+    def test_n_best_outside_one_to_k_rejected(self, n_best):
+        lm = TableLM(np.log(np.full((3, 4), 0.25)))
+        with pytest.raises(ValueError, match="n_best"):
+            run_grid_search(lm, ConstraintSet(()), k=3, T=3, n_best=n_best)
 
     @pytest.mark.parametrize("bad", [0.5, np.nan])
     def test_step_row_above_zero_or_nan_rejected(self, bad):
@@ -436,7 +480,8 @@ class TestPrefixDependentModel:
     @given(search_case(tied_prefix_lm))
     def test_ties_break_like_full_vocabulary_expansion(self, case):
         lm, T, ids, k = case
-        check_counters(lm, ids, k, check_full_vocabulary_expansion(lm, T, ids, k))
+        for n_best, result in check_full_vocabulary_expansion(lm, T, ids, k).items():
+            check_counters(lm, ids, k, n_best, result)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(search_case(prefix_lm))

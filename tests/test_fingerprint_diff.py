@@ -35,7 +35,9 @@ def test_rounding_is_measured_and_passes():
     assert report["epoch_max_rel_diff"]["pretrain_captioner"] == pytest.approx(
         1e-12, rel=1e-3)
     assert report["logprob_max_abs_diff"] == pytest.approx(1e-13, rel=1e-2)
+    assert report["best_logprob_max_abs_diff"] == 0.0
     assert report["decodes"] == 2 and report["decodes_differing"] == 0
+    assert report["fields_differing"] == {}
     assert report["only_in_new"] == ["phases.pretrain_captioner.epochs[].updates"]
 
 
@@ -46,6 +48,7 @@ def test_a_shared_non_float_difference_fails(field, value):
     new["decodes"]["none@1"][0][field] = value
     report, mismatch = fingerprint_diff.compare(old, new)
     assert mismatch and report["decodes_differing"] == 1
+    assert report["fields_differing"] == {field: 1}
 
 
 def test_trace_tokens_count_as_non_float():
@@ -53,6 +56,20 @@ def test_trace_tokens_count_as_non_float():
     new["decodes"]["none@1"][1]["trace"][0]["hyps"][0]["tokens"] = ["the"]
     report, mismatch = fingerprint_diff.compare(old, new)
     assert mismatch and report["decodes_differing"] == 1
+    assert report["fields_differing"] == {"trace": 1}
+
+
+def test_best_logprob_is_told_from_trace_logprobs():
+    old, new = document(), document()
+    new["decodes"]["none@1"][0]["trace"][0]["hyps"][0]["logprob"] = -7.0
+    new["decodes"]["none@1"][1]["trace"].append({"c": 0, "hyps": [], "t": 1})
+    report, mismatch = fingerprint_diff.compare(old, new)
+    assert mismatch and report["logprob_max_abs_diff"] == 6.5
+    assert report["best_logprob_max_abs_diff"] == 0.0
+    assert report["fields_differing"] == {"trace": 1}
+    new["decodes"]["none@1"][0]["logprob"] = -3.0 + 1e-13
+    report, _ = fingerprint_diff.compare(old, new)
+    assert report["best_logprob_max_abs_diff"] == pytest.approx(1e-13, rel=1e-2)
 
 
 def test_a_changed_selection_fails():

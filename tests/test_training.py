@@ -664,6 +664,7 @@ class TestDecodeEval:
         counts = report["decoder"]
         assert counts == {
             "step_calls": sum(o.step_calls for o in outputs),
+            "step_rows": sum(o.step_rows for o in outputs),
             "offered": sum(o.offered for o in outputs),
             "kept": sum(o.kept for o in outputs),
             "unfinished_fallbacks": sum(1 for o in outputs if not o.finished)}
@@ -761,8 +762,8 @@ class TestCli:
                           "hash": rl["checkpoint_hashes"]["captioner_rl"]},
             "selector": {"file": "selector.ckpt",
                          "hash": sel["checkpoint_hashes"]["selector"]}}
-        assert set(report["decoder"]) == {"step_calls", "offered", "kept",
-                                          "unfinished_fallbacks"}
+        assert set(report["decoder"]) == {"step_calls", "step_rows", "offered",
+                                          "kept", "unfinished_fallbacks"}
 
     def test_trace_lines_are_grid_cells(self, run_dir):
         base, _, _ = run_dir
