@@ -3,8 +3,8 @@
 Usage: ``python scripts/step_cost.py`` (no options). On the default
 ``CaptionerConfig`` over the default dataset's vocabulary, with freshly
 initialised weights and the first generated scene's regions, it builds the
-model as ``training._scene_model`` does (parameter arrays and an encode
-on ``numerics.ARRAY_OPS``) and steps
+model as ``training._scene_model`` does (from parameter arrays, so its
+encode runs on ``numerics.ARRAY_OPS``) and steps
 ``rows`` distinct prefixes of length 4 from a cache that holds their
 length-3 parents, as a grid search's column does. Each row count's cost is
 the median of 30 such steps, each on a fresh copy of the cached model. It
@@ -27,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from gridcap.captioner import (RESERVED, CaptionerConfig,  # noqa: E402
                                SceneStepModel, encode, init_captioner_params)
 from gridcap.data import DatasetConfig, build_vocabulary, gen_dataset  # noqa: E402
-from gridcap.numerics import ARRAY_OPS, arrays_of  # noqa: E402
+from gridcap.numerics import arrays_of  # noqa: E402
 
 ROWS = (1, 8, 16, 32, 64, 128, 256, 512)
 REPEATS = 30
@@ -63,7 +63,7 @@ def main() -> None:
     cfg = CaptionerConfig(vocab=build_vocabulary(data_cfg))
     params = arrays_of(init_captioner_params(cfg, np.random.default_rng(0)))
     scene = gen_dataset(data_cfg)[0]
-    enc = encode(np.array(scene.region_visual), cfg, params, ops=ARRAY_OPS)
+    enc = encode(np.array(scene.region_visual), cfg, params)
     rng = np.random.default_rng(0)
     cost = {rows: step_ms(rows, cfg, params, enc, rng) for rows in ROWS}
     print("| rows | " + " | ".join(str(r) for r in ROWS) + " |")

@@ -9,11 +9,12 @@ of the decoder stack, and output logits tie to the transpose of the
 embedding matrix.
 
 One decoder-layer body and one output head serve two callers, on (blocks,
-rows, width) activations. The encoder, the scorer and the body's
-sub-blocks take an op set: the taped ops of ``numerics`` when a backward
-follows, else those ops' array forwards, ``numerics.ARRAY_OPS``, which
-build no tensor and no tape node but round exactly as the taped ops. The
-step always runs on arrays. ``tree_logprobs``
+rows, width) activations. The parameters choose the op set
+(``numerics.op_set``): tensors, given when a backward follows, run on the
+taped ops of ``numerics``; parameter arrays (``numerics.arrays_of``) run on
+those ops' array forwards, ``numerics.ARRAY_OPS``, which build no tensor
+and no tape node but round exactly as the taped ops. The step always runs
+on arrays. ``tree_logprobs``
 is the one teacher-forced scorer. It runs the body over prefix-tree rows
 packed as one block: each
 row is a token after a parent row (none at BOS), its position is its depth,
@@ -188,28 +189,32 @@ def init_captioner_params(cfg: CaptionerConfig, rng: np.random.Generator) -> dic
     return p
 
 
-# The sub-blocks below run on an op set ``ops``: the taped ops of ``numerics``
-# (the default) on tensors, or ``numerics.ARRAY_OPS`` on plain arrays.
+# The sub-blocks below run on the op set of their parameters
+# (``numerics.op_set``): the taped ops on tensors, ``numerics.ARRAY_OPS`` on
+# plain arrays.
 
 
-def ffn(x: Tensor, params: dict[str, Tensor], pre: str, ops=nm) -> Tensor:
+def ffn(x: Tensor, params: dict[str, Tensor], pre: str) -> Tensor:
     """Pre-norm residual feed-forward sub-block: x + W2 relu(W1 LN(x))."""
+    ops = nm.op_set(params)
     h = ops.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
     h = ops.linear(ops.relu(ops.linear(h, params[f"{pre}.w1"], params[f"{pre}.b1"])),
                    params[f"{pre}.w2"], params[f"{pre}.b2"])
     return ops.add(x, h)
 
 
-def _project(h: Tensor, params: dict[str, Tensor], pre: str, ops=nm):
+def _project(h: Tensor, params: dict[str, Tensor], pre: str):
     """Keys and values ``h Wk`` and ``h Wv`` of the attention named ``pre``."""
+    ops = nm.op_set(params)
     return ops.matmul(h, params[f"{pre}.wk"]), ops.matmul(h, params[f"{pre}.wv"])
 
 
 def _attention(x: Tensor, params: dict[str, Tensor], pre: str, kv,
-               num_heads: int, mask: np.ndarray | None = None, ops=nm) -> Tensor:
+               num_heads: int, mask: np.ndarray | None = None) -> Tensor:
     """Pre-norm residual attention sub-block: x + Wo MHA(h Wq, kv(h)) with
     h = LN(x); ``kv(h)`` gives the keys and values and ``mask`` marks
     blocked (row, key) pairs."""
+    ops = nm.op_set(params)
     h = ops.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
     k, v = kv(h)
     attended = ops.multi_head_attention(ops.matmul(h, params[f"{pre}.wq"]), k, v,
@@ -218,9 +223,10 @@ def _attention(x: Tensor, params: dict[str, Tensor], pre: str, kv,
 
 
 def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor],
-           segments=None, ops=nm) -> Tensor:
+           segments=None) -> Tensor:
     """Region vectors (n, visual_dim) -> encoder memory (n, d_model), on the
-    op set ``ops`` (on ``numerics.ARRAY_OPS``, parameter arrays give an array).
+    parameters' op set: parameter arrays give an array, tensors a taped
+    result.
 
     Several scenes pack into one call as stacked rows: ``segments`` (n,)
     numbers each row's scene (default: one scene), and a row attends to the
@@ -239,6 +245,7 @@ def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor],
         raise ValueError(f"segments shape {seg.shape} vs {n} region rows")
     mask = np.concatenate([seg[:, None] != seg[None, :],
                            np.zeros((n, cfg.num_memory), dtype=bool)], axis=1)[None]
+    ops = nm.op_set(params)
     x = ops.linear(ops.reshape(x, (1,) + x.shape), params["enc.input.w"],
                    params["enc.input.b"])
     for i in range(cfg.num_enc_layers):
@@ -247,10 +254,10 @@ def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor],
                         [params[f"enc{i}.mem.{name}"]] * cfg.num_heads, axis=1),
                         (1, cfg.num_memory, -1))], axis=1)
                     if cfg.num_memory else t
-                    for t, name in zip(_project(h, params, f"enc{i}.attn", ops), "kv")]
+                    for t, name in zip(_project(h, params, f"enc{i}.attn"), "kv")]
 
-        x = _attention(x, params, f"enc{i}.attn", kv, cfg.num_heads, mask, ops)
-        x = ffn(x, params, f"enc{i}.ffn", ops)
+        x = _attention(x, params, f"enc{i}.attn", kv, cfg.num_heads, mask)
+        x = ffn(x, params, f"enc{i}.ffn")
     x = ops.layer_norm(x, params["enc.final.ln_gain"], params["enc.final.ln_bias"])
     return ops.reshape(x, (n, cfg.d_model))
 
@@ -282,8 +289,9 @@ def _validate_tokens(tokens, cfg: CaptionerConfig) -> np.ndarray:
     return _check_ids(ids, ids[:, 0], ids.shape[1], cfg)
 
 
-def _embed(ids, pe: np.ndarray, params: dict[str, Tensor], ops=nm) -> Tensor:
+def _embed(ids, pe: np.ndarray, params: dict[str, Tensor]) -> Tensor:
     """Up-projected embeddings of ``ids`` plus their position rows ``pe``."""
+    ops = nm.op_set(params)
     x = ops.gather_rows(params["embed.E"], ids)
     x = ops.linear(x, params["embed.up_w"], params["embed.up_b"])
     return ops.add(x, pe)
@@ -291,7 +299,7 @@ def _embed(ids, pe: np.ndarray, params: dict[str, Tensor], ops=nm) -> Tensor:
 
 def _decoder_stack(x: Tensor, self_kv, self_mask: np.ndarray | None, cross_kv,
                    cross_mask: np.ndarray | None, cfg: CaptionerConfig,
-                   params: dict[str, Tensor], ops=nm) -> Tensor:
+                   params: dict[str, Tensor]) -> Tensor:
     """The decoder layers over ``x`` (blocks, rows, d), then the down projection.
 
     ``self_kv(i, h)`` and ``cross_kv(i, h)`` give layer i's self- and
@@ -300,17 +308,19 @@ def _decoder_stack(x: Tensor, self_kv, self_mask: np.ndarray | None, cross_kv,
     """
     for i in range(cfg.num_dec_layers):
         x = _attention(x, params, f"dec{i}.self", lambda h: self_kv(i, h),
-                       cfg.num_heads, self_mask, ops)
+                       cfg.num_heads, self_mask)
         x = _attention(x, params, f"dec{i}.cross", lambda h: cross_kv(i, h),
-                       cfg.num_heads, cross_mask, ops)
-        x = ffn(x, params, f"dec{i}.ffn", ops)
+                       cfg.num_heads, cross_mask)
+        x = ffn(x, params, f"dec{i}.ffn")
+    ops = nm.op_set(params)
     x = ops.layer_norm(x, params["dec.final.ln_gain"], params["dec.final.ln_bias"])
     return ops.linear(x, params["embed.down_w"], params["embed.down_b"])
 
 
-def _output_head(h: Tensor, params: dict[str, Tensor], ops=nm) -> Tensor:
+def _output_head(h: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Next-token log-probs of decoder states ``h``: log-softmax of ``h Eᵀ``,
     the head tied to the word embedding matrix E, shared by step and scorer."""
+    ops = nm.op_set(params)
     return ops.log_softmax(ops.matmul(h, ops.transpose(params["embed.E"])), axis=-1)
 
 
@@ -377,9 +387,10 @@ def prefix_tree(tokens, cfg: CaptionerConfig, scenes=None):
 
 def tree_logprobs(ids, parents, rows, targets, enc_out: Tensor,
                   cfg: CaptionerConfig, params: dict[str, Tensor], scenes=None,
-                  enc_segments=None, ops=nm) -> Tensor:
+                  enc_segments=None) -> Tensor:
     """Log-prob of token ``targets[j]`` after prefix-tree row ``rows[j]``,
-    from one teacher-forced pass over the rows on the op set ``ops``.
+    from one teacher-forced pass over the rows on the parameters' op set:
+    parameter arrays give an array, tensors a taped result.
 
     Row r holds token ``ids[r]`` after its parent row ``parents[r]`` (see
     ``tree_layout``). It attends to its ancestors, itself and the encoder
@@ -412,41 +423,42 @@ def tree_logprobs(ids, parents, rows, targets, enc_out: Tensor,
     cross_mask = scenes[:, None] != enc_segments[None, :]
     if (alone := cross_mask.all(axis=1)).any():
         raise ValueError(f"scene {scenes[alone.argmax()]} has no encoder rows")
+    ops = nm.op_set(params)
     x = _embed(ids[None], positional_encoding(cfg.max_len, cfg.d_model)[depth[None]],
-               params, ops)
+               params)
     enc = ops.reshape(enc_out, (1,) + enc_out.shape)
     h = _decoder_stack(
-        x, lambda i, h: _project(h, params, f"dec{i}.self", ops), self_mask[None],
-        lambda i, h: _project(enc, params, f"dec{i}.cross", ops), cross_mask[None],
-        cfg, params, ops)
-    return ops.take(_output_head(ops.reshape(h, h.shape[1:]), params, ops),
-                    rows, targets)
+        x, lambda i, h: _project(h, params, f"dec{i}.self"), self_mask[None],
+        lambda i, h: _project(enc, params, f"dec{i}.cross"), cross_mask[None],
+        cfg, params)
+    return ops.take(_output_head(ops.reshape(h, h.shape[1:]), params), rows, targets)
 
 
 def weighted_logprob(tokens, weights, enc_out: Tensor, cfg: CaptionerConfig,
                      params: dict[str, Tensor], scenes=None,
-                     enc_segments=None, ops=nm) -> Tensor:
+                     enc_segments=None) -> Tensor:
     """Sum over packed sequences of ``weights[b]`` times sequence b's
-    log-prob, from one ``tree_logprobs`` pass over their ``prefix_tree``.
+    log-prob, from one ``tree_logprobs`` pass over their ``prefix_tree``,
+    on the parameters' op set.
 
     Each (row, next token) edge is picked once and weighs the summed
-    weights of the sequences through it. ``scenes``, ``enc_segments`` and
-    ``ops`` are as for ``prefix_tree`` and ``tree_logprobs``.
+    weights of the sequences through it. ``scenes`` and ``enc_segments``
+    are as for ``prefix_tree`` and ``tree_logprobs``.
     """
     ids, parents, rows, targets, edge_of, row_scenes = prefix_tree(tokens, cfg, scenes)
     picked = tree_logprobs(ids, parents, rows, targets, enc_out, cfg, params,
-                           row_scenes, enc_segments, ops)
+                           row_scenes, enc_segments)
     steps = [len(t) - 1 for t in tokens]
     per_edge = np.bincount(edge_of, np.repeat(weights, steps), minlength=len(targets))
+    ops = nm.op_set(params)
     return ops.tsum(ops.mul(picked, per_edge))
 
 
 def xent_loss(tokens, enc_out: Tensor, cfg: CaptionerConfig,
-              params: dict[str, Tensor], scenes=None, enc_segments=None,
-              ops=nm) -> Tensor:
+              params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
     """Mean next-token cross-entropy of a packed list of sequences, each of
     which must pass ``_validate_tokens`` and hold EOS (see ``prefix_tree``),
-    on the op set ``ops``.
+    on the parameters' op set.
 
     The loss is the mean over sequences of each one's mean, so a length-L
     sequence weighs 1 / ((L - 1) · number of sequences) in the negated
@@ -456,8 +468,9 @@ def xent_loss(tokens, enc_out: Tensor, cfg: CaptionerConfig,
     if any(cfg.vocab.eos_id not in c for c in captions):
         raise ValueError("training sequence lacks EOS")
     steps = np.array([len(c) - 1 for c in captions])
-    return ops.neg(weighted_logprob(captions, 1.0 / (steps * len(captions)), enc_out,
-                                    cfg, params, scenes, enc_segments, ops))
+    return nm.op_set(params).neg(weighted_logprob(
+        captions, 1.0 / (steps * len(captions)), enc_out, cfg, params, scenes,
+        enc_segments))
 
 
 class BudgetExhausted(Exception):
@@ -471,11 +484,12 @@ class SceneStepModel:
 
     It holds the scene's encoder output and the parameters as given,
     tensors or arrays; training and evaluation give it ``encode``'s array
-    output and the parameter arrays. ``step`` runs on arrays: it reads
-    their arrays and the encoder's cross-attention keys and values, computed
-    once when the model is built, and runs the scorer's decoder body and
-    output head on ``numerics.ARRAY_OPS``, so it builds no tensor and no
-    tape node.
+    output and the parameter arrays. ``step`` always runs on arrays: it
+    hands the scorer's decoder body and output head the parameters' arrays
+    and the encoder's cross-attention keys and values, computed once when
+    the model is built, so their op set is ``numerics.ARRAY_OPS`` and a
+    step builds no tensor and no tape node. ``all_step_logprobs`` runs on
+    the parameters as given: on the tape only for tensors.
 
     ``step(prefixes)`` scores every prefix in one decoder pass over their
     last tokens only, in the call order of a grid search: all prefixes of
@@ -501,7 +515,7 @@ class SceneStepModel:
     def __post_init__(self):
         self._arrays = nm.arrays_of(self.params)
         enc = self.enc_out.data if isinstance(self.enc_out, Tensor) else self.enc_out
-        self._cross = [_project(enc[None], self._arrays, f"dec{i}.cross", nm.ARRAY_OPS)
+        self._cross = [_project(enc[None], self._arrays, f"dec{i}.cross")
                        for i in range(self.cfg.num_dec_layers)]
 
     @property
@@ -542,21 +556,21 @@ class SceneStepModel:
         except KeyError as exc:
             raise ValueError(f"prefix {exc.args[0]} was not stepped by the "
                              "previous call") from None
-        past_kv, params, ops = self._kv, self._arrays, nm.ARRAY_OPS
+        past_kv, params = self._kv, self._arrays
         layers = []
 
         def self_kv(i, h):
             kv = tuple(np.concatenate([past[parents], new], axis=1)
                        for past, new in zip(past_kv[i],
-                                            _project(h, params, f"dec{i}.self", ops)))
+                                            _project(h, params, f"dec{i}.self")))
             layers.append(kv)
             return kv
 
         x = _embed(ids[:, -1:], positional_encoding(cfg.max_len, cfg.d_model)[n - 1],
-                   params, ops)
+                   params)
         lp = _output_head(_decoder_stack(x, self_kv, None,
                                          lambda i, h: self._cross[i], None, cfg,
-                                         params, ops), params, ops)
+                                         params), params)
         self._rows = {p: r for r, p in enumerate(checked)}
         self._kv = layers
         return lp[:, 0]
@@ -564,9 +578,9 @@ class SceneStepModel:
     def all_step_logprobs(self, seqs) -> Tensor:
         """Log-prob of every next token of BOS-led sequences, sequence by
         sequence, on the model's encode: ``tree_logprobs`` over their
-        ``prefix_tree``, each token reading its edge, on the tape (so the
-        model must hold tensors). No caller is left in ``src/``;
-        ``bench/tracer.py`` times it (ROADMAP item 1)."""
+        ``prefix_tree``, each token reading its edge. It runs on its
+        parameters' op set, on the tape only for tensors. No caller is left
+        in ``src/``; ``bench/tracer.py`` times it (ROADMAP item 1)."""
         ids, parents, rows, targets, edge_of, _ = prefix_tree(seqs, self.cfg)
         return tree_logprobs(ids, parents, rows[edge_of], targets[edge_of],
                              self.enc_out, self.cfg, self.params)

@@ -226,13 +226,14 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
 
 
 def sequence_logprob(candidates, model) -> Tensor:
-    """Differentiable log-prob sums (len(candidates),) of completed decodes.
+    """Log-prob sums (len(candidates),) of completed decodes, as a tensor.
 
     ``model.all_step_logprobs`` gives the next-token log-probs of BOS-led
-    sequences, sequence by sequence, the order the one-hot sum needs.
-    Constraint words and free words are scored alike under the trainable
-    model, so each sum matches the search-time hypothesis score and its
-    gradient reaches every parameter. No ``src/`` caller is left;
+    sequences, sequence by sequence, the order the one-hot sum needs. It
+    runs on its parameters' op set, on the tape only for tensors: a model
+    holding tensors gives sums whose gradient reaches every parameter.
+    Constraint words and free words are scored alike, so each sum matches
+    the search-time hypothesis score. No ``src/`` caller is left;
     ``bench/tracer.py`` binds it (ROADMAP item 1).
     """
     seqs = [tuple(int(x) for x in c) for c in candidates]

@@ -12,10 +12,11 @@ holds the op's shape checks and arithmetic on plain arrays, and returns
 the intermediates its backward reads; the taped op wraps the result in a
 ``Tensor`` and records the inputs and a vector-Jacobian closure on it.
 ``ARRAY_OPS`` is the array op set, with the taped ops' names and
-signatures. A pass runs on the taped ops only when a backward follows it;
-every other pass (search, encodes and selections for decoding, validation)
-runs the same body on ``ARRAY_OPS`` over the parameters' arrays
-(``arrays_of``) and builds no tensor or tape node.
+signatures. The parameters choose the op set (``op_set``): a pass given
+tensors runs on the taped ops, and is given them only when a backward
+follows it; every other pass (search, encodes and selections for decoding,
+validation) is given the parameters' arrays (``arrays_of``), so it runs the
+same body on ``ARRAY_OPS`` and builds no tensor or tape node.
 
 ``backward`` walks the explicit per-graph tape. There is no global graph,
 so callers can build and drop graphs freely. ``backward`` stores gradients
@@ -33,6 +34,7 @@ import json
 import logging
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -526,6 +528,14 @@ ARRAY_OPS = SimpleNamespace(
     multi_head_attention=lambda q, k, v, num_heads, mask=None:
         multi_head_attention_forward(q, k, v, num_heads, mask)[0],
 )
+
+
+def op_set(params: dict):
+    """The op set of a pass over ``params``: this module, whose taped ops
+    record a backward, for tensors; ``ARRAY_OPS`` for plain arrays. A dict
+    holds tensors only or arrays only, so its first entry decides."""
+    return (sys.modules[__name__] if isinstance(next(iter(params.values()), None),
+                                                Tensor) else ARRAY_OPS)
 
 
 # ---------------------------------------------------------------------------

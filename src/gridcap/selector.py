@@ -94,10 +94,10 @@ def init_selector_params(cfg: SelectorConfig, rng: np.random.Generator) -> dict[
 
 
 def selector_forward(features: Tensor | np.ndarray, classes, cfg: SelectorConfig,
-                     params: dict[str, Tensor], segments=None, ops=nm) -> Tensor:
+                     params: dict[str, Tensor], segments=None) -> Tensor:
     """Per-region selection scores in (0, 1), aligned with the input rows,
-    on the op set ``ops`` (on ``numerics.ARRAY_OPS``, parameter arrays give
-    an array).
+    on the parameters' op set (``numerics.op_set``): parameter arrays give
+    an array, tensors a taped result.
 
     Pipeline: input projection, then num_layers blocks of inner attention,
     self attention, and feed-forward, each as a pre-norm residual sub-block,
@@ -117,6 +117,7 @@ def selector_forward(features: Tensor | np.ndarray, classes, cfg: SelectorConfig
     other_scene = seg[None, :, None] != seg[None, None, :]  # one (1, n, n) block
     masks = {"inner": other_scene | (classes[:, None] != classes[None, :]),
              "self": other_scene}
+    ops = nm.op_set(params)
     x = ops.linear(ops.reshape(x, (1,) + x.shape), params["input.w"], params["input.b"])
     for i in range(cfg.num_layers):
         for block, mask in masks.items():
@@ -125,7 +126,7 @@ def selector_forward(features: Tensor | np.ndarray, classes, cfg: SelectorConfig
             x = ops.add(x, ops.multi_head_attention(
                 ops.matmul(h, params[f"{pre}.wq"]), ops.matmul(h, params[f"{pre}.wk"]),
                 ops.matmul(h, params[f"{pre}.wv"]), cfg.num_heads, mask))
-        x = ffn(x, params, f"layer{i}.ffn", ops)
+        x = ffn(x, params, f"layer{i}.ffn")
     x = ops.layer_norm(x, params["final.ln_gain"], params["final.ln_bias"])
     logits = ops.linear(x, params["head.w"], params["head.b"])
     return ops.reshape(ops.sigmoid(logits), (n,))

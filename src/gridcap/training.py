@@ -12,11 +12,13 @@ weighted scorer, ``captioner.weighted_logprob``: one teacher-forced pass
 over the trie of each scene's distinct proper prefixes, a pre-training
 minibatch's references or a fine-tuning scene's candidates.
 
-A pass runs on the taped ops only when a backward follows it: the
-minibatch losses of the three phases. Every other pass runs on the
-parameters' arrays and ``numerics.ARRAY_OPS`` and builds no tensor: the
-validation passes (selection F1, perplexity), the encodes and selections of
-every decode, and the searches.
+The parameters choose the op set (``numerics.op_set``). Only a pass that a
+backward follows, the minibatch loss of each of the three phases, is given
+the parameter tensors and runs on the taped ops. Every other pass is given
+the parameters' arrays (``numerics.arrays_of``), so it runs on
+``numerics.ARRAY_OPS`` and builds no tensor: the validation passes
+(selection F1, perplexity), the encodes and selections of every decode, and
+the searches.
 
 Every decode, whether a fine-tuning beam, a validation pass or an
 evaluation, is one ``run_grid_search`` call made by ``_decode_for_scene`` on
@@ -45,8 +47,8 @@ from .data import DatasetConfig, HeldoutSplits, SceneRecord
 # sequence_logprob is not called here: bench/tracer.py wraps this binding
 from .decoder import ConstraintSet, run_grid_search, sequence_logprob  # noqa: F401
 from .metrics import EvalRecord, IdfTable, ReferenceVectors, cider_d, eval_report
-from .numerics import (ARRAY_OPS, AdamState, Tensor, adam_step, arrays_of,
-                       check_at_least, noam_lr, zero_grads)
+from .numerics import (AdamState, Tensor, adam_step, arrays_of, check_at_least,
+                       noam_lr, zero_grads)
 from .selector import (BCE_LAMBDA0, BCE_LAMBDA1, SelectorConfig,
                        build_ground_truth, extract_features,
                        init_selector_params, mentions_any, rank_class_words,
@@ -181,7 +183,7 @@ def _selection_val_f1(prepared, cfg, params, batch_size: int) -> float:
     scores_f1, arrays = [], arrays_of(params)
     for chunk in _batches(prepared, batch_size):
         feats, classes, _, segments = _packed_scenes(chunk)
-        scores = selector_forward(feats, classes, cfg, arrays, segments, ARRAY_OPS)
+        scores = selector_forward(feats, classes, cfg, arrays, segments)
         for b, (_, _, dets, targets) in enumerate(chunk):
             selected = select_constraints(scores[segments == b], dets)
             gt_words = {d.class_word for d, t in zip(dets, targets) if t > 0.5}
@@ -234,12 +236,12 @@ def _packed_samples(samples, vocab):
     return np.concatenate(regions), np.concatenate(segments), captions, scene_of
 
 
-def _minibatch_xent(samples, cfg: CaptionerConfig, params, ops=nm) -> Tensor:
+def _minibatch_xent(samples, cfg: CaptionerConfig, params) -> Tensor:
     """Mean per-sample cross-entropy of one packed minibatch: one encoder and
-    one decoder pass on the op set ``ops``."""
+    one decoder pass on the parameters' op set."""
     regions, segments, captions, scene_of = _packed_samples(samples, cfg.vocab)
-    enc = encode(regions, cfg, params, segments, ops)
-    return xent_loss(captions, enc, cfg, params, scene_of, segments, ops)
+    enc = encode(regions, cfg, params, segments)
+    return xent_loss(captions, enc, cfg, params, scene_of, segments)
 
 
 def _val_perplexity(scenes, cfg: CaptionerConfig, params, batch_size: int) -> float:
@@ -248,7 +250,7 @@ def _val_perplexity(scenes, cfg: CaptionerConfig, params, batch_size: int) -> fl
     packed rows squared)."""
     samples = [(scene, ref) for scene in scenes for ref in scene.references]
     arrays = arrays_of(params)
-    total = sum(_minibatch_xent(chunk, cfg, arrays, ARRAY_OPS).item() * len(chunk)
+    total = sum(_minibatch_xent(chunk, cfg, arrays).item() * len(chunk)
                 for chunk in _batches(samples, batch_size))
     return float(np.exp(total / len(samples))) if samples else float("inf")
 
@@ -296,10 +298,10 @@ def _strip_eos(tokens, vocab) -> list[int]:
 
 def _scene_model(scene: SceneRecord, cfg: CaptionerConfig, params) -> SceneStepModel:
     """The scene's search model on the arrays of ``params`` (tensors or
-    arrays): its encode runs on ``ARRAY_OPS``, so it builds no tensor."""
+    arrays): its encode runs on those arrays, so it builds no tensor."""
     arrays = arrays_of(params)
-    return SceneStepModel(encode(np.array(scene.region_visual), cfg, arrays,
-                                 ops=ARRAY_OPS), cfg, arrays)
+    return SceneStepModel(encode(np.array(scene.region_visual), cfg, arrays), cfg,
+                          arrays)
 
 
 def _decode_for_scene(model: SceneStepModel, words, k, *, n_best=None, trace=False):
@@ -493,8 +495,7 @@ def constraints_for_mode(scene: SceneRecord, mode: str, vocab, synonyms,
         if sel_cfg is None or sel_params is None:
             raise ValueError("selector mode needs a trained selector")
         feats, classes, dets = selector_proposals(scene, sel_cfg)
-        scores = selector_forward(feats, classes, sel_cfg, arrays_of(sel_params),
-                                  ops=ARRAY_OPS)
+        scores = selector_forward(feats, classes, sel_cfg, arrays_of(sel_params))
         return select_constraints(scores, dets)
     raise ValueError(f"unknown decode mode {mode!r}")
 

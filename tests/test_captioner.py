@@ -326,13 +326,14 @@ class TestTreeRows:
 
 
 class TestArrayPasses:
-    """The encoder and the scorer on ``nm.ARRAY_OPS`` over parameter arrays
-    return arrays that equal their taped values bitwise."""
+    """The encoder and the scorer over parameter arrays run on
+    ``nm.ARRAY_OPS`` and return arrays that equal their taped values
+    bitwise."""
 
     @pytest.mark.parametrize("segments", [None, [0, 1, 1, 0]])
     def test_encode_equals_taped(self, setup, segments):
         cfg, params, regions = setup
-        got = encode(regions, cfg, nm.arrays_of(params), segments, nm.ARRAY_OPS)
+        got = encode(regions, cfg, nm.arrays_of(params), segments)
         assert type(got) is np.ndarray
         assert np.array_equal(got, encode(regions, cfg, params, segments).data)
 
@@ -343,20 +344,19 @@ class TestArrayPasses:
                 [v.bos_id, 9, v.eos_id]]
         scenes, segments, weights = [0, 0, 1], [0, 0, 1, 1], np.array([0.5, -1.0, 2.0])
         enc = encode(regions, cfg, params, segments)
-        enc_array = encode(regions, cfg, arrays, segments, nm.ARRAY_OPS)
+        enc_array = encode(regions, cfg, arrays, segments)
         ids, parents, rows, targets, _, row_scenes = prefix_tree(seqs, cfg, scenes)
         tree = (ids, parents, rows, targets)
-        got = tree_logprobs(*tree, enc_array, cfg, arrays, row_scenes, segments,
-                            nm.ARRAY_OPS)
+        got = tree_logprobs(*tree, enc_array, cfg, arrays, row_scenes, segments)
         assert type(got) is np.ndarray
         assert np.array_equal(got, tree_logprobs(*tree, enc, cfg, params, row_scenes,
                                                  segments).data)
-        assert weighted_logprob(seqs, weights, enc_array, cfg, arrays, scenes, segments,
-                                nm.ARRAY_OPS) == weighted_logprob(
+        assert weighted_logprob(seqs, weights, enc_array, cfg, arrays, scenes,
+                                segments) == weighted_logprob(
             seqs, weights, enc, cfg, params, scenes, segments).item()
-        assert xent_loss(seqs, enc_array, cfg, arrays, scenes, segments,
-                         nm.ARRAY_OPS) == xent_loss(seqs, enc, cfg, params, scenes,
-                                                    segments).item()
+        assert xent_loss(seqs, enc_array, cfg, arrays, scenes,
+                         segments) == xent_loss(seqs, enc, cfg, params, scenes,
+                                                segments).item()
 
 
 @pytest.fixture
@@ -364,9 +364,9 @@ def head_inputs(monkeypatch):
     """The decoder states of every ``captioner._output_head`` call."""
     states, head = [], captioner._output_head
 
-    def spy(h, params, *ops):
+    def spy(h, params):
         states.append(h.data)
-        return head(h, params, *ops)
+        return head(h, params)
 
     monkeypatch.setattr(captioner, "_output_head", spy)
     return states

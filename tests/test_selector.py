@@ -297,8 +297,7 @@ class TestSelectorForward:
         cfg, params = small_selector(33)
         feats, classes, segments = packed(np.random.default_rng(33),
                                           [[0, 1, 0], [2], [1, 1, 2, 0]])
-        got = selector_forward(feats, classes, cfg, nm.arrays_of(params), segments,
-                               nm.ARRAY_OPS)
+        got = selector_forward(feats, classes, cfg, nm.arrays_of(params), segments)
         assert type(got) is np.ndarray
         assert np.array_equal(
             got, selector_forward(feats, classes, cfg, params, segments).data)

@@ -163,10 +163,11 @@ class TestCaptionerPhase:
         samples = [(scenes[0], [a, b]), (scenes[0], [a, c]), (scenes[1], [a, b])]
         scorer, scored = captioner.tree_logprobs, []
 
-        def spy(ids, parents, rows, targets, enc_out, cfg, params, scenes, *rest):
+        def spy(ids, parents, rows, targets, enc_out, cfg, params, scenes,
+                enc_segments):
             scored.append((ids, parents, scenes))
             return scorer(ids, parents, rows, targets, enc_out, cfg, params, scenes,
-                          *rest)
+                          enc_segments)
 
         monkeypatch.setattr(captioner, "tree_logprobs", spy)
         tr._minibatch_xent(samples, cfg, params)
