@@ -10,10 +10,11 @@ records; ``-`` for a stage that trains nothing). Then it prints the
 quality the stages report: the last selector epoch's val-F1, the last
 pre-training epoch's val-ppl, each fine-tuning epoch's val CIDEr-D, and
 selector-mode out-domain F1, CIDEr-D and constraint satisfaction on the
-test split, and the search work that eval reports (its ``decoder`` counts:
-``step_calls``, ``step_rows``, ``offered``, ``kept`` and
-``unfinished_fallbacks``). The last line holds the same numbers as one JSON
-object. It imports ``gridcap`` from the ``src`` directory next to it.
+test split. Last it prints the search work the stages report, as
+``decoder`` counts (``step_calls``, ``step_rows``, ``offered``, ``kept`` and
+``unfinished_fallbacks``): each fine-tuning epoch's training searches
+(``search_decoder``) and validation pass (``val_decoder``), and eval's
+searches. The last line holds the same numbers as one JSON object. It imports ``gridcap`` from the ``src`` directory next to it.
 """
 
 import contextlib
@@ -73,6 +74,8 @@ def main() -> None:
         "selector_out_domain_cider_d": evaluation["out_domain"]["cider_d"],
         "selector_satisfaction": evaluation["constraint_satisfaction"],
     }
+    finetune_decoder = [{k: e[k] for k in ("search_decoder", "val_decoder")}
+                        for e in stages["finetune"]["epochs"]]
     decoder = {k: evaluation["decoder"][k] for k in DECODER_COUNTS}
     print(f"{'stage':<16}{'wall_s':>8}{'updates':>9}")
     for name, stage in stages.items():
@@ -84,11 +87,18 @@ def main() -> None:
     print(f"selector mode: out-domain F1 {quality['selector_out_domain_f1']:.3f}  "
           f"CIDEr-D {quality['selector_out_domain_cider_d']:.3f}  "
           f"satisfaction {quality['selector_satisfaction']:.3f}")
-    print("selector-mode eval search: "
-          + "  ".join(f"{k} {v}" for k, v in decoder.items()))
+
+    def counts(name, work):
+        print(f"{name}: " + "  ".join(f"{k} {work[k]}" for k in DECODER_COUNTS))
+
+    for epoch, work in enumerate(finetune_decoder):
+        counts(f"finetune epoch {epoch} training searches", work["search_decoder"])
+        counts(f"finetune epoch {epoch} validation pass", work["val_decoder"])
+    counts("selector-mode eval search", decoder)
     print(json.dumps({"stages": {n: {k: s[k] for k in ("wall_s", "updates")}
                                  for n, s in stages.items()}} | quality
-                     | {"eval_decoder": decoder}))
+                     | {"finetune_decoder": finetune_decoder,
+                        "eval_decoder": decoder}))
 
 
 if __name__ == "__main__":

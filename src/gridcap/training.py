@@ -30,7 +30,9 @@ can no longer change them. Fine-tuning asks for the beam size: those are a
 scene's candidates, all rewarded against one build of the scene's reference
 vectors. ``decode_split`` (evaluation and fine-tuning's validation) reads
 only ``best``, so it asks for 1.
-Every epoch record counts its Adam steps as ``updates``.
+Every epoch record counts its Adam steps as ``updates``. Evaluation reports
+its searches' work, and each fine-tuning epoch that of its training
+searches and of its validation pass, as one ``decoder_counts`` dict.
 """
 
 from __future__ import annotations
@@ -392,7 +394,9 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
     ``skipped_scenes``, and ``zero_advantage_scenes``: scored scenes whose
     candidates all earned one reward, so no policy term was built. It also
     counts ``scoring_passes``, the backwards of the policy loss, and
-    ``scored_rows``, the decoder rows those passes scored.
+    ``scored_rows``, the decoder rows those passes scored, and holds the
+    ``decoder_counts`` of its training searches (``search_decoder``) and of
+    its validation pass (``val_decoder``).
     ``mean_beam_reward`` averages over scored scenes only and is 0.0 when
     none was scored, which is logged as a warning.
     """
@@ -408,7 +412,7 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
     for epoch in range(train_cfg.rl_epochs):
         order = rng.permutation(len(scenes))
         reward_sum, reward_n, skipped, zero_adv = 0.0, 0, 0, 0
-        passes, scored_rows = 0, 0
+        passes, scored_rows, searches = 0, 0, []
         steps_before = state.step
         for batch in _batches(order, train_cfg.batch_size):
             zero_grads(params)
@@ -419,6 +423,7 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
                 model = _scene_model(scene, cfg, params)
                 result = _decode_for_scene(model, words, train_cfg.beam_size,
                                            n_best=train_cfg.beam_size)
+                searches.append(result)
                 cands = result.finished
                 if len(cands) < 2:
                     skipped += 1
@@ -462,6 +467,8 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
             "scoring_passes": passes,
             "scored_rows": scored_rows,
             "updates": state.step - steps_before,
+            "search_decoder": decoder_counts(searches),
+            "val_decoder": decoder_counts(val),
         })
         if reward_n == 0:
             log.warning("finetune epoch %d scored no scene: all %d finished "
@@ -516,6 +523,18 @@ class DecodeOutput:
     kept: int = 0
 
 
+def decoder_counts(searches) -> dict:
+    """The summed work of searches, ``GridResult``s or ``DecodeOutput``s:
+    their ``step_calls``, ``step_rows``, ``offered`` and ``kept``, and
+    ``unfinished_fallbacks``, the searches with no finished full-coverage
+    decode (``finished`` is empty or false)."""
+    return {"step_calls": sum(s.step_calls for s in searches),
+            "step_rows": sum(s.step_rows for s in searches),
+            "offered": sum(s.offered for s in searches),
+            "kept": sum(s.kept for s in searches),
+            "unfinished_fallbacks": sum(1 for s in searches if not s.finished)}
+
+
 def decode_split(scenes: list[SceneRecord], mode: str, cfg: CaptionerConfig,
                  cap_params: dict, train_cfg: TrainConfig, synonyms,
                  sel_cfg: SelectorConfig | None = None,
@@ -557,7 +576,7 @@ def decode_eval(splits: HeldoutSplits, mode: str, data_cfg: DatasetConfig,
 
     Returns (report dict, decode outputs). The report mirrors the metric
     module's in/out-domain layout and adds constraint bookkeeping and a
-    ``decoder`` entry summing the searches' work counters.
+    ``decoder`` entry, the searches' ``decoder_counts``.
     """
     if mode not in EVAL_MODES:
         raise ValueError(f"unknown decode mode {mode!r}")
@@ -576,11 +595,5 @@ def decode_eval(splits: HeldoutSplits, mode: str, data_cfg: DatasetConfig,
         / n_constrained if n_constrained else 1.0)
     report["mean_constraints"] = (
         float(np.mean([len(o.constraints) for o in outputs])) if outputs else 0.0)
-    report["decoder"] = {
-        "step_calls": sum(o.step_calls for o in outputs),
-        "step_rows": sum(o.step_rows for o in outputs),
-        "offered": sum(o.offered for o in outputs),
-        "kept": sum(o.kept for o in outputs),
-        "unfinished_fallbacks": sum(1 for o in outputs if not o.finished),
-    }
+    report["decoder"] = decoder_counts(outputs)
     return report, outputs

@@ -14,13 +14,16 @@ from gridcap import captioner, cli
 from gridcap import numerics as nm
 from gridcap import training as tr
 from gridcap.captioner import (CaptionerConfig, Vocabulary, encode,
-                               init_captioner_params, prefix_tree, tree_layout)
+                               init_captioner_params, prefix_tree, tree_layout,
+                               tree_logprobs, xent_loss)
 from gridcap.data import (DatasetConfig, apply_heldout, build_vocabulary,
                           default_synonyms, gen_dataset)
+from gridcap.decoder import sequence_logprob
 from gridcap.metrics import ReferenceVectors
 from gridcap.numerics import (Tensor, checkpoint_hash, load_checkpoint,
                               save_checkpoint)
-from gridcap.selector import SelectorConfig, init_selector_params
+from gridcap.selector import (SelectorConfig, init_selector_params,
+                              selector_forward)
 from gridcap.training import (TrainConfig, build_training_constraints,
                               constraints_for_mode, decode_eval,
                               finetune_scst_dgbs, pretrain_captioner,
@@ -300,6 +303,66 @@ class TestGradientFreePasses:
         assert ppl == float(np.exp(taped / len(samples)))
         assert 0.0 <= f1 <= 1.0
 
+    def test_sequence_logprob_scores_a_search_model(self, tiny_world, pretrained):
+        # a search model holds parameter arrays, so its candidates are scored
+        # on the array op set, to the log-probs the search summed
+        _, _, synonyms, splits, vocab = tiny_world
+        cfg, pre = pretrained
+        scene = splits.captioner_train[0]
+        model = tr._scene_model(scene, cfg, pre)
+        result = tr._decode_for_scene(
+            model, build_training_constraints(scene, synonyms, vocab), 5)
+        assert len(result.finished) >= 2
+        got = sequence_logprob([h.tokens for h in result.finished], model)
+        np.testing.assert_allclose(got.data, [h.logprob for h in result.finished],
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def passes(tiny_world):
+    """Each pass that runs on its parameters' op set, by name: its initial
+    parameters and a function of them that runs the pass on one scene."""
+    _, scenes, _, _, vocab = tiny_world
+    cfg, sel_cfg = tiny_cap_cfg(vocab), SelectorConfig()
+    cap = init_captioner_params(cfg, np.random.default_rng(21))
+    regions = np.array(scenes[0].region_visual)
+    feats, classes, _ = tr.selector_proposals(scenes[0], sel_cfg)
+    seqs = [[vocab.bos_id, 5, 6, vocab.eos_id], [vocab.bos_id, 5, 7, vocab.eos_id]]
+    tree = prefix_tree(seqs, cfg)[:4]
+    return {
+        "encode": (cap, lambda p: encode(regions, cfg, p)),
+        "selector_forward": (init_selector_params(sel_cfg, np.random.default_rng(22)),
+                             lambda p: selector_forward(feats, classes, sel_cfg, p)),
+        "tree_logprobs": (cap, lambda p: tree_logprobs(
+            *tree, encode(regions, cfg, p), cfg, p)),
+        "xent_loss": (cap, lambda p: xent_loss(seqs, encode(regions, cfg, p), cfg, p)),
+    }
+
+
+@pytest.mark.parametrize("name", ["encode", "selector_forward", "tree_logprobs",
+                                  "xent_loss"])
+class TestParametersChooseOpSet:
+    """A pass takes no op set: parameter arrays run it on ``ARRAY_OPS``,
+    tensors on the tape."""
+
+    def test_arrays_give_an_array_and_build_no_tensor(self, passes, name,
+                                                      monkeypatch):
+        params, run = passes[name]
+        arrays = nm.arrays_of(params)
+        made = tensors_made(monkeypatch)
+        got = run(arrays)
+        assert made == []
+        assert isinstance(got, np.ndarray | np.float64)
+
+    def test_tensors_give_a_taped_result_that_backpropagates(self, passes, name):
+        params, run = passes[name]
+        params = fresh_copy(params)
+        taped = run(params)
+        assert isinstance(taped, Tensor) and taped.requires_grad
+        assert np.array_equal(taped.data, run(nm.arrays_of(params)))
+        nm.backward(nm.tsum(taped))
+        assert any(p.grad is not None and p.grad.any() for p in params.values())
+
 
 @pytest.fixture(scope="module")
 def pretrained(tiny_world):
@@ -364,6 +427,35 @@ class TestFinetune:
         assert epochs[0]["scored_scenes"] >= 1 and epochs[0]["updates"] >= 1
         assert checkpoint_hash(given) == before
         assert checkpoint_hash(tuned) != before
+
+    def test_epoch_records_sum_their_searches(self, tiny_world, pretrained,
+                                              monkeypatch):
+        # an epoch's searches are its training scenes' and then its
+        # validation pass's, one per scene; each dict sums its own
+        _, _, synonyms, splits, _ = tiny_world
+        cfg, pre = pretrained
+        tcfg = TrainConfig(rl_epochs=2, beam_size=3, seed=9)
+        sub = tr.HeldoutSplits(captioner_train=splits.captioner_train[:6],
+                               selector_train=[], val=splits.val[:3], test=[])
+        search, results = tr.run_grid_search, []
+
+        def spy(*args, **kwargs):
+            results.append(search(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(tr, "run_grid_search", spy)
+        _, epochs = finetune_scst_dgbs(sub, cfg, fresh_copy(pre), tcfg, synonyms)
+        assert len(epochs) == 2 and len(results) == 2 * 9
+        for record, start in zip(epochs, (0, 9)):
+            for key, group in (("search_decoder", results[start:start + 6]),
+                               ("val_decoder", results[start + 6:start + 9])):
+                assert record[key] == {
+                    "step_calls": sum(r.step_calls for r in group),
+                    "step_rows": sum(r.step_rows for r in group),
+                    "offered": sum(r.offered for r in group),
+                    "kept": sum(r.kept for r in group),
+                    "unfinished_fallbacks": sum(not r.best.finished for r in group),
+                }, key
 
     def test_tapes_one_encode_per_scoring_pass(self, tiny_world, pretrained,
                                                monkeypatch):
