@@ -359,7 +359,6 @@ class TestParametersChooseOpSet:
         params = fresh_copy(params)
         taped = run(params)
         assert isinstance(taped, Tensor) and taped.requires_grad
-        assert np.array_equal(taped.data, run(nm.arrays_of(params)))
         nm.backward(nm.tsum(taped))
         assert any(p.grad is not None and p.grad.any() for p in params.values())
 
