@@ -23,6 +23,13 @@ so callers can build and drop graphs freely. ``backward`` stores gradients
 on leaves only (the parameters and other tensors no op made) and releases
 each node's closure as it goes, so one graph serves one backward and its
 saved arrays are freed during the walk.
+
+A checkpoint is one canonical JSON document (sorted keys, compact
+separators, each parameter's little-endian float64 bytes in base64), but it
+is never built whole: one generator produces its bytes per parameter, and
+``save_checkpoint`` writes and hashes those chunks in one pass while
+``checkpoint_hash`` hashes the same chunks, so the file and the hash read
+the same bytes and hold one parameter's encoding at a time.
 """
 
 from __future__ import annotations
@@ -667,40 +674,47 @@ def noam_lr(step: int, model_dim: int, warmup: int) -> float:
 _CKPT_FORMAT = "gridcap-checkpoint-v1"
 
 
-def _canonical_checkpoint_bytes(params: dict[str, Tensor]) -> bytes:
-    payload = {
-        "format": _CKPT_FORMAT,
-        "params": {
-            name: {
-                "shape": list(p.data.shape),
-                "data": base64.b64encode(
-                    np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-                ).decode("ascii"),
-            }
-            for name, p in params.items()
-        },
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def _checkpoint_chunks(params: dict[str, Tensor]):
+    """The canonical checkpoint bytes in chunks, one parameter at a time.
+
+    Joined, the chunks are ``json.dumps`` of ``{"format": ..., "params":
+    {name: {"data": base64 of little-endian float64, "shape": [...]}}}``
+    with sorted keys and compact separators, so only one parameter's
+    encoding is held at a time.
+    """
+    yield b'{"format":%s,"params":{' % json.dumps(_CKPT_FORMAT).encode("ascii")
+    for i, name in enumerate(sorted(params)):
+        data = params[name].data
+        yield b'%s%s:{"data":"' % (b"," if i else b"", json.dumps(name).encode("ascii"))
+        yield base64.b64encode(np.ascontiguousarray(data, dtype="<f8"))
+        yield b'","shape":%s}' % json.dumps(list(data.shape),
+                                            separators=(",", ":")).encode("ascii")
+    yield b"}}"
 
 
 def save_checkpoint(path, params: dict[str, Tensor]) -> str:
     """Write name -> (shape, little-endian float64 payload); returns content hash.
 
-    The bytes go to a temporary file in the same directory that then
-    replaces ``path``, so an interrupted write leaves any earlier checkpoint
-    whole and readers never see a partial one.
+    The canonical bytes are produced one parameter at a time, and each chunk
+    is written and hashed in the same pass, so the file and the hash read
+    the same bytes as ``checkpoint_hash`` and no whole-file copy is held.
+    They go to a temporary file in the same directory that then replaces
+    ``path``, so an interrupted write leaves any earlier checkpoint whole and
+    readers never see a partial one.
     """
-    blob = _canonical_checkpoint_bytes(params)
+    digest = hashlib.sha256()
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(blob)
+            for chunk in _checkpoint_chunks(params):
+                fh.write(chunk)
+                digest.update(chunk)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
-    return hashlib.sha256(blob).hexdigest()
+    return digest.hexdigest()
 
 
 def load_checkpoint(path) -> dict[str, Tensor]:
@@ -717,10 +731,15 @@ def load_checkpoint(path) -> dict[str, Tensor]:
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(entry["shape"])
         if not np.isfinite(arr).all():
             raise NumericsError(f"parameter {name} in {path} is not finite")
-        params[name] = Tensor(arr.copy(), requires_grad=True)
+        params[name] = Tensor(arr, requires_grad=True)
     return params
 
 
 def checkpoint_hash(params: dict[str, Tensor]) -> str:
-    """Content hash over names, shapes, and exact parameter bytes."""
-    return hashlib.sha256(_canonical_checkpoint_bytes(params)).hexdigest()
+    """Content hash over names, shapes, and exact parameter bytes: the sha256
+    of the canonical checkpoint bytes, fed one parameter's chunk at a time,
+    so it equals ``save_checkpoint``'s digest of the same parameters."""
+    digest = hashlib.sha256()
+    for chunk in _checkpoint_chunks(params):
+        digest.update(chunk)
+    return digest.hexdigest()

@@ -1,7 +1,14 @@
+import base64
+import hashlib
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gridcap import numerics as nm
+from gridcap.captioner import CaptionerConfig, init_captioner_params
+from gridcap.data import DatasetConfig, build_vocabulary
 from gridcap.numerics import (AdamState, DegenerateMaskError, NumericsError,
                               Tensor, adam_step, noam_lr)
 
@@ -691,7 +698,62 @@ class TestNoam:
             noam_lr(0, 64, 400)
 
 
+def one_document_checkpoint(params) -> bytes:
+    """The checkpoint bytes as one JSON document, the reference the streamed
+    bytes must equal."""
+    payload = {"format": "gridcap-checkpoint-v1", "params": {
+        name: {"shape": list(p.data.shape),
+               "data": base64.b64encode(np.ascontiguousarray(
+                   p.data, dtype="<f8").tobytes()).decode("ascii")}
+        for name, p in params.items()}}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 class TestCheckpoint:
+    @pytest.fixture
+    def awkward_params(self):
+        rng = np.random.default_rng(4)
+        return {
+            'say "hi"': Tensor(rng.normal(size=(2, 3)), requires_grad=True),
+            "back\\slash": Tensor(rng.normal(size=5), requires_grad=True),
+            "caf\u00e9 \u2603": Tensor(rng.normal(size=(1, 2)), requires_grad=True),
+            "a.scalar": Tensor(np.array(-1.25), requires_grad=True),
+            "empty": Tensor(np.zeros((0, 4)), requires_grad=True),
+            "strided": Tensor(rng.normal(size=(4, 6))[:, ::2], requires_grad=True),
+        }
+
+    def test_bytes_equal_the_one_document_reference(self, tmp_path, awkward_params):
+        for params in (awkward_params, {}):
+            path = tmp_path / "model.ckpt"
+            nm.save_checkpoint(path, params)
+            assert path.read_bytes() == one_document_checkpoint(params)
+
+    def test_save_digest_is_the_file_hash_and_checkpoint_hash(self, tmp_path,
+                                                              awkward_params):
+        path = tmp_path / "model.ckpt"
+        digest = nm.save_checkpoint(path, awkward_params)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == nm.checkpoint_hash(awkward_params)
+        loaded = nm.load_checkpoint(path)
+        assert nm.checkpoint_hash(loaded) == digest
+        assert loaded["a.scalar"].shape == () and loaded["empty"].shape == (0, 4)
+        assert all(p.data.flags.writeable for p in loaded.values())
+
+    def test_hash_holds_one_parameter_at_a_time(self):
+        data_cfg = DatasetConfig()
+        params = init_captioner_params(
+            CaptionerConfig(vocab=build_vocabulary(data_cfg),
+                            visual_dim=data_cfg.visual_dim),
+            np.random.default_rng(0))
+        total = sum(p.data.nbytes for p in params.values())
+        tracemalloc.start()
+        try:
+            nm.checkpoint_hash(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < total / 2, (peak, total)
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(9)
         params = {
