@@ -21,7 +21,8 @@ is read, at every stage, and so does a negative seed. So does a
 ``data.classes`` word that is empty, not one lowercase token, a reserved token such
 as ``<pad>``, a caption template word such as ``a``, or repeated (a class is its word),
 or whose plural (the word plus ``s``) is a template or another class word. A non-finite
-number (JSON's ``NaN`` or ``Infinity``) in the config exits 1 too. After gen-data, every
+number (JSON's ``NaN`` or ``Infinity``) in the config exits 1 too, and so does a config
+or artifact nested too deeply for the JSON reader. After gen-data, every
 stage reads ``scenes.jsonl`` through ``data.read_jsonl``, which checks
 each record against the ``data`` section; a record it rejects exits 1,
 among them one whose ``split`` is not ``train``, ``val`` or ``test``. So
@@ -109,7 +110,7 @@ class Experiment:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
@@ -158,7 +159,7 @@ class Experiment:
         try:
             return reader(path, *args)
         except (OSError, ValueError, KeyError, TypeError, OverflowError,
-                NumericsError) as exc:
+                RecursionError, NumericsError) as exc:
             raise ConfigError(f"corrupt {path}: {exc!r}") from exc
 
     def write(self, name: str, writer, *args):

@@ -20,6 +20,11 @@ the parameters' arrays (``numerics.arrays_of``), so it runs on
 (selection F1, perplexity), the encodes and selections of every decode, and
 the searches.
 
+Gradients are released after each update: every minibatch loop drops the
+parameters' ``grad`` buffers as soon as the Adam step that reads them is
+done, so no validation pass, hash or caller sees them, and no phase returns
+parameters that hold one.
+
 Every decode, whether a fine-tuning beam, a validation pass or an
 evaluation, is one ``run_grid_search`` call made by ``_decode_for_scene`` on
 the scene's model from ``_scene_model``, which encodes the scene on arrays.
@@ -102,7 +107,8 @@ def _train_epochs(phase: str, params, items, minibatch_loss, val_key: str,
                   validate, model_dim: int, num_epochs: int,
                   train_cfg: TrainConfig, rng: np.random.Generator) -> list[dict]:
     """Pre-training: Adam under the Noam schedule over shuffled minibatches
-    of ``items``, one forward and backward each; returns the epoch records.
+    of ``items``, one forward and backward each, the gradients dropped after
+    each update; returns the epoch records.
 
     ``minibatch_loss(batch)`` gives the mean loss of a list of items, and
     ``validate()`` each epoch record's ``val_key`` value. Each epoch logs
@@ -114,12 +120,12 @@ def _train_epochs(phase: str, params, items, minibatch_loss, val_key: str,
         order = rng.permutation(len(items))
         total, steps_before = 0.0, state.step
         for batch in _batches(order, train_cfg.batch_size):
-            zero_grads(params)
             loss = minibatch_loss([items[i] for i in batch])
             total += _check_finite(loss.item(), f"{phase} loss") * len(batch)
             nm.backward(loss)
             adam_step(params, state, noam_lr(state.step + 1, model_dim,
                                              train_cfg.warmup))
+            zero_grads(params)
         records.append({
             "epoch": epoch,
             "loss": total / max(1, len(items)),
@@ -415,7 +421,6 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
         passes, scored_rows, searches = 0, 0, []
         steps_before = state.step
         for batch in _batches(order, train_cfg.batch_size):
-            zero_grads(params)
             scored = []
             for idx in batch:
                 scene = scenes[idx]
@@ -451,6 +456,7 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
                 scored_rows += sum(g.rows for g in group)
             if scored:
                 adam_step(params, state, train_cfg.rl_lr)
+            zero_grads(params)
         val = decode_split(splits.val, "oracle", cfg, params, train_cfg, synonyms)
         val_cider = float(np.mean([cider_d(o.caption, s.references, reward_idf)
                                    for s, o in zip(splits.val, val)])) if val else 0.0

@@ -667,6 +667,29 @@ class TestFinetune:
         assert checkpoint_hash(params) == hashes[0]
 
 
+class TestGradientsReleased:
+    """Each phase drops its gradients after every update, so the parameters
+    it returns hold none."""
+
+    @pytest.mark.parametrize("phase", ["selector", "captioner"])
+    def test_pretraining_returns_no_gradients(self, tiny_world, phase):
+        tcfg = TrainConfig(selector_epochs=1, xent_epochs=1, warmup=50, seed=3)
+        params, epochs = pretrain(phase, tiny_world, tcfg)
+        assert epochs[0]["updates"] >= 1
+        assert [k for k, p in params.items() if p.grad is not None] == []
+
+    def test_finetune_returns_no_gradients(self, tiny_world, pretrained):
+        _, _, synonyms, splits, _ = tiny_world
+        cfg, pre = pretrained
+        tcfg = TrainConfig(rl_epochs=1, beam_size=3, seed=9)
+        sub = tr.HeldoutSplits(captioner_train=splits.captioner_train[:6],
+                               selector_train=[], val=splits.val[:2], test=[])
+        params, epochs = finetune_scst_dgbs(sub, cfg, fresh_copy(pre), tcfg,
+                                            synonyms)
+        assert epochs[0]["updates"] >= 1
+        assert [k for k, p in params.items() if p.grad is not None] == []
+
+
 TREE_CFG = CaptionerConfig(vocab=Vocabulary(["red", "dog", "runs"]), d_model=8,
                            num_enc_layers=1, num_dec_layers=1, num_heads=2,
                            num_memory=2, embed_dim=4, ffn_dim=12, max_len=10,
@@ -791,6 +814,10 @@ TINY_CONFIG = {
     "train": {"selector_epochs": 2, "xent_epochs": 10, "rl_epochs": 1,
               "warmup": 50, "batch_size": 8, "beam_size": 3},
 }
+
+
+# JSON nesting deep enough that the json module raises RecursionError
+NESTING = 200_000
 
 
 class TestCli:
@@ -1084,9 +1111,10 @@ class TestCli:
         ("synonyms.json", '{"lamp": ["lamps", 3]}'),
         ("scenes.jsonl", "garbage"),
         ("scenes.jsonl", '{"scene_id": 1}'),
+        ("synonyms.json", "[" * NESTING + "]" * NESTING),
     ], ids=["vocab-truncated", "vocab-int-token", "synonyms-list",
             "synonyms-truncated", "synonyms-string-forms", "synonyms-int-form",
-            "scenes-garbage", "scenes-missing-keys"])
+            "scenes-garbage", "scenes-missing-keys", "synonyms-deeply-nested"])
     def test_corrupt_artifact_is_exit_1(self, run_dir, tmp_path, capsys,
                                         name, text):
         base, config, _ = run_dir
@@ -1095,7 +1123,17 @@ class TestCli:
         (out / name).write_text(text)
         assert cli.main(["eval", "--config", config, "--mode", "none",
                          "--out", str(out)]) == 1
-        assert f"corrupt {out / name}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: corrupt {out / name}")
+        assert "Traceback" not in err
+
+    def test_deeply_nested_config_is_exit_1(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text('{"data": ' + "[" * NESTING + "]" * NESTING + "}")
+        assert cli.main(["gen-data", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {config}")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("corrupt", [
         lambda s: s | {"detections": [], "region_visual": []},
