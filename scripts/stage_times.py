@@ -6,21 +6,27 @@ selector`` in-process, in that order, at seed 0, in a temporary directory
 that it removes afterwards. It prints each stage's wall time (``wall_s``,
 measured around the stage's ``cli.main`` call, artifact reads and writes
 included) and Adam steps (``updates``, summed over the stage's epoch
-records; ``-`` for a stage that trains nothing). Then it prints the
-quality the stages report: the last selector epoch's val-F1, the last
-pre-training epoch's val-ppl, each fine-tuning epoch's val CIDEr-D, and
-selector-mode out-domain F1, CIDEr-D and constraint satisfaction on the
-test split. Last it prints the search work the stages report, as
-``decoder`` counts (``step_calls``, ``step_rows``, ``offered``, ``kept`` and
-``unfinished_fallbacks``): each fine-tuning epoch's training searches
-(``search_decoder``) and validation pass (``val_decoder``), and eval's
-searches. The last line holds the same numbers as one JSON object. It imports ``gridcap`` from the ``src`` directory next to it.
+records; ``-`` for a stage that trains nothing), and the process's peak
+resident set size after it (``peak_rss_mb``, in MiB, from
+``resource.getrusage``). All stages run in one process, so that peak is a
+running maximum: a stage's figure is the highest RSS of it and of every
+stage before it. Then it prints the quality the stages report: the last
+selector epoch's val-F1, the last pre-training epoch's val-ppl, each
+fine-tuning epoch's val CIDEr-D, and selector-mode out-domain F1, CIDEr-D
+and constraint satisfaction on the test split. Last it prints the search
+work the stages report, as ``decoder`` counts (``step_calls``,
+``step_rows``, ``offered``, ``kept`` and ``unfinished_fallbacks``): each
+fine-tuning epoch's training searches (``search_decoder``) and validation
+pass (``val_decoder``), and eval's searches. The last line holds the same
+numbers as one JSON object. It imports ``gridcap`` from the ``src``
+directory next to it.
 """
 
 import contextlib
 import io
 import json
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -40,6 +46,12 @@ STAGES = (
 )
 DECODER_COUNTS = ("step_calls", "step_rows", "offered", "kept",
                   "unfinished_fallbacks")
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MiB (Linux reports
+    ``ru_maxrss`` in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def main() -> None:
@@ -63,7 +75,8 @@ def main() -> None:
             epochs = report(report_name)["phases"][0]["epochs"] if report_name else []
             stages[name] = {"wall_s": wall_s, "epochs": epochs,
                             "updates": (sum(e["updates"] for e in epochs)
-                                        if report_name else None)}
+                                        if report_name else None),
+                            "peak_rss_mb": peak_rss_mb()}
         evaluation = report("eval_selector.json")
     quality = {
         "val_f1": stages["train-selector"]["epochs"][-1]["val_selection_f1"],
@@ -77,10 +90,11 @@ def main() -> None:
     finetune_decoder = [{k: e[k] for k in ("search_decoder", "val_decoder")}
                         for e in stages["finetune"]["epochs"]]
     decoder = {k: evaluation["decoder"][k] for k in DECODER_COUNTS}
-    print(f"{'stage':<16}{'wall_s':>8}{'updates':>9}")
+    print(f"{'stage':<16}{'wall_s':>8}{'updates':>9}{'peak_rss_mb':>13}")
     for name, stage in stages.items():
         updates = "-" if stage["updates"] is None else stage["updates"]
-        print(f"{name:<16}{stage['wall_s']:>8.2f}{updates:>9}")
+        print(f"{name:<16}{stage['wall_s']:>8.2f}{updates:>9}"
+              f"{stage['peak_rss_mb']:>13.1f}")
     print(f"val-F1 {quality['val_f1']:.3f}  val-ppl {quality['val_ppl']:.2f}")
     for epoch, cider in enumerate(quality["finetune_val_cider_d"]):
         print(f"finetune epoch {epoch} val CIDEr-D {cider:.3f}")
@@ -95,7 +109,8 @@ def main() -> None:
         counts(f"finetune epoch {epoch} training searches", work["search_decoder"])
         counts(f"finetune epoch {epoch} validation pass", work["val_decoder"])
     counts("selector-mode eval search", decoder)
-    print(json.dumps({"stages": {n: {k: s[k] for k in ("wall_s", "updates")}
+    print(json.dumps({"stages": {n: {k: s[k] for k in ("wall_s", "updates",
+                                                       "peak_rss_mb")}
                                  for n, s in stages.items()}} | quality
                      | {"finetune_decoder": finetune_decoder,
                         "eval_decoder": decoder}))
