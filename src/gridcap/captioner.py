@@ -8,32 +8,32 @@ space than the model width, with learned up/down projections on either side
 of the decoder stack, and output logits tie to the transpose of the
 embedding matrix.
 
-One decoder-layer body and one output head serve two callers, on (blocks,
-rows, width) activations. The parameters choose the op set
-(``numerics.op_set``): tensors, given when a backward follows, run on the
-taped ops of ``numerics``; parameter arrays (``numerics.arrays_of``) run on
-those ops' array forwards, ``numerics.ARRAY_OPS``, which build no tensor
-and no tape node but round exactly as the taped ops. The step always runs
-on arrays. ``tree_logprobs``
-is the one teacher-forced scorer. It runs the body over prefix-tree rows
-packed as one block: each
-row is a token after a parent row (none at BOS), its position is its depth,
-and a mask keeps it to its ancestors, itself and its own scene's encoder
-rows; it picks the log-prob of each (row, next token) edge it is given, and
-runs the token-id check on every path. Both training phases weigh
-sequences' log-probs with ``weighted_logprob``: one pass over the trie of
-each scene's distinct proper prefixes (``prefix_tree``), each edge picked
-once; pre-training weighs a minibatch's references (``xent_loss``),
-fine-tuning each scene's candidates. The encoder packs distinct
-scenes the same way, with the memory slots visible to every row.
-``SceneStepModel.step`` runs the body over the last token of many prefixes
-at once, for search, one block per prefix. It is called once per grid
-column, each prefix extending one of the previous call's, so earlier
-positions' self-attention keys and values come from per-layer (rows,
-length, d) arrays of that call; the encoder's cross-attention keys and
-values are one (1, n, d) block per layer, computed once per scene and read
-by every row. The step's parameters, keys, values and cache are plain
-arrays. PAD is an ordinary token to both paths.
+Teacher forcing runs one decoder-layer body on (blocks, rows, width)
+activations, and the parameters choose its op set (``numerics.op_set``):
+tensors, given when a backward follows, run on the taped ops of
+``numerics``; parameter arrays (``numerics.arrays_of``) run on those ops'
+array forwards, ``numerics.ARRAY_OPS``, which build no tensor and no tape
+node but round exactly as the taped ops. ``tree_logprobs`` is the one
+teacher-forced scorer. It runs the body over prefix-tree rows packed as
+one block: each row is a token after a parent row (none at BOS), its
+position is its depth, and a mask keeps it to its ancestors, itself and
+its own scene's encoder rows; it picks the log-prob of each (row, next
+token) edge it is given, and runs the token-id check on every path. Both
+training phases weigh sequences' log-probs with ``weighted_logprob``: one
+pass over the trie of each scene's distinct proper prefixes
+(``prefix_tree``), each edge picked once; pre-training weighs a
+minibatch's references (``xent_loss``), fine-tuning each scene's
+candidates. The encoder packs distinct scenes the same way, with the
+memory slots visible to every row.
+
+``SceneStepModel.step`` scores the last token of many prefixes at once,
+for search, in its own straight-line pass on plain (rows, width) arrays:
+what is fixed for a scene (its cross-attention against the encoder output)
+is folded into the model's weights when it is built, and earlier
+positions' self-attention keys and values come from the previous call's
+cache. It shares the embedding, the feed-forward sub-block and the output
+head with teacher forcing, and tests pin each of its rows to the
+teacher-forced row at 1e-12. PAD is an ordinary token to both paths.
 
 The parameter builders (``init_matrix``, ``init_layer_norm``, ``init_ffn``)
 and the feed-forward sub-block ``ffn`` also build the region selector.
@@ -42,6 +42,7 @@ and the feed-forward sub-block ``ffn`` also build the region selector.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -210,7 +211,7 @@ def _project(h: Tensor, params: dict[str, Tensor], pre: str):
 
 
 def _attention(x: Tensor, params: dict[str, Tensor], pre: str, kv,
-               num_heads: int, mask: np.ndarray | None = None) -> Tensor:
+               num_heads: int, mask: np.ndarray) -> Tensor:
     """Pre-norm residual attention sub-block: x + Wo MHA(h Wq, kv(h)) with
     h = LN(x); ``kv(h)`` gives the keys and values and ``mask`` marks
     blocked (row, key) pairs."""
@@ -297,21 +298,27 @@ def _embed(ids, pe: np.ndarray, params: dict[str, Tensor]) -> Tensor:
     return ops.add(x, pe)
 
 
-def _decoder_stack(x: Tensor, self_kv, self_mask: np.ndarray | None, cross_kv,
-                   cross_mask: np.ndarray | None, cfg: CaptionerConfig,
+def _decoder_stack(x: Tensor, enc: Tensor, self_mask: np.ndarray,
+                   cross_mask: np.ndarray, cfg: CaptionerConfig,
                    params: dict[str, Tensor]) -> Tensor:
-    """The decoder layers over ``x`` (blocks, rows, d), then the down projection.
-
-    ``self_kv(i, h)`` and ``cross_kv(i, h)`` give layer i's self- and
-    cross-attention keys and values, one block per block of the normed rows
-    ``h``; the masks, when given, mark blocked (row, key) pairs.
+    """The decoder layers over the packed rows ``x`` (1, rows, d), then the
+    down projection. Each layer's self-attention reads the keys and values
+    of its own normed rows, and its cross-attention those of the encoder
+    output ``enc`` (1, n, d); the masks mark blocked (row, key) pairs.
     """
     for i in range(cfg.num_dec_layers):
-        x = _attention(x, params, f"dec{i}.self", lambda h: self_kv(i, h),
+        x = _attention(x, params, f"dec{i}.self",
+                       lambda h: _project(h, params, f"dec{i}.self"),
                        cfg.num_heads, self_mask)
-        x = _attention(x, params, f"dec{i}.cross", lambda h: cross_kv(i, h),
+        x = _attention(x, params, f"dec{i}.cross",
+                       lambda h: _project(enc, params, f"dec{i}.cross"),
                        cfg.num_heads, cross_mask)
         x = ffn(x, params, f"dec{i}.ffn")
+    return _decoder_out(x, params)
+
+
+def _decoder_out(x: Tensor, params: dict[str, Tensor]) -> Tensor:
+    """The decoder's final layer norm and down projection of states ``x``."""
     ops = nm.op_set(params)
     x = ops.layer_norm(x, params["dec.final.ln_gain"], params["dec.final.ln_bias"])
     return ops.linear(x, params["embed.down_w"], params["embed.down_b"])
@@ -427,10 +434,7 @@ def tree_logprobs(ids, parents, rows, targets, enc_out: Tensor,
     x = _embed(ids[None], positional_encoding(cfg.max_len, cfg.d_model)[depth[None]],
                params)
     enc = ops.reshape(enc_out, (1,) + enc_out.shape)
-    h = _decoder_stack(
-        x, lambda i, h: _project(h, params, f"dec{i}.self"), self_mask[None],
-        lambda i, h: _project(enc, params, f"dec{i}.cross"), cross_mask[None],
-        cfg, params)
+    h = _decoder_stack(x, enc, self_mask[None], cross_mask[None], cfg, params)
     return ops.take(_output_head(ops.reshape(h, h.shape[1:]), params), rows, targets)
 
 
@@ -484,39 +488,61 @@ class SceneStepModel:
 
     It holds the scene's encoder output and the parameters as given,
     tensors or arrays; training and evaluation give it ``encode``'s array
-    output and the parameter arrays. ``step`` always runs on arrays: it
-    hands the scorer's decoder body and output head the parameters' arrays
-    and the encoder's cross-attention keys and values, computed once when
-    the model is built, so their op set is ``numerics.ARRAY_OPS`` and a
-    step builds no tensor and no tape node. ``all_step_logprobs`` runs on
-    the parameters as given: on the tape only for tensors.
+    output and the parameter arrays. ``all_step_logprobs`` runs on the
+    parameters as given: on the tape only for tensors. ``step`` runs its
+    own pass on the parameters' arrays and builds no tensor and no tape
+    node.
 
-    ``step(prefixes)`` scores every prefix in one decoder pass over their
-    last tokens only, in the call order of a grid search: all prefixes of
-    a call have one length n, and past BOS each prefix's parent (the prefix
+    Built once per scene, the model reads the weights and folds what the
+    scene fixes. Per decoder layer it keeps:
+
+    - the self-attention's ``[wq | wk | wv]``, (d, 3d), so one product
+      gives a row's query, key and value;
+    - the cross-attention as two matrices: a (d, heads·n) score matrix
+      whose head-h block is ``Wq_h K_hᵀ / √head_dim``, and a (heads·n, d)
+      output matrix whose head-h block is ``V_h Wo_h``, with ``K_h`` and
+      ``V_h`` head h's keys and values of the n encoder rows. A cross block
+      is then a layer norm, one product, a softmax per head and one more
+      product.
+
+    ``step(prefixes)`` scores every prefix in one pass over their last
+    tokens only, in the call order of a grid search: all prefixes of a
+    call have one length n, and past BOS each prefix's parent (the prefix
     minus its last token) was a prefix of the previous call. Any other call
     order raises ``ValueError``.
 
-    Cache: per decoder layer, a keys and a values array of shape (rows, n,
-    d) whose row r holds every position of the latest call's prefix r. A
-    call gathers its parents' rows with one ``np.intp`` index array,
-    appends its new position, and passes row r as the key block of query
-    block r, with no mask; each layer's cross-attention keys and values are
-    one (1, n, d) block that every query block reads.
-    The cache assumes fixed weights: an instance serves one search.
+    Cache: per decoder layer, one array of shape (rows, 2, heads, n,
+    head_dim), keys at index 0 of its second axis and values at 1, whose
+    row r holds every position of the latest call's prefix r. A call
+    gathers its parents' rows with one ``np.intp`` index array and appends
+    its new position's key and value, which the fused product gives side
+    by side.
+
+    Since the weights are read when the model is built, an instance serves
+    one search on fixed weights.
     """
 
     enc_out: Tensor | np.ndarray
     cfg: CaptionerConfig
     params: dict
     _rows: dict = field(default_factory=dict, init=False)  # prefix -> row of _kv
-    _kv: list = field(default_factory=list, init=False)  # per layer (keys, values)
+    _kv: list = field(default_factory=list, init=False)  # per layer keys and values
 
     def __post_init__(self):
-        self._arrays = nm.arrays_of(self.params)
+        cfg, p = self.cfg, nm.arrays_of(self.params)
         enc = self.enc_out.data if isinstance(self.enc_out, Tensor) else self.enc_out
-        self._cross = [_project(enc[None], self._arrays, f"dec{i}.cross")
-                       for i in range(self.cfg.num_dec_layers)]
+        heads, hd, d = cfg.num_heads, cfg.head_dim, cfg.d_model
+        self._arrays, self._qkv, self._cross = p, [], []
+        for i in range(cfg.num_dec_layers):
+            self._qkv.append(np.concatenate(
+                [p[f"dec{i}.self.{w}"] for w in ("wq", "wk", "wv")], axis=1))
+            pre = f"dec{i}.cross"
+            k, v = (t.reshape(-1, heads, hd).swapaxes(0, 1)  # (heads, n, head_dim)
+                    for t in _project(enc, p, pre))
+            wq = p[f"{pre}.wq"].reshape(d, heads, hd).swapaxes(0, 1)  # (heads, d, hd)
+            scores = (wq @ k.swapaxes(1, 2)) * (1.0 / math.sqrt(hd))  # (heads, d, n)
+            out = v @ p[f"{pre}.wo"].reshape(heads, hd, d)  # (heads, n, d)
+            self._cross.append((scores.swapaxes(0, 1).reshape(d, -1), out.reshape(-1, d)))
 
     @property
     def bos_id(self) -> int:
@@ -550,30 +576,38 @@ class SceneStepModel:
         n = ids.shape[1]
         if n == 1:  # BOS alone: its empty parent has no position to attend to
             self._rows = {(): 0}
-            self._kv = [(np.zeros((1, 0, cfg.d_model)),) * 2] * cfg.num_dec_layers
+            self._kv = [np.zeros((1, 2, cfg.num_heads, 0, cfg.head_dim))
+                        ] * cfg.num_dec_layers
         try:
             parents = np.array([self._rows[p[:-1]] for p in checked], dtype=np.intp)
         except KeyError as exc:
             raise ValueError(f"prefix {exc.args[0]} was not stepped by the "
                              "previous call") from None
-        past_kv, params = self._kv, self._arrays
-        layers = []
-
-        def self_kv(i, h):
-            kv = tuple(np.concatenate([past[parents], new], axis=1)
-                       for past, new in zip(past_kv[i],
-                                            _project(h, params, f"dec{i}.self")))
-            layers.append(kv)
-            return kv
-
-        x = _embed(ids[:, -1:], positional_encoding(cfg.max_len, cfg.d_model)[n - 1],
+        heads, hd, rows = cfg.num_heads, cfg.head_dim, len(checked)
+        params, scale, layers = self._arrays, 1.0 / math.sqrt(hd), []
+        x = _embed(ids[:, -1], positional_encoding(cfg.max_len, cfg.d_model)[n - 1],
                    params)
-        lp = _output_head(_decoder_stack(x, self_kv, None,
-                                         lambda i, h: self._cross[i], None, cfg,
-                                         params), params)
-        self._rows = {p: r for r, p in enumerate(checked)}
+        for i, (qkv_w, (score_w, out_w), past) in enumerate(
+                zip(self._qkv, self._cross, self._kv)):
+            h = nm.layer_norm_forward(x, params[f"dec{i}.self.ln_gain"],
+                                      params[f"dec{i}.self.ln_bias"])[0]
+            qkv = nm.matmul_forward(h, qkv_w).reshape(rows, 3, heads, 1, hd)
+            kv = np.concatenate([past.take(parents, axis=0), qkv[:, 1:]], axis=3)
+            layers.append(kv)
+            q, k, v = qkv[:, 0], kv[:, 0], kv[:, 1]  # (rows, heads, 1 or n, hd)
+            attended = nm.softmax_forward((q @ k.swapaxes(-1, -2)) * scale) @ v
+            x = nm.add_forward(x, nm.matmul_forward(attended.reshape(rows, -1),
+                                                    params[f"dec{i}.self.wo"]))
+            h = nm.layer_norm_forward(x, params[f"dec{i}.cross.ln_gain"],
+                                      params[f"dec{i}.cross.ln_bias"])[0]
+            scores = nm.matmul_forward(h, score_w).reshape(rows, heads, -1)
+            x = nm.add_forward(x, nm.matmul_forward(
+                nm.softmax_forward(scores).reshape(rows, -1), out_w))
+            x = ffn(x, params, f"dec{i}.ffn")
+        lp = _output_head(_decoder_out(x, params), params)
+        self._rows = {prefix: r for r, prefix in enumerate(checked)}
         self._kv = layers
-        return lp[:, 0]
+        return lp
 
     def all_step_logprobs(self, seqs) -> Tensor:
         """Log-prob of every next token of BOS-led sequences, sequence by

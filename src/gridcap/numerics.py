@@ -349,10 +349,15 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _record(out, (a,), lambda g: (g * inside,))
 
 
+def softmax_forward(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along ``axis``, shifted by the maximum; its backward reads
+    this output."""
+    e = np.exp(a - a.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = softmax_forward(a.data, axis)
     out = Tensor(s)
 
     def vjp(g):
@@ -459,7 +464,7 @@ def multi_head_attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     (B, heads, m, n) attention probabilities the backward reads."""
     if not q.ndim == k.ndim == v.ndim == 3:
         raise NumericsError("attention expects 3-D (blocks, rows, width) q, k, v")
-    if k.shape[0] not in (1, q.shape[0]) or q.shape[2] != k.shape[2]:
+    if k.shape[0] != q.shape[0] or q.shape[2] != k.shape[2]:
         raise NumericsError(f"q/k blocks or key dims {q.shape} vs {k.shape}")
     if k.shape[:2] != v.shape[:2]:
         raise NumericsError(f"k/v blocks or lengths {k.shape} vs {v.shape}")
@@ -476,8 +481,7 @@ def multi_head_attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
         if mask.all(axis=-1).any():
             raise DegenerateMaskError("attention row with all keys masked")
         scores = scores + np.where(mask, MASK_FILL, 0.0)[:, None]
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
+    probs = softmax_forward(scores)
     return _merge_heads(probs @ _split_heads(v, num_heads)), probs
 
 
@@ -487,9 +491,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     by side.
 
     q (B, m, d), k (B, n, d) and v (B, n, dv) give (B, m, dv): the query rows
-    of block b attend to the keys of block b only. k and v may instead be
-    one block (1, n, ·) that every query block reads, with no copy per
-    block; its gradients sum over the query blocks. mask, when given, is
+    of block b attend to the keys of block b only. mask, when given, is
     boolean (B, m, n) with True marking BLOCKED (row, key) pairs, shared by
     every head; blocked weights underflow to exactly 0, so padded keys change
     no sum. Packed sequences are one block under a mask; per-row keys are
@@ -509,8 +511,6 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
         gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * _head_scale(q3)
         gk = _merge_heads((q3.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
         gv = _merge_heads(probs.swapaxes(-1, -2) @ g3)
-        if k.data.shape[0] != gk.shape[0]:  # one k/v block read by every query block
-            gk, gv = gk.sum(axis=0, keepdims=True), gv.sum(axis=0, keepdims=True)
         return _merge_heads(gs @ k3), gk, gv
 
     return _record(out, (q, k, v), vjp)

@@ -630,12 +630,15 @@ class TestCachedStep:
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), layers=st.integers(1, 3),
+           heads=st.sampled_from([1, 2, 4]), regions=st.integers(1, 6),
            widths=st.lists(st.integers(1, 10), min_size=1, max_size=10))
-    def test_search_order_trees_match_decode_logits(self, seed, layers, widths):
-        cfg = tiny_cfg(num_dec_layers=layers)
+    def test_search_order_trees_match_decode_logits(self, seed, layers, heads,
+                                                    regions, widths):
+        # the folded cross-attention lays out heads × regions score columns
+        cfg = tiny_cfg(num_dec_layers=layers, num_heads=heads)
         rng = np.random.default_rng(seed)
         model = step_model(cfg, init_captioner_params(cfg, rng),
-                           rng.normal(size=(3, 3)))
+                           rng.normal(size=(regions, 3)))
         check_search_order(model, rng, widths)
 
     def test_keeps_only_the_latest_call(self, setup):
