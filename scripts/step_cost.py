@@ -1,15 +1,20 @@
-"""Time one cached decoder step by the number of prefixes it scores.
+"""Time building a scene's step model, and one cached decoder step by the
+number of prefixes it scores.
 
 Usage: ``python scripts/step_cost.py`` (no options). On the default
 ``CaptionerConfig`` over the default dataset's vocabulary, with freshly
-initialised weights and the first generated scene's regions, it builds the
-model as ``training._scene_model`` does (from parameter arrays, so its
-encode runs on ``numerics.ARRAY_OPS``) and steps
-``rows`` distinct prefixes of length 4 from a cache that holds their
-length-3 parents, as a grid search's column does. Each row count's cost is
-the median of 30 such steps, each on a fresh copy of the cached model. It
-prints a table of milliseconds per step by rows, then the same numbers as
-one JSON line. It imports ``gridcap`` from the ``src`` directory next to it.
+initialised weights and the first generated scene's regions, it encodes the
+scene as ``training._scene_model`` does (from parameter arrays, so the
+encode runs on ``numerics.ARRAY_OPS``). A build folds the scene's
+cross-attention into the model's weights, so it moves work out of every
+step: its cost is the median of ``REPEATS`` builds of ``SceneStepModel``
+on that cached encode. The model then steps ``rows`` distinct prefixes of
+length 4 from a cache that holds their length-3 parents, as a grid
+search's column does. Each row count's cost is the median of ``REPEATS``
+such steps, each on a fresh copy of the cached model. It prints a table of
+milliseconds per build and per step by rows, then the same numbers as one
+JSON line (``build_ms_p50`` and ``step_ms_p50``). It imports ``gridcap``
+from the ``src`` directory next to it.
 """
 
 import copy
@@ -58,6 +63,15 @@ def step_ms(rows: int, cfg, params, enc, rng) -> float:
     return 1e3 * statistics.median(times)
 
 
+def build_ms(cfg, params, enc) -> float:
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        SceneStepModel(enc, cfg, params)
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times)
+
+
 def main() -> None:
     data_cfg = DatasetConfig()
     cfg = CaptionerConfig(vocab=build_vocabulary(data_cfg))
@@ -65,11 +79,13 @@ def main() -> None:
     scene = gen_dataset(data_cfg)[0]
     enc = encode(np.array(scene.region_visual), cfg, params)
     rng = np.random.default_rng(0)
+    build = build_ms(cfg, params, enc)
     cost = {rows: step_ms(rows, cfg, params, enc, rng) for rows in ROWS}
-    print("| rows | " + " | ".join(str(r) for r in ROWS) + " |")
-    print("|---|" + "---|" * len(ROWS))
-    print("| ms | " + " | ".join(f"{cost[r]:.2f}" for r in ROWS) + " |")
+    print("| rows | build | " + " | ".join(str(r) for r in ROWS) + " |")
+    print("|---|---|" + "---|" * len(ROWS))
+    print(f"| ms | {build:.2f} | " + " | ".join(f"{cost[r]:.2f}" for r in ROWS) + " |")
     print(json.dumps({"prefix_len": PREFIX_LEN, "repeats": REPEATS,
+                      "build_ms_p50": round(build, 4),
                       "step_ms_p50": {str(r): round(ms, 4) for r, ms in cost.items()}}))
 
 
