@@ -18,19 +18,25 @@ work the stages report, as ``decoder`` counts (``step_calls``,
 ``step_rows``, ``offered``, ``kept`` and ``unfinished_fallbacks``): each
 fine-tuning epoch's training searches (``search_decoder``) and validation
 pass (``val_decoder``), and eval's searches. The last line holds the same
-numbers as one JSON object. It imports ``gridcap`` from the ``src``
-directory next to it.
+numbers as one JSON object. It pins one BLAS thread
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set
+to 1 before numpy is imported), as ``bench/run.py`` does. It imports
+``gridcap`` from the ``src`` directory next to it.
 """
 
-import contextlib
-import io
-import json
 import os
-import resource
-import sys
-import tempfile
-import time
-from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import resource  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 

@@ -13,19 +13,26 @@ length 4 from a cache that holds their length-3 parents, as a grid
 search's column does. Each row count's cost is the median of ``REPEATS``
 such steps, each on a fresh copy of the cached model. It prints a table of
 milliseconds per build and per step by rows, then the same numbers as one
-JSON line (``build_ms_p50`` and ``step_ms_p50``). It imports ``gridcap``
-from the ``src`` directory next to it.
+JSON line (``build_ms_p50`` and ``step_ms_p50``). It pins one BLAS thread
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set
+to 1 before numpy is imported), as ``bench/run.py`` does. It imports
+``gridcap`` from the ``src`` directory next to it.
 """
 
-import copy
-import itertools
-import json
-import statistics
-import sys
-import time
-from pathlib import Path
+import os
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import copy  # noqa: E402
+import itertools  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 

@@ -35,8 +35,16 @@ cache. It shares the embedding, the feed-forward sub-block and the output
 head with teacher forcing, and tests pin each of its rows to the
 teacher-forced row at 1e-12. PAD is an ordinary token to both paths.
 
+Every pre-norm residual sub-block is one op of the parameters' op set:
+``ffn`` is ``numerics.ffn_block``, and ``_attention`` (the encoder's
+self-attention over its rows and memory slots, the decoder's
+self-attention, and its cross-attention on keys and values projected from
+the encoder output by ``_project``) is ``numerics.attention_block``. On the
+tape each is one node with a hand-written backward.
+
 The parameter builders (``init_matrix``, ``init_layer_norm``, ``init_ffn``)
-and the feed-forward sub-block ``ffn`` also build the region selector.
+and the sub-blocks ``ffn`` and ``_attention`` also build the region
+selector.
 """
 
 from __future__ import annotations
@@ -196,12 +204,11 @@ def init_captioner_params(cfg: CaptionerConfig, rng: np.random.Generator) -> dic
 
 
 def ffn(x: Tensor, params: dict[str, Tensor], pre: str) -> Tensor:
-    """Pre-norm residual feed-forward sub-block: x + W2 relu(W1 LN(x))."""
-    ops = nm.op_set(params)
-    h = ops.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
-    h = ops.linear(ops.relu(ops.linear(h, params[f"{pre}.w1"], params[f"{pre}.b1"])),
-                   params[f"{pre}.w2"], params[f"{pre}.b2"])
-    return ops.add(x, h)
+    """Pre-norm residual feed-forward sub-block x + W2 relu(W1 LN(x)), one
+    ``numerics.ffn_block``."""
+    return nm.op_set(params).ffn_block(
+        x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"], params[f"{pre}.w1"],
+        params[f"{pre}.b1"], params[f"{pre}.w2"], params[f"{pre}.b2"])
 
 
 def _project(h: Tensor, params: dict[str, Tensor], pre: str):
@@ -210,17 +217,25 @@ def _project(h: Tensor, params: dict[str, Tensor], pre: str):
     return ops.matmul(h, params[f"{pre}.wk"]), ops.matmul(h, params[f"{pre}.wv"])
 
 
-def _attention(x: Tensor, params: dict[str, Tensor], pre: str, kv,
-               num_heads: int, mask: np.ndarray) -> Tensor:
-    """Pre-norm residual attention sub-block: x + Wo MHA(h Wq, kv(h)) with
-    h = LN(x); ``kv(h)`` gives the keys and values and ``mask`` marks
-    blocked (row, key) pairs."""
-    ops = nm.op_set(params)
-    h = ops.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
-    k, v = kv(h)
-    attended = ops.multi_head_attention(ops.matmul(h, params[f"{pre}.wq"]), k, v,
-                                        num_heads, mask)
-    return ops.add(x, ops.matmul(attended, params[f"{pre}.wo"]))
+def _attention(x: Tensor, params: dict[str, Tensor], pre: str, num_heads: int,
+               mask: np.ndarray, kv=None, memory: str | None = None) -> Tensor:
+    """Pre-norm residual attention sub-block x + Wo MHA(h Wq, K, V) with
+    h = LN(x), one ``numerics.attention_block``; ``mask`` marks blocked
+    (row, key) pairs.
+
+    K and V are ``kv`` when given, else ``h Wk`` and ``h Wv``, then
+    extended by the memory slots ``{memory}.k`` and ``{memory}.v`` when
+    ``memory`` names them. Cross-attention gives ``kv`` from ``_project``,
+    so each product of the encoder output is its own tape node and the
+    encoder output sums its gradients from every layer in the tape's order.
+    The attention has no Wo when ``params`` holds none (the selector's).
+    """
+    k, v = (params[f"{pre}.wk"], params[f"{pre}.wv"]) if kv is None else kv
+    mem_k, mem_v = ((None, None) if memory is None
+                    else (params[f"{memory}.k"], params[f"{memory}.v"]))
+    return nm.op_set(params).attention_block(
+        x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"], params[f"{pre}.wq"], k, v,
+        params.get(f"{pre}.wo"), mem_k, mem_v, num_heads, mask)
 
 
 def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor],
@@ -250,14 +265,8 @@ def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor],
     x = ops.linear(ops.reshape(x, (1,) + x.shape), params["enc.input.w"],
                    params["enc.input.b"])
     for i in range(cfg.num_enc_layers):
-        def kv(h, i=i):  # each memory slot is one (head_dim) row every head reads
-            return [ops.concat([t, ops.reshape(ops.concat(
-                        [params[f"enc{i}.mem.{name}"]] * cfg.num_heads, axis=1),
-                        (1, cfg.num_memory, -1))], axis=1)
-                    if cfg.num_memory else t
-                    for t, name in zip(_project(h, params, f"enc{i}.attn"), "kv")]
-
-        x = _attention(x, params, f"enc{i}.attn", kv, cfg.num_heads, mask)
+        x = _attention(x, params, f"enc{i}.attn", cfg.num_heads, mask,
+                       memory=f"enc{i}.mem" if cfg.num_memory else None)
         x = ffn(x, params, f"enc{i}.ffn")
     x = ops.layer_norm(x, params["enc.final.ln_gain"], params["enc.final.ln_bias"])
     return ops.reshape(x, (n, cfg.d_model))
@@ -307,12 +316,9 @@ def _decoder_stack(x: Tensor, enc: Tensor, self_mask: np.ndarray,
     output ``enc`` (1, n, d); the masks mark blocked (row, key) pairs.
     """
     for i in range(cfg.num_dec_layers):
-        x = _attention(x, params, f"dec{i}.self",
-                       lambda h: _project(h, params, f"dec{i}.self"),
-                       cfg.num_heads, self_mask)
-        x = _attention(x, params, f"dec{i}.cross",
-                       lambda h: _project(enc, params, f"dec{i}.cross"),
-                       cfg.num_heads, cross_mask)
+        x = _attention(x, params, f"dec{i}.self", cfg.num_heads, self_mask)
+        x = _attention(x, params, f"dec{i}.cross", cfg.num_heads, cross_mask,
+                       kv=_project(enc, params, f"dec{i}.cross"))
         x = ffn(x, params, f"dec{i}.ffn")
     return _decoder_out(x, params)
 

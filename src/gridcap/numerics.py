@@ -5,7 +5,17 @@ tolerances. Speed does matter, and at desk-scale widths the Python work of
 an op (building its output tensor and recording it) mostly outweighs its
 arithmetic, so the number of op calls largely sets run time. Attention is
 therefore one op per call over every head and every block of its (blocks,
-rows, width) inputs, with its own backward.
+rows, width) inputs, with its own backward. So is each pre-norm residual
+sub-block of a transformer layer: ``ffn_block`` and ``attention_block``
+are one tape node each, whose backward runs the VJPs of the op chain they
+replace in one closure. Their output and gradients are bitwise the
+chain's, because they sum each gradient in the order the tape would: the
+normed rows' as q + k + v, and each memory slot's over heads 0 to
+heads - 1. An input that several nodes read, such as the encoder output
+under every decoder layer's cross-attention, gathers its gradient on the
+tape, so cross-attention's key and value products stay their own
+``matmul`` nodes outside the op; summing them inside it moved every
+encoder gradient in the last bits.
 
 An op is its array forward plus a tape record. The forward (``*_forward``)
 holds the op's shape checks and arithmetic on plain arrays, and returns
@@ -140,20 +150,19 @@ def add_forward(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a + b
 
 
+def _broadcast_grad(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """g summed back onto an ``add`` operand of ``shape``: g itself for a
+    full-shape operand, else g's leading axes collapsed."""
+    if shape == g.shape:
+        return g
+    return g.sum(axis=tuple(range(g.ndim - len(shape)))).reshape(shape)
+
+
 def add(a, b) -> Tensor:
     """a + b; b may share a's shape, be a scalar, or be a last-axis vector."""
     a, b = _wrap(a), _wrap(b)
     out = Tensor(add_forward(a.data, b.data))
-
-    def vjp(g):
-        gb = g
-        if b.data.shape != g.shape:
-            # collapse broadcast axes back onto b
-            gb = g.sum(axis=tuple(range(g.ndim - b.data.ndim)))
-            gb = gb.reshape(b.data.shape)
-        return g, gb
-
-    return _record(out, (a, b), vjp)
+    return _record(out, (a, b), lambda g: (g, _broadcast_grad(g, b.data.shape)))
 
 
 def sub(a, b) -> Tensor:
@@ -205,17 +214,18 @@ def matmul_forward(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.reshape(-1, b.shape[0]) @ b).reshape(a.shape[:-1] + b.shape[1:])
 
 
+def _matmul_vjp(a: np.ndarray, b: np.ndarray, g: np.ndarray):
+    """Gradients of a and b of ``matmul_forward(a, b)`` given its output's g."""
+    a2 = a.reshape(-1, b.shape[0])
+    g2 = g.reshape(-1, b.shape[1])
+    return (g2 @ b.T).reshape(a.shape), a2.T @ g2
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """(..., k) @ (k, n), as one 2-D product over a's flattened leading axes."""
     ad, bd = a.data, b.data
     out = Tensor(matmul_forward(ad, bd))
-
-    def vjp(g):
-        a2 = ad.reshape(-1, bd.shape[0])
-        g2 = g.reshape(-1, bd.shape[1])
-        return (g2 @ bd.T).reshape(ad.shape), a2.T @ g2
-
-    return _record(out, (a, b), vjp)
+    return _record(out, (a, b), lambda g: _matmul_vjp(ad, bd, g))
 
 
 def transpose_forward(a: np.ndarray) -> np.ndarray:
@@ -315,9 +325,13 @@ def relu_forward(a: np.ndarray) -> np.ndarray:
     return np.maximum(a, 0.0)
 
 
+def _relu_vjp(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return g * (a > 0)
+
+
 def relu(a: Tensor) -> Tensor:
     out = Tensor(relu_forward(a.data))
-    return _record(out, (a,), lambda g: (g * (a.data > 0),))
+    return _record(out, (a,), lambda g: (_relu_vjp(a.data, g),))
 
 
 def sigmoid_forward(a: np.ndarray) -> np.ndarray:
@@ -399,6 +413,21 @@ def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     return gain * xhat + bias, xhat, inv
 
 
+def _layer_norm_vjp(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
+                    inv: np.ndarray):
+    """Gradients of x, gain and bias (shaped as gain) of
+    ``layer_norm_forward`` given its output's g, from the saved ``xhat``
+    and ``inv``."""
+    n = g.shape[-1]
+    dxhat = g * gain
+    m1 = np.add.reduce(dxhat, -1, keepdims=True) / n  # rounds as dxhat.mean
+    m2 = np.add.reduce(dxhat * xhat, -1, keepdims=True) / n
+    gx = inv * (dxhat - m1 - xhat * m2)
+    axes = tuple(range(g.ndim - 1))
+    return (gx, (g * xhat).sum(axis=axes).reshape(gain.shape),
+            g.sum(axis=axes).reshape(gain.shape))
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine
     (see ``layer_norm_forward``)."""
@@ -406,14 +435,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out = Tensor(y)
 
     def vjp(g):
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (dxhat - m1 - xhat * m2)
-        axes = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=axes).reshape(gain.data.shape)
-        gbias = g.sum(axis=axes).reshape(bias.data.shape)
-        return gx, ggain, gbias
+        return _layer_norm_vjp(g, gain.data, xhat, inv)
 
     return _record(out, (x, gain, bias), vjp)
 
@@ -485,6 +507,19 @@ def multi_head_attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return _merge_heads(probs @ _split_heads(v, num_heads)), probs
 
 
+def _attention_vjp(q: np.ndarray, k: np.ndarray, v: np.ndarray, probs: np.ndarray,
+                   num_heads: int, g: np.ndarray):
+    """Gradients of q, k and v of ``multi_head_attention_forward`` given its
+    output's g, from the saved probabilities."""
+    q3, k3, v3 = (_split_heads(t, num_heads) for t in (q, k, v))
+    g3 = _split_heads(g, num_heads)
+    gp = g3 @ v3.swapaxes(-1, -2)
+    gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * _head_scale(q3)
+    gk = _merge_heads((q3.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+    gv = _merge_heads(probs.swapaxes(-1, -2) @ g3)
+    return _merge_heads(gs @ k3), gk, gv
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
                          mask: np.ndarray | None = None) -> Tensor:
     """softmax(q kᵀ / sqrt(head_dim) + mask) v per block and head, heads side
@@ -503,23 +538,143 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     """
     y, probs = multi_head_attention_forward(q.data, k.data, v.data, num_heads, mask)
     out = Tensor(y)
-
-    def vjp(g):
-        q3, k3, v3 = (_split_heads(t.data, num_heads) for t in (q, k, v))
-        g3 = _split_heads(g, num_heads)
-        gp = g3 @ v3.swapaxes(-1, -2)
-        gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * _head_scale(q3)
-        gk = _merge_heads((q3.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
-        gv = _merge_heads(probs.swapaxes(-1, -2) @ g3)
-        return _merge_heads(gs @ k3), gk, gv
-
-    return _record(out, (q, k, v), vjp)
+    return _record(out, (q, k, v), lambda g: _attention_vjp(q.data, k.data, v.data,
+                                                            probs, num_heads, g))
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
                          mask: np.ndarray | None = None) -> Tensor:
     """softmax(q kᵀ / sqrt(d) + mask) v: ``multi_head_attention`` with one head."""
     return multi_head_attention(q, k, v, 1, mask)
+
+
+# ---------------------------------------------------------------------------
+# pre-norm residual sub-blocks, one tape node each
+# ---------------------------------------------------------------------------
+
+
+def ffn_block_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                      w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray):
+    """``ffn_block`` on arrays: ``(out, saved)``, with the intermediates the
+    backward reads."""
+    h, xhat, inv = layer_norm_forward(x, gain, bias)
+    a = linear_forward(h, w1, b1)
+    r = relu_forward(a)
+    return add_forward(x, linear_forward(r, w2, b2)), (h, xhat, inv, a, r)
+
+
+def ffn_block(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
+              w2: Tensor, b2: Tensor) -> Tensor:
+    """Pre-norm residual feed-forward sub-block x + relu(h w1 + b1) w2 + b2,
+    with h = ``layer_norm(x, gain, bias)``.
+
+    One tape node: its backward runs the VJPs of the op chain it stands for
+    (layer norm, linear, relu, linear, residual add) in one closure, so its
+    output and gradients are bitwise the chain's.
+    """
+    y, (h, xhat, inv, a, r) = ffn_block_forward(x.data, gain.data, bias.data, w1.data,
+                                                b1.data, w2.data, b2.data)
+    out = Tensor(y)
+
+    def vjp(g):
+        gr, gw2 = _matmul_vjp(r, w2.data, g)
+        ga = _relu_vjp(a, gr)
+        gh, gw1 = _matmul_vjp(h, w1.data, ga)
+        gx, ggain, gbias = _layer_norm_vjp(gh, gain.data, xhat, inv)
+        gx += g  # the residual's share
+        return (gx, ggain, gbias, gw1, _broadcast_grad(ga, b1.data.shape), gw2,
+                _broadcast_grad(g, b2.data.shape))
+
+    return _record(out, (x, gain, bias, w1, b1, w2, b2), vjp)
+
+
+def _memory_rows(mem: np.ndarray, num_heads: int) -> np.ndarray:
+    """Memory slots (slots, head_dim) as one (1, slots, heads * head_dim)
+    key or value block in which every head reads each slot."""
+    slots, head_dim = mem.shape
+    return np.reshape(concat_forward([mem] * num_heads, axis=1),
+                      (1, slots, num_heads * head_dim))
+
+
+def _head_sum(g: np.ndarray, num_heads: int) -> np.ndarray:
+    """The slots' gradient from that of their ``_memory_rows`` block g: its
+    head blocks summed in head order."""
+    parts = np.split(g[0], num_heads, axis=1)
+    total = parts[0].copy()
+    for part in parts[1:]:
+        total += part
+    return total
+
+
+def attention_block_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                            wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
+                            wo: np.ndarray | None, mem_k: np.ndarray | None,
+                            mem_v: np.ndarray | None, num_heads: int, mask: np.ndarray):
+    """``attention_block`` on arrays: ``(out, saved)``, with the
+    intermediates the backward reads."""
+    h, xhat, inv = layer_norm_forward(x, gain, bias)
+    if wk.ndim == 2:
+        k, v = matmul_forward(h, wk), matmul_forward(h, wv)
+    else:
+        k, v = wk, wv
+    if mem_k is not None:
+        k = concat_forward([k, _memory_rows(mem_k, num_heads)], axis=1)
+        v = concat_forward([v, _memory_rows(mem_v, num_heads)], axis=1)
+    q = matmul_forward(h, wq)
+    att, probs = multi_head_attention_forward(q, k, v, num_heads, mask)
+    y = add_forward(x, att if wo is None else matmul_forward(att, wo))
+    return y, (h, xhat, inv, q, k, v, att, probs)
+
+
+def attention_block(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, wk: Tensor,
+                    wv: Tensor, wo: Tensor | None, mem_k: Tensor | None,
+                    mem_v: Tensor | None, num_heads: int, mask: np.ndarray) -> Tensor:
+    """Pre-norm residual attention sub-block x + MHA(h wq, k, v, mask) wo,
+    with h = ``layer_norm(x, gain, bias)`` and MHA ``multi_head_attention``.
+
+    The keys and values take one of two forms:
+
+    - ``wk`` and ``wv`` 2-D: projections of the normed rows, ``k = h wk``
+      and ``v = h wv`` (self-attention);
+    - 3-D (blocks, n, width): the keys and values as given (cross-attention
+      on keys projected outside the op, so that an input several layers
+      read gathers its gradient in the tape's order).
+
+    Memory slots ``mem_k`` and ``mem_v`` (slots, head_dim), unless None,
+    extend the keys and values of one block, every head reading each slot.
+    ``wo`` None means no output projection.
+
+    One tape node: its backward runs the VJPs of the op chain it stands for
+    in one closure and sums their gradients in the chain's order (the normed
+    rows' as q + k + v, each slot's over heads 0 to heads - 1), so its
+    output and gradients are bitwise the chain's.
+    """
+    inputs = (x, gain, bias, wq, wk, wv, wo, mem_k, mem_v)
+    y, (h, xhat, inv, q, k, v, att, probs) = attention_block_forward(
+        *(None if t is None else t.data for t in inputs), num_heads, mask)
+    out = Tensor(y)
+    project = wk.data.ndim == 2
+    n = k.shape[1] - (0 if mem_k is None else mem_k.data.shape[0])  # keys before slots
+
+    def vjp(g):
+        ga, gwo = (g, None) if wo is None else _matmul_vjp(att, wo.data, g)
+        gq, gk, gv = _attention_vjp(q, k, v, probs, num_heads, ga)
+        gmk = gmv = None
+        if mem_k is not None:
+            gmk, gmv = _head_sum(gk[:, n:], num_heads), _head_sum(gv[:, n:], num_heads)
+            gk, gv = gk[:, :n], gv[:, :n]
+        gh, gwq = _matmul_vjp(h, wq.data, gq)
+        if project:
+            ghk, gk = _matmul_vjp(h, wk.data, gk)
+            ghv, gv = _matmul_vjp(h, wv.data, gv)
+            gh += ghk
+            gh += ghv
+        gx, ggain, gbias = _layer_norm_vjp(gh, gain.data, xhat, inv)
+        gx += g  # the residual's share
+        grads = (gx, ggain, gbias, gwq, gk, gv, gwo, gmk, gmv)
+        return tuple(gr for gr, t in zip(grads, inputs) if t is not None)
+
+    return _record(out, tuple(t for t in inputs if t is not None), vjp)
 
 
 # The ops of every gradient-free pass on plain arrays, by their taped names and
@@ -534,6 +689,11 @@ ARRAY_OPS = SimpleNamespace(
     layer_norm=lambda x, gain, bias: layer_norm_forward(x, gain, bias)[0],
     multi_head_attention=lambda q, k, v, num_heads, mask=None:
         multi_head_attention_forward(q, k, v, num_heads, mask)[0],
+    ffn_block=lambda x, gain, bias, w1, b1, w2, b2:
+        ffn_block_forward(x, gain, bias, w1, b1, w2, b2)[0],
+    attention_block=lambda x, gain, bias, wq, wk, wv, wo, mem_k, mem_v, num_heads, mask:
+        attention_block_forward(x, gain, bias, wq, wk, wv, wo, mem_k, mem_v, num_heads,
+                                mask)[0],
 )
 
 

@@ -6,6 +6,11 @@ identity itself. Class words drive one thing only: the block mask that
 lets regions of the same class and scene exchange information before the
 self-attention pass over the scene. Like the encoder, a minibatch packs
 its scenes as stacked rows, and one scene is the one-segment case.
+
+Each layer's sub-blocks are the captioner's: its inner and self attention
+are ``captioner._attention`` with no output projection, one
+``numerics.attention_block`` each, and its feed-forward block is
+``captioner.ffn``, one ``numerics.ffn_block``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .captioner import ffn, init_ffn, init_layer_norm, init_matrix, init_vector
+from .captioner import (_attention, ffn, init_ffn, init_layer_norm, init_matrix,
+                        init_vector)
 from .decoder import MAX_CONSTRAINTS
 from .numerics import Tensor, check_at_least
 
@@ -121,11 +127,7 @@ def selector_forward(features: Tensor | np.ndarray, classes, cfg: SelectorConfig
     x = ops.linear(ops.reshape(x, (1,) + x.shape), params["input.w"], params["input.b"])
     for i in range(cfg.num_layers):
         for block, mask in masks.items():
-            pre = f"layer{i}.{block}"
-            h = ops.layer_norm(x, params[f"{pre}.ln_gain"], params[f"{pre}.ln_bias"])
-            x = ops.add(x, ops.multi_head_attention(
-                ops.matmul(h, params[f"{pre}.wq"]), ops.matmul(h, params[f"{pre}.wk"]),
-                ops.matmul(h, params[f"{pre}.wv"]), cfg.num_heads, mask))
+            x = _attention(x, params, f"layer{i}.{block}", cfg.num_heads, mask)
         x = ffn(x, params, f"layer{i}.ffn")
     x = ops.layer_norm(x, params["final.ln_gain"], params["final.ln_bias"])
     logits = ops.linear(x, params["head.w"], params["head.b"])

@@ -423,6 +423,150 @@ class TestElementwise:
         check_grads(loss, [x], 1e-6)
 
 
+def chain_ffn(ops, x, gain, bias, w1, b1, w2, b2):
+    """The op chain ``ffn_block`` replaces, on the op set ``ops``: layer
+    norm, linear, relu, linear and the residual add."""
+    h = ops.layer_norm(x, gain, bias)
+    return ops.add(x, ops.linear(ops.relu(ops.linear(h, w1, b1)), w2, b2))
+
+
+def chain_attention(ops, x, gain, bias, wq, wk, wv, wo, mem_k, mem_v, num_heads, mask):
+    """The op chain ``attention_block`` replaces, on the op set ``ops``:
+    layer norm, the key and value products (for 2-D ``wk`` and ``wv``)
+    and the memory rows every head reads, the query product, attention,
+    the output product (unless ``wo`` is None) and the residual add."""
+    h = ops.layer_norm(x, gain, bias)
+    k, v = (ops.matmul(h, wk), ops.matmul(h, wv)) if len(wk.shape) == 2 else (wk, wv)
+    if mem_k is not None:
+        k, v = (ops.concat([t, ops.reshape(ops.concat([mem] * num_heads, axis=1),
+                                           (1, mem.shape[0], num_heads * mem.shape[1]))],
+                           axis=1)
+                for t, mem in ((k, mem_k), (v, mem_v)))
+    att = ops.multi_head_attention(ops.matmul(h, wq), k, v, num_heads, mask)
+    return ops.add(x, att if wo is None else ops.matmul(att, wo))
+
+
+def ffn_case(rows=5, blocks=1, d=8, hidden=12, seed=31):
+    """Inputs of ``ffn_block``: rows (blocks, rows, d), then the layer norm,
+    w1, b1, w2 and b2."""
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=shape) for shape in ((blocks, rows, d), (d,), (d,),
+                                                 (d, hidden), (hidden,), (hidden, d), (d,))]
+
+
+def attention_block_case(form, heads=2, slots=0, rows=5, n=4, head_dim=3, seed=32):
+    """Inputs of ``attention_block`` in one of its forms, as (arrays, mask):
+    "self" and "no-wo" project keys and values from the normed rows (the
+    latter with no output projection), "cross" takes (1, n, d) keys and
+    values, and "memory" adds ``slots`` memory slots to "self". A random
+    mask blocks some (row, key) pairs, never a whole row."""
+    rng = np.random.default_rng(seed)
+    d = heads * head_dim
+    x, gain, bias = rng.normal(size=(1, rows, d)), rng.normal(size=d), rng.normal(size=d)
+    wq, wk, wv, wo = (rng.normal(size=(d, d)) for _ in range(4))
+    mem_k = mem_v = None
+    keys = rows
+    if form == "cross":
+        wk, wv = rng.normal(size=(1, n, d)), rng.normal(size=(1, n, d))
+        keys = n
+    if form == "no-wo":
+        wo = None
+    if form == "memory":
+        mem_k, mem_v = rng.normal(size=(slots, head_dim)), rng.normal(size=(slots, head_dim))
+        keys = rows + slots
+    mask = rng.random((1, rows, keys)) < 0.5
+    mask[0, np.arange(rows), rng.integers(keys, size=rows)] = False
+    return [x, gain, bias, wq, wk, wv, wo, mem_k, mem_v], (heads, mask)
+
+
+def taped_inputs(arrays):
+    """Fresh leaf tensors of the arrays; None stays None."""
+    return [None if a is None else Tensor(a.copy(), requires_grad=True) for a in arrays]
+
+
+def fused_and_chain(fused, chain, arrays, args):
+    """Output and input gradients of a weighted sum of ``fused`` and of
+    ``chain`` (on the taped ops) over fresh tensors of the same arrays."""
+    w = Tensor(np.random.default_rng(33).normal(size=arrays[0].shape))
+    results = []
+    for op in (fused, lambda *a: chain(nm, *a)):
+        inputs = taped_inputs(arrays)
+        out = op(*inputs, *args)
+        nm.backward(nm.tsum(nm.mul(out, w)))
+        results.append([out.data] + [t.grad for t in inputs if t is not None])
+    return results
+
+
+class TestFusedBlocks:
+    """``ffn_block`` and ``attention_block``: one tape node each, with the
+    output and every gradient bitwise those of the op chain they replace."""
+
+    @pytest.mark.parametrize("blocks,rows", [(1, 5), (3, 2)])
+    def test_ffn_block_is_bitwise_the_chain(self, blocks, rows):
+        fused, chain = fused_and_chain(nm.ffn_block, chain_ffn,
+                                       ffn_case(rows, blocks), ())
+        assert len(fused) == 8
+        for got, want in zip(fused, chain):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("form,heads,slots", [
+        ("self", 2, 0), ("cross", 2, 0), ("no-wo", 2, 0), ("memory", 1, 0),
+        ("memory", 1, 4), ("memory", 2, 0), ("memory", 2, 4)])
+    def test_attention_block_is_bitwise_the_chain(self, form, heads, slots):
+        arrays, args = attention_block_case(form, heads, slots)
+        fused, chain = fused_and_chain(nm.attention_block, chain_attention, arrays, args)
+        assert len(fused) == 1 + sum(a is not None for a in arrays)
+        for got, want in zip(fused, chain):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_cross_blocks_sharing_an_encoder_output_are_bitwise_the_chain(self):
+        # a (1, n, d) encoder output feeds the key and value products of 3
+        # stacked layers, outside the op, so its gradient sums as the chain's
+        rng = np.random.default_rng(34)
+        d, heads = 6, 2
+        x0, enc0 = rng.normal(size=(1, 5, d)), rng.normal(size=(1, 4, d))
+        mask = rng.random((1, 5, 4)) < 0.5
+        mask[0, np.arange(5), rng.integers(4, size=5)] = False
+        layers = [[rng.normal(size=shape) for shape in ((d,), (d,)) + ((d, d),) * 4]
+                  for _ in range(3)]  # gain, bias, wq, wk, wv, wo
+        results = []
+        for block in (nm.attention_block, lambda *a: chain_attention(nm, *a)):
+            x, enc = leaves = taped_inputs([x0, enc0])
+            for layer in layers:
+                gain, bias, wq, wk, wv, wo = params = taped_inputs(layer)
+                leaves += params
+                x = block(x, gain, bias, wq, nm.matmul(enc, wk), nm.matmul(enc, wv), wo,
+                          None, None, heads, mask)
+            nm.backward(nm.tsum(nm.mul(x, Tensor(x0))))
+            results.append([x.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    def test_ffn_block_gradcheck(self):
+        inputs = taped_inputs(ffn_case(rows=3, d=4, hidden=6))
+        w = Tensor(np.random.default_rng(35).normal(size=(1, 3, 4)))
+        check_grads(lambda: nm.tsum(nm.mul(nm.ffn_block(*inputs), w)), inputs, 1e-6)
+
+    @pytest.mark.parametrize("form,slots", [("memory", 2), ("cross", 0), ("no-wo", 0)])
+    def test_attention_block_gradcheck(self, form, slots):
+        arrays, args = attention_block_case(form, slots=slots, rows=3, n=2, head_dim=2)
+        inputs = taped_inputs(arrays)
+        w = Tensor(np.random.default_rng(36).normal(size=arrays[0].shape))
+
+        def loss():
+            return nm.tsum(nm.mul(nm.attention_block(*inputs, *args), w))
+
+        check_grads(loss, [t for t in inputs if t is not None], 1e-6)
+
+    def test_one_tape_node_each(self):
+        ffn_in = taped_inputs(ffn_case())
+        arrays, args = attention_block_case("memory", slots=4)
+        attention_in = taped_inputs(arrays)
+        for out, inputs in ((nm.ffn_block(*ffn_in), ffn_in),
+                            (nm.attention_block(*attention_in, *args), attention_in)):
+            assert out._parents == tuple(t for t in inputs if t is not None)
+
+
 def array_op_cases():
     """(op name, array inputs, further arguments) of the array op set:
     one-row query blocks (rows, 1, d) with per-row key blocks (rows, n, d),
@@ -461,11 +605,19 @@ def array_op_cases():
         "take": ("take", [r(5, 9)], ([4, 0, 4], [8, 2, 1])),
         "sigmoid": ("sigmoid", [np.array([-800.0, -3.0, 0.0, 2.5, 800.0])], ()),
         "tsum": ("tsum", [r(4, 3)], ()),
+        "ffn_block": ("ffn_block", ffn_case(), ()),
+        "ffn_block-blocks": ("ffn_block", ffn_case(rows=1, blocks=6), ()),
+        **{f"attention_block-{form}": ("attention_block", *attention_block_case(form))
+           for form in ("self", "cross", "no-wo")},
+        "attention_block-memory": ("attention_block",
+                                   *attention_block_case("memory", slots=4)),
     }
 
 
 def taped(a):
-    """The taped form of an ``array_op_cases`` input."""
+    """The taped form of an ``array_op_cases`` input; None stays None."""
+    if a is None:
+        return None
     return [Tensor(x, requires_grad=True) for x in a] if isinstance(a, list) else \
         Tensor(a, requires_grad=True)
 
@@ -501,6 +653,16 @@ def bad_array_op_cases():
                                   (2, blocked)),
         "mul-shapes": ("mul", [ones((2, 3)), ones(3)], ()),
         "concat-empty": ("concat", [[]], ()),
+        "ffn_block-width": ("ffn_block", [ones((1, 2, 3)), ones(3), ones(3), ones((4, 5)),
+                                          ones(5), ones((5, 3)), ones(3)], ()),
+        "attention_block-width": ("attention_block",
+                                  [ones((1, 3, 4)), ones(4), ones(4), ones((4, 4)),
+                                   ones((3, 4)), ones((4, 4)), ones((4, 4)), None, None],
+                                  (2, np.zeros((1, 3, 3), dtype=bool))),
+        "attention_block-blocked-row": ("attention_block",
+                                        [ones((1, 2, 4)), ones(4), ones(4), ones((4, 4)),
+                                         ones((1, 3, 4)), ones((1, 3, 4)), ones((4, 4)),
+                                         None, None], (2, blocked)),
     }
 
 
@@ -529,8 +691,8 @@ class TestArrayOps:
             getattr(nm.ARRAY_OPS, name)(*arrays, *args)
         assert type(plain.value) is type(on_tape.value)
         assert str(plain.value) == str(on_tape.value)
-        assert (type(on_tape.value) is DegenerateMaskError) == (
-            case == "attention-blocked-row")
+        assert (type(on_tape.value) is DegenerateMaskError) == case.endswith(
+            "blocked-row")
 
 
 class TestBackward:

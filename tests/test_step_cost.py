@@ -1,14 +1,34 @@
 import importlib.util
 import json
+import os
 from pathlib import Path
+
+import pytest
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def load_script(name: str, monkeypatch):
+    """The module ``scripts/<name>.py``; the thread settings it pins are
+    restored after the test."""
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "4")
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["step_cost", "stage_times", "train_cost"])
+def test_pins_one_blas_thread(monkeypatch, name):
+    load_script(name, monkeypatch)
+    assert all(os.environ[var] == "1" for var in BLAS_THREAD_VARS)
 
 
 def test_prints_its_table_and_one_json_line(monkeypatch, capsys):
     # the script end to end, on two small row counts
-    spec = importlib.util.spec_from_file_location(
-        "step_cost", Path(__file__).resolve().parent.parent / "scripts" / "step_cost.py")
-    step_cost = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(step_cost)
+    step_cost = load_script("step_cost", monkeypatch)
     monkeypatch.setattr(step_cost, "ROWS", (1, 2))
     monkeypatch.setattr(step_cost, "REPEATS", 2)
     step_cost.main()

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gridcap import captioner, cli
 from gridcap import numerics as nm
+from gridcap import selector as selector_module
 from gridcap import training as tr
 from gridcap.captioner import (CaptionerConfig, Vocabulary, encode,
                                init_captioner_params, prefix_tree, tree_layout,
@@ -30,6 +31,7 @@ from gridcap.training import (TrainConfig, build_training_constraints,
                               selection_f1, train_selector)
 
 from test_captioner import chain_logprobs
+from test_numerics import chain_attention, chain_ffn
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +223,51 @@ class TestPretrainLoop:
         assert len(lines) == 3
         assert all(line.startswith(f"{phase} epoch {i} ")
                    for i, line in enumerate(lines))
+
+
+def chain_ffn_block(x, params, pre):
+    """``captioner.ffn`` on the op chain that ``numerics.ffn_block`` replaced."""
+    return chain_ffn(nm.op_set(params), x, *(params[f"{pre}.{name}"] for name in (
+        "ln_gain", "ln_bias", "w1", "b1", "w2", "b2")))
+
+
+def chain_attention_block(x, params, pre, num_heads, mask, kv=None, memory=None):
+    """``captioner._attention`` on the op chain that
+    ``numerics.attention_block`` replaced."""
+    k, v = (params[f"{pre}.wk"], params[f"{pre}.wv"]) if kv is None else kv
+    mem_k, mem_v = ((None, None) if memory is None
+                    else (params[f"{memory}.k"], params[f"{memory}.v"]))
+    return chain_attention(nm.op_set(params), x, params[f"{pre}.ln_gain"],
+                           params[f"{pre}.ln_bias"], params[f"{pre}.wq"], k, v,
+                           params.get(f"{pre}.wo"), mem_k, mem_v, num_heads, mask)
+
+
+class TestFusedBlocksTrainAsTheChain:
+    def test_checkpoints_and_epochs_equal_the_op_chains(self, tiny_world, monkeypatch):
+        # 3 decoder layers read the encoder output, so its gradient sums
+        # over 6 key and value products: a fused op that summed them in
+        # another order would move the captioner's bits
+        _, _, synonyms, splits, vocab = tiny_world
+        cap_cfg = dataclasses.replace(tiny_cap_cfg(vocab), num_enc_layers=2,
+                                      num_dec_layers=3)
+        tcfg = TrainConfig(selector_epochs=2, xent_epochs=2, warmup=50, seed=5)
+
+        def run():
+            sel, sel_epochs = train_selector(splits, synonyms, SelectorConfig(), tcfg)
+            cap, cap_epochs = pretrain_captioner(splits, cap_cfg, tcfg)
+            return checkpoint_hash(sel), sel_epochs, checkpoint_hash(cap), cap_epochs
+
+        fused = run()
+
+        def unused(*args):
+            raise AssertionError("a fused block ran on the op chains")
+
+        for module in (captioner, selector_module):
+            monkeypatch.setattr(module, "ffn", chain_ffn_block)
+            monkeypatch.setattr(module, "_attention", chain_attention_block)
+        monkeypatch.setattr(nm, "ffn_block_forward", unused)
+        monkeypatch.setattr(nm, "attention_block_forward", unused)
+        assert run() == fused
 
 
 class TestConstraintSources:
