@@ -1,5 +1,5 @@
-"""Time building a scene's step model, and one cached decoder step by the
-number of prefixes it scores.
+"""Time building a scene's step model, one cached decoder step by the
+number of prefixes it scores, and one grid search by its constraint count.
 
 Usage: ``python scripts/step_cost.py`` (no options). On the default
 ``CaptionerConfig`` over the default dataset's vocabulary, with freshly
@@ -11,9 +11,17 @@ step: its cost is the median of ``REPEATS`` builds of ``SceneStepModel``
 on that cached encode. The model then steps ``rows`` distinct prefixes of
 length 4 from a cache that holds their length-3 parents, as a grid
 search's column does. Each row count's cost is the median of ``REPEATS``
-such steps, each on a fresh copy of the cached model. It prints a table of
-milliseconds per build and per step by rows, then the same numbers as one
-JSON line (``build_ms_p50`` and ``step_ms_p50``). It pins one BLAS thread
+such steps, each on a fresh copy of the cached model. Each constraint
+count c in 0..5 then times ``REPEATS`` searches of the scene constrained
+to the dataset's first c class words, as evaluation runs them
+(``run_grid_search`` with beam ``BEAM`` = 5, ``n_best=1`` and the full
+budget ``max_len - 1``); the column bookkeeping between steps is the part
+of that time the step table does not show. It prints a table of
+milliseconds per build and per step by rows, and a table of the median
+search milliseconds with each search's ``step_calls``, ``step_rows``,
+``offered`` and ``kept`` by constraint count, then the same numbers as
+one JSON line (``build_ms_p50``, ``step_ms_p50`` and ``search``). It pins
+one BLAS thread
 (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set
 to 1 before numpy is imported), as ``bench/run.py`` does. It imports
 ``gridcap`` from the ``src`` directory next to it.
@@ -39,11 +47,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from gridcap.captioner import (RESERVED, CaptionerConfig,  # noqa: E402
                                SceneStepModel, encode, init_captioner_params)
 from gridcap.data import DatasetConfig, build_vocabulary, gen_dataset  # noqa: E402
+from gridcap.decoder import (MAX_CONSTRAINTS, ConstraintSet,  # noqa: E402
+                             run_grid_search)
 from gridcap.numerics import arrays_of  # noqa: E402
 
 ROWS = (1, 8, 16, 32, 64, 128, 256, 512)
+COUNTS = tuple(range(MAX_CONSTRAINTS + 1))
 REPEATS = 30
 PREFIX_LEN = 4
+BEAM = 5
+SEARCH_COUNTERS = ("step_calls", "step_rows", "offered", "kept")
 
 
 def cached_model(rows: int, model: SceneStepModel, rng: np.random.Generator):
@@ -79,6 +92,20 @@ def build_ms(cfg, params, enc) -> float:
     return 1e3 * statistics.median(times)
 
 
+def search_cost(count: int, model: SceneStepModel, words) -> dict:
+    """Median ms of ``REPEATS`` searches constrained to ``words[:count]``,
+    with one search's counters."""
+    constraints = ConstraintSet.from_words(words[:count], model.cfg.vocab)
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = run_grid_search(model, constraints, k=BEAM, T=model.cfg.max_len - 1,
+                                 n_best=1)
+        times.append(time.perf_counter() - start)
+    return {"ms_p50": round(1e3 * statistics.median(times), 4),
+            **{name: getattr(result, name) for name in SEARCH_COUNTERS}}
+
+
 def main() -> None:
     data_cfg = DatasetConfig()
     cfg = CaptionerConfig(vocab=build_vocabulary(data_cfg))
@@ -88,12 +115,22 @@ def main() -> None:
     rng = np.random.default_rng(0)
     build = build_ms(cfg, params, enc)
     cost = {rows: step_ms(rows, cfg, params, enc, rng) for rows in ROWS}
+    model = SceneStepModel(enc, cfg, params)  # a search starts a fresh cache
+    search = {count: search_cost(count, model, data_cfg.classes) for count in COUNTS}
     print("| rows | build | " + " | ".join(str(r) for r in ROWS) + " |")
     print("|---|---|" + "---|" * len(ROWS))
     print(f"| ms | {build:.2f} | " + " | ".join(f"{cost[r]:.2f}" for r in ROWS) + " |")
-    print(json.dumps({"prefix_len": PREFIX_LEN, "repeats": REPEATS,
+    print()
+    print("| constraints | " + " | ".join(str(c) for c in COUNTS) + " |")
+    print("|---|" + "---|" * len(COUNTS))
+    print("| search ms | " + " | ".join(f"{search[c]['ms_p50']:.2f}" for c in COUNTS)
+          + " |")
+    for name in SEARCH_COUNTERS:
+        print(f"| {name} | " + " | ".join(str(search[c][name]) for c in COUNTS) + " |")
+    print(json.dumps({"prefix_len": PREFIX_LEN, "repeats": REPEATS, "beam": BEAM,
                       "build_ms_p50": round(build, 4),
-                      "step_ms_p50": {str(r): round(ms, 4) for r, ms in cost.items()}}))
+                      "step_ms_p50": {str(r): round(ms, 4) for r, ms in cost.items()},
+                      "search": {str(c): s for c, s in search.items()}}))
 
 
 if __name__ == "__main__":

@@ -31,8 +31,14 @@ for search, in its own straight-line pass on plain (rows, width) arrays:
 what is fixed for a scene (its cross-attention against the encoder output)
 is folded into the model's weights when it is built, and earlier
 positions' self-attention keys and values come from the previous call's
-cache. It shares the embedding, the feed-forward sub-block and the output
-head with teacher forcing, and tests pin each of its rows to the
+cache. It calls none of the shared code (``_embed``, ``ffn``,
+``_decoder_out``, ``_output_head`` or the op-set dispatch): it runs their
+operations, in their order, as numpy expressions on arrays it bound once,
+and ``test_rows_equal_the_shared_sub_block_chain_bitwise`` pins its rows
+bitwise to a step built from those sub-blocks.
+``test_random_batches_match_full_recompute``,
+``test_search_order_trees_match_decode_logits`` and
+``test_matches_final_logits_row`` pin each of its rows to the
 teacher-forced row at 1e-12. PAD is an ordinary token to both paths.
 
 Every pre-norm residual sub-block is one op of the parameters' op set:
@@ -362,6 +368,14 @@ def tree_layout(parents) -> tuple[np.ndarray, np.ndarray]:
     return depth, ~admitted
 
 
+def _sequences(tokens, cfg: CaptionerConfig) -> list[list[int]]:
+    """A non-empty list of sequences as id lists, each checked by
+    ``_validate_tokens``; else ``ValueError``."""
+    if len(tokens) == 0:
+        raise ValueError("the list of sequences to score is empty")
+    return [_validate_tokens([t], cfg)[0].tolist() for t in tokens]
+
+
 def prefix_tree(tokens, cfg: CaptionerConfig, scenes=None):
     """Prefix-tree rows of packed whole sequences:
     ``(ids, parents, rows, targets, edge_of, row_scenes)``, the rows and
@@ -377,9 +391,11 @@ def prefix_tree(tokens, cfg: CaptionerConfig, scenes=None):
     is listed once, as ``rows[j]`` and ``targets[j]``; ``edge_of`` gives
     the edge of every token after BOS, sequence by sequence.
     """
-    if len(tokens) == 0:
-        raise ValueError("the list of sequences to score is empty")
-    seqs = [_validate_tokens([t], cfg)[0].tolist() for t in tokens]
+    return _tree_rows(_sequences(tokens, cfg), scenes)
+
+
+def _tree_rows(seqs: list[list[int]], scenes):
+    """``prefix_tree`` of sequences that ``_sequences`` checked."""
     scenes = (np.zeros(len(seqs), dtype=np.intp) if scenes is None
               else np.asarray(scenes))
     if scenes.shape != (len(seqs),):
@@ -455,10 +471,18 @@ def weighted_logprob(tokens, weights, enc_out: Tensor, cfg: CaptionerConfig,
     weights of the sequences through it. ``scenes`` and ``enc_segments``
     are as for ``prefix_tree`` and ``tree_logprobs``.
     """
-    ids, parents, rows, targets, edge_of, row_scenes = prefix_tree(tokens, cfg, scenes)
+    return _weighted_logprob(_sequences(tokens, cfg), weights, enc_out, cfg, params,
+                             scenes, enc_segments)
+
+
+def _weighted_logprob(seqs: list[list[int]], weights, enc_out: Tensor,
+                      cfg: CaptionerConfig, params: dict[str, Tensor], scenes,
+                      enc_segments) -> Tensor:
+    """``weighted_logprob`` of sequences that ``_sequences`` checked."""
+    ids, parents, rows, targets, edge_of, row_scenes = _tree_rows(seqs, scenes)
     picked = tree_logprobs(ids, parents, rows, targets, enc_out, cfg, params,
                            row_scenes, enc_segments)
-    steps = [len(t) - 1 for t in tokens]
+    steps = [len(s) - 1 for s in seqs]
     per_edge = np.bincount(edge_of, np.repeat(weights, steps), minlength=len(targets))
     ops = nm.op_set(params)
     return ops.tsum(ops.mul(picked, per_edge))
@@ -468,17 +492,18 @@ def xent_loss(tokens, enc_out: Tensor, cfg: CaptionerConfig,
               params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
     """Mean next-token cross-entropy of a packed list of sequences, each of
     which must pass ``_validate_tokens`` and hold EOS (see ``prefix_tree``),
-    on the parameters' op set.
+    on the parameters' op set. Each sequence is checked once: every id
+    check, then the EOS check, then ``prefix_tree``'s own.
 
     The loss is the mean over sequences of each one's mean, so a length-L
     sequence weighs 1 / ((L - 1) · number of sequences) in the negated
     ``weighted_logprob``.
     """
-    captions = [_validate_tokens([t], cfg)[0] for t in tokens]
+    captions = _sequences(tokens, cfg)
     if any(cfg.vocab.eos_id not in c for c in captions):
         raise ValueError("training sequence lacks EOS")
     steps = np.array([len(c) - 1 for c in captions])
-    return nm.op_set(params).neg(weighted_logprob(
+    return nm.op_set(params).neg(_weighted_logprob(
         captions, 1.0 / (steps * len(captions)), enc_out, cfg, params, scenes,
         enc_segments))
 
@@ -496,20 +521,22 @@ class SceneStepModel:
     tensors or arrays; training and evaluation give it ``encode``'s array
     output and the parameter arrays. ``all_step_logprobs`` runs on the
     parameters as given: on the tape only for tensors. ``step`` runs its
-    own pass on the parameters' arrays and builds no tensor and no tape
-    node.
+    own straight-line pass on the arrays bound below, calling none of the
+    shared sub-block code, and builds no tensor and no tape node.
 
     Built once per scene, the model reads the weights and folds what the
-    scene fixes. Per decoder layer it keeps:
-
-    - the self-attention's ``[wq | wk | wv]``, (d, 3d), so one product
-      gives a row's query, key and value;
-    - the cross-attention as two matrices: a (d, heads·n) score matrix
-      whose head-h block is ``Wq_h K_hᵀ / √head_dim``, and a (heads·n, d)
-      output matrix whose head-h block is ``V_h Wo_h``, with ``K_h`` and
-      ``V_h`` head h's keys and values of the n encoder rows. A cross block
-      is then a layer norm, one product, a softmax per head and one more
-      product.
+    scene fixes. Per decoder layer it binds, in one tuple: the
+    self-attention's layer norm, its ``[wq | wk | wv]``, (d, 3d), so one
+    product gives a row's query, key and value, and its ``wo``; the
+    cross-attention's layer norm and its two folded matrices; and the
+    feed-forward layer norm, ``w1``, ``b1``, ``w2`` and ``b2``. The folded
+    cross-attention is a (d, heads·n) score matrix whose head-h block is
+    ``Wq_h K_hᵀ / √head_dim``, and a (heads·n, d) output matrix whose head-h
+    block is ``V_h Wo_h``, with ``K_h`` and ``V_h`` head h's keys and values
+    of the n encoder rows; a cross block is then a layer norm, one product,
+    a softmax per head and one more product. It also binds the embedding,
+    its up projection and the position table, and the final layer norm, the
+    down projection and ``Eᵀ`` of the output head.
 
     ``step(prefixes)`` scores every prefix in one pass over their last
     tokens only, in the call order of a grid search: all prefixes of a
@@ -517,12 +544,13 @@ class SceneStepModel:
     minus its last token) was a prefix of the previous call. Any other call
     order raises ``ValueError``.
 
-    Cache: per decoder layer, one array of shape (rows, 2, heads, n,
-    head_dim), keys at index 0 of its second axis and values at 1, whose
-    row r holds every position of the latest call's prefix r. A call
-    gathers its parents' rows with one ``np.intp`` index array and appends
-    its new position's key and value, which the fused product gives side
-    by side.
+    Cache: per decoder layer, one array of shape (n, rows, 2, heads,
+    head_dim), keys at index 0 of its third axis and values at 1, whose
+    column r holds every position of the latest call's prefix r. A call
+    allocates its own, fills the first n - 1 positions with one
+    ``np.take`` of its parents' columns, and writes its new position's key
+    and value, which the fused product gives side by side. A call that
+    raises leaves the cache as it was.
 
     Since the weights are read when the model is built, an instance serves
     one search on fixed weights.
@@ -538,17 +566,26 @@ class SceneStepModel:
         cfg, p = self.cfg, nm.arrays_of(self.params)
         enc = self.enc_out.data if isinstance(self.enc_out, Tensor) else self.enc_out
         heads, hd, d = cfg.num_heads, cfg.head_dim, cfg.d_model
-        self._arrays, self._qkv, self._cross = p, [], []
+        self._layers = []
         for i in range(cfg.num_dec_layers):
-            self._qkv.append(np.concatenate(
-                [p[f"dec{i}.self.{w}"] for w in ("wq", "wk", "wv")], axis=1))
+            qkv = np.concatenate([p[f"dec{i}.self.{w}"] for w in ("wq", "wk", "wv")],
+                                 axis=1)
             pre = f"dec{i}.cross"
             k, v = (t.reshape(-1, heads, hd).swapaxes(0, 1)  # (heads, n, head_dim)
                     for t in _project(enc, p, pre))
             wq = p[f"{pre}.wq"].reshape(d, heads, hd).swapaxes(0, 1)  # (heads, d, hd)
             scores = (wq @ k.swapaxes(1, 2)) * (1.0 / math.sqrt(hd))  # (heads, d, n)
             out = v @ p[f"{pre}.wo"].reshape(heads, hd, d)  # (heads, n, d)
-            self._cross.append((scores.swapaxes(0, 1).reshape(d, -1), out.reshape(-1, d)))
+            self._layers.append((
+                p[f"dec{i}.self.ln_gain"], p[f"dec{i}.self.ln_bias"], qkv,
+                p[f"dec{i}.self.wo"], p[f"{pre}.ln_gain"], p[f"{pre}.ln_bias"],
+                scores.swapaxes(0, 1).reshape(d, -1), out.reshape(-1, d),
+                *(p[f"dec{i}.ffn.{w}"]
+                  for w in ("ln_gain", "ln_bias", "w1", "b1", "w2", "b2"))))
+        self._embedding = (p["embed.E"], p["embed.up_w"], p["embed.up_b"],
+                           positional_encoding(cfg.max_len, d))
+        self._head = (p["dec.final.ln_gain"], p["dec.final.ln_bias"], p["embed.down_w"],
+                      p["embed.down_b"], p["embed.E"].T)
 
     @property
     def bos_id(self) -> int:
@@ -569,7 +606,8 @@ class SceneStepModel:
         The prefixes are checked in this order: ``BudgetExhausted`` when one
         is at the budget, ``ValueError`` for mixed lengths, then
         ``_validate_tokens`` on them as one (rows, n) id array, the check
-        teacher forcing runs too."""
+        teacher forcing runs too. A call that raises leaves the cache as it
+        was."""
         cfg = self.cfg
         lengths = {len(p) for p in prefixes}
         if max(lengths, default=0) >= cfg.max_len:
@@ -579,38 +617,50 @@ class SceneStepModel:
             raise ValueError("a step takes one or more prefixes of one length")
         ids = _validate_tokens(prefixes, cfg)
         checked = [tuple(p) for p in ids.tolist()]
-        n = ids.shape[1]
+        heads, hd, d, rows, n = cfg.num_heads, cfg.head_dim, cfg.d_model, *ids.shape
         if n == 1:  # BOS alone: its empty parent has no position to attend to
             self._rows = {(): 0}
-            self._kv = [np.zeros((1, 2, cfg.num_heads, 0, cfg.head_dim))
-                        ] * cfg.num_dec_layers
+            self._kv = [np.zeros((0, 1, 2, heads, hd))] * cfg.num_dec_layers
         try:
             parents = np.array([self._rows[p[:-1]] for p in checked], dtype=np.intp)
         except KeyError as exc:
             raise ValueError(f"prefix {exc.args[0]} was not stepped by the "
                              "previous call") from None
-        heads, hd, rows = cfg.num_heads, cfg.head_dim, len(checked)
-        params, scale, layers = self._arrays, 1.0 / math.sqrt(hd), []
-        x = _embed(ids[:, -1], positional_encoding(cfg.max_len, cfg.d_model)[n - 1],
-                   params)
-        for i, (qkv_w, (score_w, out_w), past) in enumerate(
-                zip(self._qkv, self._cross, self._kv)):
-            h = nm.layer_norm_forward(x, params[f"dec{i}.self.ln_gain"],
-                                      params[f"dec{i}.self.ln_bias"])[0]
-            qkv = nm.matmul_forward(h, qkv_w).reshape(rows, 3, heads, 1, hd)
-            kv = np.concatenate([past.take(parents, axis=0), qkv[:, 1:]], axis=3)
+        scale, layers = 1.0 / math.sqrt(hd), []
+        E, up_w, up_b, pe = self._embedding
+        x = E[ids[:, -1]] @ up_w
+        x += up_b
+        x += pe[n - 1]
+        for (self_g, self_b, qkv_w, wo, cross_g, cross_b, score_w, out_w,
+             ffn_g, ffn_b, w1, b1, w2, b2), past in zip(self._layers, self._kv):
+            qkv = (nm.layer_norm_forward(x, self_g, self_b)[0] @ qkv_w
+                   ).reshape(rows, 3, heads, hd)
+            # one copy gathers the parents' positions; the indices are valid,
+            # and mode "clip" spares the copy that mode "raise" makes first
+            kv = np.empty((n, rows, 2, heads, hd))  # position, row, key or value
+            np.take(past, parents, axis=1, out=kv[:-1], mode="clip")
+            kv[-1] = qkv[:, 1:]
             layers.append(kv)
-            q, k, v = qkv[:, 0], kv[:, 0], kv[:, 1]  # (rows, heads, 1 or n, hd)
-            attended = nm.softmax_forward((q @ k.swapaxes(-1, -2)) * scale) @ v
-            x = nm.add_forward(x, nm.matmul_forward(attended.reshape(rows, -1),
-                                                    params[f"dec{i}.self.wo"]))
-            h = nm.layer_norm_forward(x, params[f"dec{i}.cross.ln_gain"],
-                                      params[f"dec{i}.cross.ln_bias"])[0]
-            scores = nm.matmul_forward(h, score_w).reshape(rows, heads, -1)
-            x = nm.add_forward(x, nm.matmul_forward(
-                nm.softmax_forward(scores).reshape(rows, -1), out_w))
-            x = ffn(x, params, f"dec{i}.ffn")
-        lp = _output_head(_decoder_out(x, params), params)
+            keys = kv[:, :, 0].transpose(1, 2, 3, 0)  # (rows, heads, head_dim, n)
+            probs = nm.softmax_forward((qkv[:, 0, :, None] @ keys) * scale)
+            # BLAS may sum the value product in another order when the
+            # stride between positions changes (OpenBLAS's gemv does for
+            # head_dim <= 3), so it reads one contiguous (n, head_dim) block
+            # per row and head
+            v = np.ascontiguousarray(kv[:, :, 1].transpose(1, 2, 0, 3))
+            x += (probs @ v).reshape(rows, d) @ wo
+            scores = nm.layer_norm_forward(x, cross_g, cross_b)[0] @ score_w
+            probs = nm.softmax_forward(scores.reshape(rows, heads, -1))
+            x += probs.reshape(rows, -1) @ out_w
+            a = nm.layer_norm_forward(x, ffn_g, ffn_b)[0] @ w1
+            a += b1
+            y = np.maximum(a, 0.0) @ w2
+            y += b2
+            x += y
+        gain, bias, down_w, down_b, e_t = self._head
+        h = nm.layer_norm_forward(x, gain, bias)[0] @ down_w
+        h += down_b
+        lp = nm.log_softmax_forward(h @ e_t)
         self._rows = {prefix: r for r, prefix in enumerate(checked)}
         self._kv = layers
         return lp

@@ -37,6 +37,7 @@ them per candidate of one scene; fine-tuning scores packed tries instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,9 +56,13 @@ class InfeasibleConstraintsError(SearchError):
     """More constraints than the decoding budget can hold."""
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    """A partial or finished decode; tokens exclude BOS."""
+class Hypothesis(NamedTuple):
+    """A partial or finished decode; tokens exclude BOS.
+
+    An immutable named tuple ``(tokens, logprob, finished)``: a search
+    builds one per kept beam entry, and a tuple is the cheapest such
+    record. ``sort_key`` ranks by log-prob, highest first, then by tokens.
+    """
 
     tokens: tuple[int, ...]
     logprob: float
@@ -128,9 +133,10 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
     ``model`` provides ``bos_id``, ``eos_id``, ``vocab_size`` and
     ``step(prefixes) -> (len(prefixes), vocab_size) log-prob array`` for
     BOS-led prefixes; it is called once per grid column with every live
-    parent. Ties break on token ids so the search is deterministic for
-    identical inputs. Beams prune and finished hypotheses rank on the raw
-    log-prob sum. ``trace`` records each cell's kept hypotheses by token id.
+    parent, and a result of any other shape raises ``ValueError``. Ties
+    break on token ids so the search is deterministic for identical inputs.
+    Beams prune and finished hypotheses rank on the raw log-prob sum.
+    ``trace`` records each cell's kept hypotheses by token id.
 
     ``n_best`` (1..k, default k) is the number of finished full-coverage
     decodes the caller ranks; ``finished`` holds at most that many. Every
@@ -156,39 +162,48 @@ def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
     fallback = None  # best unfinished full-coverage hypothesis of the latest column
     trace_rows: list[dict] = []
     step_calls = step_rows = offered = kept_total = 0
+    bos, eos, vocab = model.bos_id, model.eos_id, model.vocab_size
+    ids = list(constraints.ids)
 
     for t in range(T):
-        rows = model.step([(model.bos_id,) + p.tokens for p in parents])
+        toks = [p.tokens for p in parents]
+        rows = model.step([(bos,) + tk for tk in toks])
         step_calls += 1
         step_rows += len(parents)
+        if rows.shape != (len(parents), vocab):
+            raise ValueError(f"a step for {len(parents)} prefixes returned shape "
+                             f"{rows.shape}, not {(len(parents), vocab)}")
         if not (rows <= 0).all():
             raise ValueError("a step row holds a log-prob above 0 or NaN")
-        # entry (i, tok) of each matrix is the continuation parents[i] + tok
-        vocab = rows.shape[1]
-        scores = (np.array([p.logprob for p in parents])[:, None] + rows).ravel()
+        # parents share one length, so sort_key orders equal scores by the
+        # parent's tokens, then by the new token: with the parents in token
+        # order, that is the order of the flat index i * vocab + tok
+        assert all(len(tk) == t for tk in toks)
+        order = sorted(range(len(toks)), key=toks.__getitem__)
+        parents, toks = [parents[i] for i in order], [toks[i] for i in order]
+        # entry i * vocab + tok of each flat matrix continues parents[i] by tok
+        scores = (np.array([p.logprob for p in parents])[:, None] + rows[order]).ravel()
+        unmet = np.fromiter([c not in tk for tk in toks for c in ids], bool,
+                            len(toks) * n).reshape(len(toks), n)
         gains = np.zeros(rows.shape, dtype=bool)  # tok is an unmet constraint
-        for i, p in enumerate(parents):
-            gains[i, [c for c in constraints.ids if c not in p.tokens]] = True
-        unmet = gains.sum(axis=1)
+        gains[:, ids] = unmet
+        unmet = unmet.sum(axis=1)
         cover = ((n - unmet)[:, None] + gains).ravel()
         offered += int((np.minimum(k, vocab - unmet) + unmet).sum())
-        # parents share one length, so sort_key orders equal scores by the
-        # parent's tokens, then by the new token
-        rank = np.argsort(sorted(range(len(parents)), key=lambda i: parents[i].tokens))
 
         column = []  # every cell's kept hypotheses, by coverage
         for c in feasible_coverage(t + 1, n, T):
-            idx = np.flatnonzero(cover == c)
+            idx = (cover == c).nonzero()[0]
+            cell = scores[idx]
             if len(idx) > k:  # drop entries scored below the cell's k-th best
-                idx = idx[scores[idx] >= -np.partition(-scores[idx], k - 1)[k - 1]]
-            idx = idx[np.lexsort((idx % vocab, rank[idx // vocab], -scores[idx]))][:k]
+                keep = cell >= np.partition(cell, len(cell) - k)[len(cell) - k]
+                idx, cell = idx[keep], cell[keep]
+            # a stable sort keeps equal scores in flat-index order
+            best = np.argsort(-cell, kind="stable")[:k]
             kept = []
-            for j in idx.tolist():
-                p, tok = parents[j // vocab], j % vocab
-                h = Hypothesis(p.tokens + (tok,), float(scores[j]),
-                               tok == model.eos_id)
-                assert len(h.tokens) == t + 1
-                kept.append(h)
+            for j, s in zip(idx[best].tolist(), cell[best].tolist()):
+                i, tok = divmod(j, vocab)
+                kept.append(Hypothesis(toks[i] + (tok,), s, tok == eos))
             column += kept
             kept_total += len(kept)
             if c == n:

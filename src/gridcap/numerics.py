@@ -40,6 +40,8 @@ is never built whole: one generator produces its bytes per parameter, and
 ``save_checkpoint`` writes and hashes those chunks in one pass while
 ``checkpoint_hash`` hashes the same chunks, so the file and the hash read
 the same bytes and hold one parameter's encoding at a time.
+``load_checkpoint`` reads the file back the same way, one parameter at a
+time through a read-only memory map, and accepts only that layout.
 """
 
 from __future__ import annotations
@@ -50,7 +52,9 @@ import hashlib
 import json
 import logging
 import math
+import mmap
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -832,6 +836,11 @@ def noam_lr(step: int, model_dim: int, warmup: int) -> float:
 # ---------------------------------------------------------------------------
 
 _CKPT_FORMAT = "gridcap-checkpoint-v1"
+_CKPT_HEAD = b'{"format":%s,"params":{' % json.dumps(_CKPT_FORMAT).encode("ascii")
+# one parameter of the canonical layout: a comma before each but the first,
+# its name as a JSON string, its base64 payload and its shape
+_CKPT_ENTRY = re.compile(rb'(,?)("(?:[^"\\]|\\.)*"):\{"data":"([A-Za-z0-9+/]*=*)",'
+                         rb'"shape":\[((?:[0-9]+(?:,[0-9]+)*)?)\]\}')
 
 
 def _checkpoint_chunks(params: dict[str, Tensor]):
@@ -842,7 +851,7 @@ def _checkpoint_chunks(params: dict[str, Tensor]):
     with sorted keys and compact separators, so only one parameter's
     encoding is held at a time.
     """
-    yield b'{"format":%s,"params":{' % json.dumps(_CKPT_FORMAT).encode("ascii")
+    yield _CKPT_HEAD
     for i, name in enumerate(sorted(params)):
         data = params[name].data
         yield b'%s%s:{"data":"' % (b"," if i else b"", json.dumps(name).encode("ascii"))
@@ -879,19 +888,43 @@ def save_checkpoint(path, params: dict[str, Tensor]) -> str:
 
 def load_checkpoint(path) -> dict[str, Tensor]:
     """Parameters written by ``save_checkpoint``; NumericsError on an unknown
-    or malformed format or a non-finite value."""
+    or malformed format or a non-finite value.
+
+    The file is read through a read-only memory map in the canonical layout
+    that ``save_checkpoint`` writes, one parameter at a time: each payload is
+    decoded, checked and converted before the next is read, so no copy of
+    the whole file is held. A document in any other JSON layout (other
+    whitespace, key order or string escapes in the keys) is rejected.
+    """
     with open(path, "rb") as fh:
-        payload = json.loads(fh.read().decode("utf-8"))
-    if not (isinstance(payload, dict) and payload.get("format") == _CKPT_FORMAT
-            and isinstance(payload.get("params"), dict)):
+        if os.fstat(fh.fileno()).st_size == 0:
+            raise NumericsError(f"unrecognized checkpoint format in {path}")
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as buf:
+            return _checkpoint_params(buf, path)
+
+
+def _checkpoint_params(buf, path) -> dict[str, Tensor]:
+    """The parameters of the canonical checkpoint bytes ``buf``, read from
+    ``path``."""
+    if buf[:len(_CKPT_HEAD)] != _CKPT_HEAD:
         raise NumericsError(f"unrecognized checkpoint format in {path}")
-    params = {}
-    for name, entry in payload["params"].items():
-        raw = base64.b64decode(entry["data"])
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(entry["shape"])
+    params, pos = {}, len(_CKPT_HEAD)
+    while (m := _CKPT_ENTRY.match(buf, pos)) and bool(m[1]) == bool(params):
+        try:
+            name = json.loads(m[2])
+            raw = base64.b64decode(m[3], validate=True)
+            shape = [int(s) for s in m[4].split(b",")] if m[4] else []
+            arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        except ValueError as exc:  # a bad escape, padding or payload size
+            raise NumericsError(f"malformed parameter in {path}: {exc}") from None
+        if name in params:
+            raise NumericsError(f"parameter {name} in {path} is listed twice")
         if not np.isfinite(arr).all():
             raise NumericsError(f"parameter {name} in {path} is not finite")
         params[name] = Tensor(arr, requires_grad=True)
+        pos = m.end()
+    if len(buf) - pos != 2 or buf[pos:] != b"}}":
+        raise NumericsError(f"unrecognized checkpoint format in {path}")
     return params
 
 

@@ -532,6 +532,32 @@ class TestXentLoss:
         with pytest.raises(ValueError):
             xent_loss([[cfg.vocab.bos_id, 5, 6]], enc, cfg, params)
 
+    def test_checks_each_caption_once(self, setup, monkeypatch):
+        cfg, params, regions = setup
+        v = cfg.vocab
+        enc = encode(regions, cfg, params)
+        checked, validate = [], captioner._validate_tokens
+
+        def counting(tokens, cfg):
+            checked.append(list(tokens[0]))
+            return validate(tokens, cfg)
+
+        monkeypatch.setattr(captioner, "_validate_tokens", counting)
+        seqs = [[v.bos_id, 4, v.eos_id], [v.bos_id, 5, 4, v.eos_id],
+                [v.bos_id, 4, v.eos_id]]
+        xent_loss(seqs, enc, cfg, params)
+        assert checked == seqs
+
+    @pytest.mark.parametrize("tokens, scenes, message", [
+        ([[1, 5, 6], [1, 10, 2]], None, "unknown token id"),
+        ([[1, 5, 6], [1, 4, 2]], [0], "lacks EOS"),
+    ], ids=["ids-before-eos", "eos-before-scene-count"])
+    def test_checks_run_in_their_order(self, setup, tokens, scenes, message):
+        # every caption's ids, then EOS, then the scene numbers
+        cfg, params, regions = setup
+        with pytest.raises(ValueError, match=message):
+            xent_loss(tokens, encode(regions, cfg, params), cfg, params, scenes)
+
     def test_overfits_one_caption(self, setup):
         cfg, params, regions = setup
         v = cfg.vocab
@@ -619,6 +645,66 @@ def check_search_order(model, rng, widths):
         column = sorted(children, key=lambda p: rng.random())
 
 
+class ChainStep:
+    """The decoder step as a chain of the shared sub-blocks that teacher
+    forcing runs (``_embed``, ``ffn``, ``_decoder_out`` and
+    ``_output_head``) on the parameter arrays, with the same folded
+    cross-attention and its own one-call key-value cache, laid out (rows,
+    2, heads, n, head_dim): the reference that ``SceneStepModel.step``'s
+    straight-line pass must equal bitwise."""
+
+    def __init__(self, model):
+        cfg, self.cfg = model.cfg, model.cfg
+        self.params = p = nm.arrays_of(model.params)
+        heads, hd, d = cfg.num_heads, cfg.head_dim, cfg.d_model
+        self.qkv, self.cross, self.rows, self.kv = [], [], {}, []
+        for i in range(cfg.num_dec_layers):
+            self.qkv.append(np.concatenate(
+                [p[f"dec{i}.self.{w}"] for w in ("wq", "wk", "wv")], axis=1))
+            pre = f"dec{i}.cross"
+            k, v = (t.reshape(-1, heads, hd).swapaxes(0, 1)
+                    for t in captioner._project(model.enc_out, p, pre))
+            wq = p[f"{pre}.wq"].reshape(d, heads, hd).swapaxes(0, 1)
+            scores = (wq @ k.swapaxes(1, 2)) * (1.0 / math.sqrt(hd))
+            out = v @ p[f"{pre}.wo"].reshape(heads, hd, d)
+            self.cross.append((scores.swapaxes(0, 1).reshape(d, -1), out.reshape(-1, d)))
+
+    def step(self, prefixes):
+        cfg, params = self.cfg, self.params
+        ids = np.array(prefixes, dtype=np.intp)
+        rows, n = ids.shape
+        heads, hd = cfg.num_heads, cfg.head_dim
+        if n == 1:
+            self.rows = {(): 0}
+            self.kv = [np.zeros((1, 2, heads, 0, hd))] * cfg.num_dec_layers
+        parents = np.array([self.rows[tuple(p[:-1])] for p in ids.tolist()])
+        x = captioner._embed(ids[:, -1],
+                             captioner.positional_encoding(cfg.max_len, cfg.d_model)[n - 1],
+                             params)
+        layers = []
+        for i, (qkv_w, (score_w, out_w), past) in enumerate(
+                zip(self.qkv, self.cross, self.kv)):
+            h = nm.layer_norm_forward(x, params[f"dec{i}.self.ln_gain"],
+                                      params[f"dec{i}.self.ln_bias"])[0]
+            qkv = nm.matmul_forward(h, qkv_w).reshape(rows, 3, heads, 1, hd)
+            kv = np.concatenate([past.take(parents, axis=0), qkv[:, 1:]], axis=3)
+            layers.append(kv)
+            q, k, v = qkv[:, 0], kv[:, 0], kv[:, 1]
+            attended = nm.softmax_forward(
+                (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(hd))) @ v
+            x = nm.add_forward(x, nm.matmul_forward(attended.reshape(rows, -1),
+                                                    params[f"dec{i}.self.wo"]))
+            h = nm.layer_norm_forward(x, params[f"dec{i}.cross.ln_gain"],
+                                      params[f"dec{i}.cross.ln_bias"])[0]
+            scores = nm.matmul_forward(h, score_w).reshape(rows, heads, -1)
+            x = nm.add_forward(x, nm.matmul_forward(
+                nm.softmax_forward(scores).reshape(rows, -1), out_w))
+            x = captioner.ffn(x, params, f"dec{i}.ffn")
+        self.rows = {tuple(p): r for r, p in enumerate(ids.tolist())}
+        self.kv = layers
+        return captioner._output_head(captioner._decoder_out(x, params), params)
+
+
 class TestCachedStep:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_batches_match_full_recompute(self, seed):
@@ -640,6 +726,27 @@ class TestCachedStep:
         model = step_model(cfg, init_captioner_params(cfg, rng),
                            rng.normal(size=(regions, 3)))
         check_search_order(model, rng, widths)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), layers=st.integers(1, 3),
+           heads=st.sampled_from([1, 2, 4]), regions=st.integers(1, 6),
+           widths=st.lists(st.integers(1, 40), min_size=1, max_size=10))
+    def test_rows_equal_the_shared_sub_block_chain_bitwise(self, seed, layers, heads,
+                                                          regions, widths):
+        # the straight-line pass keeps the chain's operations and their order
+        cfg = tiny_cfg(num_dec_layers=layers, num_heads=heads)
+        rng = np.random.default_rng(seed)
+        model = step_model(cfg, nm.arrays_of(init_captioner_params(cfg, rng)),
+                           rng.normal(size=(regions, 3)))
+        chain = ChainStep(model)
+        column = [(model.bos_id,)]
+        for width in widths:
+            assert np.array_equal(model.step(column), chain.step(column))
+            if len(column[0]) == cfg.max_len - 1:
+                break
+            column = sorted({p + (int(tok),) for p in column
+                             for tok in rng.integers(len(cfg.vocab), size=3)},
+                            key=lambda p: rng.random())[:width]
 
     def test_keeps_only_the_latest_call(self, setup):
         model = step_model(*setup)
@@ -671,9 +778,11 @@ class TestCachedStep:
         bos = model.bos_id
         assert bos == 1 and model.vocab_size == 10
         model.step([(bos,)])
+        kv = [layer.copy() for layer in model._kv]
         with pytest.raises(ValueError, match=message):
             model.step(column)
         assert set(model._rows) == {(bos,)}
+        assert all(np.array_equal(a, b) for a, b in zip(model._kv, kv, strict=True))
         model.step([(bos, 5)])
         assert set(model._rows) == {(bos, 5)}
 

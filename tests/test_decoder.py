@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -447,6 +448,24 @@ class TestGridBeamSearch:
         with pytest.raises(ValueError, match="above 0"):
             run_grid_search(TableLM(table), ConstraintSet(()), k=4, T=3)
 
+    @pytest.mark.parametrize("cut, got, want", [
+        (lambda rows: rows[:1], (1, 5), (2, 5)),  # EOS finishes one of three
+        (lambda rows: rows[:, :-1], (1, 4), (1, 5)),
+    ], ids=["one-row-for-several-prefixes", "narrower-row"])
+    def test_step_result_of_the_wrong_shape_rejected(self, cut, got, want):
+        # one row would broadcast to every parent, and a narrower row would
+        # never offer its missing tokens
+        lm = TableLM(np.log(np.full((4, 5), 0.2)))
+
+        class Misshapen:
+            vocab_size, eos_id, bos_id = lm.vocab_size, lm.eos_id, lm.bos_id
+
+            def step(self, prefixes):
+                return cut(lm.step(prefixes))
+
+        with pytest.raises(ValueError, match=re.escape(f"shape {got}, not {want}")):
+            run_grid_search(Misshapen(), ConstraintSet(()), k=3, T=4)
+
     def test_determinism(self):
         rng = np.random.default_rng(38)
         lm = TableLM.random(rng, 5, 5)
@@ -498,6 +517,25 @@ class TestPrefixDependentModel:
         rows = lm.step([(lm.bos_id, 1), (lm.bos_id, 2)])
         assert not np.array_equal(rows[0], rows[1])
         assert np.array_equal(lm.step([(lm.bos_id, 2)])[0], rows[1])
+
+
+class TestHypothesis:
+    def test_an_immutable_record_of_three_fields(self):
+        h = Hypothesis((3, 4), -1.5)
+        assert Hypothesis._fields == ("tokens", "logprob", "finished")
+        assert (h.tokens, h.logprob, h.finished) == ((3, 4), -1.5, False)
+        assert h == Hypothesis(tokens=(3, 4), logprob=-1.5, finished=False)
+        assert hash(h) == hash(Hypothesis((3, 4), -1.5, False))
+        for name in Hypothesis._fields:
+            with pytest.raises(AttributeError):
+                setattr(h, name, None)
+
+    def test_sort_key_ranks_by_logprob_then_tokens(self):
+        hyps = [Hypothesis((2, 1), -1.0), Hypothesis((0,), -2.0),
+                Hypothesis((1, 9), -1.0, True), Hypothesis((5,), -0.5)]
+        assert Hypothesis((2, 1), -1.0).sort_key() == (1.0, (2, 1))
+        assert [h.tokens for h in sorted(hyps, key=Hypothesis.sort_key)] == [
+            (5,), (1, 9), (2, 1), (0,)]
 
 
 class TestConstraintSet:

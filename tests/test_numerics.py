@@ -891,6 +891,66 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < total / 2, (peak, total)
 
+    def test_load_holds_one_parameter_at_a_time(self, tmp_path):
+        data_cfg = DatasetConfig()
+        params = init_captioner_params(
+            CaptionerConfig(vocab=build_vocabulary(data_cfg),
+                            visual_dim=data_cfg.visual_dim),
+            np.random.default_rng(0))
+        total = sum(p.data.nbytes for p in params.values())
+        largest = max(p.data.nbytes for p in params.values())
+        path = tmp_path / "captioner.ckpt"
+        nm.save_checkpoint(path, params)
+        tracemalloc.start()
+        try:
+            nm.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the loaded arrays, plus one parameter's payload, bytes and array
+        assert peak < total + 4 * largest, (peak, total, largest)
+
+    def test_loads_the_arrays_of_the_one_document_parse(self, tmp_path,
+                                                         awkward_params):
+        path = tmp_path / "model.ckpt"
+        nm.save_checkpoint(path, awkward_params)
+        payload = json.loads(path.read_bytes())["params"]
+        loaded = nm.load_checkpoint(path)
+        assert list(loaded) == list(payload)
+        for name, entry in payload.items():
+            want = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").astype(
+                np.float64).reshape(entry["shape"])
+            got = loaded[name].data
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and got.flags.writeable
+            assert loaded[name].requires_grad
+
+    @pytest.mark.parametrize("damage", [
+        lambda doc: b"",
+        lambda doc: doc[:-1],
+        lambda doc: doc + b"\n",
+        lambda doc: json.dumps(json.loads(doc), indent=1).encode(),
+        lambda doc: doc.replace(b'"data":"', b'"data": "', 1),
+        lambda doc: doc.replace(b'"shape":[2,3]', b'"shape":[3,3]'),
+        lambda doc: doc.replace(b'=","shape"', b'","shape"', 1),
+        lambda doc: doc.replace(b'"w"', b'"\\q"'),
+        lambda doc: doc.replace(b'"w"', b'"v"'),
+        lambda doc: doc.replace(b"gridcap-checkpoint-v1", b"gridcap-checkpoint-v2"),
+    ], ids=["empty", "truncated", "trailing-newline", "indented", "spaced",
+            "shape-size", "padding", "bad-escape", "duplicate-name", "format"])
+    def test_other_layouts_and_damage_rejected(self, tmp_path, damage):
+        path = tmp_path / "model.ckpt"
+        rng = np.random.default_rng(2)
+        nm.save_checkpoint(path, {
+            "v": Tensor(rng.normal(size=5), requires_grad=True),  # base64 ends "=="
+            "w": Tensor(rng.normal(size=(2, 3)), requires_grad=True)})
+        doc = path.read_bytes()
+        path.write_bytes(damage(doc))
+        assert path.read_bytes() != doc
+        with pytest.raises(NumericsError):
+            nm.load_checkpoint(path)
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(9)
         params = {

@@ -27,15 +27,28 @@ def test_pins_one_blas_thread(monkeypatch, name):
 
 
 def test_prints_its_table_and_one_json_line(monkeypatch, capsys):
-    # the script end to end, on two small row counts
+    # the script end to end, on two small row counts and two constraint counts
     step_cost = load_script("step_cost", monkeypatch)
     monkeypatch.setattr(step_cost, "ROWS", (1, 2))
+    monkeypatch.setattr(step_cost, "COUNTS", (0, 2))
     monkeypatch.setattr(step_cost, "REPEATS", 2)
     step_cost.main()
     *table, last = capsys.readouterr().out.splitlines()
     assert table[0] == "| rows | build | 1 | 2 |"
+    assert table[4] == "| constraints | 0 | 2 |"
+    assert [line.split(" | ")[0] for line in table[6:]] == [
+        "| search ms", "| step_calls", "| step_rows", "| offered", "| kept"]
     report = json.loads(last)
     assert report["prefix_len"] == step_cost.PREFIX_LEN and report["repeats"] == 2
+    assert report["beam"] == step_cost.BEAM == 5
     assert report["build_ms_p50"] > 0
     assert set(report["step_ms_p50"]) == {"1", "2"}
     assert all(ms > 0 for ms in report["step_ms_p50"].values())
+    assert set(report["search"]) == {"0", "2"}
+    for search in report["search"].values():
+        assert set(search) == {"ms_p50", "step_calls", "step_rows", "offered", "kept"}
+        assert search["ms_p50"] > 0
+        assert 1 <= search["step_calls"] <= search["step_rows"]
+        assert search["kept"] <= search["offered"]
+    # two constraint words widen every column past the unconstrained search's
+    assert report["search"]["2"]["offered"] > report["search"]["0"]["offered"]
