@@ -30,6 +30,15 @@ from gridcap.training import (EVAL_MODES, TrainConfig,  # noqa: E402
                               train_selector)
 
 BEAM_SIZES = (1, 3, 5)
+SEARCH_FIELDS = ("trace", "step_calls", "step_rows", "offered", "kept")
+
+
+def decode_fields(output) -> dict:
+    """A ``decode_split`` output's fields, with its search's trace and
+    counters in place of the search itself."""
+    fields = {f.name: getattr(output, f.name) for f in dataclasses.fields(output)}
+    search = fields.pop("search")
+    return fields | {name: getattr(search, name) for name in SEARCH_FIELDS}
 
 
 def main() -> None:
@@ -63,7 +72,7 @@ def main() -> None:
         for mode in EVAL_MODES:
             outputs = decode_split(splits.test, mode, cap_cfg, rl_params, cfg,
                                    synonyms, sel_cfg, sel_params, trace=True)
-            decodes[f"{mode}@{beam}"] = [dataclasses.asdict(o) for o in outputs]
+            decodes[f"{mode}@{beam}"] = [decode_fields(o) for o in outputs]
     json.dump({"phases": phases, "decodes": decodes, "selections": selections},
               sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")

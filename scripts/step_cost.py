@@ -4,7 +4,7 @@ number of prefixes it scores, and one grid search by its constraint count.
 Usage: ``python scripts/step_cost.py`` (no options). On the default
 ``CaptionerConfig`` over the default dataset's vocabulary, with freshly
 initialised weights and the first generated scene's regions, it encodes the
-scene as ``training._scene_model`` does (from parameter arrays, so the
+scene as ``training._search_scene`` does (from parameter arrays, so the
 encode runs on ``numerics.ARRAY_OPS``). A build folds the scene's
 cross-attention into the model's weights, so it moves work out of every
 step: its cost is the median of ``REPEATS`` builds of ``SceneStepModel``

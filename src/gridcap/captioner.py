@@ -255,8 +255,7 @@ def encode(region_vectors, cfg: CaptionerConfig, params: dict[str, Tensor],
     rows of its own scene only. Memory slots extend each layer's keys and
     values, visible to every row; the output has the input's rows.
     """
-    x = (region_vectors if isinstance(region_vectors, Tensor)
-         else np.asarray(region_vectors, np.float64))
+    x = np.asarray(region_vectors, np.float64)
     if x.shape[0] < 1:
         raise ValueError("encoder needs at least one region")
     if x.shape[1] != cfg.visual_dim:
@@ -295,16 +294,6 @@ def _check_ids(ids: np.ndarray, heads, length: int, cfg: CaptionerConfig) -> np.
     return ids
 
 
-def _validate_tokens(tokens, cfg: CaptionerConfig) -> np.ndarray:
-    """``tokens`` as a checked (rows, n) id array, one sequence per row: it
-    must be non-empty, then pass ``_check_ids``; else ``ValueError``."""
-    ids = np.asarray(tokens)
-    if ids.ndim != 2 or ids.size == 0:
-        raise ValueError(f"token ids must be a non-empty (rows, n) array, "
-                         f"got shape {ids.shape}")
-    return _check_ids(ids, ids[:, 0], ids.shape[1], cfg)
-
-
 def _embed(ids, pe: np.ndarray, params: dict[str, Tensor]) -> Tensor:
     """Up-projected embeddings of ``ids`` plus their position rows ``pe``."""
     ops = nm.op_set(params)
@@ -338,7 +327,8 @@ def _decoder_out(x: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 def _output_head(h: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Next-token log-probs of decoder states ``h``: log-softmax of ``h Eᵀ``,
-    the head tied to the word embedding matrix E, shared by step and scorer."""
+    the head tied to the word embedding matrix E. The scorer runs it;
+    ``SceneStepModel.step`` runs its own copy on arrays."""
     ops = nm.op_set(params)
     return ops.log_softmax(ops.matmul(h, ops.transpose(params["embed.E"])), axis=-1)
 
@@ -369,11 +359,23 @@ def tree_layout(parents) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sequences(tokens, cfg: CaptionerConfig) -> list[list[int]]:
-    """A non-empty list of sequences as id lists, each checked by
-    ``_validate_tokens``; else ``ValueError``."""
+    """A non-empty list of non-empty flat integer sequences as id lists,
+    whose ids pass one ``_check_ids`` as a batch (so of several faults, the
+    first check to fail names its own); else ``ValueError``."""
     if len(tokens) == 0:
         raise ValueError("the list of sequences to score is empty")
-    return [_validate_tokens([t], cfg)[0].tolist() for t in tokens]
+    seqs = [np.asarray(t) for t in tokens]
+    for seq in seqs:
+        if seq.ndim != 1 or seq.size == 0:
+            raise ValueError(f"token ids must be a non-empty (rows, n) array, "
+                             f"got shape {(1,) + seq.shape}")
+        if seq.dtype.kind not in "iu":  # checked before concatenation casts it
+            raise ValueError(f"token ids must be integers, not {seq.dtype}")
+    lengths = np.array([len(seq) for seq in seqs])
+    starts = np.cumsum(lengths) - lengths
+    ids = np.concatenate(seqs, dtype=np.intp)
+    ids = _check_ids(ids, ids[starts], lengths.max(), cfg).tolist()
+    return [ids[a:a + n] for a, n in zip(starts.tolist(), lengths.tolist())]
 
 
 def prefix_tree(tokens, cfg: CaptionerConfig, scenes=None):
@@ -381,8 +383,8 @@ def prefix_tree(tokens, cfg: CaptionerConfig, scenes=None):
     ``(ids, parents, rows, targets, edge_of, row_scenes)``, the rows and
     edges ``tree_logprobs`` takes.
 
-    Each sequence must pass ``_validate_tokens`` and ``scenes[b]`` (default
-    0) numbers sequence b's scene; an empty list, too, raises ``ValueError``.
+    The sequences must pass ``_sequences`` and ``scenes[b]`` (default 0)
+    numbers sequence b's scene; else ``ValueError``.
     The rows are the distinct proper prefixes of each scene's sequences, in
     order of first appearance: row r is a prefix's last token ``ids[r]``
     after the row ``parents[r]`` of the prefix before it (-1 at BOS), in
@@ -491,9 +493,9 @@ def _weighted_logprob(seqs: list[list[int]], weights, enc_out: Tensor,
 def xent_loss(tokens, enc_out: Tensor, cfg: CaptionerConfig,
               params: dict[str, Tensor], scenes=None, enc_segments=None) -> Tensor:
     """Mean next-token cross-entropy of a packed list of sequences, each of
-    which must pass ``_validate_tokens`` and hold EOS (see ``prefix_tree``),
-    on the parameters' op set. Each sequence is checked once: every id
-    check, then the EOS check, then ``prefix_tree``'s own.
+    which must pass ``_sequences`` and hold EOS (see ``prefix_tree``), on
+    the parameters' op set. The batch is checked once: its ids, then EOS,
+    then ``prefix_tree``'s own checks.
 
     The loss is the mean over sequences of each one's mean, so a length-L
     sequence weighs 1 / ((L - 1) · number of sequences) in the negated
@@ -605,9 +607,9 @@ class SceneStepModel:
 
         The prefixes are checked in this order: ``BudgetExhausted`` when one
         is at the budget, ``ValueError`` for mixed lengths, then
-        ``_validate_tokens`` on them as one (rows, n) id array, the check
-        teacher forcing runs too. A call that raises leaves the cache as it
-        was."""
+        that they form a non-empty (rows, n) id array, then ``_check_ids``
+        on it, the check teacher forcing runs too. A call that raises leaves
+        the cache as it was."""
         cfg = self.cfg
         lengths = {len(p) for p in prefixes}
         if max(lengths, default=0) >= cfg.max_len:
@@ -615,7 +617,11 @@ class SceneStepModel:
                 f"prefix length {max(lengths)} is at budget {cfg.max_len}")
         if len(lengths) != 1:
             raise ValueError("a step takes one or more prefixes of one length")
-        ids = _validate_tokens(prefixes, cfg)
+        ids = np.asarray(prefixes)
+        if ids.ndim != 2 or ids.size == 0:
+            raise ValueError(f"token ids must be a non-empty (rows, n) array, "
+                             f"got shape {ids.shape}")
+        ids = _check_ids(ids, ids[:, 0], ids.shape[1], cfg)
         checked = [tuple(p) for p in ids.tolist()]
         heads, hd, d, rows, n = cfg.num_heads, cfg.head_dim, cfg.d_model, *ids.shape
         if n == 1:  # BOS alone: its empty parent has no position to attend to

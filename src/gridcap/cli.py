@@ -313,7 +313,7 @@ def cmd_eval(exp: Experiment, args) -> int:
     if args.trace_grid:
         exp.write(f"grid_trace_{mode}.jsonl", write_jsonl,
                   ({"scene_id": o.scene_id, **row}
-                   for o in outputs for row in o.trace))
+                   for o in outputs for row in o.search.trace))
     out = report["out_domain"]
     print(f"mode {mode}: out-domain F1 {out['f1_average']:.3f} "
           f"CIDEr-D {out['cider_d']:.3f}, satisfaction "

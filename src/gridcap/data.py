@@ -37,6 +37,9 @@ MIN_DETECTIONS, MAX_DETECTIONS = 2, 10  # detections per scene, inclusive
 SALIENCE_TAU = 0.14  # area fraction past which an object beyond the two largest is salient
 MENTION_DROPOUT = 0.3  # chance a reference drops one non-primary mention
 SPLITS = ("train", "val", "test")
+# Largest region feature magnitude a scene file may hold: generated ones are
+# unit-scale, and the models' layer norms overflow for values near 1e154
+MAX_REGION_VALUE = 1e6
 
 
 @dataclass
@@ -96,12 +99,13 @@ class SceneRecord:
 
         ValueError unless, in this order: the scene has a detection, one
         region row per detection and a reference; each region row is
-        ``cfg.visual_dim`` finite numbers; each class word is in
-        ``cfg.classes``; ``extract_features`` accepts the image size
-        and each box and score; each reference is a non-empty list of
-        strings, none of them a reserved vocabulary token; and ``split`` is
-        one of ``SPLITS``. A missing key raises KeyError; other keys, such
-        as the ``class_id`` older files give a detection, are ignored."""
+        ``cfg.visual_dim`` numbers of magnitude at most ``MAX_REGION_VALUE``;
+        each class word is in ``cfg.classes``; ``extract_features`` accepts
+        the image size and each box and score; each reference is a
+        non-empty list of strings, none of them a reserved vocabulary token;
+        and ``split`` is one of ``SPLITS``. A missing key raises KeyError;
+        other keys, such as the ``class_id`` older files give a detection,
+        are ignored."""
         dets = [Detection(class_word=d["class_word"], box=tuple(d["box"]),
                           score=d["score"])
                 for d in obj["detections"]]
@@ -116,9 +120,9 @@ class SceneRecord:
         dim, classes = cfg.visual_dim, cfg.classes
         for det, row in zip(dets, obj["region_visual"]):
             row = np.asarray(row, dtype=np.float64)
-            if row.shape != (dim,) or not np.isfinite(row).all():
-                raise ValueError(f"{where} has a region row that is not "
-                                 f"{dim} finite numbers")
+            if row.shape != (dim,) or not (abs(row) <= MAX_REGION_VALUE).all():
+                raise ValueError(f"{where} has a region row that is not {dim} "
+                                 f"numbers of magnitude at most {MAX_REGION_VALUE:g}")
             if det.class_word not in classes:
                 raise ValueError(f"{where} has class word {det.class_word!r}, "
                                  f"not in data.classes")

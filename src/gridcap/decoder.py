@@ -126,6 +126,17 @@ class GridResult:
     kept: int = 0  # hypotheses that survived the beams, summed over cells
 
 
+def decoder_counts(searches: list[GridResult]) -> dict:
+    """The summed work of searches: their ``step_calls``, ``step_rows``,
+    ``offered`` and ``kept``, and ``unfinished_fallbacks``, the searches
+    with no finished full-coverage decode (``finished`` is empty)."""
+    return {"step_calls": sum(s.step_calls for s in searches),
+            "step_rows": sum(s.step_rows for s in searches),
+            "offered": sum(s.offered for s in searches),
+            "kept": sum(s.kept for s in searches),
+            "unfinished_fallbacks": sum(1 for s in searches if not s.finished)}
+
+
 def run_grid_search(model, constraints: ConstraintSet, k: int, T: int,
                     trace: bool = False, *, n_best: int | None = None) -> GridResult:
     """Fill the coverage-by-time grid and return the best full-coverage decode.

@@ -686,13 +686,10 @@ def attention_block(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, wk: Tenso
 # rounds exactly as on the tape.
 ARRAY_OPS = SimpleNamespace(
     add=add_forward, mul=mul_forward, neg=np.negative, matmul=matmul_forward,
-    linear=linear_forward, transpose=transpose_forward, concat=concat_forward,
-    reshape=np.reshape, gather_rows=gather_rows_forward, take=take_forward,
-    relu=relu_forward, sigmoid=sigmoid_forward, log_softmax=log_softmax_forward,
-    tsum=lambda a: np.asarray(a.sum()),
+    linear=linear_forward, transpose=transpose_forward, reshape=np.reshape,
+    gather_rows=gather_rows_forward, take=take_forward, sigmoid=sigmoid_forward,
+    log_softmax=log_softmax_forward, tsum=lambda a: np.asarray(a.sum()),
     layer_norm=lambda x, gain, bias: layer_norm_forward(x, gain, bias)[0],
-    multi_head_attention=lambda q, k, v, num_heads, mask=None:
-        multi_head_attention_forward(q, k, v, num_heads, mask)[0],
     ffn_block=lambda x, gain, bias, w1, b1, w2, b2:
         ffn_block_forward(x, gain, bias, w1, b1, w2, b2)[0],
     attention_block=lambda x, gain, bias, wq, wk, wv, wo, mem_k, mem_v, num_heads, mask:

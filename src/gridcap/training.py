@@ -26,8 +26,8 @@ done, so no validation pass, hash or caller sees them, and no phase returns
 parameters that hold one.
 
 Every decode, whether a fine-tuning beam, a validation pass or an
-evaluation, is one ``run_grid_search`` call made by ``_decode_for_scene`` on
-the scene's model from ``_scene_model``, which encodes the scene on arrays.
+evaluation, is one ``run_grid_search`` call made by ``_search_scene`` on the
+scene's ``SceneStepModel``, which it builds with an encode on arrays.
 Fine-tuning scores a minibatch's candidates afterwards, in packed passes,
 each with one taped encode of its scenes. A search returns the ``n_best``
 best finished decodes as ``finished`` and drops every live hypothesis that
@@ -52,7 +52,8 @@ from .captioner import (CaptionerConfig, SceneStepModel, encode,
                         init_captioner_params, weighted_logprob, xent_loss)
 from .data import DatasetConfig, HeldoutSplits, SceneRecord
 # sequence_logprob is not called here: bench/tracer.py wraps this binding
-from .decoder import ConstraintSet, run_grid_search, sequence_logprob  # noqa: F401
+from .decoder import (ConstraintSet, GridResult, decoder_counts,  # noqa: F401
+                      run_grid_search, sequence_logprob)
 from .metrics import EvalRecord, IdfTable, ReferenceVectors, cider_d, eval_report
 from .numerics import (AdamState, Tensor, adam_step, arrays_of, check_at_least,
                        noam_lr, zero_grads)
@@ -304,18 +305,16 @@ def _strip_eos(tokens, vocab) -> list[int]:
     return ids
 
 
-def _scene_model(scene: SceneRecord, cfg: CaptionerConfig, params) -> SceneStepModel:
-    """The scene's search model on the arrays of ``params`` (tensors or
-    arrays): its encode runs on those arrays, so it builds no tensor."""
+def _search_scene(scene: SceneRecord, words, cfg: CaptionerConfig, params, k, *,
+                  n_best, trace=False) -> GridResult:
+    """The grid search of ``scene`` under the constraint ``words``, beam
+    ``k``, over the whole budget. Its model is built on the arrays of
+    ``params`` (tensors or arrays), so its encode builds no tensor."""
     arrays = arrays_of(params)
-    return SceneStepModel(encode(np.array(scene.region_visual), cfg, arrays), cfg,
-                          arrays)
-
-
-def _decode_for_scene(model: SceneStepModel, words, k, *, n_best=None, trace=False):
-    constraints = ConstraintSet.from_words(words, model.cfg.vocab)
-    return run_grid_search(model, constraints, k=k, T=model.cfg.max_len - 1,
-                           trace=trace, n_best=n_best)
+    model = SceneStepModel(encode(np.array(scene.region_visual), cfg, arrays), cfg,
+                           arrays)
+    return run_grid_search(model, ConstraintSet.from_words(words, cfg.vocab), k=k,
+                           T=cfg.max_len - 1, trace=trace, n_best=n_best)
 
 
 # Decoder rows per SCST scoring pass: the packed scenes' distinct proper
@@ -334,12 +333,10 @@ class ScoredScene:
     regions: np.ndarray
     seqs: list[tuple[int, ...]]
     adv: np.ndarray
+    rows: int = field(init=False)  # prefix-tree rows: distinct proper prefixes
 
-    @property
-    def rows(self) -> int:
-        """The scene's prefix-tree rows: its candidates' distinct proper
-        prefixes."""
-        return len({s[:t] for s in self.seqs for t in range(1, len(s))})
+    def __post_init__(self):
+        self.rows = len({s[:t] for s in self.seqs for t in range(1, len(s))})
 
 
 def _scoring_passes(scored: list[ScoredScene]) -> list[list[ScoredScene]]:
@@ -425,9 +422,8 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
             for idx in batch:
                 scene = scenes[idx]
                 words = build_training_constraints(scene, synonyms, vocab)
-                model = _scene_model(scene, cfg, params)
-                result = _decode_for_scene(model, words, train_cfg.beam_size,
-                                           n_best=train_cfg.beam_size)
+                result = _search_scene(scene, words, cfg, params, train_cfg.beam_size,
+                                       n_best=train_cfg.beam_size)
                 searches.append(result)
                 cands = result.finished
                 if len(cands) < 2:
@@ -474,7 +470,7 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
             "scored_rows": scored_rows,
             "updates": state.step - steps_before,
             "search_decoder": decoder_counts(searches),
-            "val_decoder": decoder_counts(val),
+            "val_decoder": decoder_counts([o.search for o in val]),
         })
         if reward_n == 0:
             log.warning("finetune epoch %d scored no scene: all %d finished "
@@ -515,6 +511,9 @@ def constraints_for_mode(scene: SceneRecord, mode: str, vocab, synonyms,
 
 @dataclass
 class DecodeOutput:
+    """A scene's best decode under ``mode``, and the search that found it
+    (its trace's token ids as words)."""
+
     scene_id: str
     mode: str
     constraints: list[str]
@@ -522,23 +521,7 @@ class DecodeOutput:
     logprob: float
     finished: bool
     satisfied: bool
-    trace: list[dict] = field(default_factory=list)
-    step_calls: int = 0
-    step_rows: int = 0
-    offered: int = 0
-    kept: int = 0
-
-
-def decoder_counts(searches) -> dict:
-    """The summed work of searches, ``GridResult``s or ``DecodeOutput``s:
-    their ``step_calls``, ``step_rows``, ``offered`` and ``kept``, and
-    ``unfinished_fallbacks``, the searches with no finished full-coverage
-    decode (``finished`` is empty or false)."""
-    return {"step_calls": sum(s.step_calls for s in searches),
-            "step_rows": sum(s.step_rows for s in searches),
-            "offered": sum(s.offered for s in searches),
-            "kept": sum(s.kept for s in searches),
-            "unfinished_fallbacks": sum(1 for s in searches if not s.finished)}
+    search: GridResult
 
 
 def decode_split(scenes: list[SceneRecord], mode: str, cfg: CaptionerConfig,
@@ -557,8 +540,8 @@ def decode_split(scenes: list[SceneRecord], mode: str, cfg: CaptionerConfig,
     for scene in scenes:
         words = constraints_for_mode(scene, mode, vocab, synonyms,
                                      sel_cfg, sel_params)
-        result = _decode_for_scene(_scene_model(scene, cfg, cap_params), words,
-                                   train_cfg.beam_size, n_best=1, trace=trace)
+        result = _search_scene(scene, words, cfg, cap_params, train_cfg.beam_size,
+                               n_best=1, trace=trace)
         caption = vocab.decode(_strip_eos(result.best.tokens, vocab))
         satisfied = all(w in caption for w in words)
         for hyp in (h for row in result.trace for h in row["hyps"]):
@@ -566,9 +549,7 @@ def decode_split(scenes: list[SceneRecord], mode: str, cfg: CaptionerConfig,
         outputs.append(DecodeOutput(
             scene_id=scene.scene_id, mode=mode, constraints=words,
             caption=caption, logprob=result.best.logprob,
-            finished=result.best.finished, satisfied=satisfied,
-            trace=result.trace, step_calls=result.step_calls,
-            step_rows=result.step_rows, offered=result.offered, kept=result.kept))
+            finished=result.best.finished, satisfied=satisfied, search=result))
     return outputs
 
 
@@ -601,5 +582,5 @@ def decode_eval(splits: HeldoutSplits, mode: str, data_cfg: DatasetConfig,
         / n_constrained if n_constrained else 1.0)
     report["mean_constraints"] = (
         float(np.mean([len(o.constraints) for o in outputs])) if outputs else 0.0)
-    report["decoder"] = decoder_counts(outputs)
+    report["decoder"] = decoder_counts([o.search for o in outputs])
     return report, outputs

@@ -33,9 +33,7 @@ def chain_rows(tokens, cfg, scenes=None):
     edges pick every next token, sequence by sequence: a length-L sequence
     gives L rows and L - 1 edges. It runs ``prefix_tree``'s checks.
     """
-    if len(tokens) == 0:
-        raise ValueError("the list of sequences to score is empty")
-    seqs = [captioner._validate_tokens([t], cfg)[0] for t in tokens]
+    seqs = [np.array(s, dtype=np.intp) for s in captioner._sequences(tokens, cfg)]
     scenes = (np.zeros(len(seqs), dtype=np.intp) if scenes is None
               else np.asarray(scenes))
     if scenes.shape != (len(seqs),):
@@ -536,17 +534,20 @@ class TestXentLoss:
         cfg, params, regions = setup
         v = cfg.vocab
         enc = encode(regions, cfg, params)
-        checked, validate = [], captioner._validate_tokens
+        checked, check = [], captioner._check_ids
 
-        def counting(tokens, cfg):
-            checked.append(list(tokens[0]))
-            return validate(tokens, cfg)
+        def counting(ids, heads, length, cfg):
+            checked.append(ids.tolist())
+            return check(ids, heads, length, cfg)
 
-        monkeypatch.setattr(captioner, "_validate_tokens", counting)
+        monkeypatch.setattr(captioner, "_check_ids", counting)
         seqs = [[v.bos_id, 4, v.eos_id], [v.bos_id, 5, 4, v.eos_id],
                 [v.bos_id, 4, v.eos_id]]
         xent_loss(seqs, enc, cfg, params)
-        assert checked == seqs
+        # one check of every caption's ids, then tree_logprobs' own of the
+        # trie's 4 rows and 5 edges
+        assert len(checked) == 2 and checked[0] == [i for s in seqs for i in s]
+        assert len(checked[1]) == 4 + 5
 
     @pytest.mark.parametrize("tokens, scenes, message", [
         ([[1, 5, 6], [1, 10, 2]], None, "unknown token id"),

@@ -2,6 +2,7 @@ import base64
 import hashlib
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -225,7 +226,7 @@ class TestMultiHeadAttention:
             k, v = (np.concatenate([a, np.tile(t.data, heads)[None]], axis=1)
                     for a, t in ((k, tensors[3]), (v, tensors[4])))
         want, gq, gk, gv = per_head_attention(q, k, v, heads, mask, w.data)
-        assert np.array_equal(nm.ARRAY_OPS.multi_head_attention(q, k, v, heads, mask),
+        assert np.array_equal(nm.multi_head_attention_forward(q, k, v, heads, mask)[0],
                               out.data)
         want_grads = [gq, gk[:, :n], gv[:, :n]]
         for g in (gk, gv)[:len(tensors) - 3]:  # every head reads each memory row
@@ -423,9 +424,25 @@ class TestElementwise:
         check_grads(loss, [x], 1e-6)
 
 
+# The array forms of the ops that only the chains below call, which no pass
+# of the program runs on arrays and ``nm.ARRAY_OPS`` therefore leaves out
+CHAIN_ONLY_OPS = {"concat", "relu", "multi_head_attention"}
+CHAIN_ARRAY_OPS = SimpleNamespace(
+    **vars(nm.ARRAY_OPS), concat=nm.concat_forward, relu=nm.relu_forward,
+    multi_head_attention=lambda q, k, v, num_heads, mask=None:
+        nm.multi_head_attention_forward(q, k, v, num_heads, mask)[0])
+
+
+def chain_op_set(ops):
+    """The op set a chain runs on for ``ops``, the taped module or
+    ``nm.ARRAY_OPS``: the former, or ``CHAIN_ARRAY_OPS`` for the latter."""
+    return CHAIN_ARRAY_OPS if ops is nm.ARRAY_OPS else ops
+
+
 def chain_ffn(ops, x, gain, bias, w1, b1, w2, b2):
     """The op chain ``ffn_block`` replaces, on the op set ``ops``: layer
     norm, linear, relu, linear and the residual add."""
+    ops = chain_op_set(ops)
     h = ops.layer_norm(x, gain, bias)
     return ops.add(x, ops.linear(ops.relu(ops.linear(h, w1, b1)), w2, b2))
 
@@ -435,6 +452,7 @@ def chain_attention(ops, x, gain, bias, wq, wk, wv, wo, mem_k, mem_v, num_heads,
     layer norm, the key and value products (for 2-D ``wk`` and ``wv``)
     and the memory rows every head reads, the query product, attention,
     the output product (unless ``wo`` is None) and the residual add."""
+    ops = chain_op_set(ops)
     h = ops.layer_norm(x, gain, bias)
     k, v = (ops.matmul(h, wk), ops.matmul(h, wv)) if len(wk.shape) == 2 else (wk, wv)
     if mem_k is not None:
@@ -667,18 +685,21 @@ def bad_array_op_cases():
 
 
 class TestArrayOps:
-    """``nm.ARRAY_OPS``: the decoder's ops on plain arrays, bitwise the taped
-    ops' outputs, with the taped ops' errors."""
+    """``nm.ARRAY_OPS``: the decoder's ops on plain arrays, and the chains'
+    further ones (``CHAIN_ARRAY_OPS``), bitwise the taped ops' outputs, with
+    the taped ops' errors."""
 
     def test_the_decoder_ops_and_only_they(self):
-        assert set(vars(nm.ARRAY_OPS)) == {name for name, _, _ in
-                                           array_op_cases().values()}
+        # the cases cover the chains' array ops too, which ARRAY_OPS lacks
+        names = {name for name, _, _ in array_op_cases().values()}
+        assert set(vars(nm.ARRAY_OPS)) == names - CHAIN_ONLY_OPS
+        assert set(vars(CHAIN_ARRAY_OPS)) == names
 
     @pytest.mark.parametrize("case", list(array_op_cases()))
     def test_equals_taped_op(self, case):
         name, arrays, args = array_op_cases()[case]
         out = getattr(nm, name)(*map(taped, arrays), *args)
-        got = getattr(nm.ARRAY_OPS, name)(*arrays, *args)
+        got = getattr(CHAIN_ARRAY_OPS, name)(*arrays, *args)
         assert type(got) is np.ndarray and got.shape == out.shape
         assert np.array_equal(got, out.data)
 
@@ -688,7 +709,7 @@ class TestArrayOps:
         with pytest.raises(NumericsError) as on_tape:
             getattr(nm, name)(*map(taped, arrays), *args)
         with pytest.raises(NumericsError) as plain:
-            getattr(nm.ARRAY_OPS, name)(*arrays, *args)
+            getattr(CHAIN_ARRAY_OPS, name)(*arrays, *args)
         assert type(plain.value) is type(on_tape.value)
         assert str(plain.value) == str(on_tape.value)
         assert (type(on_tape.value) is DegenerateMaskError) == case.endswith(

@@ -1,10 +1,14 @@
+import contextlib
 import dataclasses
+import io
 import json
 import logging
 import math
 import os
 import shutil
+import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,15 +354,24 @@ class TestGradientFreePasses:
         assert ppl == float(np.exp(taped / len(samples)))
         assert 0.0 <= f1 <= 1.0
 
-    def test_sequence_logprob_scores_a_search_model(self, tiny_world, pretrained):
+    def test_sequence_logprob_scores_a_search_model(self, tiny_world, pretrained,
+                                                     monkeypatch):
         # a search model holds parameter arrays, so its candidates are scored
         # on the array op set, to the log-probs the search summed
         _, _, synonyms, splits, vocab = tiny_world
         cfg, pre = pretrained
         scene = splits.captioner_train[0]
-        model = tr._scene_model(scene, cfg, pre)
-        result = tr._decode_for_scene(
-            model, build_training_constraints(scene, synonyms, vocab), 5)
+        search, models = tr.run_grid_search, []
+
+        def spy(model, *args, **kwargs):
+            models.append(model)
+            return search(model, *args, **kwargs)
+
+        monkeypatch.setattr(tr, "run_grid_search", spy)
+        result = tr._search_scene(
+            scene, build_training_constraints(scene, synonyms, vocab), cfg, pre, 5,
+            n_best=5)
+        model, = models
         assert len(result.finished) >= 2
         got = sequence_logprob([h.tokens for h in result.finished], model)
         np.testing.assert_allclose(got.data, [h.logprob for h in result.finished],
@@ -555,8 +568,8 @@ class TestFinetune:
         scored, ref_loss = [], Tensor(0.0)
         for scene in scenes:
             regions = np.array(scene.region_visual)
-            cands = [h.tokens for h in tr._decode_for_scene(
-                tr._scene_model(scene, cfg, pre), [], 3).finished]
+            cands = [h.tokens for h in tr._search_scene(
+                scene, [], cfg, pre, 3, n_best=3).finished]
             adv = rng.normal(size=len(cands))
             scored.append(tr.ScoredScene(
                 regions, [(vocab.bos_id,) + c for c in cands], adv))
@@ -825,10 +838,10 @@ class TestDecodeEval:
                 assert w in out.caption
         counts = report["decoder"]
         assert counts == {
-            "step_calls": sum(o.step_calls for o in outputs),
-            "step_rows": sum(o.step_rows for o in outputs),
-            "offered": sum(o.offered for o in outputs),
-            "kept": sum(o.kept for o in outputs),
+            "step_calls": sum(o.search.step_calls for o in outputs),
+            "step_rows": sum(o.search.step_rows for o in outputs),
+            "offered": sum(o.search.offered for o in outputs),
+            "kept": sum(o.search.kept for o in outputs),
             "unfinished_fallbacks": sum(1 for o in outputs if not o.finished)}
         assert 0 < counts["kept"] <= counts["offered"]
         assert len(outputs) <= counts["step_calls"] <= len(outputs) * (cfg.max_len - 1)
@@ -865,6 +878,67 @@ TINY_CONFIG = {
 
 # JSON nesting deep enough that the json module raises RecursionError
 NESTING = 200_000
+
+# Each artifact of a pipeline run, and the stages that read it
+ARTIFACT_READERS = {
+    "scenes.jsonl": (["train-selector"], ["train-captioner"],
+                     ["eval", "--mode", "oracle"]),
+    "vocab.json": (["train-captioner"], ["finetune"], ["eval", "--mode", "none"]),
+    "synonyms.json": (["train-selector"], ["finetune"], ["eval", "--mode", "selector"]),
+    "selector.ckpt": (["eval", "--mode", "selector"],),
+    "captioner.ckpt": (["finetune"],),
+    "captioner_rl.ckpt": (["eval", "--mode", "none"],),
+    "config.json": (["gen-data"], ["train-selector"], ["train-captioner"],
+                    ["finetune"], ["eval", "--mode", "selector"]),
+}
+HUGE = 10 ** 30
+# The JSON values an edit puts in place of another. The config is given no
+# HUGE count: a stage builds that many layers before anything rejects it.
+EDIT_VALUES = (None, True, 0, -1, 2, 2.5, 1e300, math.nan, "", "x", [], {}, [1], HUGE)
+
+
+def json_paths(node, at=()):
+    """The path of every node of a parsed JSON document, the root's first."""
+    yield at
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from json_paths(child, at + (key,))
+
+
+def edited_artifact(name: str, text: str, data) -> str:
+    """The text of the artifact ``name`` with one JSON value, key or line
+    replaced, as ``data`` draws, in the layout its writer gives."""
+    lines = text.splitlines()
+    kind = data.draw(st.sampled_from(["value", "key", "line"]))
+    at = data.draw(st.integers(0, len(lines) - 1))
+    if kind == "line":
+        lines[at] = data.draw(st.sampled_from(["", "x", "{}", "[]", "null"]))
+        return "\n".join(lines) + "\n"
+    if not name.endswith(".jsonl"):  # one document
+        lines, at = [text], 0
+    doc = json.loads(lines[at])
+    path = data.draw(st.sampled_from([
+        p for p in json_paths(doc) if kind == "value" or p and isinstance(p[-1], str)]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "key":
+        new = data.draw(st.sampled_from(["", "x", "data"]))
+        items = list(parent.items())
+        parent.clear()
+        parent.update((new if k == path[-1] else k, v) for k, v in items)
+    else:
+        value = data.draw(st.sampled_from(
+            [v for v in EDIT_VALUES if name != "config.json" or v is not HUGE]))
+        if path:
+            parent[path[-1]] = value
+        else:
+            doc = value
+    if name in ("vocab.json", "synonyms.json"):
+        return json.dumps(doc, indent=1) + "\n"
+    lines[at] = json.dumps(doc, separators=(",", ":"))
+    return "\n".join(lines) + ("\n" if name.endswith(".jsonl") else "")
 
 
 class TestCli:
@@ -937,6 +1011,28 @@ class TestCli:
         assert lines
         row = json.loads(lines[0])
         assert {"scene_id", "t", "c", "hyps"} <= set(row)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(name=st.sampled_from(sorted(ARTIFACT_READERS)), data=st.data())
+    def test_edited_artifact_exits_as_documented(self, run_dir, name, data):
+        # one JSON value, key or line of one artifact replaced, then a stage
+        # that reads it: it exits 0, 1 or 2 as the cli docstring says, and
+        # never with an exception
+        base, _, _ = run_dir
+        stage = data.draw(st.sampled_from(ARTIFACT_READERS[name]))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "run"
+            shutil.copytree(base / "run", out)
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps({**TINY_CONFIG, "out_dir": str(out)}))
+            path = config if name == "config.json" else out / name
+            path.write_text(edited_artifact(name, path.read_text(), data))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(stage[:1] + ["--config", str(config), "--out", str(out)]
+                                + stage[1:])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
     def test_missing_config_is_exit_1(self):
         assert cli.main(["gen-data", "--config", "/nonexistent.json"]) == 1
@@ -1207,11 +1303,13 @@ class TestCli:
         lambda s: s | {"W": float("inf")},
         lambda s: s | {"W": 10 ** 400},
         lambda s: s | {"split": "trian"},
+        lambda s: s | {"region_visual": [[1e300] + r[1:] for r in s["region_visual"]]},
     ], ids=["no-detections", "narrow-rows", "missing-row", "text-in-row",
             "no-references", "score-over-1", "box-off-image", "zero-width",
             "unknown-class-word", "reserved-reference",
             "int-in-reference", "string-reference", "empty-reference",
-            "nan-box", "infinite-width", "huge-int-width", "bogus-split"])
+            "nan-box", "infinite-width", "huge-int-width", "bogus-split",
+            "huge-region-value"])
     def test_corrupt_scene_record_is_exit_1(self, run_dir, tmp_path, capsys,
                                             corrupt):
         base, config, _ = run_dir
