@@ -64,7 +64,7 @@ import numpy as np
 
 from . import numerics as nm
 from .decoder import MAX_CONSTRAINTS
-from .numerics import Tensor, check_at_least
+from .numerics import Tensor, check_at_least, check_model_values
 
 RESERVED = ("<pad>", "<bos>", "<eos>", "<unk>")
 
@@ -130,10 +130,24 @@ class CaptionerConfig:
                        max_len=MAX_CONSTRAINTS + 2, visual_dim=1)
         if self.d_model % self.num_heads != 0:
             raise ValueError("d_model must be divisible by num_heads")
+        check_model_values(parameters=self.param_count,
+                           position_table=self.max_len * self.d_model)
 
     @property
     def head_dim(self) -> int:
         return self.d_model // self.num_heads
+
+    @property
+    def param_count(self) -> int:
+        """Values of ``init_captioner_params(self, rng)``, in closed form; a
+        config with no vocabulary yet counts no embedding rows."""
+        d, e, f = self.d_model, self.embed_dim, self.ffn_dim
+        ffn = 2 * d + d * f + f + f * d + d
+        enc_layer = 2 * d + 4 * d * d + 2 * self.num_memory * self.head_dim + ffn
+        dec_layer = 2 * (2 * d + 4 * d * d) + ffn
+        rows = 0 if self.vocab is None else len(self.vocab)
+        return (rows * e + e * d + d + d * e + e + self.visual_dim * d + d + 4 * d
+                + self.num_enc_layers * enc_layer + self.num_dec_layers * dec_layer)
 
 
 @lru_cache

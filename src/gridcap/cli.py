@@ -16,7 +16,10 @@ top-level only; the sections are ``data``, ``selector``, ``captioner`` and
 ``train``. Each section accepts only its own config class's fields, less
 those the program sets (the data and train seeds, the captioner's
 vocabulary and visual width), each with a value of its default's type
-inside the field's range. Any other key or value exits 1 when the config
+inside the field's range. A selector or captioner whose parameters (or
+whose position table) would hold more than ``numerics.MAX_MODEL_VALUES``
+values is out of range too, so a huge layer count or width is rejected
+before anything is built. Any other key or value exits 1 when the config
 is read, at every stage, and so does a negative seed. So does a
 ``data.classes`` word that is empty, not one lowercase token, a reserved token such
 as ``<pad>``, a caption template word such as ``a``, or repeated (a class is its word),
@@ -184,13 +187,18 @@ class Experiment:
 
     def cap_cfg(self) -> CaptionerConfig:
         """The captioner config with gen-data's vocabulary, which must hold
-        every ``data.classes`` word."""
+        every ``data.classes`` word and keep the model within its size
+        bound."""
         vocab = self.read("vocab.json", Vocabulary.load)
         missing = [w for w in self.data_cfg.classes if w not in vocab.token_to_id]
         if missing:
             raise ConfigError(f"{self.path('vocab.json')} lacks the data.classes "
                               f"words {missing}")
-        return replace(self._cap_cfg, vocab=vocab)
+        try:
+            return replace(self._cap_cfg, vocab=vocab)
+        except ValueError as exc:
+            raise ConfigError(f"{self.path('vocab.json')} does not fit the captioner "
+                              f"config: {exc}") from exc
 
     def load_ckpt(self, name: str, init, cfg):
         """Load a checkpoint whose parameter names and shapes match those

@@ -34,6 +34,16 @@ on leaves only (the parameters and other tensors no op made) and releases
 each node's closure as it goes, so one graph serves one backward and its
 saved arrays are freed during the walk.
 
+An ``AdamState`` lays a model's parameters out in blocks of whole
+parameters of at most ``ADAM_BLOCK_VALUES`` values, each block holding
+their values and Adam's two moments as flat arrays, and every parameter's
+``data`` becomes a view of its block. ``adam_step`` runs its elementwise
+passes once per block, not once per parameter, but for the two that read
+the gradients, which it takes from each parameter's ``grad`` where
+``backward`` left them. A block stays in cache across its passes, and the
+update rounds exactly as the per-parameter one, because every pass is
+elementwise.
+
 A checkpoint is one canonical JSON document (sorted keys, compact
 separators, each parameter's little-endian float64 bytes in base64), but it
 is never built whole: one generator produces its bytes per parameter, and
@@ -56,7 +66,7 @@ import mmap
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -83,12 +93,30 @@ def check_at_least(cfg, **bounds) -> None:
             raise ValueError(f"{name} must be at least {low}, got {getattr(cfg, name)}")
 
 
+# Values a model config may ask for in its parameters, or in an array it
+# sizes such as the position table: 800 MB of float64, about 280 times the
+# default captioner's parameters. A config read from outside is rejected
+# above it before anything is built.
+MAX_MODEL_VALUES = 10 ** 8
+
+
+def check_model_values(**sizes) -> None:
+    """ValueError naming the first of ``sizes`` (a count of float64 values)
+    that is above ``MAX_MODEL_VALUES``."""
+    for name, size in sizes.items():
+        if size > MAX_MODEL_VALUES:
+            raise ValueError(f"the config asks for {size} values in its {name}, "
+                             f"more than {MAX_MODEL_VALUES}")
+
+
 class Tensor:
     """Dense float64 array plus optional gradient buffer.
 
-    Immutable after creation except for ``grad``. Ops attach ``_parents``
-    and ``_vjp`` (grad_out -> per-parent gradient arrays) when any input
-    requires a gradient; ``backward`` detaches them again.
+    Ops attach ``_parents`` and ``_vjp`` (grad_out -> per-parent gradient
+    arrays) when any input requires a gradient; ``backward`` detaches them
+    again. Ops never write ``data``: an ``AdamState`` re-points a
+    parameter's ``data`` at an equal view of one of its blocks, and
+    ``adam_step`` updates the values there in place.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
@@ -779,46 +807,100 @@ def zero_grads(params: dict[str, Tensor]) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AdamState:
-    """Per-parameter first/second moment buffers plus the shared step count."""
+# Values per Adam block: 256 KiB of float64, so that a block's values,
+# moments and gradients and the scratch pair (1.5 MiB) stay in a 2 MiB L2
+# cache while Adam's passes run over them.
+ADAM_BLOCK_VALUES = 32_768
 
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+
+@dataclass(eq=False)  # arrays have no value equality
+class _AdamBlock:
+    """Whole parameters laid end to end: their values and Adam's two moments
+    as flat arrays of one length, and each parameter's place in the first
+    scratch row, shaped as the parameter."""
+
+    params: list[Tensor]
+    data: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    places: list[np.ndarray]
+
+
+class AdamState:
+    """Adam's shared step count and its blocks of parameters.
+
+    It lays its parameters out, in the dict's order, in blocks of whole
+    parameters of at most ``ADAM_BLOCK_VALUES`` values (a larger parameter
+    is a block alone) and points each tensor's ``data`` at an equal view of
+    its place in its block; building another state over a tensor points it
+    elsewhere again. Each of Adam's passes then runs once per block, and a
+    block is small enough to stay in cache between passes, which one buffer
+    of every parameter is not. ``adam_step`` must be given the same tensors.
+    The blocks' moments are the state's own, so they are freed with it,
+    while the parameters keep their values.
+    """
+
+    def __init__(self, params: dict[str, Tensor]):
+        self.step = 0
+        self.params = list(params.values())
+        groups, sizes = [], []
+        for p in self.params:
+            if not groups or sizes[-1] + p.data.size > ADAM_BLOCK_VALUES:
+                groups.append([])
+                sizes.append(0)
+            groups[-1].append(p)
+            sizes[-1] += p.data.size
+        self.scratch = np.empty((2, max(sizes, default=0)))
+        self.blocks = []
+        for group, n in zip(groups, sizes):
+            data, places, start = np.empty(n), [], 0
+            for p in group:
+                place = slice(start, start + p.data.size)
+                data[place] = p.data.ravel()
+                p.data = data[place].reshape(p.data.shape)
+                places.append(self.scratch[0, place].reshape(p.data.shape))
+                start = place.stop
+            self.blocks.append(_AdamBlock(group, data, np.zeros(n), np.zeros(n), places))
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
     """One Adam update with bias correction; missing grads count as zero.
 
-    Moments and parameters are updated in place, each operation in the order
-    of m = b1 m + (1-b1) g, v = b2 v + (1-b2) g², p -= lr m̂ / (√v̂ + eps),
-    so the results round exactly as that out-of-place recurrence does.
+    Per block, each operation in the order of m = b1 m + (1-b1) g, v = b2 v +
+    (1-b2) g², p -= lr m̂ / (√v̂ + eps), in place, so the results round
+    exactly as that out-of-place recurrence does per parameter. The two
+    passes that read g run per parameter, from its ``grad`` into its place
+    in the scratch; every other pass runs once over the block, on one
+    block-sized scratch pair that serves every block.
     """
+    if list(params.values()) != state.params:  # compares by identity
+        raise NumericsError("adam_step given other parameters than its state's")
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
-        tmp = g * (1 - b1)
+    for block in state.blocks:
+        m, v = block.m, block.v
+        tmp, denom = state.scratch[0, :m.size], state.scratch[1, :m.size]
+        for p, place in zip(block.params, block.places):
+            if p.grad is None:
+                place[...] = 0.0
+            else:
+                np.multiply(p.grad, 1 - b1, out=place)
         m *= b1
         m += tmp
-        np.multiply(g, g, out=tmp)
+        for p, place in zip(block.params, block.places):
+            if p.grad is not None:  # a missing one's place holds 0 = 0²
+                np.multiply(p.grad, p.grad, out=place)
         tmp *= 1 - b2
         v *= b2
         v += tmp
-        denom = v / (1 - b2 ** t)
+        np.divide(v, 1 - b2 ** t, out=denom)
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS
         np.divide(m, 1 - b1 ** t, out=tmp)
         tmp *= lr
         tmp /= denom
-        p.data -= tmp
+        block.data -= tmp
 
 
 def noam_lr(step: int, model_dim: int, warmup: int) -> float:

@@ -26,7 +26,7 @@ from . import numerics as nm
 from .captioner import (_attention, ffn, init_ffn, init_layer_norm, init_matrix,
                         init_vector)
 from .decoder import MAX_CONSTRAINTS
-from .numerics import Tensor, check_at_least
+from .numerics import Tensor, check_at_least, check_model_values
 
 log = logging.getLogger(__name__)
 
@@ -56,6 +56,14 @@ class SelectorConfig:
                        max_proposals=1)
         if self.embed_dim % self.num_heads != 0:
             raise ValueError("embed_dim must be divisible by num_heads")
+        check_model_values(parameters=self.param_count)
+
+    @property
+    def param_count(self) -> int:
+        """Values of ``init_selector_params(self, rng)``, in closed form."""
+        d, f = self.embed_dim, self.ffn_dim
+        layer = 2 * (2 * d + 3 * d * d) + 2 * d + d * f + f + f * d + d
+        return 6 * d + d + self.num_layers * layer + 2 * d + d + 1
 
 
 def extract_features(d: Detection, width: float, height: float) -> np.ndarray:

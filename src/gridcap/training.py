@@ -23,7 +23,10 @@ the searches.
 Gradients are released after each update: every minibatch loop drops the
 parameters' ``grad`` buffers as soon as the Adam step that reads them is
 done, so no validation pass, hash or caller sees them, and no phase returns
-parameters that hold one.
+parameters that hold one. Each phase's ``AdamState`` keeps the parameters'
+values and Adam's moments in blocks (``numerics.AdamState``); it is the
+phase's own, so once the phase returns the moments are freed and the
+parameters keep only their values.
 
 Every decode, whether a fine-tuning beam, a validation pass or an
 evaluation, is one ``run_grid_search`` call made by ``_search_scene`` on the
@@ -115,7 +118,7 @@ def _train_epochs(phase: str, params, items, minibatch_loss, val_key: str,
     ``validate()`` each epoch record's ``val_key`` value. Each epoch logs
     one INFO line containing " epoch ".
     """
-    state = AdamState()
+    state = AdamState(params)
     records = []
     for epoch in range(num_epochs):
         order = rng.permutation(len(items))
@@ -200,6 +203,14 @@ def _selection_val_f1(prepared, cfg, params, batch_size: int) -> float:
     return float(np.mean(scores_f1)) if scores_f1 else 0.0
 
 
+def _minibatch_bce(batch, cfg: SelectorConfig, params) -> Tensor:
+    """Weighted BCE of one packed minibatch of ``scene_selector_inputs``:
+    one selector pass on the parameters' op set."""
+    feats, classes, targets, segments = _packed_scenes(batch)
+    scores = selector_forward(feats, classes, cfg, params, segments)
+    return weighted_bce(scores, targets, BCE_LAMBDA0, BCE_LAMBDA1, segments)
+
+
 def train_selector(splits: HeldoutSplits, synonyms: dict[str, list[str]],
                    cfg: SelectorConfig, train_cfg: TrainConfig):
     """Adam with warmup on packed weighted-BCE minibatches; returns (params, epoch log)."""
@@ -207,14 +218,9 @@ def train_selector(splits: HeldoutSplits, synonyms: dict[str, list[str]],
     params = init_selector_params(cfg, rng)
     prepared = [scene_selector_inputs(s, cfg, synonyms) for s in splits.selector_train]
     val = [scene_selector_inputs(s, cfg, synonyms) for s in splits.val]
-
-    def minibatch_bce(batch):
-        feats, classes, targets, segments = _packed_scenes(batch)
-        scores = selector_forward(feats, classes, cfg, params, segments)
-        return weighted_bce(scores, targets, BCE_LAMBDA0, BCE_LAMBDA1, segments)
-
     epochs = _train_epochs(
-        "selector", params, prepared, minibatch_bce, "val_selection_f1",
+        "selector", params, prepared, lambda batch: _minibatch_bce(batch, cfg, params),
+        "val_selection_f1",
         lambda: _selection_val_f1(val, cfg, params, train_cfg.batch_size),
         cfg.embed_dim, train_cfg.selector_epochs, train_cfg, rng)
     return params, epochs
@@ -406,12 +412,13 @@ def finetune_scst_dgbs(splits: HeldoutSplits, cfg: CaptionerConfig,
     vocab = cfg.vocab
     reward_idf = IdfTable.from_references([s.references for s in splits.captioner_train])
     rng = _rng(train_cfg.seed, 3)
-    state = AdamState()
     scenes = list(splits.captioner_train)
     epochs = []
     best_val, best_epoch = -1.0, 0
     best_snapshot = {k: v.data for k, v in params.items()}  # never written
-    params = {k: Tensor(v.data.copy(), requires_grad=True) for k, v in params.items()}
+    # the state copies the values into its blocks: training runs on that copy
+    params = {k: Tensor(v.data, requires_grad=True) for k, v in params.items()}
+    state = AdamState(params)
     for epoch in range(train_cfg.rl_epochs):
         order = rng.permutation(len(scenes))
         reward_sum, reward_n, skipped, zero_adv = 0.0, 0, 0, 0

@@ -78,6 +78,30 @@ def setup():
     return cfg, params, regions
 
 
+class TestCaptionerConfig:
+    @settings(max_examples=40, deadline=None)
+    @given(words=st.integers(0, 6), heads=st.integers(1, 3), head_dim=st.integers(1, 4),
+           enc=st.integers(0, 3), dec=st.integers(1, 3), memory=st.integers(0, 3),
+           embed=st.integers(1, 5), ffn=st.integers(1, 9), visual=st.integers(1, 4))
+    def test_param_count_is_the_initialised_size(self, words, heads, head_dim, enc, dec,
+                                                 memory, embed, ffn, visual):
+        cfg = CaptionerConfig(vocab=Vocabulary(WORDS[:words]), d_model=heads * head_dim,
+                              num_enc_layers=enc, num_dec_layers=dec, num_heads=heads,
+                              num_memory=memory, embed_dim=embed, ffn_dim=ffn,
+                              visual_dim=visual)
+        params = init_captioner_params(cfg, np.random.default_rng(0))
+        assert cfg.param_count == sum(p.data.size for p in params.values())
+
+    @pytest.mark.parametrize("field, part", [
+        ("num_enc_layers", "parameters"), ("num_dec_layers", "parameters"),
+        ("d_model", "parameters"), ("ffn_dim", "parameters"), ("embed_dim", "parameters"),
+        ("num_memory", "parameters"), ("max_len", "position_table")])
+    def test_huge_model_is_rejected(self, field, part):
+        with pytest.raises(ValueError, match=f"values in its {part}, more than"):
+            tiny_cfg(**{field: 10 ** 30, "num_heads": 1})
+        tiny_cfg(vocab=None, **{field: 10, "num_heads": 1})  # in range, no vocabulary
+
+
 class TestVocabulary:
     def test_maps_are_inverse_bijections(self):
         v = Vocabulary(WORDS)
@@ -563,7 +587,7 @@ class TestXentLoss:
         cfg, params, regions = setup
         v = cfg.vocab
         toks = [v.bos_id] + v.encode(["red", "dog", "runs"]) + [v.eos_id]
-        state = nm.AdamState()
+        state = nm.AdamState(params)
         losses = []
         for _ in range(50):
             nm.zero_grads(params)

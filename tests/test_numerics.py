@@ -784,12 +784,21 @@ class TestBackward:
         assert (r1 == r2).all()
 
 
+def moments(state: AdamState, p: Tensor):
+    """Adam's first and second moments of parameter ``p``, read from the
+    blocks of ``state`` at the place of ``p``'s values."""
+    block, = (b for b in state.blocks if any(q is p for q in b.params))
+    start = (p.data.ctypes.data - block.data.ctypes.data) // block.data.itemsize
+    place = slice(start, start + p.data.size)
+    return block.m[place].reshape(p.shape), block.v[place].reshape(p.shape)
+
+
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         p.grad = np.zeros(2)
         before = p.data.copy()
-        adam_step({"p": p}, AdamState(), lr=0.1)
+        adam_step({"p": p}, AdamState({"p": p}), lr=0.1)
         np.testing.assert_array_equal(p.data, before)
 
     def test_first_step_matches_hand_recurrence(self):
@@ -797,7 +806,7 @@ class TestAdam:
         # so the update is -lr/(1+eps)
         p = Tensor(np.array([0.0]), requires_grad=True)
         p.grad = np.array([1.0])
-        adam_step({"p": p}, AdamState(), lr=0.1)
+        adam_step({"p": p}, AdamState({"p": p}), lr=0.1)
         assert abs(p.data[0] + 0.1) < 1e-8
 
     def test_in_place_update_equals_out_of_place_recurrence(self):
@@ -807,7 +816,7 @@ class TestAdam:
         ref = {k: p.data.copy() for k, p in params.items()}
         m = {k: np.zeros_like(p) for k, p in ref.items()}
         v = {k: np.zeros_like(p) for k, p in ref.items()}
-        state = AdamState()
+        state = AdamState(params)
         b1, b2, eps = nm.ADAM_BETA1, nm.ADAM_BETA2, nm.ADAM_EPS
         for t in (1, 2, 3):
             params["a"].grad = rng.normal(size=(4, 3))
@@ -821,12 +830,98 @@ class TestAdam:
                 vhat = v[k] / (1 - b2 ** t)
                 ref[k] = ref[k] - 0.01 * t * mhat / (np.sqrt(vhat) + eps)
                 np.testing.assert_array_equal(p.data, ref[k])
-                np.testing.assert_array_equal(state.m[k], m[k])
-                np.testing.assert_array_equal(state.v[k], v[k])
+                np.testing.assert_array_equal(moments(state, p)[0], m[k])
+                np.testing.assert_array_equal(moments(state, p)[1], v[k])
+
+    @staticmethod
+    def reference_step(ref, m, v, grads, t, lr):
+        """The out-of-place Adam recurrence on separate arrays, in place of
+        ``ref``, ``m`` and ``v``; a missing gradient counts as zero."""
+        b1, b2, eps = nm.ADAM_BETA1, nm.ADAM_BETA2, nm.ADAM_EPS
+        for k in ref:
+            g = grads[k] if grads[k] is not None else np.zeros_like(ref[k])
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * (g * g)
+            mhat = m[k] / (1 - b1 ** t)
+            vhat = v[k] / (1 - b2 ** t)
+            ref[k] = ref[k] - lr * mhat / (np.sqrt(vhat) + eps)
+
+    def test_blocks_hold_whole_parameters(self):
+        # two parameters share a block up to its size, a larger one is a
+        # block alone, and one without a gradient on a step counts as zero
+        n = nm.ADAM_BLOCK_VALUES
+        sizes = {"a": (n // 2, 1), "b": (n // 4,), "big": (2, n // 2 + 1),
+                 "c": (3,), "d": (n - 3,), "e": (5, 2)}
+        rng = np.random.default_rng(3)
+        params = {k: Tensor(rng.normal(size=s), requires_grad=True)
+                  for k, s in sizes.items()}
+        ref = {k: p.data.copy() for k, p in params.items()}
+        m = {k: np.zeros_like(p) for k, p in ref.items()}
+        v = {k: np.zeros_like(p) for k, p in ref.items()}
+        state = AdamState(params)
+        for t in (1, 2, 3):
+            grads = {k: None if (k, t) in (("big", 2), ("c", 1)) else rng.normal(size=s)
+                     for k, s in sizes.items()}
+            for k, p in params.items():
+                p.grad = grads[k]
+            adam_step(params, state, lr=0.01 * t)
+            self.reference_step(ref, m, v, grads, t, 0.01 * t)
+            for k, p in params.items():
+                np.testing.assert_array_equal(p.data, ref[k])
+                np.testing.assert_array_equal(moments(state, p)[0], m[k])
+                np.testing.assert_array_equal(moments(state, p)[1], v[k])
+        assert [[q for q in params if params[q] in b.params] for b in state.blocks] == [
+            ["a", "b"], ["big"], ["c", "d"], ["e"]]
+        for block in state.blocks:
+            assert block.data.size <= n or len(block.params) == 1
+            assert all(np.shares_memory(p.data, block.data) for p in block.params)
+
+    def test_two_backwards_then_one_step_equal_unblocked_tensors(self):
+        # SCST's pattern: two graphs over the same parameters, one update,
+        # on tensors laid out in blocks and on plain ones stepped by the
+        # out-of-place recurrence
+        rng = np.random.default_rng(11)
+        x1, x2 = rng.normal(size=(5, 4)), rng.normal(size=(3, 4))
+        init = {"w": rng.normal(size=(4, 6)), "b": rng.normal(size=6),
+                "u": rng.normal(size=(6, 2))}
+
+        def loss(params, x, t):
+            h = nm.matmul(Tensor(x), params["w"])
+            if t != 2:  # b gets no gradient on step 2
+                h = nm.add(h, params["b"])
+            return nm.tsum(nm.mul(nm.matmul(h, params["u"]),
+                                  nm.matmul(h, params["u"])))
+
+        blocked = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        ref = {k: a.copy() for k, a in init.items()}
+        m = {k: np.zeros_like(a) for k, a in ref.items()}
+        v = {k: np.zeros_like(a) for k, a in ref.items()}
+        state = AdamState(blocked)
+        for t in (1, 2, 3):
+            plain = {k: Tensor(a.copy(), requires_grad=True) for k, a in ref.items()}
+            for params in (blocked, plain):
+                nm.backward(loss(params, x1, t))
+                nm.backward(loss(params, x2, t))
+            adam_step(blocked, state, lr=0.05)
+            self.reference_step(ref, m, v, {k: p.grad for k, p in plain.items()},
+                                t, 0.05)
+            nm.zero_grads(blocked)
+            for k, p in blocked.items():
+                np.testing.assert_array_equal(p.data, ref[k])
+                np.testing.assert_array_equal(moments(state, p)[0], m[k])
+                np.testing.assert_array_equal(moments(state, p)[1], v[k])
+
+    def test_other_parameters_are_rejected(self):
+        p, q = (Tensor(np.ones(2), requires_grad=True) for _ in range(2))
+        state = AdamState({"p": p})
+        with pytest.raises(NumericsError, match="other parameters"):
+            adam_step({"q": q}, state, lr=0.1)
+        with pytest.raises(NumericsError, match="other parameters"):
+            adam_step({"p": p, "q": q}, state, lr=0.1)
 
     def test_converges_on_quadratic(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
-        state = AdamState()
+        state = AdamState({"p": p})
         for _ in range(200):
             p.zero_grad()
             loss = nm.tsum(nm.mul(p, p))

@@ -28,6 +28,22 @@ def scene_with(classes, references, W=100, H=100):
                        region_visual=[], references=references, split="test")
 
 
+class TestSelectorConfig:
+    @settings(max_examples=40, deadline=None)
+    @given(heads=st.integers(1, 3), head_dim=st.integers(1, 4), layers=st.integers(0, 3),
+           ffn=st.integers(1, 9))
+    def test_param_count_is_the_initialised_size(self, heads, head_dim, layers, ffn):
+        cfg = SelectorConfig(embed_dim=heads * head_dim, num_layers=layers,
+                             num_heads=heads, ffn_dim=ffn)
+        params = init_selector_params(cfg, np.random.default_rng(0))
+        assert cfg.param_count == sum(p.data.size for p in params.values())
+
+    @pytest.mark.parametrize("field", ["embed_dim", "num_layers", "ffn_dim"])
+    def test_huge_model_is_rejected(self, field):
+        with pytest.raises(ValueError, match="values in its parameters, more than"):
+            SelectorConfig(**{field: 10 ** 30, "num_heads": 1})
+
+
 class TestExtractFeatures:
     def test_full_image_box(self):
         d = det("lamp", box=(50.0, 50.0, 100.0, 100.0), score=1.0)

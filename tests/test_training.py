@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import logging
@@ -7,6 +8,7 @@ import math
 import os
 import shutil
 import tempfile
+import weakref
 import zlib
 from pathlib import Path
 
@@ -729,25 +731,48 @@ class TestFinetune:
 
 class TestGradientsReleased:
     """Each phase drops its gradients after every update, so the parameters
-    it returns hold none."""
+    it returns hold none, and its Adam state's moment blocks and scratch are
+    freed once it returns."""
+
+    @staticmethod
+    def watch_blocks(monkeypatch) -> list:
+        """Weak references to the moment blocks and scratch of every
+        ``AdamState`` the phase steps, taken at each of its updates."""
+        refs, step = [], tr.adam_step
+
+        def watched(params, state, lr):
+            step(params, state, lr)
+            refs.append(weakref.ref(state.scratch))
+            refs.extend(weakref.ref(a) for b in state.blocks for a in (b.m, b.v))
+
+        monkeypatch.setattr(tr, "adam_step", watched)
+        return refs
+
+    @staticmethod
+    def assert_released(params, refs):
+        assert [k for k, p in params.items() if p.grad is not None] == []
+        gc.collect()
+        assert refs and all(r() is None for r in refs)
 
     @pytest.mark.parametrize("phase", ["selector", "captioner"])
-    def test_pretraining_returns_no_gradients(self, tiny_world, phase):
+    def test_pretraining_returns_no_gradients(self, tiny_world, phase, monkeypatch):
+        refs = self.watch_blocks(monkeypatch)
         tcfg = TrainConfig(selector_epochs=1, xent_epochs=1, warmup=50, seed=3)
         params, epochs = pretrain(phase, tiny_world, tcfg)
         assert epochs[0]["updates"] >= 1
-        assert [k for k, p in params.items() if p.grad is not None] == []
+        self.assert_released(params, refs)
 
-    def test_finetune_returns_no_gradients(self, tiny_world, pretrained):
+    def test_finetune_returns_no_gradients(self, tiny_world, pretrained, monkeypatch):
         _, _, synonyms, splits, _ = tiny_world
         cfg, pre = pretrained
         tcfg = TrainConfig(rl_epochs=1, beam_size=3, seed=9)
         sub = tr.HeldoutSplits(captioner_train=splits.captioner_train[:6],
                                selector_train=[], val=splits.val[:2], test=[])
+        refs = self.watch_blocks(monkeypatch)
         params, epochs = finetune_scst_dgbs(sub, cfg, fresh_copy(pre), tcfg,
                                             synonyms)
         assert epochs[0]["updates"] >= 1
-        assert [k for k, p in params.items() if p.grad is not None] == []
+        self.assert_released(params, refs)
 
 
 TREE_CFG = CaptionerConfig(vocab=Vocabulary(["red", "dog", "runs"]), d_model=8,
@@ -892,9 +917,14 @@ ARTIFACT_READERS = {
                     ["finetune"], ["eval", "--mode", "selector"]),
 }
 HUGE = 10 ** 30
-# The JSON values an edit puts in place of another. The config is given no
-# HUGE count: a stage builds that many layers before anything rejects it.
+# The JSON values an edit puts in place of another.
 EDIT_VALUES = (None, True, 0, -1, 2, 2.5, 1e300, math.nan, "", "x", [], {}, [1], HUGE)
+# Config counts of work, not of model size, which the edits leave below HUGE:
+# a stage runs that many epochs or generates that many scenes, and a beam
+# that wide overflows the search's counters (see CHANGES.md). A HUGE model
+# size is rejected when the config is read (``numerics.MAX_MODEL_VALUES``).
+WORK_COUNTS = {("data", "num_train"), ("data", "num_eval"), ("train", "selector_epochs"),
+               ("train", "xent_epochs"), ("train", "rl_epochs"), ("train", "beam_size")}
 
 
 def json_paths(node, at=()):
@@ -930,7 +960,8 @@ def edited_artifact(name: str, text: str, data) -> str:
         parent.update((new if k == path[-1] else k, v) for k, v in items)
     else:
         value = data.draw(st.sampled_from(
-            [v for v in EDIT_VALUES if name != "config.json" or v is not HUGE]))
+            [v for v in EDIT_VALUES
+             if v is not HUGE or name != "config.json" or path not in WORK_COUNTS]))
         if path:
             parent[path[-1]] = value
         else:
@@ -1034,6 +1065,16 @@ class TestCli:
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
 
+    def test_vocabulary_past_the_model_bound_is_exit_1(self, run_dir, monkeypatch, capsys):
+        # the bound is checked again once gen-data's vocabulary sizes the
+        # embedding; here it admits the config's layers but no embedding row
+        _, config, _ = run_dir
+        bare = CaptionerConfig(vocab=None, visual_dim=DatasetConfig().visual_dim,
+                               **TINY_CONFIG["captioner"])
+        monkeypatch.setattr(nm, "MAX_MODEL_VALUES", bare.param_count)
+        assert cli.main(["train-captioner", "--config", config]) == 1
+        assert "vocab.json does not fit the captioner config" in capsys.readouterr().err
+
     def test_missing_config_is_exit_1(self):
         assert cli.main(["gen-data", "--config", "/nonexistent.json"]) == 1
 
@@ -1114,6 +1155,10 @@ class TestCli:
         {"data": {"classes": ["a", "lamp"], "held_out": []}},
         {"data": {"classes": ["lamp", "lamp", "chair"], "held_out": []}},
         {"data": {"classes": ["lamp", "lamps", "chair"], "held_out": []}},
+        {"captioner": {"num_enc_layers": HUGE}},
+        {"captioner": {"ffn_dim": HUGE}},
+        {"captioner": {"max_len": HUGE}},
+        {"selector": {"num_layers": HUGE}},
     ], ids=["data-list", "train-string", "seed-string", "seed-float",
             "num_train-string", "held_out-int", "num_heads-float",
             "selector_epochs-float", "beam_size-bool", "out_dir-int",
@@ -1121,7 +1166,8 @@ class TestCli:
             "num_eval-negative", "max_proposals-0", "max_len-2", "seed-negative",
             "rl_lr-nan", "rl_lr-infinity", "reserved-class-word",
             "empty-class-word", "template-class-word", "repeated-class-word",
-            "plural-class-word"])
+            "plural-class-word", "num_enc_layers-huge", "ffn_dim-huge", "max_len-huge",
+            "selector-num_layers-huge"])
     def test_malformed_config_value_is_exit_1(self, tmp_path, monkeypatch, raw):
         monkeypatch.chdir(tmp_path)  # so a run that ignored out_dir writes here too
         bad = tmp_path / "bad.json"
